@@ -41,7 +41,7 @@ def _world():
 
 
 def _stage1_flow_analytics(world, flows, rules, codes=None):
-    """The per-day stage-1 consumer fan-out of ``_consume_flows``."""
+    """The per-day stage-1 consumers of the study's flow tier."""
     census = daily_server_census(
         flows, rules, list(INFRA_SERVICES), DAY, codes=codes
     )
@@ -281,8 +281,9 @@ def test_study_day_telemetry_on(benchmark, study):
 def test_shard_scaling_day(benchmark):
     """Near-linear shard scaling over one heavy study day (DESIGN.md §15).
 
-    A 100k-subscriber day (SMOKE: toy scale) runs once unsharded and
-    once as 4 subscriber-range shard tasks plus the fan-in merge.  On a
+    A 100k-subscriber day (SMOKE: toy scale) runs once as one range task
+    (``day_partial``: the whole population, same code) and once as 4
+    subscriber-range shard tasks plus the fan-in merge.  On a
     single CPU the honest figure is the *critical path*: the slowest
     shard plus ``merge_day_shards``, which is what a 4-worker pool would
     wait on.  ``extra_info`` carries the measured speedup; the §15

@@ -41,43 +41,6 @@ def _batch_view(
     return codes if codes is not None else batch.service_view(rules)
 
 
-def _ip_service_pairs(
-    batch: FlowBatch, view: BatchServiceView
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (server IP, service code) pairs plus the per-pair shared flag.
-
-    Returns ``(ips, service_codes, shared)`` aligned by pair; ``shared[i]``
-    is True when ``ips[i]`` also serves some other service that day.
-    """
-    if len(batch) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=bool)
-    pairs = np.unique(
-        np.stack((batch.server_ip, view.flow_codes)), axis=1
-    )
-    ips, service_codes = pairs[0], pairs[1]
-    # Pairs are distinct, so each IP's multiplicity is its service count.
-    _, inverse, counts = np.unique(ips, return_inverse=True, return_counts=True)
-    return ips, service_codes, counts[inverse] > 1
-
-
-def ip_service_pairs(
-    batch: FlowBatch,
-    rules: RuleSet,
-    codes: Optional[BatchServiceView] = None,
-) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
-    """Distinct (ip, service-code) pairs plus the code→name table.
-
-    The shard-portable form of the census raw material: pairs from
-    disjoint flow subsets union into the full day's pairs, and the
-    shared flag is recomputed over the union (an address dedicated
-    within one shard may be shared across shards).
-    """
-    view = _batch_view(batch, rules, codes)
-    ips, service_codes, _ = _ip_service_pairs(batch, view)
-    return ips, service_codes, view.services
-
-
 @dataclass(frozen=True)
 class DailyServerStats:
     """Fig. 11 top row: one service's server-address census for one day."""
@@ -90,6 +53,91 @@ class DailyServerStats:
     @property
     def total_ips(self) -> int:
         return self.dedicated_ips + self.shared_ips
+
+
+@dataclass(frozen=True)
+class ServicePairs:
+    """One day's distinct (server IP, service) pairs with the sharing rule.
+
+    The single home of Fig. 11's dedicated/shared split: ``shared[i]`` is
+    True when ``ips[i]`` also served some other service (including the
+    unnamed rest) that day.  Pairs from disjoint flow subsets — the
+    shards of a day — :meth:`union` into the whole day's pairs, where the
+    flag is recomputed (an address dedicated within one shard may be
+    shared across shards).
+    """
+
+    ips: np.ndarray
+    codes: np.ndarray  # indices into ``services``
+    shared: np.ndarray
+    services: Tuple[str, ...]
+
+    @classmethod
+    def distinct(
+        cls, ips: np.ndarray, codes: np.ndarray, services: Tuple[str, ...]
+    ) -> "ServicePairs":
+        """Deduplicate per-flow (ip, code) columns and flag shared addresses."""
+        if ips.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return cls(empty, empty, np.zeros(0, dtype=bool), services)
+        pairs = np.unique(np.stack((ips, codes)), axis=1)
+        # Pairs are distinct, so each IP's multiplicity is its service count.
+        _, inverse, counts = np.unique(
+            pairs[0], return_inverse=True, return_counts=True
+        )
+        return cls(pairs[0], pairs[1], counts[inverse] > 1, services)
+
+    @classmethod
+    def union(
+        cls, parts: Iterable[Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]]
+    ) -> "ServicePairs":
+        """Merge ``(ips, codes, services)`` parts onto one service table."""
+        code_of: Dict[str, int] = {}
+        ips: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        codes: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for part_ips, part_codes, part_services in parts:
+            remap = np.fromiter(
+                (code_of.setdefault(name, len(code_of)) for name in part_services),
+                np.int64,
+                len(part_services),
+            )
+            ips.append(part_ips)
+            codes.append(remap[part_codes])
+        return cls.distinct(np.concatenate(ips), np.concatenate(codes), tuple(code_of))
+
+    def _member(self, service: str) -> np.ndarray:
+        if service not in self.services:
+            return np.zeros(self.codes.shape, dtype=bool)
+        return self.codes == self.services.index(service)
+
+    def census(self, day: datetime.date, service: str) -> DailyServerStats:
+        member = self._member(service)
+        shared_ips = int(np.count_nonzero(self.shared & member))
+        return DailyServerStats(
+            day=day,
+            service=service,
+            dedicated_ips=int(np.count_nonzero(member)) - shared_ips,
+            shared_ips=shared_ips,
+        )
+
+    def roles(self, service: str) -> Dict[int, bool]:
+        """The service's addresses of the day → shared?"""
+        member = self._member(service)
+        return dict(zip(self.ips[member].tolist(), self.shared[member].tolist()))
+
+    def addresses(self, service: str) -> List[int]:
+        """The service's distinct addresses, ascending."""
+        return self.ips[self._member(service)].tolist()
+
+
+def ip_service_pairs(
+    batch: FlowBatch,
+    rules: RuleSet,
+    codes: Optional[BatchServiceView] = None,
+) -> ServicePairs:
+    """The batch's distinct (server IP, service) pairs."""
+    view = _batch_view(batch, rules, codes)
+    return ServicePairs.distinct(batch.server_ip, view.flow_codes, view.services)
 
 
 def daily_server_census(
@@ -105,21 +153,8 @@ def daily_server_census(
     classified to any other service (including the unnamed rest).
     """
     if isinstance(flows, FlowBatch):
-        view = _batch_view(flows, rules, codes)
-        ips, service_codes, shared = _ip_service_pairs(flows, view)
-        stats = []
-        for service in services:
-            member = service_codes == view.code_of(service)
-            shared_ips = int(np.count_nonzero(shared & member))
-            stats.append(
-                DailyServerStats(
-                    day=day,
-                    service=service,
-                    dedicated_ips=int(np.count_nonzero(member)) - shared_ips,
-                    shared_ips=shared_ips,
-                )
-            )
-        return stats
+        pairs = ip_service_pairs(flows, rules, codes)
+        return [pairs.census(day, service) for service in services]
     ips_by_service: Dict[str, Set[int]] = {service: set() for service in services}
     services_by_ip: Dict[int, Set[str]] = {}
     for record in flows:
@@ -184,8 +219,19 @@ def asn_breakdown(
             if classify_flow(record, rules) == service:
                 addresses.add(record.server_ip)
         ordered = sorted(addresses)
+    return asn_of_addresses(ordered, rib, service, day, top_asns)
+
+
+def asn_of_addresses(
+    addresses: Iterable[int],
+    rib: RibArchive,
+    service: str,
+    day: datetime.date,
+    top_asns: Optional[List[str]] = None,
+) -> AsnBreakdown:
+    """Count a service's (distinct, ordered) addresses per origin AS name."""
     counts: Dict[str, int] = {}
-    for address in ordered:
+    for address in addresses:
         name = rib.origin_of(address, day).name
         if top_asns is not None and name not in top_asns:
             name = "OTHER"
@@ -333,20 +379,8 @@ def daily_ip_roles(
     is a red dot (dedicated) or a blue dot (also served another service).
     """
     if isinstance(flows, FlowBatch):
-        view = _batch_view(flows, rules, codes)
-        ips, service_codes, shared = _ip_service_pairs(flows, view)
-        batch_roles: Dict[str, Dict[int, bool]] = {
-            service: {} for service in services
-        }
-        for service in services:
-            member = service_codes == view.code_of(service)
-            batch_roles[service] = dict(
-                zip(
-                    ips[member].tolist(),
-                    shared[member].tolist(),
-                )
-            )
-        return batch_roles
+        pairs = ip_service_pairs(flows, rules, codes)
+        return {service: pairs.roles(service) for service in services}
     services_by_ip: Dict[int, Set[str]] = {}
     for record in flows:
         service = classify_flow(record, rules)

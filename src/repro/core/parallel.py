@@ -5,8 +5,8 @@ survived probe outages, disk failures, and software upgrades (§2); the
 reproduction's equivalent lever is that every study day is independent —
 generation and stage-1 aggregation share no state across days (per-day
 seeds, DESIGN.md §6).  :func:`execute_study` therefore dispatches *one
-task per planned day* to a :class:`~repro.core.pool.SupervisedPool` and
-treats partial failure as the normal case:
+task per planned (day, shard)* to a :class:`~repro.core.pool.SupervisedPool`
+and treats partial failure as the normal case:
 
 * a worker exception comes back as a structured :class:`DayFailure`
   naming the day, attempt, and traceback — never as an opaque
@@ -34,14 +34,16 @@ disjoint-insert/concatenate — so the merged :class:`StudyData` is
 crashes, resumes, and sharding change wall-clock, never results
 (asserted in tests).
 
-A study day can additionally fan out into N shard-tasks (DESIGN.md §15):
+A study day is always a list of N >= 1 range tasks (DESIGN.md §15):
 ``execute_study(..., shards=N)`` plans one :class:`DayTask` per
-``(day, shard)``, workers run :meth:`LongitudinalStudy.day_shard_partial`
-over their disjoint subscriber range, and the parent fans each day back
-in with :func:`~repro.core.study.merge_day_shards` before the calendar
-tree merge.  Checkpoints and the manifest become shard-granular, so a
-killed 100k-subscriber run resumes mid-day.  Completed partials above a
-memory watermark spill to disk as v2 column chunks
+``(day, shard)`` and every worker runs
+:meth:`LongitudinalStudy.day_shard_partial` over its subscriber range.
+A one-shard task holds the whole day, so its worker also runs the fan-in
+(:func:`~repro.core.study.merge_day_shards`) and ships the finished day
+partial; the parts of a split day are fanned in by the parent before the
+calendar tree merge, with shard-granular checkpoints and manifest rows,
+so a killed 100k-subscriber run resumes mid-day.  Completed partials
+above a memory watermark spill to disk as v2 column chunks
 (``shard_spill_dir``) and stream back in during fan-in.
 
 Workers ship their partials back as :class:`ColumnarPartial`\\ s: the
@@ -67,7 +69,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,11 +86,15 @@ from repro.core.pool import (
 )
 from repro.core.shards import (
     DEFAULT_SPILL_WATERMARK_BYTES,
+    ShardExtra,
     ShardSpec,
     load_spilled,
     plan_shards,
+    shard_key,
     spill_file_name,
     spill_partial,
+    task_attrs,
+    task_label,
 )
 from repro.core.study import LongitudinalStudy, StudyData, merge_day_shards
 from repro.dataflow.datalake import CheckpointError, CheckpointStore
@@ -99,15 +105,13 @@ from repro.telemetry.metrics import merge_snapshots
 from repro.telemetry.runtime import Telemetry, TelemetrySnapshot
 from repro.telemetry.spans import SpanRecord, reparent
 
-_Chunk = List[Tuple[datetime.date, Set[str]]]
-
 #: In-flight dispatch window per pool worker: enough queued tasks that a
 #: settling worker never idles waiting for the parent's next ``submit``,
 #: small enough that a cooperative cancel drains quickly (only tasks
 #: already handed to the queue keep running after a cancel).
 _SUBMIT_WINDOW_PER_WORKER = 2
 
-#: Dispatch/settlement key: (day, shard index); shard 0 when unsharded.
+#: Dispatch/settlement key: (day, shard index).
 _Key = Tuple[datetime.date, int]
 
 #: Per-process memo of studies rebuilt from their (hashed) config, so a
@@ -123,9 +127,8 @@ class ColumnarPartial:
     rtt: List[Tuple[Tuple[str, int], np.ndarray]]
     ip_sets: List[Tuple[str, datetime.date, np.ndarray]]
     ip_roles: List[Tuple[str, datetime.date, np.ndarray, np.ndarray]]
-    #: Shard fan-in sidecar (:class:`~repro.core.shards.ShardExtra`);
-    #: ``None`` for unsharded partials.  Read via ``getattr`` when the
-    #: partial may come from a pre-shard checkpoint pickle.
+    #: Shard fan-in sidecar (:class:`~repro.core.shards.ShardExtra`) of
+    #: one part of a split day; ``None`` on a finished day partial.
     extra: Optional[object] = None
 
     @classmethod
@@ -207,13 +210,15 @@ class ColumnarPartial:
 
 @dataclass(frozen=True)
 class DayTask:
-    """One unit of dispatch: a single planned day at a given attempt."""
+    """One unit of dispatch: one subscriber range of a planned day at a
+    given attempt (the whole day when the plan has one shard)."""
 
     index: int
     day: datetime.date
     roles: Tuple[str, ...]
     attempt: int
     config: StudyConfig
+    shard: ShardSpec
     fault_plan: Optional[FaultPlan] = None
     #: When set, the worker activates a fresh Telemetry bundle around the
     #: day and ships the snapshot back on the result pipe (no live state
@@ -222,17 +227,10 @@ class DayTask:
     #: Clock spec for the worker's bundle; matches the parent's clock so
     #: virtual-clock runs stay deterministic end to end.
     clock_spec: str = "monotonic"
-    #: Subscriber range this task covers; ``None`` runs the whole day.
-    shard: Optional[ShardSpec] = None
-
-    @property
-    def shard_index(self) -> int:
-        return self.shard.index if self.shard is not None else 0
 
     @property
     def label(self) -> str:
-        suffix = f"/{self.shard.label}" if self.shard is not None else ""
-        return f"{self.day.isoformat()}{suffix}"
+        return task_label(self.day, self.shard.index, self.shard.count)
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,9 @@ class DaySuccess:
     wall_time: float
     worker: int
     telemetry: Optional[TelemetrySnapshot] = None
-    shard: Optional[int] = None
+    #: Which shard of the day settled (0 of 1 for a whole day).
+    shard: int = 0
+    shards: int = 1
 
 
 @dataclass(frozen=True)
@@ -261,12 +261,12 @@ class DayFailure:
     #: Elapsed seconds the failed attempt actually burned (the manifest
     #: used to record a flat 0.0 for failed days).
     wall_time: float = 0.0
-    shard: Optional[int] = None
+    shard: int = 0
+    shards: int = 1
 
     @property
     def label(self) -> str:
-        suffix = f"/shard{self.shard}" if self.shard is not None else ""
-        return f"{self.day.isoformat()}{suffix}"
+        return task_label(self.day, self.shard, self.shards)
 
 
 def _cached_study(config: StudyConfig) -> LongitudinalStudy:
@@ -291,17 +291,27 @@ def _run_chunk(task: DayTask) -> object:
     clock = clock_for(task.clock_spec)
     started = clock.now()
     bundle: Optional[Telemetry] = None
-    shard = task.shard.index if task.shard is not None else None
+    shard = task.shard
     try:
         if task.fault_plan is not None:
-            task.fault_plan.fire(task.day, task.attempt, shard=shard)
+            task.fault_plan.fire(task.day, task.attempt, shard=shard.index)
         study = _cached_study(task.config)
         if task.telemetry_enabled:
             bundle = Telemetry.for_spec(task.clock_spec)
-            with telemetry_runtime.activate(bundle):
-                data, extra = _day_payload(study, task)
-        else:
-            data, extra = _day_payload(study, task)
+        scope = (
+            telemetry_runtime.activate(bundle)
+            if bundle is not None
+            else nullcontext()
+        )
+        with scope:
+            data, extra = study.day_shard_partial(
+                task.day, set(task.roles), shard
+            )
+        if shard.key is None:
+            # The task holds the whole day: fan it in here and ship the
+            # finished partial, so the parent does no per-day analytics.
+            data = merge_day_shards(task.day, [(data, extra)], study.world.rib)
+            extra = None
         partial = ColumnarPartial.pack(data, extra=extra)
     except Exception as exc:
         return DayFailure(
@@ -313,7 +323,8 @@ def _run_chunk(task: DayTask) -> object:
             traceback_text=traceback.format_exc(),
             worker=os.getpid(),
             wall_time=clock.now() - started,
-            shard=shard,
+            shard=shard.index,
+            shards=shard.count,
         )
     return DaySuccess(
         index=task.index,
@@ -323,15 +334,9 @@ def _run_chunk(task: DayTask) -> object:
         wall_time=clock.now() - started,
         worker=os.getpid(),
         telemetry=bundle.snapshot() if bundle is not None else None,
-        shard=shard,
+        shard=shard.index,
+        shards=shard.count,
     )
-
-
-def _day_payload(study: LongitudinalStudy, task: DayTask):
-    """The worker's StudyData plus shard sidecar (``None`` unsharded)."""
-    if task.shard is None:
-        return study.day_partial(task.day, set(task.roles)), None
-    return study.day_shard_partial(task.day, set(task.roles), task.shard)
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +395,7 @@ class DayRecord:
     worker: Optional[int]
     source: str  # "worker" | "serial" | "checkpoint"
     error: str = ""
-    #: Which shard of the day this row covers (0 of 1 when unsharded).
+    #: Which shard of the day this row covers (0 of 1 for a whole day).
     shard: int = 0
     shards: int = 1
 
@@ -401,9 +406,7 @@ class DayRecord:
     @property
     def label(self) -> str:
         """Manifest key: the ISO day, suffixed ``/k`` when sharded."""
-        return self.day.isoformat() + (
-            f"/{self.shard}" if self.shards > 1 else ""
-        )
+        return task_label(self.day, self.shard, self.shards)
 
     def to_dict(self) -> dict:
         return {
@@ -441,7 +444,7 @@ class RunReport:
     #: DayQualityReport.to_dict`) for runs that read from the lake under
     #: an integrity policy; empty for world-model runs.
     data_quality: List[dict] = field(default_factory=list)
-    #: Shard fan-out per day (1 = unsharded; records are per shard-task).
+    #: Shard fan-out per day (records are per shard-task).
     shards: int = 1
     #: Completed partials spilled to disk under the memory watermark.
     spills: int = 0
@@ -660,27 +663,6 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# Planning
-
-
-def partition_plan(
-    plan: Dict[datetime.date, Set[str]], workers: int
-) -> List[_Chunk]:
-    """Round-robin partition of the planned days into ``workers`` chunks.
-
-    Retained for coarse-grained chunking experiments and tests; the
-    fault-tolerant dispatcher schedules single-day tasks dynamically and
-    does not pre-partition.
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    chunks: List[_Chunk] = [[] for _ in range(workers)]
-    for index, day in enumerate(sorted(plan)):
-        chunks[index % workers].append((day, plan[day]))
-    return [chunk for chunk in chunks if chunk]
-
-
-# ----------------------------------------------------------------------
 # Execution
 
 
@@ -754,12 +736,10 @@ class _Dispatch:
         store: Optional[CheckpointStore],
         progress: Optional[Callable[[datetime.date], None]],
         partials: Optional[_PartialStore] = None,
-        shard_count: int = 1,
     ) -> None:
         self.policy = policy
         self.store = store
         self.progress = progress
-        self.shard_count = shard_count
         self.partials = partials if partials is not None else _PartialStore(None, None)
         self.records: Dict[_Key, DayRecord] = {}
         self.failures: List[DayFailure] = []
@@ -768,19 +748,27 @@ class _Dispatch:
         self.events: List[RunEvent] = []
         self._day_done: Dict[datetime.date, int] = {}
 
-    def _checkpoint_shard(self, shard: int) -> Optional[Tuple[int, int]]:
-        return (shard, self.shard_count) if self.shard_count > 1 else None
-
-    def _note_done(self, day: datetime.date) -> None:
+    def _note_done(self, day: datetime.date, shards: int) -> None:
         """Fire progress once every shard of ``day`` has settled."""
         done = self._day_done.get(day, 0) + 1
         self._day_done[day] = done
-        if done == self.shard_count and self.progress is not None:
+        if done == shards and self.progress is not None:
             self.progress(day)
 
+    def _note(
+        self, name: str, day: datetime.date, shard: int, shards: int, **attrs: str
+    ) -> None:
+        """Record one execution event of a (day, shard) task."""
+        self.events.append(
+            RunEvent(
+                name,
+                day=day.isoformat(),
+                attrs=tuple(attrs.items()) + task_attrs(shard, shards),
+            )
+        )
+
     def succeed(self, outcome: DaySuccess, source: str) -> None:
-        shard = outcome.shard or 0
-        key = (outcome.day, shard)
+        key = (outcome.day, outcome.shard)
         self.partials.put(key, outcome.partial)
         self.records[key] = DayRecord(
             day=outcome.day,
@@ -789,8 +777,8 @@ class _Dispatch:
             wall_time=outcome.wall_time,
             worker=outcome.worker,
             source=source,
-            shard=shard,
-            shards=self.shard_count,
+            shard=outcome.shard,
+            shards=outcome.shards,
         )
         # Completion accounting moves regardless of whether a telemetry
         # snapshot rode back: these counters used to sit inside the
@@ -804,7 +792,7 @@ class _Dispatch:
                 self.store.save(
                     outcome.day,
                     outcome.partial,
-                    shard=self._checkpoint_shard(shard),
+                    shard=shard_key(outcome.shard, outcome.shards),
                 )
             except (OSError, CheckpointError) as exc:
                 # The day's result is already in hand — a full disk (or
@@ -812,22 +800,18 @@ class _Dispatch:
                 # only costs this day its resume shortcut.  Record it so
                 # operators see the durability gap in the manifest.
                 telemetry_runtime.count("checkpoint_write_failures")
-                attrs: Tuple[Tuple[str, str], ...] = (("error", repr(exc)),)
-                if self.shard_count > 1:
-                    attrs += (("shard", str(shard)),)
-                self.events.append(
-                    RunEvent(
-                        "checkpoint_write_failed",
-                        day=outcome.day.isoformat(),
-                        attrs=attrs,
-                    )
+                self._note(
+                    "checkpoint_write_failed",
+                    outcome.day,
+                    outcome.shard,
+                    outcome.shards,
+                    error=repr(exc),
                 )
-        self._note_done(outcome.day)
+        self._note_done(outcome.day, outcome.shards)
 
     def fail(self, failure: DayFailure) -> None:
         self.failures.append(failure)
-        shard = failure.shard or 0
-        self.records[(failure.day, shard)] = DayRecord(
+        self.records[(failure.day, failure.shard)] = DayRecord(
             day=failure.day,
             status="failed",
             attempts=failure.attempt + 1,
@@ -835,35 +819,20 @@ class _Dispatch:
             worker=failure.worker,
             source="worker",
             error=failure.error,
-            shard=shard,
-            shards=self.shard_count,
+            shard=failure.shard,
+            shards=failure.shards,
         )
-        attrs: Tuple[Tuple[str, str], ...] = (("error", failure.error),)
-        if failure.shard is not None:
-            attrs += (("shard", str(failure.shard)),)
-        self.events.append(
-            RunEvent(
-                "day_failed",
-                day=failure.day.isoformat(),
-                attrs=attrs,
-            )
+        self._note(
+            "day_failed", failure.day, failure.shard, failure.shards,
+            error=failure.error,
         )
 
     def note_retry(self, task: DayTask, failure: DayFailure) -> None:
         """Record a scheduled retry of a transient failure."""
         telemetry_runtime.count("pool_retries")
-        attrs: Tuple[Tuple[str, str], ...] = (
-            ("attempt", str(task.attempt + 1)),
-            ("error", failure.error),
-        )
-        if task.shard is not None:
-            attrs += (("shard", str(task.shard.index)),)
-        self.events.append(
-            RunEvent(
-                "retry",
-                day=task.day.isoformat(),
-                attrs=attrs,
-            )
+        self._note(
+            "retry", task.day, task.shard.index, task.shard.count,
+            attempt=str(task.attempt + 1), error=failure.error,
         )
 
     def note_crash(self, exitcode: Optional[int]) -> None:
@@ -875,9 +844,9 @@ class _Dispatch:
         )
 
     def hit_checkpoint(
-        self, day: datetime.date, partial: ColumnarPartial, shard: int = 0
+        self, day: datetime.date, partial: ColumnarPartial, spec: ShardSpec
     ) -> None:
-        key = (day, shard)
+        key = (day, spec.index)
         self.partials.put(key, partial)
         self.records[key] = DayRecord(
             day=day,
@@ -886,16 +855,11 @@ class _Dispatch:
             wall_time=0.0,
             worker=None,
             source="checkpoint",
-            shard=shard,
-            shards=self.shard_count,
+            shard=spec.index,
+            shards=spec.count,
         )
-        attrs: Tuple[Tuple[str, str], ...] = ()
-        if self.shard_count > 1:
-            attrs = (("shard", str(shard)),)
-        self.events.append(
-            RunEvent("checkpoint_hit", day=day.isoformat(), attrs=attrs)
-        )
-        self._note_done(day)
+        self._note("checkpoint_hit", day, spec.index, spec.count)
+        self._note_done(day, spec.count)
 
 
 def _run_serial(
@@ -1034,7 +998,8 @@ def _run_pooled(
                         error="unhandled worker exception",
                         traceback_text=traceback_text,
                         worker=None,
-                        shard=task.shard.index if task.shard else None,
+                        shard=task.shard.index,
+                        shards=task.shard.count,
                     )
                 )
             elif kind == EVENT_CRASH:
@@ -1050,7 +1015,8 @@ def _run_pooled(
                         error=f"worker {pid} died (exit code {exitcode})",
                         traceback_text="",
                         worker=pid,
-                        shard=task.shard.index if task.shard else None,
+                        shard=task.shard.index,
+                        shards=task.shard.count,
                     )
                     _settle_failure(dispatch, task, crash, deferred, sched)
                 else:
@@ -1095,8 +1061,7 @@ def _settle_failure(
 
 def _retry_key(task: DayTask) -> Tuple[str, int]:
     """Stable per-(day, shard) identity for backoff decorrelation."""
-    shard = task.shard.index if task.shard is not None else 0
-    return (task.day.isoformat(), shard)
+    return (task.day.isoformat(), task.shard.index)
 
 
 def _assemble_run_telemetry(
@@ -1167,26 +1132,47 @@ def _merge_calendar(parts: Iterable[StudyData]) -> Optional[StudyData]:
     return merged
 
 
-def _fan_in_day(
+def _check_layout(day: datetime.date, partial: object, spec: ShardSpec) -> None:
+    """Reject a checkpoint pickled under another partial layout.
+
+    Unpickling restores whatever attributes the *writer's* classes had,
+    so a sidecar from a version with other fields would only fail deep
+    inside the fan-in — or half-merge.  A finished day partial carries
+    no sidecar; a shard's must be today's :class:`ShardExtra` for
+    exactly this range.
+    """
+    extra = getattr(partial, "extra", None)
+    fits = isinstance(partial, ColumnarPartial) and (extra is None) == (
+        spec.key is None
+    )
+    if fits and extra is not None:
+        fits = (
+            isinstance(extra, ShardExtra)
+            and extra.shard == spec
+            and set(vars(extra)) == {f.name for f in dataclasses.fields(ShardExtra)}
+        )
+    if not fits:
+        raise CheckpointError(
+            f"checkpoint {task_label(day, spec.index, spec.count)} holds a "
+            "partial of another layout"
+        )
+
+
+def _day_data(
     planner: LongitudinalStudy,
     dispatch: _Dispatch,
     day: datetime.date,
     specs: Tuple[ShardSpec, ...],
 ) -> StudyData:
-    """Merge one day's shard partials back into the unsharded partial."""
-    parts = []
-    for spec in specs:
-        partial = dispatch.partials.pop((day, spec.index))
-        extra = getattr(partial, "extra", None)
-        if extra is None:
-            # ValueError keeps execute_study's typed-error contract
-            # (RPR009): this is corrupted input state, not an I/O fault.
-            raise ValueError(
-                f"shard partial {day.isoformat()}/{spec.label} carries no "
-                "fan-in sidecar (checkpoint from an incompatible run?)"
-            )
-        parts.append((partial.unpack(), extra))
-    return merge_day_shards(day, parts, planner.world.rib)
+    """One day's partial: finished by its worker, or fanned in here."""
+    partials = [dispatch.partials.pop((day, spec.index)) for spec in specs]
+    if specs[0].key is None:
+        return partials[0].unpack()
+    return merge_day_shards(
+        day,
+        [(partial.unpack(), partial.extra) for partial in partials],
+        planner.world.rib,
+    )
 
 
 def execute_study(
@@ -1247,11 +1233,7 @@ def execute_study(
     plan = planner.planned_days()
     days = sorted(plan)
     digest = config_hash(config)
-    specs: Tuple[Optional[ShardSpec], ...] = (
-        plan_shards(len(planner.world.population), shards)
-        if shards > 1
-        else (None,)
-    )
+    specs = plan_shards(len(planner.world.population), shards)
     store = (
         CheckpointStore(checkpoint_root, digest)  # type: ignore[arg-type]
         if checkpoint_root is not None
@@ -1275,9 +1257,7 @@ def execute_study(
 
     started = run_clock.now()
     partial_store = _PartialStore(shard_spill_dir, spill_watermark_bytes)
-    dispatch = _Dispatch(
-        policy, store, progress, partials=partial_store, shard_count=shards
-    )
+    dispatch = _Dispatch(policy, store, progress, partials=partial_store)
     execution = "none"
     method = resolve_start_method(start_method)
 
@@ -1287,30 +1267,21 @@ def execute_study(
                 with telemetry_runtime.span("resume"):
                     for day in days:
                         for spec in specs:
-                            shard_key = (
-                                (spec.index, spec.count)
-                                if spec is not None
-                                else None
-                            )
-                            if not store.has(day, shard=shard_key):
+                            if not store.has(day, shard=spec.key):
                                 continue
                             try:
-                                partial = store.load(day, shard=shard_key)
+                                partial = store.load(day, shard=spec.key)
+                                _check_layout(day, partial, spec)
                             except CheckpointError:
                                 continue  # unreadable or foreign: recompute
-                            dispatch.hit_checkpoint(
-                                day,
-                                partial,
-                                shard=spec.index if spec is not None else 0,
-                            )
+                            dispatch.hit_checkpoint(day, partial, spec)
 
             remaining: List[DayTask] = []
             index = 0
             for day in days:
                 roles = tuple(sorted(plan[day]))
                 for spec in specs:
-                    shard_index = spec.index if spec is not None else 0
-                    if (day, shard_index) not in dispatch.partials:
+                    if (day, spec.index) not in dispatch.partials:
                         remaining.append(
                             DayTask(
                                 index,
@@ -1318,10 +1289,10 @@ def execute_study(
                                 roles,
                                 0,
                                 config,
+                                spec,
                                 fault_plan,
                                 telemetry_enabled=telemetry is not None,
                                 clock_spec=clock_spec,
-                                shard=spec,
                             )
                         )
                     index += 1
@@ -1375,19 +1346,9 @@ def execute_study(
         raise ChunkError(dispatch.failures, seed=config.world.seed, report=report)
     with scope():
         with telemetry_runtime.span("merge", days=len(days), shards=shards):
-            if shards == 1:
-                day_datas = (
-                    dispatch.partials.pop((day, 0)).unpack() for day in days
-                )
-            else:
-                shard_specs = tuple(
-                    spec for spec in specs if spec is not None
-                )
-                day_datas = (
-                    _fan_in_day(planner, dispatch, day, shard_specs)
-                    for day in days
-                )
-            merged = _merge_calendar(day_datas)
+            merged = _merge_calendar(
+                _day_data(planner, dispatch, day, specs) for day in days
+            )
     if merged is None:
         merged = planner.empty_data()
     run_telemetry = (

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Optional
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.parallel import RunReport
 
-from repro.core.study import LongitudinalStudy, StudyData
+from repro.core.study import LongitudinalStudy, StudyData, aggregate_usage_day
 from repro.dataflow.columnar import ColumnSpec, ColumnarCodec
 from repro.dataflow.datalake import DataLake, LineCodec, tsv_codec
 from repro.dataflow.integrity import (
@@ -133,17 +133,7 @@ class PersistingStudy(LongitudinalStudy):
         super().__init__(*args, **kwargs)
         self.sink = LakeSink(lake)
 
-    def process_day(self, data: StudyData, day, roles) -> None:  # type: ignore[override]
-        traffic = self.generator.generate_day(day)
-        if not traffic.usage:
-            return
-        self._consume_aggregate(data, day, traffic)
-        hourly = None
-        if "hourly" in roles:
-            hourly = self.generator.generate_hourly(day, traffic)
-            data.hourly.extend(hourly)
-        if "flows" in roles:
-            self._consume_flows(data, day, traffic, with_rtt="rtt" in roles)
+    def _day_generated(self, day, traffic, hourly) -> None:
         self.sink.store_day(day, traffic, hourly)
 
 
@@ -169,10 +159,6 @@ def replay_study(
     the keyword arguments the result is identical to the historical
     unguarded replay.
     """
-    from repro.analytics.activity import subscriber_days
-    from repro.analytics.popularity import daily_service_stats
-    from repro.core.config import COMPARISON_MONTHS
-
     classifier = visit_classifier or VisitClassifier()
     active_criterion = criterion or ActiveSubscriberCriterion()
     data = StudyData(months=list(months))
@@ -191,19 +177,7 @@ def replay_study(
             if not admission.admit(integrity.ledger.report_for(day)):
                 continue
         if usage:
-            day_rows = subscriber_days(usage, active_criterion)
-            data.subscriber_days[day] = day_rows
-            for technology in Technology:
-                data.service_stats.extend(
-                    daily_service_stats(
-                        usage,
-                        day_rows,
-                        classifier=classifier,
-                        technology=technology,
-                    )
-                )
-            if (day.year, day.month) in COMPARISON_MONTHS:
-                _replay_weekly(data, day, usage, day_rows, classifier)
+            aggregate_usage_day(data, day, usage, active_criterion, classifier)
         data.protocol_rows.extend(protocols)
         data.hourly.extend(hourly)
     return data
@@ -276,22 +250,3 @@ def run_replay(
         )
     report.data_quality = admission.quality_dicts()
     return ReplayResult(data=data, report=report)
-
-
-def _replay_weekly(data: StudyData, day, usage, day_rows, classifier) -> None:
-    iso_year, iso_week, _ = day.isocalendar()
-    active_by_id = {
-        entry.subscriber_id: entry.technology for entry in day_rows if entry.active
-    }
-    for subscriber_id, technology in active_by_id.items():
-        data.weekly_active.setdefault((iso_year, iso_week, technology), set()).add(
-            subscriber_id
-        )
-    for row in usage:
-        technology = active_by_id.get(row.subscriber_id)
-        if technology is None:
-            continue
-        if classifier.is_visit(row.service, row.bytes_down + row.bytes_up):
-            data.weekly_visitors.setdefault(
-                (iso_year, iso_week, row.service, technology), set()
-            ).add(row.subscriber_id)

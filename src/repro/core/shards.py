@@ -1,12 +1,12 @@
 """Subscriber-range sharding of a study day (DESIGN.md §15).
 
-A study day can fan out into N independent shard-tasks, each covering a
-disjoint, contiguous subscriber range.  Sharding is an *execution*
-parameter: every shard replays the day's RNG streams at full population
-width (see :meth:`TrafficGenerator.generate_day`) and restricts only row
-emission and stage-1 analytics to its range, so the union of shards is
-bit-identical to the unsharded study for the same seed — for any shard
-count — and ``config_hash`` is unaffected.
+A study day is always a list of N >= 1 range tasks, each covering a
+disjoint, contiguous subscriber range; N = 1 is the whole day.  Sharding
+is an *execution* parameter: every task replays the day's RNG streams at
+full population width (see :meth:`TrafficGenerator.generate_day`) and
+restricts only row emission and stage-1 analytics to its range, so the
+fan-in of the tasks is bit-identical for any N and ``config_hash`` is
+unaffected.
 
 This module holds the shard plan, the :class:`ShardExtra` sidecar that
 rides back with each shard's :class:`~repro.core.study.StudyData`
@@ -38,9 +38,37 @@ _SEGMENT_CHARS = 1 << 20  # base64 characters per spill chunk row
 DEFAULT_SPILL_WATERMARK_BYTES = 256 * 1024 * 1024
 
 
+def shard_key(index: int, count: int) -> Optional[Tuple[int, int]]:
+    """``(index, count)`` of one shard of a split day; ``None`` for a whole day.
+
+    The one place a one-shard plan is told apart from a split one.  A
+    whole-day task is a range task like any other, but it keeps the
+    pre-shard names and formats: its checkpoint file, manifest label and
+    trace carry no shard suffix, and its worker runs the fan-in itself
+    and ships the finished day partial.
+    """
+    return (index, count) if count > 1 else None
+
+
+def task_label(day: datetime.date, index: int, count: int) -> str:
+    """The one name of a (day, shard) task: ``YYYY-MM-DD`` or ``YYYY-MM-DD/k``.
+
+    Manifest rows, error messages and dispatch all print this, so an
+    operator can grep the manifest with the label an error names.
+    """
+    key = shard_key(index, count)
+    return day.isoformat() + (f"/{key[0]}" if key else "")
+
+
+def task_attrs(index: int, count: int) -> Tuple[Tuple[str, str], ...]:
+    """Telemetry attributes naming the shard (none for a whole day)."""
+    key = shard_key(index, count)
+    return (("shard", str(key[0])),) if key else ()
+
+
 @dataclass(frozen=True)
 class ShardSpec:
-    """One shard's slice of the subscriber axis: ``[lo, hi)``."""
+    """One task's slice of the subscriber axis: ``[lo, hi)``."""
 
     index: int
     count: int
@@ -52,6 +80,10 @@ class ShardSpec:
         """Lead shard contributes the full-day fields every shard can
         derive identically (protocol rows, hourly volumes)."""
         return self.index == 0
+
+    @property
+    def key(self) -> Optional[Tuple[int, int]]:
+        return shard_key(self.index, self.count)
 
     @property
     def label(self) -> str:

@@ -15,7 +15,7 @@ import bisect
 import datetime
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,11 +24,9 @@ from repro.analytics.activity import SubscriberDay, subscriber_days
 from repro.analytics.infrastructure import (
     AsnBreakdown,
     DailyServerStats,
-    asn_breakdown,
-    daily_ip_roles,
-    daily_server_census,
+    ServicePairs,
+    asn_of_addresses,
     domain_byte_totals,
-    domain_shares,
     ip_service_pairs,
     service_ip_set,
     shares_from_totals,
@@ -36,13 +34,14 @@ from repro.analytics.infrastructure import (
 from repro.analytics.popularity import DailyServiceStats, daily_service_stats
 from repro.analytics.timeseries import Month
 from repro.core.config import COMPARISON_MONTHS, StudyConfig
-from repro.core.shards import ShardExtra, ShardSpec
+from repro.core.shards import ShardExtra, ShardSpec, plan_shards, task_attrs
 from repro.dataflow.datalake import month_days
 from repro.routing.rib import RibArchive
 from repro.services import catalog
 from repro.services.rules import RuleSet
 from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
 from repro.synthesis.flowgen import (
+    DailyUsage,
     DayTraffic,
     HourlyVolume,
     ProtocolUsage,
@@ -52,7 +51,6 @@ from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import study_days, study_months
 from repro.synthesis.world import World
 from repro.telemetry import runtime as telemetry
-from repro.tstat.flowbatch import FlowBatch
 
 #: Services whose infrastructure Fig. 11 tracks.
 INFRA_SERVICES = (catalog.FACEBOOK, catalog.INSTAGRAM, catalog.YOUTUBE)
@@ -269,59 +267,34 @@ class LongitudinalStudy:
             months=study_months(self.config.world.start, self.config.world.end)
         )
 
-    def process_day(
-        self, data: StudyData, day: datetime.date, roles: Set[str]
-    ) -> None:
-        """Run one planned day's generation + stage-1 into ``data``.
-
-        The single site that opens the per-day telemetry span: serial
-        runs, pool workers, and checkpoint-resumed recomputation all pass
-        through here, so every execution mode yields the same trace shape
-        (day → generate/aggregate/hourly/flows → expand/stage1).
-        """
-        with telemetry.span(
-            "day", day=day.isoformat(), roles=",".join(sorted(roles))
-        ):
-            with telemetry.span("generate"):
-                traffic = self.generator.generate_day(day)
-            if not traffic.usage:
-                return
-            telemetry.count("study_days_processed")
-            with telemetry.span("aggregate"):
-                self._consume_aggregate(data, day, traffic)
-            if "hourly" in roles:
-                with telemetry.span("hourly"):
-                    data.hourly.extend(
-                        self.generator.generate_hourly(day, traffic)
-                    )
-            if "flows" in roles:
-                with telemetry.span("flows"):
-                    self._consume_flows(
-                        data, day, traffic, with_rtt="rtt" in roles
-                    )
-
     def day_partial(self, day: datetime.date, roles: Set[str]) -> StudyData:
         """One planned day reduced into a fresh :class:`StudyData`.
 
         The unit of fault-tolerant execution: days are independent
         (per-day seeds, DESIGN.md §6), so a worker can compute any day in
         isolation and the parent merges partials in calendar order to
-        reproduce a serial run exactly.
+        reproduce a serial run exactly.  A whole day is the one-shard
+        case of :meth:`day_shard_partial` (DESIGN.md §15).
         """
-        data = self.empty_data()
-        self.process_day(data, day, roles)
-        return data
+        (whole,) = plan_shards(len(self.world.population), 1)
+        return merge_day_shards(
+            day, [self.day_shard_partial(day, roles, whole)], self.world.rib
+        )
 
     def day_shard_partial(
         self, day: datetime.date, roles: Set[str], shard: ShardSpec
     ) -> Tuple[StudyData, ShardExtra]:
-        """One shard of one planned day (DESIGN.md §15).
+        """One subscriber range of one planned day (DESIGN.md §15).
 
         Generation replays the full-population RNG streams and emits
         only the shard's subscriber range; stage-1 runs over the shard's
         rows alone.  The returned :class:`ShardExtra` carries what the
         fan-in (:func:`merge_day_shards`) needs to reassemble the exact
-        unsharded day partial.
+        day partial.
+
+        The single site that opens the per-day telemetry span, so every
+        execution mode yields the same trace shape
+        (day → generate/aggregate/hourly/flows → expand/stage1).
         """
         data = self.empty_data()
         extra = ShardExtra(day=day, shard=shard)
@@ -329,186 +302,84 @@ class LongitudinalStudy:
             "day",
             day=day.isoformat(),
             roles=",".join(sorted(roles)),
-            shard=shard.label,
+            **dict(task_attrs(shard.index, shard.count)),
         ):
             with telemetry.span("generate"):
                 traffic = self.generator.generate_day(day, shard=shard.bounds)
-            ctx = traffic.shard_ctx
-            if ctx is None or ctx.row_count == 0:
-                return data, extra
+            if traffic.skeleton.row_count == 0:
+                return data, extra  # full-day outage
             extra.processed = True
             if shard.is_lead:
                 telemetry.count("study_days_processed")
             with telemetry.span("aggregate"):
-                self._consume_aggregate_shard(data, extra, day, traffic)
+                self._consume_aggregate(data, extra, day, traffic)
+            hourly = None
             if "hourly" in roles and shard.is_lead:
                 with telemetry.span("hourly"):
-                    data.hourly.extend(
-                        self.generator.generate_hourly(day, traffic)
-                    )
+                    hourly = self.generator.generate_hourly(day, traffic)
+                    data.hourly.extend(hourly)
             if "flows" in roles:
                 with telemetry.span("flows"):
-                    self._consume_flows_shard(
+                    self._consume_flows(
                         data, extra, day, traffic, with_rtt="rtt" in roles
                     )
+            self._day_generated(day, traffic, hourly)
         return data, extra
+
+    def _day_generated(
+        self,
+        day: datetime.date,
+        traffic: DayTraffic,
+        hourly: Optional[List[HourlyVolume]],
+    ) -> None:
+        """Hook: the stage-1 inputs of a processed day, for archiving."""
 
     def run(self, progress: Optional[object] = None) -> StudyData:
         """Execute the study; returns the reduced per-day data."""
         data = self.empty_data()
         plan = self.planned_days()
         for day in sorted(plan):
-            self.process_day(data, day, plan[day])
+            data.merge(self.day_partial(day, plan[day]))
             if progress is not None:
                 progress(day)  # type: ignore[operator]
         return data
 
     def _consume_aggregate(
-        self, data: StudyData, day: datetime.date, traffic: DayTraffic
-    ) -> None:
-        day_rows = subscriber_days(traffic.usage, self.criterion)
-        data.subscriber_days[day] = day_rows
-        for technology in Technology:
-            data.service_stats.extend(
-                daily_service_stats(
-                    traffic.usage,
-                    day_rows,
-                    classifier=self.visit_classifier,
-                    technology=technology,
-                )
-            )
-        data.protocol_rows.extend(traffic.protocols)
-        if (day.year, day.month) in COMPARISON_MONTHS:
-            self._consume_weekly(data, day, traffic, day_rows)
-
-    def _consume_aggregate_shard(
         self,
         data: StudyData,
         extra: ShardExtra,
         day: datetime.date,
         traffic: DayTraffic,
     ) -> None:
-        """Shard view of :meth:`_consume_aggregate`.
+        """Aggregate tier of one shard.
 
-        Differences from the unsharded path: the subscriber-day list is
-        tagged with full-day first-appearance positions (merge restores
-        the unsharded ordering), per-technology active counts ride in
-        the sidecar (the popularity denominator must count the *whole*
-        day's actives, not the shard's), and protocol rows — identical
-        in every shard because they derive from full-width sums — are
-        contributed by the lead shard only.
+        Beyond the shard-local reductions, the sidecar records each
+        subscriber-day's full-day first-appearance position (the fan-in
+        restores the whole-day ordering) and the per-technology active
+        counts (the popularity denominator must count the *whole* day's
+        actives); protocol rows derive from full-width sums, so they are
+        identical in every shard and the lead shard alone contributes
+        them.
         """
-        ctx = traffic.shard_ctx
-        assert ctx is not None
-        day_rows = subscriber_days(traffic.usage, self.criterion)
-        data.subscriber_days[day] = day_rows
-        first_position: Dict[int, int] = {}
-        for position, row in zip(ctx.emit_positions.tolist(), traffic.usage):
-            if row.subscriber_id not in first_position:
-                first_position[row.subscriber_id] = position
-        extra.first_positions = np.fromiter(
-            (first_position[entry.subscriber_id] for entry in day_rows),
-            np.int64,
-            len(day_rows),
+        day_rows = aggregate_usage_day(
+            data, day, traffic.usage, self.criterion, self.visit_classifier
         )
-        for technology in Technology:
-            data.service_stats.extend(
-                daily_service_stats(
-                    traffic.usage,
-                    day_rows,
-                    classifier=self.visit_classifier,
-                    technology=technology,
-                )
-            )
+        # day_rows follow the subscribers' first appearance among the
+        # emitted rows, whose skeleton positions are increasing.
+        skeleton = traffic.skeleton
+        _, first_row = np.unique(
+            skeleton.row_subscriber[skeleton.emit_positions], return_index=True
+        )
+        extra.first_positions = skeleton.emit_positions[first_row]
+        extra.first_positions.sort()
         extra.active_counts = {technology: 0 for technology in Technology}
         for entry in day_rows:
             if entry.active:
                 extra.active_counts[entry.technology] += 1
         if extra.shard.is_lead:
             data.protocol_rows.extend(traffic.protocols)
-        if (day.year, day.month) in COMPARISON_MONTHS:
-            self._consume_weekly(data, day, traffic, day_rows)
-
-    def _consume_weekly(
-        self,
-        data: StudyData,
-        day: datetime.date,
-        traffic: DayTraffic,
-        day_rows,
-    ) -> None:
-        """Track weekly reach inside the full-resolution months (§4.3)."""
-        iso_year, iso_week, _ = day.isocalendar()
-        active_by_id = {
-            entry.subscriber_id: entry.technology
-            for entry in day_rows
-            if entry.active
-        }
-        for subscriber_id, technology in active_by_id.items():
-            data.weekly_active.setdefault(
-                (iso_year, iso_week, technology), set()
-            ).add(subscriber_id)
-        for row in traffic.usage:
-            technology = active_by_id.get(row.subscriber_id)
-            if technology is None:
-                continue
-            if self.visit_classifier.is_visit(
-                row.service, row.bytes_down + row.bytes_up
-            ):
-                data.weekly_visitors.setdefault(
-                    (iso_year, iso_week, row.service, technology), set()
-                ).add(row.subscriber_id)
 
     def _consume_flows(
-        self,
-        data: StudyData,
-        day: datetime.date,
-        traffic: DayTraffic,
-        with_rtt: bool,
-    ) -> None:
-        with telemetry.span("expand"):
-            flows: FlowBatch = self.generator.expand_flows_batch(
-                day, traffic, max_flows_per_usage=self.config.max_flows_per_usage
-            )
-        with telemetry.span("stage1"):
-            # One classification pass over the batch, shared by every consumer.
-            codes = flows.service_view(self.rules)
-            data.flow_days.append(day)
-            data.census.extend(
-                daily_server_census(
-                    flows, self.rules, list(INFRA_SERVICES), day, codes=codes
-                )
-            )
-            roles_by_service = daily_ip_roles(
-                flows, self.rules, list(INFRA_SERVICES), day, codes=codes
-            )
-            for service in INFRA_SERVICES:
-                data.asn.append(
-                    asn_breakdown(
-                        flows, self.rules, self.world.rib, service, day, codes=codes
-                    )
-                )
-                data.domains.append(
-                    (day, service, domain_shares(flows, self.rules, service, codes=codes))
-                )
-                data.daily_ip_sets.setdefault(service, []).append(
-                    (day, service_ip_set(flows, self.rules, service, codes=codes))
-                )
-                data.daily_ip_roles.setdefault(service, []).append(
-                    (day, roles_by_service[service])
-                )
-            if with_rtt:
-                for service in RTT_SERVICES:
-                    samples = rtt_analytics.min_rtt_samples(
-                        flows, self.rules, service, codes=codes
-                    )
-                    telemetry.count(
-                        "rtt_samples_collected", len(samples), service=service
-                    )
-                    data.rtt_samples.setdefault((service, day.year), []).extend(
-                        samples
-                    )
-
-    def _consume_flows_shard(
         self,
         data: StudyData,
         extra: ShardExtra,
@@ -516,7 +387,7 @@ class LongitudinalStudy:
         traffic: DayTraffic,
         with_rtt: bool,
     ) -> None:
-        """Shard view of :meth:`_consume_flows`.
+        """Flow tier of one shard.
 
         Census, ASN, domain, and role analytics mix information *across*
         flows (an address dedicated in one shard may be shared in
@@ -525,22 +396,19 @@ class LongitudinalStudy:
         samples — and :func:`merge_day_shards` computes the day-level
         results over the union.
         """
-        ctx = traffic.shard_ctx
-        assert ctx is not None
         with telemetry.span("expand"):
-            flows, positions = self.generator.expand_flows_batch_shard(
-                day, ctx, max_flows_per_usage=self.config.max_flows_per_usage
+            flows, positions = self.generator.expand_flows_positioned(
+                day, traffic, max_flows_per_usage=self.config.max_flows_per_usage
             )
         with telemetry.span("stage1"):
+            # One classification pass over the batch, shared by every consumer.
             codes = flows.service_view(self.rules)
             extra.flow_stage = True
             extra.rtt_stage = with_rtt
-            pair_ips, pair_codes, pair_services = ip_service_pairs(
-                flows, self.rules, codes=codes
-            )
-            extra.pair_ips = pair_ips
-            extra.pair_codes = pair_codes
-            extra.pair_services = pair_services
+            pairs = ip_service_pairs(flows, self.rules, codes=codes)
+            extra.pair_ips = pairs.ips
+            extra.pair_codes = pairs.codes
+            extra.pair_services = pairs.services
             for service in INFRA_SERVICES:
                 extra.domain_totals[service] = domain_byte_totals(
                     flows, self.rules, service, codes=codes
@@ -564,41 +432,78 @@ class LongitudinalStudy:
                     )
 
 
+def aggregate_usage_day(
+    data: StudyData,
+    day: datetime.date,
+    usage: Sequence[DailyUsage],
+    criterion: ActiveSubscriberCriterion,
+    classifier: VisitClassifier,
+) -> List[SubscriberDay]:
+    """Stage-1 aggregate reductions of one day's usage rows into ``data``.
+
+    Shared by the live study (per shard) and the lake replay (whole
+    day): subscriber days, per-technology service cells, and — inside
+    the full-resolution comparison months — weekly reach (§4.3).
+    Returns the subscriber-day rows it stored.
+    """
+    day_rows = subscriber_days(usage, criterion)
+    data.subscriber_days[day] = day_rows
+    for technology in Technology:
+        data.service_stats.extend(
+            daily_service_stats(
+                usage, day_rows, classifier=classifier, technology=technology
+            )
+        )
+    if (day.year, day.month) in COMPARISON_MONTHS:
+        iso_year, iso_week, _ = day.isocalendar()
+        active_by_id = {
+            entry.subscriber_id: entry.technology
+            for entry in day_rows
+            if entry.active
+        }
+        for subscriber_id, technology in active_by_id.items():
+            data.weekly_active.setdefault(
+                (iso_year, iso_week, technology), set()
+            ).add(subscriber_id)
+        for row in usage:
+            technology = active_by_id.get(row.subscriber_id)
+            if technology is None:
+                continue
+            if classifier.is_visit(row.service, row.bytes_down + row.bytes_up):
+                data.weekly_visitors.setdefault(
+                    (iso_year, iso_week, row.service, technology), set()
+                ).add(row.subscriber_id)
+    return day_rows
+
+
 def merge_day_shards(
     day: datetime.date,
     parts: List[Tuple[StudyData, ShardExtra]],
     rib: RibArchive,
 ) -> StudyData:
-    """Fan one day's shard partials back into the unsharded day partial.
+    """Fan one day's shard partials into the day partial.
 
-    Field-identical to :meth:`LongitudinalStudy.day_partial` for the same
-    (seed, day, roles): order-sensitive lists are restored via the
-    full-day positions the shards carried, additive counters are summed,
-    cross-flow analytics (census/ASN/domains/roles) are recomputed over
-    the union of the shards' raw pairs, and the full-day fields every
-    shard derives identically (protocol rows, hourly volumes) come from
-    the lead shard alone.
+    The result is the same for any partition of the subscribers,
+    including the single whole-day shard: order-sensitive lists are
+    restored via the full-day positions the shards carried, additive
+    counters are summed, cross-flow analytics (census/ASN/domains/roles)
+    are computed over the union of the shards' raw pairs, and the
+    full-day fields every shard derives identically (protocol rows,
+    hourly volumes) come from the lead shard alone.  The parts are
+    consumed: their containers may be reused in the result.
     """
     parts = sorted(parts, key=lambda part: part[1].shard.index)
     datas = [data for data, _ in parts]
     extras = [extra for _, extra in parts]
     out = StudyData(months=list(datas[0].months))
     if not any(extra.processed for extra in extras):
-        return out  # full-day outage: the unsharded path returns empty too
+        return out  # full-day outage
 
     # subscriber_days: shards partition subscribers, so each entry is
     # already exact; restore first-appearance order over the full day.
-    rows: List[SubscriberDay] = []
-    position_parts: List[np.ndarray] = []
-    for data, extra in parts:
-        rows.extend(data.subscriber_days.get(day, []))
-        if extra.first_positions is not None and extra.first_positions.size:
-            position_parts.append(extra.first_positions)
-    if rows:
-        order = np.argsort(np.concatenate(position_parts))
-        out.subscriber_days[day] = [rows[index] for index in order]
-    else:
-        out.subscriber_days[day] = []
+    rows = [row for data in datas for row in data.subscriber_days[day]]
+    order = np.argsort(np.concatenate([extra.first_positions for extra in extras]))
+    out.subscriber_days[day] = [rows[index] for index in order.tolist()]
 
     # service_stats: cells are additive except active_subscribers, which
     # is the whole-day denominator carried per shard in the sidecar.
@@ -612,19 +517,9 @@ def merge_day_shards(
                 if cell.technology is not technology:
                     continue
                 previous = merged_cells.get(cell.service)
-                if previous is None:
-                    merged_cells[cell.service] = cell
-                else:
-                    merged_cells[cell.service] = DailyServiceStats(
-                        day=day,
-                        service=cell.service,
-                        visitors=previous.visitors + cell.visitors,
-                        active_subscribers=0,
-                        bytes_down=previous.bytes_down + cell.bytes_down,
-                        bytes_total=previous.bytes_total + cell.bytes_total,
-                        visitor_bytes=previous.visitor_bytes + cell.visitor_bytes,
-                        technology=technology,
-                    )
+                merged_cells[cell.service] = (
+                    cell if previous is None else previous.merged(cell)
+                )
         for service in sorted(merged_cells):
             out.service_stats.append(
                 replace(merged_cells[service], active_subscribers=active_total)
@@ -636,65 +531,22 @@ def merge_day_shards(
     out.hourly.extend(lead.hourly)
 
     for data in datas:
-        for visitor_key, visitors in data.weekly_visitors.items():
-            out.weekly_visitors.setdefault(visitor_key, set()).update(visitors)
-        for active_key, active in data.weekly_active.items():
-            out.weekly_active.setdefault(active_key, set()).update(active)
+        _union_sets(out.weekly_visitors, data.weekly_visitors)
+        _union_sets(out.weekly_active, data.weekly_active)
 
     flow_extras = [extra for extra in extras if extra.flow_stage]
     if flow_extras:
         out.flow_days.append(day)
-        name_of: Dict[str, int] = {}
-        ip_parts: List[np.ndarray] = []
-        code_parts: List[np.ndarray] = []
-        for extra in flow_extras:
-            if extra.pair_ips is None or extra.pair_ips.size == 0:
-                continue
-            remap = np.fromiter(
-                (
-                    name_of.setdefault(name, len(name_of))
-                    for name in extra.pair_services
-                ),
-                np.int64,
-                len(extra.pair_services),
-            )
-            ip_parts.append(extra.pair_ips)
-            code_parts.append(remap[extra.pair_codes])
-        if ip_parts:
-            pairs = np.unique(
-                np.stack(
-                    (np.concatenate(ip_parts), np.concatenate(code_parts))
-                ),
-                axis=1,
-            )
-            pair_ips, pair_codes = pairs[0], pairs[1]
-            _, inverse, counts = np.unique(
-                pair_ips, return_inverse=True, return_counts=True
-            )
-            shared = counts[inverse] > 1
-        else:
-            pair_ips = np.empty(0, dtype=np.int64)
-            pair_codes = np.empty(0, dtype=np.int64)
-            shared = np.zeros(0, dtype=bool)
-
+        pairs = ServicePairs.union(
+            (extra.pair_ips, extra.pair_codes, extra.pair_services)
+            for extra in flow_extras
+            if extra.pair_ips is not None
+        )
+        out.census.extend(pairs.census(day, service) for service in INFRA_SERVICES)
         for service in INFRA_SERVICES:
-            member = pair_codes == name_of.get(service, -1)
-            shared_count = int(np.count_nonzero(shared & member))
-            out.census.append(
-                DailyServerStats(
-                    day=day,
-                    service=service,
-                    dedicated_ips=int(np.count_nonzero(member)) - shared_count,
-                    shared_ips=shared_count,
-                )
+            out.asn.append(
+                asn_of_addresses(pairs.addresses(service), rib, service, day)
             )
-        for service in INFRA_SERVICES:
-            member = pair_codes == name_of.get(service, -1)
-            asn_counts: Dict[str, int] = {}
-            for address in pair_ips[member].tolist():
-                name = rib.origin_of(address, day).name
-                asn_counts[name] = asn_counts.get(name, 0) + 1
-            out.asn.append(AsnBreakdown(day=day, service=service, counts=asn_counts))
             domain_totals: Dict[str, int] = {}
             for extra in flow_extras:
                 for sld, volume in extra.domain_totals.get(service, {}).items():
@@ -707,28 +559,29 @@ def merge_day_shards(
                         merged_ips |= addresses
             out.daily_ip_sets.setdefault(service, []).append((day, merged_ips))
             out.daily_ip_roles.setdefault(service, []).append(
-                (
-                    day,
-                    dict(
-                        zip(pair_ips[member].tolist(), shared[member].tolist())
-                    ),
-                )
+                (day, pairs.roles(service))
             )
         if any(extra.rtt_stage for extra in flow_extras):
             for service in RTT_SERVICES:
-                sample_positions: List[np.ndarray] = []
-                sample_values: List[np.ndarray] = []
-                for extra in flow_extras:
-                    if service in extra.rtt:
-                        positions, samples = extra.rtt[service]
-                        sample_positions.append(positions)
-                        sample_values.append(samples)
-                if sample_positions:
-                    order = np.argsort(np.concatenate(sample_positions))
-                    merged_samples = np.concatenate(sample_values)[order].tolist()
+                tagged = [
+                    extra.rtt[service] for extra in flow_extras if service in extra.rtt
+                ]
+                if tagged:
+                    order = np.argsort(np.concatenate([pos for pos, _ in tagged]))
+                    merged_samples = np.concatenate(
+                        [samples for _, samples in tagged]
+                    )[order].tolist()
                 else:
                     merged_samples = []
                 out.rtt_samples.setdefault((service, day.year), []).extend(
                     merged_samples
                 )
     return out
+
+
+def _union_sets(target: Dict, source: Dict) -> None:
+    """Union ``source``'s sets into ``target``, adopting a set whose key is new."""
+    for key, members in source.items():
+        held = target.setdefault(key, members)
+        if held is not members:
+            held |= members

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -94,21 +94,19 @@ class HourlyVolume:
     bytes_down: int
 
 
-@dataclass
-class DayShardContext:
-    """Full-day sidecar carried by a *sharded* :class:`DayTraffic`.
+@dataclass(frozen=True, eq=False)
+class DaySkeleton:
+    """One day's usage rows as columns, in canonical emission order.
 
-    Sharded generation replays every RNG stream at full population width
-    (DESIGN.md §15) and restricts only row *emission* to the shard's
-    ``[lo, hi)`` subscriber range.  The context captures the full-day
-    usage skeleton — one entry per canonical usage row, in the exact
-    order the unsharded generator would have emitted them — so the flow
-    tier can reproduce the unsharded draw sequence without materializing
-    the other shards' row objects.
+    Every RNG stream of a day is drawn at full population width whatever
+    subscriber range a task covers (DESIGN.md §15), so the skeleton is
+    identical in every shard of the day; only ``emit_positions`` — the
+    rows the task materialized as :class:`DailyUsage` objects — differs.
+    The hourly and flow tiers read the skeleton, never the row objects,
+    which is what lets a shard reproduce the whole day's draw sequence
+    without the other shards' rows.
     """
 
-    lo: int
-    hi: int
     services: Tuple[str, ...]  # distinct services, first-appearance order
     row_service: np.ndarray  # int64 codes into ``services``
     row_subscriber: np.ndarray  # int64
@@ -117,7 +115,7 @@ class DayShardContext:
     row_bytes_down: np.ndarray  # int64
     row_bytes_up: np.ndarray  # int64
     row_flows: np.ndarray  # int64
-    emit_positions: np.ndarray  # skeleton positions of this shard's usage rows
+    emit_positions: np.ndarray  # skeleton positions of the emitted usage rows
     tech_bytes_down: Dict[Technology, int]  # full-day downloads per technology
 
     @property
@@ -127,12 +125,19 @@ class DayShardContext:
 
 @dataclass(frozen=True)
 class DayTraffic:
-    """Everything the aggregate tier produces for one day."""
+    """Everything the aggregate tier produces for one day.
+
+    ``usage`` holds the rows of the whole population unless
+    :meth:`TrafficGenerator.generate_day` was given a subscriber range;
+    ``protocols`` and ``skeleton`` always describe the whole day.
+    """
 
     day: datetime.date
     usage: Tuple[DailyUsage, ...]
     protocols: Tuple[ProtocolUsage, ...]
-    shard_ctx: Optional[DayShardContext] = None
+    #: Compared by identity only (array-wise ``==`` is ambiguous), so it
+    #: stays out of traffic equality: the rows above already pin the day.
+    skeleton: DaySkeleton = field(compare=False, repr=False)
 
 
 _USAGE_LINES: LineCodec[DailyUsage] = tsv_codec(
@@ -236,6 +241,101 @@ PROTOCOL_CODEC: ColumnarCodec[ProtocolUsage] = ColumnarCodec(
 )
 
 
+class _DayRows:
+    """Accumulates a day's usage blocks in canonical emission order.
+
+    Every block extends the full-width :class:`DaySkeleton`; only the
+    subscribers inside ``[lo, hi)`` are materialized as
+    :class:`DailyUsage` rows.
+    """
+
+    def __init__(
+        self, generator: "TrafficGenerator", day: datetime.date, lo: int, hi: int
+    ) -> None:
+        self._generator = generator
+        self.day = day
+        self.lo = lo
+        self.hi = hi
+        self.usage: List[DailyUsage] = []
+        self._services: Dict[str, int] = {}
+        self._blocks: List[
+            Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+        ] = []
+        self._emit_positions: List[np.ndarray] = []
+        self._offset = 0
+
+    def add(
+        self,
+        service: str,
+        subscribers: np.ndarray,
+        bytes_down: np.ndarray,
+        bytes_up: np.ndarray,
+        flows: np.ndarray,
+    ) -> None:
+        """One block of rows, aligned by position (all int64)."""
+        local = np.nonzero((subscribers >= self.lo) & (subscribers < self.hi))[0]
+        technologies = self._generator._technologies
+        pops = self._generator._pop_names
+        day = self.day
+        self.usage.extend(
+            DailyUsage(
+                day=day,
+                subscriber_id=subscriber,
+                technology=technologies[subscriber],
+                pop=pops[subscriber],
+                service=service,
+                bytes_down=down,
+                bytes_up=up,
+                flows=count,
+            )
+            for subscriber, down, up, count in zip(
+                subscribers[local].tolist(),
+                bytes_down[local].tolist(),
+                bytes_up[local].tolist(),
+                flows[local].tolist(),
+            )
+        )
+        self._emit_positions.append(self._offset + local)
+        code = self._services.setdefault(service, len(self._services))
+        self._blocks.append((code, subscribers, bytes_down, bytes_up, flows))
+        self._offset += subscribers.size
+
+    def traffic(self, protocols: Tuple[ProtocolUsage, ...]) -> DayTraffic:
+        """The finished day: emitted rows plus the full-day skeleton."""
+
+        def joined(parts: List[np.ndarray]) -> np.ndarray:
+            if not parts:
+                return np.empty(0, dtype=np.int64)
+            return np.concatenate(parts).astype(np.int64, copy=False)
+
+        row_subscriber = joined([block[1] for block in self._blocks])
+        row_down = joined([block[2] for block in self._blocks])
+        row_ftth = self._generator._is_ftth[row_subscriber]
+        skeleton = DaySkeleton(
+            services=tuple(self._services),
+            row_service=joined(
+                [np.full(block[1].size, block[0]) for block in self._blocks]
+            ),
+            row_subscriber=row_subscriber,
+            row_ftth=row_ftth,
+            row_pop=self._generator._pops[row_subscriber],
+            row_bytes_down=row_down,
+            row_bytes_up=joined([block[3] for block in self._blocks]),
+            row_flows=joined([block[4] for block in self._blocks]),
+            emit_positions=joined(self._emit_positions),
+            tech_bytes_down={
+                Technology.ADSL: int(row_down[~row_ftth].sum()),
+                Technology.FTTH: int(row_down[row_ftth].sum()),
+            },
+        )
+        return DayTraffic(
+            day=self.day,
+            usage=tuple(self.usage),
+            protocols=protocols,
+            skeleton=skeleton,
+        )
+
+
 class TrafficGenerator:
     """Draws daily traffic from a :class:`World`."""
 
@@ -244,11 +344,13 @@ class TrafficGenerator:
         subscribers = world.population.subscribers
         self._count = len(subscribers)
         self._ids = np.arange(self._count)
+        self._technologies = [sub.technology for sub in subscribers]
         self._is_ftth = np.array(
-            [sub.technology is Technology.FTTH for sub in subscribers]
+            [technology is Technology.FTTH for technology in self._technologies]
         )
         self._business = np.array([sub.business for sub in subscribers])
-        self._pops = np.array([sub.pop for sub in subscribers])
+        self._pop_names = [sub.pop for sub in subscribers]
+        self._pops = np.array(self._pop_names)
         self._activity = np.array([sub.activity for sub in subscribers])
         self._heaviness = (
             np.array([sub.heaviness for sub in subscribers]) * _HEAVINESS_NORM
@@ -271,13 +373,14 @@ class TrafficGenerator:
     ) -> DayTraffic:
         """Usage and protocol rows for one day (empty during full outage).
 
-        With ``shard=(lo, hi)`` every RNG stream is drawn at full
-        population width — exactly as the unsharded path draws it — but
-        only rows whose subscriber falls in ``[lo, hi)`` are emitted, and
-        the returned traffic carries a :class:`DayShardContext` skeleton
-        of the *full* day.  The union of all shards' usage rows is
-        bit-identical to the unsharded output.
+        Every RNG stream is drawn at full population width; ``shard=(lo,
+        hi)`` restricts only the *emitted* usage rows to subscribers in
+        ``[lo, hi)`` (default: everyone), so the union of any partition's
+        rows is bit-identical to the whole day.  The returned traffic
+        always carries the :class:`DaySkeleton` of the full day.
         """
+        lo, hi = shard if shard is not None else (0, self._count)
+        rows = _DayRows(self, day, lo, hi)
         rng = self.world.day_rng(day, stream=0)
         ordinal = day.toordinal()
         subscribed = (self._join <= ordinal) & (self._leave >= ordinal)
@@ -286,18 +389,9 @@ class TrafficGenerator:
         )
         observed = subscribed & probe_up
         if not observed.any():
-            return DayTraffic(day=day, usage=(), protocols=())
-
-        sharded = shard is not None
-        if sharded:
-            shard_lo, shard_hi = shard
-            blocks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-            block_services: Dict[str, int] = {}
-            emit_positions: List[int] = []
-            skeleton_offset = 0
+            return rows.traffic(protocols=())
 
         active = observed & (rng.random(self._count) < self._activity)
-        usage_rows: List[DailyUsage] = []
         protocol_totals: Dict[Tuple[str, WebProtocol], int] = {}
         capabilities = capabilities_on(day)
         weekly = studycalendar.weekly_factor(day)
@@ -368,48 +462,7 @@ class TrafficGenerator:
 
             down_int = np.maximum(1_000, down).astype(np.int64)
             up_int = np.maximum(200, up).astype(np.int64)
-            if not sharded:
-                for position, index in enumerate(indices):
-                    usage_rows.append(
-                        DailyUsage(
-                            day=day,
-                            subscriber_id=int(index),
-                            technology=Technology.FTTH
-                            if self._is_ftth[index]
-                            else Technology.ADSL,
-                            pop=str(self._pops[index]),
-                            service=service.name,
-                            bytes_down=int(down_int[position]),
-                            bytes_up=int(up_int[position]),
-                            flows=int(flows[position]),
-                        )
-                    )
-            else:
-                local = np.nonzero(
-                    (indices >= shard_lo) & (indices < shard_hi)
-                )[0]
-                for position in local.tolist():
-                    index = int(indices[position])
-                    usage_rows.append(
-                        DailyUsage(
-                            day=day,
-                            subscriber_id=index,
-                            technology=Technology.FTTH
-                            if self._is_ftth[index]
-                            else Technology.ADSL,
-                            pop=str(self._pops[index]),
-                            service=service.name,
-                            bytes_down=int(down_int[position]),
-                            bytes_up=int(up_int[position]),
-                            flows=int(flows[position]),
-                        )
-                    )
-                emit_positions.extend((skeleton_offset + local).tolist())
-                code = block_services.setdefault(service.name, len(block_services))
-                blocks.append(
-                    (code, indices, down_int, up_int, flows.astype(np.int64))
-                )
-                skeleton_offset += indices.size
+            rows.add(service.name, indices, down_int, up_int, flows)
             service_total = int(down_int.sum() + up_int.sum())
 
             # Embedded-object noise: active non-users touch the service's
@@ -424,50 +477,7 @@ class TrafficGenerator:
                     )
                     tp_up = np.maximum(100, tp_down // 8)
                     tp_flows = rng.integers(1, 4, touched.size)
-                    if not sharded:
-                        for position, index in enumerate(touched):
-                            usage_rows.append(
-                                DailyUsage(
-                                    day=day,
-                                    subscriber_id=int(index),
-                                    technology=Technology.FTTH
-                                    if self._is_ftth[index]
-                                    else Technology.ADSL,
-                                    pop=str(self._pops[index]),
-                                    service=service.name,
-                                    bytes_down=int(tp_down[position]),
-                                    bytes_up=int(tp_up[position]),
-                                    flows=int(tp_flows[position]),
-                                )
-                            )
-                    else:
-                        local = np.nonzero(
-                            (touched >= shard_lo) & (touched < shard_hi)
-                        )[0]
-                        for position in local.tolist():
-                            index = int(touched[position])
-                            usage_rows.append(
-                                DailyUsage(
-                                    day=day,
-                                    subscriber_id=index,
-                                    technology=Technology.FTTH
-                                    if self._is_ftth[index]
-                                    else Technology.ADSL,
-                                    pop=str(self._pops[index]),
-                                    service=service.name,
-                                    bytes_down=int(tp_down[position]),
-                                    bytes_up=int(tp_up[position]),
-                                    flows=int(tp_flows[position]),
-                                )
-                            )
-                        emit_positions.extend((skeleton_offset + local).tolist())
-                        code = block_services.setdefault(
-                            service.name, len(block_services)
-                        )
-                        blocks.append(
-                            (code, touched, tp_down.astype(np.int64), tp_up, tp_flows.astype(np.int64))
-                        )
-                        skeleton_offset += touched.size
+                    rows.add(service.name, touched, tp_down, tp_up, tp_flows)
                     service_total += int(tp_down.sum() + tp_up.sum())
 
             for protocol, share in service.protocol_mix(day):
@@ -478,57 +488,17 @@ class TrafficGenerator:
                 )
 
         # Subscribed-but-inactive lines still emit background chatter that
-        # must fail the Section 3 activity criterion.
+        # must fail the Section 3 activity criterion.  The three scalar
+        # draws per line interleave on one sequential stream, so they are
+        # replayed for every line whatever range is emitted.
         background = np.nonzero(observed & ~active)[0]
-        if not sharded:
-            for index in background:
-                usage_rows.append(
-                    DailyUsage(
-                        day=day,
-                        subscriber_id=int(index),
-                        technology=Technology.FTTH
-                        if self._is_ftth[index]
-                        else Technology.ADSL,
-                        pop=str(self._pops[index]),
-                        service=catalog.OTHER,
-                        bytes_down=int(rng.integers(1_000, _BACKGROUND_BYTES_DOWN)),
-                        bytes_up=int(rng.integers(100, _BACKGROUND_BYTES_UP)),
-                        flows=int(rng.integers(1, _BACKGROUND_FLOWS + 1)),
-                    )
-                )
-        elif background.size:
-            # The three scalar draws per inactive line interleave on one
-            # sequential stream, so every shard replays them full-width
-            # and emits only its own range.
-            bg_down = np.empty(background.size, dtype=np.int64)
-            bg_up = np.empty(background.size, dtype=np.int64)
-            bg_flows = np.empty(background.size, dtype=np.int64)
-            for position, index in enumerate(background):
-                bytes_down = int(rng.integers(1_000, _BACKGROUND_BYTES_DOWN))
-                bytes_up = int(rng.integers(100, _BACKGROUND_BYTES_UP))
-                flow_count = int(rng.integers(1, _BACKGROUND_FLOWS + 1))
-                bg_down[position] = bytes_down
-                bg_up[position] = bytes_up
-                bg_flows[position] = flow_count
-                if shard_lo <= index < shard_hi:
-                    usage_rows.append(
-                        DailyUsage(
-                            day=day,
-                            subscriber_id=int(index),
-                            technology=Technology.FTTH
-                            if self._is_ftth[index]
-                            else Technology.ADSL,
-                            pop=str(self._pops[index]),
-                            service=catalog.OTHER,
-                            bytes_down=bytes_down,
-                            bytes_up=bytes_up,
-                            flows=flow_count,
-                        )
-                    )
-                    emit_positions.append(skeleton_offset + position)
-            code = block_services.setdefault(catalog.OTHER, len(block_services))
-            blocks.append((code, background, bg_down, bg_up, bg_flows))
-            skeleton_offset += background.size
+        if background.size:
+            chatter = np.empty((3, background.size), dtype=np.int64)
+            for position in range(background.size):
+                chatter[0, position] = rng.integers(1_000, _BACKGROUND_BYTES_DOWN)
+                chatter[1, position] = rng.integers(100, _BACKGROUND_BYTES_UP)
+                chatter[2, position] = rng.integers(1, _BACKGROUND_FLOWS + 1)
+            rows.add(catalog.OTHER, background, chatter[0], chatter[1], chatter[2])
 
         protocol_rows = tuple(
             ProtocolUsage(day=day, service=service, protocol=protocol, total_bytes=total)
@@ -536,87 +506,23 @@ class TrafficGenerator:
                 protocol_totals.items(), key=lambda item: (item[0][0], item[0][1].value)
             )
         )
-        telemetry.count("usage_rows_generated", len(usage_rows))
-        if not sharded:
-            return DayTraffic(
-                day=day, usage=tuple(usage_rows), protocols=protocol_rows
-            )
-        return DayTraffic(
-            day=day,
-            usage=tuple(usage_rows),
-            protocols=protocol_rows,
-            shard_ctx=self._build_shard_context(
-                shard_lo, shard_hi, blocks, block_services, emit_positions
-            ),
-        )
-
-    def _build_shard_context(
-        self,
-        lo: int,
-        hi: int,
-        blocks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-        block_services: Dict[str, int],
-        emit_positions: List[int],
-    ) -> DayShardContext:
-        """Assemble the full-day usage skeleton from per-service blocks."""
-        if blocks:
-            row_service = np.concatenate(
-                [np.full(block[1].size, block[0], dtype=np.int64) for block in blocks]
-            )
-            row_subscriber = np.concatenate([block[1] for block in blocks]).astype(
-                np.int64
-            )
-            row_down = np.concatenate([block[2] for block in blocks])
-            row_up = np.concatenate([block[3] for block in blocks])
-            row_flows = np.concatenate([block[4] for block in blocks])
-        else:
-            row_service = np.empty(0, dtype=np.int64)
-            row_subscriber = np.empty(0, dtype=np.int64)
-            row_down = np.empty(0, dtype=np.int64)
-            row_up = np.empty(0, dtype=np.int64)
-            row_flows = np.empty(0, dtype=np.int64)
-        row_ftth = self._is_ftth[row_subscriber]
-        tech_bytes_down = {
-            Technology.ADSL: int(row_down[~row_ftth].sum()),
-            Technology.FTTH: int(row_down[row_ftth].sum()),
-        }
-        return DayShardContext(
-            lo=lo,
-            hi=hi,
-            services=tuple(block_services),
-            row_service=row_service,
-            row_subscriber=row_subscriber,
-            row_ftth=row_ftth,
-            row_pop=self._pops[row_subscriber],
-            row_bytes_down=row_down,
-            row_bytes_up=row_up,
-            row_flows=row_flows,
-            emit_positions=np.asarray(emit_positions, dtype=np.int64),
-            tech_bytes_down=tech_bytes_down,
-        )
+        telemetry.count("usage_rows_generated", len(rows.usage))
+        return rows.traffic(protocols=protocol_rows)
 
     # -- hourly tier -----------------------------------------------------------
 
     def generate_hourly(
         self, day: datetime.date, traffic: Optional[DayTraffic] = None
     ) -> List[HourlyVolume]:
-        """Distribute the day's downloads over 10-minute bins (Fig. 4)."""
+        """Distribute the day's downloads over 10-minute bins (Fig. 4).
+
+        Reads the full-day totals of the skeleton, so every shard of a
+        day derives identical volumes.
+        """
         traffic = traffic if traffic is not None else self.generate_day(day)
-        if traffic.shard_ctx is not None:
-            # Sharded traffic only carries this shard's rows; the context
-            # holds the full-day totals so every shard derives identical
-            # hourly volumes (the lead shard contributes them at fan-in).
-            totals = {
-                Technology.ADSL: traffic.shard_ctx.tech_bytes_down[Technology.ADSL],
-                Technology.FTTH: traffic.shard_ctx.tech_bytes_down[Technology.FTTH],
-            }
-        else:
-            totals = {Technology.ADSL: 0, Technology.FTTH: 0}
-            for row in traffic.usage:
-                totals[row.technology] += row.bytes_down
         rng = self.world.day_rng(day, stream=1)
         volumes: List[HourlyVolume] = []
-        for technology, total in totals.items():
+        for technology, total in traffic.skeleton.tech_bytes_down.items():
             profile = studycalendar.diurnal_profile(day.year, technology.value)
             noise = rng.lognormal(-0.02, 0.2, BINS_PER_DAY)
             weights = np.array(profile) * noise
@@ -640,12 +546,7 @@ class TrafficGenerator:
         traffic: Optional[DayTraffic] = None,
         max_flows_per_usage: int = 8,
     ) -> List[FlowRecord]:
-        """Expand usage rows into probe-grade flow records (row view).
-
-        Compatibility wrapper over :meth:`expand_flows_batch`: the study's
-        hot path consumes the columnar batch directly, and this method
-        materializes the identical record list from it.
-        """
+        """Expand usage rows into probe-grade flow records (row view)."""
         return self.expand_flows_batch(
             day, traffic, max_flows_per_usage=max_flows_per_usage
         ).to_records()
@@ -656,7 +557,18 @@ class TrafficGenerator:
         traffic: Optional[DayTraffic] = None,
         max_flows_per_usage: int = 8,
     ) -> FlowBatch:
-        """Expand usage rows into one columnar :class:`FlowBatch`.
+        """Expand usage rows into one columnar :class:`FlowBatch`."""
+        return self.expand_flows_positioned(
+            day, traffic, max_flows_per_usage=max_flows_per_usage
+        )[0]
+
+    def expand_flows_positioned(
+        self,
+        day: datetime.date,
+        traffic: Optional[DayTraffic] = None,
+        max_flows_per_usage: int = 8,
+    ) -> Tuple[FlowBatch, np.ndarray]:
+        """The flow batch plus each flow's position in the full-day sequence.
 
         Per-flow totals sum exactly to the usage row's bytes; the flow
         *count* is capped (``max_flows_per_usage``) to bound record volume,
@@ -667,42 +579,33 @@ class TrafficGenerator:
         :meth:`~repro.synthesis.infrastructure.ServiceInfrastructure.
         pick_servers`), and the batch columns are assembled directly —
         no per-flow Python loop, no intermediate records.
-        ``expand_flows`` materializes the identical row view from this
-        batch.
+
+        All draws run at full-day width from ``traffic.skeleton``; the
+        batch keeps the flows of the emitted usage rows.  The positions
+        let order-sensitive consumers (RTT sample lists) restore the
+        whole-day ordering when a day was split into shards.
         """
         traffic = traffic if traffic is not None else self.generate_day(day)
-        usage = traffic.usage
-        if not usage:
-            batch = FlowBatchBuilder().build()
+        skeleton = traffic.skeleton
+        row_count = skeleton.row_count
+        if row_count == 0:
             telemetry.count("flows_expanded", 0)
-            return batch
+            return FlowBatchBuilder().build(), np.empty(0, dtype=np.int64)
         rng = self.world.day_rng(day, stream=2)
         capabilities = capabilities_on(day)
         midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
 
-        row_count = len(usage)
-        flows_per_row = np.fromiter(
-            (row.flows for row in usage), np.int64, row_count
-        )
-        counts = np.clip(flows_per_row, 1, max_flows_per_usage)
+        counts = np.clip(skeleton.row_flows, 1, max_flows_per_usage)
         starts = np.zeros(row_count, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
         total = int(counts.sum())
         row_of = np.repeat(np.arange(row_count), counts)
 
-        bytes_down_rows = np.fromiter(
-            (row.bytes_down for row in usage), np.int64, row_count
-        )
-        bytes_up_rows = np.fromiter(
-            (row.bytes_up for row in usage), np.int64, row_count
-        )
-        subscriber_rows = np.fromiter(
-            (row.subscriber_id for row in usage), np.int64, row_count
-        )
-        ftth_rows = np.fromiter(
-            (row.technology is Technology.FTTH for row in usage),
-            bool, row_count,
-        )
+        bytes_down_rows = skeleton.row_bytes_down
+        bytes_up_rows = skeleton.row_bytes_up
+        emit_rows = np.zeros(row_count, dtype=bool)
+        emit_rows[skeleton.emit_positions] = True
+        emit = emit_rows[row_of]
 
         # Per-usage-row Dirichlet(0.8) byte-split weights; the integer
         # remainder goes to each row's first flow (as _integer_split does).
@@ -719,7 +622,7 @@ class TrafficGenerator:
         uniforms = rng.random(total)
         bins = np.empty(total, dtype=np.int64)
         for technology in Technology:
-            mask = ftth_rows[row_of] == (technology is Technology.FTTH)
+            mask = skeleton.row_ftth[row_of] == (technology is Technology.FTTH)
             if not mask.any():
                 continue
             cdf = np.cumsum(
@@ -735,19 +638,12 @@ class TrafficGenerator:
 
         # Protocol mixes and server picks, grouped by service
         # (first-appearance order over the usage rows).
-        service_index: Dict[str, int] = {}
-        for row in usage:
-            if row.service not in service_index:
-                service_index[row.service] = len(service_index)
-        row_service = np.fromiter(
-            (service_index[row.service] for row in usage), np.int64, row_count
-        )
-        flow_service = row_service[row_of]
+        flow_service = skeleton.row_service[row_of]
         true_protocol = np.empty(total, dtype=np.int64)  # codes into PROTOCOLS
         ips = np.empty(total, dtype=np.int64)
         domains = np.empty(total, dtype=object)
         rtt_draw = np.empty(total, dtype=np.float64)
-        for service_name, code in service_index.items():
+        for code, service_name in enumerate(skeleton.services):
             mask = flow_service == code
             hits = int(np.count_nonzero(mask))
             service = self.world.service(service_name)
@@ -767,8 +663,9 @@ class TrafficGenerator:
                     np.int64, len(mix),
                 )
                 true_protocol[mask] = mix_codes[picks]
+            # Domain strings are only built for the emitted flows.
             ips[mask], domains[mask], rtt_draw[mask] = infra.pick_servers(
-                day, rng, hits
+                day, rng, hits, emit=emit[mask]
             )
 
         # Protocol-derived columns via 9-entry lookup tables.
@@ -843,248 +740,53 @@ class TrafficGenerator:
             rtt_avg[p2p] = minimum * 1.6
             rtt_max[p2p] = minimum * 3.0
 
-        # Intern names and vantages (first-appearance order, as the
-        # builder path produced).
-        names_table = StringTable()
-        intern_name = names_table.intern
-        name_id = np.fromiter(
-            (
-                intern_name(domain if use else None)
-                for domain, use in zip(domains.tolist(), named.tolist())
-            ),
-            np.int64, total,
-        )
-        vantage_table = StringTable()
-        row_vantage = np.fromiter(
-            (vantage_table.intern(row.pop) for row in usage),
-            np.int64, row_count,
-        )
-
-        batch = FlowBatch(
-            client_id=subscriber_rows[row_of],
-            server_ip=ips,
-            client_port=client_port.astype(np.int64),
-            server_port=port_of[true_protocol],
-            transport=transport,
-            ts_start=ts_start,
-            ts_end=ts_start + duration,
-            packets_up=packets_up,
-            packets_down=packets_down,
-            bytes_up=up,
-            bytes_down=down,
-            protocol=label_of[true_protocol],
-            name_id=name_id,
-            name_source=name_source,
-            rtt_samples=rtt_samples,
-            rtt_min=rtt_min,
-            rtt_avg=rtt_avg,
-            rtt_max=rtt_max,
-            vantage_id=row_vantage[row_of],
-            names=names_table.values(),
-            vantages=vantage_table.values(),
-        )
-        telemetry.count("flows_expanded", len(batch))
-        return batch
-
-    def expand_flows_batch_shard(
-        self,
-        day: datetime.date,
-        ctx: DayShardContext,
-        max_flows_per_usage: int = 8,
-    ) -> Tuple[FlowBatch, np.ndarray]:
-        """Shard view of :meth:`expand_flows_batch`.
-
-        Replays the unsharded flow expansion's RNG draws at full day
-        width from the skeleton in ``ctx``, then slices every column to
-        the flows whose subscriber falls in the shard's range.  Returns
-        the shard's batch plus each flow's position in the full-day flow
-        sequence, so order-sensitive consumers (RTT sample lists) can
-        restore the unsharded ordering at fan-in.
-        """
-        rng = self.world.day_rng(day, stream=2)
-        capabilities = capabilities_on(day)
-        midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
-
-        row_count = ctx.row_count
-        if row_count == 0:
-            batch = FlowBatchBuilder().build()
-            telemetry.count("flows_expanded", 0)
-            return batch, np.empty(0, dtype=np.int64)
-        counts = np.clip(ctx.row_flows, 1, max_flows_per_usage)
-        starts = np.zeros(row_count, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        total = int(counts.sum())
-        row_of = np.repeat(np.arange(row_count), counts)
-
-        bytes_down_rows = ctx.row_bytes_down
-        bytes_up_rows = ctx.row_bytes_up
-        ftth_rows = ctx.row_ftth
-        emit_rows = (ctx.row_subscriber >= ctx.lo) & (ctx.row_subscriber < ctx.hi)
-        emit = emit_rows[row_of]
-
-        gamma = rng.standard_gamma(0.8, total)
-        weights = gamma / np.add.reduceat(gamma, starts)[row_of]
-        down = np.floor(bytes_down_rows[row_of] * weights).astype(np.int64)
-        down[starts] += bytes_down_rows - np.add.reduceat(down, starts)
-        up = np.floor(bytes_up_rows[row_of] * weights).astype(np.int64)
-        up[starts] += bytes_up_rows - np.add.reduceat(up, starts)
-        packets_down = np.maximum(1, down // 1400)
-        packets_up = np.maximum(1, up // 700 + packets_down // 2)
-
-        uniforms = rng.random(total)
-        bins = np.empty(total, dtype=np.int64)
-        for technology in Technology:
-            mask = ftth_rows[row_of] == (technology is Technology.FTTH)
-            if not mask.any():
-                continue
-            cdf = np.cumsum(
-                studycalendar.diurnal_profile(day.year, technology.value)
-            )
-            cdf /= cdf[-1]
-            bins[mask] = np.minimum(
-                np.searchsorted(cdf, uniforms[mask], side="right"),
-                BINS_PER_DAY - 1,
-            )
-        seconds_per_bin = 86_400 // BINS_PER_DAY
-        ts_start = midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)
-
-        service_index: Dict[str, int] = {
-            name: code for code, name in enumerate(ctx.services)
-        }
-        flow_service = ctx.row_service[row_of]
-        true_protocol = np.empty(total, dtype=np.int64)
-        ips = np.empty(total, dtype=np.int64)
-        domains = np.empty(total, dtype=object)
-        rtt_draw = np.empty(total, dtype=np.float64)
-        for service_name, code in service_index.items():
-            mask = flow_service == code
-            hits = int(np.count_nonzero(mask))
-            service = self.world.service(service_name)
-            infra = self.world.infrastructure_for(service_name)
-            mix = service.protocol_mix(day)
-            if not mix:
-                true_protocol[mask] = protocol_code(WebProtocol.OTHER)
-            else:
-                shares = np.array([share for _, share in mix], dtype=np.float64)
-                cumulative = np.cumsum(shares / shares.sum())
-                picks = np.minimum(
-                    np.searchsorted(cumulative, rng.random(hits), side="right"),
-                    len(mix) - 1,
-                )
-                mix_codes = np.fromiter(
-                    (protocol_code(protocol) for protocol, _ in mix),
-                    np.int64, len(mix),
-                )
-                true_protocol[mask] = mix_codes[picks]
-            ips[mask], domains[mask], rtt_draw[mask] = infra.pick_servers(
-                day, rng, hits, emit=emit[mask]
-            )
-
-        label_of = np.fromiter(
-            (
-                protocol_code(capabilities.reported_label(protocol))
-                for protocol in PROTOCOLS
-            ),
-            np.int64, len(PROTOCOLS),
-        )
-        port_of = np.fromiter(
-            (_server_port(protocol) for protocol in PROTOCOLS),
-            np.int64, len(PROTOCOLS),
-        )
-        quic = true_protocol == protocol_code(WebProtocol.QUIC)
-        p2p = true_protocol == protocol_code(WebProtocol.P2P)
-        other = true_protocol == protocol_code(WebProtocol.OTHER)
-        transport = np.where(quic, UDP_CODE, TCP_CODE).astype(np.int64)
-
-        duration = np.minimum(
-            3600.0, 1.0 + rng.lognormal(0.0, 1.0, total) * (down / 1e6)
-        )
-        client_port = rng.integers(1024, 65535, total)
-
-        source_of = np.full(
-            len(PROTOCOLS), name_source_code(NameSource.SNI), dtype=np.int64
-        )
-        source_of[protocol_code(WebProtocol.P2P)] = name_source_code(NameSource.NONE)
-        source_of[protocol_code(WebProtocol.HTTP)] = name_source_code(NameSource.HOST)
-        source_of[protocol_code(WebProtocol.QUIC)] = name_source_code(NameSource.QUIC)
-        source_of[protocol_code(WebProtocol.FBZERO)] = name_source_code(NameSource.ZERO)
-        name_source = source_of[true_protocol]
-        named = ~p2p
-        other_hits = int(np.count_nonzero(other))
-        if other_hits:
-            resolved = rng.random(other_hits) < 0.7
-            name_source[other] = np.where(
-                resolved,
-                name_source_code(NameSource.DNS),
-                name_source_code(NameSource.NONE),
-            )
-            unresolved = np.zeros(total, dtype=bool)
-            unresolved[other] = ~resolved
-            named &= ~unresolved
-
-        rtt_samples = np.zeros(total, dtype=np.int64)
-        rtt_min = np.zeros(total, dtype=np.float64)
-        rtt_avg = np.zeros(total, dtype=np.float64)
-        rtt_max = np.zeros(total, dtype=np.float64)
-        sampled = ~quic & ~p2p
-        sampled_hits = int(np.count_nonzero(sampled))
-        if sampled_hits:
-            rtt_samples[sampled] = np.clip(packets_up[sampled] // 4, 1, 50)
-            minimum = rtt_draw[sampled]
-            average = minimum * (1.0 + rng.lognormal(-1.5, 0.8, sampled_hits))
-            rtt_min[sampled] = minimum
-            rtt_avg[sampled] = average
-            rtt_max[sampled] = average * (
-                1.0 + rng.lognormal(-1.0, 0.8, sampled_hits)
-            )
-        p2p_hits = int(np.count_nonzero(p2p))
-        if p2p_hits:
-            minimum = rtt_draw[p2p] * rng.lognormal(0.0, 0.5, p2p_hits)
-            rtt_samples[p2p] = 5
-            rtt_min[p2p] = minimum
-            rtt_avg[p2p] = minimum * 1.6
-            rtt_max[p2p] = minimum * 3.0
-
-        # All draws above ran full-width; everything below is shard-local.
+        # All draws above ran at full-day width; the batch keeps the
+        # emitted flows.  When that is every flow the columns are used
+        # as they are instead of being copied through an index.
         positions = np.nonzero(emit)[0]
-        shard_total = int(positions.size)
-        sub_named = named[positions]
-        sub_domains = domains[positions]
+        keep = slice(None) if positions.size == total else positions
+        flow_row = row_of[keep]
+
+        # Intern names and vantages in first-appearance order.
         names_table = StringTable()
         intern_name = names_table.intern
         name_id = np.fromiter(
             (
                 intern_name(domain if use else None)
-                for domain, use in zip(sub_domains.tolist(), sub_named.tolist())
+                for domain, use in zip(domains[keep].tolist(), named[keep].tolist())
             ),
-            np.int64, shard_total,
+            np.int64, positions.size,
         )
         vantage_table = StringTable()
-        row_vantage = np.fromiter(
-            (vantage_table.intern(str(pop)) for pop in ctx.row_pop[row_of[positions]]),
-            np.int64, shard_total,
+        row_vantage = np.zeros(row_count, dtype=np.int64)
+        row_vantage[skeleton.emit_positions] = np.fromiter(
+            (
+                vantage_table.intern(pop)
+                for pop in skeleton.row_pop[skeleton.emit_positions].tolist()
+            ),
+            np.int64, skeleton.emit_positions.size,
         )
 
         batch = FlowBatch(
-            client_id=ctx.row_subscriber[row_of[positions]],
-            server_ip=ips[positions],
-            client_port=client_port[positions].astype(np.int64),
-            server_port=port_of[true_protocol[positions]],
-            transport=transport[positions],
-            ts_start=ts_start[positions],
-            ts_end=ts_start[positions] + duration[positions],
-            packets_up=packets_up[positions],
-            packets_down=packets_down[positions],
-            bytes_up=up[positions],
-            bytes_down=down[positions],
-            protocol=label_of[true_protocol[positions]],
+            client_id=skeleton.row_subscriber[flow_row],
+            server_ip=ips[keep],
+            client_port=client_port[keep].astype(np.int64),
+            server_port=port_of[true_protocol[keep]],
+            transport=transport[keep],
+            ts_start=ts_start[keep],
+            ts_end=(ts_start + duration)[keep],
+            packets_up=packets_up[keep],
+            packets_down=packets_down[keep],
+            bytes_up=up[keep],
+            bytes_down=down[keep],
+            protocol=label_of[true_protocol[keep]],
             name_id=name_id,
-            name_source=name_source[positions],
-            rtt_samples=rtt_samples[positions],
-            rtt_min=rtt_min[positions],
-            rtt_avg=rtt_avg[positions],
-            rtt_max=rtt_max[positions],
-            vantage_id=row_vantage,
+            name_source=name_source[keep],
+            rtt_samples=rtt_samples[keep],
+            rtt_min=rtt_min[keep],
+            rtt_avg=rtt_avg[keep],
+            rtt_max=rtt_max[keep],
+            vantage_id=row_vantage[flow_row],
             names=names_table.values(),
             vantages=vantage_table.values(),
         )

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.config import StudyConfig
-from repro.core.parallel import ColumnarPartial, partition_plan, run_parallel
+from repro.core.parallel import ColumnarPartial, run_parallel
 from repro.core.study import LongitudinalStudy
 from repro.synthesis.world import WorldConfig
 
@@ -33,25 +33,6 @@ def tiny_config():
         flow_days_per_month=1,
         rtt_days_per_comparison_month=1,
     )
-
-
-class TestPartition:
-    def test_round_robin(self):
-        plan = {D(2014, 1, day): {"aggregate"} for day in range(1, 10)}
-        chunks = partition_plan(plan, 3)
-        assert len(chunks) == 3
-        assert sorted(day for chunk in chunks for day, _ in chunk) == sorted(plan)
-        sizes = [len(chunk) for chunk in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_workers_than_days(self):
-        plan = {D(2014, 1, 1): {"aggregate"}}
-        chunks = partition_plan(plan, 8)
-        assert len(chunks) == 1
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            partition_plan({}, 0)
 
 
 class TestParallelEqualsSerial:

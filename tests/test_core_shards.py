@@ -1,17 +1,23 @@
-"""Sharded execution equals unsharded — any shard count, any path.
+"""A study day is N range tasks — any N, any path, one result.
 
-Property suite for DESIGN.md §15: a study day fanned out into N
-subscriber-range shard tasks must produce a *field-identical*
-:class:`StudyData` to the whole-day path — serial, pooled, spilled to
-disk, or killed mid-day and resumed — plus regression tests for the
-merge-overlap and dispatch-accounting bugs the shard work exposed.
+Property suite for DESIGN.md §15: a study day planned as N >= 1
+subscriber-range tasks must produce a *field-identical*
+:class:`StudyData` for every N — serial, pooled, spilled to disk, or
+killed mid-day and resumed.  The whole day is just N = 1 of the same
+code, so the independent oracle is the set of study digests committed
+under ``tests/golden/`` from before the paths were unified — plus
+regression tests for the merge-overlap and dispatch-accounting bugs the
+shard work exposed.
 """
 
 import datetime
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.core.config import StudyConfig
+from repro.core.config import StudyConfig, config_hash, small_study
 from repro.core.faults import KIND_TRANSIENT, FaultPlan, FaultSpec
 from repro.core.parallel import (
     ChunkError,
@@ -23,6 +29,7 @@ from repro.core.parallel import (
     execute_study,
 )
 from repro.core.shards import (
+    ShardExtra,
     ShardSpec,
     load_spilled,
     plan_shards,
@@ -31,6 +38,7 @@ from repro.core.shards import (
 )
 from repro.core.study import LongitudinalStudy, MergeOverlapError, StudyData
 from repro.dataflow.datalake import CheckpointError, CheckpointStore
+from repro.service.results import study_digest
 from repro.synthesis.population import Technology
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.runtime import Telemetry
@@ -38,7 +46,14 @@ from repro.synthesis.world import WorldConfig
 
 D = datetime.date
 
-SHARD_COUNTS = (2, 4, 7)
+SHARD_COUNTS = (1, 2, 4, 7)
+
+#: Study digests computed at commit 10a884b, when the whole-day path was
+#: still its own code: ``name:seed`` → {config_hash, study_digest}.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "study_digests.json").read_text()
+)
+CHECKPOINT_FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints" / "pre-pr13"
 
 
 def tiny_config(seed=17):
@@ -54,6 +69,28 @@ def tiny_config(seed=17):
         flow_days_per_month=1,
         rtt_days_per_comparison_month=1,
     )
+
+
+def fixture_config():
+    """The config tests/fixtures/checkpoints/pre-pr13 was written for."""
+    return StudyConfig(
+        world=WorldConfig(
+            seed=17,
+            adsl_count=12,
+            ftth_count=6,
+            start=D(2014, 4, 8),
+            end=D(2014, 4, 10),
+        ),
+        day_stride=1,
+        flow_days_per_month=1,
+        rtt_days_per_comparison_month=1,
+    )
+
+
+def assert_golden(name, config, data):
+    golden = GOLDEN[name]
+    assert config_hash(config) == golden["config_hash"], name
+    assert study_digest(data) == golden["study_digest"], name
 
 
 class TestPlanShards:
@@ -88,6 +125,7 @@ class TestShardedEqualsUnsharded:
     def test_serial_field_identical(self, seed):
         config = tiny_config(seed)
         base = execute_study(config, workers=1).data
+        assert_golden(f"tiny_config:{seed}", config, base)
         for count in SHARD_COUNTS:
             sharded = execute_study(config, workers=1, shards=count)
             assert sharded.data == base, f"seed={seed} shards={count}"
@@ -111,6 +149,98 @@ class TestShardedEqualsUnsharded:
         one = execute_study(config, workers=1, shards=1).report
         four = execute_study(config, workers=1, shards=4).report
         assert one.config_hash == four.config_hash
+
+
+class TestGoldenDigests:
+    """{serial, pooled} x shards {1, 3} x {fresh, resumed} against digests
+    committed before the whole-day path became shard 0-of-1."""
+
+    @staticmethod
+    def _fresh_then_resumed(name, config, workers, shards, root):
+        options = dict(workers=workers, shards=shards, checkpoint_root=root)
+        if workers > 1:
+            options["start_method"] = "fork"
+        fresh = execute_study(config, **options)
+        assert_golden(name, config, fresh.data)
+        assert fresh.report.execution == ("pool" if workers > 1 else "serial")
+        resumed = execute_study(config, resume=True, **options)
+        assert_golden(name, config, resumed.data)
+        assert resumed.report.checkpoint_hits == resumed.report.planned_tasks
+
+    @pytest.mark.parametrize("shards", (1, 3))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_tiny_matrix(self, tmp_path, workers, shards):
+        self._fresh_then_resumed(
+            "tiny_config:17", tiny_config(17), workers, shards, tmp_path
+        )
+
+    @pytest.mark.parametrize(
+        "seed,workers,shards", [(7, 2, 3), (17, 1, 1), (23, 2, 1)]
+    )
+    def test_small_study(self, tmp_path, seed, workers, shards):
+        self._fresh_then_resumed(
+            f"small_study:{seed}", small_study(seed), workers, shards, tmp_path
+        )
+
+    def test_study_run_is_the_one_shard_fold(self):
+        config = tiny_config(23)
+        assert_golden("tiny_config:23", config, LongitudinalStudy(config).run())
+
+
+class TestPreRefactorCheckpoints:
+    """Checkpoint dirs written by the parent commit keep working."""
+
+    @staticmethod
+    def _copy(name, tmp_path):
+        root = tmp_path / name
+        shutil.copytree(CHECKPOINT_FIXTURES / name, root)
+        return root
+
+    def test_whole_day_files_load_and_are_rewritten_byte_identical(self, tmp_path):
+        config = fixture_config()
+        resumed = execute_study(
+            config,
+            workers=1,
+            checkpoint_root=self._copy("shards1", tmp_path),
+            resume=True,
+        )
+        assert resumed.report.checkpoint_hits == resumed.report.planned_tasks == 3
+        assert_golden("checkpoint_fixture:17", config, resumed.data)
+        execute_study(config, workers=1, checkpoint_root=tmp_path / "fresh")
+        old_files = sorted((CHECKPOINT_FIXTURES / "shards1").rglob("*.ckpt"))
+        assert len(old_files) == 3
+        for old in old_files:
+            new = tmp_path / "fresh" / old.relative_to(CHECKPOINT_FIXTURES / "shards1")
+            assert new.read_bytes() == old.read_bytes(), old.name
+
+    def test_shard_files_load_field_identical(self, tmp_path):
+        config = fixture_config()
+        resumed = execute_study(
+            config,
+            workers=1,
+            shards=3,
+            checkpoint_root=self._copy("shards3", tmp_path),
+            resume=True,
+        )
+        assert resumed.report.checkpoint_hits == resumed.report.planned_tasks == 9
+        assert_golden("checkpoint_fixture:17", config, resumed.data)
+
+    def test_sidecar_of_another_layout_is_recomputed_not_merged(self, tmp_path):
+        config = fixture_config()
+        root = self._copy("shards3", tmp_path)
+        store = CheckpointStore(root, config_hash(config))
+        day, shard = D(2014, 4, 8), (1, 3)
+        partial = store.load(day, shard=shard)
+        assert isinstance(partial.extra, ShardExtra)
+        del partial.extra.__dict__["rtt"]  # a writer without that field
+        store.save(day, partial, shard=shard)
+        resumed = execute_study(
+            config, workers=1, shards=3, checkpoint_root=root, resume=True
+        )
+        assert resumed.report.checkpoint_hits == resumed.report.planned_tasks - 1
+        recomputed = [r for r in resumed.report.records if r.source != "checkpoint"]
+        assert [(r.day, r.shard) for r in recomputed] == [(day, 1)]
+        assert_golden("checkpoint_fixture:17", config, resumed.data)
 
 
 class TestSpill:
@@ -159,6 +289,10 @@ class TestShardResume:
         assert [f.shard for f in err.value.failures] == [1]
         assert target.isoformat() in str(err.value)
         report = err.value.report
+        # One label per (day, shard): what the error names is a manifest row.
+        manifest_labels = set(report.telemetry_dict()["days"])
+        assert {f.label for f in err.value.failures} <= manifest_labels
+        assert f"{target.isoformat()}/1" in str(err.value).splitlines()[0]
         assert report.failed == 1
         assert report.completed == report.planned_tasks - 1
 

@@ -26,6 +26,7 @@ from repro.core.study import (
     RTT_SERVICES,
     LongitudinalStudy,
     StudyData,
+    aggregate_usage_day,
 )
 from repro.services import catalog
 from repro.synthesis.flowgen import TrafficGenerator
@@ -50,7 +51,7 @@ def _world(seed):
 
 
 def _stage1_results(world, flows, rules, codes=None):
-    """Every stage-1 flow consumer, as ``_consume_flows`` runs them."""
+    """Every stage-1 flow consumer the study's flow tier feeds."""
     results = {
         "census": daily_server_census(
             flows, rules, list(INFRA_SERVICES), DAY, codes=codes
@@ -183,45 +184,53 @@ def _tiny_config(seed=17):
     )
 
 
-class RowPathStudy(LongitudinalStudy):
-    """A replica of ``_consume_flows`` on FlowRecord rows, no batch view.
+def row_path_study(config):
+    """The study recomputed on FlowRecord rows: no batch view, no shards.
 
-    Exists only to prove the columnar study output is bit-identical to
-    the pre-batch row pipeline.
+    A standalone oracle for :class:`LongitudinalStudy`'s single day
+    method: whole-day generation, the shared aggregate stage, and every
+    flow consumer fed the ``expand_flows`` records — the pre-batch row
+    pipeline the columnar study output must equal bit for bit.
     """
-
-    def _consume_flows(self, data, day, traffic, with_rtt):
-        flows = self.generator.expand_flows(
-            day, traffic, max_flows_per_usage=self.config.max_flows_per_usage
+    study = LongitudinalStudy(config)
+    generator, rules = study.generator, study.rules
+    data = study.empty_data()
+    plan = study.planned_days()
+    for day in sorted(plan):
+        traffic = generator.generate_day(day)
+        if not traffic.usage:
+            continue
+        aggregate_usage_day(
+            data, day, traffic.usage, study.criterion, study.visit_classifier
+        )
+        data.protocol_rows.extend(traffic.protocols)
+        if "hourly" in plan[day]:
+            data.hourly.extend(generator.generate_hourly(day, traffic))
+        if "flows" not in plan[day]:
+            continue
+        flows = generator.expand_flows(
+            day, traffic, max_flows_per_usage=config.max_flows_per_usage
         )
         data.flow_days.append(day)
         data.census.extend(
-            daily_server_census(flows, self.rules, list(INFRA_SERVICES), day)
+            daily_server_census(flows, rules, list(INFRA_SERVICES), day)
         )
-        roles_by_service = daily_ip_roles(
-            flows, self.rules, list(INFRA_SERVICES), day
-        )
+        roles_by_service = daily_ip_roles(flows, rules, list(INFRA_SERVICES), day)
         for service in INFRA_SERVICES:
-            data.asn.append(
-                asn_breakdown(flows, self.rules, self.world.rib, service, day)
-            )
-            data.domains.append(
-                (day, service, domain_shares(flows, self.rules, service))
-            )
+            data.asn.append(asn_breakdown(flows, rules, study.world.rib, service, day))
+            data.domains.append((day, service, domain_shares(flows, rules, service)))
             data.daily_ip_sets.setdefault(service, []).append(
-                (day, service_ip_set(flows, self.rules, service))
+                (day, service_ip_set(flows, rules, service))
             )
             data.daily_ip_roles.setdefault(service, []).append(
                 (day, roles_by_service[service])
             )
-        if with_rtt:
+        if "rtt" in plan[day]:
             for service in RTT_SERVICES:
-                samples = rtt_analytics.min_rtt_samples(
-                    flows, self.rules, service
-                )
                 data.rtt_samples.setdefault((service, day.year), []).extend(
-                    samples
+                    rtt_analytics.min_rtt_samples(flows, rules, service)
                 )
+    return data
 
 
 class TestFullStudyIdentity:
@@ -231,7 +240,7 @@ class TestFullStudyIdentity:
 
     @pytest.fixture(scope="class")
     def row_path(self):
-        return RowPathStudy(_tiny_config()).run()
+        return row_path_study(_tiny_config())
 
     @pytest.fixture(scope="class")
     def parallel(self):
