@@ -12,7 +12,7 @@ import datetime
 
 
 from repro.core.config import StudyConfig
-from repro.core.parallel import run_parallel
+from repro.core.parallel import execute_study
 from repro.core.study import LongitudinalStudy
 from repro.synthesis.world import WorldConfig
 
@@ -46,7 +46,7 @@ def test_study_parallel_4workers(benchmark):
     import multiprocessing
 
     def run():
-        return run_parallel(quarter_config(), workers=4)
+        return execute_study(quarter_config(), workers=4).data
 
     data = benchmark.pedantic(run, rounds=2, iterations=1)
     benchmark.extra_info["host_cpus"] = multiprocessing.cpu_count()

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.config import StudyConfig, small_study
-from repro.core.study import LongitudinalStudy
 from repro.services import catalog
 from repro.synthesis import servicemodels
 from repro.synthesis.world import WorldConfig
@@ -156,12 +155,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     if wanted != ["table1"]:  # Table 1 needs no measurement pass
         print(f"running study (seed={args.seed}, scale={args.scale}, "
               f"workers={args.workers})...", file=sys.stderr)
-        if args.workers > 1:
-            from repro.core.parallel import run_parallel
+        from repro.core.parallel import execute_study
 
-            data = run_parallel(config, workers=args.workers)
-        else:
-            data = LongitudinalStudy(config).run()
+        data = execute_study(config, workers=args.workers).data
     for name in wanted:
         module = figures[name]
         fig = module.compute() if name == "table1" else module.compute(data)

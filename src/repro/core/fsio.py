@@ -1,8 +1,9 @@
 """Atomic persistence primitives with an injectable fault gate.
 
-Every durable artifact in the repo — per-day checkpoints, lake
-partitions, the service's run records — is finalized the same way: write
-a staging file next to the target, then ``os.replace`` it into place.
+Every durable artifact in the repo — per-day checkpoints, spilled
+partials, lake partitions, the service's run records and results, the
+lint cache — is finalized the same way: write a staging file next to the
+target, then ``os.replace`` it into place.
 This module owns that idiom so the chaos conductor (DESIGN.md §17) can
 inject *filesystem* failures at the exact operation boundaries a real
 deployment fears:
@@ -38,12 +39,18 @@ SURFACE_CHECKPOINT = "checkpoint"
 SURFACE_LAKE = "lake"
 SURFACE_REGISTRY = "registry"
 SURFACE_MANIFEST = "manifest"
+SURFACE_SPILL = "spill"
+SURFACE_RESULTS = "results"
+SURFACE_LINT_CACHE = "lint-cache"
 
 SURFACES = (
     SURFACE_CHECKPOINT,
     SURFACE_LAKE,
     SURFACE_REGISTRY,
     SURFACE_MANIFEST,
+    SURFACE_SPILL,
+    SURFACE_RESULTS,
+    SURFACE_LINT_CACHE,
 )
 
 #: Fault modes a gate may request for one write (see module docstring).

@@ -5,8 +5,8 @@ survived probe outages, disk failures, and software upgrades (§2); the
 reproduction's equivalent lever is that every study day is independent —
 generation and stage-1 aggregation share no state across days (per-day
 seeds, DESIGN.md §6).  :func:`execute_study` therefore dispatches *one
-task per planned (day, shard)* to a :class:`~repro.core.pool.SupervisedPool`
-and treats partial failure as the normal case:
+task per planned (day, shard)* and treats partial failure as the normal
+case:
 
 * a worker exception comes back as a structured :class:`DayFailure`
   naming the day, attempt, and traceback — never as an opaque
@@ -26,13 +26,18 @@ and treats partial failure as the normal case:
   wall time, attempts, worker id, checkpoint hits) that ``repro run
   --report`` prints and checkpointed runs persist as ``manifest.json``.
 
-Partials are merged strictly in calendar order — hierarchically, as a
-pairwise binary-counter tree over adjacent calendar ranges, which is
-exactly equal to the sequential fold because :meth:`StudyData.merge` is
-disjoint-insert/concatenate — so the merged :class:`StudyData` is
-*exactly* equal to :meth:`LongitudinalStudy.run`: parallelism, retries,
-crashes, resumes, and sharding change wall-clock, never results
-(asserted in tests).
+Partials are merged strictly in calendar order — the same left fold as
+:meth:`LongitudinalStudy.run` — so the merged :class:`StudyData` is
+*exactly* equal to it: parallelism, retries, crashes, resumes, and
+sharding change wall-clock, never results (asserted in tests).
+
+Every task goes through one lifecycle whatever the worker count: one
+dispatch loop (:func:`_run_tasks`) submits a bounded window of tasks to
+an executor, settles what comes back, defers transient failures through
+their backoff and honours the cancel token.  The executor is a
+:class:`~repro.core.pool.SupervisedPool`, or — when one worker is all
+the plan can use — an in-process stand-in with the same surface, so a
+serial run exercises the very retry and cancel rules a pooled run does.
 
 A study day is always a list of N >= 1 range tasks (DESIGN.md §15):
 ``execute_study(..., shards=N)`` plans one :class:`DayTask` per
@@ -41,10 +46,10 @@ A study day is always a list of N >= 1 range tasks (DESIGN.md §15):
 A one-shard task holds the whole day, so its worker also runs the fan-in
 (:func:`~repro.core.study.merge_day_shards`) and ships the finished day
 partial; the parts of a split day are fanned in by the parent before the
-calendar tree merge, with shard-granular checkpoints and manifest rows,
+calendar fold, with shard-granular checkpoints and manifest rows,
 so a killed 100k-subscriber run resumes mid-day.  Completed partials
-above a memory watermark spill to disk as v2 column chunks
-(``shard_spill_dir``) and stream back in during fan-in.
+above a memory watermark spill to disk (``shard_spill_dir``) in the
+checkpoint tier's record format and are read back during fan-in.
 
 Workers ship their partials back as :class:`ColumnarPartial`\\ s: the
 bulky flow-tier payloads — per-(service, year) RTT sample lists, per-day
@@ -56,6 +61,7 @@ and unpacking are exact inverses; the merged result is unchanged.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import datetime
 import json
@@ -69,7 +75,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -671,8 +677,8 @@ class _PartialStore:
 
     With no spill directory this is a plain keyed dict.  With one, every
     ``put`` re-checks the resident-size estimate and spills the largest
-    partials (as v2 column chunks, :mod:`repro.core.shards`) until the
-    estimate is back under the watermark; :meth:`pop` streams spilled
+    partials (:func:`~repro.core.shards.spill_partial`) until the
+    estimate is back under the watermark; :meth:`pop` reads spilled
     partials back in during fan-in and deletes the file.
     """
 
@@ -698,37 +704,49 @@ class _PartialStore:
     def __len__(self) -> int:
         return len(self._resident) + len(self._spilled)
 
-    def put(self, key: _Key, partial: ColumnarPartial) -> None:
+    def put(
+        self, key: _Key, partial: ColumnarPartial
+    ) -> Optional[Tuple[_Key, OSError]]:
+        """Keep ``partial``; returns the ``(key, error)`` of a spill write
+        the disk refused (that partial, and the rest, stay resident)."""
         self._resident[key] = partial
         self._sizes[key] = partial.approx_nbytes()
         if self.spill_dir is None:
-            return
+            return None
         total = sum(self._sizes.values())
         while total > self.watermark and self._resident:
             victim = max(self._sizes, key=self._sizes.__getitem__)
-            total -= self._sizes.pop(victim)
             day, shard = victim
             path = self.spill_dir / spill_file_name(day, shard)
-            spill_partial(path, day, shard, self._resident.pop(victim))
+            try:
+                spill_partial(path, day, shard, self._resident[victim])
+            except OSError as exc:
+                return victim, exc
+            del self._resident[victim]
+            total -= self._sizes.pop(victim)
             self._spilled[victim] = path
             self.spills += 1
             telemetry_runtime.count("shard_partials_spilled")
+        return None
 
     def pop(self, key: _Key) -> ColumnarPartial:
-        """Remove and return a partial, restoring it from disk if spilled."""
+        """Remove and return a partial, restoring it from disk if spilled
+        (:class:`CheckpointError` when the file does not read back)."""
         if key in self._resident:
             self._sizes.pop(key, None)
             return self._resident.pop(key)
         path = self._spilled.pop(key)
-        partial = load_spilled(path)
-        path.unlink(missing_ok=True)
+        try:
+            partial = load_spilled(path)
+        finally:
+            path.unlink(missing_ok=True)
         telemetry_runtime.count("shard_partials_restored")
         assert isinstance(partial, ColumnarPartial)
         return partial
 
 
 class _Dispatch:
-    """Shared bookkeeping for the serial and pooled execution paths."""
+    """Settlement bookkeeping of one run: partials, manifest rows, events."""
 
     def __init__(
         self,
@@ -747,6 +765,10 @@ class _Dispatch:
         self.day_telemetry: Dict[_Key, TelemetrySnapshot] = {}
         self.events: List[RunEvent] = []
         self._day_done: Dict[datetime.date, int] = {}
+
+    def sorted_records(self) -> List[DayRecord]:
+        """The manifest rows, in (day, shard) order."""
+        return [self.records[key] for key in sorted(self.records)]
 
     def _note_done(self, day: datetime.date, shards: int) -> None:
         """Fire progress once every shard of ``day`` has settled."""
@@ -767,9 +789,23 @@ class _Dispatch:
             )
         )
 
+    def _keep(self, key: _Key, partial: ColumnarPartial, shards: int) -> None:
+        """Hold a settled partial until fan-in, spilling past the watermark."""
+        refused = self.partials.put(key, partial)
+        if refused is not None:
+            # Same rule as the checkpoint write below: the result is in
+            # hand, so a disk that refuses the spill costs memory, not
+            # the run.
+            (day, shard), exc = refused
+            telemetry_runtime.count("spill_write_failures")
+            self._note(
+                "spill_write_failed", day, shard, shards,
+                task=task_label(day, shard, shards), error=repr(exc),
+            )
+
     def succeed(self, outcome: DaySuccess, source: str) -> None:
         key = (outcome.day, outcome.shard)
-        self.partials.put(key, outcome.partial)
+        self._keep(key, outcome.partial, outcome.shards)
         self.records[key] = DayRecord(
             day=outcome.day,
             status="completed",
@@ -847,7 +883,7 @@ class _Dispatch:
         self, day: datetime.date, partial: ColumnarPartial, spec: ShardSpec
     ) -> None:
         key = (day, spec.index)
-        self.partials.put(key, partial)
+        self._keep(key, partial, spec.count)
         self.records[key] = DayRecord(
             day=day,
             status="completed",
@@ -861,70 +897,88 @@ class _Dispatch:
         self._note("checkpoint_hit", day, spec.index, spec.count)
         self._note_done(day, spec.count)
 
+    def restore(self, day: datetime.date, spec: ShardSpec) -> ColumnarPartial:
+        """Hand a settled partial to the fan-in.
 
-def _run_serial(
-    dispatch: _Dispatch,
-    remaining: List[DayTask],
-    cancel: Optional[CancelToken] = None,
-) -> None:
-    """In-process execution with the same retry semantics as the pool.
+        A spilled partial that does not read back turns its task's row
+        into a failure (and re-raises), so the manifest names what a
+        resume has to produce again.
+        """
+        try:
+            return self.partials.pop((day, spec.index))
+        except CheckpointError as exc:
+            record = self.records[(day, spec.index)]
+            self.fail(
+                DayFailure(
+                    index=-1,  # settled long ago: no dispatch slot to match
+                    day=day,
+                    attempt=max(0, record.attempts - 1),
+                    transient=False,
+                    error=repr(exc),
+                    traceback_text=traceback.format_exc(),
+                    worker=record.worker,
+                    wall_time=record.wall_time,
+                    shard=spec.index,
+                    shards=spec.count,
+                )
+            )
+            raise
 
-    The cancel token is checked between tasks (and while backing off
-    before a retry): the task in flight always settles and checkpoints,
-    tasks after the cancel point are simply never started.
+
+class _InlineExecutor:
+    """The :class:`~repro.core.pool.SupervisedPool` surface the dispatch
+    loop uses, over the calling process: ``next_event`` runs the oldest
+    submitted task to completion, so no task is lost and no worker dies.
     """
-    for proto in remaining:
-        if cancel is not None and cancel.is_set():
-            return
-        attempt = 0
-        while True:
-            task = replace(proto, attempt=attempt)
-            outcome = _run_chunk(task)
-            if isinstance(outcome, DaySuccess):
-                dispatch.succeed(outcome, source="serial")
-                break
-            assert isinstance(outcome, DayFailure)
-            if outcome.transient and attempt < dispatch.policy.retries:
-                if cancel is not None and cancel.is_set():
-                    # A cancelled run does not retry: the task stays
-                    # unsettled and the resume recomputes it.
-                    return
-                dispatch.note_retry(task, outcome)
-                pause = dispatch.policy.delay(attempt, key=_retry_key(task))
-                if cancel is not None:
-                    if cancel.wait(pause):
-                        return
-                else:
-                    time.sleep(pause)
-                attempt += 1
-                continue
-            dispatch.fail(outcome)
-            break
+
+    def __init__(self, runner: Callable[[DayTask], object]) -> None:
+        self._runner = runner
+        self._tasks: Deque[DayTask] = collections.deque()
+
+    def submit(self, task: DayTask) -> None:
+        self._tasks.append(task)
+
+    def next_event(self, timeout: Optional[float] = None) -> Optional[Tuple]:
+        if not self._tasks:
+            return None
+        task = self._tasks.popleft()
+        return (EVENT_DONE, task.index, self._runner(task))
+
+    def stop(self, graceful: bool = True) -> None:
+        """Nothing outlives ``next_event``."""
 
 
-def _run_pooled(
+def _run_tasks(
     dispatch: _Dispatch,
     remaining: List[DayTask],
-    workers: int,
+    worker_count: int,
     start_method: Optional[str],
     pool_observer: Optional[Callable[[SupervisedPool], None]] = None,
     cancel: Optional[CancelToken] = None,
-) -> str:
-    """Dispatch one task per (day, shard) to a supervised pool; returns
-    the start method actually used.
+) -> None:
+    """The one dispatch loop: submit, settle, defer retries, honour cancel.
 
-    Submission is windowed (a bounded number of tasks in the queue at
-    once) rather than all-upfront: results are identical — tasks are
-    independent and settle by index — but a cooperative cancel only has
-    to drain the window, not the whole plan.  On cancel, pending and
-    deferred tasks are dropped unstarted; everything already submitted
-    settles (and checkpoints) before this function returns.
+    One worker runs the tasks in this process, more get a supervised
+    pool; the loop does not know which.  At most ``window`` tasks are
+    unsettled at once — handed to the executor or waiting out a retry
+    backoff — rather than all submitted up front: results are identical
+    (tasks are independent and settle by index), but a cooperative
+    cancel only has to drain the window, not the whole plan.  In process
+    the window is one task, so the task in flight settles and later
+    tasks never start.  On cancel, pending tasks and deferred retries
+    are dropped unstarted (the task stays unsettled and the resume
+    recomputes it); everything already submitted settles (and
+    checkpoints) before this function returns.
     """
     policy = dispatch.policy
-    worker_count = min(workers, len(remaining))
-    pool = SupervisedPool(
-        worker_count, runner=_run_chunk, start_method=start_method
+    pool = (
+        SupervisedPool(worker_count, runner=_run_chunk, start_method=start_method)
+        if worker_count > 1
+        else None
     )
+    executor = pool if pool is not None else _InlineExecutor(_run_chunk)
+    window = _SUBMIT_WINDOW_PER_WORKER * worker_count if pool is not None else 1
+    source = "worker" if pool is not None else "serial"
     # Retry backoff runs on real time even under a virtual telemetry
     # clock: scheduling is operational, never exported, and a virtual
     # "now" would make eligibility depend on loop iteration counts.
@@ -932,46 +986,58 @@ def _run_pooled(
     # Workers that die before ever announcing a task signal a broken
     # environment (bad interpreter, unimportable package under spawn);
     # respawning those forever would hang the run.
-    idle_crash_budget = max(8, 2 * worker_count)
+    idle_crash_budget = max(8, window)
+    outstanding: Dict[int, DayTask] = {}
+    deferred: List[Tuple[float, DayTask]] = []
+    pending: List[DayTask] = list(remaining)
+    pending.reverse()  # pop() from the tail keeps plan order
+
+    def cancelled() -> bool:
+        return cancel is not None and cancel.is_set()
+
+    def launch(task: DayTask) -> None:
+        outstanding[task.index] = task
+        executor.submit(task)
+
+    def settle_failure(task: DayTask, failure: DayFailure) -> None:
+        """Retry a transient failure (with backoff) or record it as final."""
+        if failure.transient and task.attempt < policy.retries:
+            dispatch.note_retry(task, failure)
+            eligible_at = sched.now() + policy.delay(
+                task.attempt, key=(task.day.isoformat(), task.shard.index)
+            )
+            deferred.append((eligible_at, replace(task, attempt=task.attempt + 1)))
+        else:
+            dispatch.fail(failure)
+
     try:
-        if pool_observer is not None:
+        if pool_observer is not None and pool is not None:
             pool_observer(pool)
-        outstanding: Dict[int, DayTask] = {}
-        deferred: List[Tuple[float, DayTask]] = []
-        pending: List[DayTask] = list(remaining)
-        pending.reverse()  # pop() from the tail keeps plan order
-        window = _SUBMIT_WINDOW_PER_WORKER * worker_count
-
-        def cancelled() -> bool:
-            return cancel is not None and cancel.is_set()
-
-        def refill() -> None:
-            while pending and len(outstanding) < window and not cancelled():
-                task = pending.pop()
-                outstanding[task.index] = task
-                pool.submit(task)
-
-        refill()
         while outstanding or deferred or (pending and not cancelled()):
             if cancelled():
-                # Drop everything not yet handed to the queue; what is
+                # Drop everything not yet handed to the executor; what is
                 # already submitted drains below and checkpoints.
                 pending.clear()
                 deferred.clear()
                 if not outstanding:
                     break
-            refill()
-            if deferred:
-                now = sched.now()
-                ready = [entry for entry in deferred if entry[0] <= now]
-                deferred = [entry for entry in deferred if entry[0] > now]
-                for _, task in ready:
-                    outstanding[task.index] = task
-                    pool.submit(task)
-                if not outstanding:
-                    time.sleep(policy.backoff or 0.01)
-                    continue
-            event = pool.next_event(timeout=0.05)
+            while pending and len(outstanding) + len(deferred) < window:
+                launch(pending.pop())
+            now = sched.now()
+            for entry in [entry for entry in deferred if entry[0] <= now]:
+                deferred.remove(entry)
+                launch(entry[1])
+            if not outstanding:
+                if deferred:
+                    # Only backoffs are left: sleep to the earliest,
+                    # waking at once on cancel.
+                    pause = min(entry[0] for entry in deferred) - now
+                    if cancel is not None:
+                        cancel.wait(pause)
+                    else:
+                        time.sleep(pause)
+                continue
+            event = executor.next_event(timeout=0.05)
             if event is None:
                 continue
             kind = event[0]
@@ -981,9 +1047,9 @@ def _run_pooled(
                 if task is None:
                     continue  # duplicate of an already-settled task
                 if isinstance(outcome, DaySuccess):
-                    dispatch.succeed(outcome, source="worker")
+                    dispatch.succeed(outcome, source=source)
                 else:
-                    _settle_failure(dispatch, task, outcome, deferred, sched)
+                    settle_failure(task, outcome)
             elif kind == EVENT_ERROR:
                 _, index, traceback_text = event
                 task = outstanding.pop(index, None)
@@ -1002,7 +1068,7 @@ def _run_pooled(
                         shards=task.shard.count,
                     )
                 )
-            elif kind == EVENT_CRASH:
+            elif kind == EVENT_CRASH and pool is not None:
                 _, index, pid, exitcode = event
                 dispatch.note_crash(exitcode)
                 if index is not None and index in outstanding:
@@ -1018,7 +1084,7 @@ def _run_pooled(
                         shard=task.shard.index,
                         shards=task.shard.count,
                     )
-                    _settle_failure(dispatch, task, crash, deferred, sched)
+                    settle_failure(task, crash)
                 else:
                     idle_crash_budget -= 1
                     if idle_crash_budget < 0:
@@ -1035,33 +1101,9 @@ def _run_pooled(
                     for task in list(outstanding.values()):
                         if task.index not in started:
                             pool.submit(task)
-        pool.stop(graceful=True)
+        executor.stop(graceful=True)
     finally:
-        pool.stop(graceful=False)
-    return pool.start_method
-
-
-def _settle_failure(
-    dispatch: _Dispatch,
-    task: DayTask,
-    failure: DayFailure,
-    deferred: List[Tuple[float, DayTask]],
-    sched: Clock,
-) -> None:
-    """Retry a transient failure (with backoff) or record it as final."""
-    if failure.transient and task.attempt < dispatch.policy.retries:
-        dispatch.note_retry(task, failure)
-        eligible_at = sched.now() + dispatch.policy.delay(
-            task.attempt, key=_retry_key(task)
-        )
-        deferred.append((eligible_at, replace(task, attempt=task.attempt + 1)))
-        return
-    dispatch.fail(failure)
-
-
-def _retry_key(task: DayTask) -> Tuple[str, int]:
-    """Stable per-(day, shard) identity for backoff decorrelation."""
-    return (task.day.isoformat(), task.shard.index)
+        executor.stop(graceful=False)
 
 
 def _assemble_run_telemetry(
@@ -1104,34 +1146,6 @@ def _assemble_run_telemetry(
     )
 
 
-def _merge_calendar(parts: Iterable[StudyData]) -> Optional[StudyData]:
-    """Hierarchical pairwise merge of calendar-ordered day partials.
-
-    A binary-counter fold: each :meth:`StudyData.merge` joins two
-    *adjacent* calendar ranges, so at most ``log2(N)`` partials are live
-    at once (the point when spilled partials stream back lazily) while
-    the result stays exactly equal to the sequential left fold — merge
-    is disjoint-insert/concatenate, hence associative over ordered,
-    non-overlapping ranges.
-    """
-    stack: List[Tuple[int, StudyData]] = []  # (tree level, merged range)
-    for data in parts:
-        level = 0
-        while stack and stack[-1][0] == level:
-            _, earlier = stack.pop()
-            earlier.merge(data)
-            data = earlier
-            level += 1
-        stack.append((level, data))
-    merged: Optional[StudyData] = None
-    for _, data in stack:  # oldest (largest) range first
-        if merged is None:
-            merged = data
-        else:
-            merged.merge(data)
-    return merged
-
-
 def _check_layout(day: datetime.date, partial: object, spec: ShardSpec) -> None:
     """Reject a checkpoint pickled under another partial layout.
 
@@ -1165,7 +1179,7 @@ def _day_data(
     specs: Tuple[ShardSpec, ...],
 ) -> StudyData:
     """One day's partial: finished by its worker, or fanned in here."""
-    partials = [dispatch.partials.pop((day, spec.index)) for spec in specs]
+    partials = [dispatch.restore(day, spec) for spec in specs]
     if specs[0].key is None:
         return partials[0].unpack()
     return merge_day_shards(
@@ -1173,6 +1187,24 @@ def _day_data(
         [(partial.unpack(), partial.extra) for partial in partials],
         planner.world.rib,
     )
+
+
+def _write_manifest(store: Optional[CheckpointStore], report: RunReport) -> None:
+    """Persist the manifest beside the checkpoints (when there are any)."""
+    if store is None:
+        return
+    try:
+        fsio.write_and_replace(
+            store.manifest_path,
+            report.to_json().encode("utf-8"),
+            surface=fsio.SURFACE_MANIFEST,
+        )
+    except OSError:
+        # The manifest is an operator artifact, not an input to the
+        # result: disk pressure here must not fail an otherwise
+        # complete run.  Resume re-derives everything from the
+        # checkpoints themselves.
+        telemetry_runtime.count("manifest_write_failures")
 
 
 def execute_study(
@@ -1297,60 +1329,52 @@ def execute_study(
                         )
                     index += 1
             if remaining and not (cancel is not None and cancel.is_set()):
-                if workers == 1 or len(remaining) == 1:
-                    execution = "serial"
-                    with telemetry_runtime.span("dispatch", mode="serial"):
-                        _run_serial(dispatch, remaining, cancel=cancel)
-                else:
-                    execution = "pool"
-                    with telemetry_runtime.span("dispatch", mode="pool"):
-                        method = _run_pooled(
-                            dispatch,
-                            remaining,
-                            workers,
-                            start_method,
-                            pool_observer,
-                            cancel=cancel,
-                        )
+                worker_count = min(workers, len(remaining))
+                execution = "serial" if worker_count == 1 else "pool"
+                with telemetry_runtime.span("dispatch", mode=execution):
+                    _run_tasks(
+                        dispatch,
+                        remaining,
+                        worker_count,
+                        start_method,
+                        pool_observer,
+                        cancel,
+                    )
 
     report = RunReport(
         config_hash=digest,
         seed=config.world.seed,
         start_method=method,
         workers=workers,
-        records=[dispatch.records[key] for key in sorted(dispatch.records)],
+        records=dispatch.sorted_records(),
         crashes=dispatch.crashes,
         wall_time=run_clock.now() - started,
         execution=execution,
         shards=shards,
         spills=partial_store.spills,
     )
-    if store is not None:
-        try:
-            fsio.write_and_replace(
-                store.manifest_path,
-                report.to_json().encode("utf-8"),
-                surface=fsio.SURFACE_MANIFEST,
-            )
-        except OSError:
-            # The manifest is an operator artifact, not an input to the
-            # result: disk pressure here must not fail an otherwise
-            # complete run.  Resume re-derives everything from the
-            # checkpoints themselves.
-            telemetry_runtime.count("manifest_write_failures")
+    _write_manifest(store, report)
     if cancel is not None and cancel.is_set():
         # Cancellation outranks any concurrent failure: neither state is
         # final — the resume retries failed *and* never-started tasks.
         raise RunCancelled(seed=config.world.seed, report=report)
     if dispatch.failures:
         raise ChunkError(dispatch.failures, seed=config.world.seed, report=report)
+    merged = planner.empty_data()
     with scope():
         with telemetry_runtime.span("merge", days=len(days), shards=shards):
-            merged = _merge_calendar(
-                _day_data(planner, dispatch, day, specs) for day in days
-            )
-    if merged is None:
-        merged = planner.empty_data()
+            try:
+                for day in days:
+                    merged.merge(_day_data(planner, dispatch, day, specs))
+            except CheckpointError:
+                # A spilled partial did not read back: its row now says
+                # failed (see _Dispatch.restore), which the manifest on
+                # disk has to say too before the error names it.
+                report.records = dispatch.sorted_records()
+                _write_manifest(store, report)
+                raise ChunkError(
+                    dispatch.failures, seed=config.world.seed, report=report
+                ) from None
     run_telemetry = (
         _assemble_run_telemetry(telemetry, dispatch, digest, config.world.seed)
         if telemetry is not None
@@ -1358,28 +1382,3 @@ def execute_study(
     )
     return RunResult(data=merged, report=report, telemetry=run_telemetry)
 
-
-def run_parallel(
-    config: StudyConfig,
-    workers: Optional[int] = None,
-    *,
-    start_method: Optional[str] = None,
-    checkpoint_root: Optional[object] = None,
-    resume: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    shards: int = 1,
-    shard_spill_dir: Optional[object] = None,
-) -> StudyData:
-    """Run the study across worker processes; results match a serial run."""
-    return execute_study(
-        config,
-        workers,
-        start_method=start_method,
-        checkpoint_root=checkpoint_root,
-        resume=resume,
-        retry=retry,
-        fault_plan=fault_plan,
-        shards=shards,
-        shard_spill_dir=shard_spill_dir,
-    ).data

@@ -10,9 +10,11 @@ unaffected.
 
 This module holds the shard plan, the :class:`ShardExtra` sidecar that
 rides back with each shard's :class:`~repro.core.study.StudyData`
-partial, and the disk-spill codec used when resident partials exceed the
-memory watermark (a v2 column chunk of base64 pickle segments, so spill
-files get the same torn/checksum/count detection as lake partitions).
+partial, and the disk spill used when resident partials exceed the
+memory watermark: a spill file is the checkpoint tier's keyed, CRC'd
+record (:func:`~repro.dataflow.datalake.write_record`) under a namespace
+of its own, so it is published atomically and verified before it is
+unpickled exactly as a checkpoint is.
 
 Deliberately free of ``repro.core.study`` imports: study builds on the
 types here, and ``merge_day_shards`` (the fan-in) lives in study.
@@ -20,20 +22,17 @@ types here, and ``merge_day_shards`` (the fan-in) lives in study.
 
 from __future__ import annotations
 
-import base64
 import datetime
-import pickle
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnSpec, ColumnarCodec, read_chunk, write_chunk
-from repro.dataflow.datalake import tsv_codec
+from repro.core import fsio
+from repro.dataflow.datalake import CheckpointError, read_record, write_record
 from repro.synthesis.population import Technology
-
-_SEGMENT_CHARS = 1 << 20  # base64 characters per spill chunk row
 
 DEFAULT_SPILL_WATERMARK_BYTES = 256 * 1024 * 1024
 
@@ -142,49 +141,14 @@ class ShardExtra:
 
 
 # ----------------------------------------------------------------------
-# Spill-to-disk: v2 column chunks of pickled partials.
+# Spill-to-disk: the checkpoint record under the spill namespace.
 
+#: Stands where a checkpoint record carries its config hash, so a spill
+#: file can never load as a checkpoint (or the reverse).
+_SPILL_NAMESPACE = "spill"
 
-@dataclass(frozen=True)
-class SpillSegment:
-    """One base64 slice of a pickled shard partial."""
-
-    day: datetime.date
-    shard: int
-    seq: int
-    payload: str
-
-
-_SPILL_LINES = tsv_codec(
-    from_fields=lambda fields: SpillSegment(
-        day=datetime.date.fromisoformat(fields[0]),
-        shard=int(fields[1]),
-        seq=int(fields[2]),
-        payload=fields[3],
-    ),
-    to_fields=lambda seg: [
-        seg.day.isoformat(),
-        str(seg.shard),
-        str(seg.seq),
-        seg.payload,
-    ],
-)
-
-SPILL_CODEC: ColumnarCodec[SpillSegment] = ColumnarCodec(
-    encode=_SPILL_LINES.encode,
-    decode=_SPILL_LINES.decode,
-    columns=[
-        ColumnSpec("day", "date"),
-        ColumnSpec("shard", "int"),
-        ColumnSpec("seq", "int"),
-        ColumnSpec("payload", "str"),
-    ],
-    to_row=lambda seg: (seg.day, seg.shard, seg.seq, seg.payload),
-    from_row=lambda row: SpillSegment(
-        day=row[0], shard=row[1], seq=row[2], payload=row[3]
-    ),
-    day_column="day",
-)
+#: A spill file is named for its task: ``...<ISO day>...<shard>.spill``.
+_SPILL_NAME = re.compile(r"(\d{4}-\d{2}-\d{2})\D+(\d+)\.spill$")
 
 
 def spill_file_name(day: datetime.date, shard_index: int) -> str:
@@ -194,29 +158,24 @@ def spill_file_name(day: datetime.date, shard_index: int) -> str:
 def spill_partial(
     path: Path, day: datetime.date, shard_index: int, payload: object
 ) -> int:
-    """Pickle ``payload`` into a v2 column chunk at ``path``.
+    """Publish ``payload`` atomically at ``path`` as one spill record.
 
     Returns the pickled byte count (what the spill freed from memory).
     """
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    encoded = base64.b64encode(blob).decode("ascii")
-    segments = [
-        SpillSegment(
-            day=day,
-            shard=shard_index,
-            seq=seq,
-            payload=encoded[start : start + _SEGMENT_CHARS],
-        )
-        for seq, start in enumerate(range(0, len(encoded), _SEGMENT_CHARS))
-    ] or [SpillSegment(day=day, shard=shard_index, seq=0, payload="")]
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_chunk(path, segments, SPILL_CODEC, day)
-    return len(blob)
+    key = (_SPILL_NAMESPACE, day, (shard_index,))
+    return write_record(path, key, payload, fsio.SURFACE_SPILL)
 
 
 def load_spilled(path: Path) -> object:
-    """Stream a spilled partial back from disk (inverse of spill)."""
-    scan = read_chunk(path, SPILL_CODEC)
-    segments = sorted(scan.records, key=lambda seg: seg.seq)
-    encoded = "".join(seg.payload for seg in segments)
-    return pickle.loads(base64.b64decode(encoded.encode("ascii")))
+    """Read a spilled partial back (inverse of :func:`spill_partial`).
+
+    The record must be keyed for the (day, shard) the file is named for;
+    a renamed, truncated or bit-rotted file raises
+    :class:`~repro.dataflow.datalake.CheckpointError`.
+    """
+    named = _SPILL_NAME.search(path.name)
+    if named is None:
+        raise CheckpointError(f"{path} is not named for a (day, shard) task")
+    day = datetime.date.fromisoformat(named.group(1))
+    return read_record(path, (_SPILL_NAMESPACE, day, (int(named.group(2)),)))

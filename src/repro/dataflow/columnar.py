@@ -533,19 +533,6 @@ def read_chunk(
     return scan
 
 
-def write_chunk(
-    path: Path,
-    records: Iterable[T],
-    codec: ColumnarCodec[T],
-    day: datetime.date,
-    schema_version: int = 1,
-) -> PartitionManifest:
-    """Write chunk bytes to ``path`` (caller handles atomicity/manifest)."""
-    payload, manifest = encode_chunk(records, codec, day, schema_version)
-    path.write_bytes(payload)
-    return manifest
-
-
 # ----------------------------------------------------------------------
 # Verification (the v2 arm of verify_partition / fsck)
 
@@ -614,6 +601,3 @@ def verify_chunk(
         )
     return PartitionCheck(path, ok=True)
 
-
-def is_chunk_path(path: Path) -> bool:
-    return Path(path).name.endswith(CHUNK_SUFFIX)

@@ -11,7 +11,7 @@ on-disk format so a file written by a probe can be dropped into the lake
 unchanged.  Reads come back as lazy :class:`~repro.dataflow.engine.Dataset`
 partitions — one partition per stored file — so stage-1 jobs stream.
 
-Every partition is finalized atomically (temp file + ``os.replace``) and
+Every partition is finalized atomically (:mod:`repro.core.fsio`) and
 carries a sidecar :class:`~repro.dataflow.integrity.PartitionManifest`
 (CRC32 + record count + schema version), so torn copies and bit rot are
 detectable.  Reads accept a :class:`~repro.dataflow.integrity.LakeIntegrity`
@@ -230,8 +230,8 @@ class DataLake:
     ) -> Path:
         """Write one source file into a day partition; returns its path.
 
-        The data file is staged to a temp name and ``os.replace``\\ d into
-        place, then its sidecar manifest is finalized the same way — so a
+        The data file is staged to a temp name and renamed into place
+        (:func:`repro.core.fsio.write_and_replace`), then its sidecar manifest is finalized the same way — so a
         crash mid-write leaves either nothing, or a complete data file
         whose missing/stale manifest flags it as unverified.  The gzip
         header is written with ``mtime=0``: identical records produce
@@ -617,6 +617,94 @@ class CheckpointError(RuntimeError):
 CHECKPOINT_VERSION = 2
 
 
+#: What a record is written under and must be read back under:
+#: ``(config hash, day, shard)``, the shard ``None`` for a whole day.
+RecordKey = Tuple[str, datetime.date, Optional[Tuple[int, ...]]]
+
+
+def write_record(path: Path, key: RecordKey, payload: Any, surface: str) -> int:
+    """Publish ``payload`` at ``path`` as one keyed, checksummed record.
+
+    The one on-disk envelope of a study partial (checkpoints and spill
+    files alike): the payload is pickled separately and stored with its
+    CRC32 beside ``key``, and the file is published atomically through
+    :func:`repro.core.fsio.write_and_replace` on ``surface``.  Returns
+    the pickled payload's byte count.
+    """
+    config_hash, day, shard = key
+    payload_blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    record: Dict[str, Any] = {
+        "version": CHECKPOINT_VERSION,
+        "config_hash": config_hash,
+        "day": day,
+        "payload_blob": payload_blob,
+        "crc": zlib.crc32(payload_blob),
+    }
+    if shard is not None:
+        # Only sharded records carry the key: unsharded files stay
+        # byte-compatible with pre-shard checkpoints.
+        record["shard"] = tuple(shard)
+    blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    fsio.write_and_replace(path, blob, surface=surface)
+    return len(payload_blob)
+
+
+def read_record(path: Path, key: RecordKey) -> Any:
+    """The payload of the record at ``path`` (inverse of
+    :func:`write_record`).
+
+    Version, ``key`` and payload CRC32 are all verified *before* the
+    payload is unpickled; a truncated, bit-rotted, renamed or foreign
+    file raises :class:`CheckpointError`.
+    """
+    config_hash, day, shard = key
+    try:
+        record = pickle.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise CheckpointError(f"no checkpoint at {path}") from None
+    except Exception as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint {path}: {exc!r}"
+        ) from exc
+    if not isinstance(record, dict):
+        raise CheckpointError(f"malformed checkpoint {path}")
+    if record.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {record.get('version')!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    if record.get("config_hash") != config_hash:
+        raise CheckpointError(
+            f"checkpoint {path} belongs to config "
+            f"{record.get('config_hash')!r}, not {config_hash!r}"
+        )
+    if record.get("day") != day:
+        raise CheckpointError(
+            f"checkpoint {path} holds {record.get('day')!r}, not {day}"
+        )
+    stored_shard = record.get("shard")
+    wanted = tuple(shard) if shard is not None else None
+    if (tuple(stored_shard) if stored_shard is not None else None) != wanted:
+        raise CheckpointError(
+            f"checkpoint {path} is keyed for shard {stored_shard!r}, "
+            f"not {wanted!r}"
+        )
+    payload_blob = record.get("payload_blob")
+    if not isinstance(payload_blob, bytes):
+        raise CheckpointError(f"malformed checkpoint {path}: no payload")
+    if zlib.crc32(payload_blob) != record.get("crc"):
+        raise CheckpointError(
+            f"checkpoint {path} failed CRC verification (truncated or "
+            f"bit-rotted payload)"
+        )
+    try:
+        return pickle.loads(payload_blob)
+    except Exception as exc:
+        raise CheckpointError(
+            f"checkpoint {path} payload does not unpickle: {exc!r}"
+        ) from exc
+
+
 class CheckpointStore:
     """Crash-safe per-day storage of partial results, keyed by config.
 
@@ -632,21 +720,15 @@ class CheckpointStore:
     Unsharded runs (``shard=None``) keep the exact legacy filenames and
     payload layout; pre-shard checkpoint files stay loadable.
 
-    Two guarantees make resumes trustworthy:
-
-    * **Keying.** The directory *and* an in-file header carry the config
-      hash and the day; :meth:`load` verifies both, so a checkpoint
-      written under a different configuration (or renamed on disk) is
-      rejected with :class:`CheckpointError` rather than silently merged.
-    * **Atomicity.** :meth:`save` writes to a temp file in the same
-      directory and ``os.replace``\\ s it into place, so a crash mid-write
-      leaves either the previous state or the complete new file — never a
-      torn checkpoint.
-    * **Verification.** The payload is pickled separately and stored with
-      its CRC32; :meth:`load` checks the CRC before unpickling, so a
-      truncated or bit-rotted file raises :class:`CheckpointError` (which
-      resume treats as "missing: recompute") instead of crashing the run
-      or silently merging garbage.
+    Resumes are trustworthy because every file is one
+    :func:`write_record` record: keyed (the directory *and* the in-file
+    header carry the config hash and the day, so a checkpoint written
+    under another configuration, or renamed on disk, is rejected rather
+    than silently merged), published atomically (a crash mid-write leaves
+    the previous state or the complete new file), and CRC-verified before
+    it is unpickled (a truncated or bit-rotted file raises
+    :class:`CheckpointError`, which resume treats as "missing:
+    recompute").
     """
 
     def __init__(self, root: Path, config_hash: str) -> None:
@@ -697,20 +779,9 @@ class CheckpointStore:
     ) -> Path:
         """Persist one day's payload atomically; returns the final path."""
         path = self.path_for(day, shard)
-        payload_blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        record: Dict[str, Any] = {
-            "version": CHECKPOINT_VERSION,
-            "config_hash": self.config_hash,
-            "day": day,
-            "payload_blob": payload_blob,
-            "crc": zlib.crc32(payload_blob),
-        }
-        if shard is not None:
-            # Only sharded records carry the key: unsharded files stay
-            # byte-compatible with pre-shard checkpoints.
-            record["shard"] = tuple(shard)
-        blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        fsio.write_and_replace(path, blob, surface=fsio.SURFACE_CHECKPOINT)
+        write_record(
+            path, (self.config_hash, day, shard), payload, fsio.SURFACE_CHECKPOINT
+        )
         telemetry.count("checkpoint_saves")
         return path
 
@@ -723,64 +794,14 @@ class CheckpointStore:
         CheckpointError when the file is corrupt or keyed for another
         config/day/shard."""
         try:
-            payload = self._load(day, shard)
+            payload = read_record(
+                self.path_for(day, shard), (self.config_hash, day, shard)
+            )
         except CheckpointError:
             telemetry.count("checkpoint_load_errors")
             raise
         telemetry.count("checkpoint_loads")
         return payload
-
-    def _load(
-        self,
-        day: datetime.date,
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> Any:
-        path = self.path_for(day, shard)
-        try:
-            record = pickle.loads(path.read_bytes())
-        except FileNotFoundError:
-            raise CheckpointError(f"no checkpoint for {day.isoformat()}") from None
-        except Exception as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint {path}: {exc!r}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise CheckpointError(f"malformed checkpoint {path}")
-        if record.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version {record.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        if record.get("config_hash") != self.config_hash:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to config "
-                f"{record.get('config_hash')!r}, not {self.config_hash!r}"
-            )
-        if record.get("day") != day:
-            raise CheckpointError(
-                f"checkpoint {path} holds {record.get('day')!r}, not {day}"
-            )
-        stored_shard = record.get("shard")
-        wanted = tuple(shard) if shard is not None else None
-        if (tuple(stored_shard) if stored_shard is not None else None) != wanted:
-            raise CheckpointError(
-                f"checkpoint {path} is keyed for shard {stored_shard!r}, "
-                f"not {wanted!r}"
-            )
-        payload_blob = record.get("payload_blob")
-        if not isinstance(payload_blob, bytes):
-            raise CheckpointError(f"malformed checkpoint {path}: no payload")
-        if zlib.crc32(payload_blob) != record.get("crc"):
-            raise CheckpointError(
-                f"checkpoint {path} failed CRC verification (truncated or "
-                f"bit-rotted payload)"
-            )
-        try:
-            return pickle.loads(payload_blob)
-        except Exception as exc:
-            raise CheckpointError(
-                f"checkpoint {path} payload does not unpickle: {exc!r}"
-            ) from exc
 
     def days(self) -> List[datetime.date]:
         """Every day with an *unsharded* checkpoint on disk, sorted.

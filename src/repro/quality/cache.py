@@ -14,9 +14,9 @@ Two tiers, both keyed by content:
   program, so a single edit anywhere re-runs the rules — but against
   cached facts, and a fully warm run re-runs nothing.
 
-The store is one JSON file written atomically (temp file +
-``os.replace``), so a killed run can never leave a torn cache; a cache
-that fails to load for any reason is treated as cold, never as an error.
+The store is one JSON file written atomically
+(:func:`repro.core.fsio.write_and_replace`), so a killed run can never
+leave a torn cache; a cache that fails to load for any reason is treated as cold, never as an error.
 Byte-identical findings warm vs cold is asserted in CI (the
 ``lint-cache`` job) and in the tier-1 suite.
 """
@@ -24,12 +24,11 @@ Byte-identical findings warm vs cold is asserted in CI (the
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.core import fsio
 from repro.quality.symbols import ANALYSIS_VERSION
 
 _CACHE_VERSION = 1
@@ -149,24 +148,11 @@ class LintCache:
             "findings": self._findings,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            encoding="utf-8",
-            dir=str(self.path.parent),
-            prefix=self.path.name + ".",
-            suffix=".tmp",
-            delete=False,
+        fsio.write_and_replace(
+            self.path,
+            json.dumps(payload, sort_keys=True).encode("utf-8"),
+            surface=fsio.SURFACE_LINT_CACHE,
         )
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(handle.name, self.path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
         self._dirty = False
 
 

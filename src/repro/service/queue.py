@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.core import fsio
 from repro.core.parallel import (
     CancelToken,
     ChunkError,
@@ -336,12 +336,13 @@ class JobQueue:
         figures_dir = self.registry.figures_dir(run_id)
         figures_dir.mkdir(parents=True, exist_ok=True)
         for name, lines in rendered.items():
-            tmp = figures_dir / f"{name}.txt.tmp"
-            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            os.replace(tmp, figures_dir / f"{name}.txt")
-        results_path = self.registry.results_path(run_id)
-        tmp = results_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+            fsio.write_and_replace(
+                figures_dir / f"{name}.txt",
+                ("\n".join(lines) + "\n").encode("utf-8"),
+                surface=fsio.SURFACE_RESULTS,
+            )
+        fsio.write_and_replace(
+            self.registry.results_path(run_id),
+            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
+            surface=fsio.SURFACE_RESULTS,
         )
-        os.replace(tmp, results_path)

@@ -13,7 +13,7 @@ operational measurement platforms (RIPE Atlas measurements, Iris):
 Each run owns a directory under ``<state_dir>/runs/<run_id>/`` holding
 
 * ``run.json`` — this registry's record, written atomically
-  (tmp + ``os.replace``) on every transition, so a killed server never
+  (:mod:`repro.core.fsio`) on every transition, so a killed server never
   leaves a torn record;
 * ``checkpoints/`` — the existing shard-granular
   :class:`~repro.dataflow.datalake.CheckpointStore` tier (plus its

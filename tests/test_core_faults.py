@@ -28,6 +28,7 @@ from repro.core.faults import (
 from repro.core.parallel import ChunkError, RetryPolicy, execute_study
 from repro.core.study import LongitudinalStudy
 from repro.synthesis.world import WorldConfig
+from repro.telemetry.runtime import Telemetry
 
 D = datetime.date
 
@@ -70,20 +71,39 @@ def serial_17():
     return LongitudinalStudy(micro_config(seed=17)).run()
 
 
+#: The in-process executor and the pool run the same dispatch loop, so
+#: every retry rule is asserted for both and the two must agree.
+WORKER_COUNTS = (1, 2)
+
+
+def retry_attempts(telemetry):
+    """The attempt each of the run's ``retry`` events scheduled, in order."""
+    return [
+        dict(event.attrs)["attempt"]
+        for event in telemetry.events
+        if event.name == "retry"
+    ]
+
+
 class TestRetries:
     def test_transient_crash_twice_then_succeed(self, serial_17):
         config = micro_config(seed=17)
         target = planned_days(config)[2]
         plan = FaultPlan.of(FaultSpec(day=target, kind=KIND_TRANSIENT, times=2))
-        result = execute_study(
-            config, workers=2, start_method=START_METHOD,
-            retry=FAST_RETRY, fault_plan=plan,
-        )
-        assert_identical(serial_17, result.data)
-        record = next(r for r in result.report.records if r.day == target)
-        assert record.attempts == 3
-        assert record.retries == 2
-        assert result.report.retries == 2
+        seen = {}
+        for workers in WORKER_COUNTS:
+            result = execute_study(
+                config, workers=workers, start_method=START_METHOD,
+                retry=FAST_RETRY, fault_plan=plan,
+                telemetry=Telemetry.for_spec("virtual"),
+            )
+            assert_identical(serial_17, result.data)
+            record = next(r for r in result.report.records if r.day == target)
+            assert record.attempts == 3
+            assert record.retries == 2
+            assert result.report.retries == 2
+            seen[workers] = retry_attempts(result.telemetry)
+        assert seen[1] == seen[2] == ["1", "2"]
 
     def test_worker_killed_mid_task_recovers(self, serial_17):
         config = micro_config(seed=17)
@@ -102,15 +122,16 @@ class TestRetries:
         config = micro_config(seed=17)
         target = planned_days(config)[0]
         plan = FaultPlan.of(FaultSpec(day=target, kind=KIND_ERROR, times=-1))
-        with pytest.raises(ChunkError) as excinfo:
-            execute_study(
-                config, workers=2, start_method=START_METHOD,
-                retry=FAST_RETRY, fault_plan=plan,
+        for workers in WORKER_COUNTS:
+            with pytest.raises(ChunkError) as excinfo:
+                execute_study(
+                    config, workers=workers, start_method=START_METHOD,
+                    retry=FAST_RETRY, fault_plan=plan,
+                )
+            record = next(
+                r for r in excinfo.value.report.records if r.day == target
             )
-        record = next(
-            r for r in excinfo.value.report.records if r.day == target
-        )
-        assert record.attempts == 1, "deterministic failures must not retry"
+            assert record.attempts == 1, "deterministic failures must not retry"
 
     def test_poison_day_exhausts_retries_and_names_itself(self, tmp_path):
         config = micro_config(seed=17)
@@ -119,22 +140,36 @@ class TestRetries:
         plan = FaultPlan.of(
             FaultSpec(day=target, kind=KIND_TRANSIENT, times=-1)
         )
-        with pytest.raises(ChunkError) as excinfo:
-            execute_study(
-                config, workers=2, start_method=START_METHOD,
-                checkpoint_root=tmp_path, retry=FAST_RETRY, fault_plan=plan,
+        seen = {}
+        for workers in WORKER_COUNTS:
+            bundle = Telemetry.for_spec("virtual")
+            with pytest.raises(ChunkError) as excinfo:
+                execute_study(
+                    config, workers=workers, start_method=START_METHOD,
+                    checkpoint_root=tmp_path / str(workers),
+                    retry=FAST_RETRY, fault_plan=plan, telemetry=bundle,
+                )
+            error = excinfo.value
+            assert error.days == (target,)
+            assert target.isoformat() in str(error)
+            assert str(config.world.seed) in str(error)
+            assert error.failures[0].traceback_text
+            # Other days' results are not lost: all checkpointed on disk.
+            report = error.report
+            assert report.completed == len(days) - 1
+            assert report.failed == 1
+            failed_record = next(r for r in report.records if r.day == target)
+            assert failed_record.attempts == FAST_RETRY.retries + 1
+            # A failed run hands back no event list; the retries it noted
+            # are in the caller's bundle and the final failure in the row.
+            counters = bundle.snapshot().metrics.counters
+            seen[workers] = (
+                counters[("pool_retries", ())],
+                [(r.label, r.status, r.attempts) for r in report.records],
+                failed_record.error,
             )
-        error = excinfo.value
-        assert error.days == (target,)
-        assert target.isoformat() in str(error)
-        assert str(config.world.seed) in str(error)
-        assert error.failures[0].traceback_text
-        # Other days' results are not lost: all checkpointed on disk.
-        report = error.report
-        assert report.completed == len(days) - 1
-        assert report.failed == 1
-        failed_record = next(r for r in report.records if r.day == target)
-        assert failed_record.attempts == FAST_RETRY.retries + 1
+        assert seen[1] == seen[2]
+        assert seen[1][0] == FAST_RETRY.retries
 
 
 class TestResume:

@@ -8,9 +8,11 @@ rejected by CRC/manifest checks, and a checkpoint-write failure after a
 completed day degrades telemetry — never the run.
 """
 
+import ast
 import datetime
 import errno
 import os
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,31 @@ def record(j=0):
         server_name="x.example",
         name_source=NameSource.SNI,
     )
+
+
+class TestOneWritePath:
+    def test_only_fsio_renames_files_into_place(self):
+        """Every artifact that is published by rename goes through
+        ``fsio.write_and_replace`` — the one place the chaos gate can
+        fault — so no other module may stage and rename on its own."""
+        root = Path(fsio.__file__).resolve().parents[1]
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == Path(fsio.__file__).resolve():
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                renames = (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr in ("replace", "rename")
+                    and getattr(callee.value, "id", "") == "os"
+                )
+                name = getattr(callee, "attr", getattr(callee, "id", ""))
+                if renames or name == "NamedTemporaryFile":
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestWriteAndReplace:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.config import StudyConfig
-from repro.core.parallel import ColumnarPartial, run_parallel
+from repro.core.parallel import ColumnarPartial, execute_study
 from repro.core.study import LongitudinalStudy
 from repro.synthesis.world import WorldConfig
 
@@ -42,7 +42,7 @@ class TestParallelEqualsSerial:
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return run_parallel(tiny_config(), workers=3)
+        return execute_study(tiny_config(), workers=3).data
 
     def test_subscriber_days_identical(self, serial, parallel):
         assert set(serial.subscriber_days) == set(parallel.subscriber_days)
@@ -80,7 +80,7 @@ class TestParallelEqualsSerial:
         assert serial.weekly_visitors == parallel.weekly_visitors
 
     def test_single_worker_falls_back_to_serial(self):
-        data = run_parallel(tiny_config(), workers=1)
+        data = execute_study(tiny_config(), workers=1).data
         assert data.subscriber_days
 
 
@@ -120,7 +120,7 @@ class TestExactEquality:
         """Per-day dispatch merged in calendar order is *exactly* the
         serial result — no canonical-sort escape hatch needed."""
         serial = LongitudinalStudy(tiny_config()).run()
-        parallel = run_parallel(tiny_config(), workers=3)
+        parallel = execute_study(tiny_config(), workers=3).data
         for field in dataclasses.fields(serial):
             assert getattr(serial, field.name) == getattr(parallel, field.name)
 
@@ -149,7 +149,7 @@ _SIGINT_DRIVER = textwrap.dedent(
 
 class TestInterrupt:
     def test_sigint_leaves_no_orphaned_workers(self, tmp_path):
-        """Regression: run_parallel leaked live pool workers when the
+        """Regression: execute_study leaked live pool workers when the
         parent took a KeyboardInterrupt mid-run."""
         script = tmp_path / "driver.py"
         script.write_text(_SIGINT_DRIVER)
@@ -234,10 +234,55 @@ class TestCancellation:
 
         token = CancelToken()
         token.set()
+        for workers in (1, 2):
+            with pytest.raises(RunCancelled) as excinfo:
+                self._run(tmp_path / str(workers), workers=workers, cancel=token)
+            assert excinfo.value.report is not None
+            assert excinfo.value.report.completed == 0
+
+    def test_cancel_during_retry_backoff_leaves_the_task_unsettled(self, tmp_path):
+        """The in-process executor defers a retry exactly as the pool
+        does: a cancel that lands in the backoff drops the retry, so the
+        task has no manifest row and the resume computes it."""
+        from repro.core.faults import KIND_TRANSIENT, FaultPlan, FaultSpec
+        from repro.core.parallel import (
+            CancelToken,
+            RetryPolicy,
+            RunCancelled,
+            execute_study,
+        )
+
+        class CancelledWhileBackingOff(CancelToken):
+            def __init__(self):
+                super().__init__()
+                self.backoffs = []
+
+            def wait(self, timeout):
+                self.backoffs.append(timeout)
+                self.set()
+                return True
+
+        first = sorted(LongitudinalStudy(tiny_config()).planned_days())[0]
+        token = CancelledWhileBackingOff()
         with pytest.raises(RunCancelled) as excinfo:
-            self._run(tmp_path, workers=1, cancel=token)
-        assert excinfo.value.report is not None
-        assert excinfo.value.report.completed == 0
+            execute_study(
+                tiny_config(),
+                workers=1,
+                checkpoint_root=tmp_path,
+                cancel=token,
+                # One transient failure: had the retry run, it would have
+                # succeeded and left a row with two attempts.
+                fault_plan=FaultPlan.of(
+                    FaultSpec(day=first, kind=KIND_TRANSIENT, times=1)
+                ),
+                retry=RetryPolicy(retries=2, backoff=5.0, jitter=1.0),
+            )
+        assert token.backoffs == [pytest.approx(5.0, abs=0.5)]  # never slept
+        # Nothing settled: not the failed task, and no later one started.
+        assert excinfo.value.report.records == []
+        resumed = self._run(tmp_path, workers=1)
+        assert resumed.report.checkpoint_hits == 0
+        assert resumed.report.completed == resumed.report.planned_tasks
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_cancel_then_resume_is_field_identical(self, tmp_path, workers):
@@ -279,18 +324,21 @@ class TestCancellation:
 
         from repro.core.parallel import CancelToken, RunCancelled
 
-        token = CancelToken()
+        for workers in (1, 2):
+            token = CancelToken()
 
-        def cancel_immediately(day):
-            token.set()
+            def cancel_immediately(day):
+                token.set()
 
-        with pytest.raises(RunCancelled):
-            self._run(tmp_path, workers=1, cancel=token,
-                      progress=cancel_immediately)
-        manifests = list(tmp_path.glob("config=*/manifest.json"))
-        assert len(manifests) == 1
-        manifest = json.loads(manifests[0].read_text())
-        assert manifest["completed"] >= 1
+            with pytest.raises(RunCancelled):
+                self._run(tmp_path / str(workers), workers=workers,
+                          cancel=token, progress=cancel_immediately)
+            manifests = list(
+                (tmp_path / str(workers)).glob("config=*/manifest.json")
+            )
+            assert len(manifests) == 1
+            manifest = json.loads(manifests[0].read_text())
+            assert manifest["completed"] >= 1
 
 
 class TestRetryPolicy:

@@ -12,11 +12,14 @@ shard work exposed.
 
 import datetime
 import json
+import pickle
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.chaos.fsfaults import FsFaultSpec, injected
+from repro.core import fsio
 from repro.core.config import StudyConfig, config_hash, small_study
 from repro.core.faults import KIND_TRANSIENT, FaultPlan, FaultSpec
 from repro.core.parallel import (
@@ -257,7 +260,8 @@ class TestSpill:
         )
         assert result.data == base
         assert result.report.spills > 0
-        assert list(spill_dir.glob("*.spill")) == []  # all streamed back
+        # All read back, and no staging litter from the atomic writes.
+        assert list(spill_dir.iterdir()) == []
 
     def test_spill_roundtrip(self, tmp_path):
         payload = {"rows": list(range(1000)), "day": D(2014, 4, 1)}
@@ -266,6 +270,87 @@ class TestSpill:
         assert freed > 0
         assert path.is_file()
         assert load_spilled(path) == payload
+        # The checkpoint tier's record, verified before it is unpickled:
+        # keyed for another task, bit-rotted, or torn, it does not load.
+        blob = path.read_bytes()
+        inner = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        at = blob.index(inner) + len(inner) // 2
+        damaged = {
+            "wrong day": lambda: spill_partial(path, D(2014, 4, 2), 2, payload),
+            "wrong shard": lambda: spill_partial(path, D(2014, 4, 1), 3, payload),
+            "flipped byte": lambda: path.write_bytes(
+                blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :]
+            ),
+            "truncated": lambda: path.write_bytes(blob[: len(blob) // 2]),
+        }
+        for damage in damaged.values():
+            damage()
+            with pytest.raises(CheckpointError):
+                load_spilled(path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_refused_spill_writes_keep_partials_resident(self, tmp_path):
+        """A full disk under the spill directory costs memory, not the
+        run — the same tolerance the checkpoint write has."""
+        config = tiny_config()
+        base = execute_study(config, workers=1).data
+        every_write = tuple(
+            FsFaultSpec(fsio.SURFACE_SPILL, fsio.MODE_ENOSPC, n) for n in range(256)
+        )
+        with injected(every_write) as gate:
+            result = execute_study(
+                config,
+                workers=1,
+                shards=3,
+                shard_spill_dir=tmp_path / "spill",
+                spill_watermark_bytes=1,
+                telemetry=Telemetry.for_spec("virtual"),
+            )
+        assert gate.fired and len(gate.fired) == gate.writes_seen(fsio.SURFACE_SPILL)
+        assert result.data == base
+        assert result.report.spills == 0
+        counters = result.telemetry.metrics.counters
+        assert counters[("spill_write_failures", ())] == len(gate.fired)
+        labels = {record.label for record in result.report.records}
+        refused = [
+            dict(event.attrs)
+            for event in result.telemetry.events
+            if event.name == "spill_write_failed"
+        ]
+        assert len(refused) == len(gate.fired)
+        assert {attrs["task"] for attrs in refused} <= labels
+
+    def test_unreadable_spill_names_its_task_and_resumes(self, tmp_path):
+        """A spill file torn on its way to disk fails its own task — a
+        typed ChunkError whose label is a manifest row — not the run's
+        error contract."""
+        config = tiny_config()
+        run = dict(
+            workers=1,
+            shards=3,
+            checkpoint_root=tmp_path / "ckpt",
+            shard_spill_dir=tmp_path / "spill",
+            spill_watermark_bytes=1,
+        )
+        torn = (FsFaultSpec(fsio.SURFACE_SPILL, fsio.MODE_TORN_TARGET, 0),)
+        with injected(torn) as gate:
+            with pytest.raises(ChunkError) as err:
+                execute_study(config, **run)
+        assert len(gate.fired) == 1
+        (failure,) = err.value.failures
+        assert "CheckpointError" in failure.error
+        assert gate.fired[0]["artifact"] == spill_file_name(failure.day, failure.shard)
+        manifest = json.loads(
+            (tmp_path / "ckpt" / f"config={config_hash(config)}" / "manifest.json")
+            .read_text()
+        )
+        assert manifest["failed"] == 1
+        assert manifest["telemetry"]["days"][failure.label]["source"] == "worker"
+
+        resumed = execute_study(config, resume=True, **run)
+        assert resumed.report.failed == 0
+        assert_golden("tiny_config:17", config, resumed.data)
+        assert list((tmp_path / "spill").iterdir()) == []
 
 
 class TestShardResume:

@@ -20,7 +20,7 @@ from repro.analytics.infrastructure import (
     service_ip_set,
 )
 from repro.core.config import StudyConfig
-from repro.core.parallel import run_parallel
+from repro.core.parallel import execute_study
 from repro.core.study import (
     INFRA_SERVICES,
     RTT_SERVICES,
@@ -244,7 +244,7 @@ class TestFullStudyIdentity:
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return run_parallel(_tiny_config(), workers=3)
+        return execute_study(_tiny_config(), workers=3).data
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(StudyData)]
