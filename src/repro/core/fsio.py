@@ -1,9 +1,9 @@
 """Atomic persistence primitives with an injectable fault gate.
 
 Every durable artifact in the repo — per-day checkpoints, spilled
-partials, lake partitions, the service's run records and results, the
-lint cache — is finalized the same way: write a staging file next to the
-target, then ``os.replace`` it into place.
+partials, lake partitions and their quarantine, the service's run records
+and results, the lint cache — is finalized the same way: write a staging
+file next to the target, then ``os.replace`` it into place.
 This module owns that idiom so the chaos conductor (DESIGN.md §17) can
 inject *filesystem* failures at the exact operation boundaries a real
 deployment fears:
@@ -42,6 +42,7 @@ SURFACE_MANIFEST = "manifest"
 SURFACE_SPILL = "spill"
 SURFACE_RESULTS = "results"
 SURFACE_LINT_CACHE = "lint-cache"
+SURFACE_QUARANTINE = "quarantine"
 
 SURFACES = (
     SURFACE_CHECKPOINT,
@@ -51,6 +52,7 @@ SURFACES = (
     SURFACE_SPILL,
     SURFACE_RESULTS,
     SURFACE_LINT_CACHE,
+    SURFACE_QUARANTINE,
 )
 
 #: Fault modes a gate may request for one write (see module docstring).

@@ -34,7 +34,7 @@ import datetime
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import (
@@ -55,15 +55,14 @@ from typing import (
 import numpy as np
 
 from repro.dataflow.integrity import (
+    CHUNK_SUFFIX,
     PartitionCheck,
     PartitionIntegrityError,
     PartitionManifest,
+    register_structure_check,
 )
 
 T = TypeVar("T")
-
-#: File suffix of v2 column-chunk partitions (v1 keeps ``.tsv.gz``).
-CHUNK_SUFFIX = ".colchunk"
 
 #: Container tag recorded in v2 sidecar manifests.
 CHUNK_CONTAINER = "colchunk"
@@ -424,13 +423,167 @@ def _decode_column(
 
 @dataclass
 class ChunkScan:
-    """Result of reading one chunk: records + pushdown bookkeeping."""
+    """Result of scanning one chunk: the surviving rows' cells, column by
+    column (``zip(*cells)`` are the row tuples ``from_row`` takes), plus
+    pushdown bookkeeping.  :func:`read_chunk` fills in ``records``."""
 
-    records: List[Any]
+    cells: List[List[Any]] = field(default_factory=list)
+    records: List[Any] = field(default_factory=list)
     rows_total: int = 0
     rows_matched: int = 0
     columns_decoded: int = 0
     columns_skipped: int = 0
+    #: 0-based stored positions of the surviving rows (None: every row).
+    indices: Optional[np.ndarray] = None
+
+
+class Chunk:
+    """One chunk file, opened once: its bytes, its validated header, and
+    every column inflated so far — which :meth:`check` and :meth:`scan`
+    share, so the arrays the structural pass CRC-checked are the arrays
+    the rows are built from.  Structural damage raises
+    :class:`PartitionIntegrityError` with the ``kind`` vocabulary v1 uses
+    (torn/checksum/count/schema).
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        self.blob = self.path.read_bytes()
+        header, self._base = _parse_header(self.path, self.blob)
+        self.rows = int(header.get("rows", -1))
+        if self.rows < 0:
+            raise _chunk_error(self.path, "schema", "chunk header lacks a row count")
+        self._meta: Dict[str, Dict[str, Any]] = {
+            str(meta.get("name")): meta for meta in header.get("columns", [])
+        }
+        self._decoded: Dict[str, np.ndarray] = {}
+
+    def column(self, name: str) -> np.ndarray:
+        array = self._decoded.get(name)
+        if array is None:
+            array = _decode_column(
+                self.path, self.blob, self._base, self._meta[name], self.rows
+            )
+            self._decoded[name] = array
+        return array
+
+    def check(self, manifest: Optional[PartitionManifest]) -> PartitionCheck:
+        """Structurally verify the chunk against its sidecar manifest.
+
+        Inflates and CRC-checks every stored column, then compares the
+        container tag, row count, byte count and whole-file CRC32 the
+        manifest recorded; any mismatch raises.  As for v1, a missing
+        manifest downgrades to a readability check.
+        """
+        for name in self._meta:
+            self.column(name)
+        if manifest is None:
+            return PartitionCheck(
+                self.path, ok=True, kind="manifest",
+                detail="no sidecar manifest (unverified)",
+            )
+        if manifest.container != CHUNK_CONTAINER:
+            raise _chunk_error(
+                self.path, "schema",
+                f"manifest records container {manifest.container!r} "
+                f"for a {CHUNK_CONTAINER!r} partition",
+            )
+        if self.rows != manifest.records:
+            raise _chunk_error(
+                self.path, "count",
+                f"{self.rows} rows on disk, manifest recorded {manifest.records}",
+            )
+        if len(self.blob) != manifest.payload_bytes:
+            raise _chunk_error(
+                self.path, "count",
+                f"{len(self.blob)} bytes on disk, manifest recorded "
+                f"{manifest.payload_bytes}",
+            )
+        crc = zlib.crc32(self.blob)
+        if crc != manifest.crc32:
+            raise _chunk_error(
+                self.path, "checksum",
+                f"chunk CRC32 {crc:#010x} != recorded {manifest.crc32:#010x}",
+            )
+        return PartitionCheck(self.path, ok=True)
+
+    def scan(
+        self, codec: ColumnarCodec[T], predicate: Optional[ScanPredicate] = None
+    ) -> ChunkScan:
+        """The cells of the rows ``predicate`` admits (all rows without one).
+
+        Predicate columns are decoded first and reduced to a row mask; the
+        remaining columns are decompressed only when at least one row
+        survives (and their values gathered only at surviving indices).
+        """
+        path, rows = self.path, self.rows
+        missing = [n for n in codec.column_names() if n not in self._meta]
+        if missing:
+            raise _chunk_error(
+                path, "schema", f"chunk lacks expected column(s) {missing}"
+            )
+        scan = ChunkScan(rows_total=rows)
+
+        mask: Optional[np.ndarray] = None
+        if predicate is not None:
+            mask = np.ones(rows, dtype=bool)
+            for name, values in predicate.equals:
+                kind = codec.column_kind(name)
+                array = self.column(name)
+                if kind == "str":
+                    dictionary = self._meta[name].get("values", [])
+                    allowed = [
+                        code for code, value in enumerate(dictionary)
+                        if value in values
+                    ]
+                    mask &= np.isin(array, np.array(allowed, dtype=array.dtype))
+                elif kind == "date":
+                    ordinals = np.array(
+                        [value.toordinal() for value in values], dtype=array.dtype
+                    )
+                    mask &= np.isin(array, ordinals)
+                else:
+                    mask &= np.isin(array, np.array(sorted(values)))
+            if (
+                (predicate.day_start is not None or predicate.day_end is not None)
+                and codec.day_column is not None
+            ):
+                array = self.column(codec.day_column)
+                if predicate.day_start is not None:
+                    mask &= array >= predicate.day_start.toordinal()
+                if predicate.day_end is not None:
+                    mask &= array <= predicate.day_end.toordinal()
+        if mask is None or mask.any():
+            indices = np.nonzero(mask)[0] if mask is not None else None
+            scan.indices = indices
+            scan.rows_matched = int(indices.size) if indices is not None else rows
+            for spec in codec.columns:
+                array = self.column(spec.name)
+                if indices is not None:
+                    array = array[indices]
+                if spec.kind == "str":
+                    dictionary = self._meta[spec.name].get("values", [])
+                    try:
+                        scan.cells.append(
+                            [dictionary[code] for code in array.tolist()]
+                        )
+                    except IndexError:
+                        raise _chunk_error(
+                            path, "checksum",
+                            f"column {spec.name!r} holds codes outside its "
+                            f"dictionary",
+                        ) from None
+                elif spec.kind == "date":
+                    scan.cells.append(
+                        [datetime.date.fromordinal(o) for o in array.tolist()]
+                    )
+                else:
+                    scan.cells.append(array.tolist())
+        scan.columns_decoded = sum(
+            name in self._decoded for name in codec.column_names()
+        )
+        scan.columns_skipped = len(codec.columns) - scan.columns_decoded
+        return scan
 
 
 def read_chunk(
@@ -438,166 +591,24 @@ def read_chunk(
     codec: ColumnarCodec[T],
     predicate: Optional[ScanPredicate] = None,
 ) -> ChunkScan:
-    """Decode one chunk, pushing ``predicate`` down into the columns.
-
-    Predicate columns are decoded first and reduced to a row mask; the
-    remaining columns are decompressed only when at least one row
-    survives (and their values gathered only at surviving indices).
-    Structural damage raises :class:`PartitionIntegrityError` with the
-    same ``kind`` vocabulary v1 uses (torn/checksum/count/schema).
-    """
-    path = Path(path)
-    blob = path.read_bytes()
-    header, base = _parse_header(path, blob)
-    rows = int(header.get("rows", -1))
-    if rows < 0:
-        raise _chunk_error(path, "schema", "chunk header lacks a row count")
-    meta_by_name: Dict[str, Dict[str, Any]] = {}
-    for meta in header.get("columns", []):
-        meta_by_name[str(meta.get("name"))] = meta
-    missing = [n for n in codec.column_names() if n not in meta_by_name]
-    if missing:
-        raise _chunk_error(
-            path, "schema", f"chunk lacks expected column(s) {missing}"
-        )
-    scan = ChunkScan(records=[], rows_total=rows)
-
-    decoded: Dict[str, np.ndarray] = {}
-
-    def column(name: str) -> np.ndarray:
-        array = decoded.get(name)
-        if array is None:
-            array = _decode_column(path, blob, base, meta_by_name[name], rows)
-            decoded[name] = array
-            scan.columns_decoded += 1
-        return array
-
-    mask: Optional[np.ndarray] = None
-    if predicate is not None:
-        mask = np.ones(rows, dtype=bool)
-        for name, values in predicate.equals:
-            kind = codec.column_kind(name)
-            array = column(name)
-            if kind == "str":
-                dictionary = meta_by_name[name].get("values", [])
-                allowed = [
-                    code for code, value in enumerate(dictionary)
-                    if value in values
-                ]
-                mask &= np.isin(array, np.array(allowed, dtype=array.dtype))
-            elif kind == "date":
-                ordinals = np.array(
-                    [value.toordinal() for value in values], dtype=array.dtype
-                )
-                mask &= np.isin(array, ordinals)
-            else:
-                mask &= np.isin(array, np.array(sorted(values)))
-        if (
-            (predicate.day_start is not None or predicate.day_end is not None)
-            and codec.day_column is not None
-        ):
-            array = column(codec.day_column)
-            if predicate.day_start is not None:
-                mask &= array >= predicate.day_start.toordinal()
-            if predicate.day_end is not None:
-                mask &= array <= predicate.day_end.toordinal()
-        if not mask.any():
-            scan.columns_skipped = len(codec.columns) - scan.columns_decoded
-            return scan
-
-    indices = np.nonzero(mask)[0] if mask is not None else None
-    scan.rows_matched = int(indices.size) if indices is not None else rows
-
-    cells: List[List[Any]] = []
-    for spec in codec.columns:
-        array = column(spec.name)
-        if indices is not None:
-            array = array[indices]
-        if spec.kind == "str":
-            dictionary = meta_by_name[spec.name].get("values", [])
-            try:
-                cells.append([dictionary[code] for code in array.tolist()])
-            except IndexError:
-                raise _chunk_error(
-                    path, "checksum",
-                    f"column {spec.name!r} holds codes outside its dictionary",
-                ) from None
-        elif spec.kind == "date":
-            cells.append(
-                [datetime.date.fromordinal(o) for o in array.tolist()]
-            )
-        else:
-            cells.append(array.tolist())
-    from_row = codec.from_row
-    scan.records = [from_row(row) for row in zip(*cells)] if cells else []
+    """Decode one chunk, pushing ``predicate`` down into the columns."""
+    scan = Chunk(path).scan(codec, predicate)
+    scan.records = [codec.from_row(row) for row in zip(*scan.cells)]
     return scan
-
-
-# ----------------------------------------------------------------------
-# Verification (the v2 arm of verify_partition / fsck)
 
 
 def verify_chunk(
     path: Path, manifest: Optional[PartitionManifest] = None
 ) -> PartitionCheck:
-    """Structurally verify one chunk against its sidecar manifest.
-
-    Walks the container exactly as a reader would — magic, header,
-    per-column decompression and CRC — then compares the whole-file CRC,
-    byte count, and row count the manifest recorded.  Mirrors v1
-    ``verify_partition`` semantics: a missing manifest downgrades to a
-    readability check.
-    """
-    path = Path(path)
+    """:func:`~repro.dataflow.integrity.verify_partition` for a chunk."""
     try:
-        blob = path.read_bytes()
-        header, base = _parse_header(path, blob)
-        rows = int(header.get("rows", -1))
-        if rows < 0:
-            raise _chunk_error(path, "schema", "chunk header lacks a row count")
-        for meta in header.get("columns", []):
-            _decode_column(path, blob, base, meta, rows)
+        return Chunk(path).check(manifest)
     except PartitionIntegrityError as exc:
         return PartitionCheck(path, ok=False, kind=exc.kind, detail=exc.detail)
     except OSError as exc:
         return PartitionCheck(
             path, ok=False, kind="torn", detail=f"unreadable chunk: {exc!r}"
         )
-    if manifest is None:
-        return PartitionCheck(
-            path, ok=True, kind="manifest",
-            detail="no sidecar manifest (unverified)",
-        )
-    if manifest.container != CHUNK_CONTAINER:
-        return PartitionCheck(
-            path, ok=False, kind="schema",
-            detail=(
-                f"manifest records container {manifest.container!r} "
-                f"for a {CHUNK_CONTAINER!r} partition"
-            ),
-        )
-    if rows != manifest.records:
-        return PartitionCheck(
-            path, ok=False, kind="count",
-            detail=(
-                f"{rows} rows on disk, manifest recorded {manifest.records}"
-            ),
-        )
-    if len(blob) != manifest.payload_bytes:
-        return PartitionCheck(
-            path, ok=False, kind="count",
-            detail=(
-                f"{len(blob)} bytes on disk, manifest recorded "
-                f"{manifest.payload_bytes}"
-            ),
-        )
-    if zlib.crc32(blob) != manifest.crc32:
-        return PartitionCheck(
-            path, ok=False, kind="checksum",
-            detail=(
-                f"chunk CRC32 {zlib.crc32(blob):#010x} != "
-                f"recorded {manifest.crc32:#010x}"
-            ),
-        )
-    return PartitionCheck(path, ok=True)
 
+
+register_structure_check(CHUNK_SUFFIX, verify_chunk)

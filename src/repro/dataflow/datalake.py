@@ -6,20 +6,26 @@ analytics at rest::
 
     <root>/<table>/year=YYYY/month=MM/day=DD/<probe>.tsv.gz
 
+(v2 partitions are ``.colchunk`` column chunks; layout and suffixes are
+spelled once, in :mod:`repro.dataflow.integrity`.)
 Tables are typed through a :class:`LineCodec`; flow logs reuse the probe's
 on-disk format so a file written by a probe can be dropped into the lake
-unchanged.  Reads come back as lazy :class:`~repro.dataflow.engine.Dataset`
-partitions — one partition per stored file — so stage-1 jobs stream.
+unchanged — which is why the v1 container stays readable for good.  Reads
+come back as lazy :class:`~repro.dataflow.engine.Dataset` partitions — one
+partition per stored file — so stage-1 jobs stream.
 
 Every partition is finalized atomically (:mod:`repro.core.fsio`) and
 carries a sidecar :class:`~repro.dataflow.integrity.PartitionManifest`
 (CRC32 + record count + schema version), so torn copies and bit rot are
-detectable.  Reads accept a :class:`~repro.dataflow.integrity.LakeIntegrity`
-that verifies partitions lazily and routes undecodable records per policy
-(``strict`` | ``quarantine`` | ``skip``); without one, reads behave as
-before except that decode failures surface as the typed
-:class:`~repro.dataflow.integrity.RecordDecodeError` naming the table,
-day, source file, and line number.
+detectable.  A stored partition has **one walk**, :func:`_partition_source`
+(sidecar → structural check → decode → route damage), shared by both
+containers and drained by plain reads, ``run_replay`` and ``fsck`` alike.
+Reads accept a :class:`~repro.dataflow.integrity.LakeIntegrity` that
+verifies partitions lazily and routes damage per policy (``strict`` |
+``quarantine`` | ``skip``); without one the walk is strict and unverified,
+so a record that fails to decode — v1 line or v2 chunk row — surfaces as
+the typed :class:`~repro.dataflow.integrity.RecordDecodeError` naming the
+table, day, source file, and line (row) number.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import os
 import pickle
 import zlib
 from pathlib import Path
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -46,22 +53,31 @@ from typing import (
 
 from repro.core import fsio
 from repro.dataflow.columnar import (
-    CHUNK_SUFFIX,
+    Chunk,
     ColumnarCodec,
     ColumnSpec,
     ScanPredicate,
     encode_chunk,
-    read_chunk,
 )
 from repro.dataflow.engine import Dataset
 from repro.dataflow.integrity import (
+    CHUNK_SUFFIX,
+    TEXT_SUFFIX,
+    IntegrityFinding,
     LakeIntegrity,
     PartitionCheck,
     PartitionIntegrityError,
+    PartitionManifest,
     PayloadDigest,
     RecordDecodeError,
+    day_directories,
+    day_directory,
+    is_payload_line,
     load_manifest,
+    open_partition_text,
+    partition_files,
     partition_source_name,
+    partition_suffix,
     register_codec_provider,
     verify_partition,
     write_manifest,
@@ -82,6 +98,9 @@ T = TypeVar("T")
 LAKE_FORMAT_V1 = "v1"
 LAKE_FORMAT_V2 = "v2"
 LAKE_FORMATS = (LAKE_FORMAT_V1, LAKE_FORMAT_V2)
+_FORMAT_SUFFIX = MappingProxyType(
+    {LAKE_FORMAT_V1: TEXT_SUFFIX, LAKE_FORMAT_V2: CHUNK_SUFFIX}
+)
 
 
 class LineCodec(Generic[T]):
@@ -172,8 +191,7 @@ FLOW_CODEC: ColumnarCodec[FlowRecord] = ColumnarCodec(
     zone_columns=("vantage", "protocol"),
 )
 
-# Upgrade fsck's flow decoder to the columnar codec (v1 lines + v2
-# chunks); later registrations win over tstat.logs' line-only one.
+# Make flow partitions (v1 lines and v2 chunks) decodable by `repro fsck`.
 register_codec_provider(lambda: {"flows": FLOW_CODEC})
 
 
@@ -210,13 +228,7 @@ class DataLake:
     # -- paths ---------------------------------------------------------------
 
     def day_dir(self, table: str, day: datetime.date) -> Path:
-        return (
-            self.root
-            / table
-            / f"year={day.year:04d}"
-            / f"month={day.month:02d}"
-            / f"day={day.day:02d}"
-        )
+        return day_directory(self.root, table, day)
 
     # -- writes ---------------------------------------------------------------
 
@@ -243,70 +255,35 @@ class DataLake:
         """
         directory = self.day_dir(table, day)
         directory.mkdir(parents=True, exist_ok=True)
-        if self.write_format == LAKE_FORMAT_V2:
+        suffix = _FORMAT_SUFFIX[self.write_format]
+        if suffix == CHUNK_SUFFIX:
             if not isinstance(codec, ColumnarCodec):
                 raise TypeError(
                     f"table {table!r}: v2 chunk partitions need a "
                     f"ColumnarCodec, got {type(codec).__name__}"
                 )
-            path = directory / f"{source}{CHUNK_SUFFIX}"
-            tmp = directory / f".{source}{CHUNK_SUFFIX}.{os.getpid()}.part"
             payload, manifest = encode_chunk(records, codec, day)
-            fsio.write_and_replace(
-                path, payload, surface=fsio.SURFACE_LAKE, tmp=tmp
-            )
-            write_manifest(path, manifest)
-            telemetry.count("datalake_files_written", table=table)
-            return path
-        path = directory / f"{source}.tsv.gz"
-        tmp = directory / f".{source}.tsv.gz.{os.getpid()}.part"
-        digest = PayloadDigest()
-        buffer = io.BytesIO()
-        gz = gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0)
-        with io.TextIOWrapper(gz, encoding="utf-8") as handle:
-            for record in records:
-                line = codec.encode(record) + "\n"
-                handle.write(line)
-                digest.add_line(line)
-        fsio.write_and_replace(
-            path, buffer.getvalue(), surface=fsio.SURFACE_LAKE, tmp=tmp
-        )
-        write_manifest(path, digest.manifest())
+        else:
+            payload, manifest = _encode_lines(records, codec)
+        path = directory / f"{source}{suffix}"
+        tmp = directory / f".{source}{suffix}.{os.getpid()}.part"
+        fsio.write_and_replace(path, payload, surface=fsio.SURFACE_LAKE, tmp=tmp)
+        write_manifest(path, manifest)
         telemetry.count("datalake_files_written", table=table)
         return path
 
     # -- reads ----------------------------------------------------------------
 
-    @staticmethod
-    def _partition_files(directory: Path) -> List[Path]:
-        """Data files of one day partition, both containers, sorted."""
-        if not directory.is_dir():
-            return []
-        return sorted(
-            list(directory.glob("*.tsv.gz")) + list(directory.glob("*.colchunk"))
-        )
-
     def has_day(self, table: str, day: datetime.date) -> bool:
-        return bool(self._partition_files(self.day_dir(table, day)))
+        return bool(partition_files(self.day_dir(table, day)))
 
     def days(self, table: str) -> List[datetime.date]:
         """Every day for which the table holds at least one file."""
-        table_dir = self.root / table
-        found: List[datetime.date] = []
-        if not table_dir.is_dir():
-            return found
-        for year_dir in sorted(table_dir.glob("year=*")):
-            for month_dir in sorted(year_dir.glob("month=*")):
-                for day_dir in sorted(month_dir.glob("day=*")):
-                    if self._partition_files(day_dir):
-                        found.append(
-                            datetime.date(
-                                int(year_dir.name.split("=")[1]),
-                                int(month_dir.name.split("=")[1]),
-                                int(day_dir.name.split("=")[1]),
-                            )
-                        )
-        return found
+        return [
+            day
+            for day, directory in day_directories(self.root, table)
+            if partition_files(directory)
+        ]
 
     def read_day(
         self,
@@ -342,7 +319,7 @@ class DataLake:
         where: Optional[ScanPredicate],
     ) -> "tuple[Dataset[T], int, int]":
         """One day's dataset plus (total, pruned) partition counts."""
-        files = self._partition_files(self.day_dir(table, day))
+        files = partition_files(self.day_dir(table, day))
         if not files:
             return Dataset.empty(), 0, 0
         if where is not None and not isinstance(codec, ColumnarCodec):
@@ -354,14 +331,9 @@ class DataLake:
         stats: List[Optional[dict]] = []
         day_zone = {"day_min": day.isoformat(), "day_max": day.isoformat()}
         for path in files:
-            if path.name.endswith(CHUNK_SUFFIX):
-                sources.append(
-                    _chunk_source(path, codec, table, day, integrity, where)
-                )
-            else:
-                sources.append(
-                    _file_source(path, codec, table, day, integrity, where)
-                )
+            sources.append(
+                _partition_source(path, codec, table, day, integrity, where)
+            )
             zone: Optional[dict] = day_zone
             if where is not None:
                 try:
@@ -408,7 +380,7 @@ class DataLake:
         datasets: List[Dataset[T]] = []
         for day, skipped in planned:
             if skipped:
-                files = len(self._partition_files(self.day_dir(table, day)))
+                files = len(partition_files(self.day_dir(table, day)))
                 total += files
                 pruned += files
                 if files:
@@ -444,164 +416,182 @@ class DataLake:
         )
 
 
-def _file_source(
+def _encode_lines(
+    records: Iterable[T], codec: LineCodec[T]
+) -> Tuple[bytes, PartitionManifest]:
+    """Serialize records into v1 gzip-TSV bytes plus their manifest."""
+    digest = PayloadDigest()
+    buffer = io.BytesIO()
+    gz = gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0)
+    with io.TextIOWrapper(gz, encoding="utf-8") as handle:
+        for record in records:
+            line = codec.encode(record) + "\n"
+            handle.write(line)
+            digest.add_line(line)
+    return buffer.getvalue(), digest.manifest()
+
+
+class _Walk:
+    """One walk's line to its integrity context: the only place a decode
+    failure is normalised and the only caller of the context's routing."""
+
+    def __init__(
+        self, route: LakeIntegrity, path: Path, table: str, day: datetime.date
+    ) -> None:
+        self.route = route
+        self.path = path
+        self.place = {
+            "table": table, "day": day, "source": partition_source_name(path)
+        }
+
+    def decoded(self, payload_bytes: int, count: int) -> None:
+        self.route.ledger.note_decoded(self.place["day"], payload_bytes, count)
+
+    def undecodable(self, exc: Exception, number: int, raw: str) -> None:
+        error = (
+            exc
+            if isinstance(exc, RecordDecodeError)
+            else RecordDecodeError(f"undecodable record: {exc!r}")
+        )
+        self.route.bad_record(error, line_number=number, line=raw, **self.place)
+
+    def failed(self, kind: str, detail: str) -> None:
+        check = PartitionCheck(self.path, ok=False, kind=kind, detail=detail)
+        self.route.bad_partition(check, **self.place)
+
+
+def _text_records(
+    path: Path, codec: LineCodec[T], where: Optional[ScanPredicate], walk: _Walk
+) -> Iterator[T]:
+    """The v1 part of the walk: gzip-TSV lines, one at a time."""
+    decoded = payload_bytes = 0
+    try:
+        with open_partition_text(path) as handle:
+            for line_number, line in enumerate(handle, start=1):
+                if not is_payload_line(line):
+                    continue
+                try:
+                    record = codec.decode(line)
+                except Exception as exc:  # noqa: BLE001 — normalized by the walk
+                    walk.undecodable(exc, line_number, line)
+                    continue
+                decoded += 1
+                payload_bytes += len(line.encode("utf-8"))
+                if where is not None and not where.matches_record(codec, record):
+                    continue
+                yield record
+    finally:
+        # one ledger call per partition, however the stream ended
+        walk.decoded(payload_bytes, decoded)
+
+
+def _chunk_records(
+    chunk: Chunk, codec: LineCodec[T], where: Optional[ScanPredicate], walk: _Walk
+) -> Iterator[T]:
+    """The v2 part of the walk: one chunk's rows, ``where`` pushed down."""
+    if not isinstance(codec, ColumnarCodec):
+        return  # a line-only codec names no chunk rows: structural walk only
+    scan = chunk.scan(codec, where)
+    if scan.columns_skipped:
+        telemetry.count(
+            "lake_columns_skipped", scan.columns_skipped, table=walk.place["table"]
+        )
+    from_row = codec.from_row
+    lost = 0
+    try:
+        records = [from_row(row) for row in zip(*scan.cells)]
+    except Exception:  # noqa: BLE001 — re-walked row by row below
+        # Schema drift: a clean chunk never gets here; a drifted one is
+        # re-walked to name each bad row, its cells tab-joined standing in
+        # for the line a v1 partition has.
+        records = []
+        numbers = (
+            range(1, scan.rows_total + 1)
+            if scan.indices is None
+            else (scan.indices + 1).tolist()
+        )
+        for number, row in zip(numbers, zip(*scan.cells)):
+            try:
+                records.append(from_row(row))
+            except Exception as exc:  # noqa: BLE001 — normalized by the walk
+                walk.undecodable(exc, number, "\t".join(map(str, row)))
+                lost += 1
+    # Every stored row that decodes counts, matched by ``where`` or not —
+    # the ledger measures decode integrity — against the chunk's file size
+    # (what its manifest records as payload bytes).
+    walk.decoded(len(chunk.blob), scan.rows_total - lost)
+    yield from records
+
+
+#: What differs between the containers, by file suffix: how a partition is
+#: opened, how its structure is checked against the manifest (a
+#: ``PartitionCheck``, or ``PartitionIntegrityError`` raised), and how its
+#: records are produced.  Everything else is :func:`_partition_source`.
+_CONTAINERS = MappingProxyType(
+    {
+        TEXT_SUFFIX: (Path, verify_partition, _text_records),
+        CHUNK_SUFFIX: (Chunk, Chunk.check, _chunk_records),
+    }
+)
+
+
+def _partition_source(
     path: Path,
-    codec: LineCodec[T],
+    codec: Optional[LineCodec[T]],
     table: str,
     day: datetime.date,
     integrity: Optional[LakeIntegrity],
     where: Optional[ScanPredicate] = None,
 ) -> Callable[[], Iterator[T]]:
-    source = partition_source_name(path)
+    """The one walk over a stored partition: sidecar → verify → decode →
+    route.  Reads, replay and ``fsck`` all drain this.
+
+    Under a verifying context no record is produced before the
+    partition's structural check has passed.  A partition that fails it,
+    or whose stream tears mid-read, goes to the context whole; a record
+    that does not decode goes to it alone.  Without a context the read is
+    a strict one that neither consults the sidecar nor verifies.
+    ``codec=None`` is the structural walk: nothing is decoded or yielded.
+    """
+    open_partition, check_structure, records_of = _CONTAINERS[
+        partition_suffix(path)
+    ]
 
     def read() -> Iterator[T]:
         telemetry.count("datalake_files_read")
-        if integrity is not None:
-            try:
-                manifest = load_manifest(path)
-            except PartitionIntegrityError as exc:
-                integrity.ledger.note_partition(table, day, None)
-                integrity.bad_partition(
-                    PartitionCheck(path, ok=False, kind=exc.kind, detail=exc.detail),
-                    table=table, day=day, source=source,
-                )
-                return
-            integrity.ledger.note_partition(table, day, manifest)
-            if integrity.verify_checksums:
-                check = verify_partition(path, manifest)
-                if not check.ok:
-                    integrity.bad_partition(
-                        check, table=table, day=day, source=source
-                    )
-                    return
+        route = integrity or LakeIntegrity(verify_checksums=False)
+        walk = _Walk(route, path, table, day)
         try:
-            with io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    if line.startswith("#") or not line.strip():
-                        continue
-                    try:
-                        record = codec.decode(line)
-                    except Exception as exc:  # noqa: BLE001 — normalized below
-                        error = (
-                            exc
-                            if isinstance(exc, RecordDecodeError)
-                            else RecordDecodeError(f"undecodable record: {exc!r}")
-                        )
-                        if integrity is None:
-                            raise error.with_context(
-                                table=table, day=day, source=source,
-                                line_number=line_number, line=line,
-                            ) from exc
-                        integrity.bad_record(
-                            error, table=table, day=day, source=source,
-                            line_number=line_number, line=line,
-                        )
-                        continue
-                    if integrity is not None:
-                        integrity.ledger.note_decoded(
-                            day, len(line.encode("utf-8"))
-                        )
-                    if where is not None and not where.matches_record(
-                        codec, record
-                    ):
-                        continue
-                    yield record
-        except (OSError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            # A stream-level failure mid-read (torn tail reached without a
-            # prior verification pass): treat the partition as bad.
-            if integrity is None:
-                if isinstance(exc, FileNotFoundError):
-                    raise  # a vanished file is not corruption
-                raise PartitionIntegrityError(
-                    path, "torn", f"unreadable partition: {exc!r}",
-                    table=table, day=day,
-                ) from exc
-            integrity.bad_partition(
-                PartitionCheck(
-                    path, ok=False, kind="torn",
-                    detail=f"unreadable partition: {exc!r}",
-                ),
-                table=table, day=day, source=source,
-            )
-
-    return read
-
-
-def _chunk_source(
-    path: Path,
-    codec: "ColumnarCodec[T]",
-    table: str,
-    day: datetime.date,
-    integrity: Optional[LakeIntegrity],
-    where: Optional[ScanPredicate] = None,
-) -> Callable[[], Iterator[T]]:
-    source = partition_source_name(path)
-
-    def read() -> Iterator[T]:
-        telemetry.count("datalake_files_read")
-        manifest = None
-        if integrity is not None:
-            try:
-                manifest = load_manifest(path)
-            except PartitionIntegrityError as exc:
-                integrity.ledger.note_partition(table, day, None)
-                integrity.bad_partition(
-                    PartitionCheck(path, ok=False, kind=exc.kind, detail=exc.detail),
-                    table=table, day=day, source=source,
-                )
-                return
-            integrity.ledger.note_partition(table, day, manifest)
-            if integrity.verify_checksums:
-                check = verify_partition(path, manifest)
+            manifest = None
+            if integrity is not None:
+                try:
+                    manifest = load_manifest(path)
+                finally:
+                    route.ledger.note_partition(table, day, manifest)
+            opened = open_partition(path)
+            if route.verify_checksums:
+                check = check_structure(opened, manifest)
                 if not check.ok:
-                    integrity.bad_partition(
-                        check, table=table, day=day, source=source
+                    raise PartitionIntegrityError(path, check.kind, check.detail)
+                if check.kind:  # sound but unverifiable: no sidecar
+                    route.findings.append(
+                        IntegrityFinding(
+                            kind=check.kind, detail=check.detail, **walk.place
+                        )
                     )
-                    return
-        try:
-            scan = read_chunk(path, codec, where)
+            if codec is not None:
+                yield from records_of(opened, codec, where, walk)
         except PartitionIntegrityError as exc:
-            if integrity is None:
-                raise PartitionIntegrityError(
-                    path, exc.kind, exc.detail, table=table, day=day
-                ) from exc
-            integrity.bad_partition(
-                PartitionCheck(path, ok=False, kind=exc.kind, detail=exc.detail),
-                table=table, day=day, source=source,
-            )
-            return
-        except OSError as exc:
-            if integrity is None:
-                if isinstance(exc, FileNotFoundError):
-                    raise  # a vanished file is not corruption
-                raise PartitionIntegrityError(
-                    path, "torn", f"unreadable partition: {exc!r}",
-                    table=table, day=day,
-                ) from exc
-            integrity.bad_partition(
-                PartitionCheck(
-                    path, ok=False, kind="torn",
-                    detail=f"unreadable partition: {exc!r}",
-                ),
-                table=table, day=day, source=source,
-            )
-            return
-        if scan.columns_skipped:
-            telemetry.count(
-                "lake_columns_skipped", scan.columns_skipped, table=table
-            )
-        if integrity is not None and scan.rows_total:
-            # The chunk decoded cleanly end to end, so the quality ledger
-            # counts every stored row — decode integrity is what it
-            # measures, not predicate selectivity.
-            bytes_per_row = (
-                manifest.payload_bytes // scan.rows_total
-                if manifest is not None
-                else 0
-            )
-            for _ in range(scan.rows_total):
-                integrity.ledger.note_decoded(day, bytes_per_row)
-        yield from scan.records
+            walk.failed(exc.kind, exc.detail)
+        except (
+            OSError, EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError
+        ) as exc:
+            # a stream-level failure (a torn tail reached without a prior
+            # verification pass): the partition is bad, not its records
+            if integrity is None and isinstance(exc, FileNotFoundError):
+                raise  # a vanished file is not corruption
+            walk.failed("torn", f"unreadable partition: {exc!r}")
+        route.end_partition(**walk.place)
 
     return read
 

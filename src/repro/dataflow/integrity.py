@@ -18,6 +18,8 @@ module is the reproduction's answer, in four tiers:
   a :class:`LakeIntegrity` policy (``strict`` | ``quarantine`` | ``skip``)
   decides whether a bad line aborts the read, is routed to
   ``<root>/_quarantine/`` with full provenance, or is dropped counted.
+  Either way the context first records an :class:`IntegrityFinding`, so
+  one list says what a walk found and how it was absorbed.
 * **Quality-gated admission** — per-day :class:`DayQualityReport`\\ s feed
   a :class:`DayAdmission` threshold that excludes degraded days from the
   study exactly like :class:`~repro.tstat.outages.OutageCalendar` holes,
@@ -27,6 +29,14 @@ module is the reproduction's answer, in four tiers:
   the style of :mod:`repro.core.faults`) applies seeded, byte-reproducible
   damage keyed on ``(table, day, source)``; :func:`fsck_lake` scans a lake
   and must find every injected class with zero false positives.
+
+This module sits *beneath* the codec layers (``columnar``, ``datalake``,
+``tstat``, ``core``) and imports none of them, lazily or otherwise: it
+owns the lake's layout, the contexts and the reports; the layers above
+push down what only they know (:func:`register_codec_provider`,
+:func:`register_structure_check`), and :func:`fsck_lake` reaches the one
+partition walk (:mod:`repro.dataflow.datalake`) through the ``lake`` it
+is handed.
 
 Everything here is deterministic: same seed + same plan ⇒ identical
 quarantine directories, identical reports, identical fsck findings.
@@ -43,6 +53,7 @@ import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import fsio
@@ -276,6 +287,68 @@ def is_payload_line(line: str) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Lake layout: the one place that spells where a day lives and what its
+# data files are called; every walker asks here.
+
+#: v1 gzip-TSV lines — not legacy: a probe's ``FlowLogWriter`` export *is*
+#: a v1 partition — and v2 column chunks (:mod:`repro.dataflow.columnar`).
+TEXT_SUFFIX = ".tsv.gz"
+CHUNK_SUFFIX = ".colchunk"
+PARTITION_SUFFIXES = (TEXT_SUFFIX, CHUNK_SUFFIX)
+
+
+def day_directory(root: Path, table: str, day: datetime.date) -> Path:
+    return (
+        Path(root)
+        / table
+        / f"year={day.year:04d}"
+        / f"month={day.month:02d}"
+        / f"day={day.day:02d}"
+    )
+
+
+def day_directories(root: Path, table: str) -> List[Tuple[datetime.date, Path]]:
+    """Every day directory of a table, in calendar order (inverse of
+    :func:`day_directory`; names that do not parse are not days)."""
+    found: List[Tuple[datetime.date, Path]] = []
+    for path in sorted((Path(root) / table).glob("year=*/month=*/day=*")):
+        try:
+            year, month, day = (
+                int(part.name.split("=")[1])
+                for part in (path.parent.parent, path.parent, path)
+            )
+            found.append((datetime.date(year, month, day), path))
+        except (IndexError, ValueError):
+            continue
+    return found
+
+
+def partition_suffix(path: Path) -> Optional[str]:
+    """Which container a data file is, by name (None: not a partition)."""
+    for suffix in PARTITION_SUFFIXES:
+        if path.name.endswith(suffix):
+            return suffix
+    return None
+
+
+def partition_source_name(path: Path) -> str:
+    """The source stem of a partition file, either container suffix."""
+    suffix = partition_suffix(path)
+    return path.name[: -len(suffix)] if suffix else path.name
+
+
+def partition_files(directory: Path) -> List[Path]:
+    """Data files of one day directory, both containers, sorted."""
+    if not directory.is_dir():
+        return []
+    return sorted(
+        path
+        for suffix in PARTITION_SUFFIXES
+        for path in directory.glob(f"*{suffix}")
+    )
+
+
+# ----------------------------------------------------------------------
 # Partition verification
 
 
@@ -289,6 +362,18 @@ class PartitionCheck:
     detail: str = ""
 
 
+StructureCheck = Callable[[Path, Optional[PartitionManifest]], PartitionCheck]
+
+#: Structural checkers of containers whose byte layout a layer above this
+#: one owns, by file suffix — pushed down at import time, as the codec
+#: providers are, so :func:`verify_partition` never imports upward.
+_STRUCTURE_CHECKS: Dict[Optional[str], StructureCheck] = {}  # repro: noqa[RPR004] -- written once per container at import time, before any worker forks
+
+
+def register_structure_check(suffix: str, check: StructureCheck) -> None:
+    _STRUCTURE_CHECKS[suffix] = check
+
+
 def verify_partition(
     path: Path, manifest: Optional[PartitionManifest] = None
 ) -> PartitionCheck:
@@ -300,21 +385,21 @@ def verify_partition(
     ``#tstat-log vN`` claiming a version the manifest does not).  A
     missing manifest downgrades verification to a readability check.
 
-    v2 column-chunk partitions (``*.colchunk``) dispatch to the chunk
-    verifier, which walks the binary container (magic, header, per-column
-    CRCs) and compares the manifest's whole-file CRC/size/row count.
+    This is the structural half of the partition walk — what a read or
+    ``fsck`` does to a partition before (or without) decoding a record.
+    v2 column chunks answer through the checker their owning module
+    registered: magic, header, per-column CRCs, then the manifest's
+    whole-file CRC/size/row count, with the same ``kind`` vocabulary.
     """
     if manifest is None:
         manifest = load_manifest(path)
-    if path.name.endswith(".colchunk"):
-        # Lazy import: columnar sits above this module in the layering.
-        from repro.dataflow.columnar import verify_chunk
-
-        return verify_chunk(path, manifest)
+    registered = _STRUCTURE_CHECKS.get(partition_suffix(path))
+    if registered is not None:
+        return registered(path, manifest)
     digest = PayloadDigest()
     declared_schema: Optional[int] = None
     try:
-        with _open_partition_text(path) as handle:
+        with open_partition_text(path) as handle:
             for line in handle:
                 header = _HEADER_RE.match(line)
                 if header is not None:
@@ -356,7 +441,7 @@ def verify_partition(
     return PartitionCheck(path, ok=True)
 
 
-def _open_partition_text(path: Path) -> io.TextIOWrapper:
+def open_partition_text(path: Path) -> io.TextIOWrapper:
     if path.suffix == ".gz":
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
     return open(path, "r", encoding="utf-8")
@@ -376,20 +461,30 @@ class Quarantine:
         <root>/<table>/day=YYYY-MM-DD/<source>.bad         one line per record
         <root>/<table>/day=YYYY-MM-DD/<source>.partition   whole-file failures
 
-    Record lines are ``<line_number>\\t<reason>\\t<raw line>``; appends
-    happen in deterministic read order, so two identical runs produce
-    byte-identical quarantine trees (asserted in tests).
+    Record lines are ``<line_number>\\t<reason>\\t<raw line>`` in read
+    order.  A partition's bad lines are held until its walk ends and then
+    published as one atomic write (:meth:`flush`), so a second pass over
+    the same damage rewrites the same bytes instead of appending: same
+    lake bytes, same policy ⇒ byte-identical quarantine trees, however
+    many passes (asserted in tests).
     """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
         self.records_quarantined = 0
         self.partitions_quarantined = 0
+        self._pending: Dict[Path, List[str]] = {}
 
-    def _day_dir(self, table: str, day: datetime.date) -> Path:
-        directory = self.root / table / f"day={day.isoformat()}"
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory
+    def _path(
+        self, table: str, day: datetime.date, source: str, suffix: str
+    ) -> Path:
+        return self.root / table / f"day={day.isoformat()}" / f"{source}.{suffix}"
+
+    def _publish(self, path: Path, text: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fsio.write_and_replace(
+            path, text.encode("utf-8"), surface=fsio.SURFACE_QUARANTINE
+        )
 
     def record(
         self,
@@ -400,18 +495,24 @@ class Quarantine:
         line: str,
         reason: str,
     ) -> None:
-        path = self._day_dir(table, day) / f"{source}.bad"
         entry = f"{line_number}\t{reason}\t{line.rstrip(chr(10))}\n"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(entry)
+        self._pending.setdefault(
+            self._path(table, day, source, "bad"), []
+        ).append(entry)
         self.records_quarantined += 1
         telemetry.count("lake_quarantined_records", table=table)
+
+    def flush(self, table: str, day: datetime.date, source: str) -> None:
+        """Publish the bad lines recorded for one partition (if any)."""
+        path = self._path(table, day, source, "bad")
+        entries = self._pending.pop(path, None)
+        if entries:
+            self._publish(path, "".join(entries))
 
     def partition(
         self, table: str, day: datetime.date, source: str, reason: str
     ) -> None:
-        path = self._day_dir(table, day) / f"{source}.partition"
-        path.write_text(reason + "\n", encoding="utf-8")
+        self._publish(self._path(table, day, source, "partition"), reason + "\n")
         self.partitions_quarantined += 1
         telemetry.count("lake_quarantined_partitions", table=table)
 
@@ -516,9 +617,11 @@ class QualityLedger:
         if manifest is not None:
             report.expected += manifest.records
 
-    def note_decoded(self, day: datetime.date, payload_bytes: int) -> None:
+    def note_decoded(
+        self, day: datetime.date, payload_bytes: int, count: int = 1
+    ) -> None:
         report = self.report_for(day)
-        report.decoded += 1
+        report.decoded += count
         report.payload_bytes += payload_bytes
 
     def note_quarantined(self, day: datetime.date) -> None:
@@ -531,6 +634,34 @@ class QualityLedger:
         return [self._reports[day] for day in sorted(self._reports)]
 
 
+@dataclass(frozen=True)
+class IntegrityFinding:
+    """One discovery of a partition walk: which partition, what class of
+    damage.  Reads record them on their :class:`LakeIntegrity` context;
+    ``fsck`` reports the ones its own read recorded."""
+
+    table: str
+    day: datetime.date
+    source: str
+    kind: str  # "torn" | "checksum" | "count" | "schema" | "record" | "manifest" | "litter"
+    detail: str
+
+    def render(self) -> str:
+        return (
+            f"{self.table}/{self.day.isoformat()}/{self.source}  "
+            f"[{self.kind}] {self.detail}"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "table": self.table,
+            "day": self.day.isoformat(),
+            "source": self.source,
+            "kind": self.kind,
+            "detail": self.detail,
+        }
+
+
 @dataclass
 class LakeIntegrity:
     """How a lake read treats corruption: policy + sinks + bookkeeping.
@@ -539,13 +670,16 @@ class LakeIntegrity:
     per-partition manifest verification; partition-level failures follow
     the same policy (strict ⇒ :class:`PartitionIntegrityError`, otherwise
     the partition is quarantined/skipped whole and its manifest-expected
-    records count as lost in the day's quality report).
+    records count as lost in the day's quality report).  Whatever the
+    policy, every piece of damage routed here is first appended to
+    ``findings`` — the one list a report of the walk can cite.
     """
 
     policy: str = POLICY_STRICT
     verify_checksums: bool = True
     quarantine: Optional[Quarantine] = None
     ledger: QualityLedger = field(default_factory=QualityLedger)
+    findings: List[IntegrityFinding] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         validate_policy(self.policy)
@@ -578,6 +712,12 @@ class LakeIntegrity:
             table=table, day=day, source=source,
             line_number=line_number, line=line,
         )
+        self.findings.append(
+            IntegrityFinding(
+                table, day, source, "record",
+                f"line {line_number}: {enriched.reason}",
+            )
+        )
         if self.policy == POLICY_STRICT:
             raise enriched
         self.ledger.note_quarantined(day)
@@ -599,6 +739,9 @@ class LakeIntegrity:
         source: str,
     ) -> None:
         """Route one failed partition per policy (raises under strict)."""
+        self.findings.append(
+            IntegrityFinding(table, day, source, check.kind, check.detail)
+        )
         telemetry.count("lake_checksum_failures", table=table)
         if self.policy == POLICY_STRICT:
             raise PartitionIntegrityError(
@@ -609,6 +752,11 @@ class LakeIntegrity:
             self.quarantine.partition(
                 table, day, source, f"{check.kind}: {check.detail}"
             )
+
+    def end_partition(self, table: str, day: datetime.date, source: str) -> None:
+        """The walk over one partition is over: publish its quarantine."""
+        if self.quarantine is not None:
+            self.quarantine.flush(table, day, source)
 
 
 # ----------------------------------------------------------------------
@@ -685,28 +833,13 @@ class CorruptionPlan:
         return touched
 
 
-#: Corruption kinds that operate on raw bytes and therefore apply to
-#: binary v2 chunks as well as v1 gzip-TSV; the line-oriented kinds
-#: (drop_column, duplicate_line, foreign_header) are v1-only.
-_BINARY_SAFE_KINDS = frozenset({CORRUPT_TRUNCATE, CORRUPT_BIT_FLIP})
-
-
 def _partition_path(lake_root: Path, spec: CorruptionSpec) -> Path:
-    day = spec.day
-    directory = (
-        Path(lake_root)
-        / spec.table
-        / f"year={day.year:04d}"
-        / f"month={day.month:02d}"
-        / f"day={day.day:02d}"
-    )
-    v1 = directory / f"{spec.source}.tsv.gz"
-    if v1.is_file():
-        return v1
-    v2 = directory / f"{spec.source}.colchunk"
-    if v2.is_file():
-        return v2
-    return v1  # apply() reports the canonical missing path
+    directory = day_directory(lake_root, spec.table, spec.day)
+    candidates = [
+        directory / f"{spec.source}{suffix}" for suffix in PARTITION_SUFFIXES
+    ]
+    # apply() reports the first (v1) name when neither container exists
+    return next((p for p in candidates if p.is_file()), candidates[0])
 
 
 def _spec_offset(spec: CorruptionSpec, seed: int, span: int) -> int:
@@ -731,7 +864,7 @@ def _apply_one(path: Path, spec: CorruptionSpec, seed: int) -> None:
         blob[offset] ^= 0xFF
         path.write_bytes(bytes(blob))
         return
-    if path.name.endswith(".colchunk"):
+    if partition_suffix(path) == CHUNK_SUFFIX:
         raise ValueError(
             f"corruption kind {spec.kind!r} is line-oriented and does not "
             f"apply to binary chunk partition {path.name}"
@@ -761,7 +894,7 @@ def _drop_last_field(line: str) -> str:
 
 
 def _read_lines(path: Path) -> List[str]:
-    with _open_partition_text(path) as handle:
+    with open_partition_text(path) as handle:
         return handle.readlines()
 
 
@@ -776,32 +909,6 @@ def _write_lines(path: Path, lines: List[str]) -> None:
 
 # ----------------------------------------------------------------------
 # fsck
-
-
-@dataclass(frozen=True)
-class IntegrityFinding:
-    """One fsck discovery: which partition, what class of damage."""
-
-    table: str
-    day: datetime.date
-    source: str
-    kind: str  # "torn" | "checksum" | "count" | "schema" | "record" | "manifest" | "litter"
-    detail: str
-
-    def render(self) -> str:
-        return (
-            f"{self.table}/{self.day.isoformat()}/{self.source}  "
-            f"[{self.kind}] {self.detail}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "day": self.day.isoformat(),
-            "source": self.source,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -857,8 +964,8 @@ class FsckReport:
 
 
 #: Providers of per-table record decoders, registered by the layers that
-#: own the codecs (``tstat.logs`` for flow logs, ``core.persistence`` for
-#: the aggregate tables).  Integrity sits *beneath* those layers, so it
+#: own the codecs (``dataflow.datalake`` for flow logs, ``core.persistence``
+#: for the aggregate tables).  Integrity sits *beneath* those layers, so it
 #: must not import them — they push their decoders down at import time.
 _CODEC_PROVIDERS: List[Callable[[], Dict[str, object]]] = []  # repro: noqa[RPR004] -- append-only at import time, before any worker forks
 
@@ -868,11 +975,11 @@ def register_codec_provider(
 ) -> None:
     """Register a table→decoder mapping for :func:`default_codecs`.
 
-    A registered decoder is either a plain line callable (v1 text
-    partitions only) or a :class:`~repro.dataflow.columnar.ColumnarCodec`
-    (decodes both containers: its ``decode`` handles v1 lines, its
-    ``from_row`` handles v2 chunk rows).  Later registrations win, so a
-    layer can upgrade a table's decoder to the columnar codec.
+    A decoder is a codec object — a :class:`~repro.dataflow.columnar.
+    ColumnarCodec` decodes both containers (``decode`` for v1 lines,
+    ``from_row`` for v2 chunk rows), a line-only codec just v1 — or a bare
+    line callable, which :func:`fsck_lake` treats as a line-only codec.
+    Later registrations win.
     """
     _CODEC_PROVIDERS.append(provider)
 
@@ -897,35 +1004,34 @@ def fsck_lake(
 ) -> FsckReport:
     """Scan every partition of a lake and report integrity findings.
 
-    Structural checks (torn gzip, CRC, record count, schema header) run
-    against the sidecar manifests; with ``decode=True``, tables with a
-    known codec are additionally decoded line by line so malformed
-    records are named individually.  ``quarantine=True`` routes bad
-    records and failed partitions into ``<root>/_quarantine/``.
+    ``fsck`` is a read: every stored day is drained through
+    ``lake.read_day`` — the verify → decode → route walk a replay takes —
+    under a verifying context that never raises, and the findings are the
+    ones that context recorded.  Tables with a known codec are decoded so
+    malformed records are named individually; ``decode=False`` (and a
+    table with no registered codec) gets the structural walk only.
+    ``quarantine=True`` routes damage into ``<root>/_quarantine/`` as a
+    quarantine-policy read would; otherwise it is only counted.
 
     ``lake`` is any object with the :class:`~repro.dataflow.datalake.
-    DataLake` surface (``root``, ``tables()``, ``days()``, ``day_dir()``).
+    DataLake` surface (``root``, ``tables()``, ``days()``, ``read_day()``).
     """
     if codecs is None:
         codecs = default_codecs() if decode else {}
-    sink = Quarantine(Path(lake.root) / QUARANTINE_DIR) if quarantine else None
-    report = FsckReport(root=Path(lake.root))
+    context = LakeIntegrity.for_lake_root(
+        lake.root, policy=POLICY_QUARANTINE if quarantine else POLICY_SKIP
+    )
+    report = FsckReport(root=Path(lake.root), findings=context.findings)
     for table in lake.tables():
         decoder = codecs.get(table) if decode else None
+        if decoder is not None and not hasattr(decoder, "decode"):
+            # a bare line callable: decodes v1 lines, no column schema
+            decoder = SimpleNamespace(decode=decoder)
         # Litter scan walks the directory tree structurally rather than
         # via ``lake.days()``: a writer that died before its first rename
         # leaves a day dir holding *only* staging litter, which the
         # partition-based day enumeration deliberately skips.
-        table_dir = Path(lake.root) / table
-        for day_path in sorted(table_dir.glob("year=*/month=*/day=*")):
-            try:
-                stale_day = datetime.date(
-                    int(day_path.parent.parent.name.split("=")[1]),
-                    int(day_path.parent.name.split("=")[1]),
-                    int(day_path.name.split("=")[1]),
-                )
-            except (IndexError, ValueError):
-                continue
+        for stale_day, day_path in day_directories(lake.root, table):
             for stale in fsio.stale_staging_files(day_path):
                 # A dead writer's staging file: invisible to reads (the
                 # partition globs skip dot-prefixed names) but worth
@@ -939,138 +1045,18 @@ def fsck_lake(
                     )
                 )
         for day in lake.days(table):
-            directory = lake.day_dir(table, day)
-            paths = sorted(
-                list(directory.glob("*.tsv.gz"))
-                + list(directory.glob("*.colchunk"))
+            partitions = lake.read_day(table, day, decoder, context)
+            report.partitions_scanned += partitions.num_partitions
+            telemetry.count(
+                "fsck_partitions_scanned", partitions.num_partitions, table=table
             )
-            for path in paths:
-                source = partition_source_name(path)
-                report.partitions_scanned += 1
-                telemetry.count("fsck_partitions_scanned", table=table)
-                try:
-                    check = verify_partition(path)
-                except PartitionIntegrityError as exc:
-                    check = PartitionCheck(
-                        path, ok=False, kind=exc.kind, detail=exc.detail
-                    )
-                if not check.ok:
-                    report.findings.append(
-                        IntegrityFinding(table, day, source, check.kind,
-                                         check.detail)
-                    )
-                    telemetry.count("lake_checksum_failures", table=table)
-                    if sink is not None:
-                        sink.partition(
-                            table, day, source, f"{check.kind}: {check.detail}"
-                        )
-                    continue
-                if check.kind == "manifest":
-                    report.findings.append(
-                        IntegrityFinding(table, day, source, "manifest",
-                                         check.detail)
-                    )
-                if decoder is not None:
-                    if path.name.endswith(".colchunk"):
-                        _fsck_decode_chunk(
-                            report, sink, decoder, path, table, day, source
-                        )
-                    else:
-                        _fsck_decode(
-                            report, sink, decoder, path, table, day, source
-                        )
-    if sink is not None:
-        report.quarantined_records = sink.records_quarantined
-        report.quarantined_partitions = sink.partitions_quarantined
+            report.records_decoded += partitions.count()  # drains the walk
+    if context.quarantine is not None:
+        report.quarantined_records = context.quarantine.records_quarantined
+        report.quarantined_partitions = (
+            context.quarantine.partitions_quarantined
+        )
     return report
-
-
-def partition_source_name(path: Path) -> str:
-    """The source stem of a partition file, either container suffix."""
-    for suffix in (".tsv.gz", ".colchunk"):
-        if path.name.endswith(suffix):
-            return path.name[: -len(suffix)]
-    return path.name
-
-
-def _fsck_decode_chunk(
-    report: FsckReport,
-    sink: Optional[Quarantine],
-    decoder: object,
-    path: Path,
-    table: str,
-    day: datetime.date,
-    source: str,
-) -> None:
-    """Decode every row of one structurally-verified v2 chunk.
-
-    Registered codecs that carry a column schema (``from_row``) decode
-    row by row; a plain line decoder cannot read a binary chunk, so such
-    tables keep structural verification only.
-    """
-    if not hasattr(decoder, "from_row"):
-        return
-    from repro.dataflow.columnar import read_chunk
-
-    try:
-        scan = read_chunk(path, decoder)  # type: ignore[arg-type]
-    except PartitionIntegrityError as exc:
-        report.findings.append(
-            IntegrityFinding(table, day, source, exc.kind, exc.detail)
-        )
-        if sink is not None:
-            sink.partition(table, day, source, f"{exc.kind}: {exc.detail}")
-        return
-    except Exception as exc:  # noqa: BLE001 — normalized below
-        reason = (
-            exc.reason
-            if isinstance(exc, RecordDecodeError)
-            else f"undecodable chunk rows: {exc!r}"
-        )
-        report.findings.append(
-            IntegrityFinding(table, day, source, "record", reason)
-        )
-        if sink is not None:
-            sink.partition(table, day, source, f"record: {reason}")
-        return
-    report.records_decoded += len(scan.records)
-
-
-def _fsck_decode(
-    report: FsckReport,
-    sink: Optional[Quarantine],
-    decoder: object,
-    path: Path,
-    table: str,
-    day: datetime.date,
-    source: str,
-) -> None:
-    """Decode every payload line of one verified partition."""
-    decode_line: Callable[[str], object] = (
-        decoder.decode if hasattr(decoder, "decode") else decoder  # type: ignore[union-attr,assignment]
-    )
-    with _open_partition_text(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not is_payload_line(line):
-                continue
-            try:
-                decode_line(line)
-            except Exception as exc:  # noqa: BLE001 — normalized below
-                reason = (
-                    exc.reason
-                    if isinstance(exc, RecordDecodeError)
-                    else f"undecodable record: {exc!r}"
-                )
-                report.findings.append(
-                    IntegrityFinding(
-                        table, day, source, "record",
-                        f"line {line_number}: {reason}",
-                    )
-                )
-                if sink is not None:
-                    sink.record(table, day, source, line_number, line, reason)
-            else:
-                report.records_decoded += 1
 
 
 def quarantine_tree(root: Path) -> Dict[str, str]:

@@ -24,7 +24,6 @@ from typing import IO, Iterable, Iterator, List, Tuple, Union
 from repro.dataflow.integrity import (
     PayloadDigest,
     RecordDecodeError,
-    register_codec_provider,
     write_manifest,
 )
 from repro.nettypes.ip import int_to_ip, ip_to_int
@@ -261,10 +260,6 @@ def read_flow_log(path: Union[str, Path]) -> Iterator[FlowRecord]:
 def load_flow_log(path: Union[str, Path]) -> List[FlowRecord]:
     """Read a whole flow log into memory."""
     return list(read_flow_log(path))
-
-
-# Make flow logs decodable by `repro fsck` record scans.
-register_codec_provider(lambda: {"flows": parse_record})
 
 
 def _open_text(path: Path, mode: str) -> IO[str]:

@@ -215,6 +215,21 @@ def corrupt_one_partition(lake_root):
     return day
 
 
+def drifted_copy(small_lake, scratch, write_format):
+    """A copy of the lake plus one ``hourly`` partition, in either
+    container, whose rows hold a value this build cannot decode."""
+    import shutil
+
+    from repro.dataflow.datalake import DataLake
+    from tests.test_dataflow_integrity import write_drifted_hourly
+
+    root = scratch / "lake"
+    shutil.copytree(small_lake, root)
+    day = DataLake(root).days("usage")[1]
+    write_drifted_hourly(root, day, write_format)
+    return root, day
+
+
 class TestFsckCommand:
     def test_missing_lake(self, tmp_path, capsys):
         assert main(["fsck", str(tmp_path / "absent")]) == 2
@@ -270,6 +285,13 @@ class TestReplayCommand:
         assert main(["replay", str(root)]) == 1
         err = capsys.readouterr().err
         assert "usage" in err and "part-0" in err
+        for write_format in ("v1", "v2"):  # rows this build cannot decode
+            root, _ = drifted_copy(small_lake, tmp_path / write_format, write_format)
+            assert main(["replay", str(root), "--bad-records", "strict"]) == 1
+            err = capsys.readouterr().err
+            assert "hourly" in err and "part-0" in err and "DOCSIS" in err
+            assert main(["fsck", str(root)]) == 1
+            assert "[record]" in capsys.readouterr().out
 
     def test_quarantine_completes_and_reports(
         self, small_lake, tmp_path, capsys
@@ -290,6 +312,11 @@ class TestReplayCommand:
         manifest = json.loads(out[out.index("{"):])
         quality = {q["day"]: q for q in manifest["data_quality"]}
         assert quality[day.isoformat()]["quality"] < 1.0
+        for write_format in ("v1", "v2"):  # rows this build cannot decode
+            root, day = drifted_copy(small_lake, tmp_path / write_format, write_format)
+            assert main(["replay", str(root), "--bad-records", "quarantine"]) == 0
+            out = capsys.readouterr().out
+            assert "excluded 1 degraded day(s): " + day.isoformat() in out
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["replay", "some-lake"])

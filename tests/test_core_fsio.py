@@ -24,7 +24,7 @@ from repro.dataflow.datalake import (
     CheckpointStore,
     DataLake,
 )
-from repro.dataflow.integrity import LakeIntegrity, fsck_lake
+from repro.dataflow.integrity import LakeIntegrity, fsck_lake, quarantine_tree
 from repro.tstat.flow import FlowRecord, NameSource, Transport, WebProtocol
 
 DAY = datetime.date(2015, 3, 14)
@@ -203,6 +203,18 @@ class TestLakeTornWriteRecovery:
         rows = lake.read_day("flows", DAY, FLOW_CODEC, integrity).collect()
         assert rows == []  # quarantined wholesale, not partially decoded
         assert integrity.ledger.report_for(DAY).failed_partitions == 1
+        # The quarantine tree goes through the same gate: a refused write
+        # is the OSError a full disk would raise, and a retry lands whole.
+        guarded = LakeIntegrity.for_lake_root(lake.root, policy="quarantine")
+        refusal = FsFaultSpec(fsio.SURFACE_QUARANTINE, fsio.MODE_ENOSPC, 0)
+        with injected((refusal,)) as gate:
+            with pytest.raises(OSError):
+                lake.read_day("flows", DAY, FLOW_CODEC, guarded).collect()
+            lake.read_day("flows", DAY, FLOW_CODEC, guarded).collect()
+        assert gate.writes_seen(fsio.SURFACE_QUARANTINE) == 2
+        assert list(quarantine_tree(lake.root / "_quarantine")) == [
+            f"flows/day={DAY.isoformat()}/part-0.partition"
+        ]
 
     def test_interrupted_lake_write_leaves_no_partition(self, tmp_path):
         lake = DataLake(tmp_path)

@@ -4,11 +4,16 @@ quality-gated admission, corruption injection, and fsck."""
 import datetime
 import gzip
 import shutil
+import zlib
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro.core.persistence  # noqa: F401 — registers fsck table codecs
 from repro.core.persistence import (
+    HOURLY_CODEC,
+    HOURLY_TABLE,
     PROTOCOL_TABLE,
     USAGE_TABLE,
     PersistingStudy,
@@ -33,6 +38,7 @@ from repro.dataflow.integrity import (
     PartitionManifest,
     Quarantine,
     RecordDecodeError,
+    default_codecs,
     fsck_lake,
     load_manifest,
     manifest_path_for,
@@ -41,10 +47,15 @@ from repro.dataflow.integrity import (
     verify_partition,
     write_manifest,
 )
+from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC
 from repro.synthesis.world import WorldConfig
 
 D = datetime.date
 DAY = D(2014, 2, 3)
+
+#: Not a CorruptionPlan kind — the bytes are sound — but one more class of
+#: damage every walk must agree on: rows this build cannot decode.
+DRIFTED_ROW = "drifted_row"
 
 PAIR_CODEC: LineCodec = tsv_codec(
     from_fields=lambda fields: (int(fields[0]), fields[1]),
@@ -58,6 +69,74 @@ def make_lake(root, records=None, table="pairs", day=DAY, source="part-0"):
         records = [(i, f"value-{i}") for i in range(20)]
     lake.write_day(table, day, records, PAIR_CODEC, source=source)
     return lake
+
+
+def write_drifted_hourly(root, day, write_format, rows=4):
+    """An ``hourly`` partition a newer probe build wrote: its technology
+    column holds a value this build's enum does not know (software-upgrade
+    drift).  Container and manifest are sound; only the rows fail."""
+    newer = SimpleNamespace(value="DOCSIS")
+    DataLake(root, write_format=write_format).write_day(
+        HOURLY_TABLE,
+        day,
+        [
+            SimpleNamespace(
+                day=day, technology=newer, bin_index=i, bytes_down=100 + i
+            )
+            for i in range(rows)
+        ],
+        HOURLY_CODEC,
+    )
+
+
+def finding_kinds(findings, table, day):
+    return [f.kind for f in findings if (f.table, f.day) == (table, day)]
+
+
+def assert_walks_agree(lake, scratch, damaged, codecs):
+    """``fsck``, ``fsck --quarantine`` and guarded reads take one walk.
+
+    ``damaged`` lists ``(table, day, codec, error)`` per damaged partition
+    of ``lake``: each walker must record the same findings for it, the
+    two quarantining walkers must leave the same ``_quarantine`` tree —
+    also after a second pass — and a strict read must raise ``error``
+    naming the partition.
+    """
+    expected = fsck_lake(lake, codecs=codecs).findings
+    assert not (lake.root / "_quarantine").exists()
+
+    def fsck_quarantine(copy):
+        return fsck_lake(copy, codecs=codecs, quarantine=True).findings
+
+    def quarantine_read(copy):
+        context = LakeIntegrity.for_lake_root(copy.root, policy="quarantine")
+        for table, day, codec, _ in damaged:
+            copy.read_day(table, day, codec, context).collect()
+        return context.findings
+
+    trees = []
+    for name, walker in (("fsck", fsck_quarantine), ("read", quarantine_read)):
+        copy = copy_lake(lake, scratch / name / "lake")
+        for attempt in ("first pass", "second pass"):
+            found = walker(copy)
+            for table, day, _, _ in damaged:
+                assert finding_kinds(found, table, day) == finding_kinds(
+                    expected, table, day
+                ), (name, attempt, table, day)
+            trees.append(quarantine_tree(copy.root / "_quarantine"))
+    assert trees[0]  # something was quarantined...
+    assert all(tree == trees[0] for tree in trees)  # ...once, identically
+
+    skip = LakeIntegrity.for_lake_root(lake.root, policy="skip")
+    for table, day, codec, error in damaged:
+        lake.read_day(table, day, codec, skip).collect()
+        assert finding_kinds(skip.findings, table, day) == finding_kinds(
+            expected, table, day
+        )
+        with pytest.raises(error) as excinfo:
+            lake.read_day(table, day, codec, LakeIntegrity()).collect()
+        assert table in str(excinfo.value) and "part-0" in str(excinfo.value)
+    assert not (lake.root / "_quarantine").exists()
 
 
 class TestRecordDecodeError:
@@ -326,15 +405,27 @@ class TestCorruptionPlan:
             CORRUPT_DROP_COLUMN: "checksum",
             CORRUPT_DUPLICATE_LINE: "count",
             CORRUPT_FOREIGN_HEADER: "schema",
+            DRIFTED_ROW: "record",
         }
+        codecs = {"pairs": PAIR_CODEC.decode}
         for kind, finding_kind in expected_kind.items():
-            lake = make_lake(tmp_path / kind)
-            CorruptionPlan.of(
-                CorruptionSpec("pairs", DAY, kind), seed=3
-            ).apply(lake.root)
-            report = fsck_lake(lake, codecs={"pairs": PAIR_CODEC.decode})
+            if kind == DRIFTED_ROW:
+                # PAIR_CODEC writes any key but only reads back an int
+                records = [("zero", "value-0")] + [(i, "v") for i in range(9)]
+                lake = make_lake(tmp_path / kind / "lake", records)
+                error = RecordDecodeError
+            else:
+                lake = make_lake(tmp_path / kind / "lake")
+                CorruptionPlan.of(
+                    CorruptionSpec("pairs", DAY, kind), seed=3
+                ).apply(lake.root)
+                error = PartitionIntegrityError
+            report = fsck_lake(lake, codecs=codecs)
             assert not report.clean, kind
             assert finding_kind in report.kinds(), (kind, report.kinds())
+            assert_walks_agree(
+                lake, tmp_path / kind, [("pairs", DAY, PAIR_CODEC, error)], codecs
+            )
 
 
 class TestFsck:
@@ -614,6 +705,17 @@ class TestChunkCorruption:
         }
         assert expected <= found, report.findings
         assert len(report.findings) == len(touched)  # zero false positives
+        table_codecs = {USAGE_TABLE: USAGE_CODEC, PROTOCOL_TABLE: PROTOCOL_CODEC}
+        damaged = [
+            (spec.table, spec.day, table_codecs[spec.table], PartitionIntegrityError)
+            for spec in plan.specs
+        ]
+        # one more kind: sound bytes whose rows this build cannot decode
+        write_drifted_hourly(lake.root, days[4], "v2")
+        damaged.append((HOURLY_TABLE, days[4], HOURLY_CODEC, RecordDecodeError))
+        drifted = finding_kinds(fsck_lake(lake).findings, HOURLY_TABLE, days[4])
+        assert drifted == ["record"] * 4  # each bad row named, as for v1
+        assert_walks_agree(lake, tmp_path / "walks", damaged, default_codecs())
 
     def test_line_oriented_kinds_refuse_binary_chunks(
         self, pristine_v2_lake, tmp_path
@@ -676,3 +778,40 @@ class TestChunkCorruption:
             run_replay(lake, [], policy="strict")
         assert USAGE_TABLE in str(excinfo.value)
         assert "part-0" in str(excinfo.value)
+
+    def test_verified_walks_open_each_chunk_once(
+        self, pristine_v2_lake, tmp_path, monkeypatch
+    ):
+        """A verified replay and an fsck each read every data file once and
+        inflate every column once: the structural check and the row build
+        share one opened chunk."""
+        lake = copy_lake(pristine_v2_lake, tmp_path / "lake")
+        for day in lake.days(USAGE_TABLE)[3:]:  # keep a clean 3-day lake
+            for table in lake.tables():
+                shutil.rmtree(lake.day_dir(table, day), ignore_errors=True)
+        chunks = sorted(lake.root.rglob("*.colchunk"))
+        columns = sum(
+            len(default_codecs()[path.relative_to(lake.root).parts[0]].columns)
+            for path in chunks
+        )
+        assert len(lake.days(USAGE_TABLE)) == 3 and chunks
+        calls = {"read_bytes": 0, "decompress": 0}
+        read_bytes, decompress = Path.read_bytes, zlib.decompress
+
+        def counting_read_bytes(path):
+            calls["read_bytes"] += path.name.endswith(".colchunk")
+            return read_bytes(path)
+
+        def counting_decompress(*args, **kwargs):
+            calls["decompress"] += 1
+            return decompress(*args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        monkeypatch.setattr(zlib, "decompress", counting_decompress)
+        for walk in (
+            lambda: fsck_lake(lake),
+            lambda: run_replay(lake, [], policy="strict"),
+        ):
+            calls.update(read_bytes=0, decompress=0)
+            walk()
+            assert calls == {"read_bytes": len(chunks), "decompress": columns}
