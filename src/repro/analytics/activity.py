@@ -11,8 +11,11 @@ import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
+import numpy as np
+
+from repro.dataflow.columnar import ColumnBatch
 from repro.services.thresholds import ActiveSubscriberCriterion
-from repro.synthesis.flowgen import DailyUsage
+from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
 
 
@@ -29,35 +32,77 @@ class SubscriberDay:
     active: bool
 
 
+def group_rows(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by equal key tuples: ``(order, starts)``.
+
+    ``order`` sorts the rows by ``keys`` (first key most significant),
+    stably, so a group's rows keep their order and ``order[starts]`` are
+    the groups' first rows; ``np.add.reduceat(values[order], starts)`` are
+    the group sums.  The one grouping arithmetic of the aggregate tier.
+    """
+    order = np.lexsort(keys[::-1])
+    boundary = np.zeros(order.size, dtype=bool)
+    boundary[:1] = True
+    for key in keys:
+        ordered = key[order]
+        boundary[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.nonzero(boundary)[0]
+
+
+def group_ids(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row's group number under :func:`group_rows` (groups numbered in
+    key order, so ``order[starts][ids]`` is every row's group's first row)."""
+    ids = np.zeros(order.size, dtype=np.int64)
+    ids[starts[1:]] = 1
+    ids[order] = np.cumsum(ids)
+    return ids
+
+
 def subscriber_days(
     usage: Iterable[DailyUsage],
     criterion: ActiveSubscriberCriterion = ActiveSubscriberCriterion(),
 ) -> List[SubscriberDay]:
-    """Roll per-service rows up to per-subscriber days with the activity flag."""
-    totals: Dict[Tuple[datetime.date, int], List] = {}
-    for row in usage:
-        key = (row.day, row.subscriber_id)
-        entry = totals.get(key)
-        if entry is None:
-            totals[key] = [row.technology, row.bytes_down, row.bytes_up, row.flows]
-        else:
-            entry[1] += row.bytes_down
-            entry[2] += row.bytes_up
-            entry[3] += row.flows
-    result = []
-    for (day, subscriber_id), (technology, down, up, flows) in totals.items():
-        result.append(
-            SubscriberDay(
-                day=day,
-                subscriber_id=subscriber_id,
-                technology=technology,
-                bytes_down=down,
-                bytes_up=up,
-                flows=flows,
-                active=criterion.is_active(flows, down, up),
-            )
+    """Roll per-service rows up to per-subscriber days with the activity flag.
+
+    One entry per (day, subscriber) in first-appearance order, carrying the
+    technology of its first row.
+    """
+    batch = ColumnBatch.of(usage, USAGE_CODEC)
+    if not batch:
+        return []
+    columns = batch.columns
+    order, starts = group_rows(columns["day"], columns["subscriber_id"])
+    firsts = order[starts]
+    appearance = np.argsort(firsts)  # groups in first-appearance order
+    firsts = firsts[appearance]
+    down, up, flows = (
+        np.add.reduceat(columns[name][order], starts)[appearance]
+        for name in ("bytes_down", "bytes_up", "flows")
+    )
+    active = (
+        (flows >= criterion.min_flows)
+        & (down > criterion.min_bytes_down)
+        & (up > criterion.min_bytes_up)
+    )
+    ordinals, codes = columns["day"][firsts], columns["technology"][firsts]
+    to_date = batch.cell_decoder("day")
+    day_of = {ordinal: to_date(ordinal) for ordinal in np.unique(ordinals).tolist()}
+    technology_of = {
+        code: Technology(batch.dictionaries["technology"][code])
+        for code in np.unique(codes).tolist()
+    }
+    return list(
+        map(
+            SubscriberDay,
+            [day_of[ordinal] for ordinal in ordinals.tolist()],
+            columns["subscriber_id"][firsts].tolist(),
+            [technology_of[code] for code in codes.tolist()],
+            down.tolist(),
+            up.tolist(),
+            flows.tolist(),
+            active.tolist(),
         )
-    return result
+    )
 
 
 def active_subscribers_by_day(

@@ -11,10 +11,13 @@ import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analytics.activity import SubscriberDay, active_subscribers_by_day
+import numpy as np
+
+from repro.analytics.activity import SubscriberDay, group_ids, group_rows
 from repro.analytics.timeseries import Month, MonthlySeries, monthly_mean
+from repro.dataflow.columnar import ColumnBatch
 from repro.services.thresholds import VisitClassifier
-from repro.synthesis.flowgen import DailyUsage
+from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
 
 
@@ -67,6 +70,21 @@ class DailyServiceStats:
         )
 
 
+def visit_rows(
+    usage: "ColumnBatch[DailyUsage]", classifier: VisitClassifier
+) -> np.ndarray:
+    """Per usage row: does its volume pass its service's visit threshold?"""
+    thresholds = np.array(
+        [classifier.threshold_for(name) for name in usage.dictionaries["service"]],
+        dtype=np.int64,
+    )
+    columns = usage.columns
+    return (
+        columns["bytes_down"] + columns["bytes_up"]
+        >= thresholds[columns["service"]]
+    )
+
+
 def daily_service_stats(
     usage: Iterable[DailyUsage],
     subscriber_days: Iterable[SubscriberDay],
@@ -78,43 +96,77 @@ def daily_service_stats(
     ``technology`` restricts both the active set and the usage rows
     (Fig. 5 shows ADSL only).
     """
-    active = active_subscribers_by_day(
-        entry
-        for entry in subscriber_days
-        if technology is None or entry.technology is technology
+    batch = ColumnBatch.of(usage, USAGE_CODEC)
+    columns = batch.columns
+    active = np.array(
+        [
+            (entry.day.toordinal(), entry.subscriber_id)
+            for entry in subscriber_days
+            if entry.active and (technology is None or entry.technology is technology)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    # One grouping of the active (day, subscriber) pairs and the rows' pairs
+    # together: the sort is stable and the active pairs come first, so a
+    # group holds an active pair exactly when its first member is one.
+    days = np.concatenate([active[:, 0], columns["day"]])
+    order, starts = group_rows(
+        days, np.concatenate([active[:, 1], columns["subscriber_id"]])
     )
-    visitors: Dict[Tuple[datetime.date, str], Set[int]] = {}
-    down: Dict[Tuple[datetime.date, str], int] = {}
-    total: Dict[Tuple[datetime.date, str], int] = {}
-    visitor_bytes: Dict[Tuple[datetime.date, str], int] = {}
-    for row in usage:
-        if technology is not None and row.technology is not technology:
-            continue
-        if row.subscriber_id not in active.get(row.day, ()):
-            continue
-        key = (row.day, row.service)
-        row_total = row.bytes_down + row.bytes_up
-        down[key] = down.get(key, 0) + row.bytes_down
-        total[key] = total.get(key, 0) + row_total
-        if classifier.is_visit(row.service, row_total):
-            visitors.setdefault(key, set()).add(row.subscriber_id)
-            visitor_bytes[key] = visitor_bytes.get(key, 0) + row_total
-    stats = []
-    for key in sorted(total, key=lambda item: (item[0], item[1])):
-        day, service = key
-        stats.append(
-            DailyServiceStats(
-                day=day,
-                service=service,
-                visitors=len(visitors.get(key, ())),
-                active_subscribers=len(active.get(day, ())),
-                bytes_down=down[key],
-                bytes_total=total[key],
-                visitor_bytes=visitor_bytes.get(key, 0),
-                technology=technology,
-            )
+    group_active = order[starts] < len(active)
+    keep = group_active[group_ids(order, starts)[len(active):]]
+    if technology is not None:
+        codes = [
+            code
+            for code, value in enumerate(batch.dictionaries["technology"])
+            if value == technology.value
+        ]
+        keep &= np.isin(columns["technology"], codes)
+    rows = np.nonzero(keep)[0]
+    if not rows.size:
+        return []
+    active_days, active_counts = np.unique(
+        days[order[starts[group_active]]], return_counts=True
+    )
+    active_per_day = dict(zip(active_days.tolist(), active_counts.tolist()))
+
+    row_day, row_service = columns["day"][rows], columns["service"][rows]
+    row_down = columns["bytes_down"][rows]
+    row_total = row_down + columns["bytes_up"][rows]
+    visit = visit_rows(batch, classifier)[rows]
+    order, starts = group_rows(row_day, row_service)
+    # visitors: distinct subscribers among a cell's threshold-passing rows
+    visit_cell = group_ids(order, starts)[visit]
+    visit_order, visit_starts = group_rows(
+        visit_cell, columns["subscriber_id"][rows][visit]
+    )
+    visitors = np.bincount(
+        visit_cell[visit_order[visit_starts]], minlength=starts.size
+    )
+    to_date = batch.cell_decoder("day")
+    day_of = {ordinal: to_date(ordinal) for ordinal in np.unique(row_day).tolist()}
+    services = batch.dictionaries["service"]
+    cells = zip(
+        row_day[order[starts]].tolist(),
+        [services[code] for code in row_service[order[starts]].tolist()],
+        visitors.tolist(),
+        np.add.reduceat(row_down[order], starts).tolist(),
+        np.add.reduceat(row_total[order], starts).tolist(),
+        np.add.reduceat(np.where(visit, row_total, 0)[order], starts).tolist(),
+    )
+    return [
+        DailyServiceStats(
+            day=day_of[day],
+            service=service,
+            visitors=visitor_count,
+            active_subscribers=active_per_day.get(day, 0),
+            bytes_down=down,
+            bytes_total=total,
+            visitor_bytes=visitor_bytes,
+            technology=technology,
         )
-    return stats
+        for day, service, visitor_count, down, total, visitor_bytes in sorted(cells)
+    ]
 
 
 def popularity_series(

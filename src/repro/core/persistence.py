@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.parallel import RunReport
 
 from repro.core.study import LongitudinalStudy, StudyData, aggregate_usage_day
-from repro.dataflow.columnar import ColumnSpec, ColumnarCodec
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.dataflow.datalake import DataLake, LineCodec, tsv_codec
 from repro.dataflow.integrity import (
     DayAdmission,
@@ -66,22 +66,11 @@ HOURLY_CODEC: ColumnarCodec[HourlyVolume] = ColumnarCodec(
     decode=_HOURLY_LINES.decode,
     columns=[
         ColumnSpec("day", "date"),
-        ColumnSpec("technology", "str"),
+        ColumnSpec("technology", "str", enum=Technology),
         ColumnSpec("bin_index", "int"),
         ColumnSpec("bytes_down", "int"),
     ],
-    to_row=lambda row: (
-        row.day,
-        row.technology.value,
-        row.bin_index,
-        row.bytes_down,
-    ),
-    from_row=lambda row: HourlyVolume(
-        day=row[0],
-        technology=Technology(row[1]),
-        bin_index=row[2],
-        bytes_down=row[3],
-    ),
+    record=HourlyVolume,
     zone_columns=("technology",),
     day_column="day",
 )
@@ -168,7 +157,10 @@ def replay_study(
         | set(lake.days(HOURLY_TABLE))
     )
     for day in all_days:
-        usage = lake.read_day(USAGE_TABLE, day, USAGE_CODEC, integrity).collect()
+        usage = ColumnBatch.concat(
+            lake.read_day(USAGE_TABLE, day, USAGE_CODEC, integrity).blocks(),
+            USAGE_CODEC,
+        )
         protocols = lake.read_day(
             PROTOCOL_TABLE, day, PROTOCOL_CODEC, integrity
         ).collect()

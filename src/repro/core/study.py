@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.analytics import rtt as rtt_analytics
-from repro.analytics.activity import SubscriberDay, subscriber_days
+from repro.analytics.activity import SubscriberDay, group_rows, subscriber_days
 from repro.analytics.infrastructure import (
     AsnBreakdown,
     DailyServerStats,
@@ -31,16 +31,22 @@ from repro.analytics.infrastructure import (
     service_ip_set,
     shares_from_totals,
 )
-from repro.analytics.popularity import DailyServiceStats, daily_service_stats
+from repro.analytics.popularity import (
+    DailyServiceStats,
+    daily_service_stats,
+    visit_rows,
+)
 from repro.analytics.timeseries import Month
 from repro.core.config import COMPARISON_MONTHS, StudyConfig
 from repro.core.shards import ShardExtra, ShardSpec, plan_shards, task_attrs
+from repro.dataflow.columnar import ColumnBatch
 from repro.dataflow.datalake import month_days
 from repro.routing.rib import RibArchive
 from repro.services import catalog
 from repro.services.rules import RuleSet
 from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
 from repro.synthesis.flowgen import (
+    USAGE_CODEC,
     DailyUsage,
     DayTraffic,
     HourlyVolume,
@@ -444,8 +450,10 @@ def aggregate_usage_day(
     Shared by the live study (per shard) and the lake replay (whole
     day): subscriber days, per-technology service cells, and — inside
     the full-resolution comparison months — weekly reach (§4.3).
-    Returns the subscriber-day rows it stored.
+    Returns the subscriber-day rows it stored.  ``usage`` is reduced as
+    columns (a batch is taken as it is, rows are normalised once).
     """
+    usage = ColumnBatch.of(usage, USAGE_CODEC)
     day_rows = subscriber_days(usage, criterion)
     data.subscriber_days[day] = day_rows
     for technology in Technology:
@@ -465,15 +473,47 @@ def aggregate_usage_day(
             data.weekly_active.setdefault(
                 (iso_year, iso_week, technology), set()
             ).add(subscriber_id)
-        for row in usage:
-            technology = active_by_id.get(row.subscriber_id)
-            if technology is None:
-                continue
-            if classifier.is_visit(row.service, row.bytes_down + row.bytes_up):
-                data.weekly_visitors.setdefault(
-                    (iso_year, iso_week, row.service, technology), set()
-                ).add(row.subscriber_id)
+        if active_by_id:
+            _add_weekly_visitors(
+                data.weekly_visitors, (iso_year, iso_week), usage, active_by_id, classifier
+            )
     return day_rows
+
+
+def _add_weekly_visitors(
+    weekly_visitors: Dict[Tuple[int, int, str, Technology], Set[int]],
+    week: Tuple[int, int],
+    usage: "ColumnBatch[DailyUsage]",
+    active_by_id: Dict[int, Technology],
+    classifier: VisitClassifier,
+) -> None:
+    """Add the day's visits by active subscribers to the week's visitor sets.
+
+    A visit is keyed by (service, its subscriber-day's technology).  Keys
+    are inserted in first-row order and every set is filled in row order —
+    what a row-by-row pass does, and what the checkpoint bytes pin.
+    """
+    subscribers, service = usage.columns["subscriber_id"], usage.columns["service"]
+    services = usage.dictionaries["service"]
+    technologies = list(Technology)
+    ids = np.fromiter(active_by_id, np.int64, len(active_by_id))
+    id_technology = np.fromiter(
+        map(technologies.index, active_by_id.values()), np.int64, ids.size
+    )
+    sorter = np.argsort(ids)
+    slot = sorter[
+        np.minimum(np.searchsorted(ids, subscribers, sorter=sorter), ids.size - 1)
+    ]
+    rows = np.nonzero((ids[slot] == subscribers) & visit_rows(usage, classifier))[0]
+    key = service[rows] * len(technologies) + id_technology[slot[rows]]
+    order, starts = group_rows(key)
+    bounds = starts.tolist() + [order.size]
+    for group in np.argsort(order[starts]).tolist():  # first-row order
+        members = order[bounds[group] : bounds[group + 1]]
+        code, technology = divmod(int(key[members[0]]), len(technologies))
+        weekly_visitors.setdefault(
+            (*week, services[code], technologies[technology]), set()
+        ).update(subscribers[rows[members]].tolist())
 
 
 def merge_day_shards(

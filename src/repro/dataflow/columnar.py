@@ -23,6 +23,14 @@ LineCodec` (line ``encode``/``decode``) extended with a column schema
 and a predicate filters v1 rows to the identical result, just without
 the decode savings.
 
+In memory a table's rows travel as those same typed arrays: a
+:class:`ColumnBatch` is a codec plus one array per column in the chunk's
+own encoding, and *is* a ``Sequence`` of the codec's records — a record
+object is built only when somebody iterates or indexes it.  The generator
+emits one, :func:`encode_chunk` compresses its arrays, :meth:`Chunk.scan`
+hands one back, and stage-1 reduces its columns, so on the aggregate
+tier's hot paths no row object exists (DESIGN.md §14).
+
 Everything is byte-deterministic: fixed zlib level, no timestamps, dict
 codes in first-appearance order — identical records produce identical
 chunks (the lake invariant manifests rely on).
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -44,6 +53,7 @@ from typing import (
     FrozenSet,
     Generic,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -90,14 +100,21 @@ _KIND_DTYPE = MappingProxyType(
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One typed column of a table's row schema."""
+    """One typed column of a table's row schema.
+
+    ``enum`` declares that the record holds a member of that
+    :class:`enum.Enum` where the row (and the chunk) holds its ``value``.
+    """
 
     name: str
     kind: str  # "int" | "float" | "str" | "date"
+    enum: Optional[type] = None
 
     def __post_init__(self) -> None:
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"unknown column kind {self.kind!r}")
+        if self.enum is not None and self.kind != "str":
+            raise ValueError(f"enum column {self.name!r} must be a str column")
 
 
 class ColumnarCodec(Generic[T]):
@@ -108,6 +125,14 @@ class ColumnarCodec(Generic[T]):
     schema v2 needs: ``to_row`` flattens a record into a tuple of plain
     values matching ``columns`` (dates as :class:`datetime.date`, strings
     as ``str | None``), and ``from_row`` rebuilds the record.
+
+    A codec either **declares** its record — ``record=`` names the class
+    whose constructor takes the columns in order, an ``enum=`` column
+    holding a member of that enum — and the row functions are derived, or
+    hands over a hand-written ``to_row``/``from_row`` pair.  Declaring is
+    what lets a :class:`ColumnBatch` prove "every row decodes" from its
+    columns alone (:meth:`ColumnBatch.decode`); behind a hand-written pair
+    anything may happen, so those rows are decoded one by one.
 
     ``zone_columns`` names the string columns whose distinct values are
     recorded in the partition zone map; ``day_column`` names the date
@@ -121,14 +146,22 @@ class ColumnarCodec(Generic[T]):
         encode: Callable[[T], str],
         decode: Callable[[str], T],
         columns: Sequence[ColumnSpec],
-        to_row: Callable[[T], Tuple[Any, ...]],
-        from_row: Callable[[Tuple[Any, ...]], T],
+        record: Optional[Callable[..., T]] = None,
+        to_row: Optional[Callable[[T], Tuple[Any, ...]]] = None,
+        from_row: Optional[Callable[[Tuple[Any, ...]], T]] = None,
         zone_columns: Sequence[str] = (),
         day_column: Optional[str] = None,
     ) -> None:
         self.encode = encode
         self.decode = decode
         self.columns = tuple(columns)
+        self.record = record
+        if (record is None) == (to_row is None or from_row is None):
+            raise ValueError(
+                "a codec takes either record= or a to_row/from_row pair"
+            )
+        if record is not None:
+            to_row, from_row = _derived_row_functions(record, self.columns)
         self.to_row = to_row
         self.from_row = from_row
         self.zone_columns = tuple(zone_columns)
@@ -151,6 +184,299 @@ class ColumnarCodec(Generic[T]):
 
     def column_names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.columns)
+
+
+def _derived_row_functions(
+    record: Callable[..., T], columns: Tuple[ColumnSpec, ...]
+) -> Tuple[Callable[[T], Tuple[Any, ...]], Callable[[Tuple[Any, ...]], T]]:
+    """``to_row``/``from_row`` of a codec that declares its record."""
+    if len(columns) < 2:
+        raise ValueError("a declared record needs at least two columns")
+    enums = [(i, spec.enum) for i, spec in enumerate(columns) if spec.enum]
+    # one C-level call per record: attribute paths in, the row tuple out
+    to_row = operator.attrgetter(
+        *(spec.name + (".value" if spec.enum else "") for spec in columns)
+    )
+
+    def from_row(row: Tuple[Any, ...]) -> T:
+        cells = list(row)
+        for index, enum in enums:
+            cells[index] = enum(cells[index])
+        return record(*cells)
+
+    return to_row, from_row
+
+
+# ----------------------------------------------------------------------
+# Column batches
+
+
+class ColumnBatch(Sequence[T]):
+    """A table's rows as typed arrays — and, on demand, as records.
+
+    ``columns`` holds one array per codec column in the chunk's own
+    encoding: ``int``/``float`` values as they are, ``date`` values as
+    proleptic ordinals, ``str`` values as ``<i4`` codes into
+    ``dictionaries[name]`` (distinct values in any order, not all of them
+    necessarily used).  Arrays are adopted, not copied, when they already
+    have the column's dtype.  For a ``date`` column ``dictionaries`` may
+    hold an ``{ordinal: date}`` mapping — the date objects to hand out for
+    those ordinals: the generator names its day there, so what stage-1
+    builds from its batch shares that one object as it did when the
+    generator built the rows (pickled partials are byte-compared, and
+    pickle tells a shared object from an equal one).
+
+    The batch is a ``Sequence`` of the codec's records: ``len``,
+    truthiness, iteration, indexing and ``==`` against any record sequence
+    work, each record built through ``codec.from_row`` when asked for and
+    never kept.  Consumers that can, read ``columns`` instead.
+    """
+
+    __slots__ = ("codec", "columns", "dictionaries", "_size")
+
+    def __init__(
+        self,
+        codec: ColumnarCodec[T],
+        columns: Mapping[str, np.ndarray],
+        dictionaries: Mapping[str, Any],
+    ) -> None:
+        self.codec = codec
+        self.columns: Dict[str, np.ndarray] = {
+            spec.name: np.asarray(columns[spec.name], dtype=_KIND_DTYPE[spec.kind])
+            for spec in codec.columns
+        }
+        self.dictionaries = dictionaries
+        shapes = [array.shape for array in self.columns.values()]
+        if any(len(shape) != 1 or shape != shapes[0] for shape in shapes):
+            raise ValueError(f"columns of unequal or non-flat shape: {shapes}")
+        (self._size,) = shapes[0]
+
+    # -- rows -> columns ----------------------------------------------------
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[Tuple[Any, ...]], codec: ColumnarCodec[T]
+    ) -> "ColumnBatch[T]":
+        """Row tuples (as ``to_row`` spells them) turned into columns: the
+        one place rows become arrays.  Strings are interned through a dict,
+        so codes follow first appearance and every value is used."""
+        cells: Sequence[Sequence[Any]] = list(zip(*rows)) or [()] * len(codec.columns)
+        columns: Dict[str, np.ndarray] = {}
+        dictionaries: Dict[str, List[Optional[str]]] = {}
+        for spec, values in zip(codec.columns, cells):
+            if spec.kind == "str":
+                ids: Dict[Optional[str], int] = {}
+                values = [ids.setdefault(value, len(ids)) for value in values]
+                dictionaries[spec.name] = list(ids)
+            elif spec.kind == "date":
+                values = [value.toordinal() for value in values]
+            columns[spec.name] = np.array(values, dtype=_KIND_DTYPE[spec.kind])
+        return cls(codec, columns, dictionaries)
+
+    @classmethod
+    def of(cls, records: Iterable[T], codec: ColumnarCodec[T]) -> "ColumnBatch[T]":
+        """``records`` as a batch of ``codec``: a batch passes through,
+        anything else is flattened by ``to_row`` and turned into columns."""
+        if isinstance(records, ColumnBatch) and records.codec is codec:
+            return records
+        return cls.from_rows(map(codec.to_row, records), codec)
+
+    @classmethod
+    def concat(
+        cls, blocks: Iterable[Iterable[T]], codec: ColumnarCodec[T]
+    ) -> "ColumnBatch[T]":
+        """Blocks of records (batches or not) as one batch, in order; the
+        blocks' string dictionaries are merged and their codes remapped."""
+        batches = [cls.of(block, codec) for block in blocks]
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls.from_rows((), codec)
+        columns: Dict[str, np.ndarray] = {}
+        dictionaries: Dict[str, List[Optional[str]]] = {}
+        for spec in codec.columns:
+            arrays = [batch.columns[spec.name] for batch in batches]
+            if spec.kind == "str":
+                ids: Dict[Optional[str], int] = {}
+                for index, batch in enumerate(batches):
+                    remap = np.array(
+                        [ids.setdefault(value, len(ids))
+                         for value in batch.dictionaries[spec.name]],
+                        dtype=_KIND_DTYPE["str"],
+                    )
+                    arrays[index] = remap[arrays[index]]
+                dictionaries[spec.name] = list(ids)
+            columns[spec.name] = np.concatenate(arrays)
+        return cls(codec, columns, dictionaries)
+
+    def take(self, indices: Any) -> "ColumnBatch[T]":
+        """The rows at ``indices`` (any NumPy index), dictionaries shared."""
+        return ColumnBatch(
+            self.codec,
+            {name: array[indices] for name, array in self.columns.items()},
+            self.dictionaries,
+        )
+
+    # -- columns -> rows, on demand -------------------------------------------
+
+    def cell_decoder(self, name: str) -> Optional[Callable[[Any], Any]]:
+        """Stored value -> row cell of one column (``None``: they are the
+        same).  Raises ``ValueError``/``OverflowError`` on a stored value
+        that has no cell: a code outside the dictionary, an ordinal outside
+        :class:`datetime.date`'s range."""
+        kind = self.codec.column_kind(name)
+        if kind == "date":
+            known = self.dictionaries.get(name, {})
+            return lambda ordinal: (
+                known.get(ordinal) or datetime.date.fromordinal(ordinal)
+            )
+        if kind != "str":
+            return None
+        dictionary = self.dictionaries[name]
+
+        def lookup(code: int) -> Optional[str]:
+            if not 0 <= code < len(dictionary):
+                raise ValueError(
+                    f"column {name!r} holds code {code} outside its "
+                    f"{len(dictionary)}-value dictionary"
+                )
+            return dictionary[code]
+
+        return lookup
+
+    def _distinct_cells(self, name: str) -> Optional[Dict[Any, Any]]:
+        """Stored value -> row cell for each distinct stored value of one
+        column, every value converted once (``None``: they are the same)."""
+        decoder = self.cell_decoder(name)
+        if decoder is None:
+            return None
+        return {
+            stored: decoder(stored)
+            for stored in np.unique(self.columns[name]).tolist()
+        }
+
+    def cells(self) -> List[List[Any]]:
+        """Column-major Python cells: ``zip(*cells)`` are the row tuples
+        ``from_row`` takes."""
+        cells: List[List[Any]] = []
+        for name, array in self.columns.items():
+            cell_of = self._distinct_cells(name)
+            cells.append(
+                array.tolist()
+                if cell_of is None
+                else [cell_of[stored] for stored in array.tolist()]
+            )
+        return cells
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[T]:
+        return map(self.codec.from_row, zip(*self.cells()))
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return self.take(index)
+        (record,) = self.take([range(self._size)[index]])
+        return record
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"ColumnBatch({self.codec.column_names()}, rows={self._size})"
+
+    # -- integrity ---------------------------------------------------------------
+
+    def decode(self) -> Tuple[Sequence[T], List[Tuple[int, Exception, str]]]:
+        """The rows that are records, and the rows that are not.
+
+        Returns ``(records, failures)``: ``failures`` lists ``(position,
+        error, cells)`` for every row that cannot become a record — a
+        stored value with no cell, an ``enum`` column holding a value its
+        enum rejects, or whatever a hand-written ``from_row`` raises —
+        ``cells`` being the row tab-joined, standing in for the line a v1
+        partition has.
+
+        Behind a declared codec those are the only ways a row can fail, so
+        each distinct stored value is checked once and, when all pass,
+        ``records`` is the batch itself: nothing was built.  A hand-written
+        ``from_row`` is tried on every row.  Only when either fails is the
+        batch walked row by row (:meth:`_decode_rows`) to name each bad one.
+        """
+        try:
+            if self.codec.record is None:
+                return list(self), []
+            for spec in self.codec.columns:
+                cell_of = self._distinct_cells(spec.name)
+                if spec.enum is not None:
+                    for cell in cell_of.values():
+                        spec.enum(cell)
+            return self, []
+        except Exception:  # noqa: BLE001 — the row walk names each bad row
+            return self._decode_rows()
+
+    def _decode_rows(self) -> Tuple[List[T], List[Tuple[int, Exception, str]]]:
+        decoders = [
+            (index, decoder)
+            for index, decoder in enumerate(map(self.cell_decoder, self.columns))
+            if decoder is not None
+        ]
+        records: List[T] = []
+        failures: List[Tuple[int, Exception, str]] = []
+        stored_rows = zip(*(array.tolist() for array in self.columns.values()))
+        for position, stored in enumerate(stored_rows):
+            row, unconverted = list(stored), None
+            for index, decoder in decoders:
+                try:  # a cell that converts is shown converted
+                    row[index] = decoder(row[index])
+                except (ValueError, OverflowError) as exc:
+                    unconverted = unconverted or exc
+            try:
+                if unconverted is not None:
+                    raise unconverted
+                records.append(self.codec.from_row(tuple(row)))
+            except Exception as exc:  # noqa: BLE001 — the caller routes it
+                failures.append((position, exc, "\t".join(map(str, row))))
+        return records, failures
+
+    # -- what a chunk stores -------------------------------------------------------
+
+    def zone(self, day: datetime.date) -> Dict[str, Any]:
+        """The zone map of these rows as one partition of ``day``."""
+        codec = self.codec
+        if codec.day_column is not None and self._size:
+            ordinals = self.columns[codec.day_column]
+            day_min = datetime.date.fromordinal(int(ordinals.min()))
+            day_max = datetime.date.fromordinal(int(ordinals.max()))
+        else:
+            day_min = day_max = day
+        columns: Dict[str, List[str]] = {}
+        for name in codec.zone_columns:
+            dictionary = self.dictionaries[name]
+            used = [dictionary[code] for code in np.unique(self.columns[name]).tolist()]
+            columns[name] = sorted(value for value in used if value is not None)
+        return {
+            "day_min": day_min.isoformat(),
+            "day_max": day_max.isoformat(),
+            "rows": self._size,
+            "columns": columns,
+        }
+
+    def canonical_codes(self, name: str) -> Tuple[np.ndarray, List[Optional[str]]]:
+        """A ``str`` column re-coded the one way a chunk stores it: codes in
+        first-appearance order over the rows present, no unused value —
+        the byte-determinism rule, whatever dictionary the batch carries."""
+        codes, dictionary = self.columns[name], self.dictionaries[name]
+        used, first = np.unique(codes, return_index=True)
+        used = used[np.argsort(first, kind="stable")]
+        rank = np.zeros(len(dictionary), dtype=codes.dtype)
+        rank[used] = np.arange(used.size, dtype=codes.dtype)
+        return rank[codes], [dictionary[code] for code in used.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -247,60 +573,13 @@ def zone_map(
     rows: Sequence[Tuple[Any, ...]],
     day: datetime.date,
 ) -> Dict[str, Any]:
-    """The zone map recorded for one partition's sidecar manifest."""
-    if codec.day_column is not None and rows:
-        index = codec.column_index(codec.day_column)
-        days = [row[index] for row in rows]
-        day_min, day_max = min(days), max(days)
-    else:
-        day_min = day_max = day
-    columns: Dict[str, List[str]] = {}
-    for name in codec.zone_columns:
-        index = codec.column_index(name)
-        columns[name] = sorted(
-            {row[index] for row in rows if row[index] is not None}
-        )
-    return {
-        "day_min": day_min.isoformat(),
-        "day_max": day_max.isoformat(),
-        "rows": len(rows),
-        "columns": columns,
-    }
+    """The zone map recorded for one partition's sidecar manifest, from
+    its row tuples (a batch answers :meth:`ColumnBatch.zone` itself)."""
+    return ColumnBatch.from_rows(rows, codec).zone(day)
 
 
 # ----------------------------------------------------------------------
 # Chunk encoding
-
-
-def _pack_column(
-    spec: ColumnSpec, rows: Sequence[Tuple[Any, ...]], index: int
-) -> Tuple[bytes, Optional[List[Optional[str]]]]:
-    """Raw (uncompressed) little-endian bytes of one column + str dict."""
-    if spec.kind == "str":
-        values: List[Optional[str]] = []
-        ids: Dict[Optional[str], int] = {}
-        codes = np.empty(len(rows), dtype=_KIND_DTYPE["str"])
-        for position, row in enumerate(rows):
-            value = row[index]
-            code = ids.get(value)
-            if code is None:
-                code = len(values)
-                ids[value] = code
-                values.append(value)
-            codes[position] = code
-        return codes.tobytes(), values
-    if spec.kind == "date":
-        ordinals = np.fromiter(
-            (row[index].toordinal() for row in rows),
-            dtype=_KIND_DTYPE["date"],
-            count=len(rows),
-        )
-        return ordinals.tobytes(), None
-    dtype = _KIND_DTYPE[spec.kind]
-    column = np.fromiter(
-        (row[index] for row in rows), dtype=dtype, count=len(rows)
-    )
-    return column.tobytes(), None
 
 
 def encode_chunk(
@@ -309,13 +588,20 @@ def encode_chunk(
     day: datetime.date,
     schema_version: int = 1,
 ) -> Tuple[bytes, PartitionManifest]:
-    """Serialize records into chunk bytes plus their sidecar manifest."""
-    rows = [codec.to_row(record) for record in records]
+    """Serialize records into chunk bytes plus their sidecar manifest.
+
+    ``records`` is normalised by :meth:`ColumnBatch.of`; a batch is
+    compressed array by array, no row in between.
+    """
+    batch = ColumnBatch.of(records, codec)
     blobs: List[bytes] = []
     column_meta: List[Dict[str, Any]] = []
     offset = 0
-    for index, spec in enumerate(codec.columns):
-        raw, dictionary = _pack_column(spec, rows, index)
+    for spec in codec.columns:
+        array, dictionary = batch.columns[spec.name], None
+        if spec.kind == "str":
+            array, dictionary = batch.canonical_codes(spec.name)
+        raw = array.tobytes()
         blob = zlib.compress(raw, _ZLIB_LEVEL)
         meta: Dict[str, Any] = {
             "name": spec.name,
@@ -332,7 +618,7 @@ def encode_chunk(
     header = json.dumps(
         {
             "format": CHUNK_FORMAT,
-            "rows": len(rows),
+            "rows": len(batch),
             "schema_version": schema_version,
             "columns": column_meta,
         },
@@ -342,12 +628,12 @@ def encode_chunk(
         [CHUNK_MAGIC, struct.pack("<I", len(header)), header, *blobs]
     )
     manifest = PartitionManifest(
-        records=len(rows),
+        records=len(batch),
         crc32=zlib.crc32(payload),
         payload_bytes=len(payload),
         schema_version=schema_version,
         container=CHUNK_CONTAINER,
-        zone=zone_map(codec, rows, day),
+        zone=batch.zone(day),
     )
     return payload, manifest
 
@@ -423,11 +709,12 @@ def _decode_column(
 
 @dataclass
 class ChunkScan:
-    """Result of scanning one chunk: the surviving rows' cells, column by
-    column (``zip(*cells)`` are the row tuples ``from_row`` takes), plus
-    pushdown bookkeeping.  :func:`read_chunk` fills in ``records``."""
+    """Result of scanning one chunk: the surviving rows as a
+    :class:`ColumnBatch` (not yet proven to decode — see
+    :meth:`ColumnBatch.decode`), plus pushdown bookkeeping.
+    :func:`read_chunk` fills in ``records``."""
 
-    cells: List[List[Any]] = field(default_factory=list)
+    batch: ColumnBatch
     records: List[Any] = field(default_factory=list)
     rows_total: int = 0
     rows_matched: int = 0
@@ -510,7 +797,7 @@ class Chunk:
     def scan(
         self, codec: ColumnarCodec[T], predicate: Optional[ScanPredicate] = None
     ) -> ChunkScan:
-        """The cells of the rows ``predicate`` admits (all rows without one).
+        """The rows ``predicate`` admits (all rows without one), as a batch.
 
         Predicate columns are decoded first and reduced to a row mask; the
         remaining columns are decompressed only when at least one row
@@ -522,8 +809,6 @@ class Chunk:
             raise _chunk_error(
                 path, "schema", f"chunk lacks expected column(s) {missing}"
             )
-        scan = ChunkScan(rows_total=rows)
-
         mask: Optional[np.ndarray] = None
         if predicate is not None:
             mask = np.ones(rows, dtype=bool)
@@ -553,37 +838,31 @@ class Chunk:
                     mask &= array >= predicate.day_start.toordinal()
                 if predicate.day_end is not None:
                     mask &= array <= predicate.day_end.toordinal()
-        if mask is None or mask.any():
-            indices = np.nonzero(mask)[0] if mask is not None else None
-            scan.indices = indices
-            scan.rows_matched = int(indices.size) if indices is not None else rows
-            for spec in codec.columns:
-                array = self.column(spec.name)
-                if indices is not None:
-                    array = array[indices]
-                if spec.kind == "str":
-                    dictionary = self._meta[spec.name].get("values", [])
-                    try:
-                        scan.cells.append(
-                            [dictionary[code] for code in array.tolist()]
-                        )
-                    except IndexError:
-                        raise _chunk_error(
-                            path, "checksum",
-                            f"column {spec.name!r} holds codes outside its "
-                            f"dictionary",
-                        ) from None
-                elif spec.kind == "date":
-                    scan.cells.append(
-                        [datetime.date.fromordinal(o) for o in array.tolist()]
-                    )
-                else:
-                    scan.cells.append(array.tolist())
-        scan.columns_decoded = sum(
-            name in self._decoded for name in codec.column_names()
+        indices: Optional[np.ndarray] = None
+        if mask is not None and not mask.any():
+            batch: ColumnBatch[T] = ColumnBatch.from_rows((), codec)
+        else:
+            batch = ColumnBatch(
+                codec,
+                {name: self.column(name) for name in codec.column_names()},
+                {
+                    spec.name: self._meta[spec.name].get("values", [])
+                    for spec in codec.columns
+                    if spec.kind == "str"
+                },
+            )
+            if mask is not None:
+                indices = np.nonzero(mask)[0]
+                batch = batch.take(indices)
+        decoded = sum(name in self._decoded for name in codec.column_names())
+        return ChunkScan(
+            batch=batch,
+            rows_total=rows,
+            rows_matched=len(batch),
+            columns_decoded=decoded,
+            columns_skipped=len(codec.columns) - decoded,
+            indices=indices,
         )
-        scan.columns_skipped = len(codec.columns) - scan.columns_decoded
-        return scan
 
 
 def read_chunk(
@@ -593,7 +872,7 @@ def read_chunk(
 ) -> ChunkScan:
     """Decode one chunk, pushing ``predicate`` down into the columns."""
     scan = Chunk(path).scan(codec, predicate)
-    scan.records = [codec.from_row(row) for row in zip(*scan.cells)]
+    scan.records = list(scan.batch)
     return scan
 
 

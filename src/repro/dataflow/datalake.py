@@ -12,7 +12,9 @@ Tables are typed through a :class:`LineCodec`; flow logs reuse the probe's
 on-disk format so a file written by a probe can be dropped into the lake
 unchanged — which is why the v1 container stays readable for good.  Reads
 come back as lazy :class:`~repro.dataflow.engine.Dataset` partitions — one
-partition per stored file — so stage-1 jobs stream.
+partition per stored file — so stage-1 jobs stream; a v2 chunk arrives as
+one block of rows (:meth:`~repro.dataflow.engine.Dataset.blocks`), still
+the typed arrays it stores unless somebody iterates the records.
 
 Every partition is finalized atomically (:mod:`repro.core.fsio`) and
 carries a sidecar :class:`~repro.dataflow.integrity.PartitionManifest`
@@ -59,7 +61,7 @@ from repro.dataflow.columnar import (
     ScanPredicate,
     encode_chunk,
 )
-from repro.dataflow.engine import Dataset
+from repro.dataflow.engine import Block, Dataset
 from repro.dataflow.integrity import (
     CHUNK_SUFFIX,
     TEXT_SUFFIX,
@@ -487,8 +489,10 @@ def _text_records(
 
 def _chunk_records(
     chunk: Chunk, codec: LineCodec[T], where: Optional[ScanPredicate], walk: _Walk
-) -> Iterator[T]:
-    """The v2 part of the walk: one chunk's rows, ``where`` pushed down."""
+) -> Iterator[Block[T]]:
+    """The v2 part of the walk: one chunk's rows, ``where`` pushed down,
+    handed to the engine as one block — the chunk's own arrays whenever
+    the codec can vouch for its rows without building them."""
     if not isinstance(codec, ColumnarCodec):
         return  # a line-only codec names no chunk rows: structural walk only
     scan = chunk.scan(codec, where)
@@ -496,31 +500,18 @@ def _chunk_records(
         telemetry.count(
             "lake_columns_skipped", scan.columns_skipped, table=walk.place["table"]
         )
-    from_row = codec.from_row
-    lost = 0
-    try:
-        records = [from_row(row) for row in zip(*scan.cells)]
-    except Exception:  # noqa: BLE001 — re-walked row by row below
-        # Schema drift: a clean chunk never gets here; a drifted one is
-        # re-walked to name each bad row, its cells tab-joined standing in
-        # for the line a v1 partition has.
-        records = []
-        numbers = (
-            range(1, scan.rows_total + 1)
-            if scan.indices is None
-            else (scan.indices + 1).tolist()
-        )
-        for number, row in zip(numbers, zip(*scan.cells)):
-            try:
-                records.append(from_row(row))
-            except Exception as exc:  # noqa: BLE001 — normalized by the walk
-                walk.undecodable(exc, number, "\t".join(map(str, row)))
-                lost += 1
+    # Schema drift: a clean chunk has no failures; each row of a drifted
+    # one is named by its stored row number.
+    records, failures = scan.batch.decode()
+    for position, exc, cells in failures:
+        stored = position if scan.indices is None else int(scan.indices[position])
+        walk.undecodable(exc, stored + 1, cells)
     # Every stored row that decodes counts, matched by ``where`` or not —
     # the ledger measures decode integrity — against the chunk's file size
     # (what its manifest records as payload bytes).
-    walk.decoded(len(chunk.blob), scan.rows_total - lost)
-    yield from records
+    walk.decoded(len(chunk.blob), scan.rows_total - len(failures))
+    if records:
+        yield Block(records)
 
 
 #: What differs between the containers, by file suffix: how a partition is
@@ -546,8 +537,8 @@ def _partition_source(
     """The one walk over a stored partition: sidecar → verify → decode →
     route.  Reads, replay and ``fsck`` all drain this.
 
-    Under a verifying context no record is produced before the
-    partition's structural check has passed.  A partition that fails it,
+    Under a verifying context no record and no block is produced before
+    the partition's structural check has passed.  A partition that fails it,
     or whose stream tears mid-read, goes to the context whole; a record
     that does not decode goes to it alone.  Without a context the read is
     a strict one that neither consults the sidecar nor verifies.

@@ -8,6 +8,13 @@ pipelines over partitioned datasets, plus ``reduce_by_key`` /
 single-process (our datasets fit one machine); the partitioned, lazy
 structure is preserved so jobs stream instead of materializing
 intermediates, which is what makes the two-stage methodology honest.
+
+A partition source yields records — or, when it already holds many at
+once, a whole :class:`Block` of them (the lake's column chunks do: one
+block per chunk).  Every transformation and record action sees the
+records of a block one by one, exactly as if the source had yielded them
+singly; :meth:`Dataset.count` adds a block's length without looking inside
+and :meth:`Dataset.blocks` hands the blocks over as they are.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
 )
@@ -37,6 +45,25 @@ V = TypeVar("V")
 W = TypeVar("W")
 
 PartitionSource = Callable[[], Iterator[T]]
+
+
+class Block(Generic[T]):
+    """Marks a whole sequence of records a partition source yields at once
+    (records may themselves be sequences, so a block has to say it is one)."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: Sequence[T]) -> None:
+        self.records = records
+
+
+def _records(source: PartitionSource) -> Iterator[T]:
+    """One partition's records, its blocks opened: the block boundary."""
+    for item in source():
+        if isinstance(item, Block):
+            yield from item.records
+        else:
+            yield item
 
 
 class Dataset(Generic[T]):
@@ -160,9 +187,9 @@ class Dataset(Generic[T]):
 
         When iterating a partition raises, ``handler(partition_index,
         exc)`` decides the outcome: ``True`` suppresses the rest of that
-        partition (records already yielded stand — the lake's quarantine
-        path uses this to drop a torn tail without losing the day), and
-        ``False`` re-raises.  Transformations stacked *after* the guard
+        partition (records and blocks already yielded stand — the lake's
+        quarantine path uses this to drop a torn tail without losing the
+        day), and ``False`` re-raises.  Transformations stacked *after* the guard
         run inside it; failures in earlier stages pass through untouched.
         """
         return Dataset(
@@ -182,7 +209,7 @@ class Dataset(Generic[T]):
         def build() -> Iterator[Tuple[K, V]]:
             table: Dict[K, V] = {}
             for source in self._sources:
-                for key, value in source():
+                for key, value in _records(source):
                     if key in table:
                         table[key] = fn(table[key], value)
                     else:
@@ -202,7 +229,7 @@ class Dataset(Generic[T]):
         def build() -> Iterator[Tuple[K, U]]:
             table: Dict[K, U] = {}
             for source in self._sources:
-                for key, value in source():
+                for key, value in _records(source):
                     if key not in table:
                         table[key] = zero()
                     table[key] = seq_fn(table[key], value)
@@ -226,7 +253,7 @@ class Dataset(Generic[T]):
             seen = set()
             ordered: List[T] = []
             for source in self._sources:
-                for item in source():
+                for item in _records(source):
                     if item not in seen:
                         seen.add(item)
                         ordered.append(item)
@@ -242,11 +269,11 @@ class Dataset(Generic[T]):
         def build() -> Iterator[Tuple[K, Tuple[V, W]]]:
             left: Dict[K, List[V]] = {}
             for source in self._sources:
-                for key, value in source():
+                for key, value in _records(source):
                     left.setdefault(key, []).append(value)
             results: List[Tuple[K, Tuple[V, W]]] = []
             for source in other._sources:
-                for key, wvalue in source():
+                for key, wvalue in _records(source):
                     for lvalue in left.get(key, ()):
                         results.append((key, (lvalue, wvalue)))
             return iter(results)
@@ -259,13 +286,35 @@ class Dataset(Generic[T]):
         """Stream every record of every partition."""
         for source in self._sources:
             telemetry.count("dataflow_partitions_scanned")
-            yield from source()
+            yield from _records(source)
+
+    def blocks(self) -> Iterator[Sequence[T]]:
+        """Stream the same records block-wise: every :class:`Block` a source
+        yields as it is, the single records between two blocks as a list."""
+        for source in self._sources:
+            telemetry.count("dataflow_partitions_scanned")
+            singles: List[T] = []
+            for item in source():
+                if not isinstance(item, Block):
+                    singles.append(item)
+                    continue
+                if singles:
+                    yield singles
+                    singles = []
+                yield item.records
+            if singles:
+                yield singles
 
     def collect(self) -> List[T]:
         return list(self.iterate())
 
     def count(self) -> int:
-        return sum(1 for _ in self.iterate())
+        total = 0
+        for source in self._sources:
+            telemetry.count("dataflow_partitions_scanned")
+            for item in source():
+                total += len(item.records) if isinstance(item, Block) else 1
+        return total
 
     def take(self, count: int) -> List[T]:
         return list(itertools.islice(self.iterate(), count))
@@ -309,20 +358,20 @@ def _replay(bucket: List[T]) -> PartitionSource:
 
 
 def _mapped(source: PartitionSource, fn: Callable[[T], U]) -> PartitionSource:
-    return lambda: (fn(item) for item in source())
+    return lambda: (fn(item) for item in _records(source))
 
 
 def _filtered(
     source: PartitionSource, predicate: Callable[[T], bool]
 ) -> PartitionSource:
-    return lambda: (item for item in source() if predicate(item))
+    return lambda: (item for item in _records(source) if predicate(item))
 
 
 def _flat_mapped(
     source: PartitionSource, fn: Callable[[T], Iterable[U]]
 ) -> PartitionSource:
     def generate() -> Iterator[U]:
-        for item in source():
+        for item in _records(source):
             yield from fn(item)
 
     return generate
@@ -331,7 +380,7 @@ def _flat_mapped(
 def _partition_mapped(
     source: PartitionSource, fn: Callable[[Iterator[T]], Iterator[U]]
 ) -> PartitionSource:
-    return lambda: fn(source())
+    return lambda: fn(_records(source))
 
 
 def _guarded(

@@ -37,10 +37,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.quality.registry import dotted_name
 
 #: Bump to invalidate all cached facts when extraction semantics change.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 #: Method names that mutate their receiver in place — a call to one of
-#: these on a module-global name counts as a write to that global.
+#: these on a module-global name counts as a write to that global, unless
+#: an ``import`` statement bound the name: that is a module, and
+#: ``np.append(a, b)`` is a function call, not a mutation of ``np``.
 _MUTATOR_METHODS = {
     "append",
     "extend",
@@ -254,9 +256,12 @@ def summarize_module(module: str, tree: ast.Module) -> ModuleSummary:
     summary = ModuleSummary(module=module)
     summary.imports = _import_map(tree)
     module_globals: Set[str] = set()
+    imported_modules: Set[str] = set()
     module_calls: Set[str] = set()
     for statement in _import_time_statements(tree.body):
         _collect_bound_names(statement, module_globals)
+        if isinstance(statement, ast.Import):
+            _collect_bound_names(statement, imported_modules)
         for node in ast.walk(statement):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 break  # function bodies don't run at import time
@@ -268,7 +273,7 @@ def summarize_module(module: str, tree: ast.Module) -> ModuleSummary:
     summary.module_calls = tuple(sorted(module_calls))
     for qualname, node, class_name in _walk_functions(tree):
         summary.functions[qualname] = _summarize_function(
-            qualname, node, module_globals, class_name
+            qualname, node, module_globals, imported_modules, class_name
         )
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -465,6 +470,7 @@ def _summarize_function(
     qualname: str,
     node,
     module_globals: Set[str],
+    imported_modules: Set[str],
     class_name: Optional[str],
 ) -> FunctionInfo:
     info = FunctionInfo(qualname=qualname, line=node.lineno)
@@ -506,7 +512,9 @@ def _summarize_function(
             )
         )
 
-    _collect_global_accesses(node, module_globals, local_names, declared_global, info)
+    _collect_global_accesses(
+        node, module_globals, imported_modules, local_names, declared_global, info
+    )
     _analyze_return_taint(node, info)
     return info
 
@@ -568,6 +576,7 @@ def _local_constructors(node) -> Dict[str, str]:
 def _collect_global_accesses(
     node,
     module_globals: Set[str],
+    imported_modules: Set[str],
     local_names: Set[str],
     declared_global: Set[str],
     info: FunctionInfo,
@@ -575,6 +584,7 @@ def _collect_global_accesses(
     visible_globals = (module_globals | declared_global) - (
         local_names - declared_global
     )
+    containers = visible_globals - imported_modules
     for sub in ast.walk(node):
         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not node:
             continue
@@ -592,7 +602,7 @@ def _collect_global_accesses(
                 isinstance(func, ast.Attribute)
                 and func.attr in _MUTATOR_METHODS
                 and isinstance(func.value, ast.Name)
-                and func.value.id in visible_globals
+                and func.value.id in containers
             ):
                 info.global_writes.append(
                     GlobalAccess(name=func.value.id, line=sub.lineno, kind="mutate")

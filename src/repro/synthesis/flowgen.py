@@ -5,7 +5,10 @@ Three fidelity tiers (DESIGN.md §5), all deterministic per (seed, day):
 * :meth:`TrafficGenerator.generate_day` — the **aggregate tier**: per
   (subscriber, service) daily usage rows plus per-service protocol volume
   rows.  This is exactly the output schema of the stage-1 aggregation job,
-  and what the 54-month analyses consume.
+  and what the 54-month analyses consume.  The usage rows are born
+  columnar: ``DayTraffic.usage`` is a
+  :class:`~repro.dataflow.columnar.ColumnBatch` over the day skeleton's
+  arrays, a sequence of :class:`DailyUsage` only to whoever iterates it.
 * :meth:`TrafficGenerator.generate_hourly` — 10-minute-bin volumes for the
   hour-of-day analysis (Fig. 4).
 * :meth:`TrafficGenerator.expand_flows_batch` — the **flow tier**: usage
@@ -23,11 +26,11 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnSpec, ColumnarCodec
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.dataflow.datalake import LineCodec, tsv_codec
 from repro.services import catalog
 from repro.synthesis import studycalendar
@@ -101,17 +104,18 @@ class DaySkeleton:
     Every RNG stream of a day is drawn at full population width whatever
     subscriber range a task covers (DESIGN.md §15), so the skeleton is
     identical in every shard of the day; only ``emit_positions`` — the
-    rows the task materialized as :class:`DailyUsage` objects — differs.
-    The hourly and flow tiers read the skeleton, never the row objects,
-    which is what lets a shard reproduce the whole day's draw sequence
-    without the other shards' rows.
+    rows the task emits as its ``usage`` batch — differs.  The hourly and
+    flow tiers read the skeleton, never the emitted rows, which is what
+    lets a shard reproduce the whole day's draw sequence without the
+    other shards' rows.
     """
 
     services: Tuple[str, ...]  # distinct services, first-appearance order
-    row_service: np.ndarray  # int64 codes into ``services``
+    pops: Tuple[str, ...]  # distinct PoPs, first-appearance order over subscribers
+    row_service: np.ndarray  # int32 codes into ``services``
     row_subscriber: np.ndarray  # int64
     row_ftth: np.ndarray  # bool
-    row_pop: np.ndarray  # str
+    row_pop: np.ndarray  # int32 codes into ``pops``
     row_bytes_down: np.ndarray  # int64
     row_bytes_up: np.ndarray  # int64
     row_flows: np.ndarray  # int64
@@ -130,10 +134,16 @@ class DayTraffic:
     ``usage`` holds the rows of the whole population unless
     :meth:`TrafficGenerator.generate_day` was given a subscriber range;
     ``protocols`` and ``skeleton`` always describe the whole day.
+
+    ``usage`` is a :class:`~repro.dataflow.columnar.ColumnBatch` over the
+    skeleton's arrays — the arrays themselves when the whole population
+    is emitted, their rows at ``emit_positions`` otherwise: a sequence of
+    :class:`DailyUsage` to whoever iterates it, columns to stage-1 and the
+    lake, which never do.
     """
 
     day: datetime.date
-    usage: Tuple[DailyUsage, ...]
+    usage: Sequence[DailyUsage]
     protocols: Tuple[ProtocolUsage, ...]
     #: Compared by identity only (array-wise ``==`` is ambiguous), so it
     #: stays out of traffic equality: the rows above already pin the day.
@@ -169,33 +179,14 @@ USAGE_CODEC: ColumnarCodec[DailyUsage] = ColumnarCodec(
     columns=[
         ColumnSpec("day", "date"),
         ColumnSpec("subscriber_id", "int"),
-        ColumnSpec("technology", "str"),
+        ColumnSpec("technology", "str", enum=Technology),
         ColumnSpec("pop", "str"),
         ColumnSpec("service", "str"),
         ColumnSpec("bytes_down", "int"),
         ColumnSpec("bytes_up", "int"),
         ColumnSpec("flows", "int"),
     ],
-    to_row=lambda row: (
-        row.day,
-        row.subscriber_id,
-        row.technology.value,
-        row.pop,
-        row.service,
-        row.bytes_down,
-        row.bytes_up,
-        row.flows,
-    ),
-    from_row=lambda row: DailyUsage(
-        day=row[0],
-        subscriber_id=row[1],
-        technology=Technology(row[2]),
-        pop=row[3],
-        service=row[4],
-        bytes_down=row[5],
-        bytes_up=row[6],
-        flows=row[7],
-    ),
+    record=DailyUsage,
     zone_columns=("service", "pop", "technology"),
     day_column="day",
 )
@@ -221,32 +212,24 @@ PROTOCOL_CODEC: ColumnarCodec[ProtocolUsage] = ColumnarCodec(
     columns=[
         ColumnSpec("day", "date"),
         ColumnSpec("service", "str"),
-        ColumnSpec("protocol", "str"),
+        ColumnSpec("protocol", "str", enum=WebProtocol),
         ColumnSpec("total_bytes", "int"),
     ],
-    to_row=lambda row: (
-        row.day,
-        row.service,
-        row.protocol.value,
-        row.total_bytes,
-    ),
-    from_row=lambda row: ProtocolUsage(
-        day=row[0],
-        service=row[1],
-        protocol=WebProtocol(row[2]),
-        total_bytes=row[3],
-    ),
+    record=ProtocolUsage,
     zone_columns=("service", "protocol"),
     day_column="day",
 )
 
 
+#: ``technology`` codes of a usage batch: ``row_ftth`` cast to an integer.
+_TECHNOLOGY_VALUES = (Technology.ADSL.value, Technology.FTTH.value)
+
+
 class _DayRows:
     """Accumulates a day's usage blocks in canonical emission order.
 
-    Every block extends the full-width :class:`DaySkeleton`; only the
-    subscribers inside ``[lo, hi)`` are materialized as
-    :class:`DailyUsage` rows.
+    Every block extends the full-width :class:`DaySkeleton`; the rows of
+    the subscribers inside ``[lo, hi)`` are the ones the day emits.
     """
 
     def __init__(
@@ -256,7 +239,6 @@ class _DayRows:
         self.day = day
         self.lo = lo
         self.hi = hi
-        self.usage: List[DailyUsage] = []
         self._services: Dict[str, int] = {}
         self._blocks: List[
             Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -274,51 +256,33 @@ class _DayRows:
     ) -> None:
         """One block of rows, aligned by position (all int64)."""
         local = np.nonzero((subscribers >= self.lo) & (subscribers < self.hi))[0]
-        technologies = self._generator._technologies
-        pops = self._generator._pop_names
-        day = self.day
-        self.usage.extend(
-            DailyUsage(
-                day=day,
-                subscriber_id=subscriber,
-                technology=technologies[subscriber],
-                pop=pops[subscriber],
-                service=service,
-                bytes_down=down,
-                bytes_up=up,
-                flows=count,
-            )
-            for subscriber, down, up, count in zip(
-                subscribers[local].tolist(),
-                bytes_down[local].tolist(),
-                bytes_up[local].tolist(),
-                flows[local].tolist(),
-            )
-        )
         self._emit_positions.append(self._offset + local)
         code = self._services.setdefault(service, len(self._services))
         self._blocks.append((code, subscribers, bytes_down, bytes_up, flows))
         self._offset += subscribers.size
 
     def traffic(self, protocols: Tuple[ProtocolUsage, ...]) -> DayTraffic:
-        """The finished day: emitted rows plus the full-day skeleton."""
+        """The finished day: the full-day skeleton and its emitted rows."""
 
-        def joined(parts: List[np.ndarray]) -> np.ndarray:
+        def joined(parts: List[np.ndarray], dtype: type = np.int64) -> np.ndarray:
             if not parts:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(parts).astype(np.int64, copy=False)
+                return np.empty(0, dtype=dtype)
+            return np.concatenate(parts).astype(dtype, copy=False)
 
+        generator = self._generator
         row_subscriber = joined([block[1] for block in self._blocks])
         row_down = joined([block[2] for block in self._blocks])
-        row_ftth = self._generator._is_ftth[row_subscriber]
+        row_ftth = generator._is_ftth[row_subscriber]
         skeleton = DaySkeleton(
             services=tuple(self._services),
+            pops=generator._pop_names,
             row_service=joined(
-                [np.full(block[1].size, block[0]) for block in self._blocks]
+                [np.full(block[1].size, block[0]) for block in self._blocks],
+                np.int32,
             ),
             row_subscriber=row_subscriber,
             row_ftth=row_ftth,
-            row_pop=self._generator._pops[row_subscriber],
+            row_pop=generator._pop_codes[row_subscriber],
             row_bytes_down=row_down,
             row_bytes_up=joined([block[3] for block in self._blocks]),
             row_flows=joined([block[4] for block in self._blocks]),
@@ -328,11 +292,29 @@ class _DayRows:
                 Technology.FTTH: int(row_down[row_ftth].sum()),
             },
         )
+        usage: ColumnBatch[DailyUsage] = ColumnBatch(
+            USAGE_CODEC,
+            {
+                "day": np.full(skeleton.row_count, self.day.toordinal()),
+                "subscriber_id": skeleton.row_subscriber,
+                "technology": skeleton.row_ftth,
+                "pop": skeleton.row_pop,
+                "service": skeleton.row_service,
+                "bytes_down": skeleton.row_bytes_down,
+                "bytes_up": skeleton.row_bytes_up,
+                "flows": skeleton.row_flows,
+            },
+            {
+                "day": {self.day.toordinal(): self.day},
+                "technology": _TECHNOLOGY_VALUES,
+                "pop": skeleton.pops,
+                "service": skeleton.services,
+            },
+        )
+        if skeleton.emit_positions.size != skeleton.row_count:
+            usage = usage.take(skeleton.emit_positions)
         return DayTraffic(
-            day=self.day,
-            usage=tuple(self.usage),
-            protocols=protocols,
-            skeleton=skeleton,
+            day=self.day, usage=usage, protocols=protocols, skeleton=skeleton
         )
 
 
@@ -344,13 +326,16 @@ class TrafficGenerator:
         subscribers = world.population.subscribers
         self._count = len(subscribers)
         self._ids = np.arange(self._count)
-        self._technologies = [sub.technology for sub in subscribers]
         self._is_ftth = np.array(
-            [technology is Technology.FTTH for technology in self._technologies]
+            [sub.technology is Technology.FTTH for sub in subscribers], dtype=bool
         )
         self._business = np.array([sub.business for sub in subscribers])
-        self._pop_names = [sub.pop for sub in subscribers]
-        self._pops = np.array(self._pop_names)
+        pop_codes: Dict[str, int] = {}
+        self._pop_codes = np.array(
+            [pop_codes.setdefault(sub.pop, len(pop_codes)) for sub in subscribers],
+            dtype=np.int32,
+        )
+        self._pop_names = tuple(pop_codes)  # distinct, first-appearance order
         self._activity = np.array([sub.activity for sub in subscribers])
         self._heaviness = (
             np.array([sub.heaviness for sub in subscribers]) * _HEAVINESS_NORM
@@ -384,10 +369,11 @@ class TrafficGenerator:
         rng = self.world.day_rng(day, stream=0)
         ordinal = day.toordinal()
         subscribed = (self._join <= ordinal) & (self._leave >= ordinal)
-        probe_up = np.array(
-            [not self.world.outages.is_down(pop, day) for pop in self._pops]
+        pop_up = np.array(
+            [not self.world.outages.is_down(pop, day) for pop in self._pop_names],
+            dtype=bool,
         )
-        observed = subscribed & probe_up
+        observed = subscribed & pop_up[self._pop_codes]
         if not observed.any():
             return rows.traffic(protocols=())
 
@@ -506,8 +492,9 @@ class TrafficGenerator:
                 protocol_totals.items(), key=lambda item: (item[0][0], item[0][1].value)
             )
         )
-        telemetry.count("usage_rows_generated", len(rows.usage))
-        return rows.traffic(protocols=protocol_rows)
+        traffic = rows.traffic(protocols=protocol_rows)
+        telemetry.count("usage_rows_generated", len(traffic.usage))
+        return traffic
 
     # -- hourly tier -----------------------------------------------------------
 
@@ -757,14 +744,9 @@ class TrafficGenerator:
             ),
             np.int64, positions.size,
         )
-        vantage_table = StringTable()
         row_vantage = np.zeros(row_count, dtype=np.int64)
-        row_vantage[skeleton.emit_positions] = np.fromiter(
-            (
-                vantage_table.intern(pop)
-                for pop in skeleton.row_pop[skeleton.emit_positions].tolist()
-            ),
-            np.int64, skeleton.emit_positions.size,
+        row_vantage[skeleton.emit_positions], vantages = (
+            traffic.usage.canonical_codes("pop")
         )
 
         batch = FlowBatch(
@@ -788,7 +770,7 @@ class TrafficGenerator:
             rtt_max=rtt_max[keep],
             vantage_id=row_vantage[flow_row],
             names=names_table.values(),
-            vantages=vantage_table.values(),
+            vantages=tuple(vantages),
         )
         telemetry.count("flows_expanded", len(batch))
         return batch, positions

@@ -3,8 +3,11 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytics.activity import (
+    SubscriberDay,
     activity_rate,
     active_subscribers_by_day,
     subscriber_days,
@@ -15,9 +18,13 @@ from repro.analytics.aggregate import (
     classify_flow,
     subscriber_day_totals,
 )
+from repro.analytics.popularity import DailyServiceStats, daily_service_stats
+from repro.core.study import StudyData, aggregate_usage_day
+from repro.dataflow.columnar import ColumnBatch
 from repro.dataflow.engine import Dataset
 from repro.services import catalog
-from repro.synthesis.flowgen import DailyUsage
+from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
+from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
 from repro.tstat.flow import FlowRecord, NameSource, Transport, WebProtocol
 
@@ -193,3 +200,170 @@ class TestTiersAgree:
         assert set(recovered) == set(original)
         for key in original:
             assert recovered[key] == original[key]
+
+
+# ----------------------------------------------------------------------
+# The stage-1 arithmetic is vectorised over column batches; the row loops
+# it replaced live on here as the oracle it must agree with — values *and*
+# order, down to dict-key and set insertion order, which the pickled day
+# partials (and so the byte-compared checkpoints) depend on.
+
+
+def oracle_subscriber_days(usage, criterion):
+    totals = {}
+    for row in usage:
+        key = (row.day, row.subscriber_id)
+        entry = totals.get(key)
+        if entry is None:
+            totals[key] = [row.technology, row.bytes_down, row.bytes_up, row.flows]
+        else:
+            entry[1] += row.bytes_down
+            entry[2] += row.bytes_up
+            entry[3] += row.flows
+    return [
+        SubscriberDay(
+            day=day,
+            subscriber_id=subscriber_id,
+            technology=technology,
+            bytes_down=down,
+            bytes_up=up,
+            flows=flows,
+            active=criterion.is_active(flows, down, up),
+        )
+        for (day, subscriber_id), (technology, down, up, flows) in totals.items()
+    ]
+
+
+def oracle_daily_service_stats(usage, subscriber_days, classifier, technology):
+    active = active_subscribers_by_day(
+        entry
+        for entry in subscriber_days
+        if technology is None or entry.technology is technology
+    )
+    visitors, down, total, visitor_bytes = {}, {}, {}, {}
+    for row in usage:
+        if technology is not None and row.technology is not technology:
+            continue
+        if row.subscriber_id not in active.get(row.day, ()):
+            continue
+        key = (row.day, row.service)
+        row_total = row.bytes_down + row.bytes_up
+        down[key] = down.get(key, 0) + row.bytes_down
+        total[key] = total.get(key, 0) + row_total
+        if classifier.is_visit(row.service, row_total):
+            visitors.setdefault(key, set()).add(row.subscriber_id)
+            visitor_bytes[key] = visitor_bytes.get(key, 0) + row_total
+    return [
+        DailyServiceStats(
+            day=key[0],
+            service=key[1],
+            visitors=len(visitors.get(key, ())),
+            active_subscribers=len(active.get(key[0], ())),
+            bytes_down=down[key],
+            bytes_total=total[key],
+            visitor_bytes=visitor_bytes.get(key, 0),
+            technology=technology,
+        )
+        for key in sorted(total)
+    ]
+
+
+def oracle_weekly(day, usage, day_rows, classifier):
+    iso_year, iso_week, _ = day.isocalendar()
+    weekly_active, weekly_visitors = {}, {}
+    active_by_id = {
+        entry.subscriber_id: entry.technology for entry in day_rows if entry.active
+    }
+    for subscriber_id, technology in active_by_id.items():
+        weekly_active.setdefault((iso_year, iso_week, technology), set()).add(
+            subscriber_id
+        )
+    for row in usage:
+        technology = active_by_id.get(row.subscriber_id)
+        if technology is None:
+            continue
+        if classifier.is_visit(row.service, row.bytes_down + row.bytes_up):
+            weekly_visitors.setdefault(
+                (iso_year, iso_week, row.service, technology), set()
+            ).add(row.subscriber_id)
+    return weekly_active, weekly_visitors
+
+
+def in_insertion_order(sets_by_key):
+    return [(key, list(members)) for key, members in sets_by_key.items()]
+
+
+COMPARISON_DAY = datetime.date(2017, 4, 12)  # inside a weekly-reach month
+
+usage_rows = st.lists(
+    st.builds(
+        DailyUsage,
+        day=st.sampled_from(
+            [COMPARISON_DAY + datetime.timedelta(days=offset) for offset in range(3)]
+        ),
+        subscriber_id=st.integers(0, 6),  # few ids: repeated (subscriber, service)
+        technology=st.sampled_from(list(Technology)),
+        pop=st.sampled_from(["pop1", "pop2"]),
+        service=st.sampled_from(
+            [catalog.OTHER, catalog.FACEBOOK, catalog.WHATSAPP, "unlisted"]
+        ),
+        # straddle the activity criterion (15 kB / 5 kB / 10 flows) and the
+        # visit thresholds (10 kB fallback ... 200 kB Facebook)
+        bytes_down=st.sampled_from([0, 4_000, 9_999, 10_000, 15_001, 199_000, 250_000]),
+        bytes_up=st.sampled_from([0, 1, 1_000, 5_001, 9_000]),
+        flows=st.integers(0, 12),
+    ),
+    max_size=40,
+)
+
+
+class TestVectorisedStageOneMatchesRowOracle:
+    @given(usage_rows)
+    @settings(max_examples=150, deadline=None)
+    def test_values_and_order(self, rows):
+        criterion, classifier = ActiveSubscriberCriterion(), VisitClassifier()
+        batch = ColumnBatch.of(rows, USAGE_CODEC)
+        assert list(batch) == rows and batch == rows
+
+        expected_days = oracle_subscriber_days(rows, criterion)
+        for usage in (rows, batch, iter(rows)):
+            assert subscriber_days(usage, criterion) == expected_days
+        for technology in (None, *Technology):
+            expected = oracle_daily_service_stats(
+                rows, expected_days, classifier, technology
+            )
+            for usage in (rows, batch):
+                assert (
+                    daily_service_stats(usage, expected_days, classifier, technology)
+                    == expected
+                )
+        # a caller-supplied subscriber-day list need not come from these rows
+        foreign = [
+            SubscriberDay(COMPARISON_DAY, 3, Technology.ADSL, 1, 1, 1, True),
+            SubscriberDay(COMPARISON_DAY, 3, Technology.ADSL, 1, 1, 1, True),
+            SubscriberDay(COMPARISON_DAY, 99, Technology.FTTH, 1, 1, 1, True),
+            SubscriberDay(COMPARISON_DAY, 4, Technology.FTTH, 1, 1, 1, False),
+        ]
+        assert daily_service_stats(
+            batch, foreign, classifier
+        ) == oracle_daily_service_stats(rows, foreign, classifier, None)
+
+        data = StudyData()
+        stored = aggregate_usage_day(data, COMPARISON_DAY, batch, criterion, classifier)
+        assert stored == expected_days == data.subscriber_days[COMPARISON_DAY]
+        assert data.service_stats == [
+            cell
+            for technology in Technology
+            for cell in oracle_daily_service_stats(
+                rows, expected_days, classifier, technology
+            )
+        ]
+        weekly_active, weekly_visitors = oracle_weekly(
+            COMPARISON_DAY, rows, expected_days, classifier
+        )
+        assert in_insertion_order(data.weekly_active) == in_insertion_order(
+            weekly_active
+        )
+        assert in_insertion_order(data.weekly_visitors) == in_insertion_order(
+            weekly_visitors
+        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.engine import Dataset
+from repro.dataflow.engine import Block, Dataset
 
 ints = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=100)
 
@@ -152,3 +152,78 @@ class TestActions:
             .collect()
         )
         assert sorted(result) == sorted(x * 3 for x in values if x * 3 > 0)
+
+
+class TestBlocks:
+    """A partition source may yield a whole block of records at once;
+    records may be tuples themselves, hence the explicit marker."""
+
+    FLAT = [(0, "a"), (1, "b"), (2, "c"), (3, "d"), (4, "e"), (5, "f"), (6, "g")]
+
+    @staticmethod
+    def blocky():
+        def first():
+            yield (0, "a")
+            yield Block([(1, "b"), (2, "c"), (3, "d")])
+            yield (4, "e")
+
+        def second():
+            yield Block(((5, "f"),))
+            yield Block(())
+            yield (6, "g")
+
+        return Dataset.from_partitions([first, second])
+
+    def test_records_are_seen_one_by_one(self):
+        flat = Dataset.from_partitions([lambda: iter(self.FLAT)])
+        for dataset in (self.blocky(), flat):
+            assert dataset.collect() == self.FLAT
+            assert dataset.count() == len(self.FLAT)
+            assert dataset.take(3) == self.FLAT[:3]
+            assert dataset.map(lambda pair: pair[0]).collect() == list(range(7))
+            assert dataset.filter(lambda pair: pair[0] % 2).collect() == self.FLAT[1::2]
+            assert dataset.flat_map(lambda pair: pair).count() == 14
+            assert dataset.map_partitions(lambda items: iter([len(list(items))])).sum() == 7
+            assert dataset.distinct().collect() == self.FLAT
+            assert dataset.count_by_key() == {key: 1 for key in range(7)}
+            assert dataset.reduce_by_key(max).collect_as_map() == dict(self.FLAT)
+            assert dataset.join(dataset).count() == 7
+            assert dataset.union(dataset).count() == 14
+
+    def test_blocks_stream_blocks_and_gather_single_records(self):
+        blocks = list(self.blocky().blocks())
+        assert [list(block) for block in blocks] == [
+            [(0, "a")],
+            [(1, "b"), (2, "c"), (3, "d")],
+            [(4, "e")],
+            [(5, "f")],
+            [],
+            [(6, "g")],
+        ]
+        assert [record for block in blocks for record in block] == self.FLAT
+        flat = Dataset.from_partitions([lambda: iter(self.FLAT)])
+        assert list(flat.blocks()) == [self.FLAT]  # one list per record-only partition
+        assert list(Dataset.empty().blocks()) == []
+
+    def test_guard_keeps_what_came_before_the_failure(self):
+        def torn():
+            yield (0, "a")
+            yield Block([(1, "b"), (2, "c")])
+            raise OSError("torn tail")
+
+        seen = []
+
+        def handler(index, exc):
+            seen.append((index, type(exc)))
+            return True
+
+        guarded = Dataset.from_partitions([torn, lambda: iter([(9, "z")])])
+        guarded = guarded.guard_partitions(handler)
+        assert guarded.collect() == [(0, "a"), (1, "b"), (2, "c"), (9, "z")]
+        assert guarded.count() == 4
+        assert [list(block) for block in guarded.blocks()] == [
+            [(0, "a")], [(1, "b"), (2, "c")], [(9, "z")],
+        ]
+        assert seen == [(0, OSError)] * 3
+        with pytest.raises(OSError):
+            Dataset.from_partitions([torn]).guard_partitions(lambda *_: False).count()

@@ -8,6 +8,7 @@ import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import repro.core.persistence  # noqa: F401 — registers fsck table codecs
@@ -21,6 +22,8 @@ from repro.core.persistence import (
     run_replay,
 )
 from repro.core.config import StudyConfig
+from repro.core.study import LongitudinalStudy
+from repro.dataflow.columnar import ColumnBatch
 from repro.dataflow.datalake import DataLake, LineCodec, tsv_codec
 from repro.dataflow.engine import Dataset
 from repro.dataflow.integrity import (
@@ -47,6 +50,7 @@ from repro.dataflow.integrity import (
     verify_partition,
     write_manifest,
 )
+import repro.synthesis.flowgen as flowgen
 from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC
 from repro.synthesis.world import WorldConfig
 
@@ -87,6 +91,36 @@ def write_drifted_hourly(root, day, write_format, rows=4):
         ],
         HOURLY_CODEC,
     )
+
+
+def write_dateless_hourly(root, day, rows=4):
+    """An ``hourly`` chunk from a foreign (or buggy) producer: column CRCs,
+    header and sidecar all agree, but the second row's ``day`` is ordinal
+    0, which no :class:`datetime.date` has — a value that cannot become a
+    cell, let alone a record."""
+
+    class ForeignBatch(ColumnBatch):
+        def zone(self, partition_day):  # the producer's zone map names the day
+            return {
+                "day_min": partition_day.isoformat(),
+                "day_max": partition_day.isoformat(),
+                "rows": len(self),
+                "columns": {"technology": ["adsl"]},
+            }
+
+    ordinals = np.full(rows, day.toordinal())
+    ordinals[1] = 0
+    batch = ForeignBatch(
+        HOURLY_CODEC,
+        {
+            "day": ordinals,
+            "technology": np.zeros(rows),
+            "bin_index": np.arange(rows),
+            "bytes_down": 100 + np.arange(rows),
+        },
+        {"technology": ["adsl"]},
+    )
+    DataLake(root, write_format="v2").write_day(HOURLY_TABLE, day, batch, HOURLY_CODEC)
 
 
 def finding_kinds(findings, table, day):
@@ -715,6 +749,19 @@ class TestChunkCorruption:
         damaged.append((HOURLY_TABLE, days[4], HOURLY_CODEC, RecordDecodeError))
         drifted = finding_kinds(fsck_lake(lake).findings, HOURLY_TABLE, days[4])
         assert drifted == ["record"] * 4  # each bad row named, as for v1
+        # and one more: sound bytes holding a value that cannot become a cell
+        write_dateless_hourly(lake.root, days[5])
+        damaged.append((HOURLY_TABLE, days[5], HOURLY_CODEC, RecordDecodeError))
+        report = fsck_lake(lake)  # never raises on damage
+        dateless = [f for f in report.findings if f.day == days[5]]
+        assert [(f.table, f.kind) for f in dateless] == [(HOURLY_TABLE, "record")]
+        assert dateless[0].detail.startswith("line 2: ")  # its stored row number
+        with pytest.raises(RecordDecodeError, match="line 2"):  # unguarded read
+            lake.read_day(HOURLY_TABLE, days[5], HOURLY_CODEC).collect()
+        skip = LakeIntegrity.for_lake_root(lake.root, policy="skip")
+        survivors = lake.read_day(HOURLY_TABLE, days[5], HOURLY_CODEC, skip).collect()
+        assert [row.bin_index for row in survivors] == [0, 2, 3]  # the read finishes
+        assert skip.ledger.report_for(days[5]).quality == 0.75
         assert_walks_agree(lake, tmp_path / "walks", damaged, default_codecs())
 
     def test_line_oriented_kinds_refuse_binary_chunks(
@@ -815,3 +862,38 @@ class TestChunkCorruption:
             calls.update(read_bytes=0, decompress=0)
             walk()
             assert calls == {"read_bytes": len(chunks), "decompress": columns}
+
+    def test_clean_walks_build_no_usage_row(
+        self, pristine_v2_lake, tmp_path, monkeypatch
+    ):
+        """``fsck``, a strict replay and a counting scan of a clean v2 lake
+        vouch for, reduce and count the usage rows as columns: not one
+        :class:`DailyUsage` is constructed.  Whoever asks for rows gets them."""
+        lake = copy_lake(pristine_v2_lake, tmp_path / "lake")
+        days = lake.days(USAGE_TABLE)[:3]
+        for day in lake.days(USAGE_TABLE)[3:]:  # keep a clean 3-day lake
+            for table in lake.tables():
+                shutil.rmtree(lake.day_dir(table, day), ignore_errors=True)
+        generator = LongitudinalStudy(replay_config()).generator
+        written = {day: list(generator.generate_day(day).usage) for day in days}
+        rows = sum(len(usage) for usage in written.values())
+        assert rows > 100
+
+        built = []
+        construct = flowgen.DailyUsage.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(flowgen.DailyUsage, "__init__", counting_init)
+        assert fsck_lake(lake).clean
+        replayed = run_replay(lake, [], policy="strict").data
+        assert sorted(replayed.subscriber_days) == days
+        counted = lake.read_range(USAGE_TABLE, days[0], days[-1], USAGE_CODEC).count()
+        assert counted == rows
+        assert built == []
+        for day in days:
+            collected = lake.read_day(USAGE_TABLE, day, USAGE_CODEC).collect()
+            assert type(collected) is list and collected == written[day]
+        assert len(built) == rows

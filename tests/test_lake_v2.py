@@ -16,12 +16,20 @@ import repro.core.persistence  # noqa: F401 — registers fsck table codecs
 from repro.core.config import StudyConfig
 from repro.core.parallel import execute_study
 from repro.core.persistence import (
+    HOURLY_CODEC,
+    HOURLY_TABLE,
     PROTOCOL_TABLE,
     USAGE_TABLE,
     PersistingStudy,
     replay_study,
 )
-from repro.dataflow.columnar import ScanPredicate, read_chunk, zone_map
+from repro.dataflow.columnar import (
+    ColumnBatch,
+    ScanPredicate,
+    encode_chunk,
+    read_chunk,
+    zone_map,
+)
 from repro.dataflow.datalake import DataLake
 from repro.dataflow.integrity import fsck_lake, load_manifest
 from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC
@@ -232,3 +240,42 @@ class TestChunkRoundTrip:
             lake.day_dir(USAGE_TABLE, day) / "part-0.colchunk"
         )
         assert manifest.zone == zone
+
+    @pytest.mark.parametrize("table", [USAGE_TABLE, PROTOCOL_TABLE, HOURLY_TABLE])
+    def test_batch_is_its_rows(self, tmp_path, generator, table):
+        """A batch, the list of its records and a generator over them encode
+        to the same bytes, and the batch reads as that list."""
+        day = D(2017, 4, 12)
+        traffic = generator.generate_day(day)
+        rows, codec = {
+            USAGE_TABLE: (list(traffic.usage), USAGE_CODEC),
+            PROTOCOL_TABLE: (list(traffic.protocols), PROTOCOL_CODEC),
+            HOURLY_TABLE: (generator.generate_hourly(day, traffic), HOURLY_CODEC),
+        }[table]
+        assert len(rows) > 3
+        batch = ColumnBatch.of(rows, codec)
+        assert ColumnBatch.of(batch, codec) is batch
+        encoded = encode_chunk(batch, codec, day)
+        assert encoded == encode_chunk(rows, codec, day)
+        assert encoded == encode_chunk((row for row in rows), codec, day)
+        # whatever dictionary a batch carries, the bytes are canonical
+        backwards = ColumnBatch.of(rows[::-1], codec)
+        assert encoded == encode_chunk(backwards[::-1], codec, day)
+        stored = DataLake(tmp_path, write_format="v2").write_day(table, day, batch, codec)
+        assert encoded == (stored.read_bytes(), load_manifest(stored))
+        assert DataLake(tmp_path).read_day(table, day, codec).collect() == rows
+
+        assert list(batch) == rows and batch == rows and rows == batch
+        assert len(batch) == len(rows) and batch
+        assert batch[0] == rows[0] and batch[-1] == rows[-1] and batch[2] == rows[2]
+        assert type(batch[0]) is type(rows[0])
+        assert batch[1:3] == rows[1:3] and batch[::2] == rows[::2]
+        assert batch.take([2, 0]) == [rows[2], rows[0]]
+        assert batch != rows[:-1] and batch != rows[1:] + rows[:1]
+        with pytest.raises(IndexError):
+            batch[len(rows)]
+        empty = ColumnBatch.of([], codec)
+        assert not empty and len(empty) == 0 and list(empty) == [] and empty == []
+        halves = ColumnBatch.concat([rows[:2], batch[2:], empty], codec)
+        assert halves == rows
+        assert encode_chunk(halves, codec, day) == encoded

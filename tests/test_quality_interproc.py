@@ -229,6 +229,15 @@ class TestRpr008CrossProcessRace:
         )
         assert findings == []
 
+    def test_module_function_call_is_not_a_write(self):
+        # `_SEEN.append(day)` mutates a container; `np.append(days, day)`
+        # calls a function of a module bound by `import` and writes nothing.
+        findings = run_rule(
+            "RPR008", "racepkg/history.py", fork_entry="racepkg.history:_run_chunk"
+        )
+        assert [f.line for f in findings] == [12]
+        assert "_SEEN" in findings[0].message and "remember" in findings[0].message
+
     def test_requires_justified_suppression(self):
         from repro.quality.rules.race import CrossProcessRaceRule
 

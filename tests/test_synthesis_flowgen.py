@@ -4,6 +4,9 @@ import datetime
 
 import pytest
 
+import repro.synthesis.flowgen as flowgen
+from repro.core.shards import plan_shards
+from repro.dataflow.columnar import ColumnBatch
 from repro.services import catalog
 from repro.synthesis.flowgen import (
     PROTOCOL_CODEC,
@@ -95,6 +98,44 @@ class TestAggregateTier:
         )
         protocol_total = sum(row.total_bytes for row in day_traffic.protocols)
         assert protocol_total == pytest.approx(usage_total, rel=0.1)
+
+    def test_usage_is_columns_until_somebody_iterates(self, generator, monkeypatch):
+        built = []
+        construct = flowgen.DailyUsage.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(flowgen.DailyUsage, "__init__", counting_init)
+        usage = generator.generate_day(D(2016, 9, 14)).usage
+        assert usage and len(usage) > 100 and built == []
+        rows = list(usage)
+        assert len(built) == len(rows) == len(usage)
+        assert all(type(row) is flowgen.DailyUsage for row in rows)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_shard_batches_concatenate_to_the_whole_day(self, world, generator, shards):
+        day = D(2016, 9, 14)
+        whole = generator.generate_day(day)
+        parts = [
+            generator.generate_day(day, shard=spec.bounds)
+            for spec in plan_shards(len(world.population), shards)
+        ]
+        assert all(len(part.usage) < len(whole.usage) for part in parts[: shards - 1])
+        # shards emit disjoint subscriber ranges of the one canonical order
+        positions = [part.skeleton.emit_positions.tolist() for part in parts]
+        assert sorted(sum(positions, [])) == list(range(whole.skeleton.row_count))
+        merged = ColumnBatch.concat([part.usage for part in parts], USAGE_CODEC)
+        order = sorted(range(len(merged)), key=sum(positions, []).__getitem__)
+        assert merged.take(order) == whole.usage == list(whole.usage)
+        # the whole population is the skeleton's own arrays, not copies of them
+        for column, array in (
+            ("subscriber_id", whole.skeleton.row_subscriber),
+            ("service", whole.skeleton.row_service),
+            ("bytes_down", whole.skeleton.row_bytes_down),
+        ):
+            assert whole.usage.columns[column] is array
 
     def test_codec_roundtrip(self, day_traffic):
         row = day_traffic.usage[0]
