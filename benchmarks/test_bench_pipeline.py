@@ -100,20 +100,9 @@ def test_aggregate_tier_generation(benchmark):
     assert traffic.usage
 
 
-def test_flow_tier_expansion(benchmark):
-    """One day of probe-grade flow records (RTT/infrastructure input).
-
-    Times the compatibility row path: columnar build + ``to_records()``.
-    """
-    generator = TrafficGenerator(_world())
-    traffic = generator.generate_day(DAY)
-    flows = benchmark(generator.expand_flows, DAY, traffic)
-    assert flows
-    benchmark.extra_info["flows"] = len(flows)
-
-
 def test_flow_tier_expansion_columnar(benchmark):
-    """The pipeline's actual hot path: one day straight into a FlowBatch."""
+    """One day of probe-grade flows (RTT/infrastructure input), assembled
+    straight into a FlowBatch."""
     generator = TrafficGenerator(_world())
     traffic = generator.generate_day(DAY)
     batch = benchmark(generator.expand_flows_batch, DAY, traffic)
@@ -121,22 +110,9 @@ def test_flow_tier_expansion_columnar(benchmark):
     benchmark.extra_info["flows"] = len(batch)
 
 
-def test_stage1_flow_analytics_rows(benchmark):
-    """Stage-1 infrastructure + RTT consumers over FlowRecord rows."""
-    world = _world()
-    generator = TrafficGenerator(world)
-    rules = catalog.default_ruleset()
-    flows = generator.expand_flows(DAY)
-
-    census, _, _, samples = benchmark(
-        _stage1_flow_analytics, world, flows, rules
-    )
-    assert census and any(samples)
-    benchmark.extra_info["flows"] = len(flows)
-
-
 def test_stage1_flow_analytics_columnar(benchmark):
-    """Same consumers over a FlowBatch with one shared classification."""
+    """Stage-1 infrastructure + RTT consumers over a FlowBatch with one
+    shared classification."""
     world = _world()
     generator = TrafficGenerator(world)
     rules = catalog.default_ruleset()

@@ -9,36 +9,38 @@ Three views per service, all computed from flow records:
   monthly RIB archive;
 * **domain shares** (Fig. 11g-i): traffic per second-level domain.
 
-Every job accepts either a :class:`FlowRecord` iterable (row path) or a
-columnar :class:`~repro.tstat.flowbatch.FlowBatch` (vectorized path); the
-two produce identical results.  Batch callers that run several jobs over
-the same day pass the shared :class:`BatchServiceView` via ``codes=`` so
-classification happens exactly once per batch.
+Every job has one columnar body over a
+:class:`~repro.tstat.flowbatch.FlowBatch` and first normalises what it is
+handed with :meth:`FlowBatch.of` — a batch passes through, a lake block is
+adopted, a :class:`FlowRecord` list is turned into columns.  Callers that
+run several jobs over the same day normalise once themselves and pass the
+batch's shared :class:`BatchServiceView` via ``codes=`` so classification
+happens exactly once per batch.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.analytics.aggregate import classify_flow
 from repro.routing.rib import RibArchive
 from repro.services.rules import RuleSet
-from repro.tstat.flow import FlowRecord, second_level_domain
+from repro.tstat.flow import FlowRecord
 from repro.tstat.flowbatch import BatchServiceView, FlowBatch
 
-#: Every stage-1 flow analytic accepts rows or a columnar batch.
-Flows = Union[FlowBatch, Iterable[FlowRecord]]
 
-
-def _batch_view(
-    batch: FlowBatch, rules: RuleSet, codes: Optional[BatchServiceView]
-) -> BatchServiceView:
-    """The caller-shared classification, or one computed (and memoized) now."""
-    return codes if codes is not None else batch.service_view(rules)
+def _service_addresses(
+    flows: Iterable[FlowRecord],
+    rules: RuleSet,
+    service: str,
+    codes: Optional[BatchServiceView],
+) -> np.ndarray:
+    """The distinct server addresses of a service's flows, ascending."""
+    batch, view = FlowBatch.classified(flows, rules, codes)
+    return np.unique(batch.columns["server_ip"][view.flow_mask(service)])
 
 
 @dataclass(frozen=True)
@@ -131,17 +133,19 @@ class ServicePairs:
 
 
 def ip_service_pairs(
-    batch: FlowBatch,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     codes: Optional[BatchServiceView] = None,
 ) -> ServicePairs:
-    """The batch's distinct (server IP, service) pairs."""
-    view = _batch_view(batch, rules, codes)
-    return ServicePairs.distinct(batch.server_ip, view.flow_codes, view.services)
+    """The flows' distinct (server IP, service) pairs."""
+    batch, view = FlowBatch.classified(flows, rules, codes)
+    return ServicePairs.distinct(
+        batch.columns["server_ip"], view.flow_codes, view.services
+    )
 
 
 def daily_server_census(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     services: List[str],
     day: datetime.date,
@@ -152,31 +156,8 @@ def daily_server_census(
     An address is *shared* if, on the same day, it also served traffic
     classified to any other service (including the unnamed rest).
     """
-    if isinstance(flows, FlowBatch):
-        pairs = ip_service_pairs(flows, rules, codes)
-        return [pairs.census(day, service) for service in services]
-    ips_by_service: Dict[str, Set[int]] = {service: set() for service in services}
-    services_by_ip: Dict[int, Set[str]] = {}
-    for record in flows:
-        service = classify_flow(record, rules)
-        services_by_ip.setdefault(record.server_ip, set()).add(service)
-        if service in ips_by_service:
-            ips_by_service[service].add(record.server_ip)
-    stats = []
-    for service in services:
-        dedicated = 0
-        shared = 0
-        for address in ips_by_service[service]:
-            if len(services_by_ip[address]) > 1:
-                shared += 1
-            else:
-                dedicated += 1
-        stats.append(
-            DailyServerStats(
-                day=day, service=service, dedicated_ips=dedicated, shared_ips=shared
-            )
-        )
-    return stats
+    pairs = ip_service_pairs(flows, rules, codes)
+    return [pairs.census(day, service) for service in services]
 
 
 @dataclass(frozen=True)
@@ -200,7 +181,7 @@ class AsnBreakdown:
 
 
 def asn_breakdown(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     rib: RibArchive,
     service: str,
@@ -209,17 +190,8 @@ def asn_breakdown(
     codes: Optional[BatchServiceView] = None,
 ) -> AsnBreakdown:
     """Join a service's daily server IPs against the monthly RIB."""
-    ordered: List[int]
-    if isinstance(flows, FlowBatch):
-        view = _batch_view(flows, rules, codes)
-        ordered = np.unique(flows.server_ip[view.flow_mask(service)]).tolist()
-    else:
-        addresses: Set[int] = set()
-        for record in flows:
-            if classify_flow(record, rules) == service:
-                addresses.add(record.server_ip)
-        ordered = sorted(addresses)
-    return asn_of_addresses(ordered, rib, service, day, top_asns)
+    addresses = _service_addresses(flows, rules, service, codes)
+    return asn_of_addresses(addresses.tolist(), rib, service, day, top_asns)
 
 
 def asn_of_addresses(
@@ -240,31 +212,17 @@ def asn_of_addresses(
 
 
 def domain_shares(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     service: str,
     codes: Optional[BatchServiceView] = None,
 ) -> Dict[str, float]:
     """Fig. 11 bottom row: traffic share per second-level domain."""
-    if isinstance(flows, FlowBatch):
-        return _domain_shares_batch(flows, rules, service, codes)
-    volumes: Dict[str, int] = {}
-    total = 0
-    for record in flows:
-        if classify_flow(record, rules) != service:
-            continue
-        if not record.server_name:
-            continue
-        sld = second_level_domain(record.server_name)
-        volumes[sld] = volumes.get(sld, 0) + record.total_bytes
-        total += record.total_bytes
-    if total == 0:
-        return {}
-    return {domain: volume / total for domain, volume in volumes.items()}
+    return shares_from_totals(domain_byte_totals(flows, rules, service, codes))
 
 
 def domain_byte_totals(
-    batch: FlowBatch,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     service: str,
     codes: Optional[BatchServiceView] = None,
@@ -274,14 +232,17 @@ def domain_byte_totals(
     The additive core of :func:`domain_shares`: totals sum exactly across
     disjoint flow subsets, so shard partials carry these and the fan-in
     divides once over the merged day (shares themselves do not compose).
-    Zero-byte flows still claim their SLD, matching the row path's dict.
+    Byte sums stay integral (``np.add.at`` on an int64 accumulator), so
+    the share divisions are exact int/int divisions — identical floats,
+    any input order.  Zero-byte flows still claim their SLD; unnamed flows
+    claim none.
     """
-    view = _batch_view(batch, rules, codes)
+    batch, view = FlowBatch.classified(flows, rules, codes)
     mask = view.flow_mask(service)
     if not mask.any():
         return {}
     slds, sld_of_name = batch.sld_table()
-    sld_ids = sld_of_name[batch.name_id[mask]]
+    sld_ids = sld_of_name[batch.columns["server_name"][mask]]
     named = sld_ids >= 0
     sld_ids = sld_ids[named]
     if sld_ids.size == 0:
@@ -301,21 +262,6 @@ def shares_from_totals(totals: Dict[str, int]) -> Dict[str, float]:
     if total == 0:
         return {}
     return {domain: volume / total for domain, volume in totals.items()}
-
-
-def _domain_shares_batch(
-    batch: FlowBatch,
-    rules: RuleSet,
-    service: str,
-    codes: Optional[BatchServiceView],
-) -> Dict[str, float]:
-    """Vectorized domain shares: group int64 byte totals by interned SLD.
-
-    Byte sums stay integral (``np.add.at`` on an int64 accumulator), so the
-    final share divisions are the same exact int/int divisions the row path
-    performs — identical floats, any input order.
-    """
-    return shares_from_totals(domain_byte_totals(batch, rules, service, codes))
 
 
 @dataclass(frozen=True)
@@ -350,24 +296,17 @@ class InfrastructureTimeline:
 
 
 def service_ip_set(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     service: str,
     codes: Optional[BatchServiceView] = None,
 ) -> Set[int]:
     """All server addresses of a service in a flow set."""
-    if isinstance(flows, FlowBatch):
-        view = _batch_view(flows, rules, codes)
-        return set(np.unique(flows.server_ip[view.flow_mask(service)]).tolist())
-    return {
-        record.server_ip
-        for record in flows
-        if classify_flow(record, rules) == service
-    }
+    return set(_service_addresses(flows, rules, service, codes).tolist())
 
 
 def daily_ip_roles(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     services: List[str],
     day: datetime.date,
@@ -378,20 +317,8 @@ def daily_ip_roles(
     This is the raw material of Fig. 11's top panels: each (ip, day) cell
     is a red dot (dedicated) or a blue dot (also served another service).
     """
-    if isinstance(flows, FlowBatch):
-        pairs = ip_service_pairs(flows, rules, codes)
-        return {service: pairs.roles(service) for service in services}
-    services_by_ip: Dict[int, Set[str]] = {}
-    for record in flows:
-        service = classify_flow(record, rules)
-        services_by_ip.setdefault(record.server_ip, set()).add(service)
-    roles: Dict[str, Dict[int, bool]] = {service: {} for service in services}
-    for address, owners in services_by_ip.items():
-        shared = len(owners) > 1
-        for service in owners:
-            if service in roles:
-                roles[service][address] = shared
-    return roles
+    pairs = ip_service_pairs(flows, rules, codes)
+    return {service: pairs.roles(service) for service in services}
 
 
 @dataclass(frozen=True)

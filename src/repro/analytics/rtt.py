@@ -8,15 +8,14 @@ the distribution of minimum per-flow RTT, ignoring samples in the tails."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.analytics.distributions import EmpiricalDistribution
 from repro.services.rules import RuleSet
 from repro.tstat.flow import FlowRecord, Transport
-from repro.tstat.flowbatch import TCP_CODE, BatchServiceView, FlowBatch
-
-#: RTT analytics accept rows or a columnar batch (identical results).
-Flows = Union[FlowBatch, Iterable[FlowRecord]]
+from repro.tstat.flowbatch import BatchServiceView, FlowBatch
 
 
 def min_rtt_mask(
@@ -25,21 +24,21 @@ def min_rtt_mask(
     service: str,
     min_samples: int = 1,
     codes: Optional[BatchServiceView] = None,
-):
+) -> np.ndarray:
     """Boolean mask of the batch flows :func:`min_rtt_samples` selects.
 
     Exposed separately so shard partials can tag each sample with its
     flow position (the merged sample list is order-sensitive)."""
-    view = codes if codes is not None else flows.service_view(rules)
+    flows, view = FlowBatch.classified(flows, rules, codes)
     return (
-        (flows.transport == TCP_CODE)
-        & (flows.rtt_samples >= min_samples)
+        flows.equals("transport", Transport.TCP.value)
+        & (flows.columns["rtt_samples"] >= min_samples)
         & view.name_mask(service)
     )
 
 
 def min_rtt_samples(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     service: str,
     min_samples: int = 1,
@@ -48,27 +47,17 @@ def min_rtt_samples(
     """Per-flow minimum RTTs (ms) of TCP flows classified to ``service``.
 
     Classification here is by domain rules alone (``rules.classify``): the
-    P2P fallback label never names an RTT-tracked service.  On a batch the
-    three filters reduce to one boolean mask over the columns, reusing the
+    P2P fallback label never names an RTT-tracked service.  The three
+    filters reduce to one boolean mask over the columns, reusing the
     caller's shared classification when ``codes`` is given.
     """
-    if isinstance(flows, FlowBatch):
-        mask = min_rtt_mask(flows, rules, service, min_samples, codes)
-        return flows.rtt_min[mask].tolist()
-    samples = []
-    for record in flows:
-        if record.transport is not Transport.TCP:
-            continue
-        if record.rtt.samples < min_samples:
-            continue
-        if rules.classify(record.server_name) != service:
-            continue
-        samples.append(record.rtt.min_ms)
-    return samples
+    batch = FlowBatch.of(flows)
+    mask = min_rtt_mask(batch, rules, service, min_samples, codes)
+    return batch.columns["rtt_min_ms"][mask].tolist()
 
 
 def rtt_distribution(
-    flows: Flows,
+    flows: Iterable[FlowRecord],
     rules: RuleSet,
     service: str,
     trim_tails: float = 0.01,
@@ -118,12 +107,14 @@ class RttSummaryStats:
 
 
 def summarize_services(
-    flows: Flows, rules: RuleSet, services: Iterable[str]
+    flows: Iterable[FlowRecord], rules: RuleSet, services: Iterable[str]
 ) -> Dict[str, RttSummaryStats]:
-    """RTT summaries for several services over one flow set."""
+    """RTT summaries for several services over one flow set (turned into
+    a batch, and classified, once for all of them)."""
+    batch = FlowBatch.of(flows)
     summaries = {}
     for service in services:
-        distribution = rtt_distribution(flows, rules, service)
+        distribution = rtt_distribution(batch, rules, service)
         if distribution is not None:
             summaries[service] = RttSummaryStats.from_distribution(
                 service, distribution

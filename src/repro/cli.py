@@ -86,24 +86,36 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_probe_log(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.analytics.rtt import summarize_services
+    from repro.tstat.flowbatch import FlowBatch
     from repro.tstat.logs import read_flow_log
 
-    rules = catalog.default_ruleset()
-    by_protocol: collections.Counter = collections.Counter()
-    by_source: collections.Counter = collections.Counter()
-    by_service: collections.Counter = collections.Counter()
-    records = []
-    for record in read_flow_log(args.path):
-        records.append(record)
-        by_protocol[record.protocol.value] += record.total_bytes
-        by_source[record.name_source.value] += 1
-        from repro.analytics.aggregate import classify_flow
+    def totals(labels, codes, amounts) -> collections.Counter:
+        # keys in first-appearance order over the flows: most_common
+        # breaks ties by it
+        sums = np.zeros(len(labels), dtype=np.int64)
+        np.add.at(sums, codes, amounts)
+        used, first = np.unique(codes, return_index=True)
+        return collections.Counter(
+            {labels[code]: int(sums[code]) for code in used[np.argsort(first)].tolist()}
+        )
 
-        by_service[classify_flow(record, rules)] += record.total_bytes
+    rules = catalog.default_ruleset()
+    records = FlowBatch.of(read_flow_log(args.path))
     if not records:
         print("empty log", file=sys.stderr)
         return 1
+    view = records.service_view(rules)  # one rules.classify per distinct name
+    volumes = records.total_bytes
+    by_protocol = totals(
+        records.dictionaries["protocol"], records.columns["protocol"], volumes
+    )
+    by_source = totals(
+        records.dictionaries["name_source"], records.columns["name_source"], 1
+    )
+    by_service = totals(view.services, view.flow_codes, volumes)
     total = sum(by_protocol.values()) or 1
     print(f"{len(records)} flow records, {total} bytes\n")
     print("bytes by protocol:")

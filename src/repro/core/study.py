@@ -429,7 +429,7 @@ class LongitudinalStudy:
                     )
                     extra.rtt[service] = (
                         positions[mask],
-                        flows.rtt_min[mask].copy(),
+                        flows.columns["rtt_min_ms"][mask].copy(),
                     )
                     telemetry.count(
                         "rtt_samples_collected",

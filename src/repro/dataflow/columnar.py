@@ -104,17 +104,27 @@ class ColumnSpec:
 
     ``enum`` declares that the record holds a member of that
     :class:`enum.Enum` where the row (and the chunk) holds its ``value``.
+    ``attr`` says where the record keeps the cell when that is not the
+    attribute called ``name`` (a dotted path reaches into a nested object:
+    ``"rtt.min_ms"``).  ``digits`` is the wire precision of a ``float``
+    column whose v1 line prints that many decimals: a chunk stores the
+    value rounded the same way (:func:`encode_chunk`), so either container
+    reads back the same float; a batch in memory keeps full precision.
     """
 
     name: str
     kind: str  # "int" | "float" | "str" | "date"
     enum: Optional[type] = None
+    attr: Optional[str] = None
+    digits: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.enum is not None and self.kind != "str":
             raise ValueError(f"enum column {self.name!r} must be a str column")
+        if self.digits is not None and self.kind != "float":
+            raise ValueError(f"digits column {self.name!r} must be a float column")
 
 
 class ColumnarCodec(Generic[T]):
@@ -126,13 +136,11 @@ class ColumnarCodec(Generic[T]):
     values matching ``columns`` (dates as :class:`datetime.date`, strings
     as ``str | None``), and ``from_row`` rebuilds the record.
 
-    A codec either **declares** its record — ``record=`` names the class
-    whose constructor takes the columns in order, an ``enum=`` column
-    holding a member of that enum — and the row functions are derived, or
-    hands over a hand-written ``to_row``/``from_row`` pair.  Declaring is
-    what lets a :class:`ColumnBatch` prove "every row decodes" from its
-    columns alone (:meth:`ColumnBatch.decode`); behind a hand-written pair
-    anything may happen, so those rows are decoded one by one.
+    A codec **declares** its record — ``record=`` is called with the
+    columns in order (the class itself when its constructor takes them so),
+    an ``enum=`` column holding a member of that enum — and the row
+    functions are derived.  That is what lets a :class:`ColumnBatch` prove
+    "every row decodes" from its columns alone (:meth:`ColumnBatch.decode`).
 
     ``zone_columns`` names the string columns whose distinct values are
     recorded in the partition zone map; ``day_column`` names the date
@@ -146,9 +154,7 @@ class ColumnarCodec(Generic[T]):
         encode: Callable[[T], str],
         decode: Callable[[str], T],
         columns: Sequence[ColumnSpec],
-        record: Optional[Callable[..., T]] = None,
-        to_row: Optional[Callable[[T], Tuple[Any, ...]]] = None,
-        from_row: Optional[Callable[[Tuple[Any, ...]], T]] = None,
+        record: Callable[..., T],
         zone_columns: Sequence[str] = (),
         day_column: Optional[str] = None,
     ) -> None:
@@ -156,14 +162,7 @@ class ColumnarCodec(Generic[T]):
         self.decode = decode
         self.columns = tuple(columns)
         self.record = record
-        if (record is None) == (to_row is None or from_row is None):
-            raise ValueError(
-                "a codec takes either record= or a to_row/from_row pair"
-            )
-        if record is not None:
-            to_row, from_row = _derived_row_functions(record, self.columns)
-        self.to_row = to_row
-        self.from_row = from_row
+        self.to_row, self.from_row = _derived_row_functions(record, self.columns)
         self.zone_columns = tuple(zone_columns)
         self.day_column = day_column
         self._index = {spec.name: i for i, spec in enumerate(self.columns)}
@@ -195,7 +194,10 @@ def _derived_row_functions(
     enums = [(i, spec.enum) for i, spec in enumerate(columns) if spec.enum]
     # one C-level call per record: attribute paths in, the row tuple out
     to_row = operator.attrgetter(
-        *(spec.name + (".value" if spec.enum else "") for spec in columns)
+        *(
+            (spec.attr or spec.name) + (".value" if spec.enum else "")
+            for spec in columns
+        )
     )
 
     def from_row(row: Tuple[Any, ...]) -> T:
@@ -209,6 +211,20 @@ def _derived_row_functions(
 
 # ----------------------------------------------------------------------
 # Column batches
+
+
+def dictionary_codes(
+    values: Iterable[Any], ids: Dict[Any, int]
+) -> np.ndarray:
+    """``values`` as ``str``-column codes into the dictionary ``ids`` is
+    building — the one dictionary encoder.  A value gets the next code the
+    first time it appears, so ``list(ids)`` is the dictionary in
+    first-appearance order; handing the same ``ids`` to a second call
+    carries the dictionary on."""
+    return np.fromiter(
+        (ids.setdefault(value, len(ids)) for value in values),
+        dtype=_KIND_DTYPE["str"],
+    )
 
 
 class ColumnBatch(Sequence[T]):
@@ -258,27 +274,32 @@ class ColumnBatch(Sequence[T]):
         cls, rows: Iterable[Tuple[Any, ...]], codec: ColumnarCodec[T]
     ) -> "ColumnBatch[T]":
         """Row tuples (as ``to_row`` spells them) turned into columns: the
-        one place rows become arrays.  Strings are interned through a dict,
-        so codes follow first appearance and every value is used."""
+        one place rows become arrays.  Strings go through
+        :func:`dictionary_codes`, so codes follow first appearance and
+        every value is used."""
         cells: Sequence[Sequence[Any]] = list(zip(*rows)) or [()] * len(codec.columns)
         columns: Dict[str, np.ndarray] = {}
         dictionaries: Dict[str, List[Optional[str]]] = {}
         for spec, values in zip(codec.columns, cells):
             if spec.kind == "str":
                 ids: Dict[Optional[str], int] = {}
-                values = [ids.setdefault(value, len(ids)) for value in values]
+                columns[spec.name] = dictionary_codes(values, ids)
                 dictionaries[spec.name] = list(ids)
-            elif spec.kind == "date":
-                values = [value.toordinal() for value in values]
-            columns[spec.name] = np.array(values, dtype=_KIND_DTYPE[spec.kind])
+            else:
+                if spec.kind == "date":
+                    values = [value.toordinal() for value in values]
+                columns[spec.name] = np.array(values, dtype=_KIND_DTYPE[spec.kind])
         return cls(codec, columns, dictionaries)
 
     @classmethod
     def of(cls, records: Iterable[T], codec: ColumnarCodec[T]) -> "ColumnBatch[T]":
-        """``records`` as a batch of ``codec``: a batch passes through,
-        anything else is flattened by ``to_row`` and turned into columns."""
-        if isinstance(records, ColumnBatch) and records.codec is codec:
+        """``records`` as a batch of ``codec``: a batch passes through (its
+        arrays adopted when a subclass of its type is asked for), anything
+        else is flattened by ``to_row`` and turned into columns."""
+        if isinstance(records, cls) and records.codec is codec:
             return records
+        if isinstance(records, ColumnBatch) and records.codec is codec:
+            return cls(codec, records.columns, records.dictionaries)
         return cls.from_rows(map(codec.to_row, records), codec)
 
     @classmethod
@@ -299,11 +320,7 @@ class ColumnBatch(Sequence[T]):
             if spec.kind == "str":
                 ids: Dict[Optional[str], int] = {}
                 for index, batch in enumerate(batches):
-                    remap = np.array(
-                        [ids.setdefault(value, len(ids))
-                         for value in batch.dictionaries[spec.name]],
-                        dtype=_KIND_DTYPE["str"],
-                    )
+                    remap = dictionary_codes(batch.dictionaries[spec.name], ids)
                     arrays[index] = remap[arrays[index]]
                 dictionaries[spec.name] = list(ids)
             columns[spec.name] = np.concatenate(arrays)
@@ -311,11 +328,21 @@ class ColumnBatch(Sequence[T]):
 
     def take(self, indices: Any) -> "ColumnBatch[T]":
         """The rows at ``indices`` (any NumPy index), dictionaries shared."""
-        return ColumnBatch(
+        return type(self)(
             self.codec,
             {name: array[indices] for name, array in self.columns.items()},
             self.dictionaries,
         )
+
+    def equals(self, name: str, value: Optional[str]) -> np.ndarray:
+        """Boolean column: the rows whose ``str`` column ``name`` holds
+        ``value`` (for an ``enum`` column, a member's ``value``)."""
+        codes = [
+            code
+            for code, held in enumerate(self.dictionaries[name])
+            if held == value
+        ]
+        return np.isin(self.columns[name], codes)
 
     # -- columns -> rows, on demand -------------------------------------------
 
@@ -398,19 +425,16 @@ class ColumnBatch(Sequence[T]):
         Returns ``(records, failures)``: ``failures`` lists ``(position,
         error, cells)`` for every row that cannot become a record — a
         stored value with no cell, an ``enum`` column holding a value its
-        enum rejects, or whatever a hand-written ``from_row`` raises —
-        ``cells`` being the row tab-joined, standing in for the line a v1
-        partition has.
+        enum rejects — ``cells`` being the row tab-joined, standing in for
+        the line a v1 partition has.
 
-        Behind a declared codec those are the only ways a row can fail, so
+        Those are the only ways a row of a declared record can fail, so
         each distinct stored value is checked once and, when all pass,
-        ``records`` is the batch itself: nothing was built.  A hand-written
-        ``from_row`` is tried on every row.  Only when either fails is the
-        batch walked row by row (:meth:`_decode_rows`) to name each bad one.
+        ``records`` is the batch itself: nothing was built.  Only when one
+        fails is the batch walked row by row (:meth:`_decode_rows`) to name
+        each bad row.
         """
         try:
-            if self.codec.record is None:
-                return list(self), []
             for spec in self.codec.columns:
                 cell_of = self._distinct_cells(spec.name)
                 if spec.enum is not None:
@@ -601,6 +625,13 @@ def encode_chunk(
         array, dictionary = batch.columns[spec.name], None
         if spec.kind == "str":
             array, dictionary = batch.canonical_codes(spec.name)
+        elif spec.digits is not None:
+            # round() and "%.<digits>f" round a float the same way, so the
+            # chunk holds what the v1 line of the same record parses to
+            array = np.array(
+                [round(value, spec.digits) for value in array.tolist()],
+                dtype=array.dtype,
+            )
         raw = array.tobytes()
         blob = zlib.compress(raw, _ZLIB_LEVEL)
         meta: Dict[str, Any] = {

@@ -57,7 +57,6 @@ from repro.core import fsio
 from repro.dataflow.columnar import (
     Chunk,
     ColumnarCodec,
-    ColumnSpec,
     ScanPredicate,
     encode_chunk,
 )
@@ -85,14 +84,7 @@ from repro.dataflow.integrity import (
     write_manifest,
 )
 from repro.telemetry import runtime as telemetry
-from repro.tstat.flow import (
-    FlowRecord,
-    NameSource,
-    RttSummary,
-    Transport,
-    WebProtocol,
-)
-from repro.tstat.logs import format_record, parse_record
+from repro.tstat.flowbatch import FLOW_CODEC
 
 T = TypeVar("T")
 
@@ -115,85 +107,9 @@ class LineCodec(Generic[T]):
         self.decode = decode
 
 
-def _flow_to_row(record: FlowRecord) -> tuple:
-    # Stored at v1 wire precision (ts %.6f, RTT %.3f) so the same records
-    # read back field-identical from either lake format.
-    return (
-        record.client_id,
-        record.server_ip,
-        record.client_port,
-        record.server_port,
-        record.transport.value,
-        float(f"{record.ts_start:.6f}"),
-        float(f"{record.ts_end:.6f}"),
-        record.packets_up,
-        record.packets_down,
-        record.bytes_up,
-        record.bytes_down,
-        record.protocol.value,
-        record.server_name,
-        record.name_source.value,
-        record.rtt.samples,
-        float(f"{record.rtt.min_ms:.3f}"),
-        float(f"{record.rtt.avg_ms:.3f}"),
-        float(f"{record.rtt.max_ms:.3f}"),
-        record.vantage,
-    )
-
-
-def _flow_from_row(row: tuple) -> FlowRecord:
-    return FlowRecord(
-        client_id=row[0],
-        server_ip=row[1],
-        client_port=row[2],
-        server_port=row[3],
-        transport=Transport(row[4]),
-        ts_start=row[5],
-        ts_end=row[6],
-        packets_up=row[7],
-        packets_down=row[8],
-        bytes_up=row[9],
-        bytes_down=row[10],
-        protocol=WebProtocol(row[11]),
-        server_name=row[12],
-        name_source=NameSource(row[13]),
-        rtt=RttSummary(samples=row[14], min_ms=row[15], avg_ms=row[16], max_ms=row[17]),
-        vantage=row[18],
-    )
-
-
-#: Codec for probe flow records (same format as the probe's own logs);
-#: columnar, so flow partitions can be stored as v2 chunks too.
-FLOW_CODEC: ColumnarCodec[FlowRecord] = ColumnarCodec(
-    encode=format_record,
-    decode=parse_record,
-    columns=[
-        ColumnSpec("client_id", "int"),
-        ColumnSpec("server_ip", "int"),
-        ColumnSpec("client_port", "int"),
-        ColumnSpec("server_port", "int"),
-        ColumnSpec("transport", "str"),
-        ColumnSpec("ts_start", "float"),
-        ColumnSpec("ts_end", "float"),
-        ColumnSpec("packets_up", "int"),
-        ColumnSpec("packets_down", "int"),
-        ColumnSpec("bytes_up", "int"),
-        ColumnSpec("bytes_down", "int"),
-        ColumnSpec("protocol", "str"),
-        ColumnSpec("server_name", "str"),
-        ColumnSpec("name_source", "str"),
-        ColumnSpec("rtt_samples", "int"),
-        ColumnSpec("rtt_min_ms", "float"),
-        ColumnSpec("rtt_avg_ms", "float"),
-        ColumnSpec("rtt_max_ms", "float"),
-        ColumnSpec("vantage", "str"),
-    ],
-    to_row=_flow_to_row,
-    from_row=_flow_from_row,
-    zone_columns=("vantage", "protocol"),
-)
-
-# Make flow partitions (v1 lines and v2 chunks) decodable by `repro fsck`.
+# Probe flow records (declared beside their batch type, importable from
+# here as ever): make flow partitions (v1 lines and v2 chunks) decodable
+# by `repro fsck`.
 register_codec_provider(lambda: {"flows": FLOW_CODEC})
 
 

@@ -16,7 +16,7 @@ Three fidelity tiers (DESIGN.md §5), all deterministic per (seed, day):
   with server addresses, domains, per-flow protocols (as labelled by that
   day's probe software) and RTT summaries.  Used by the RTT and
   infrastructure analyses; :meth:`TrafficGenerator.expand_flows` is the
-  row-view wrapper returning the identical :class:`FlowRecord` list.
+  same batch iterated into a :class:`FlowRecord` list.
 
 Generation is vectorized per (day, service) over the subscriber axis.
 """
@@ -30,7 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
+from repro.dataflow.columnar import (
+    ColumnBatch,
+    ColumnSpec,
+    ColumnarCodec,
+    dictionary_codes,
+)
 from repro.dataflow.datalake import LineCodec, tsv_codec
 from repro.services import catalog
 from repro.synthesis import studycalendar
@@ -41,19 +46,19 @@ from repro.telemetry import runtime as telemetry
 from repro.tstat.flow import (
     FlowRecord,
     NameSource,
+    Transport,
     WebProtocol,
 )
-from repro.tstat.flowbatch import (
-    PROTOCOLS,
-    TCP_CODE,
-    UDP_CODE,
-    FlowBatch,
-    FlowBatchBuilder,
-    StringTable,
-    name_source_code,
-    protocol_code,
-)
+from repro.tstat.flowbatch import FLOW_CODEC, FlowBatch
 from repro.tstat.versions import capabilities_on
+
+#: The generator's dictionaries for the flow batch's enum columns: every
+#: member in declaration order, a column holding positions in them.
+PROTOCOLS = tuple(WebProtocol)
+NAME_SOURCES = tuple(NameSource)
+TRANSPORTS = tuple(Transport)
+protocol_code = PROTOCOLS.index
+name_source_code = NAME_SOURCES.index
 
 _HEAVINESS_NORM = math.exp(-0.5 * 0.6 * 0.6)  # normalize lognormal(0, 0.6) to mean 1
 _HOLIDAY_VOLUME_BOOST = 2.5
@@ -534,9 +539,11 @@ class TrafficGenerator:
         max_flows_per_usage: int = 8,
     ) -> List[FlowRecord]:
         """Expand usage rows into probe-grade flow records (row view)."""
-        return self.expand_flows_batch(
-            day, traffic, max_flows_per_usage=max_flows_per_usage
-        ).to_records()
+        return list(
+            self.expand_flows_batch(
+                day, traffic, max_flows_per_usage=max_flows_per_usage
+            )
+        )
 
     def expand_flows_batch(
         self,
@@ -577,7 +584,7 @@ class TrafficGenerator:
         row_count = skeleton.row_count
         if row_count == 0:
             telemetry.count("flows_expanded", 0)
-            return FlowBatchBuilder().build(), np.empty(0, dtype=np.int64)
+            return FlowBatch.of(()), np.empty(0, dtype=np.int64)
         rng = self.world.day_rng(day, stream=2)
         capabilities = capabilities_on(day)
         midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
@@ -670,7 +677,9 @@ class TrafficGenerator:
         quic = true_protocol == protocol_code(WebProtocol.QUIC)
         p2p = true_protocol == protocol_code(WebProtocol.P2P)
         other = true_protocol == protocol_code(WebProtocol.OTHER)
-        transport = np.where(quic, UDP_CODE, TCP_CODE).astype(np.int64)
+        transport = np.where(
+            quic, TRANSPORTS.index(Transport.UDP), TRANSPORTS.index(Transport.TCP)
+        )
 
         duration = np.minimum(
             3600.0, 1.0 + rng.lognormal(0.0, 1.0, total) * (down / 1e6)
@@ -734,15 +743,15 @@ class TrafficGenerator:
         keep = slice(None) if positions.size == total else positions
         flow_row = row_of[keep]
 
-        # Intern names and vantages in first-appearance order.
-        names_table = StringTable()
-        intern_name = names_table.intern
-        name_id = np.fromiter(
+        # Names and vantages are dictionary-coded in first-appearance order
+        # over the emitted flows.
+        names: Dict[Optional[str], int] = {}
+        name_codes = dictionary_codes(
             (
-                intern_name(domain if use else None)
+                domain if use else None
                 for domain, use in zip(domains[keep].tolist(), named[keep].tolist())
             ),
-            np.int64, positions.size,
+            names,
         )
         row_vantage = np.zeros(row_count, dtype=np.int64)
         row_vantage[skeleton.emit_positions], vantages = (
@@ -750,27 +759,35 @@ class TrafficGenerator:
         )
 
         batch = FlowBatch(
-            client_id=skeleton.row_subscriber[flow_row],
-            server_ip=ips[keep],
-            client_port=client_port[keep].astype(np.int64),
-            server_port=port_of[true_protocol[keep]],
-            transport=transport[keep],
-            ts_start=ts_start[keep],
-            ts_end=(ts_start + duration)[keep],
-            packets_up=packets_up[keep],
-            packets_down=packets_down[keep],
-            bytes_up=up[keep],
-            bytes_down=down[keep],
-            protocol=label_of[true_protocol[keep]],
-            name_id=name_id,
-            name_source=name_source[keep],
-            rtt_samples=rtt_samples[keep],
-            rtt_min=rtt_min[keep],
-            rtt_avg=rtt_avg[keep],
-            rtt_max=rtt_max[keep],
-            vantage_id=row_vantage[flow_row],
-            names=names_table.values(),
-            vantages=tuple(vantages),
+            FLOW_CODEC,
+            {
+                "client_id": skeleton.row_subscriber[flow_row],
+                "server_ip": ips[keep],
+                "client_port": client_port[keep],
+                "server_port": port_of[true_protocol[keep]],
+                "transport": transport[keep],
+                "ts_start": ts_start[keep],
+                "ts_end": (ts_start + duration)[keep],
+                "packets_up": packets_up[keep],
+                "packets_down": packets_down[keep],
+                "bytes_up": up[keep],
+                "bytes_down": down[keep],
+                "protocol": label_of[true_protocol[keep]],
+                "server_name": name_codes,
+                "name_source": name_source[keep],
+                "rtt_samples": rtt_samples[keep],
+                "rtt_min_ms": rtt_min[keep],
+                "rtt_avg_ms": rtt_avg[keep],
+                "rtt_max_ms": rtt_max[keep],
+                "vantage": row_vantage[flow_row],
+            },
+            {
+                "transport": [member.value for member in TRANSPORTS],
+                "protocol": [member.value for member in PROTOCOLS],
+                "server_name": list(names),
+                "name_source": [member.value for member in NAME_SOURCES],
+                "vantage": vantages,
+            },
         )
         telemetry.count("flows_expanded", len(batch))
         return batch, positions

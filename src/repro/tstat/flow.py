@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 
 class Transport(enum.Enum):
@@ -128,6 +128,18 @@ class FlowRecord:
     name_source: NameSource = NameSource.NONE
     rtt: RttSummary = field(default_factory=RttSummary)
     vantage: str = "pop1"
+
+    @classmethod
+    def from_cells(cls, *cells: Any) -> "FlowRecord":
+        """The record of one flat row (``FLOW_CODEC``'s columns): the fields
+        in order, the RTT summary's four inlined where ``rtt`` stands."""
+        return cls(*cells[:14], RttSummary(*cells[14:18]), *cells[18:])
+
+    @property
+    def name(self) -> Optional[str]:
+        """The server name, an empty one being no name — what the flow log
+        writes as ``-`` and what the flat row carries."""
+        return self.server_name or None
 
     @property
     def duration(self) -> float:

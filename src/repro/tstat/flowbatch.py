@@ -1,105 +1,73 @@
-"""Columnar flow storage: struct-of-arrays batches of flow records.
+"""The flow tier's one batch type: flow records as typed columns.
 
 The paper's cluster reduced 247 billion flow records by streaming them
-through predefined per-day analytics (Section 2.2).  The reproduction's
-equivalent hot path used to materialize one :class:`FlowRecord` object
-per flow and re-scan the resulting list once per stage-1 consumer; a
-:class:`FlowBatch` keeps the same day of flows as NumPy columns plus two
-string-interning tables (server names, vantages), so
+through predefined per-day analytics (Section 2.2).  Here a day of flows
+is a :class:`FlowBatch` — the :class:`~repro.dataflow.columnar.ColumnBatch`
+of :data:`FLOW_CODEC`, the flow record's declared schema — whether the
+generator assembled its columns, a v2 lake chunk stored them, or a probe's
+``FlowRecord`` list was turned into them by :meth:`FlowBatch.of`, the one
+rows→columns normaliser every stage-1 flow analytic calls first.  So
 
-* generation appends plain scalars instead of allocating objects,
+* generation assembles arrays instead of allocating objects,
 * service classification runs **once per distinct server name** instead
   of once per (flow, consumer) pair (:meth:`FlowBatch.service_view`),
-* the stage-1 analytics reduce whole columns with vectorized NumPy ops.
-
-``FlowBatch.to_records()`` / ``from_records()`` convert losslessly to the
-row schema: the columnar and row paths are interchangeable and tested
-bit-identical (the batching analogue of the repo's "parallelism changes
-wall-clock, never results" invariant).
+* the stage-1 analytics have one body, which reduces whole columns, and
+* a :class:`FlowRecord` is built only when somebody iterates the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.dataflow.columnar import ColumnarCodec, ColumnBatch, ColumnSpec
 from repro.services.rules import RuleSet
 from repro.tstat.flow import (
     FlowRecord,
     NameSource,
-    RttSummary,
     Transport,
     WebProtocol,
     second_level_domain,
 )
+from repro.tstat.logs import format_record, parse_record
 
-#: Stable enum ↔ small-integer code tables (declaration order).
-TRANSPORTS: Tuple[Transport, ...] = tuple(Transport)
-PROTOCOLS: Tuple[WebProtocol, ...] = tuple(WebProtocol)
-NAME_SOURCES: Tuple[NameSource, ...] = tuple(NameSource)
-
-_TRANSPORT_CODE = MappingProxyType(
-    {member: code for code, member in enumerate(TRANSPORTS)}
+#: Codec for probe flow records: the probe's own log line (v1) and the
+#: record's flat row, RTT summary inlined (v2).  Floats carry the log
+#: line's precision as their wire precision, so the same records read back
+#: field-identical from either lake container.
+FLOW_CODEC: ColumnarCodec[FlowRecord] = ColumnarCodec(
+    encode=format_record,
+    decode=parse_record,
+    record=FlowRecord.from_cells,
+    columns=[
+        ColumnSpec("client_id", "int"),
+        ColumnSpec("server_ip", "int"),
+        ColumnSpec("client_port", "int"),
+        ColumnSpec("server_port", "int"),
+        ColumnSpec("transport", "str", enum=Transport),
+        ColumnSpec("ts_start", "float", digits=6),
+        ColumnSpec("ts_end", "float", digits=6),
+        ColumnSpec("packets_up", "int"),
+        ColumnSpec("packets_down", "int"),
+        ColumnSpec("bytes_up", "int"),
+        ColumnSpec("bytes_down", "int"),
+        ColumnSpec("protocol", "str", enum=WebProtocol),
+        ColumnSpec("server_name", "str", attr="name"),
+        ColumnSpec("name_source", "str", enum=NameSource),
+        ColumnSpec("rtt_samples", "int", attr="rtt.samples"),
+        ColumnSpec("rtt_min_ms", "float", attr="rtt.min_ms", digits=3),
+        ColumnSpec("rtt_avg_ms", "float", attr="rtt.avg_ms", digits=3),
+        ColumnSpec("rtt_max_ms", "float", attr="rtt.max_ms", digits=3),
+        ColumnSpec("vantage", "str"),
+    ],
+    zone_columns=("vantage", "protocol"),
 )
-_PROTOCOL_CODE = MappingProxyType(
-    {member: code for code, member in enumerate(PROTOCOLS)}
-)
-_NAME_SOURCE_CODE = MappingProxyType(
-    {member: code for code, member in enumerate(NAME_SOURCES)}
-)
-
-TCP_CODE = _TRANSPORT_CODE[Transport.TCP]
-UDP_CODE = _TRANSPORT_CODE[Transport.UDP]
-P2P_CODE = _PROTOCOL_CODE[WebProtocol.P2P]
 
 #: classify_flow's fallback labels (see repro.analytics.aggregate).
 P2P_SERVICE = "Peer-To-Peer"
 FALLBACK_SERVICE = "Other"
-
-
-def transport_code(transport: Transport) -> int:
-    return _TRANSPORT_CODE[transport]
-
-def protocol_code(protocol: WebProtocol) -> int:
-    return _PROTOCOL_CODE[protocol]
-
-def name_source_code(source: NameSource) -> int:
-    return _NAME_SOURCE_CODE[source]
-
-
-class StringTable:
-    """Append-only interning table: each distinct value stored once.
-
-    Rows refer to values by dense integer id, in first-appearance order;
-    ``None`` interns like any other value (id 0 by convention when it is
-    interned first), so columns stay purely integral.
-    """
-
-    __slots__ = ("_values", "_ids")
-
-    def __init__(self, values: Iterable[Optional[str]] = ()) -> None:
-        self._values: List[Optional[str]] = []
-        self._ids: Dict[Optional[str], int] = {}
-        for value in values:
-            self.intern(value)
-
-    def intern(self, value: Optional[str]) -> int:
-        """The id of ``value``, assigning the next dense id on first use."""
-        found = self._ids.get(value)
-        if found is None:
-            found = len(self._values)
-            self._ids[value] = found
-            self._values.append(value)
-        return found
-
-    def values(self) -> Tuple[Optional[str], ...]:
-        return tuple(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 @dataclass(frozen=True)
@@ -145,343 +113,104 @@ class BatchServiceView:
         return self.name_codes == code
 
 
-@dataclass(eq=False)
-class FlowBatch:
-    """One day of flow records as struct-of-arrays columns.
-
-    Identity comparison only: equivalence between batches is defined via
-    ``to_records()`` (array-wise ``==`` on NumPy columns is ambiguous).
+class FlowBatch(ColumnBatch[FlowRecord]):
+    """Flow records as :data:`FLOW_CODEC`'s columns, plus what only flows
+    have: the per-ruleset classification and the second-level-domain table,
+    both reduced once per *distinct* server name (the ``server_name``
+    dictionary, where ``None`` — and an empty name — is an unnamed flow).
     """
 
-    client_id: np.ndarray
-    server_ip: np.ndarray
-    client_port: np.ndarray
-    server_port: np.ndarray
-    transport: np.ndarray  # codes into TRANSPORTS
-    ts_start: np.ndarray
-    ts_end: np.ndarray
-    packets_up: np.ndarray
-    packets_down: np.ndarray
-    bytes_up: np.ndarray
-    bytes_down: np.ndarray
-    protocol: np.ndarray  # codes into PROTOCOLS
-    name_id: np.ndarray  # ids into ``names``
-    name_source: np.ndarray  # codes into NAME_SOURCES
-    rtt_samples: np.ndarray
-    rtt_min: np.ndarray
-    rtt_avg: np.ndarray
-    rtt_max: np.ndarray
-    vantage_id: np.ndarray  # ids into ``vantages``
-    names: Tuple[Optional[str], ...]
-    vantages: Tuple[str, ...]
-    #: per-ruleset classification cache: id(rules) → (rules, view).  The
-    #: strong reference to the ruleset keeps the id from being recycled.
-    _views: Dict[int, Tuple[RuleSet, BatchServiceView]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _sld_table: Optional[Tuple[Tuple[str, ...], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("_views", "_sld_table")
 
-    def __len__(self) -> int:
-        return int(self.client_id.shape[0])
+    def __init__(
+        self,
+        codec: ColumnarCodec[FlowRecord],
+        columns: Mapping[str, np.ndarray],
+        dictionaries: Mapping[str, Any],
+    ) -> None:
+        super().__init__(codec, columns, dictionaries)
+        #: per-ruleset classification cache: id(rules) → (rules, view).  The
+        #: strong reference to the ruleset keeps the id from being recycled.
+        self._views: Dict[int, Tuple[RuleSet, BatchServiceView]] = {}
+        self._sld_table: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
+
+    @classmethod
+    def of(
+        cls,
+        records: Iterable[FlowRecord],
+        codec: ColumnarCodec[FlowRecord] = FLOW_CODEC,
+    ) -> "FlowBatch":
+        """``records`` as a flow batch: the one rows→columns normaliser of
+        the flow tier.  A flow batch passes through, a lake block of
+        :data:`FLOW_CODEC` is adopted array by array, records are flattened."""
+        return super().of(records, codec)
+
+    @classmethod
+    def classified(
+        cls,
+        flows: Iterable[FlowRecord],
+        rules: RuleSet,
+        codes: Optional[BatchServiceView] = None,
+    ) -> Tuple["FlowBatch", BatchServiceView]:
+        """What a stage-1 analytic starts from: ``flows`` normalised
+        (:meth:`of`) and classified under ``rules`` — by the caller's shared
+        ``codes`` when given, else computed (and memoized) now."""
+        batch = cls.of(flows)
+        return batch, codes if codes is not None else batch.service_view(rules)
 
     @property
     def total_bytes(self) -> np.ndarray:
-        return self.bytes_up + self.bytes_down
-
-    # -- classification (once per batch) -----------------------------------
+        return self.columns["bytes_up"] + self.columns["bytes_down"]
 
     def service_view(self, rules: RuleSet) -> BatchServiceView:
         """Classify the whole batch under ``rules``, memoized per ruleset.
 
-        Domain rules run once per interned name; the P2P/Other fallback of
+        Domain rules run once per distinct name; the P2P/Other fallback of
         :func:`~repro.analytics.aggregate.classify_flow` is then applied as
         one vectorized select over the protocol column.
         """
         cached = self._views.get(id(rules))
         if cached is not None and cached[0] is rules:
             return cached[1]
-        services: List[str] = []
         index: Dict[str, int] = {}
-
-        def code(service: str) -> int:
-            found = index.get(service)
-            if found is None:
-                found = len(services)
-                index[service] = found
-                services.append(service)
-            return found
-
         name_table = np.fromiter(
             (
-                -1 if service is None else code(service)
-                for service in (self.rules_per_name(rules))
+                -1 if service is None else index.setdefault(service, len(index))
+                for service in map(rules.classify, self.dictionaries["server_name"])
             ),
             dtype=np.int64,
-            count=len(self.names),
         )
-        p2p = code(P2P_SERVICE)
-        fallback = code(FALLBACK_SERVICE)
-        if len(self) == 0:
-            name_codes = np.empty(0, dtype=np.int64)
-            flow_codes = np.empty(0, dtype=np.int64)
-        else:
-            name_codes = name_table[self.name_id]
-            flow_codes = np.where(
-                name_codes >= 0,
-                name_codes,
-                np.where(self.protocol == P2P_CODE, p2p, fallback),
-            )
+        p2p = index.setdefault(P2P_SERVICE, len(index))
+        fallback = index.setdefault(FALLBACK_SERVICE, len(index))
+        name_codes = name_table[self.columns["server_name"]]
+        flow_codes = np.where(
+            name_codes >= 0,
+            name_codes,
+            np.where(self.equals("protocol", WebProtocol.P2P.value), p2p, fallback),
+        )
         view = BatchServiceView(
-            services=tuple(services),
-            flow_codes=flow_codes,
-            name_codes=name_codes,
+            services=tuple(index), flow_codes=flow_codes, name_codes=name_codes
         )
         self._views[id(rules)] = (rules, view)
         return view
 
-    def rules_per_name(self, rules: RuleSet) -> List[Optional[str]]:
-        """``rules.classify`` applied once per interned name, in id order."""
-        return [rules.classify(name) for name in self.names]
-
     def sld_table(self) -> Tuple[Tuple[str, ...], np.ndarray]:
-        """Second-level domains, reduced once per interned name.
+        """Second-level domains, reduced once per distinct name.
 
-        Returns ``(slds, sld_of_name)`` where ``sld_of_name[name_id]`` is an
-        index into ``slds``, or ``-1`` for unnamed flows.
+        Returns ``(slds, sld_of_name)`` where ``sld_of_name[code]`` — the
+        ``server_name`` column holds the codes — is an index into ``slds``,
+        or ``-1`` for unnamed flows.
         """
         if self._sld_table is None:
-            slds: List[str] = []
             index: Dict[str, int] = {}
-            ids = np.empty(len(self.names), dtype=np.int64)
-            for name_id, name in enumerate(self.names):
-                if name is None:
-                    ids[name_id] = -1
-                    continue
-                sld = second_level_domain(name)
-                found = index.get(sld)
-                if found is None:
-                    found = len(slds)
-                    index[sld] = found
-                    slds.append(sld)
-                ids[name_id] = found
-            self._sld_table = (tuple(slds), ids)
+            sld_of_name = np.fromiter(
+                (
+                    index.setdefault(second_level_domain(name), len(index))
+                    if name
+                    else -1
+                    for name in self.dictionaries["server_name"]
+                ),
+                dtype=np.int64,
+            )
+            self._sld_table = (tuple(index), sld_of_name)
         return self._sld_table
-
-    # -- row interop ---------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> "FlowBatch":
-        """Columnarize a record list (testing and compatibility path)."""
-        builder = FlowBatchBuilder()
-        for record in records:
-            builder.append(
-                client_id=record.client_id,
-                server_ip=record.server_ip,
-                client_port=record.client_port,
-                server_port=record.server_port,
-                transport=_TRANSPORT_CODE[record.transport],
-                ts_start=record.ts_start,
-                ts_end=record.ts_end,
-                packets_up=record.packets_up,
-                packets_down=record.packets_down,
-                bytes_up=record.bytes_up,
-                bytes_down=record.bytes_down,
-                protocol=_PROTOCOL_CODE[record.protocol],
-                server_name=record.server_name,
-                name_source=_NAME_SOURCE_CODE[record.name_source],
-                rtt_samples=record.rtt.samples,
-                rtt_min=record.rtt.min_ms,
-                rtt_avg=record.rtt.avg_ms,
-                rtt_max=record.rtt.max_ms,
-                vantage=record.vantage,
-            )
-        return builder.build()
-
-    def to_records(self) -> List[FlowRecord]:
-        """Materialize the row view (bit-identical to the columnar data)."""
-        names = self.names
-        vantages = self.vantages
-        records: List[FlowRecord] = []
-        append = records.append
-        columns = zip(
-            self.client_id.tolist(),
-            self.server_ip.tolist(),
-            self.client_port.tolist(),
-            self.server_port.tolist(),
-            self.transport.tolist(),
-            self.ts_start.tolist(),
-            self.ts_end.tolist(),
-            self.packets_up.tolist(),
-            self.packets_down.tolist(),
-            self.bytes_up.tolist(),
-            self.bytes_down.tolist(),
-            self.protocol.tolist(),
-            self.name_id.tolist(),
-            self.name_source.tolist(),
-            self.rtt_samples.tolist(),
-            self.rtt_min.tolist(),
-            self.rtt_avg.tolist(),
-            self.rtt_max.tolist(),
-            self.vantage_id.tolist(),
-        )
-        for (
-            client_id,
-            server_ip,
-            client_port,
-            server_port,
-            transport,
-            ts_start,
-            ts_end,
-            packets_up,
-            packets_down,
-            bytes_up,
-            bytes_down,
-            protocol,
-            name_id,
-            name_source,
-            rtt_samples,
-            rtt_min,
-            rtt_avg,
-            rtt_max,
-            vantage_id,
-        ) in columns:
-            append(
-                FlowRecord(
-                    client_id=client_id,
-                    server_ip=server_ip,
-                    client_port=client_port,
-                    server_port=server_port,
-                    transport=TRANSPORTS[transport],
-                    ts_start=ts_start,
-                    ts_end=ts_end,
-                    packets_up=packets_up,
-                    packets_down=packets_down,
-                    bytes_up=bytes_up,
-                    bytes_down=bytes_down,
-                    protocol=PROTOCOLS[protocol],
-                    server_name=names[name_id],
-                    name_source=NAME_SOURCES[name_source],
-                    rtt=RttSummary(
-                        samples=rtt_samples,
-                        min_ms=rtt_min,
-                        avg_ms=rtt_avg,
-                        max_ms=rtt_max,
-                    ),
-                    vantage=vantages[vantage_id],
-                )
-            )
-        return records
-
-
-class FlowBatchBuilder:
-    """Accumulates scalar flow fields and finalizes them into a FlowBatch.
-
-    The hot generation loop appends plain Python/NumPy scalars; no
-    :class:`FlowRecord` or :class:`RttSummary` objects are created.
-    """
-
-    def __init__(self) -> None:
-        self._names = StringTable()
-        self._vantages = StringTable()
-        self._columns: Tuple[list, ...] = tuple([] for _ in range(19))
-        (
-            self.client_id,
-            self.server_ip,
-            self.client_port,
-            self.server_port,
-            self.transport,
-            self.ts_start,
-            self.ts_end,
-            self.packets_up,
-            self.packets_down,
-            self.bytes_up,
-            self.bytes_down,
-            self.protocol,
-            self.name_id,
-            self.name_source,
-            self.rtt_samples,
-            self.rtt_min,
-            self.rtt_avg,
-            self.rtt_max,
-            self.vantage_id,
-        ) = self._columns
-
-    def __len__(self) -> int:
-        return len(self.client_id)
-
-    def intern_name(self, name: Optional[str]) -> int:
-        return self._names.intern(name)
-
-    def intern_vantage(self, vantage: str) -> int:
-        return self._vantages.intern(vantage)
-
-    def append(
-        self,
-        client_id: int,
-        server_ip: int,
-        client_port: int,
-        server_port: int,
-        transport: int,
-        ts_start: float,
-        ts_end: float,
-        packets_up: int,
-        packets_down: int,
-        bytes_up: int,
-        bytes_down: int,
-        protocol: int,
-        server_name: Optional[str],
-        name_source: int,
-        rtt_samples: int,
-        rtt_min: float,
-        rtt_avg: float,
-        rtt_max: float,
-        vantage: str,
-    ) -> None:
-        self.client_id.append(client_id)
-        self.server_ip.append(server_ip)
-        self.client_port.append(client_port)
-        self.server_port.append(server_port)
-        self.transport.append(transport)
-        self.ts_start.append(ts_start)
-        self.ts_end.append(ts_end)
-        self.packets_up.append(packets_up)
-        self.packets_down.append(packets_down)
-        self.bytes_up.append(bytes_up)
-        self.bytes_down.append(bytes_down)
-        self.protocol.append(protocol)
-        self.name_id.append(self._names.intern(server_name))
-        self.name_source.append(name_source)
-        self.rtt_samples.append(rtt_samples)
-        self.rtt_min.append(rtt_min)
-        self.rtt_avg.append(rtt_avg)
-        self.rtt_max.append(rtt_max)
-        self.vantage_id.append(self._vantages.intern(vantage))
-
-    def build(self) -> FlowBatch:
-        # An empty batch still needs a vantage-free, name-free table; the
-        # tables stay whatever was interned (possibly nothing).
-        return FlowBatch(
-            client_id=np.asarray(self.client_id, dtype=np.int64),
-            server_ip=np.asarray(self.server_ip, dtype=np.int64),
-            client_port=np.asarray(self.client_port, dtype=np.int64),
-            server_port=np.asarray(self.server_port, dtype=np.int64),
-            transport=np.asarray(self.transport, dtype=np.int64),
-            ts_start=np.asarray(self.ts_start, dtype=np.float64),
-            ts_end=np.asarray(self.ts_end, dtype=np.float64),
-            packets_up=np.asarray(self.packets_up, dtype=np.int64),
-            packets_down=np.asarray(self.packets_down, dtype=np.int64),
-            bytes_up=np.asarray(self.bytes_up, dtype=np.int64),
-            bytes_down=np.asarray(self.bytes_down, dtype=np.int64),
-            protocol=np.asarray(self.protocol, dtype=np.int64),
-            name_id=np.asarray(self.name_id, dtype=np.int64),
-            name_source=np.asarray(self.name_source, dtype=np.int64),
-            rtt_samples=np.asarray(self.rtt_samples, dtype=np.int64),
-            rtt_min=np.asarray(self.rtt_min, dtype=np.float64),
-            rtt_avg=np.asarray(self.rtt_avg, dtype=np.float64),
-            rtt_max=np.asarray(self.rtt_max, dtype=np.float64),
-            vantage_id=np.asarray(self.vantage_id, dtype=np.int64),
-            names=self._names.values(),
-            vantages=self._vantages.values(),
-        )

@@ -28,6 +28,7 @@ from repro.routing.rib import RibArchive, RibEntry, RibSnapshot
 from repro.nettypes.ip import Prefix
 from repro.services import catalog
 from repro.synthesis.flowgen import ProtocolUsage
+from repro.tstat.flowbatch import FlowBatch
 from repro.tstat.flow import (
     FlowRecord,
     NameSource,
@@ -201,6 +202,13 @@ class TestInfrastructureAnalytics:
         shares = domain_shares(flows, rules, catalog.YOUTUBE)
         assert shares["googlevideo.com"] == pytest.approx(900 * 1.1 / (1000 * 1.1))
         assert shares["youtube.com"] == pytest.approx(100 * 1.1 / (1000 * 1.1))
+        # an empty server name is no name, exactly as None is: no '' domain,
+        # whether the analytic turns the rows into a batch or is handed one
+        unnamed = flows + [flow("", down=500), flow(None, down=700)]
+        for given in (unnamed, FlowBatch.of(unnamed)):
+            assert domain_shares(given, rules, catalog.YOUTUBE) == shares
+            assert domain_shares(given, rules, "Other") == {}
+        assert FlowBatch.of(unnamed).sld_table()[0] == ("youtube.com", "googlevideo.com")
 
     def test_domain_shares_empty(self, rules):
         assert domain_shares([], rules, catalog.YOUTUBE) == {}

@@ -50,6 +50,25 @@ class TestProbeLog:
         out = capsys.readouterr().out
         assert "fb-zero" in out
         assert "Facebook" in out
+        # the whole text, ties in first-appearance order over the flows
+        assert out == (
+            "2 flow records, 35640 bytes\n"
+            "\n"
+            "bytes by protocol:\n"
+            "  fb-zero   64.4%\n"
+            "  http      35.6%\n"
+            "\n"
+            "bytes by service:\n"
+            "  Facebook        64.4%\n"
+            "  Other           35.6%\n"
+            "\n"
+            "flows by name source:\n"
+            "  zero   1\n"
+            "  host   1\n"
+            "\n"
+            "min-RTT by service (TCP flows):\n"
+            "  Facebook       median     3.0 ms over 1 flows\n"
+        )
 
     def test_empty_log_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.tsv"

@@ -22,9 +22,10 @@ from repro.core.persistence import (
     run_replay,
 )
 from repro.core.config import StudyConfig
-from repro.core.study import LongitudinalStudy
+from repro.analytics.infrastructure import daily_server_census
+from repro.core.study import INFRA_SERVICES, LongitudinalStudy
 from repro.dataflow.columnar import ColumnBatch
-from repro.dataflow.datalake import DataLake, LineCodec, tsv_codec
+from repro.dataflow.datalake import FLOW_CODEC, DataLake, LineCodec, tsv_codec
 from repro.dataflow.engine import Dataset
 from repro.dataflow.integrity import (
     CORRUPT_BIT_FLIP,
@@ -53,6 +54,10 @@ from repro.dataflow.integrity import (
 import repro.synthesis.flowgen as flowgen
 from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC
 from repro.synthesis.world import WorldConfig
+from repro.tstat.flow import FlowRecord, Transport
+from repro.tstat.flowbatch import FlowBatch
+
+FLOWS_TABLE = "flows"
 
 D = datetime.date
 DAY = D(2014, 2, 3)
@@ -91,6 +96,21 @@ def write_drifted_hourly(root, day, write_format, rows=4):
         ],
         HOURLY_CODEC,
     )
+
+
+def write_drifted_flows(root, day, rows=4):
+    """A v2 ``flows`` partition whose second row a newer probe labelled with
+    a protocol this build's :class:`WebProtocol` does not know."""
+    records = [
+        FlowRecord(
+            client_id=i, server_ip=10 + i, client_port=1000 + i, server_port=443,
+            transport=Transport.TCP, ts_start=float(i), ts_end=i + 1.0,
+            server_name=f"host{i}.example",
+        )
+        for i in range(rows)
+    ]
+    records[1].protocol = SimpleNamespace(value="gopher")
+    DataLake(root, write_format="v2").write_day(FLOWS_TABLE, day, records, FLOW_CODEC)
 
 
 def write_dateless_hourly(root, day, rows=4):
@@ -762,6 +782,18 @@ class TestChunkCorruption:
         survivors = lake.read_day(HOURLY_TABLE, days[5], HOURLY_CODEC, skip).collect()
         assert [row.bin_index for row in survivors] == [0, 2, 3]  # the read finishes
         assert skip.ledger.report_for(days[5]).quality == 0.75
+        # the same contract for the flow table: an out-of-enum protocol is
+        # the row's failure, typed and named under strict, routed otherwise
+        write_drifted_flows(lake.root, days[6])
+        damaged.append((FLOWS_TABLE, days[6], FLOW_CODEC, RecordDecodeError))
+        with pytest.raises(RecordDecodeError, match="line 2.*gopher"):
+            lake.read_day(FLOWS_TABLE, days[6], FLOW_CODEC, LakeIntegrity()).collect()
+        context = LakeIntegrity.for_lake_root(tmp_path / "scratch", policy="quarantine")
+        kept = lake.read_day(FLOWS_TABLE, days[6], FLOW_CODEC, context).collect()
+        assert [row.client_id for row in kept] == [0, 2, 3]
+        assert finding_kinds(context.findings, FLOWS_TABLE, days[6]) == ["record"]
+        (bad,) = (tmp_path / "scratch" / "_quarantine").rglob("*.bad")
+        assert "gopher" in bad.read_text()
         assert_walks_agree(lake, tmp_path / "walks", damaged, default_codecs())
 
     def test_line_oriented_kinds_refuse_binary_chunks(
@@ -897,3 +929,34 @@ class TestChunkCorruption:
             collected = lake.read_day(USAGE_TABLE, day, USAGE_CODEC).collect()
             assert type(collected) is list and collected == written[day]
         assert len(built) == rows
+
+    def test_clean_flow_walks_build_no_flow_record(self, tmp_path, monkeypatch):
+        """A generated flow batch archived as a v2 ``flows`` partition, the
+        ``fsck`` of it, and a read of it into the stage-1 analytics stay
+        columns end to end: not one :class:`FlowRecord` is constructed."""
+        study = LongitudinalStudy(replay_config())
+        day = D(2014, 2, 3)
+        built = []
+        construct = FlowRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowRecord, "__init__", counting_init)
+        flows = study.generator.expand_flows_batch(day)
+        lake = DataLake(tmp_path / "lake", write_format="v2")
+        lake.write_day(FLOWS_TABLE, day, flows, FLOW_CODEC)
+        assert fsck_lake(lake).clean
+        (block,) = lake.read_day(FLOWS_TABLE, day, FLOW_CODEC, LakeIntegrity()).blocks()
+        stored = FlowBatch.of(block)
+        assert len(stored) == len(flows) > 100
+        assert stored.columns["server_ip"] is block.columns["server_ip"]  # adopted
+        services = list(INFRA_SERVICES)
+        census = daily_server_census(
+            stored, study.rules, services, day, codes=stored.service_view(study.rules)
+        )
+        assert census == daily_server_census(flows, study.rules, services, day)
+        assert any(entry.total_ips for entry in census)
+        assert built == []
+        assert len(list(stored)) == len(built) == len(flows)  # whoever asks gets rows

@@ -1,9 +1,11 @@
 """Row vs columnar equivalence: the FlowBatch tier must be invisible.
 
 The repo's invariant — "parallelism changes wall-clock, never results" —
-extends to batching: every stage-1 analytic must return exactly the same
-values whether fed ``FlowRecord`` rows or the columnar ``FlowBatch``,
-and a study run on the row path must equal the batched study bit for bit.
+extends to batching.  Production has one columnar body per stage-1 flow
+analytic; the row loops it replaced live on here as ``oracle_*`` functions
+over ``list(batch)``, and every analytic — fed the batch, or fed the rows
+and left to normalise them itself — must return exactly what its oracle
+returns, a whole study included, bit for bit.
 """
 
 import dataclasses
@@ -12,8 +14,11 @@ import datetime
 import pytest
 
 from repro.analytics import rtt as rtt_analytics
+from repro.analytics.aggregate import classify_flow
 from repro.analytics.infrastructure import (
+    DailyServerStats,
     asn_breakdown,
+    asn_of_addresses,
     daily_ip_roles,
     daily_server_census,
     domain_shares,
@@ -38,6 +43,7 @@ from repro.tstat.flow import (
     RttSummary,
     Transport,
     WebProtocol,
+    second_level_domain,
 )
 from repro.tstat.flowbatch import FlowBatch
 
@@ -77,14 +83,116 @@ def _stage1_results(world, flows, rules, codes=None):
     return results
 
 
+# -- the oracle: the row loops production no longer has ------------------------
+
+
+def oracle_census(records, rules, services, day):
+    ips_by_service = {service: set() for service in services}
+    services_by_ip = {}
+    for record in records:
+        service = classify_flow(record, rules)
+        services_by_ip.setdefault(record.server_ip, set()).add(service)
+        if service in ips_by_service:
+            ips_by_service[service].add(record.server_ip)
+    stats = []
+    for service in services:
+        dedicated = 0
+        shared = 0
+        for address in ips_by_service[service]:
+            if len(services_by_ip[address]) > 1:
+                shared += 1
+            else:
+                dedicated += 1
+        stats.append(
+            DailyServerStats(
+                day=day, service=service, dedicated_ips=dedicated, shared_ips=shared
+            )
+        )
+    return stats
+
+
+def oracle_ip_roles(records, rules, services):
+    services_by_ip = {}
+    for record in records:
+        service = classify_flow(record, rules)
+        services_by_ip.setdefault(record.server_ip, set()).add(service)
+    roles = {service: {} for service in services}
+    for address, owners in services_by_ip.items():
+        shared = len(owners) > 1
+        for service in owners:
+            if service in roles:
+                roles[service][address] = shared
+    return roles
+
+
+def oracle_ip_set(records, rules, service):
+    return {
+        record.server_ip
+        for record in records
+        if classify_flow(record, rules) == service
+    }
+
+
+def oracle_asn(records, rules, rib, service, day):
+    return asn_of_addresses(
+        sorted(oracle_ip_set(records, rules, service)), rib, service, day
+    )
+
+
+def oracle_domain_shares(records, rules, service):
+    volumes = {}
+    total = 0
+    for record in records:
+        if classify_flow(record, rules) != service:
+            continue
+        if not record.server_name:
+            continue
+        sld = second_level_domain(record.server_name)
+        volumes[sld] = volumes.get(sld, 0) + record.total_bytes
+        total += record.total_bytes
+    if total == 0:
+        return {}
+    return {domain: volume / total for domain, volume in volumes.items()}
+
+
+def oracle_min_rtt(records, rules, service, min_samples=1):
+    samples = []
+    for record in records:
+        if record.transport is not Transport.TCP:
+            continue
+        if record.rtt.samples < min_samples:
+            continue
+        if rules.classify(record.server_name) != service:
+            continue
+        samples.append(record.rtt.min_ms)
+    return samples
+
+
+def _oracle_results(world, records, rules):
+    """:func:`_stage1_results`, recomputed row by row."""
+    services = list(INFRA_SERVICES)
+    results = {
+        "census": oracle_census(records, rules, services, DAY),
+        "roles": oracle_ip_roles(records, rules, services),
+    }
+    for service in INFRA_SERVICES:
+        results[("asn", service)] = oracle_asn(records, rules, world.rib, service, DAY)
+        results[("domains", service)] = oracle_domain_shares(records, rules, service)
+        results[("ips", service)] = oracle_ip_set(records, rules, service)
+    for service in RTT_SERVICES:
+        results[("rtt", service)] = oracle_min_rtt(records, rules, service)
+    return results
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRowColumnarEquivalence:
     def test_roundtrip_is_identity(self, seed):
         batch = TrafficGenerator(_world(seed)).expand_flows_batch(DAY)
-        records = batch.to_records()
+        records = list(batch)
         assert len(records) == len(batch)
-        rebuilt = FlowBatch.from_records(records)
-        assert rebuilt.to_records() == records
+        rebuilt = FlowBatch.of(records)
+        assert rebuilt is not batch and rebuilt == batch
+        assert list(rebuilt) == records
 
     def test_records_cover_both_technologies(self, seed):
         world = _world(seed)
@@ -99,13 +207,15 @@ class TestRowColumnarEquivalence:
         world = _world(seed)
         rules = catalog.default_ruleset()
         batch = TrafficGenerator(world).expand_flows_batch(DAY)
-        records = batch.to_records()
-        rows = _stage1_results(world, records, rules)
+        records = list(batch)
+        oracle = _oracle_results(world, records, rules)
         view = batch.service_view(rules)
         columnar = _stage1_results(world, batch, rules, codes=view)
-        assert set(rows) == set(columnar)
-        for key in rows:
-            assert rows[key] == columnar[key], key
+        normalised = _stage1_results(world, records, rules)
+        assert set(oracle) == set(columnar) == set(normalised)
+        for key in oracle:
+            assert oracle[key] == columnar[key], key
+            assert oracle[key] == normalised[key], key
 
     def test_shared_view_matches_fresh_classification(self, seed):
         world = _world(seed)
@@ -145,26 +255,26 @@ class TestEdgeCases:
     def test_empty_batch(self):
         world = _world(1)
         rules = catalog.default_ruleset()
-        empty = FlowBatch.from_records([])
+        empty = FlowBatch.of([])
         assert len(empty) == 0
-        assert empty.to_records() == []
-        rows = _stage1_results(world, [], rules)
+        assert list(empty) == []
+        rows = _oracle_results(world, [], rules)
         columnar = _stage1_results(
             world, empty, rules, codes=empty.service_view(rules)
         )
-        assert rows == columnar
+        assert rows == columnar == _stage1_results(world, [], rules)
 
     def test_single_flow_batch(self):
         world = _world(1)
         rules = catalog.default_ruleset()
         record = _single_record()
-        batch = FlowBatch.from_records([record])
-        assert batch.to_records() == [record]
-        rows = _stage1_results(world, [record], rules)
+        batch = FlowBatch.of([record])
+        assert list(batch) == [record]
+        rows = _oracle_results(world, [record], rules)
         columnar = _stage1_results(
             world, batch, rules, codes=batch.service_view(rules)
         )
-        assert rows == columnar
+        assert rows == columnar == _stage1_results(world, [record], rules)
         assert columnar[("rtt", catalog.FACEBOOK)] == [11.25]
         assert batch.total_bytes == record.total_bytes
 
@@ -189,8 +299,9 @@ def row_path_study(config):
 
     A standalone oracle for :class:`LongitudinalStudy`'s single day
     method: whole-day generation, the shared aggregate stage, and every
-    flow consumer fed the ``expand_flows`` records — the pre-batch row
-    pipeline the columnar study output must equal bit for bit.
+    flow consumer recomputed by its ``oracle_*`` row loop over the
+    ``expand_flows`` records — the pre-batch row pipeline the columnar
+    study output must equal bit for bit.
     """
     study = LongitudinalStudy(config)
     generator, rules = study.generator, study.rules
@@ -212,15 +323,15 @@ def row_path_study(config):
             day, traffic, max_flows_per_usage=config.max_flows_per_usage
         )
         data.flow_days.append(day)
-        data.census.extend(
-            daily_server_census(flows, rules, list(INFRA_SERVICES), day)
-        )
-        roles_by_service = daily_ip_roles(flows, rules, list(INFRA_SERVICES), day)
+        data.census.extend(oracle_census(flows, rules, list(INFRA_SERVICES), day))
+        roles_by_service = oracle_ip_roles(flows, rules, list(INFRA_SERVICES))
         for service in INFRA_SERVICES:
-            data.asn.append(asn_breakdown(flows, rules, study.world.rib, service, day))
-            data.domains.append((day, service, domain_shares(flows, rules, service)))
+            data.asn.append(oracle_asn(flows, rules, study.world.rib, service, day))
+            data.domains.append(
+                (day, service, oracle_domain_shares(flows, rules, service))
+            )
             data.daily_ip_sets.setdefault(service, []).append(
-                (day, service_ip_set(flows, rules, service))
+                (day, oracle_ip_set(flows, rules, service))
             )
             data.daily_ip_roles.setdefault(service, []).append(
                 (day, roles_by_service[service])
@@ -228,7 +339,7 @@ def row_path_study(config):
         if "rtt" in plan[day]:
             for service in RTT_SERVICES:
                 data.rtt_samples.setdefault((service, day.year), []).extend(
-                    rtt_analytics.min_rtt_samples(flows, rules, service)
+                    oracle_min_rtt(flows, rules, service)
                 )
     return data
 
@@ -252,6 +363,25 @@ class TestFullStudyIdentity:
     def test_batched_equals_row_path(self, batched, row_path, field):
         # Serial vs serial: same iteration order, so raw equality holds.
         assert getattr(batched, field) == getattr(row_path, field)
+
+    def test_flow_and_rtt_day_builds_no_flow_record(self, monkeypatch):
+        """A study day with every flow consumer on it stays columns from
+        the generator to the partial: no :class:`FlowRecord` is constructed."""
+        study = LongitudinalStudy(_tiny_config())
+        plan = study.planned_days()
+        day = next(day for day in sorted(plan) if {"flows", "rtt"} <= plan[day])
+        built = []
+        construct = FlowRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowRecord, "__init__", counting_init)
+        partial = study.day_partial(day, plan[day])
+        assert partial.flow_days == [day] and partial.census and partial.domains
+        assert any(partial.rtt_samples.values())
+        assert built == []
 
     def test_parallel_equals_row_path_flow_fields(self, parallel, row_path):
         # Chunked merges reorder the per-day lists; compare canonically.

@@ -30,12 +30,22 @@ from repro.dataflow.columnar import (
     read_chunk,
     zone_map,
 )
-from repro.dataflow.datalake import DataLake
+from repro.dataflow.datalake import FLOW_CODEC, DataLake
 from repro.dataflow.integrity import fsck_lake, load_manifest
 from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC
 from repro.synthesis.world import WorldConfig
 from repro.telemetry import Telemetry, VirtualClock
 from repro.telemetry.runtime import activate
+from repro.tstat.flow import (
+    FlowRecord,
+    NameSource,
+    RttSummary,
+    Transport,
+    WebProtocol,
+)
+from repro.tstat.flowbatch import FlowBatch
+
+FLOWS_TABLE = "flows"
 
 D = datetime.date
 
@@ -241,17 +251,67 @@ class TestChunkRoundTrip:
         )
         assert manifest.zone == zone
 
-    @pytest.mark.parametrize("table", [USAGE_TABLE, PROTOCOL_TABLE, HOURLY_TABLE])
+    def test_probe_records_read_back_identical_from_either_container(self, tmp_path):
+        """The same flow records — floats beyond the wire precision, a
+        ``None`` and an empty name, every transport, protocol and name
+        source — archived as v1 lines and as a v2 chunk read back
+        field-identical: at the log line's precision, an empty name as no
+        name."""
+        day = D(2016, 9, 14)
+        members = list(zip(
+            list(Transport) * 5, WebProtocol, list(NameSource) * 2
+        ))
+        assert {m[1] for m in members} == set(WebProtocol)
+        assert {m[2] for m in members} == set(NameSource)
+        records = [
+            FlowRecord(
+                client_id=i, server_ip=0x5DB8D800 + i, client_port=40_000 + i,
+                server_port=443, transport=transport,
+                ts_start=1473811200.123456789 + i / 7, ts_end=1473811260.0000005 + i / 3,
+                packets_up=i, packets_down=2 * i, bytes_up=1000 * i, bytes_down=9000 * i,
+                protocol=protocol,
+                server_name=[None, "", f"host{i}.example.net"][i % 3],
+                name_source=source,
+                rtt=RttSummary(samples=i, min_ms=i / 7, avg_ms=i / 3 + 0.0005, max_ms=i * 1.1),
+                vantage=f"pop{i % 2}",
+            )
+            for i, (transport, protocol, source) in enumerate(members)
+        ]
+        read_back = {}
+        for write_format in ("v1", "v2"):
+            lake = DataLake(tmp_path / write_format, write_format=write_format)
+            lake.write_day(FLOWS_TABLE, day, records, FLOW_CODEC)
+            assert fsck_lake(lake).clean
+            read_back[write_format] = lake.read_day(FLOWS_TABLE, day, FLOW_CODEC).collect()
+        assert read_back["v1"] == read_back["v2"]
+        assert read_back["v2"] == [FLOW_CODEC.decode(FLOW_CODEC.encode(r)) for r in records]
+        assert read_back["v2"] != records  # the floats were rounded...
+        assert list(FlowBatch.of(records)) != read_back["v2"]  # ...on the wire only
+        assert [r.server_name for r in read_back["v2"][:3]] == [None, None, "host2.example.net"]
+        assert [r.ts_start for r in read_back["v2"][:2]] == [1473811200.123457, 1473811200.266314]
+        assert read_back["v2"][1].rtt == RttSummary(1, 0.143, 0.334, 1.1)
+
+    @pytest.mark.parametrize(
+        "table", [USAGE_TABLE, PROTOCOL_TABLE, HOURLY_TABLE, FLOWS_TABLE]
+    )
     def test_batch_is_its_rows(self, tmp_path, generator, table):
         """A batch, the list of its records and a generator over them encode
         to the same bytes, and the batch reads as that list."""
         day = D(2017, 4, 12)
         traffic = generator.generate_day(day)
         rows, codec = {
-            USAGE_TABLE: (list(traffic.usage), USAGE_CODEC),
-            PROTOCOL_TABLE: (list(traffic.protocols), PROTOCOL_CODEC),
-            HOURLY_TABLE: (generator.generate_hourly(day, traffic), HOURLY_CODEC),
-        }[table]
+            USAGE_TABLE: lambda: (list(traffic.usage), USAGE_CODEC),
+            PROTOCOL_TABLE: lambda: (list(traffic.protocols), PROTOCOL_CODEC),
+            HOURLY_TABLE: lambda: (generator.generate_hourly(day, traffic), HOURLY_CODEC),
+            # flow records as a probe's log holds them: at wire precision
+            FLOWS_TABLE: lambda: (
+                [
+                    FLOW_CODEC.decode(FLOW_CODEC.encode(record))
+                    for record in generator.expand_flows(day, traffic)[:500]
+                ],
+                FLOW_CODEC,
+            ),
+        }[table]()
         assert len(rows) > 3
         batch = ColumnBatch.of(rows, codec)
         assert ColumnBatch.of(batch, codec) is batch
