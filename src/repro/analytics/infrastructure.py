@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.routing.asns import by_number
 from repro.routing.rib import RibArchive
 from repro.services.rules import RuleSet
 from repro.tstat.flow import FlowRecord
@@ -82,12 +83,18 @@ class ServicePairs:
         if ips.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return cls(empty, empty, np.zeros(0, dtype=bool), services)
-        pairs = np.unique(np.stack((ips, codes)), axis=1)
+        # One int64 key per pair sorts as (ip, code) does: a 32-bit address
+        # times a handful of services stays far inside 63 bits.  The two
+        # results stay columns of one (pairs, 2) array, as the stacked
+        # dedup left them: a shard's sidecar pickles them, and NumPy
+        # pickles a strided view and a contiguous array differently.
+        keys = np.unique(ips.astype(np.int64) * len(services) + codes)
+        pair_ips, pair_codes = np.column_stack(np.divmod(keys, len(services))).T
         # Pairs are distinct, so each IP's multiplicity is its service count.
         _, inverse, counts = np.unique(
-            pairs[0], return_inverse=True, return_counts=True
+            pair_ips, return_inverse=True, return_counts=True
         )
-        return cls(pairs[0], pairs[1], counts[inverse] > 1, services)
+        return cls(pair_ips, pair_codes, counts[inverse] > 1, services)
 
     @classmethod
     def union(
@@ -191,7 +198,7 @@ def asn_breakdown(
 ) -> AsnBreakdown:
     """Join a service's daily server IPs against the monthly RIB."""
     addresses = _service_addresses(flows, rules, service, codes)
-    return asn_of_addresses(addresses.tolist(), rib, service, day, top_asns)
+    return asn_of_addresses(addresses, rib, service, day, top_asns)
 
 
 def asn_of_addresses(
@@ -201,13 +208,19 @@ def asn_of_addresses(
     day: datetime.date,
     top_asns: Optional[List[str]] = None,
 ) -> AsnBreakdown:
-    """Count a service's (distinct, ordered) addresses per origin AS name."""
+    """Count a service's (distinct, ordered) addresses per origin AS name.
+
+    One array join against the day's RIB snapshot; ``counts`` lists the
+    names in first-appearance order over the addresses.
+    """
+    origins = rib.origins_of(np.fromiter(addresses, dtype=np.int64), day)
+    numbers, first, hits = np.unique(origins, return_index=True, return_counts=True)
     counts: Dict[str, int] = {}
-    for address in addresses:
-        name = rib.origin_of(address, day).name
+    for index in np.argsort(first).tolist():
+        name = by_number(int(numbers[index])).name
         if top_asns is not None and name not in top_asns:
             name = "OTHER"
-        counts[name] = counts.get(name, 0) + 1
+        counts[name] = counts.get(name, 0) + int(hits[index])
     return AsnBreakdown(day=day, service=service, counts=counts)
 
 

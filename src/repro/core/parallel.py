@@ -120,9 +120,10 @@ _SUBMIT_WINDOW_PER_WORKER = 2
 #: Dispatch/settlement key: (day, shard index).
 _Key = Tuple[datetime.date, int]
 
-#: Per-process memo of studies rebuilt from their (hashed) config, so a
-#: worker handling many single-day tasks builds its world once.
-_STUDY_CACHE: Dict[str, LongitudinalStudy] = {}  # repro: noqa[RPR004] -- per-process memo keyed by config hash; entries are rebuilt deterministically from the picklable config, never mutated after construction and never shipped between processes, so workers cannot diverge
+#: Per-process memo of studies built from their (hashed) config: the
+#: parent plans from it, the inline executor computes with it and fork
+#: workers inherit it, so a process builds a config's world once.
+_STUDY_CACHE: Dict[str, LongitudinalStudy] = {}  # repro: noqa[RPR004] -- per-process memo keyed by config hash; an entry is built deterministically from the config and never mutated afterwards, so the copy a fork worker inherits equals the one it would build; never pickled — spawn workers rebuild from the task's config
 
 
 @dataclass
@@ -279,8 +280,11 @@ def _cached_study(config: StudyConfig) -> LongitudinalStudy:
     key = config_hash(config)
     study = _STUDY_CACHE.get(key)
     if study is None:
-        if len(_STUDY_CACHE) >= 4:
-            _STUDY_CACHE.clear()
+        # Full: drop the oldest entries, never the studies of runs in
+        # flight (the newest).  ``list`` and ``pop`` are each atomic, so
+        # concurrent runs of the service cannot trip over each other here.
+        for stale in list(_STUDY_CACHE)[:-3]:
+            _STUDY_CACHE.pop(stale, None)
         study = LongitudinalStudy(config)
         _STUDY_CACHE[key] = study
     return study
@@ -1261,7 +1265,7 @@ def execute_study(
         raise ValueError("workers must be positive")
     if shards < 1:
         raise ValueError("shards must be positive")
-    planner = LongitudinalStudy(config)
+    planner = _cached_study(config)
     plan = planner.planned_days()
     days = sorted(plan)
     digest = config_hash(config)

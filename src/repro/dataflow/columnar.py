@@ -227,6 +227,19 @@ def dictionary_codes(
     )
 
 
+def first_appearance_codes(
+    codes: np.ndarray, dictionary: Sequence[Any]
+) -> Tuple[np.ndarray, List[Any]]:
+    """Codes into ``dictionary`` re-coded in first-appearance order, with
+    the dictionary of just the values used: what :func:`dictionary_codes`
+    would have built from the decoded values, without decoding any."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first, kind="stable")]
+    rank = np.zeros(len(dictionary), dtype=codes.dtype)
+    rank[used] = np.arange(used.size, dtype=codes.dtype)
+    return rank[codes], [dictionary[code] for code in used.tolist()]
+
+
 class ColumnBatch(Sequence[T]):
     """A table's rows as typed arrays — and, on demand, as records.
 
@@ -495,12 +508,7 @@ class ColumnBatch(Sequence[T]):
         """A ``str`` column re-coded the one way a chunk stores it: codes in
         first-appearance order over the rows present, no unused value —
         the byte-determinism rule, whatever dictionary the batch carries."""
-        codes, dictionary = self.columns[name], self.dictionaries[name]
-        used, first = np.unique(codes, return_index=True)
-        used = used[np.argsort(first, kind="stable")]
-        rank = np.zeros(len(dictionary), dtype=codes.dtype)
-        rank[used] = np.arange(used.size, dtype=codes.dtype)
-        return rank[codes], [dictionary[code] for code in used.tolist()]
+        return first_appearance_codes(self.columns[name], self.dictionaries[name])
 
 
 # ----------------------------------------------------------------------

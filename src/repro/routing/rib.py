@@ -15,7 +15,9 @@ import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.nettypes.ip import Prefix
+import numpy as np
+
+from repro.nettypes.ip import IPV4_MAX, Prefix
 from repro.routing.asns import AutonomousSystem, by_number
 from repro.routing.trie import PrefixTrie
 
@@ -35,6 +37,7 @@ class RibSnapshot:
         self.month = month
         self._trie: PrefixTrie[int] = PrefixTrie()
         self._entries: List[RibEntry] = []
+        self._flat: Optional[Tuple[np.ndarray, np.ndarray]] = None
         for entry in entries:
             self._trie.insert(entry.prefix, entry.origin)
             self._entries.append(entry)
@@ -52,6 +55,35 @@ class RibSnapshot:
         if asn is None:
             return None
         return by_number(asn)
+
+    def _intervals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The table as sorted disjoint intervals: ``origins[i]`` is the
+        ASN of the most specific prefix covering ``[starts[i],
+        starts[i + 1])`` — 0, the OTHER AS, where none does.  Flattened
+        on the first array lookup, never while the archive is built."""
+        if self._flat is None:
+            starts = np.unique(
+                [0, IPV4_MAX + 1]
+                + [entry.prefix.first() for entry in self._entries]
+                + [entry.prefix.last() + 1 for entry in self._entries]
+            )
+            origins = np.zeros(starts.size, dtype=np.int64)
+            # Less specific first, so a more specific prefix paints over
+            # it; of two routes for one prefix the later replaces, as in
+            # the trie.
+            for entry in sorted(self._entries, key=lambda entry: entry.prefix.length):
+                lo, hi = np.searchsorted(
+                    starts, (entry.prefix.first(), entry.prefix.last() + 1)
+                )
+                origins[lo:hi] = entry.origin
+            self._flat = (starts, origins)
+        return self._flat
+
+    def origins_of(self, addresses: np.ndarray) -> np.ndarray:
+        """:meth:`origin_of` over an array, as AS numbers (0: no route):
+        one ``searchsorted`` against the flattened table."""
+        starts, origins = self._intervals()
+        return origins[np.searchsorted(starts, addresses, side="right") - 1]
 
 
 class RibArchive:
@@ -88,6 +120,13 @@ class RibArchive:
             return by_number(0)
         origin = snapshot.origin_of(address)
         return origin if origin is not None else by_number(0)
+
+    def origins_of(self, addresses: np.ndarray, day: datetime.date) -> np.ndarray:
+        """:meth:`origin_of` over an array of addresses, as AS numbers."""
+        snapshot = self.snapshot_for(day)
+        if snapshot is None:
+            return np.zeros(len(addresses), dtype=np.int64)
+        return snapshot.origins_of(addresses)
 
     def __len__(self) -> int:
         return len(self._snapshots)

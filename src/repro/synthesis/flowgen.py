@@ -26,7 +26,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.dataflow.columnar import (
     ColumnBatch,
     ColumnSpec,
     ColumnarCodec,
-    dictionary_codes,
+    first_appearance_codes,
 )
 from repro.dataflow.datalake import LineCodec, tsv_codec
 from repro.services import catalog
@@ -479,17 +479,11 @@ class TrafficGenerator:
                 )
 
         # Subscribed-but-inactive lines still emit background chatter that
-        # must fail the Section 3 activity criterion.  The three scalar
-        # draws per line interleave on one sequential stream, so they are
-        # replayed for every line whatever range is emitted.
+        # must fail the Section 3 activity criterion; it is drawn for
+        # every such line whatever range is emitted.
         background = np.nonzero(observed & ~active)[0]
         if background.size:
-            chatter = np.empty((3, background.size), dtype=np.int64)
-            for position in range(background.size):
-                chatter[0, position] = rng.integers(1_000, _BACKGROUND_BYTES_DOWN)
-                chatter[1, position] = rng.integers(100, _BACKGROUND_BYTES_UP)
-                chatter[2, position] = rng.integers(1, _BACKGROUND_FLOWS + 1)
-            rows.add(catalog.OTHER, background, chatter[0], chatter[1], chatter[2])
+            rows.add(catalog.OTHER, background, *_background_chatter(rng, background.size))
 
         protocol_rows = tuple(
             ProtocolUsage(day=day, service=service, protocol=protocol, total_bytes=total)
@@ -574,10 +568,12 @@ class TrafficGenerator:
         pick_servers`), and the batch columns are assembled directly —
         no per-flow Python loop, no intermediate records.
 
-        All draws run at full-day width from ``traffic.skeleton``; the
-        batch keeps the flows of the emitted usage rows.  The positions
-        let order-sensitive consumers (RTT sample lists) restore the
-        whole-day ordering when a day was split into shards.
+        All draws run at full-day width from ``traffic.skeleton``, as does
+        the pick bookkeeping that sizes a later draw; the batch keeps the
+        flows of the emitted usage rows, and every column derived from
+        the draws is computed over those flows only (DESIGN.md §15).  The
+        positions let order-sensitive consumers (RTT sample lists) restore
+        the whole-day ordering when a day was split into shards.
         """
         traffic = traffic if traffic is not None else self.generate_day(day)
         skeleton = traffic.skeleton
@@ -590,33 +586,52 @@ class TrafficGenerator:
         midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
 
         counts = np.clip(skeleton.row_flows, 1, max_flows_per_usage)
-        starts = np.zeros(row_count, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
         total = int(counts.sum())
         row_of = np.repeat(np.arange(row_count), counts)
 
-        bytes_down_rows = skeleton.row_bytes_down
-        bytes_up_rows = skeleton.row_bytes_up
+        # Which flows the batch keeps is known before the first draw: a
+        # draw is narrowed to them as soon as it is made, unless a later
+        # draw is sized by it (service, protocol, deployment and template
+        # picks).  When every flow is kept, columns are the draws' own
+        # arrays instead of copies through an index.
+        kept_rows = skeleton.emit_positions
         emit_rows = np.zeros(row_count, dtype=bool)
-        emit_rows[skeleton.emit_positions] = True
+        emit_rows[kept_rows] = True
         emit = emit_rows[row_of]
+        positions = np.nonzero(emit)[0]
+        whole = positions.size == total
+        keep = slice(None) if whole else positions
+
+        def kept_among(where: np.ndarray) -> Any:
+            """Index into a draw made for the flows of the mask ``where``:
+            the draws of the kept flows."""
+            return slice(None) if whole else emit[where]
+
+        flow_row = row_of[keep]
+        width = flow_row.size  # of every derived column
+        kept_counts = counts[kept_rows]
+        starts = np.zeros(kept_rows.size, dtype=np.int64)  # of each row's kept flows
+        np.cumsum(kept_counts[:-1], out=starts[1:])
 
         # Per-usage-row Dirichlet(0.8) byte-split weights; the integer
         # remainder goes to each row's first flow (as _integer_split does).
-        gamma = rng.standard_gamma(0.8, total)
-        weights = gamma / np.add.reduceat(gamma, starts)[row_of]
-        down = np.floor(bytes_down_rows[row_of] * weights).astype(np.int64)
-        down[starts] += bytes_down_rows - np.add.reduceat(down, starts)
-        up = np.floor(bytes_up_rows[row_of] * weights).astype(np.int64)
-        up[starts] += bytes_up_rows - np.add.reduceat(up, starts)
+        gamma = rng.standard_gamma(0.8, total)[keep]
+        weights = gamma / np.repeat(np.add.reduceat(gamma, starts), kept_counts)
+        down = np.floor(skeleton.row_bytes_down[flow_row] * weights).astype(np.int64)
+        down[starts] += skeleton.row_bytes_down[kept_rows] - np.add.reduceat(
+            down, starts
+        )
+        up = np.floor(skeleton.row_bytes_up[flow_row] * weights).astype(np.int64)
+        up[starts] += skeleton.row_bytes_up[kept_rows] - np.add.reduceat(up, starts)
         packets_down = np.maximum(1, down // 1400)
         packets_up = np.maximum(1, up // 700 + packets_down // 2)
 
         # Start bins via inverse-CDF over each technology's diurnal curve.
-        uniforms = rng.random(total)
-        bins = np.empty(total, dtype=np.int64)
+        uniforms = rng.random(total)[keep]
+        flow_ftth = skeleton.row_ftth[flow_row]
+        bins = np.empty(width, dtype=np.int64)
         for technology in Technology:
-            mask = skeleton.row_ftth[row_of] == (technology is Technology.FTTH)
+            mask = flow_ftth == (technology is Technology.FTTH)
             if not mask.any():
                 continue
             cdf = np.cumsum(
@@ -628,15 +643,18 @@ class TrafficGenerator:
                 BINS_PER_DAY - 1,
             )
         seconds_per_bin = 86_400 // BINS_PER_DAY
-        ts_start = midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)
+        ts_start = midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)[keep]
 
         # Protocol mixes and server picks, grouped by service
-        # (first-appearance order over the usage rows).
+        # (first-appearance order over the usage rows).  A server name is
+        # an id into ``names``, the day's table of the services' domain
+        # tables, until the batch's dictionary is built.
         flow_service = skeleton.row_service[row_of]
         true_protocol = np.empty(total, dtype=np.int64)  # codes into PROTOCOLS
-        ips = np.empty(total, dtype=np.int64)
-        domains = np.empty(total, dtype=object)
-        rtt_draw = np.empty(total, dtype=np.float64)
+        ips = np.empty(width, dtype=np.int64)
+        name_ids = np.empty(width, dtype=np.int64)
+        rtt_draw = np.empty(width, dtype=np.float64)
+        names: Dict[Optional[str], int] = {}
         for code, service_name in enumerate(skeleton.services):
             mask = flow_service == code
             hits = int(np.count_nonzero(mask))
@@ -657,10 +675,17 @@ class TrafficGenerator:
                     np.int64, len(mix),
                 )
                 true_protocol[mask] = mix_codes[picks]
-            # Domain strings are only built for the emitted flows.
-            ips[mask], domains[mask], rtt_draw[mask] = infra.pick_servers(
-                day, rng, hits, emit=emit[mask]
+            servers = infra.pick_servers(day, rng, hits)
+            here, ours = mask[keep], kept_among(mask)
+            ips[here] = infra.addresses_of(
+                day, servers.deployments[ours], servers.slots[ours]
             )
+            day_id = np.fromiter(
+                (names.setdefault(name, len(names)) for name in infra.domain_table),
+                np.int64, len(infra.domain_table),
+            )
+            name_ids[here] = day_id[servers.names[ours]]
+            rtt_draw[here] = servers.rtts_ms[ours]
 
         # Protocol-derived columns via 9-entry lookup tables.
         label_of = np.fromiter(
@@ -677,14 +702,17 @@ class TrafficGenerator:
         quic = true_protocol == protocol_code(WebProtocol.QUIC)
         p2p = true_protocol == protocol_code(WebProtocol.P2P)
         other = true_protocol == protocol_code(WebProtocol.OTHER)
+        flow_protocol = true_protocol[keep]
         transport = np.where(
-            quic, TRANSPORTS.index(Transport.UDP), TRANSPORTS.index(Transport.TCP)
+            quic[keep],
+            TRANSPORTS.index(Transport.UDP),
+            TRANSPORTS.index(Transport.TCP),
         )
 
         duration = np.minimum(
-            3600.0, 1.0 + rng.lognormal(0.0, 1.0, total) * (down / 1e6)
+            3600.0, 1.0 + rng.lognormal(0.0, 1.0, total)[keep] * (down / 1e6)
         )
-        client_port = rng.integers(1024, 65535, total)
+        client_port = rng.integers(1024, 65535, total)[keep]
 
         # Flow names: P2P flows are nameless, HTTP/QUIC/FBZERO expose the
         # domain via their own mechanism, OTHER resolves via DNS 70% of
@@ -696,101 +724,100 @@ class TrafficGenerator:
         source_of[protocol_code(WebProtocol.HTTP)] = name_source_code(NameSource.HOST)
         source_of[protocol_code(WebProtocol.QUIC)] = name_source_code(NameSource.QUIC)
         source_of[protocol_code(WebProtocol.FBZERO)] = name_source_code(NameSource.ZERO)
-        name_source = source_of[true_protocol]
-        named = ~p2p
+        name_source = source_of[flow_protocol]
+        named = ~p2p[keep]
         other_hits = int(np.count_nonzero(other))
         if other_hits:
-            resolved = rng.random(other_hits) < 0.7
-            name_source[other] = np.where(
+            resolved = rng.random(other_hits)[kept_among(other)] < 0.7
+            here = other[keep]
+            name_source[here] = np.where(
                 resolved,
                 name_source_code(NameSource.DNS),
                 name_source_code(NameSource.NONE),
             )
-            unresolved = np.zeros(total, dtype=bool)
-            unresolved[other] = ~resolved
-            named &= ~unresolved
+            named[here] = resolved
 
         # RTT summaries: sampled on TCP non-P2P flows, jittery on P2P,
         # absent on QUIC (Tstat cannot sample UDP handshakes).
-        rtt_samples = np.zeros(total, dtype=np.int64)
-        rtt_min = np.zeros(total, dtype=np.float64)
-        rtt_avg = np.zeros(total, dtype=np.float64)
-        rtt_max = np.zeros(total, dtype=np.float64)
+        rtt_samples = np.zeros(width, dtype=np.int64)
+        rtt_min = np.zeros(width, dtype=np.float64)
+        rtt_avg = np.zeros(width, dtype=np.float64)
+        rtt_max = np.zeros(width, dtype=np.float64)
         sampled = ~quic & ~p2p
         sampled_hits = int(np.count_nonzero(sampled))
         if sampled_hits:
-            rtt_samples[sampled] = np.clip(packets_up[sampled] // 4, 1, 50)
-            minimum = rtt_draw[sampled]
-            average = minimum * (1.0 + rng.lognormal(-1.5, 0.8, sampled_hits))
-            rtt_min[sampled] = minimum
-            rtt_avg[sampled] = average
-            rtt_max[sampled] = average * (
-                1.0 + rng.lognormal(-1.0, 0.8, sampled_hits)
+            here, ours = sampled[keep], kept_among(sampled)
+            minimum = rtt_draw[here]
+            average = minimum * (1.0 + rng.lognormal(-1.5, 0.8, sampled_hits)[ours])
+            rtt_samples[here] = np.clip(packets_up[here] // 4, 1, 50)
+            rtt_min[here] = minimum
+            rtt_avg[here] = average
+            rtt_max[here] = average * (
+                1.0 + rng.lognormal(-1.0, 0.8, sampled_hits)[ours]
             )
         p2p_hits = int(np.count_nonzero(p2p))
         if p2p_hits:
             # Peers are far and jittery; Tstat still samples TCP P2P flows.
-            minimum = rtt_draw[p2p] * rng.lognormal(0.0, 0.5, p2p_hits)
-            rtt_samples[p2p] = 5
-            rtt_min[p2p] = minimum
-            rtt_avg[p2p] = minimum * 1.6
-            rtt_max[p2p] = minimum * 3.0
-
-        # All draws above ran at full-day width; the batch keeps the
-        # emitted flows.  When that is every flow the columns are used
-        # as they are instead of being copied through an index.
-        positions = np.nonzero(emit)[0]
-        keep = slice(None) if positions.size == total else positions
-        flow_row = row_of[keep]
+            here = p2p[keep]
+            minimum = rtt_draw[here] * rng.lognormal(0.0, 0.5, p2p_hits)[kept_among(p2p)]
+            rtt_samples[here] = 5
+            rtt_min[here] = minimum
+            rtt_avg[here] = minimum * 1.6
+            rtt_max[here] = minimum * 3.0
 
         # Names and vantages are dictionary-coded in first-appearance order
-        # over the emitted flows.
-        names: Dict[Optional[str], int] = {}
-        name_codes = dictionary_codes(
-            (
-                domain if use else None
-                for domain, use in zip(domains[keep].tolist(), named[keep].tolist())
-            ),
-            names,
-        )
-        row_vantage = np.zeros(row_count, dtype=np.int64)
-        row_vantage[skeleton.emit_positions], vantages = (
-            traffic.usage.canonical_codes("pop")
-        )
+        # over the kept flows; unnamed flows hold the id of ``None``.
+        name_ids[~named] = names.setdefault(None, len(names))
+        name_codes, name_dictionary = first_appearance_codes(name_ids, list(names))
+        row_vantage, vantages = traffic.usage.canonical_codes("pop")
 
         batch = FlowBatch(
             FLOW_CODEC,
             {
                 "client_id": skeleton.row_subscriber[flow_row],
-                "server_ip": ips[keep],
-                "client_port": client_port[keep],
-                "server_port": port_of[true_protocol[keep]],
-                "transport": transport[keep],
-                "ts_start": ts_start[keep],
-                "ts_end": (ts_start + duration)[keep],
-                "packets_up": packets_up[keep],
-                "packets_down": packets_down[keep],
-                "bytes_up": up[keep],
-                "bytes_down": down[keep],
-                "protocol": label_of[true_protocol[keep]],
+                "server_ip": ips,
+                "client_port": client_port,
+                "server_port": port_of[flow_protocol],
+                "transport": transport,
+                "ts_start": ts_start,
+                "ts_end": ts_start + duration,
+                "packets_up": packets_up,
+                "packets_down": packets_down,
+                "bytes_up": up,
+                "bytes_down": down,
+                "protocol": label_of[flow_protocol],
                 "server_name": name_codes,
-                "name_source": name_source[keep],
-                "rtt_samples": rtt_samples[keep],
-                "rtt_min_ms": rtt_min[keep],
-                "rtt_avg_ms": rtt_avg[keep],
-                "rtt_max_ms": rtt_max[keep],
-                "vantage": row_vantage[flow_row],
+                "name_source": name_source,
+                "rtt_samples": rtt_samples,
+                "rtt_min_ms": rtt_min,
+                "rtt_avg_ms": rtt_avg,
+                "rtt_max_ms": rtt_max,
+                "vantage": np.repeat(row_vantage, kept_counts),
             },
             {
                 "transport": [member.value for member in TRANSPORTS],
                 "protocol": [member.value for member in PROTOCOLS],
-                "server_name": list(names),
+                "server_name": name_dictionary,
                 "name_source": [member.value for member in NAME_SOURCES],
                 "vantage": vantages,
             },
         )
         telemetry.count("flows_expanded", len(batch))
         return batch, positions
+
+
+def _background_chatter(rng: np.random.Generator, lines: int) -> np.ndarray:
+    """Bytes down, bytes up and flows of ``lines`` idle lines, as rows.
+
+    The three draws of a line interleave on the one sequential stream —
+    a ``(lines, 3)`` draw fills line by line — exactly as three scalar
+    draws per line would.
+    """
+    return rng.integers(
+        (1_000, 100, 1),
+        (_BACKGROUND_BYTES_DOWN, _BACKGROUND_BYTES_UP, _BACKGROUND_FLOWS + 1),
+        size=(lines, 3),
+    ).T
 
 
 def _integer_split(total: int, weights: np.ndarray) -> np.ndarray:

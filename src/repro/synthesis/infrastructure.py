@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,36 +93,21 @@ class Deployment:
     rtt_sigma: float = 0.08  # lognormal spread of per-flow min RTT
     slot_offset: int = 0  # region of the pool (separates co-pool tenants)
 
-    def domain_on(self, day: datetime.date, rng: np.random.Generator) -> str:
-        weights = [(template, curve(day)) for template, curve in self.domains]
-        weights = [(template, max(0.0, weight)) for template, weight in weights]
-        total = sum(weight for _, weight in weights)
-        if total <= 0:
-            template = self.domains[0][0]
-        else:
-            pick = rng.random() * total
-            cumulative = 0.0
-            template = weights[-1][0]
-            for candidate, weight in weights:
-                cumulative += weight
-                if pick <= cumulative:
-                    template = candidate
-                    break
-        return _fill_template(template, rng)
+    @property
+    def domain_table(self) -> Tuple[str, ...]:
+        """Every name the deployment can serve under — each template's
+        fills, in template order."""
+        return tuple(
+            name for template, _ in self.domains for name in _template_fills(template)
+        )
 
     def domains_on(
-        self,
-        day: datetime.date,
-        rng: np.random.Generator,
-        count: int,
-        emit: Optional[np.ndarray] = None,
+        self, day: datetime.date, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        """``count`` domain draws at once (vectorized :meth:`domain_on`).
+        """``count`` domain draws at once, as ids into :attr:`domain_table`.
 
-        ``emit`` (bool mask over ``count``) keeps every RNG draw but
-        skips the Python string construction for positions that the
-        caller will discard — sharded expansion stays draw-aligned with
-        the unsharded stream while paying only for its own flows.
+        A template is picked by the day's weights, then its ``{n}`` /
+        ``{a}`` placeholders are drawn; no string is built per draw.
         """
         weights = [max(0.0, curve(day)) for _, curve in self.domains]
         total = sum(weights)
@@ -134,18 +119,15 @@ class Deployment:
                 np.searchsorted(cumulative, rng.random(count) * total),
                 len(weights) - 1,
             )
-        out = np.empty(count, dtype=object)
+        ids = np.empty(count, dtype=np.int64)
+        base = 0
         for index, (template, _) in enumerate(self.domains):
             mask = picks == index
             hits = int(np.count_nonzero(mask))
             if hits:
-                out[mask] = _fill_templates(
-                    template,
-                    rng,
-                    hits,
-                    emit=None if emit is None else emit[mask],
-                )
-        return out
+                ids[mask] = base + _fill_templates(template, rng, hits)
+            base += _fill_count(template)
+        return ids
 
     def sample_rtt_ms(self, rng: np.random.Generator) -> float:
         return float(self.rtt_ms * rng.lognormal(0.0, self.rtt_sigma))
@@ -154,6 +136,15 @@ class Deployment:
         self, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         return self.rtt_ms * rng.lognormal(0.0, self.rtt_sigma, count)
+
+
+class ServerPicks(NamedTuple):
+    """Servers picked for a run of flows, one entry per flow."""
+
+    deployments: np.ndarray  # indices into the service's ``deployments``
+    slots: np.ndarray  # address slots inside each deployment's pool
+    names: np.ndarray  # ids into the service's ``domain_table``
+    rtts_ms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -176,6 +167,9 @@ class ServiceInfrastructure:
             raise ValueError(f"{service}: at least one deployment required")
         self.service = service
         self.deployments = tuple(deployments)
+        self._layout: Optional[
+            Tuple[Tuple[str, ...], Tuple[np.ndarray, ...]]
+        ] = None
 
     def shares_on(self, day: datetime.date) -> List[Tuple[Deployment, float]]:
         weights = [
@@ -187,47 +181,56 @@ class ServiceInfrastructure:
             return []
         return [(deployment, weight / total) for deployment, weight in weights]
 
+    def _domain_layout(self) -> Tuple[Tuple[str, ...], Tuple[np.ndarray, ...]]:
+        """The service's domain table — the distinct names of all its
+        deployments, first-appearance order — and per deployment the map
+        from its own table's ids into it.  Static, so it is built on
+        first use and kept."""
+        if self._layout is None:
+            ids: Dict[str, int] = {}
+            tables = [deployment.domain_table for deployment in self.deployments]
+            remaps = tuple(
+                np.fromiter(
+                    (ids.setdefault(name, len(ids)) for name in table),
+                    np.int64,
+                    len(table),
+                )
+                for table in tables
+            )
+            self._layout = (tuple(ids), remaps)
+        return self._layout
+
+    @property
+    def domain_table(self) -> Tuple[str, ...]:
+        """Every name the service can serve under; :meth:`pick_servers`
+        returns ids into it."""
+        return self._domain_layout()[0]
+
     def pick_server(
         self, day: datetime.date, rng: np.random.Generator
     ) -> ServerChoice:
-        shares = self.shares_on(day)
-        if not shares:
-            raise ValueError(f"{self.service}: no deployment active on {day}")
-        pick = rng.random()
-        cumulative = 0.0
-        deployment = shares[-1][0]
-        for candidate, share in shares:
-            cumulative += share
-            if pick <= cumulative:
-                deployment = candidate
-                break
-        slots = max(1, int(deployment.active_slots(day)))
-        slot = deployment.slot_offset + int(rng.integers(0, slots))
-        ip = deployment.pool.address_for(slot, day)
+        """One server: the one-flow call of :meth:`pick_servers`."""
+        picks = self.pick_servers(day, rng, 1)
+        deployment = self.deployments[int(picks.deployments[0])]
         return ServerChoice(
-            ip=ip,
-            domain=deployment.domain_on(day, rng),
-            rtt_ms=deployment.sample_rtt_ms(rng),
+            ip=deployment.pool.address_for(int(picks.slots[0]), day),
+            domain=self.domain_table[int(picks.names[0])],
+            rtt_ms=float(picks.rtts_ms[0]),
             asn=deployment.pool.asn,
             deployment=deployment.name,
             pool=deployment.pool.name,
         )
 
     def pick_servers(
-        self,
-        day: datetime.date,
-        rng: np.random.Generator,
-        count: int,
-        emit: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pick ``count`` servers at once: ``(ips, domains, rtts_ms)``.
+        self, day: datetime.date, rng: np.random.Generator, count: int
+    ) -> ServerPicks:
+        """Pick ``count`` servers at once, the draws grouped by deployment.
 
-        The batched form of :meth:`pick_server` for the born-columnar
-        flow expansion — identical share weighting, slot ranges, domain
-        mixes, and RTT distributions, with the per-flow draws grouped by
-        deployment so address/domain/RTT generation vectorizes.  ``emit``
-        restricts domain *string* construction (never the draws) to the
-        flagged positions; see :meth:`Deployment.domains_on`.
+        Share weighting picks each flow's deployment; per deployment the
+        address slots, the domains and the RTTs are one draw each.  What
+        comes back is integers and the RTT draw — an address is derived
+        from ``(deployment, slot)`` by :meth:`addresses_of` and a name is
+        looked up in :attr:`domain_table`, for the flows the caller keeps.
         """
         shares = self.shares_on(day)
         if not shares:
@@ -236,63 +239,68 @@ class ServiceInfrastructure:
         picks = np.minimum(
             np.searchsorted(cumulative, rng.random(count)), len(shares) - 1
         )
-        ips = np.empty(count, dtype=np.int64)
-        domains = np.empty(count, dtype=object)
+        slots = np.empty(count, dtype=np.int64)
+        names = np.empty(count, dtype=np.int64)
         rtts = np.empty(count, dtype=np.float64)
+        remaps = self._domain_layout()[1]
         for index, (deployment, _) in enumerate(shares):
             mask = picks == index
             hits = int(np.count_nonzero(mask))
             if not hits:
                 continue
-            slots = max(1, int(deployment.active_slots(day)))
-            drawn = deployment.slot_offset + rng.integers(0, slots, hits)
-            ips[mask] = deployment.pool.addresses_for(drawn, day)
-            domains[mask] = deployment.domains_on(
-                day, rng, hits, emit=None if emit is None else emit[mask]
-            )
+            active = max(1, int(deployment.active_slots(day)))
+            slots[mask] = deployment.slot_offset + rng.integers(0, active, hits)
+            names[mask] = remaps[index][deployment.domains_on(day, rng, hits)]
             rtts[mask] = deployment.sample_rtts_ms(rng, hits)
-        return ips, domains, rtts
+        return ServerPicks(picks, slots, names, rtts)
+
+    def addresses_of(
+        self, day: datetime.date, deployments: np.ndarray, slots: np.ndarray
+    ) -> np.ndarray:
+        """The server addresses of picked ``(deployment, slot)`` pairs."""
+        ips = np.empty(slots.size, dtype=np.int64)
+        for index, deployment in enumerate(self.deployments):
+            mask = deployments == index
+            if mask.any():
+                ips[mask] = deployment.pool.addresses_for(slots[mask], day)
+        return ips
 
 
-def _fill_template(template: str, rng: np.random.Generator) -> str:
-    if "{n}" in template:
-        template = template.replace("{n}", str(int(rng.integers(1, 9))))
-    if "{a}" in template:
-        template = template.replace("{a}", chr(ord("a") + int(rng.integers(0, 8))))
-    return template
+#: Values a template's ``{n}`` and ``{a}`` placeholders take.
+_FILL_DIGITS = "12345678"
+_FILL_LETTERS = "abcdefgh"
+
+
+def _fill_count(template: str) -> int:
+    """How many distinct names a template fills into."""
+    digits = len(_FILL_DIGITS) if "{n}" in template else 1
+    letters = len(_FILL_LETTERS) if "{a}" in template else 1
+    return digits * letters
+
+
+def _template_fills(template: str) -> List[str]:
+    """Every fill of one template, ``{n}`` major: the names that the
+    positions :func:`_fill_templates` draws stand for."""
+    digits = _FILL_DIGITS if "{n}" in template else ("",)
+    letters = _FILL_LETTERS if "{a}" in template else ("",)
+    return [
+        template.replace("{n}", digit).replace("{a}", letter)
+        for digit in digits
+        for letter in letters
+    ]
 
 
 def _fill_templates(
-    template: str,
-    rng: np.random.Generator,
-    count: int,
-    emit: Optional[np.ndarray] = None,
-) -> List[Optional[str]]:
-    """``count`` independent fills of one domain template.
-
-    The RNG draws are always full-width; ``emit`` only gates the string
-    construction, leaving ``None`` at positions the caller discards.
-    """
-    digits = rng.integers(1, 9, count) if "{n}" in template else None
-    letters = rng.integers(0, 8, count) if "{a}" in template else None
-    if digits is None and letters is None:
-        return [template] * count
-    if emit is None:
-        positions = range(count)
-        filled: List[Optional[str]] = [None] * count
-    else:
-        # Shard path: visit only the emitted positions, so string work
-        # is O(shard) even though the draws above stay full-width.
-        positions = np.nonzero(emit)[0].tolist()
-        filled = [None] * count
-    for position in positions:
-        name = template
-        if digits is not None:
-            name = name.replace("{n}", str(int(digits[position])))
-        if letters is not None:
-            name = name.replace("{a}", chr(ord("a") + int(letters[position])))
-        filled[position] = name
-    return filled
+    template: str, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` independent fills of one domain template, as positions
+    in :func:`_template_fills`."""
+    fills = np.zeros(count, dtype=np.int64)
+    if "{n}" in template:
+        fills = rng.integers(1, 9, count) - 1
+    if "{a}" in template:
+        fills = fills * len(_FILL_LETTERS) + rng.integers(0, 8, count)
+    return fills
 
 
 # ---------------------------------------------------------------------------

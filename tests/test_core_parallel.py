@@ -84,6 +84,56 @@ class TestParallelEqualsSerial:
         assert data.subscriber_days
 
 
+class TestWorldBuiltOncePerProcess:
+    """The parent plans from the memoised study; the inline executor
+    computes with it and fork workers inherit it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch, tmp_path):
+        """Pids of the processes that constructed a ``World``, in order."""
+        from repro.core import parallel
+        from repro.synthesis.world import World
+
+        log = tmp_path / "worlds.log"
+        log.touch()
+        construct = World.__init__
+
+        def counting_init(self, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(World, "__init__", counting_init)
+        monkeypatch.setattr(parallel, "_STUDY_CACHE", {})
+        return lambda: [int(line) for line in log.read_text().split()]
+
+    def test_serial_run_builds_one_world(self, built):
+        execute_study(tiny_config(), workers=1)
+        assert built() == [os.getpid()]
+        execute_study(tiny_config(), workers=1, shards=2)
+        assert built() == [os.getpid()]  # the second run reuses it
+
+    def test_fork_pool_builds_none_in_a_worker(self, built):
+        result = execute_study(tiny_config(), workers=2, start_method="fork")
+        assert result.report.execution == "pool"
+        assert built() == [os.getpid()]
+
+    def test_a_fifth_config_evicts_only_the_oldest(self, built):
+        from repro.core import parallel
+
+        configs = [
+            dataclasses.replace(
+                tiny_config(), world=dataclasses.replace(tiny_config().world, seed=seed)
+            )
+            for seed in range(5)
+        ]
+        studies = [parallel._cached_study(config) for config in configs]
+        assert len(built()) == 5 and len(parallel._STUDY_CACHE) == 4
+        for config, study in zip(configs[1:], studies[1:]):
+            assert parallel._cached_study(config) is study  # runs in flight keep theirs
+        assert parallel._cached_study(configs[0]) is not studies[0]
+
+
 class TestColumnarPartialPack:
     def test_pack_does_not_mutate_its_input(self):
         """Regression: pack() used to strip rtt_samples/daily_ip_sets/

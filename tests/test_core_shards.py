@@ -16,6 +16,7 @@ import pickle
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.chaos.fsfaults import FsFaultSpec, injected
@@ -146,6 +147,28 @@ class TestShardedEqualsUnsharded:
         base = execute_study(config, workers=1).data
         sharded = execute_study(config, workers=1, shards=61)
         assert sharded.data == base  # trailing shards are empty but planned
+
+    def test_empty_range_of_a_flow_day_expands_to_an_empty_batch(self):
+        """A range that emits no usage row still consumes the day's draws
+        and hands back a whole (if empty) batch: nothing range-width may
+        trip over having no flows to reduce."""
+        study = LongitudinalStudy(
+            StudyConfig(world=WorldConfig(seed=9, adsl_count=4, ftth_count=1))
+        )
+        generator, day = study.generator, D(2017, 4, 10)
+        whole, _ = generator.expand_flows_positioned(day)
+        kept = []
+        for spec in plan_shards(len(study.world.population), 8):
+            traffic = generator.generate_day(day, shard=spec.bounds)
+            batch, positions = generator.expand_flows_positioned(day, traffic)
+            assert len(batch) == positions.size
+            assert set(batch.dictionaries) == set(whole.dictionaries)
+            if len(traffic.usage) == 0:
+                assert positions.size == 0 and list(batch) == []
+                assert batch.dictionaries["server_name"] == []
+            kept.append(positions)
+        assert sum(1 for positions in kept if positions.size == 0) >= 3
+        assert sorted(np.concatenate(kept).tolist()) == list(range(len(whole)))
 
     def test_config_hash_unchanged(self):
         config = tiny_config()

@@ -10,13 +10,17 @@ returns, a whole study included, bit for bit.
 
 import dataclasses
 import datetime
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.analytics import rtt as rtt_analytics
 from repro.analytics.aggregate import classify_flow
 from repro.analytics.infrastructure import (
+    AsnBreakdown,
     DailyServerStats,
+    ServicePairs,
     asn_breakdown,
     asn_of_addresses,
     daily_ip_roles,
@@ -133,10 +137,33 @@ def oracle_ip_set(records, rules, service):
     }
 
 
+def oracle_asn_counts(addresses, rib, day, top_asns=None):
+    """The scalar join ``asn_of_addresses`` replaced: one trie lookup per
+    address, names counted in order of first appearance."""
+    counts = {}
+    for address in addresses:
+        name = rib.origin_of(address, day).name
+        if top_asns is not None and name not in top_asns:
+            name = "OTHER"
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
 def oracle_asn(records, rules, rib, service, day):
-    return asn_of_addresses(
-        sorted(oracle_ip_set(records, rules, service)), rib, service, day
+    addresses = sorted(oracle_ip_set(records, rules, service))
+    return AsnBreakdown(
+        day=day, service=service, counts=oracle_asn_counts(addresses, rib, day)
     )
+
+
+def oracle_distinct_pairs(ips, codes):
+    """The stacked two-row dedup ``ServicePairs.distinct`` replaced."""
+    if len(ips) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=bool)
+    pairs = np.unique(np.stack((ips, codes)), axis=1)
+    _, inverse, counts = np.unique(pairs[0], return_inverse=True, return_counts=True)
+    return pairs[0], pairs[1], counts[inverse] > 1
 
 
 def oracle_domain_shares(records, rules, service):
@@ -277,6 +304,79 @@ class TestEdgeCases:
         assert rows == columnar == _stage1_results(world, [record], rules)
         assert columnar[("rtt", catalog.FACEBOOK)] == [11.25]
         assert batch.total_bytes == record.total_bytes
+
+
+class TestVectorisedJoins:
+    """The packed-key pair dedup and the interval ASN join against the
+    loops they replaced — values, dtypes and orders, which the pickled
+    partials carry."""
+
+    @staticmethod
+    def assert_pairs(pairs, ips, codes):
+        for mine, theirs in zip(
+            (pairs.ips, pairs.codes, pairs.shared), oracle_distinct_pairs(ips, codes)
+        ):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+            # a shard's sidecar carries these arrays, and its bytes are pinned
+            assert pickle.dumps(mine, protocol=5) == pickle.dumps(theirs, protocol=5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("services", (1, 2, 7))
+    def test_distinct_pairs_match_the_stacked_dedup(self, seed, services):
+        rng = np.random.default_rng(seed)
+        names = tuple(f"s{index}" for index in range(services))
+        # few addresses, so they repeat and are shared; both ends of IPv4
+        pool = np.concatenate(
+            [rng.integers(0, 1 << 32, 40), [0, (1 << 32) - 1]]
+        ).astype(np.int64)
+        ips = rng.choice(pool, 600)
+        codes = rng.integers(0, services, 600)
+        pairs = ServicePairs.distinct(ips, codes, names)
+        self.assert_pairs(pairs, ips, codes)
+        assert pairs.services == names
+        assert (services > 1) == bool(pairs.shared.any())
+
+    def test_distinct_pairs_of_nothing(self):
+        empty = np.empty(0, dtype=np.int64)
+        pairs = ServicePairs.distinct(empty, empty, ("a", "b"))
+        self.assert_pairs(pairs, empty, empty)
+        assert pairs.addresses("a") == [] and pairs.census(DAY, "a").total_ips == 0
+
+    def test_union_of_parts_with_disjoint_service_tables(self):
+        rng = np.random.default_rng(4)
+        pool = rng.integers(0, 1 << 32, 30)
+        parts, ips, codes = [], [], []
+        for offset, names in ((0, ("a", "b")), (2, ("c",)), (3, ("d", "e", "f"))):
+            part_ips = rng.choice(pool, 200)
+            part_codes = rng.integers(0, len(names), 200)
+            parts.append((part_ips, part_codes, names))
+            ips.append(part_ips)
+            codes.append(part_codes + offset)
+        pairs = ServicePairs.union(parts)
+        assert pairs.services == ("a", "b", "c", "d", "e", "f")
+        self.assert_pairs(pairs, np.concatenate(ips), np.concatenate(codes))
+        assert ServicePairs.union([]).ips.size == 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("top_asns", (None, ["AKAMAI", "FACEBOOK"]))
+    def test_asn_join_matches_the_scalar_loop(self, seed, top_asns):
+        world = _world(seed)
+        rng = np.random.default_rng(seed)
+        routed = [
+            prefix.nth(int(rng.integers(prefix.size())))
+            for entry in world.rib.snapshot_for(DAY).entries
+            for prefix in [entry.prefix] * 6
+        ]
+        addresses = sorted(set(routed + rng.integers(0, 1 << 32, 60).tolist()))
+        for day in (DAY, D(2012, 1, 1)):  # the second: before any snapshot
+            got = asn_of_addresses(addresses, world.rib, "svc", day, top_asns)
+            expected = oracle_asn_counts(addresses, world.rib, day, top_asns)
+            assert list(got.counts.items()) == list(expected.items())
+            assert all(type(count) is int for count in got.counts.values())
+        from_array = asn_of_addresses(np.array(addresses), world.rib, "svc", DAY)
+        assert from_array == asn_of_addresses(addresses, world.rib, "svc", DAY)
+        assert asn_of_addresses([], world.rib, "svc", DAY).counts == {}
 
 
 def _tiny_config(seed=17):

@@ -2,6 +2,7 @@
 
 import datetime
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,90 @@ class TestRib:
         # Before any snapshot: also OTHER, never a crash.
         origin = archive.origin_of(ip_to_int("31.13.70.1"), datetime.date(2013, 1, 1))
         assert origin == asns.OTHER
+
+
+def routed_tables():
+    """RIB tables with what a flattening has to get right: prefixes nested
+    in one another, prefixes adjacent to one another, host routes, and a
+    prefix announced twice — each derived from a random base prefix."""
+
+    def family(base: Prefix):
+        members = [base]
+        if base.length < 32:
+            half = base.length + 1
+            members.append(Prefix(base.network, half))  # nested, same start
+            members.append(Prefix(base.last() & Prefix(0, half).mask(), half))
+            members.append(Prefix(base.last(), 32))  # /32 at the far edge
+        if base.last() < IPV4_MAX:
+            members.append(Prefix(base.last() + 1, 32))  # adjacent host route
+        return members
+
+    prefixes = st.lists(prefix_strategy(), min_size=0, max_size=8).map(
+        lambda bases: [member for base in bases for member in family(base)]
+    )
+    return prefixes.flatmap(
+        lambda members: st.permutations(members + members[:2]).flatmap(
+            lambda order: st.lists(
+                st.integers(min_value=0, max_value=5),
+                min_size=len(order),
+                max_size=len(order),
+            ).map(lambda origins: [RibEntry(p, o) for p, o in zip(order, origins)])
+        )
+    )
+
+
+class TestArrayLookup:
+    """``origins_of`` is one ``searchsorted``; the trie is its oracle."""
+
+    @staticmethod
+    def probes(entries, extra):
+        edges = [
+            address
+            for entry in entries
+            for address in (
+                entry.prefix.first() - 1,
+                entry.prefix.first(),
+                entry.prefix.last(),
+                entry.prefix.last() + 1,
+            )
+            if 0 <= address <= IPV4_MAX
+        ]
+        return np.array(edges + extra + [0, IPV4_MAX], dtype=np.int64)
+
+    @given(routed_tables(), st.lists(addresses, max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_snapshot_matches_the_trie(self, entries, extra):
+        snapshot = RibSnapshot((2016, 1), entries)
+        probes = self.probes(entries, extra)
+        expected = [
+            origin.number if (origin := snapshot.origin_of(int(address))) else 0
+            for address in probes
+        ]
+        assert snapshot.origins_of(probes).tolist() == expected
+
+    @given(routed_tables(), st.lists(addresses, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_archive_matches_scalar_origin_of(self, entries, extra):
+        archive = RibArchive()
+        archive.add(RibSnapshot((2016, 1), entries))
+        probes = self.probes(entries, extra)
+        for day in (datetime.date(2015, 12, 31), datetime.date(2016, 3, 1)):
+            assert archive.origins_of(probes, day).tolist() == [
+                archive.origin_of(int(address), day).number for address in probes
+            ]
+
+    def test_flattened_on_first_lookup_not_on_construction(self):
+        snapshot = RibSnapshot(
+            (2016, 1), [RibEntry(Prefix.parse("10.0.0.0/8"), asns.AKAMAI.number)]
+        )
+        assert snapshot._flat is None
+        assert snapshot.origin_of(ip_to_int("10.1.2.3")) == asns.AKAMAI  # scalar: trie
+        assert snapshot._flat is None
+        empty = np.empty(0, dtype=np.int64)
+        assert snapshot.origins_of(empty).size == 0 and snapshot._flat is not None
+        assert snapshot.origins_of(
+            np.array([ip_to_int("10.1.2.3"), ip_to_int("11.0.0.0")])
+        ).tolist() == [asns.AKAMAI.number, 0]
 
 
 class TestAsnCatalog:

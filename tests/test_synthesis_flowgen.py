@@ -2,6 +2,7 @@
 
 import datetime
 
+import numpy as np
 import pytest
 
 import repro.synthesis.flowgen as flowgen
@@ -17,8 +18,20 @@ from repro.synthesis.flowgen import (
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
 from repro.tstat.flow import NameSource, Transport, WebProtocol
+from repro.tstat.flowbatch import FLOW_CODEC, FlowBatch
 
 D = datetime.date
+
+
+def oracle_chatter(rng, lines):
+    """The scalar loop ``_background_chatter`` replaced: three draws per
+    idle line, one line after the other."""
+    chatter = np.empty((3, lines), dtype=np.int64)
+    for position in range(lines):
+        chatter[0, position] = rng.integers(1_000, flowgen._BACKGROUND_BYTES_DOWN)
+        chatter[1, position] = rng.integers(100, flowgen._BACKGROUND_BYTES_UP)
+        chatter[2, position] = rng.integers(1, flowgen._BACKGROUND_FLOWS + 1)
+    return chatter
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +149,21 @@ class TestAggregateTier:
             ("bytes_down", whole.skeleton.row_bytes_down),
         ):
             assert whole.usage.columns[column] is array
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("prior_halves", (0, 1, 3))
+    def test_chatter_draw_is_the_scalar_loop(self, seed, prior_halves):
+        """Same values, and the generator left in the same state — also when
+        the bit generator holds a buffered 32-bit half (odd prior draws)."""
+        vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (vector, scalar):
+            for _ in range(prior_halves):
+                rng.integers(0, 10, dtype=np.int32)
+        drawn = flowgen._background_chatter(vector, 1_500)
+        assert drawn.dtype == np.int64 and drawn.shape == (3, 1_500)
+        assert np.array_equal(drawn, oracle_chatter(scalar, 1_500))
+        assert vector.bit_generator.state == scalar.bit_generator.state
+        assert np.array_equal(vector.integers(0, 1 << 40, 4), scalar.integers(0, 1 << 40, 4))
 
     def test_codec_roundtrip(self, day_traffic):
         row = day_traffic.usage[0]
@@ -275,6 +303,55 @@ class TestFlowTier:
         for flow in flows:
             assert midnight <= flow.ts_start < midnight + 86400
             assert flow.ts_end >= flow.ts_start
+
+
+class TestShardedFlowTier:
+    """A shard derives its own flows: what it keeps of the full-width draws
+    is exactly its slice of the whole day's batch."""
+
+    DAY = D(2016, 9, 14)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
+    def test_shard_batches_restore_the_whole_day(self, world, generator, shards):
+        whole, whole_positions = generator.expand_flows_positioned(self.DAY)
+        assert whole_positions.tolist() == list(range(len(whole)))
+        parts = [
+            generator.expand_flows_positioned(
+                self.DAY, generator.generate_day(self.DAY, shard=spec.bounds)
+            )
+            for spec in plan_shards(len(world.population), shards)
+        ]
+        positions = np.concatenate([held for _, held in parts])
+        assert sorted(positions.tolist()) == list(range(len(whole)))
+        merged = FlowBatch.concat([batch for batch, _ in parts], FLOW_CODEC)
+        restored = merged.take(np.argsort(positions))
+        for spec in FLOW_CODEC.columns:
+            mine, theirs = restored.columns[spec.name], whole.columns[spec.name]
+            if spec.kind == "str":  # codes follow each dictionary's own order
+                mine = np.array(restored.dictionaries[spec.name], dtype=object)[mine]
+                theirs = np.array(whole.dictionaries[spec.name], dtype=object)[theirs]
+            assert mine.dtype == theirs.dtype, spec.name
+            assert np.array_equal(mine, theirs), spec.name
+        for batch, _ in parts:
+            self.assert_first_appearance(batch)
+
+    @staticmethod
+    def assert_first_appearance(batch):
+        """Every name is used, and codes rise in order of first use."""
+        codes = batch.columns["server_name"]
+        names = batch.dictionaries["server_name"]
+        assert len(set(names)) == len(names)
+        _, first = np.unique(codes, return_index=True)
+        assert first.size == len(names)
+        assert np.all(np.diff(first) > 0)
+
+    def test_unnamed_flows_hold_none_where_it_first_appears(self, generator):
+        batch = generator.expand_flows_batch(self.DAY)
+        names = batch.dictionaries["server_name"]
+        unnamed = batch.equals("name_source", NameSource.NONE.value)
+        assert unnamed.any() and None in names
+        assert np.array_equal(batch.columns["server_name"] == names.index(None), unnamed)
+        assert all(isinstance(name, str) for name in names if name is not None)
 
 
 class TestIntegerSplit:

@@ -1,6 +1,7 @@
 """Tests for the infrastructure model (pools, deployments, RIB emission)."""
 
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ class TestAddressPool:
         assert pool.address_for(3, D(2013, 7, 1)) == pool.address_for(3, D(2017, 7, 1))
 
 
+    @pytest.mark.parametrize("day", (D(2013, 7, 1), D(2015, 2, 11), D(2017, 12, 31)))
+    def test_addresses_for_is_address_for_per_slot(self, day):
+        """Across the prefixes of a pool and around its end (slots wrap)."""
+        pool = AddressPool(
+            "p",
+            asns.OTHER,
+            (
+                Prefix.parse("10.0.0.0/29"),
+                Prefix.parse("192.168.0.0/30"),
+                Prefix.parse("172.16.0.0/28"),
+            ),
+            rotation_per_day=0.3,
+        )
+        slots = np.arange(-3, 3 * pool.capacity() + 5)
+        assert pool.addresses_for(slots, day).tolist() == [
+            pool.address_for(int(slot), day) for slot in slots
+        ]
+        assert pool.addresses_for(np.empty(0, dtype=np.int64), day).size == 0
+
+
 class TestDeployment:
     def _deployment(self, pool, **overrides):
         defaults = dict(
@@ -80,7 +101,8 @@ class TestDeployment:
 
     def test_domain_templates_filled(self, pools):
         deployment = self._deployment(pools.akamai_edge)
-        domain = deployment.domain_on(D(2015, 1, 1), rng())
+        (name,) = deployment.domains_on(D(2015, 1, 1), rng(), 1)
+        domain = deployment.domain_table[name]
         assert domain.startswith("edge-")
         assert "{n}" not in domain
 
@@ -93,8 +115,31 @@ class TestDeployment:
             ),
         )
         generator = rng()
-        assert deployment.domain_on(D(2014, 6, 1), generator) == "old.example"
-        assert deployment.domain_on(D(2016, 6, 1), generator) == "new.example"
+        (early,) = deployment.domains_on(D(2014, 6, 1), generator, 1)
+        (late,) = deployment.domains_on(D(2016, 6, 1), generator, 1)
+        assert deployment.domain_table[early] == "old.example"
+        assert deployment.domain_table[late] == "new.example"
+
+    def test_domain_ids_name_every_fill_of_the_picked_template(self, pools):
+        deployment = self._deployment(
+            pools.akamai_edge,
+            domains=(
+                ("plain.example", curves.constant(0.2)),
+                ("n{n}.example", curves.constant(0.2)),
+                ("a-{a}.example", curves.constant(0.2)),
+                ("both-{n}-{a}-{n}.example", curves.constant(0.4)),
+            ),
+        )
+        table = deployment.domain_table
+        assert len(table) == len(set(table)) == 1 + 8 + 8 + 64
+        assert "both-3-c-3.example" in table and not any("{" in name for name in table)
+        ids = deployment.domains_on(D(2015, 1, 1), rng(), 20_000)
+        assert ids.dtype == np.int64
+        assert set(ids.tolist()) == set(range(len(table)))  # every fill is reachable
+        drawn = np.bincount(ids, minlength=len(table)) / ids.size
+        assert drawn[0] == pytest.approx(0.2, abs=0.02)
+        assert drawn[1:9].sum() == pytest.approx(0.2, abs=0.02)
+        assert drawn[17:].sum() == pytest.approx(0.4, abs=0.02)
 
     def test_rtt_sampling_near_base(self, pools):
         deployment = self._deployment(pools.akamai_edge, rtt_ms=10.0, rtt_sigma=0.05)
@@ -115,6 +160,60 @@ class TestServiceInfrastructure:
         assert choice.domain
         assert choice.rtt_ms > 0
         assert choice.asn.name
+
+    @pytest.mark.parametrize(
+        "service", (catalog.FACEBOOK, catalog.INSTAGRAM, catalog.YOUTUBE, catalog.OTHER)
+    )
+    @pytest.mark.parametrize("day", (D(2013, 8, 1), D(2015, 6, 15), D(2017, 6, 1)))
+    def test_pick_servers_ids_match_their_deployment(self, infra, service, day):
+        """Name ids index names built from a template of the flow's own
+        deployment, slots stay in its region, and deployments are picked
+        by ``shares_on(day)``."""
+        picked = infra[service].pick_servers(day, rng(), 30_000)
+        table = infra[service].domain_table
+        assert len(set(table)) == len(table)
+        assert all(len(column) == 30_000 for column in picked)
+        shares = infra[service].shares_on(day)
+        for index, (deployment, share) in enumerate(shares):
+            here = picked.deployments == index
+            assert np.count_nonzero(here) / 30_000 == pytest.approx(share, abs=0.015)
+            if not here.any():
+                continue
+            patterns = [
+                re.compile(
+                    re.escape(template)
+                    .replace(re.escape("{n}"), "[1-8]")
+                    .replace(re.escape("{a}"), "[a-h]")
+                )
+                for template, _ in deployment.domains
+            ]
+            for name_id in np.unique(picked.names[here]).tolist():
+                assert any(p.fullmatch(table[name_id]) for p in patterns), table[name_id]
+            slots = picked.slots[here] - deployment.slot_offset
+            assert slots.min() >= 0
+            assert slots.max() < max(1, int(deployment.active_slots(day)))
+            assert np.all(picked.rtts_ms[here] > 0)
+        addresses = infra[service].addresses_of(day, picked.deployments, picked.slots)
+        assert addresses[:50].tolist() == [
+            infra[service]
+            .deployments[int(index)]
+            .pool.address_for(int(slot), day)
+            for index, slot in zip(picked.deployments[:50], picked.slots[:50])
+        ]
+
+    def test_pick_server_is_the_one_flow_pick_servers(self, infra):
+        facebook, day = infra[catalog.FACEBOOK], D(2014, 3, 1)
+        choice = facebook.pick_server(day, rng())
+        picked = facebook.pick_servers(day, rng(), 1)
+        deployment = facebook.deployments[int(picked.deployments[0])]
+        assert choice.domain == facebook.domain_table[int(picked.names[0])]
+        assert choice.rtt_ms == float(picked.rtts_ms[0])
+        assert (choice.deployment, choice.pool, choice.asn) == (
+            deployment.name, deployment.pool.name, deployment.pool.asn,
+        )
+        assert choice.ip == int(
+            facebook.addresses_of(day, picked.deployments, picked.slots)[0]
+        )
 
     def test_requires_deployments(self):
         with pytest.raises(ValueError):
