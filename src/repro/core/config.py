@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from repro.synthesis.world import WorldConfig
+from repro.synthesis.world import SUBSCRIBER_BLOCK, WorldConfig
 
 #: The two months contrasted throughout the paper (Figs. 2, 4, 10).
 COMPARISON_MONTHS: Tuple[Tuple[int, int], ...] = ((2014, 4), (2017, 4))
@@ -47,8 +47,16 @@ def config_hash(config: StudyConfig) -> str:
     leak into a run with another.  The digest canonicalizes through JSON
     (sorted keys, dates via ``str``) so it is stable across processes and
     interpreter restarts.
+
+    A population wider than one RNG block also hashes the block width:
+    block-keyed streams (DESIGN.md §6) draw a one-block world exactly as
+    before blocks existed, a wider one differently, so only the wider
+    ones get a new hash and an older run's checkpoints for them are never
+    resumed into a mix of old and new days.
     """
     payload = dataclasses.asdict(config)
+    if config.world.adsl_count + config.world.ftth_count > SUBSCRIBER_BLOCK:
+        payload["subscriber_block"] = SUBSCRIBER_BLOCK
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

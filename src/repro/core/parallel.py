@@ -317,11 +317,11 @@ def _run_chunk(task: DayTask) -> object:
             data, extra = study.day_shard_partial(
                 task.day, set(task.roles), shard
             )
-        if shard.key is None:
-            # The task holds the whole day: fan it in here and ship the
-            # finished partial, so the parent does no per-day analytics.
-            data = merge_day_shards(task.day, [(data, extra)], study.world.rib)
-            extra = None
+            if shard.key is None:
+                # The task holds the whole day: fan it in here and ship the
+                # finished partial, so the parent does no per-day analytics.
+                data = merge_day_shards(task.day, [(data, extra)], study.world.rib)
+                extra = None
         partial = ColumnarPartial.pack(data, extra=extra)
     except Exception as exc:
         return DayFailure(

@@ -1,12 +1,13 @@
 """Subscriber-range sharding of a study day (DESIGN.md §15).
 
 A study day is always a list of N >= 1 range tasks, each covering a
-disjoint, contiguous subscriber range; N = 1 is the whole day.  Sharding
-is an *execution* parameter: every task replays the day's RNG streams at
-full population width (see :meth:`TrafficGenerator.generate_day`) and
-restricts only row emission and stage-1 analytics to its range, so the
-fan-in of the tasks is bit-identical for any N and ``config_hash`` is
-unaffected.
+disjoint, contiguous run of whole subscriber blocks
+(:data:`~repro.synthesis.world.SUBSCRIBER_BLOCK` subscribers each, the
+last one possibly short); N = 1 is the whole day.  Every RNG stream is
+keyed by block, so a task draws exactly its own blocks and the day is
+the concatenation of all of them: the fan-in of the tasks is
+bit-identical for any N and ``config_hash`` is unaffected.  Shards past
+the last block are empty tasks.
 
 This module holds the shard plan, the :class:`ShardExtra` sidecar that
 rides back with each shard's :class:`~repro.core.study.StudyData`
@@ -33,6 +34,7 @@ import numpy as np
 from repro.core import fsio
 from repro.dataflow.datalake import CheckpointError, read_record, write_record
 from repro.synthesis.population import Technology
+from repro.synthesis.world import SUBSCRIBER_BLOCK
 
 DEFAULT_SPILL_WATERMARK_BYTES = 256 * 1024 * 1024
 
@@ -75,12 +77,6 @@ class ShardSpec:
     hi: int
 
     @property
-    def is_lead(self) -> bool:
-        """Lead shard contributes the full-day fields every shard can
-        derive identically (protocol rows, hourly volumes)."""
-        return self.index == 0
-
-    @property
     def key(self) -> Optional[Tuple[int, int]]:
         return shard_key(self.index, self.count)
 
@@ -94,23 +90,32 @@ class ShardSpec:
 
 
 def plan_shards(population: int, count: int) -> Tuple[ShardSpec, ...]:
-    """Split ``[0, population)`` into ``count`` contiguous ranges.
+    """Split ``[0, population)`` into ``count`` contiguous runs of blocks.
 
-    The first ``population % count`` shards take one extra subscriber
-    (``np.array_split`` semantics); shards beyond the population are
-    empty but still planned, so checkpoints stay addressable.
+    The ``ceil(population / SUBSCRIBER_BLOCK)`` subscriber blocks are
+    dealt out in near-equal contiguous runs (``np.array_split``
+    semantics: the first ``blocks % count`` shards take one extra block);
+    shards past the last block are empty but still planned, so
+    checkpoints stay addressable.
     """
     if count < 1:
         raise ValueError(f"shard count must be >= 1, got {count}")
     if population < 0:
         raise ValueError(f"population must be >= 0, got {population}")
-    base, extra = divmod(population, count)
+    base, extra = divmod(-(-population // SUBSCRIBER_BLOCK), count)
     specs = []
-    lo = 0
+    first = 0
     for index in range(count):
-        hi = lo + base + (1 if index < extra else 0)
-        specs.append(ShardSpec(index=index, count=count, lo=lo, hi=hi))
-        lo = hi
+        last = first + base + (1 if index < extra else 0)
+        specs.append(
+            ShardSpec(
+                index=index,
+                count=count,
+                lo=min(first * SUBSCRIBER_BLOCK, population),
+                hi=min(last * SUBSCRIBER_BLOCK, population),
+            )
+        )
+        first = last
     return tuple(specs)
 
 
@@ -119,25 +124,21 @@ class ShardExtra:
     """Fan-in sidecar of one shard's day partial.
 
     Carries what the shard-local :class:`StudyData` cannot express:
-    full-day positions for order-sensitive lists, per-technology active
-    counts for the popularity denominator, raw (ip, service) pairs so
-    the census can recompute cross-shard sharing, domain byte *totals*
-    (shares only divide correctly over the merged day), and RTT samples
-    tagged with their full-day flow positions.
+    per-technology active counts for the popularity denominator, raw
+    (ip, service) pairs so the census can recompute cross-shard sharing,
+    and domain byte *totals* (shares only divide correctly over the
+    merged day).
     """
 
     day: datetime.date
     shard: ShardSpec
     processed: bool = False
-    first_positions: Optional[np.ndarray] = None  # skeleton pos per SubscriberDay
     active_counts: Dict[Technology, int] = field(default_factory=dict)
     flow_stage: bool = False
-    rtt_stage: bool = False
     pair_ips: Optional[np.ndarray] = None
     pair_codes: Optional[np.ndarray] = None
     pair_services: Tuple[str, ...] = ()
     domain_totals: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    rtt: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import bisect
 import datetime
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -292,10 +292,10 @@ class LongitudinalStudy:
     ) -> Tuple[StudyData, ShardExtra]:
         """One subscriber range of one planned day (DESIGN.md §15).
 
-        Generation replays the full-population RNG streams and emits
-        only the shard's subscriber range; stage-1 runs over the shard's
-        rows alone.  The returned :class:`ShardExtra` carries what the
-        fan-in (:func:`merge_day_shards`) needs to reassemble the exact
+        Generation draws only the range's subscriber blocks, each from its
+        own streams, and stage-1 runs over the range's rows alone.  The
+        returned :class:`ShardExtra` carries what the fan-in
+        (:func:`merge_day_shards`) needs on top to reassemble the exact
         day partial.
 
         The single site that opens the per-day telemetry span, so every
@@ -312,15 +312,13 @@ class LongitudinalStudy:
         ):
             with telemetry.span("generate"):
                 traffic = self.generator.generate_day(day, shard=shard.bounds)
-            if traffic.skeleton.row_count == 0:
-                return data, extra  # full-day outage
+            if not traffic.usage:
+                return data, extra  # outage, or a range past the last block
             extra.processed = True
-            if shard.is_lead:
-                telemetry.count("study_days_processed")
             with telemetry.span("aggregate"):
                 self._consume_aggregate(data, extra, day, traffic)
             hourly = None
-            if "hourly" in roles and shard.is_lead:
+            if "hourly" in roles:
                 with telemetry.span("hourly"):
                     hourly = self.generator.generate_hourly(day, traffic)
                     data.hourly.extend(hourly)
@@ -359,31 +357,19 @@ class LongitudinalStudy:
     ) -> None:
         """Aggregate tier of one shard.
 
-        Beyond the shard-local reductions, the sidecar records each
-        subscriber-day's full-day first-appearance position (the fan-in
-        restores the whole-day ordering) and the per-technology active
-        counts (the popularity denominator must count the *whole* day's
-        actives); protocol rows derive from full-width sums, so they are
-        identical in every shard and the lead shard alone contributes
-        them.
+        Beyond the shard-local reductions, the sidecar records the
+        per-technology active counts (the popularity denominator must
+        count the *whole* day's actives); the protocol rows are sums over
+        the shard's blocks, which the fan-in adds up.
         """
         day_rows = aggregate_usage_day(
             data, day, traffic.usage, self.criterion, self.visit_classifier
         )
-        # day_rows follow the subscribers' first appearance among the
-        # emitted rows, whose skeleton positions are increasing.
-        skeleton = traffic.skeleton
-        _, first_row = np.unique(
-            skeleton.row_subscriber[skeleton.emit_positions], return_index=True
-        )
-        extra.first_positions = skeleton.emit_positions[first_row]
-        extra.first_positions.sort()
         extra.active_counts = {technology: 0 for technology in Technology}
         for entry in day_rows:
             if entry.active:
                 extra.active_counts[entry.technology] += 1
-        if extra.shard.is_lead:
-            data.protocol_rows.extend(traffic.protocols)
+        data.protocol_rows.extend(traffic.protocols)
 
     def _consume_flows(
         self,
@@ -398,19 +384,19 @@ class LongitudinalStudy:
         Census, ASN, domain, and role analytics mix information *across*
         flows (an address dedicated in one shard may be shared in
         another), so the shard only collects their additive raw material
-        — (ip, service) pairs, domain byte totals, position-tagged RTT
-        samples — and :func:`merge_day_shards` computes the day-level
-        results over the union.
+        — (ip, service) pairs, domain byte totals — and
+        :func:`merge_day_shards` computes the day-level results over the
+        union.  RTT samples are kept in flow order, the day's order once
+        the shards are concatenated in range order.
         """
         with telemetry.span("expand"):
-            flows, positions = self.generator.expand_flows_positioned(
+            flows = self.generator.expand_flows_batch(
                 day, traffic, max_flows_per_usage=self.config.max_flows_per_usage
             )
         with telemetry.span("stage1"):
             # One classification pass over the batch, shared by every consumer.
             codes = flows.service_view(self.rules)
             extra.flow_stage = True
-            extra.rtt_stage = with_rtt
             pairs = ip_service_pairs(flows, self.rules, codes=codes)
             extra.pair_ips = pairs.ips
             extra.pair_codes = pairs.codes
@@ -427,10 +413,9 @@ class LongitudinalStudy:
                     mask = rtt_analytics.min_rtt_mask(
                         flows, self.rules, service, codes=codes
                     )
-                    extra.rtt[service] = (
-                        positions[mask],
-                        flows.columns["rtt_min_ms"][mask].copy(),
-                    )
+                    data.rtt_samples[(service, day.year)] = flows.columns[
+                        "rtt_min_ms"
+                    ][mask].tolist()
                     telemetry.count(
                         "rtt_samples_collected",
                         int(np.count_nonzero(mask)),
@@ -523,14 +508,14 @@ def merge_day_shards(
 ) -> StudyData:
     """Fan one day's shard partials into the day partial.
 
-    The result is the same for any partition of the subscribers,
-    including the single whole-day shard: order-sensitive lists are
-    restored via the full-day positions the shards carried, additive
-    counters are summed, cross-flow analytics (census/ASN/domains/roles)
-    are computed over the union of the shards' raw pairs, and the
-    full-day fields every shard derives identically (protocol rows,
-    hourly volumes) come from the lead shard alone.  The parts are
-    consumed: their containers may be reused in the result.
+    The result is the same for any partition of the subscriber blocks,
+    including the single whole-day shard: the shards hold consecutive
+    runs of blocks, so order-sensitive lists (subscriber days, RTT
+    samples) are their concatenation in range order; additive counters,
+    protocol totals and hourly volumes are summed; and cross-flow
+    analytics (census/ASN/domains/roles) are computed over the union of
+    the shards' raw pairs.  The parts are consumed: their containers may
+    be reused in the result.
     """
     parts = sorted(parts, key=lambda part: part[1].shard.index)
     datas = [data for data, _ in parts]
@@ -538,12 +523,12 @@ def merge_day_shards(
     out = StudyData(months=list(datas[0].months))
     if not any(extra.processed for extra in extras):
         return out  # full-day outage
+    telemetry.count("study_days_processed")
 
-    # subscriber_days: shards partition subscribers, so each entry is
-    # already exact; restore first-appearance order over the full day.
-    rows = [row for data in datas for row in data.subscriber_days[day]]
-    order = np.argsort(np.concatenate([extra.first_positions for extra in extras]))
-    out.subscriber_days[day] = [rows[index] for index in order.tolist()]
+    # subscriber_days: shards partition subscribers, so each entry is exact.
+    out.subscriber_days[day] = [
+        row for data in datas for row in data.subscriber_days.get(day, ())
+    ]
 
     # service_stats: cells are additive except active_subscribers, which
     # is the whole-day denominator carried per shard in the sidecar.
@@ -565,12 +550,26 @@ def merge_day_shards(
                 replace(merged_cells[service], active_subscribers=active_total)
             )
 
-    # Full-day fields every shard computed identically: lead shard only.
-    lead = datas[0]
-    out.protocol_rows.extend(lead.protocol_rows)
-    out.hourly.extend(lead.hourly)
-
+    out.protocol_rows.extend(
+        sorted(
+            _added_up(
+                (row for data in datas for row in data.protocol_rows),
+                lambda row: (row.service, row.protocol),
+                "total_bytes",
+            ),
+            key=lambda row: (row.service, row.protocol.value),
+        )
+    )
+    out.hourly.extend(
+        _added_up(
+            (volume for data in datas for volume in data.hourly),
+            lambda volume: (volume.technology, volume.bin_index),
+            "bytes_down",
+        )
+    )
     for data in datas:
+        for key, samples in data.rtt_samples.items():
+            out.rtt_samples.setdefault(key, []).extend(samples)
         _union_sets(out.weekly_visitors, data.weekly_visitors)
         _union_sets(out.weekly_active, data.weekly_active)
 
@@ -601,22 +600,21 @@ def merge_day_shards(
             out.daily_ip_roles.setdefault(service, []).append(
                 (day, pairs.roles(service))
             )
-        if any(extra.rtt_stage for extra in flow_extras):
-            for service in RTT_SERVICES:
-                tagged = [
-                    extra.rtt[service] for extra in flow_extras if service in extra.rtt
-                ]
-                if tagged:
-                    order = np.argsort(np.concatenate([pos for pos, _ in tagged]))
-                    merged_samples = np.concatenate(
-                        [samples for _, samples in tagged]
-                    )[order].tolist()
-                else:
-                    merged_samples = []
-                out.rtt_samples.setdefault((service, day.year), []).extend(
-                    merged_samples
-                )
     return out
+
+
+def _added_up(rows: Iterable[Any], key: Callable[[Any], object], amount: str) -> List[Any]:
+    """One row per ``key``, first-appearance order, its ``amount`` field
+    summed over the rows of that key (a lone row is kept as it is)."""
+    held: Dict[object, Any] = {}
+    for row in rows:
+        prior = held.get(key(row))
+        held[key(row)] = (
+            row
+            if prior is None
+            else replace(prior, **{amount: getattr(prior, amount) + getattr(row, amount)})
+        )
+    return list(held.values())
 
 
 def _union_sets(target: Dict, source: Dict) -> None:

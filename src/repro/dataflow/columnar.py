@@ -355,6 +355,8 @@ class ColumnBatch(Sequence[T]):
             for code, held in enumerate(self.dictionaries[name])
             if held == value
         ]
+        if len(codes) == 1:  # the usual case, and far cheaper than isin
+            return self.columns[name] == codes[0]
         return np.isin(self.columns[name], codes)
 
     # -- columns -> rows, on demand -------------------------------------------

@@ -7,8 +7,8 @@ Three fidelity tiers (DESIGN.md §5), all deterministic per (seed, day):
   rows.  This is exactly the output schema of the stage-1 aggregation job,
   and what the 54-month analyses consume.  The usage rows are born
   columnar: ``DayTraffic.usage`` is a
-  :class:`~repro.dataflow.columnar.ColumnBatch` over the day skeleton's
-  arrays, a sequence of :class:`DailyUsage` only to whoever iterates it.
+  :class:`~repro.dataflow.columnar.ColumnBatch`, a sequence of
+  :class:`DailyUsage` only to whoever iterates it.
 * :meth:`TrafficGenerator.generate_hourly` — 10-minute-bin volumes for the
   hour-of-day analysis (Fig. 4).
 * :meth:`TrafficGenerator.expand_flows_batch` — the **flow tier**: usage
@@ -18,15 +18,19 @@ Three fidelity tiers (DESIGN.md §5), all deterministic per (seed, day):
   infrastructure analyses; :meth:`TrafficGenerator.expand_flows` is the
   same batch iterated into a :class:`FlowRecord` list.
 
-Generation is vectorized per (day, service) over the subscriber axis.
+Generation is vectorized per (day, service) over the subscriber axis,
+one subscriber block at a time: every tier draws a block's rows from
+that block's own streams (``World.day_rng(day, stream, block)``,
+DESIGN.md §6), so any run of whole blocks is generated on its own and
+the day is the concatenation of its blocks (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from repro.services import catalog
 from repro.synthesis import studycalendar
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
-from repro.synthesis.world import World
+from repro.synthesis.world import SUBSCRIBER_BLOCK, World
 from repro.telemetry import runtime as telemetry
 from repro.tstat.flow import (
     FlowRecord,
@@ -102,57 +106,24 @@ class HourlyVolume:
     bytes_down: int
 
 
-@dataclass(frozen=True, eq=False)
-class DaySkeleton:
-    """One day's usage rows as columns, in canonical emission order.
-
-    Every RNG stream of a day is drawn at full population width whatever
-    subscriber range a task covers (DESIGN.md §15), so the skeleton is
-    identical in every shard of the day; only ``emit_positions`` — the
-    rows the task emits as its ``usage`` batch — differs.  The hourly and
-    flow tiers read the skeleton, never the emitted rows, which is what
-    lets a shard reproduce the whole day's draw sequence without the
-    other shards' rows.
-    """
-
-    services: Tuple[str, ...]  # distinct services, first-appearance order
-    pops: Tuple[str, ...]  # distinct PoPs, first-appearance order over subscribers
-    row_service: np.ndarray  # int32 codes into ``services``
-    row_subscriber: np.ndarray  # int64
-    row_ftth: np.ndarray  # bool
-    row_pop: np.ndarray  # int32 codes into ``pops``
-    row_bytes_down: np.ndarray  # int64
-    row_bytes_up: np.ndarray  # int64
-    row_flows: np.ndarray  # int64
-    emit_positions: np.ndarray  # skeleton positions of the emitted usage rows
-    tech_bytes_down: Dict[Technology, int]  # full-day downloads per technology
-
-    @property
-    def row_count(self) -> int:
-        return int(self.row_flows.size)
-
-
 @dataclass(frozen=True)
 class DayTraffic:
-    """Everything the aggregate tier produces for one day.
+    """Everything the aggregate tier produces for one day's task.
 
-    ``usage`` holds the rows of the whole population unless
-    :meth:`TrafficGenerator.generate_day` was given a subscriber range;
-    ``protocols`` and ``skeleton`` always describe the whole day.
+    ``usage`` holds the rows of the task's subscriber blocks (the whole
+    population unless :meth:`TrafficGenerator.generate_day` was given a
+    range), block after block; ``protocols`` are the per-(service, label)
+    byte sums over those blocks, so the protocol rows of a split day add
+    up to the whole day's.
 
-    ``usage`` is a :class:`~repro.dataflow.columnar.ColumnBatch` over the
-    skeleton's arrays — the arrays themselves when the whole population
-    is emitted, their rows at ``emit_positions`` otherwise: a sequence of
-    :class:`DailyUsage` to whoever iterates it, columns to stage-1 and the
-    lake, which never do.
+    ``usage`` is a :class:`~repro.dataflow.columnar.ColumnBatch`: a
+    sequence of :class:`DailyUsage` to whoever iterates it, columns to
+    stage-1, the lake and the hourly and flow tiers, which never do.
     """
 
     day: datetime.date
     usage: Sequence[DailyUsage]
     protocols: Tuple[ProtocolUsage, ...]
-    #: Compared by identity only (array-wise ``==`` is ambiguous), so it
-    #: stays out of traffic equality: the rows above already pin the day.
-    skeleton: DaySkeleton = field(compare=False, repr=False)
 
 
 _USAGE_LINES: LineCodec[DailyUsage] = tsv_codec(
@@ -230,99 +201,6 @@ PROTOCOL_CODEC: ColumnarCodec[ProtocolUsage] = ColumnarCodec(
 _TECHNOLOGY_VALUES = (Technology.ADSL.value, Technology.FTTH.value)
 
 
-class _DayRows:
-    """Accumulates a day's usage blocks in canonical emission order.
-
-    Every block extends the full-width :class:`DaySkeleton`; the rows of
-    the subscribers inside ``[lo, hi)`` are the ones the day emits.
-    """
-
-    def __init__(
-        self, generator: "TrafficGenerator", day: datetime.date, lo: int, hi: int
-    ) -> None:
-        self._generator = generator
-        self.day = day
-        self.lo = lo
-        self.hi = hi
-        self._services: Dict[str, int] = {}
-        self._blocks: List[
-            Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
-        self._emit_positions: List[np.ndarray] = []
-        self._offset = 0
-
-    def add(
-        self,
-        service: str,
-        subscribers: np.ndarray,
-        bytes_down: np.ndarray,
-        bytes_up: np.ndarray,
-        flows: np.ndarray,
-    ) -> None:
-        """One block of rows, aligned by position (all int64)."""
-        local = np.nonzero((subscribers >= self.lo) & (subscribers < self.hi))[0]
-        self._emit_positions.append(self._offset + local)
-        code = self._services.setdefault(service, len(self._services))
-        self._blocks.append((code, subscribers, bytes_down, bytes_up, flows))
-        self._offset += subscribers.size
-
-    def traffic(self, protocols: Tuple[ProtocolUsage, ...]) -> DayTraffic:
-        """The finished day: the full-day skeleton and its emitted rows."""
-
-        def joined(parts: List[np.ndarray], dtype: type = np.int64) -> np.ndarray:
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        generator = self._generator
-        row_subscriber = joined([block[1] for block in self._blocks])
-        row_down = joined([block[2] for block in self._blocks])
-        row_ftth = generator._is_ftth[row_subscriber]
-        skeleton = DaySkeleton(
-            services=tuple(self._services),
-            pops=generator._pop_names,
-            row_service=joined(
-                [np.full(block[1].size, block[0]) for block in self._blocks],
-                np.int32,
-            ),
-            row_subscriber=row_subscriber,
-            row_ftth=row_ftth,
-            row_pop=generator._pop_codes[row_subscriber],
-            row_bytes_down=row_down,
-            row_bytes_up=joined([block[3] for block in self._blocks]),
-            row_flows=joined([block[4] for block in self._blocks]),
-            emit_positions=joined(self._emit_positions),
-            tech_bytes_down={
-                Technology.ADSL: int(row_down[~row_ftth].sum()),
-                Technology.FTTH: int(row_down[row_ftth].sum()),
-            },
-        )
-        usage: ColumnBatch[DailyUsage] = ColumnBatch(
-            USAGE_CODEC,
-            {
-                "day": np.full(skeleton.row_count, self.day.toordinal()),
-                "subscriber_id": skeleton.row_subscriber,
-                "technology": skeleton.row_ftth,
-                "pop": skeleton.row_pop,
-                "service": skeleton.row_service,
-                "bytes_down": skeleton.row_bytes_down,
-                "bytes_up": skeleton.row_bytes_up,
-                "flows": skeleton.row_flows,
-            },
-            {
-                "day": {self.day.toordinal(): self.day},
-                "technology": _TECHNOLOGY_VALUES,
-                "pop": skeleton.pops,
-                "service": skeleton.services,
-            },
-        )
-        if skeleton.emit_positions.size != skeleton.row_count:
-            usage = usage.take(skeleton.emit_positions)
-        return DayTraffic(
-            day=self.day, usage=usage, protocols=protocols, skeleton=skeleton
-        )
-
-
 class TrafficGenerator:
     """Draws daily traffic from a :class:`World`."""
 
@@ -330,7 +208,6 @@ class TrafficGenerator:
         self.world = world
         subscribers = world.population.subscribers
         self._count = len(subscribers)
-        self._ids = np.arange(self._count)
         self._is_ftth = np.array(
             [sub.technology is Technology.FTTH for sub in subscribers], dtype=bool
         )
@@ -352,7 +229,7 @@ class TrafficGenerator:
                 for sub in subscribers
             ]
         )
-        self._subscribers = subscribers
+        self._profiles: Dict[Tuple[int, Technology], np.ndarray] = {}
 
     # -- aggregate tier ------------------------------------------------------
 
@@ -363,27 +240,60 @@ class TrafficGenerator:
     ) -> DayTraffic:
         """Usage and protocol rows for one day (empty during full outage).
 
-        Every RNG stream is drawn at full population width; ``shard=(lo,
-        hi)`` restricts only the *emitted* usage rows to subscribers in
-        ``[lo, hi)`` (default: everyone), so the union of any partition's
-        rows is bit-identical to the whole day.  The returned traffic
-        always carries the :class:`DaySkeleton` of the full day.
+        The day is drawn one subscriber block at a time, each block from
+        its own streams (DESIGN.md §15): ``shard=(lo, hi)`` — block edges,
+        default the whole population — draws only the blocks it covers,
+        and the rows of any partition into runs of blocks, concatenated in
+        range order, are the whole day's.
         """
         lo, hi = shard if shard is not None else (0, self._count)
-        rows = _DayRows(self, day, lo, hi)
-        rng = self.world.day_rng(day, stream=0)
+        if any(edge % SUBSCRIBER_BLOCK and edge != self._count for edge in (lo, hi)):
+            raise ValueError(f"[{lo}, {hi}) does not fall on subscriber block edges")
+        rows: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        protocol_totals: Dict[Tuple[str, WebProtocol], int] = {}
+        for block in range(-(-lo // SUBSCRIBER_BLOCK), -(-hi // SUBSCRIBER_BLOCK)):
+            self._draw_block(day, block, rows, protocol_totals)
+        protocol_rows = tuple(
+            ProtocolUsage(day=day, service=service, protocol=protocol, total_bytes=total)
+            for (service, protocol), total in sorted(
+                protocol_totals.items(), key=lambda item: (item[0][0], item[0][1].value)
+            )
+        )
+        traffic = DayTraffic(
+            day=day, usage=self._usage_batch(day, rows), protocols=protocol_rows
+        )
+        telemetry.count("usage_rows_generated", len(traffic.usage))
+        return traffic
+
+    def _draw_block(
+        self,
+        day: datetime.date,
+        block: int,
+        rows: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        protocol_totals: Dict[Tuple[str, WebProtocol], int],
+    ) -> None:
+        """One subscriber block's usage rows (appended to ``rows`` as
+        ``(service, subscribers, bytes down, bytes up, flows)`` groups) and
+        its protocol volumes (added to ``protocol_totals``)."""
+        start = block * SUBSCRIBER_BLOCK
+        span = slice(start, min(start + SUBSCRIBER_BLOCK, self._count))
+        width = span.stop - start
         ordinal = day.toordinal()
-        subscribed = (self._join <= ordinal) & (self._leave >= ordinal)
         pop_up = np.array(
             [not self.world.outages.is_down(pop, day) for pop in self._pop_names],
             dtype=bool,
         )
-        observed = subscribed & pop_up[self._pop_codes]
+        observed = (
+            (self._join[span] <= ordinal)
+            & (self._leave[span] >= ordinal)
+            & pop_up[self._pop_codes[span]]
+        )
         if not observed.any():
-            return rows.traffic(protocols=())
+            return
 
-        active = observed & (rng.random(self._count) < self._activity)
-        protocol_totals: Dict[Tuple[str, WebProtocol], int] = {}
+        rng = self.world.day_rng(day, stream=0, block=block)
+        active = observed & (rng.random(width) < self._activity[span])
+        is_ftth = self._is_ftth[span]
         capabilities = capabilities_on(day)
         weekly = studycalendar.weekly_factor(day)
         holiday = studycalendar.is_christmas_period(day) or studycalendar.is_new_year(
@@ -399,7 +309,7 @@ class TrafficGenerator:
             ranks, volume_affinity = self.world.affinity_columns(service.name)
             pop_adsl = service.popularity[Technology.ADSL](day)
             pop_ftth = service.popularity[Technology.FTTH](day)
-            popularity = np.where(self._is_ftth, pop_ftth, pop_adsl)
+            popularity = np.where(is_ftth, pop_ftth, pop_adsl)
             overshoot = (
                 1.0
                 if service.name == catalog.OTHER
@@ -414,10 +324,10 @@ class TrafficGenerator:
                 use_probability = np.minimum(1.0, use_probability * _HOLIDAY_USE_BOOST)
             users = (
                 active
-                & (ranks < adoption)
-                & (rng.random(self._count) < use_probability)
+                & (ranks[span] < adoption)
+                & (rng.random(width) < use_probability)
             )
-            indices = np.nonzero(users)[0]
+            indices = start + np.nonzero(users)[0]
             if indices.size == 0:
                 continue
 
@@ -453,14 +363,14 @@ class TrafficGenerator:
 
             down_int = np.maximum(1_000, down).astype(np.int64)
             up_int = np.maximum(200, up).astype(np.int64)
-            rows.add(service.name, indices, down_int, up_int, flows)
+            rows.append((service.name, indices, down_int, up_int, flows))
             service_total = int(down_int.sum() + up_int.sum())
 
             # Embedded-object noise: active non-users touch the service's
             # domains with volumes below its visit threshold (Section 4.1).
             if service.third_party is not None:
                 contact = service.third_party
-                nonusers = np.nonzero(active & ~users)[0]
+                nonusers = start + np.nonzero(active & ~users)[0]
                 touched = nonusers[rng.random(nonusers.size) < contact.probability]
                 if touched.size:
                     tp_down = rng.integers(
@@ -468,7 +378,7 @@ class TrafficGenerator:
                     )
                     tp_up = np.maximum(100, tp_down // 8)
                     tp_flows = rng.integers(1, 4, touched.size)
-                    rows.add(service.name, touched, tp_down, tp_up, tp_flows)
+                    rows.append((service.name, touched, tp_down, tp_up, tp_flows))
                     service_total += int(tp_down.sum() + tp_up.sum())
 
             for protocol, share in service.protocol_mix(day):
@@ -479,21 +389,47 @@ class TrafficGenerator:
                 )
 
         # Subscribed-but-inactive lines still emit background chatter that
-        # must fail the Section 3 activity criterion; it is drawn for
-        # every such line whatever range is emitted.
-        background = np.nonzero(observed & ~active)[0]
+        # must fail the Section 3 activity criterion.
+        background = start + np.nonzero(observed & ~active)[0]
         if background.size:
-            rows.add(catalog.OTHER, background, *_background_chatter(rng, background.size))
-
-        protocol_rows = tuple(
-            ProtocolUsage(day=day, service=service, protocol=protocol, total_bytes=total)
-            for (service, protocol), total in sorted(
-                protocol_totals.items(), key=lambda item: (item[0][0], item[0][1].value)
+            rows.append(
+                (catalog.OTHER, background, *_background_chatter(rng, background.size))
             )
+
+    def _usage_batch(
+        self,
+        day: datetime.date,
+        rows: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    ) -> "ColumnBatch[DailyUsage]":
+        """The drawn row groups as one usage batch, in the order drawn;
+        services are coded in order of first appearance."""
+        services: Dict[str, int] = {}
+        service = _joined(
+            [
+                np.full(group[1].size, services.setdefault(group[0], len(services)))
+                for group in rows
+            ]
         )
-        traffic = rows.traffic(protocols=protocol_rows)
-        telemetry.count("usage_rows_generated", len(traffic.usage))
-        return traffic
+        subscriber = _joined([group[1] for group in rows])
+        return ColumnBatch(
+            USAGE_CODEC,
+            {
+                "day": np.full(subscriber.size, day.toordinal()),
+                "subscriber_id": subscriber,
+                "technology": self._is_ftth[subscriber],
+                "pop": self._pop_codes[subscriber],
+                "service": service,
+                "bytes_down": _joined([group[2] for group in rows]),
+                "bytes_up": _joined([group[3] for group in rows]),
+                "flows": _joined([group[4] for group in rows]),
+            },
+            {
+                "day": {day.toordinal(): day},
+                "technology": _TECHNOLOGY_VALUES,
+                "pop": self._pop_names,
+                "service": tuple(services),
+            },
+        )
 
     # -- hourly tier -----------------------------------------------------------
 
@@ -502,27 +438,38 @@ class TrafficGenerator:
     ) -> List[HourlyVolume]:
         """Distribute the day's downloads over 10-minute bins (Fig. 4).
 
-        Reads the full-day totals of the skeleton, so every shard of a
-        day derives identical volumes.
+        Each subscriber block of ``traffic`` spreads its own per-technology
+        download total with noise from its own stream, and a bin holds the
+        sum over the blocks, so the volumes of a split day's tasks add up
+        to the whole day's.
         """
         traffic = traffic if traffic is not None else self.generate_day(day)
-        rng = self.world.day_rng(day, stream=1)
-        volumes: List[HourlyVolume] = []
-        for technology, total in traffic.skeleton.tech_bytes_down.items():
-            profile = studycalendar.diurnal_profile(day.year, technology.value)
-            noise = rng.lognormal(-0.02, 0.2, BINS_PER_DAY)
-            weights = np.array(profile) * noise
-            weights /= weights.sum()
-            for bin_index, weight in enumerate(weights):
-                volumes.append(
-                    HourlyVolume(
-                        day=day,
-                        technology=technology,
-                        bin_index=bin_index,
-                        bytes_down=int(total * weight),
-                    )
-                )
-        return volumes
+        usage = ColumnBatch.of(traffic.usage, USAGE_CODEC)
+        technologies = (Technology.ADSL, Technology.FTTH)
+        blocks, block_of = np.unique(
+            usage.columns["subscriber_id"] // SUBSCRIBER_BLOCK, return_inverse=True
+        )
+        totals = np.zeros((blocks.size, len(technologies)), dtype=np.int64)
+        np.add.at(
+            totals,
+            (block_of, usage.equals("technology", Technology.FTTH.value).astype(np.intp)),
+            usage.columns["bytes_down"],
+        )
+        volumes = np.zeros((len(technologies), BINS_PER_DAY), dtype=np.int64)
+        for block, block_totals in zip(blocks.tolist(), totals):
+            rng = self.world.day_rng(day, stream=1, block=block)
+            for index, technology in enumerate(technologies):
+                noise = rng.lognormal(-0.02, 0.2, BINS_PER_DAY)
+                weights = self._diurnal(day.year, technology) * noise
+                weights /= weights.sum()
+                volumes[index] += (block_totals[index] * weights).astype(np.int64)
+        return [
+            HourlyVolume(
+                day=day, technology=technology, bin_index=bin_index, bytes_down=volume
+            )
+            for technology, row in zip(technologies, volumes.tolist())
+            for bin_index, volume in enumerate(row)
+        ]
 
     # -- flow tier ---------------------------------------------------------------
 
@@ -545,117 +492,118 @@ class TrafficGenerator:
         traffic: Optional[DayTraffic] = None,
         max_flows_per_usage: int = 8,
     ) -> FlowBatch:
-        """Expand usage rows into one columnar :class:`FlowBatch`."""
-        return self.expand_flows_positioned(
-            day, traffic, max_flows_per_usage=max_flows_per_usage
-        )[0]
-
-    def expand_flows_positioned(
-        self,
-        day: datetime.date,
-        traffic: Optional[DayTraffic] = None,
-        max_flows_per_usage: int = 8,
-    ) -> Tuple[FlowBatch, np.ndarray]:
-        """The flow batch plus each flow's position in the full-day sequence.
+        """Expand usage rows into one columnar :class:`FlowBatch`.
 
         Per-flow totals sum exactly to the usage row's bytes; the flow
         *count* is capped (``max_flows_per_usage``) to bound record volume,
-        mirroring the scale substitution of DESIGN.md §5.  The expansion
-        is **born columnar**: every per-flow quantity is one NumPy draw
-        over all of the day's flows (grouped by service for protocol
-        mixes and server selection, by deployment inside
-        :meth:`~repro.synthesis.infrastructure.ServiceInfrastructure.
-        pick_servers`), and the batch columns are assembled directly —
-        no per-flow Python loop, no intermediate records.
-
-        All draws run at full-day width from ``traffic.skeleton``, as does
-        the pick bookkeeping that sizes a later draw; the batch keeps the
-        flows of the emitted usage rows, and every column derived from
-        the draws is computed over those flows only (DESIGN.md §15).  The
-        positions let order-sensitive consumers (RTT sample lists) restore
-        the whole-day ordering when a day was split into shards.
+        mirroring the scale substitution of DESIGN.md §5.  Each subscriber
+        block's rows (consecutive, as :meth:`generate_day` emits them) are
+        expanded on that block's own stream and the blocks' columns are
+        concatenated in row order, so the batches of a split day's tasks,
+        concatenated in range order, are the whole day's.  Names and
+        vantages are dictionary-coded in first-appearance order over the
+        batch.
         """
         traffic = traffic if traffic is not None else self.generate_day(day)
-        skeleton = traffic.skeleton
-        row_count = skeleton.row_count
-        if row_count == 0:
-            telemetry.count("flows_expanded", 0)
-            return FlowBatch.of(()), np.empty(0, dtype=np.int64)
-        rng = self.world.day_rng(day, stream=2)
+        usage = ColumnBatch.of(traffic.usage, USAGE_CODEC)
+        counts = np.clip(usage.columns["flows"], 1, max_flows_per_usage)
+        block_of = usage.columns["subscriber_id"] // SUBSCRIBER_BLOCK
+        cuts = [0, *(np.flatnonzero(np.diff(block_of)) + 1).tolist(), len(usage)]
+        names: Dict[Optional[str], int] = {}  # the services' domain tables
+        blocks = [
+            self._block_flows(day, int(block_of[lo]), usage[lo:hi], counts[lo:hi], names)
+            for lo, hi in zip(cuts, cuts[1:])
+            if hi > lo
+        ]
+        columns = {
+            name: _joined([block[name] for block in blocks])
+            for name in FLOW_CODEC.column_names()
+            if name != "vantage"
+        }
+        columns["server_name"], name_dictionary = first_appearance_codes(
+            columns["server_name"], list(names)
+        )
+        row_vantage, vantages = usage.canonical_codes("pop")
+        columns["vantage"] = np.repeat(row_vantage, counts)
+        batch = FlowBatch(
+            FLOW_CODEC,
+            columns,
+            {
+                "transport": [member.value for member in TRANSPORTS],
+                "protocol": [member.value for member in PROTOCOLS],
+                "server_name": name_dictionary,
+                "name_source": [member.value for member in NAME_SOURCES],
+                "vantage": vantages,
+            },
+        )
+        telemetry.count("flows_expanded", len(batch))
+        return batch
+
+    def _block_flows(
+        self,
+        day: datetime.date,
+        block: int,
+        usage: "ColumnBatch[DailyUsage]",
+        counts: np.ndarray,
+        names: Dict[Optional[str], int],
+    ) -> Dict[str, np.ndarray]:
+        """The flow columns of one subscriber block's usage rows, ``counts``
+        flows per row; ``server_name`` holds ids into ``names``.
+
+        The expansion is **born columnar**: every per-flow quantity is one
+        NumPy draw over all of the block's flows (grouped by service for
+        protocol mixes and server selection, by deployment inside
+        :meth:`~repro.synthesis.infrastructure.ServiceInfrastructure.
+        pick_servers`), and the columns are assembled directly — no
+        per-flow Python loop, no intermediate records.
+        """
+        rng = self.world.day_rng(day, stream=2, block=block)
         capabilities = capabilities_on(day)
         midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
-
-        counts = np.clip(skeleton.row_flows, 1, max_flows_per_usage)
+        rows = usage.columns
+        row_service, services = usage.canonical_codes("service")
         total = int(counts.sum())
-        row_of = np.repeat(np.arange(row_count), counts)
-
-        # Which flows the batch keeps is known before the first draw: a
-        # draw is narrowed to them as soon as it is made, unless a later
-        # draw is sized by it (service, protocol, deployment and template
-        # picks).  When every flow is kept, columns are the draws' own
-        # arrays instead of copies through an index.
-        kept_rows = skeleton.emit_positions
-        emit_rows = np.zeros(row_count, dtype=bool)
-        emit_rows[kept_rows] = True
-        emit = emit_rows[row_of]
-        positions = np.nonzero(emit)[0]
-        whole = positions.size == total
-        keep = slice(None) if whole else positions
-
-        def kept_among(where: np.ndarray) -> Any:
-            """Index into a draw made for the flows of the mask ``where``:
-            the draws of the kept flows."""
-            return slice(None) if whole else emit[where]
-
-        flow_row = row_of[keep]
-        width = flow_row.size  # of every derived column
-        kept_counts = counts[kept_rows]
-        starts = np.zeros(kept_rows.size, dtype=np.int64)  # of each row's kept flows
-        np.cumsum(kept_counts[:-1], out=starts[1:])
+        flow_row = np.repeat(np.arange(len(usage)), counts)
+        starts = np.zeros(len(usage), dtype=np.int64)  # each row's first flow
+        np.cumsum(counts[:-1], out=starts[1:])
 
         # Per-usage-row Dirichlet(0.8) byte-split weights; the integer
-        # remainder goes to each row's first flow (as _integer_split does).
-        gamma = rng.standard_gamma(0.8, total)[keep]
-        weights = gamma / np.repeat(np.add.reduceat(gamma, starts), kept_counts)
-        down = np.floor(skeleton.row_bytes_down[flow_row] * weights).astype(np.int64)
-        down[starts] += skeleton.row_bytes_down[kept_rows] - np.add.reduceat(
-            down, starts
-        )
-        up = np.floor(skeleton.row_bytes_up[flow_row] * weights).astype(np.int64)
-        up[starts] += skeleton.row_bytes_up[kept_rows] - np.add.reduceat(up, starts)
+        # remainder goes to each row's first flow.
+        gamma = rng.standard_gamma(0.8, total)
+        weights = gamma / np.repeat(np.add.reduceat(gamma, starts), counts)
+        down = np.floor(rows["bytes_down"][flow_row] * weights).astype(np.int64)
+        down[starts] += rows["bytes_down"] - np.add.reduceat(down, starts)
+        up = np.floor(rows["bytes_up"][flow_row] * weights).astype(np.int64)
+        up[starts] += rows["bytes_up"] - np.add.reduceat(up, starts)
         packets_down = np.maximum(1, down // 1400)
         packets_up = np.maximum(1, up // 700 + packets_down // 2)
 
         # Start bins via inverse-CDF over each technology's diurnal curve.
-        uniforms = rng.random(total)[keep]
-        flow_ftth = skeleton.row_ftth[flow_row]
-        bins = np.empty(width, dtype=np.int64)
+        uniforms = rng.random(total)
+        flow_ftth = usage.equals("technology", Technology.FTTH.value)[flow_row]
+        bins = np.empty(total, dtype=np.int64)
         for technology in Technology:
             mask = flow_ftth == (technology is Technology.FTTH)
             if not mask.any():
                 continue
-            cdf = np.cumsum(
-                studycalendar.diurnal_profile(day.year, technology.value)
-            )
+            cdf = np.cumsum(self._diurnal(day.year, technology))
             cdf /= cdf[-1]
             bins[mask] = np.minimum(
                 np.searchsorted(cdf, uniforms[mask], side="right"),
                 BINS_PER_DAY - 1,
             )
         seconds_per_bin = 86_400 // BINS_PER_DAY
-        ts_start = midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)[keep]
+        ts_start = midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)
 
         # Protocol mixes and server picks, grouped by service
         # (first-appearance order over the usage rows).  A server name is
-        # an id into ``names``, the day's table of the services' domain
-        # tables, until the batch's dictionary is built.
-        flow_service = skeleton.row_service[row_of]
+        # an id into ``names`` until the batch's dictionary is built.
+        flow_service = row_service[flow_row]
         true_protocol = np.empty(total, dtype=np.int64)  # codes into PROTOCOLS
-        ips = np.empty(width, dtype=np.int64)
-        name_ids = np.empty(width, dtype=np.int64)
-        rtt_draw = np.empty(width, dtype=np.float64)
-        names: Dict[Optional[str], int] = {}
-        for code, service_name in enumerate(skeleton.services):
+        ips = np.empty(total, dtype=np.int64)
+        name_ids = np.empty(total, dtype=np.int64)
+        rtt_draw = np.empty(total, dtype=np.float64)
+        for code, service_name in enumerate(services):
             mask = flow_service == code
             hits = int(np.count_nonzero(mask))
             service = self.world.service(service_name)
@@ -676,16 +624,13 @@ class TrafficGenerator:
                 )
                 true_protocol[mask] = mix_codes[picks]
             servers = infra.pick_servers(day, rng, hits)
-            here, ours = mask[keep], kept_among(mask)
-            ips[here] = infra.addresses_of(
-                day, servers.deployments[ours], servers.slots[ours]
-            )
+            ips[mask] = infra.addresses_of(day, servers.deployments, servers.slots)
             day_id = np.fromiter(
                 (names.setdefault(name, len(names)) for name in infra.domain_table),
                 np.int64, len(infra.domain_table),
             )
-            name_ids[here] = day_id[servers.names[ours]]
-            rtt_draw[here] = servers.rtts_ms[ours]
+            name_ids[mask] = day_id[servers.names]
+            rtt_draw[mask] = servers.rtts_ms
 
         # Protocol-derived columns via 9-entry lookup tables.
         label_of = np.fromiter(
@@ -695,115 +640,93 @@ class TrafficGenerator:
             ),
             np.int64, len(PROTOCOLS),
         )
-        port_of = np.fromiter(
-            (_server_port(protocol) for protocol in PROTOCOLS),
-            np.int64, len(PROTOCOLS),
-        )
         quic = true_protocol == protocol_code(WebProtocol.QUIC)
         p2p = true_protocol == protocol_code(WebProtocol.P2P)
         other = true_protocol == protocol_code(WebProtocol.OTHER)
-        flow_protocol = true_protocol[keep]
         transport = np.where(
-            quic[keep],
-            TRANSPORTS.index(Transport.UDP),
-            TRANSPORTS.index(Transport.TCP),
+            quic, TRANSPORTS.index(Transport.UDP), TRANSPORTS.index(Transport.TCP)
         )
 
         duration = np.minimum(
-            3600.0, 1.0 + rng.lognormal(0.0, 1.0, total)[keep] * (down / 1e6)
+            3600.0, 1.0 + rng.lognormal(0.0, 1.0, total) * (down / 1e6)
         )
-        client_port = rng.integers(1024, 65535, total)[keep]
+        client_port = rng.integers(1024, 65535, total)
 
-        # Flow names: P2P flows are nameless, HTTP/QUIC/FBZERO expose the
-        # domain via their own mechanism, OTHER resolves via DNS 70% of
-        # the time, everything else carries the SNI.
-        source_of = np.full(
-            len(PROTOCOLS), name_source_code(NameSource.SNI), dtype=np.int64
-        )
-        source_of[protocol_code(WebProtocol.P2P)] = name_source_code(NameSource.NONE)
-        source_of[protocol_code(WebProtocol.HTTP)] = name_source_code(NameSource.HOST)
-        source_of[protocol_code(WebProtocol.QUIC)] = name_source_code(NameSource.QUIC)
-        source_of[protocol_code(WebProtocol.FBZERO)] = name_source_code(NameSource.ZERO)
-        name_source = source_of[flow_protocol]
-        named = ~p2p[keep]
+        # Flow names: OTHER resolves via DNS 70% of the time, every other
+        # protocol names its flows as _NAME_SOURCE_OF says.
+        name_source = _NAME_SOURCE_OF[true_protocol]
+        named = ~p2p
         other_hits = int(np.count_nonzero(other))
         if other_hits:
-            resolved = rng.random(other_hits)[kept_among(other)] < 0.7
-            here = other[keep]
-            name_source[here] = np.where(
+            resolved = rng.random(other_hits) < 0.7
+            name_source[other] = np.where(
                 resolved,
                 name_source_code(NameSource.DNS),
                 name_source_code(NameSource.NONE),
             )
-            named[here] = resolved
+            named[other] = resolved
 
         # RTT summaries: sampled on TCP non-P2P flows, jittery on P2P,
         # absent on QUIC (Tstat cannot sample UDP handshakes).
-        rtt_samples = np.zeros(width, dtype=np.int64)
-        rtt_min = np.zeros(width, dtype=np.float64)
-        rtt_avg = np.zeros(width, dtype=np.float64)
-        rtt_max = np.zeros(width, dtype=np.float64)
+        rtt_samples = np.zeros(total, dtype=np.int64)
+        rtt_min = np.zeros(total, dtype=np.float64)
+        rtt_avg = np.zeros(total, dtype=np.float64)
+        rtt_max = np.zeros(total, dtype=np.float64)
         sampled = ~quic & ~p2p
         sampled_hits = int(np.count_nonzero(sampled))
         if sampled_hits:
-            here, ours = sampled[keep], kept_among(sampled)
-            minimum = rtt_draw[here]
-            average = minimum * (1.0 + rng.lognormal(-1.5, 0.8, sampled_hits)[ours])
-            rtt_samples[here] = np.clip(packets_up[here] // 4, 1, 50)
-            rtt_min[here] = minimum
-            rtt_avg[here] = average
-            rtt_max[here] = average * (
-                1.0 + rng.lognormal(-1.0, 0.8, sampled_hits)[ours]
-            )
+            minimum = rtt_draw[sampled]
+            average = minimum * (1.0 + rng.lognormal(-1.5, 0.8, sampled_hits))
+            rtt_samples[sampled] = np.clip(packets_up[sampled] // 4, 1, 50)
+            rtt_min[sampled] = minimum
+            rtt_avg[sampled] = average
+            rtt_max[sampled] = average * (1.0 + rng.lognormal(-1.0, 0.8, sampled_hits))
         p2p_hits = int(np.count_nonzero(p2p))
         if p2p_hits:
             # Peers are far and jittery; Tstat still samples TCP P2P flows.
-            here = p2p[keep]
-            minimum = rtt_draw[here] * rng.lognormal(0.0, 0.5, p2p_hits)[kept_among(p2p)]
-            rtt_samples[here] = 5
-            rtt_min[here] = minimum
-            rtt_avg[here] = minimum * 1.6
-            rtt_max[here] = minimum * 3.0
+            minimum = rtt_draw[p2p] * rng.lognormal(0.0, 0.5, p2p_hits)
+            rtt_samples[p2p] = 5
+            rtt_min[p2p] = minimum
+            rtt_avg[p2p] = minimum * 1.6
+            rtt_max[p2p] = minimum * 3.0
 
-        # Names and vantages are dictionary-coded in first-appearance order
-        # over the kept flows; unnamed flows hold the id of ``None``.
-        name_ids[~named] = names.setdefault(None, len(names))
-        name_codes, name_dictionary = first_appearance_codes(name_ids, list(names))
-        row_vantage, vantages = traffic.usage.canonical_codes("pop")
+        name_ids[~named] = names.setdefault(None, len(names))  # unnamed flows
+        return {
+            "client_id": rows["subscriber_id"][flow_row],
+            "server_ip": ips,
+            "client_port": client_port,
+            "server_port": _PORT_OF[true_protocol],
+            "transport": transport,
+            "ts_start": ts_start,
+            "ts_end": ts_start + duration,
+            "packets_up": packets_up,
+            "packets_down": packets_down,
+            "bytes_up": up,
+            "bytes_down": down,
+            "protocol": label_of[true_protocol],
+            "server_name": name_ids,
+            "name_source": name_source,
+            "rtt_samples": rtt_samples,
+            "rtt_min_ms": rtt_min,
+            "rtt_avg_ms": rtt_avg,
+            "rtt_max_ms": rtt_max,
+        }
 
-        batch = FlowBatch(
-            FLOW_CODEC,
-            {
-                "client_id": skeleton.row_subscriber[flow_row],
-                "server_ip": ips,
-                "client_port": client_port,
-                "server_port": port_of[flow_protocol],
-                "transport": transport,
-                "ts_start": ts_start,
-                "ts_end": ts_start + duration,
-                "packets_up": packets_up,
-                "packets_down": packets_down,
-                "bytes_up": up,
-                "bytes_down": down,
-                "protocol": label_of[flow_protocol],
-                "server_name": name_codes,
-                "name_source": name_source,
-                "rtt_samples": rtt_samples,
-                "rtt_min_ms": rtt_min,
-                "rtt_avg_ms": rtt_avg,
-                "rtt_max_ms": rtt_max,
-                "vantage": np.repeat(row_vantage, kept_counts),
-            },
-            {
-                "transport": [member.value for member in TRANSPORTS],
-                "protocol": [member.value for member in PROTOCOLS],
-                "server_name": name_dictionary,
-                "name_source": [member.value for member in NAME_SOURCES],
-                "vantage": vantages,
-            },
-        )
-        telemetry.count("flows_expanded", len(batch))
-        return batch, positions
+    def _diurnal(self, year: int, technology: Technology) -> np.ndarray:
+        """``studycalendar.diurnal_profile`` as an array, built once per
+        (year, technology) — every block of every day of the year reads it."""
+        profile = self._profiles.get((year, technology))
+        if profile is None:
+            profile = np.array(studycalendar.diurnal_profile(year, technology.value))
+            self._profiles[(year, technology)] = profile
+        return profile
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """Arrays of one column end to end (a lone array as it is)."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _background_chatter(rng: np.random.Generator, lines: int) -> np.ndarray:
@@ -820,13 +743,6 @@ def _background_chatter(rng: np.random.Generator, lines: int) -> np.ndarray:
     ).T
 
 
-def _integer_split(total: int, weights: np.ndarray) -> np.ndarray:
-    """Split ``total`` into integer parts proportional to ``weights``."""
-    parts = np.floor(total * weights).astype(np.int64)
-    parts[0] += total - int(parts.sum())
-    return parts
-
-
 def _server_port(protocol: WebProtocol) -> int:
     if protocol is WebProtocol.HTTP:
         return 80
@@ -835,3 +751,14 @@ def _server_port(protocol: WebProtocol) -> int:
     if protocol is WebProtocol.OTHER:
         return 5228
     return 443
+
+
+#: Server port and name source of a flow, by its (true) protocol code:
+#: P2P flows are nameless, HTTP/QUIC/FBZERO expose the domain via their
+#: own mechanism, everything else carries the SNI.
+_PORT_OF = np.array([_server_port(protocol) for protocol in PROTOCOLS], dtype=np.int64)
+_NAME_SOURCE_OF = np.full(len(PROTOCOLS), name_source_code(NameSource.SNI), dtype=np.int64)
+_NAME_SOURCE_OF[protocol_code(WebProtocol.P2P)] = name_source_code(NameSource.NONE)
+_NAME_SOURCE_OF[protocol_code(WebProtocol.HTTP)] = name_source_code(NameSource.HOST)
+_NAME_SOURCE_OF[protocol_code(WebProtocol.QUIC)] = name_source_code(NameSource.QUIC)
+_NAME_SOURCE_OF[protocol_code(WebProtocol.FBZERO)] = name_source_code(NameSource.ZERO)

@@ -230,7 +230,7 @@ class ServiceInfrastructure:
         address slots, the domains and the RTTs are one draw each.  What
         comes back is integers and the RTT draw — an address is derived
         from ``(deployment, slot)`` by :meth:`addresses_of` and a name is
-        looked up in :attr:`domain_table`, for the flows the caller keeps.
+        looked up in :attr:`domain_table`, by the caller.
         """
         shares = self.shares_on(day)
         if not shares:

@@ -28,6 +28,12 @@ from repro.synthesis.servicemodels import ServiceModel, build_default_services
 from repro.synthesis.studycalendar import STUDY_END, STUDY_START
 from repro.tstat.outages import OutageCalendar, default_outages
 
+#: Subscribers per RNG block: every per-day stream is keyed by the block
+#: of subscriber ids ``[k * SUBSCRIBER_BLOCK, (k + 1) * SUBSCRIBER_BLOCK)``
+#: it draws for, so a task over whole blocks draws only its own.  Not an
+#: option — another width is another world.
+SUBSCRIBER_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -87,11 +93,21 @@ class World:
             found = self.infrastructure[catalog.OTHER]
         return found
 
-    def day_rng(self, day: datetime.date, stream: int = 0) -> np.random.Generator:
-        """A fresh generator for (day, stream), independent of other days."""
-        return np.random.default_rng(
-            np.random.SeedSequence([self.config.seed, day.toordinal(), stream])
-        )
+    def day_rng(
+        self, day: datetime.date, stream: int = 0, block: int = 0
+    ) -> np.random.Generator:
+        """A fresh generator for (day, stream, subscriber block),
+        independent of other days and blocks (DESIGN.md §6).
+
+        Block 0 keeps the three-element key streams had before they were
+        keyed by block: ``SeedSequence`` tells ``[s, d, st]`` from
+        ``[s, d, st, 0]`` once the seed needs more than 32 bits, so a
+        trailing 0 would re-draw a one-block world's every stream.
+        """
+        key = [self.config.seed, day.toordinal(), stream]
+        if block:
+            key.append(block)
+        return np.random.default_rng(np.random.SeedSequence(key))
 
     # -- per-(subscriber, service) persistent randomness --------------------
 

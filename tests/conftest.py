@@ -27,6 +27,18 @@ def generator(world: World) -> TrafficGenerator:
 
 
 @pytest.fixture(scope="session")
+def multiblock_world() -> World:
+    """Three subscriber blocks (3 000 subscribers): the smallest kind of
+    world whose range tasks draw different streams."""
+    return World(WorldConfig(seed=TEST_SEED, adsl_count=2000, ftth_count=1000))
+
+
+@pytest.fixture(scope="session")
+def multiblock_generator(multiblock_world: World) -> TrafficGenerator:
+    return TrafficGenerator(multiblock_world)
+
+
+@pytest.fixture(scope="session")
 def rules():
     return catalog.default_ruleset()
 

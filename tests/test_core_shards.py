@@ -5,9 +5,10 @@ subscriber-range tasks must produce a *field-identical*
 :class:`StudyData` for every N — serial, pooled, spilled to disk, or
 killed mid-day and resumed.  The whole day is just N = 1 of the same
 code, so the independent oracle is the set of study digests committed
-under ``tests/golden/`` from before the paths were unified — plus
-regression tests for the merge-overlap and dispatch-accounting bugs the
-shard work exposed.
+under ``tests/golden/`` from before the paths were unified (and, for a
+world of several subscriber blocks, from when streams became
+block-keyed) — plus regression tests for the merge-overlap and
+dispatch-accounting bugs the shard work exposed.
 """
 
 import datetime
@@ -29,6 +30,7 @@ from repro.core.parallel import (
     DayFailure,
     DaySuccess,
     RetryPolicy,
+    _check_layout,
     _Dispatch,
     execute_study,
 )
@@ -46,14 +48,16 @@ from repro.service.results import study_digest
 from repro.synthesis.population import Technology
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.runtime import Telemetry
-from repro.synthesis.world import WorldConfig
+from repro.synthesis.world import SUBSCRIBER_BLOCK, World, WorldConfig
 
 D = datetime.date
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
-#: Study digests computed at commit 10a884b, when the whole-day path was
-#: still its own code: ``name:seed`` → {config_hash, study_digest}.
+#: ``name:seed`` → {config_hash, study_digest}.  Computed at commit
+#: 10a884b, when the whole-day path was still its own code — except
+#: ``multiblock:17``, computed when streams became block-keyed (a world
+#: of one block draws what it drew before).
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "study_digests.json").read_text()
 )
@@ -91,6 +95,20 @@ def fixture_config():
     )
 
 
+def multiblock_config(seed=17):
+    """Three subscriber blocks over five April days: one flow + RTT day,
+    one flow day, every day hourly."""
+    return StudyConfig(
+        world=WorldConfig(
+            seed=seed,
+            adsl_count=2000,
+            ftth_count=1000,
+            start=D(2017, 4, 8),
+            end=D(2017, 4, 12),
+        ),
+    )
+
+
 def assert_golden(name, config, data):
     golden = GOLDEN[name]
     assert config_hash(config) == golden["config_hash"], name
@@ -99,7 +117,8 @@ def assert_golden(name, config, data):
 
 class TestPlanShards:
     def test_partition_covers_population(self):
-        for population in (0, 1, 59, 60, 100):
+        for population in (0, 1, 59, 1024, 1025, 3000, 100_000):
+            blocks = -(-population // SUBSCRIBER_BLOCK)
             for count in (1, 2, 4, 7, 61):
                 specs = plan_shards(population, count)
                 assert len(specs) == count
@@ -107,19 +126,70 @@ class TestPlanShards:
                 assert specs[-1].hi == population
                 for left, right in zip(specs, specs[1:]):
                     assert left.hi == right.lo  # contiguous, disjoint
-                sizes = [spec.hi - spec.lo for spec in specs]
+                for spec in specs:  # whole blocks: the last may be short
+                    for edge in spec.bounds:
+                        assert edge % SUBSCRIBER_BLOCK == 0 or edge == population
+                sizes = [
+                    -(-spec.hi // SUBSCRIBER_BLOCK) - -(-spec.lo // SUBSCRIBER_BLOCK)
+                    for spec in specs
+                ]
+                assert sum(sizes) == blocks
                 assert max(sizes) - min(sizes) <= 1
 
-    def test_lead_shard(self):
-        specs = plan_shards(10, 3)
-        assert [spec.is_lead for spec in specs] == [True, False, False]
-        assert specs[1].label == "1of3"
+    def test_shards_past_the_last_block_are_empty(self):
+        specs = plan_shards(3000, 7)
+        assert [spec.bounds for spec in specs] == [
+            (0, 1024), (1024, 2048), (2048, 3000)
+        ] + [(3000, 3000)] * 4
+        assert specs[1].label == "1of7"
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             plan_shards(10, 0)
         with pytest.raises(ValueError):
             plan_shards(-1, 2)
+
+
+class TestStreamKeys:
+    """Block 0 draws what the day drew before streams were block-keyed;
+    every other block draws its own."""
+
+    DAY = D(2017, 4, 10)
+
+    @pytest.mark.parametrize("seed", (0, 7, 2**32 - 1, 2**32, 2**64 - 1))
+    def test_block_zero_is_the_unblocked_key(self, seed):
+        world = World(WorldConfig(seed=seed, adsl_count=2, ftth_count=1))
+        for stream in (0, 1, 2):
+            unblocked = np.random.default_rng(
+                np.random.SeedSequence([seed, self.DAY.toordinal(), stream])
+            ).bit_generator.state
+            assert world.day_rng(self.DAY, stream, 0).bit_generator.state == unblocked
+            assert world.day_rng(self.DAY, stream).bit_generator.state == unblocked
+
+    def test_blocks_draw_distinct_streams(self):
+        world = World(WorldConfig(seed=17, adsl_count=2, ftth_count=1))
+        for stream in (0, 1, 2):
+            draws = [
+                tuple(world.day_rng(self.DAY, stream, block).integers(0, 2**62, 4))
+                for block in range(4)
+            ]
+            assert len(set(draws)) == 4
+
+    def test_config_hash_changes_only_past_one_block(self):
+        def config(adsl, ftth):
+            return StudyConfig(
+                world=WorldConfig(
+                    seed=17,
+                    adsl_count=adsl,
+                    ftth_count=ftth,
+                    start=D(2017, 4, 8),
+                    end=D(2017, 4, 12),
+                )
+            )
+
+        # The values these configs hashed to before streams were block-keyed.
+        assert config_hash(config(700, 324)) == "53108ff3b1f733d7"
+        assert config_hash(config(1000, 500)) != "ab28b561afaac2df"
 
 
 class TestShardedEqualsUnsharded:
@@ -148,27 +218,23 @@ class TestShardedEqualsUnsharded:
         sharded = execute_study(config, workers=1, shards=61)
         assert sharded.data == base  # trailing shards are empty but planned
 
-    def test_empty_range_of_a_flow_day_expands_to_an_empty_batch(self):
-        """A range that emits no usage row still consumes the day's draws
-        and hands back a whole (if empty) batch: nothing range-width may
-        trip over having no flows to reduce."""
-        study = LongitudinalStudy(
-            StudyConfig(world=WorldConfig(seed=9, adsl_count=4, ftth_count=1))
-        )
-        generator, day = study.generator, D(2017, 4, 10)
-        whole, _ = generator.expand_flows_positioned(day)
-        kept = []
-        for spec in plan_shards(len(study.world.population), 8):
+    def test_empty_range_of_a_flow_day_expands_to_an_empty_batch(
+        self, multiblock_world, multiblock_generator
+    ):
+        """A range past the last block draws nothing and hands back a whole
+        (if empty) batch: nothing may trip over having no flows to reduce."""
+        generator, day = multiblock_generator, D(2017, 4, 10)
+        whole = generator.expand_flows_batch(day)
+        batches = []
+        for spec in plan_shards(len(multiblock_world.population), 8):
             traffic = generator.generate_day(day, shard=spec.bounds)
-            batch, positions = generator.expand_flows_positioned(day, traffic)
-            assert len(batch) == positions.size
+            batch = generator.expand_flows_batch(day, traffic)
             assert set(batch.dictionaries) == set(whole.dictionaries)
             if len(traffic.usage) == 0:
-                assert positions.size == 0 and list(batch) == []
-                assert batch.dictionaries["server_name"] == []
-            kept.append(positions)
-        assert sum(1 for positions in kept if positions.size == 0) >= 3
-        assert sorted(np.concatenate(kept).tolist()) == list(range(len(whole)))
+                assert list(batch) == [] and batch.dictionaries["server_name"] == []
+            batches.append(batch)
+        assert sum(1 for batch in batches if len(batch) == 0) == 5
+        assert sum(len(batch) for batch in batches) == len(whole)
 
     def test_config_hash_unchanged(self):
         config = tiny_config()
@@ -179,7 +245,9 @@ class TestShardedEqualsUnsharded:
 
 class TestGoldenDigests:
     """{serial, pooled} x shards {1, 3} x {fresh, resumed} against digests
-    committed before the whole-day path became shard 0-of-1."""
+    committed before the whole-day path became shard 0-of-1, and
+    {serial, pooled} x shards {1, 2, 3, 4, 7} x {fresh, resumed} on a
+    world of three blocks, whose shards draw different streams."""
 
     @staticmethod
     def _fresh_then_resumed(name, config, workers, shards, root):
@@ -208,13 +276,28 @@ class TestGoldenDigests:
             f"small_study:{seed}", small_study(seed), workers, shards, tmp_path
         )
 
+    @pytest.mark.parametrize("shards", (1, 2, 3, 4, 7))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_multiblock_matrix(self, tmp_path, workers, shards):
+        config = multiblock_config()
+        plan = LongitudinalStudy(config).planned_days()
+        assert any("rtt" in roles for roles in plan.values())
+        assert any("flows" in roles and "rtt" not in roles for roles in plan.values())
+        self._fresh_then_resumed("multiblock:17", config, workers, shards, tmp_path)
+
     def test_study_run_is_the_one_shard_fold(self):
         config = tiny_config(23)
         assert_golden("tiny_config:23", config, LongitudinalStudy(config).run())
 
+    def test_multiblock_run_is_the_one_shard_fold(self):
+        config = multiblock_config()
+        assert_golden("multiblock:17", config, LongitudinalStudy(config).run())
+
 
 class TestPreRefactorCheckpoints:
-    """Checkpoint dirs written by the parent commit keep working."""
+    """Checkpoint dirs written before the one-path refactor: whole days
+    keep loading byte for byte, shard files of another layout are
+    recomputed, never merged."""
 
     @staticmethod
     def _copy(name, tmp_path):
@@ -239,39 +322,45 @@ class TestPreRefactorCheckpoints:
             new = tmp_path / "fresh" / old.relative_to(CHECKPOINT_FIXTURES / "shards1")
             assert new.read_bytes() == old.read_bytes(), old.name
 
-    def test_shard_files_load_field_identical(self, tmp_path):
-        config = fixture_config()
-        resumed = execute_study(
-            config,
-            workers=1,
-            shards=3,
-            checkpoint_root=self._copy("shards3", tmp_path),
-            resume=True,
-        )
-        assert resumed.report.checkpoint_hits == resumed.report.planned_tasks == 9
-        assert_golden("checkpoint_fixture:17", config, resumed.data)
-
-    def test_sidecar_of_another_layout_is_recomputed_not_merged(self, tmp_path):
+    def test_old_range_shard_files_are_recomputed(self, tmp_path):
+        """The N = 3 files hold sidecars of the 0-6/6-12/12-18 row ranges
+        the block plan no longer makes: each is a typed CheckpointError
+        on load, so the run recomputes them and lands on the golden."""
         config = fixture_config()
         root = self._copy("shards3", tmp_path)
         store = CheckpointStore(root, config_hash(config))
-        day, shard = D(2014, 4, 8), (1, 3)
-        partial = store.load(day, shard=shard)
-        assert isinstance(partial.extra, ShardExtra)
-        del partial.extra.__dict__["rtt"]  # a writer without that field
-        store.save(day, partial, shard=shard)
+        for day in sorted(LongitudinalStudy(config).planned_days()):
+            for spec in plan_shards(18, 3):
+                with pytest.raises(CheckpointError):
+                    _check_layout(day, store.load(day, shard=spec.key), spec)
         resumed = execute_study(
             config, workers=1, shards=3, checkpoint_root=root, resume=True
+        )
+        assert resumed.report.checkpoint_hits == 0
+        assert resumed.report.planned_tasks == 9
+        assert_golden("checkpoint_fixture:17", config, resumed.data)
+
+    def test_sidecar_of_another_layout_is_recomputed_not_merged(self, tmp_path):
+        config = multiblock_config()
+        execute_study(config, workers=1, shards=3, checkpoint_root=tmp_path)
+        store = CheckpointStore(tmp_path, config_hash(config))
+        day, shard = D(2017, 4, 8), (1, 3)
+        partial = store.load(day, shard=shard)
+        assert isinstance(partial.extra, ShardExtra) and partial.extra.processed
+        del partial.extra.__dict__["active_counts"]  # a writer without that field
+        store.save(day, partial, shard=shard)
+        resumed = execute_study(
+            config, workers=1, shards=3, checkpoint_root=tmp_path, resume=True
         )
         assert resumed.report.checkpoint_hits == resumed.report.planned_tasks - 1
         recomputed = [r for r in resumed.report.records if r.source != "checkpoint"]
         assert [(r.day, r.shard) for r in recomputed] == [(day, 1)]
-        assert_golden("checkpoint_fixture:17", config, resumed.data)
+        assert_golden("multiblock:17", config, resumed.data)
 
 
 class TestSpill:
     def test_spilled_run_field_identical(self, tmp_path):
-        config = tiny_config()
+        config = multiblock_config()
         base = execute_study(config, workers=1).data
         spill_dir = tmp_path / "spill"
         result = execute_study(
@@ -378,7 +467,7 @@ class TestSpill:
 
 class TestShardResume:
     def test_kill_mid_day_resume_replays_only_missing_shards(self, tmp_path):
-        config = tiny_config()
+        config = multiblock_config()
         base = execute_study(config, workers=1).data
         days = sorted(LongitudinalStudy(config).planned_days())
         target = days[2]

@@ -13,10 +13,10 @@ from repro.synthesis.flowgen import (
     PROTOCOL_CODEC,
     USAGE_CODEC,
     TrafficGenerator,
-    _integer_split,
 )
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
+from repro.synthesis.world import SUBSCRIBER_BLOCK
 from repro.tstat.flow import NameSource, Transport, WebProtocol
 from repro.tstat.flowbatch import FLOW_CODEC, FlowBatch
 
@@ -128,27 +128,38 @@ class TestAggregateTier:
         assert all(type(row) is flowgen.DailyUsage for row in rows)
 
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_shard_batches_concatenate_to_the_whole_day(self, world, generator, shards):
-        day = D(2016, 9, 14)
+    def test_shard_batches_concatenate_to_the_whole_day(
+        self, multiblock_world, multiblock_generator, shards
+    ):
+        generator, day = multiblock_generator, D(2016, 9, 14)
         whole = generator.generate_day(day)
         parts = [
             generator.generate_day(day, shard=spec.bounds)
-            for spec in plan_shards(len(world.population), shards)
+            for spec in plan_shards(len(multiblock_world.population), shards)
         ]
-        assert all(len(part.usage) < len(whole.usage) for part in parts[: shards - 1])
-        # shards emit disjoint subscriber ranges of the one canonical order
-        positions = [part.skeleton.emit_positions.tolist() for part in parts]
-        assert sorted(sum(positions, [])) == list(range(whole.skeleton.row_count))
+        assert all(0 < len(part.usage) < len(whole.usage) for part in parts[: shards - 1])
+        # shards draw consecutive runs of blocks of the one canonical order
         merged = ColumnBatch.concat([part.usage for part in parts], USAGE_CODEC)
-        order = sorted(range(len(merged)), key=sum(positions, []).__getitem__)
-        assert merged.take(order) == whole.usage == list(whole.usage)
-        # the whole population is the skeleton's own arrays, not copies of them
-        for column, array in (
-            ("subscriber_id", whole.skeleton.row_subscriber),
-            ("service", whole.skeleton.row_service),
-            ("bytes_down", whole.skeleton.row_bytes_down),
+        assert merged == whole.usage == list(whole.usage)
+        # protocol and hourly volumes are per-block sums: the parts add up
+        for volumes in (
+            lambda traffic: {
+                (row.service, row.protocol): row.total_bytes for row in traffic.protocols
+            },
+            lambda traffic: {
+                (row.technology, row.bin_index): row.bytes_down
+                for row in generator.generate_hourly(day, traffic)
+            },
         ):
-            assert whole.usage.columns[column] is array
+            added = {}
+            for part in parts:
+                for key, amount in volumes(part).items():
+                    added[key] = added.get(key, 0) + amount
+            assert added == volumes(whole)
+
+    def test_a_range_off_the_block_edges_is_refused(self, multiblock_generator):
+        with pytest.raises(ValueError, match="block edges"):
+            multiblock_generator.generate_day(D(2016, 9, 14), shard=(0, 1000))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("prior_halves", (0, 1, 3))
@@ -306,33 +317,33 @@ class TestFlowTier:
 
 
 class TestShardedFlowTier:
-    """A shard derives its own flows: what it keeps of the full-width draws
-    is exactly its slice of the whole day's batch."""
+    """A shard expands its own blocks' flows: concatenated in range order,
+    the shards' batches are the whole day's."""
 
     DAY = D(2016, 9, 14)
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
-    def test_shard_batches_restore_the_whole_day(self, world, generator, shards):
-        whole, whole_positions = generator.expand_flows_positioned(self.DAY)
-        assert whole_positions.tolist() == list(range(len(whole)))
+    def test_shard_batches_restore_the_whole_day(
+        self, multiblock_world, multiblock_generator, shards
+    ):
+        generator = multiblock_generator
+        whole = generator.expand_flows_batch(self.DAY)
         parts = [
-            generator.expand_flows_positioned(
+            generator.expand_flows_batch(
                 self.DAY, generator.generate_day(self.DAY, shard=spec.bounds)
             )
-            for spec in plan_shards(len(world.population), shards)
+            for spec in plan_shards(len(multiblock_world.population), shards)
         ]
-        positions = np.concatenate([held for _, held in parts])
-        assert sorted(positions.tolist()) == list(range(len(whole)))
-        merged = FlowBatch.concat([batch for batch, _ in parts], FLOW_CODEC)
-        restored = merged.take(np.argsort(positions))
+        assert sum(1 for batch in parts if len(batch)) == min(shards, 3)
+        merged = FlowBatch.concat(parts, FLOW_CODEC)
         for spec in FLOW_CODEC.columns:
-            mine, theirs = restored.columns[spec.name], whole.columns[spec.name]
+            mine, theirs = merged.columns[spec.name], whole.columns[spec.name]
             if spec.kind == "str":  # codes follow each dictionary's own order
-                mine = np.array(restored.dictionaries[spec.name], dtype=object)[mine]
+                mine = np.array(merged.dictionaries[spec.name], dtype=object)[mine]
                 theirs = np.array(whole.dictionaries[spec.name], dtype=object)[theirs]
             assert mine.dtype == theirs.dtype, spec.name
             assert np.array_equal(mine, theirs), spec.name
-        for batch, _ in parts:
+        for batch in parts:
             self.assert_first_appearance(batch)
 
     @staticmethod
@@ -345,8 +356,8 @@ class TestShardedFlowTier:
         assert first.size == len(names)
         assert np.all(np.diff(first) > 0)
 
-    def test_unnamed_flows_hold_none_where_it_first_appears(self, generator):
-        batch = generator.expand_flows_batch(self.DAY)
+    def test_unnamed_flows_hold_none_where_it_first_appears(self, multiblock_generator):
+        batch = multiblock_generator.expand_flows_batch(self.DAY)
         names = batch.dictionaries["server_name"]
         unnamed = batch.equals("name_source", NameSource.NONE.value)
         assert unnamed.any() and None in names
@@ -355,14 +366,33 @@ class TestShardedFlowTier:
 
 
 class TestIntegerSplit:
-    def test_sum_preserved(self):
-        import numpy as np
+    """A usage row's bytes are split over its flows in integers that add
+    back up exactly, whatever block the row belongs to."""
 
-        weights = np.array([0.5, 0.3, 0.2])
-        assert sum(_integer_split(1000, weights)) == 1000
-        assert sum(_integer_split(7, weights)) == 7
+    DAY = D(2016, 9, 14)
 
-    def test_single_weight(self):
-        import numpy as np
+    def test_sum_preserved(self, multiblock_generator):
+        traffic = multiblock_generator.generate_day(self.DAY)
+        flows = multiblock_generator.expand_flows_batch(self.DAY, traffic)
+        usage = traffic.usage.columns
+        clients = usage["subscriber_id"]
+        assert np.unique(clients // SUBSCRIBER_BLOCK).size == 3
+        size = int(clients.max()) + 1
+        for column in ("bytes_down", "bytes_up"):
+            per_flow = np.zeros(size, dtype=np.int64)
+            np.add.at(per_flow, flows.columns["client_id"], flows.columns[column])
+            per_row = np.zeros(size, dtype=np.int64)
+            np.add.at(per_row, clients, usage[column])
+            assert np.array_equal(per_flow, per_row), column
 
-        assert _integer_split(42, np.array([1.0])) == [42]
+    def test_single_weight(self, multiblock_generator):
+        """One flow per row: each flow carries its row's bytes whole."""
+        traffic = multiblock_generator.generate_day(self.DAY)
+        flows = multiblock_generator.expand_flows_batch(
+            self.DAY, traffic, max_flows_per_usage=1
+        )
+        for column in ("subscriber_id", "bytes_down", "bytes_up"):
+            flow_column = "client_id" if column == "subscriber_id" else column
+            assert np.array_equal(
+                flows.columns[flow_column], traffic.usage.columns[column]
+            ), column
