@@ -1,7 +1,7 @@
 """NetFlow v5 export — the legacy collector format, losses included.
 
 Many ISP toolchains of the paper's era still spoke NetFlow v5.  Unlike
-the probe's native logs or IPFIX (:mod:`repro.tstat.ipfix`), v5 is
+the probe's native logs or IPFIX (:mod:`interop.ipfix`), v5 is
 
 * **unidirectional** — one biflow becomes two records (client→server and
   server→client), and the collector must re-pair them;

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from interop.ipfix import export_ipfix, parse_ipfix
+from interop.pcap import read_pcap, write_pcap
 from repro.nettypes.ip import ip_to_int
-from repro.packets.pcap import read_pcap, write_pcap
 from repro.synthesis.packetgen import FlowSpec, PacketSynthesizer
 from repro.tstat.flow import WebProtocol
-from repro.tstat.ipfix import export_ipfix, parse_ipfix
 from repro.tstat.logs import load_flow_log
 from repro.tstat.probe import Probe, ProbeConfig
 
@@ -90,7 +90,7 @@ def main() -> None:
 
         # 3b. And as legacy NetFlow v5 — note what the format *cannot* say.
         from repro.nettypes.ip import Prefix
-        from repro.tstat.netflow import (
+        from interop.netflow import (
             export_netflow_v5,
             merge_biflows,
             parse_netflow_v5,

@@ -8,10 +8,15 @@ curves are smoothed using a Bezier interpolation."
 
 from __future__ import annotations
 
+import calendar
+import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.synthesis.flowgen import HourlyVolume
+import numpy as np
+
+from repro.dataflow.columnar import ColumnBatch
+from repro.synthesis.flowgen import HOURLY_CODEC, HourlyVolume
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
 
@@ -36,22 +41,21 @@ def monthly_profile(
     month: int,
 ) -> HourlyProfile:
     """Average the per-bin volumes over all days of (year, month)."""
-    sums = [0.0] * BINS_PER_DAY
-    day_set = set()
-    for volume in volumes:
-        if volume.technology is not technology:
-            continue
-        if (volume.day.year, volume.day.month) != (year, month):
-            continue
-        sums[volume.bin_index] += volume.bytes_down
-        day_set.add(volume.day)
-    if not day_set:
+    table = ColumnBatch.of(volumes, HOURLY_CODEC)
+    columns = table.columns
+    first = datetime.date(year, month, 1).toordinal()
+    rows = table.equals("technology", technology.value) & (columns["day"] >= first)
+    rows &= columns["day"] < first + calendar.monthrange(year, month)[1]
+    if not rows.any():
         raise ValueError(f"no hourly data for {technology} in {year}-{month:02d}")
-    count = len(day_set)
+    # floats summed in row order, as a running per-bin total would
+    sums = np.zeros(BINS_PER_DAY)
+    np.add.at(sums, columns["bin_index"][rows], columns["bytes_down"][rows].astype(float))
+    count = np.unique(columns["day"][rows]).size
     return HourlyProfile(
         technology=technology,
         month=(year, month),
-        bins=tuple(total / count for total in sums),
+        bins=tuple(total / count for total in sums.tolist()),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analytics.activity import SubscriberDay, group_ids, group_rows
 from repro.analytics.timeseries import Month, MonthlySeries, monthly_mean
-from repro.dataflow.columnar import ColumnBatch
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.services.thresholds import VisitClassifier
 from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
@@ -27,7 +27,7 @@ class DailyServiceStats:
 
     ``technology`` is the restriction under which the cell was computed
     (None = all access technologies).  Counts and byte totals are additive
-    across technologies, so per-tech cells can be merged.
+    across technologies and shards, so cells of one (day, service) add up.
     """
 
     day: datetime.date
@@ -52,22 +52,22 @@ class DailyServiceStats:
             return 0.0
         return self.visitor_bytes / self.visitors
 
-    def merged(self, other: "DailyServiceStats") -> "DailyServiceStats":
-        """Combine two cells of the same (day, service) across technologies."""
-        if (self.day, self.service) != (other.day, other.service):
-            raise ValueError("cannot merge cells of different (day, service)")
-        return DailyServiceStats(
-            day=self.day,
-            service=self.service,
-            visitors=self.visitors + other.visitors,
-            active_subscribers=self.active_subscribers + other.active_subscribers,
-            bytes_down=self.bytes_down + other.bytes_down,
-            bytes_total=self.bytes_total + other.bytes_total,
-            visitor_bytes=self.visitor_bytes + other.visitor_bytes,
-            technology=self.technology
-            if self.technology == other.technology
-            else None,
-        )
+
+#: Stage-1's per-(day, service, technology) output table (Fig. 5-9).
+SERVICE_STATS_CODEC: ColumnarCodec[DailyServiceStats] = ColumnarCodec(
+    columns=[
+        ColumnSpec("day", "date"),
+        ColumnSpec("service", "str"),
+        ColumnSpec("visitors", "int"),
+        ColumnSpec("active_subscribers", "int"),
+        ColumnSpec("bytes_down", "int"),
+        ColumnSpec("bytes_total", "int"),
+        ColumnSpec("visitor_bytes", "int"),
+        ColumnSpec("technology", "str", enum=Technology),
+    ],
+    record=DailyServiceStats,
+    day_column="day",
+)
 
 
 def visit_rows(
@@ -90,8 +90,9 @@ def daily_service_stats(
     subscriber_days: Iterable[SubscriberDay],
     classifier: VisitClassifier = VisitClassifier(),
     technology: Optional[Technology] = None,
-) -> List[DailyServiceStats]:
-    """Per (day, service) visitor counts and byte totals.
+) -> "ColumnBatch[DailyServiceStats]":
+    """Per (day, service) visitor counts and byte totals, as a table in
+    (day, service) order.
 
     ``technology`` restricts both the active set and the usage rows
     (Fig. 5 shows ADSL only).
@@ -124,7 +125,7 @@ def daily_service_stats(
         keep &= np.isin(columns["technology"], codes)
     rows = np.nonzero(keep)[0]
     if not rows.size:
-        return []
+        return ColumnBatch.from_rows((), SERVICE_STATS_CODEC)
     active_days, active_counts = np.unique(
         days[order[starts[group_active]]], return_counts=True
     )
@@ -134,7 +135,8 @@ def daily_service_stats(
     row_down = columns["bytes_down"][rows]
     row_total = row_down + columns["bytes_up"][rows]
     visit = visit_rows(batch, classifier)[rows]
-    order, starts = group_rows(row_day, row_service)
+    # cells in (day, service name) order
+    order, starts = group_rows(row_day, batch.value_ranks("service")[row_service])
     # visitors: distinct subscribers among a cell's threshold-passing rows
     visit_cell = group_ids(order, starts)[visit]
     visit_order, visit_starts = group_rows(
@@ -143,59 +145,56 @@ def daily_service_stats(
     visitors = np.bincount(
         visit_cell[visit_order[visit_starts]], minlength=starts.size
     )
-    to_date = batch.cell_decoder("day")
-    day_of = {ordinal: to_date(ordinal) for ordinal in np.unique(row_day).tolist()}
-    services = batch.dictionaries["service"]
-    cells = zip(
-        row_day[order[starts]].tolist(),
-        [services[code] for code in row_service[order[starts]].tolist()],
-        visitors.tolist(),
-        np.add.reduceat(row_down[order], starts).tolist(),
-        np.add.reduceat(row_total[order], starts).tolist(),
-        np.add.reduceat(np.where(visit, row_total, 0)[order], starts).tolist(),
+    cell_day = row_day[order[starts]]
+    return ColumnBatch(
+        SERVICE_STATS_CODEC,
+        {
+            "day": cell_day,
+            "service": row_service[order[starts]],
+            "visitors": visitors,
+            "active_subscribers": [active_per_day.get(day, 0) for day in cell_day.tolist()],
+            "bytes_down": np.add.reduceat(row_down[order], starts),
+            "bytes_total": np.add.reduceat(row_total[order], starts),
+            "visitor_bytes": np.add.reduceat(np.where(visit, row_total, 0)[order], starts),
+            "technology": np.zeros(starts.size, dtype=np.int32),
+        },
+        {
+            "service": batch.dictionaries["service"],
+            "technology": [technology.value if technology else None],
+        },
     )
-    return [
-        DailyServiceStats(
-            day=day_of[day],
-            service=service,
-            visitors=visitor_count,
-            active_subscribers=active_per_day.get(day, 0),
-            bytes_down=down,
-            bytes_total=total,
-            visitor_bytes=visitor_bytes,
-            technology=technology,
-        )
-        for day, service, visitor_count, down, total, visitor_bytes in sorted(cells)
-    ]
 
 
 def popularity_series(
     stats: Iterable[DailyServiceStats], service: str, months: List[Month]
 ) -> MonthlySeries:
     """Monthly mean popularity (%) of one service (Figs. 6/7 top)."""
-    samples = [
-        (cell.day, 100.0 * cell.popularity)
-        for cell in stats
-        if cell.service == service
-    ]
-    return monthly_mean(samples, months)
+    cells = ColumnBatch.of(stats, SERVICE_STATS_CODEC)
+    visitors, active = cells.columns["visitors"], cells.columns["active_subscribers"]
+    popularity = np.divide(visitors, active, out=np.zeros(len(cells)), where=active != 0)
+    return _monthly(cells, cells.equals("service", service), 100.0 * popularity, months)
 
 
 def byte_share_series(
     stats: Sequence[DailyServiceStats], service: str, months: List[Month]
 ) -> MonthlySeries:
     """Monthly mean share (%) of downloaded bytes of one service (Fig. 5b)."""
-    day_totals: Dict[datetime.date, int] = {}
-    for cell in stats:
-        day_totals[cell.day] = day_totals.get(cell.day, 0) + cell.bytes_down
-    samples = []
-    for cell in stats:
-        if cell.service != service:
-            continue
-        total = day_totals.get(cell.day, 0)
-        if total > 0:
-            samples.append((cell.day, 100.0 * cell.bytes_down / total))
-    return monthly_mean(samples, months)
+    cells = ColumnBatch.of(stats, SERVICE_STATS_CODEC)
+    down = cells.columns["bytes_down"]
+    _, day = np.unique(cells.columns["day"], return_inverse=True)
+    totals = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(totals, day, down)
+    totals = totals[day]
+    shares = 100.0 * down / np.maximum(totals, 1)
+    return _monthly(cells, cells.equals("service", service) & (totals > 0), shares, months)
+
+
+def _monthly(
+    cells: ColumnBatch, rows: np.ndarray, values: np.ndarray, months: List[Month]
+) -> MonthlySeries:
+    """:func:`monthly_mean` of the daily ``values`` of the cells at ``rows``."""
+    days = map(cells.cell_decoder("day"), cells.columns["day"][rows].tolist())
+    return monthly_mean(zip(days, values[rows].tolist()), months)
 
 
 def heatmap(

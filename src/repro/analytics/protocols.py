@@ -7,11 +7,16 @@ of each day* (SPDY hides inside TLS before June 2015, event C).
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
+from repro.analytics.activity import group_rows
 from repro.analytics.timeseries import Month, month_of
-from repro.synthesis.flowgen import ProtocolUsage
+from repro.dataflow.columnar import ColumnBatch
+from repro.synthesis.flowgen import PROTOCOL_CODEC, ProtocolUsage
 from repro.tstat.flow import WebProtocol
 
 #: Stack order of Fig. 8 (bottom to top).
@@ -40,13 +45,18 @@ def monthly_protocol_shares(
     rows: Iterable[ProtocolUsage], months: List[Month]
 ) -> List[ProtocolShares]:
     """Monthly share of each web protocol over web bytes."""
+    table = ColumnBatch.of(rows, PROTOCOL_CODEC)
+    labels = [WebProtocol(value) for value in table.dictionaries["protocol"]]
+    web = np.array([label.is_web for label in labels], dtype=bool)[table.columns["protocol"]]
+    ordinals, day = np.unique(table.columns["day"][web], return_inverse=True)
+    day_months = [month_of(datetime.date.fromordinal(o)) for o in ordinals.tolist()]
+    codes = table.columns["protocol"][web]
+    order, starts = group_rows(np.array([y * 12 + m for y, m in day_months])[day], codes)
+    volumes = np.add.reduceat(table.columns["total_bytes"][web][order], starts).tolist()
     totals: Dict[Month, Dict[WebProtocol, int]] = {}
-    for row in rows:
-        if not row.protocol.is_web:
-            continue
-        month = month_of(row.day)
-        bucket = totals.setdefault(month, {})
-        bucket[row.protocol] = bucket.get(row.protocol, 0) + row.total_bytes
+    for first, volume in sorted(zip(order[starts].tolist(), volumes)):  # first-row order
+        bucket = totals.setdefault(day_months[day[first]], {})
+        bucket[labels[codes[first]]] = bucket.get(labels[codes[first]], 0) + volume
     shares = []
     for month in months:
         bucket = totals.get(month, {})

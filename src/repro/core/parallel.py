@@ -56,7 +56,8 @@ bulky flow-tier payloads — per-(service, year) RTT sample lists, per-day
 server-IP sets and (address → shared?) role maps — are flattened into
 NumPy arrays before pickling, so the parent deserializes a handful of
 buffers instead of millions of boxed floats and dict entries.  Packing
-and unpacking are exact inverses; the merged result is unchanged.
+and unpacking are exact inverses; the merged result is unchanged.  The
+stage-1 tables need none: a column batch pickles as its arrays.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from repro.core.shards import (
     task_attrs,
     task_label,
 )
-from repro.core.study import LongitudinalStudy, StudyData, merge_day_shards
+from repro.core.study import STUDY_TABLES, LongitudinalStudy, StudyData, merge_day_shards
 from repro.dataflow.datalake import CheckpointError, CheckpointStore
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.clock import Clock, MonotonicClock, VirtualClock, clock_for
@@ -177,7 +178,7 @@ class ColumnarPartial:
     def approx_nbytes(self) -> int:
         """Cheap resident-size estimate used by the spill watermark.
 
-        Exact for the columnarized arrays; the boxed aggregate rows are
+        Exact for the arrays and the stage-1 tables; the boxed rows are
         charged a flat per-row estimate (a pickle round-trip per ``put``
         would cost more than the spill it gates).
         """
@@ -189,9 +190,9 @@ class ColumnarPartial:
         for _, _, addresses, shared in self.ip_roles:
             total += addresses.nbytes + shared.nbytes
         data = self.data
+        for name in STUDY_TABLES:
+            total += sum(array.nbytes for array in getattr(data, name).columns.values())
         total += 96 * sum(len(rows) for rows in data.subscriber_days.values())
-        total += 112 * len(data.service_stats)
-        total += 64 * (len(data.protocol_rows) + len(data.hourly))
         total += 96 * len(data.census)
         return total
 
@@ -1368,8 +1369,7 @@ def execute_study(
     with scope():
         with telemetry_runtime.span("merge", days=len(days), shards=shards):
             try:
-                for day in days:
-                    merged.merge(_day_data(planner, dispatch, day, specs))
+                merged.merge(*(_day_data(planner, dispatch, day, specs) for day in days))
             except CheckpointError:
                 # A spilled partial did not read back: its row now says
                 # failed (see _Dispatch.restore), which the manifest on

@@ -20,14 +20,14 @@ from __future__ import annotations
 import datetime
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.parallel import RunReport
 
 from repro.core.study import LongitudinalStudy, StudyData, aggregate_usage_day
-from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
-from repro.dataflow.datalake import DataLake, LineCodec, tsv_codec
+from repro.dataflow.columnar import ColumnBatch
+from repro.dataflow.datalake import DataLake
 from repro.dataflow.integrity import (
     DayAdmission,
     LakeIntegrity,
@@ -35,45 +35,16 @@ from repro.dataflow.integrity import (
 )
 from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
 from repro.synthesis.flowgen import (
+    HOURLY_CODEC,
     PROTOCOL_CODEC,
     USAGE_CODEC,
     DayTraffic,
     HourlyVolume,
 )
-from repro.synthesis.population import Technology
 
 USAGE_TABLE = "usage"
 PROTOCOL_TABLE = "protocols"
 HOURLY_TABLE = "hourly"
-
-_HOURLY_LINES: LineCodec[HourlyVolume] = tsv_codec(
-    from_fields=lambda fields: HourlyVolume(
-        day=datetime.date.fromisoformat(fields[0]),
-        technology=Technology(fields[1]),
-        bin_index=int(fields[2]),
-        bytes_down=int(fields[3]),
-    ),
-    to_fields=lambda row: [
-        row.day.isoformat(),
-        row.technology.value,
-        str(row.bin_index),
-        str(row.bytes_down),
-    ],
-)
-
-HOURLY_CODEC: ColumnarCodec[HourlyVolume] = ColumnarCodec(
-    encode=_HOURLY_LINES.encode,
-    decode=_HOURLY_LINES.decode,
-    columns=[
-        ColumnSpec("day", "date"),
-        ColumnSpec("technology", "str", enum=Technology),
-        ColumnSpec("bin_index", "int"),
-        ColumnSpec("bytes_down", "int"),
-    ],
-    record=HourlyVolume,
-    zone_columns=("technology",),
-    day_column="day",
-)
 
 # Make the aggregate tables decodable by `repro fsck` record scans —
 # registering the codec objects (not bare line decoders) lets fsck decode
@@ -102,7 +73,7 @@ class LakeSink:
         self,
         day: datetime.date,
         traffic: DayTraffic,
-        hourly: Optional[List[HourlyVolume]] = None,
+        hourly: Optional[Sequence[HourlyVolume]] = None,
     ) -> None:
         if traffic.usage:
             self.lake.write_day(USAGE_TABLE, day, traffic.usage, USAGE_CODEC)
@@ -150,28 +121,30 @@ def replay_study(
     """
     classifier = visit_classifier or VisitClassifier()
     active_criterion = criterion or ActiveSubscriberCriterion()
-    data = StudyData(months=list(months))
     all_days = sorted(
         set(lake.days(USAGE_TABLE))
         | set(lake.days(PROTOCOL_TABLE))
         | set(lake.days(HOURLY_TABLE))
     )
+    days: List[StudyData] = []
     for day in all_days:
-        usage = ColumnBatch.concat(
-            lake.read_day(USAGE_TABLE, day, USAGE_CODEC, integrity).blocks(),
-            USAGE_CODEC,
+        usage, protocols, hourly = (
+            ColumnBatch.concat(lake.read_day(table, day, codec, integrity).blocks(), codec)
+            for table, codec in (
+                (USAGE_TABLE, USAGE_CODEC),
+                (PROTOCOL_TABLE, PROTOCOL_CODEC),
+                (HOURLY_TABLE, HOURLY_CODEC),
+            )
         )
-        protocols = lake.read_day(
-            PROTOCOL_TABLE, day, PROTOCOL_CODEC, integrity
-        ).collect()
-        hourly = lake.read_day(HOURLY_TABLE, day, HOURLY_CODEC, integrity).collect()
         if integrity is not None and admission is not None:
             if not admission.admit(integrity.ledger.report_for(day)):
                 continue
+        part = StudyData(months=list(months), protocol_rows=protocols, hourly=hourly)
         if usage:
-            aggregate_usage_day(data, day, usage, active_criterion, classifier)
-        data.protocol_rows.extend(protocols)
-        data.hourly.extend(hourly)
+            aggregate_usage_day(part, day, usage, active_criterion, classifier)
+        days.append(part)
+    data = StudyData(months=list(months))
+    data.merge(*days)
     return data
 
 

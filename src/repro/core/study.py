@@ -15,7 +15,8 @@ import bisect
 import datetime
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.analytics.infrastructure import (
     shares_from_totals,
 )
 from repro.analytics.popularity import (
+    SERVICE_STATS_CODEC,
     DailyServiceStats,
     daily_service_stats,
     visit_rows,
@@ -39,13 +41,15 @@ from repro.analytics.popularity import (
 from repro.analytics.timeseries import Month
 from repro.core.config import COMPARISON_MONTHS, StudyConfig
 from repro.core.shards import ShardExtra, ShardSpec, plan_shards, task_attrs
-from repro.dataflow.columnar import ColumnBatch
+from repro.dataflow.columnar import ColumnBatch, ColumnarCodec
 from repro.dataflow.datalake import month_days
 from repro.routing.rib import RibArchive
 from repro.services import catalog
 from repro.services.rules import RuleSet
 from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
 from repro.synthesis.flowgen import (
+    HOURLY_CODEC,
+    PROTOCOL_CODEC,
     USAGE_CODEC,
     DailyUsage,
     DayTraffic,
@@ -71,6 +75,21 @@ RTT_SERVICES = (
 )
 
 
+#: StudyData's per-day output tables, by field: the codec, and the key
+#: columns the fan-in sums a day's parts by (its other int columns add up).
+STUDY_TABLES: Mapping[str, Tuple[ColumnarCodec, Tuple[str, ...]]] = MappingProxyType(
+    {
+        "service_stats": (SERVICE_STATS_CODEC, ("day", "technology", "service")),
+        "protocol_rows": (PROTOCOL_CODEC, ("day", "service", "protocol")),
+        "hourly": (HOURLY_CODEC, ("day", "technology", "bin_index")),
+    }
+)
+
+
+def _table(name: str) -> Any:
+    return field(default_factory=lambda: ColumnBatch.from_rows((), STUDY_TABLES[name][0]))
+
+
 class MergeOverlapError(ValueError):
     """Two partials claim a key that merge requires to be disjoint.
 
@@ -90,7 +109,12 @@ class MergeOverlapError(ValueError):
 
 @dataclass
 class StudyData:
-    """Everything the figures need, reduced per day during the single pass."""
+    """Everything the figures need, reduced per day during the single pass.
+
+    Stage-1's output tables (:data:`STUDY_TABLES`) are column batches:
+    records to whoever iterates them, columns to the fan-in, the calendar
+    fold, the stage-2 readers that scan a whole table and the digest.
+    """
 
     months: List[Month] = field(default_factory=list)
     #: day → per-subscriber totals with the activity flag.
@@ -98,11 +122,11 @@ class StudyData:
         default_factory=dict
     )
     #: per-(day, service, technology) popularity/volume cells.
-    service_stats: List[DailyServiceStats] = field(default_factory=list)
+    service_stats: Sequence[DailyServiceStats] = _table("service_stats")
     #: per-(day, service, reported protocol) byte totals.
-    protocol_rows: List[ProtocolUsage] = field(default_factory=list)
+    protocol_rows: Sequence[ProtocolUsage] = _table("protocol_rows")
     #: 10-minute-bin volumes for the comparison months.
-    hourly: List[HourlyVolume] = field(default_factory=list)
+    hourly: Sequence[HourlyVolume] = _table("hourly")
     #: Fig. 11 top: per-day census for the tracked services.
     census: List[DailyServerStats] = field(default_factory=list)
     #: Fig. 11 middle: per-day ASN breakdowns.
@@ -138,22 +162,18 @@ class StudyData:
         service: str,
         technology: Optional[Technology] = None,
     ) -> List[DailyServiceStats]:
-        """Cells of one service; merged across technologies when None."""
+        """Cells of one service in day order; when ``technology`` is None,
+        one cell per day summed across technologies (its technology None
+        unless the day has one cell)."""
+        stats = ColumnBatch.of(self.service_stats, SERVICE_STATS_CODEC)
+        cells = stats.take(stats.equals("service", service))
         if technology is not None:
-            return [
-                cell
-                for cell in self.service_stats
-                if cell.service == service and cell.technology is technology
-            ]
-        merged: Dict[datetime.date, DailyServiceStats] = {}
-        for cell in self.service_stats:
-            if cell.service != service:
-                continue
-            if cell.day in merged:
-                merged[cell.day] = merged[cell.day].merged(cell)
-            else:
-                merged[cell.day] = cell
-        return [merged[day] for day in sorted(merged)]
+            return list(cells.take(cells.equals("technology", technology.value)))
+        lone = np.unique(cells.columns["day"], return_counts=True)[1] == 1
+        return [
+            cell if alone else replace(cell, technology=None)
+            for cell, alone in zip(_summed([cells], "service_stats", ("day",)), lone.tolist())
+        ]
 
     def all_subscriber_days(self) -> List[SubscriberDay]:
         rows: List[SubscriberDay] = []
@@ -161,42 +181,45 @@ class StudyData:
             rows.extend(self.subscriber_days[day])
         return rows
 
-    def merge(self, other: "StudyData") -> None:
-        """Fold another partial result in (disjoint day sets enforced).
+    def merge(self, *others: "StudyData") -> None:
+        """Fold other partial results in, in order (disjoint day sets enforced).
 
         ``weekly_visitors`` / ``weekly_active`` keys legitimately repeat
         across partials (one ISO week spans several days) and are
         unioned; ``subscriber_days`` keys must be disjoint and raise
-        :class:`MergeOverlapError` when they collide.
+        :class:`MergeOverlapError` when they collide.  Each table is
+        concatenated once, however many partials are folded in: a calendar
+        fold passes them all in one call.
         """
-        if self.months and other.months and self.months != other.months:
-            raise ValueError("cannot merge studies with different spans")
-        if not self.months:
-            self.months = list(other.months)
-        overlap = self.subscriber_days.keys() & other.subscriber_days.keys()
-        if overlap:
-            raise MergeOverlapError("subscriber_days", min(overlap).isoformat())
-        self.subscriber_days.update(other.subscriber_days)
-        self.service_stats.extend(other.service_stats)
-        self.protocol_rows.extend(other.protocol_rows)
-        self.hourly.extend(other.hourly)
-        self.census.extend(other.census)
-        self.asn.extend(other.asn)
-        self.domains.extend(other.domains)
-        for service, entries in other.daily_ip_sets.items():
-            self.daily_ip_sets.setdefault(service, []).extend(entries)
-        for service, role_entries in other.daily_ip_roles.items():
-            self.daily_ip_roles.setdefault(service, []).extend(role_entries)
-        for key, samples in other.rtt_samples.items():
-            self.rtt_samples.setdefault(key, []).extend(samples)
-        # Insertion keeps flow_days sorted without re-sorting the whole
-        # list on every one of the k partial merges (was O(k·n log n)).
-        for day in other.flow_days:
-            bisect.insort(self.flow_days, day)
-        for key, visitors in other.weekly_visitors.items():
-            self.weekly_visitors.setdefault(key, set()).update(visitors)
-        for key, active in other.weekly_active.items():
-            self.weekly_active.setdefault(key, set()).update(active)
+        for other in others:
+            if self.months and other.months and self.months != other.months:
+                raise ValueError("cannot merge studies with different spans")
+            if not self.months:
+                self.months = list(other.months)
+            overlap = self.subscriber_days.keys() & other.subscriber_days.keys()
+            if overlap:
+                raise MergeOverlapError("subscriber_days", min(overlap).isoformat())
+            self.subscriber_days.update(other.subscriber_days)
+            self.census.extend(other.census)
+            self.asn.extend(other.asn)
+            self.domains.extend(other.domains)
+            for service, entries in other.daily_ip_sets.items():
+                self.daily_ip_sets.setdefault(service, []).extend(entries)
+            for service, role_entries in other.daily_ip_roles.items():
+                self.daily_ip_roles.setdefault(service, []).extend(role_entries)
+            for key, samples in other.rtt_samples.items():
+                self.rtt_samples.setdefault(key, []).extend(samples)
+            # Insertion keeps flow_days sorted without re-sorting the whole
+            # list on every one of the k partial merges (was O(k·n log n)).
+            for day in other.flow_days:
+                bisect.insort(self.flow_days, day)
+            for key, visitors in other.weekly_visitors.items():
+                self.weekly_visitors.setdefault(key, set()).update(visitors)
+            for key, active in other.weekly_active.items():
+                self.weekly_active.setdefault(key, set()).update(active)
+        for name, (codec, _) in STUDY_TABLES.items():
+            parts = [getattr(data, name) for data in (self, *others)]
+            setattr(self, name, ColumnBatch.concat(parts, codec))
 
     def weekly_reach(
         self, service: str, technology: Technology, year: int
@@ -320,8 +343,7 @@ class LongitudinalStudy:
             hourly = None
             if "hourly" in roles:
                 with telemetry.span("hourly"):
-                    hourly = self.generator.generate_hourly(day, traffic)
-                    data.hourly.extend(hourly)
+                    hourly = data.hourly = self.generator.generate_hourly(day, traffic)
             if "flows" in roles:
                 with telemetry.span("flows"):
                     self._consume_flows(
@@ -334,18 +356,20 @@ class LongitudinalStudy:
         self,
         day: datetime.date,
         traffic: DayTraffic,
-        hourly: Optional[List[HourlyVolume]],
+        hourly: Optional[Sequence[HourlyVolume]],
     ) -> None:
         """Hook: the stage-1 inputs of a processed day, for archiving."""
 
     def run(self, progress: Optional[object] = None) -> StudyData:
         """Execute the study; returns the reduced per-day data."""
-        data = self.empty_data()
         plan = self.planned_days()
+        days: List[StudyData] = []
         for day in sorted(plan):
-            data.merge(self.day_partial(day, plan[day]))
+            days.append(self.day_partial(day, plan[day]))
             if progress is not None:
                 progress(day)  # type: ignore[operator]
+        data = self.empty_data()
+        data.merge(*days)
         return data
 
     def _consume_aggregate(
@@ -369,7 +393,7 @@ class LongitudinalStudy:
         for entry in day_rows:
             if entry.active:
                 extra.active_counts[entry.technology] += 1
-        data.protocol_rows.extend(traffic.protocols)
+        data.protocol_rows = traffic.protocols
 
     def _consume_flows(
         self,
@@ -441,12 +465,8 @@ def aggregate_usage_day(
     usage = ColumnBatch.of(usage, USAGE_CODEC)
     day_rows = subscriber_days(usage, criterion)
     data.subscriber_days[day] = day_rows
-    for technology in Technology:
-        data.service_stats.extend(
-            daily_service_stats(
-                usage, day_rows, classifier=classifier, technology=technology
-            )
-        )
+    cells = [daily_service_stats(usage, day_rows, classifier, tech) for tech in Technology]
+    data.service_stats = ColumnBatch.concat([data.service_stats, *cells], SERVICE_STATS_CODEC)
     if (day.year, day.month) in COMPARISON_MONTHS:
         iso_year, iso_week, _ = day.isocalendar()
         active_by_id = {
@@ -530,43 +550,18 @@ def merge_day_shards(
         row for data in datas for row in data.subscriber_days.get(day, ())
     ]
 
-    # service_stats: cells are additive except active_subscribers, which
-    # is the whole-day denominator carried per shard in the sidecar.
-    for technology in Technology:
-        active_total = sum(
-            extra.active_counts.get(technology, 0) for extra in extras
-        )
-        merged_cells: Dict[str, DailyServiceStats] = {}
-        for data in datas:
-            for cell in data.service_stats:
-                if cell.technology is not technology:
-                    continue
-                previous = merged_cells.get(cell.service)
-                merged_cells[cell.service] = (
-                    cell if previous is None else previous.merged(cell)
-                )
-        for service in sorted(merged_cells):
-            out.service_stats.append(
-                replace(merged_cells[service], active_subscribers=active_total)
-            )
-
-    out.protocol_rows.extend(
-        sorted(
-            _added_up(
-                (row for data in datas for row in data.protocol_rows),
-                lambda row: (row.service, row.protocol),
-                "total_bytes",
-            ),
-            key=lambda row: (row.service, row.protocol.value),
-        )
-    )
-    out.hourly.extend(
-        _added_up(
-            (volume for data in datas for volume in data.hourly),
-            lambda volume: (volume.technology, volume.bin_index),
-            "bytes_down",
-        )
-    )
+    # Each table is summed per key, in key order — the order every part
+    # holds its rows in.  A service-stats cell is additive except
+    # active_subscribers, the whole-day denominator the sidecars carry.
+    for name in STUDY_TABLES:
+        setattr(out, name, _summed([getattr(data, name) for data in datas], name))
+    active = [
+        sum(extra.active_counts.get(Technology(value), 0) for extra in extras)
+        for value in out.service_stats.dictionaries["technology"]
+    ]
+    out.service_stats.columns["active_subscribers"] = np.array(active, dtype=np.int64)[
+        out.service_stats.columns["technology"]
+    ]
     for data in datas:
         for key, samples in data.rtt_samples.items():
             out.rtt_samples.setdefault(key, []).extend(samples)
@@ -603,18 +598,28 @@ def merge_day_shards(
     return out
 
 
-def _added_up(rows: Iterable[Any], key: Callable[[Any], object], amount: str) -> List[Any]:
-    """One row per ``key``, first-appearance order, its ``amount`` field
-    summed over the rows of that key (a lone row is kept as it is)."""
-    held: Dict[object, Any] = {}
-    for row in rows:
-        prior = held.get(key(row))
-        held[key(row)] = (
-            row
-            if prior is None
-            else replace(prior, **{amount: getattr(prior, amount) + getattr(row, amount)})
+def _summed(
+    tables: List[Sequence[Any]], name: str, keys: Optional[Tuple[str, ...]] = None
+) -> ColumnBatch:
+    """The parts of one of :data:`STUDY_TABLES` as one table with a row per
+    distinct ``keys`` (the table's fan-in keys by default), in key order — a
+    ``str`` key by its value — each other int column summed over the key's
+    rows and every other column taken from its first row."""
+    codec, keys = STUDY_TABLES[name][0], keys or STUDY_TABLES[name][1]
+    table = ColumnBatch.concat(tables, codec)
+    columns = table.columns
+    order, starts = group_rows(
+        *(
+            table.value_ranks(key)[columns[key]] if codec.column_kind(key) == "str"
+            else columns[key]
+            for key in keys
         )
-    return list(held.values())
+    )
+    summed = {column: array[order[starts]] for column, array in columns.items()}
+    for spec in codec.columns:
+        if spec.kind == "int" and spec.name not in keys:
+            summed[spec.name] = np.add.reduceat(columns[spec.name][order], starts)
+    return ColumnBatch(codec, summed, table.dictionaries)
 
 
 def _union_sets(target: Dict, source: Dict) -> None:

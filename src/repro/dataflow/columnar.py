@@ -18,18 +18,18 @@ the partition's sidecar manifest.  Readers holding a
 
 v1 gzip-TSV partitions remain readable behind the same API — a
 :class:`ColumnarCodec` is a drop-in :class:`~repro.dataflow.datalake.
-LineCodec` (line ``encode``/``decode``) extended with a column schema
-(``to_row``/``from_row``), so the same codec object serves both formats
-and a predicate filters v1 rows to the identical result, just without
-the decode savings.
+LineCodec` (line ``encode``/``decode``, derived from the columns unless
+given) extended with a column schema (``to_row``/``from_row``), so the
+same codec object serves both formats and a predicate filters v1 rows to
+the identical result, just without the decode savings.
 
 In memory a table's rows travel as those same typed arrays: a
 :class:`ColumnBatch` is a codec plus one array per column in the chunk's
 own encoding, and *is* a ``Sequence`` of the codec's records — a record
 object is built only when somebody iterates or indexes it.  The generator
 emits one, :func:`encode_chunk` compresses its arrays, :meth:`Chunk.scan`
-hands one back, and stage-1 reduces its columns, so on the aggregate
-tier's hot paths no row object exists (DESIGN.md §14).
+hands one back, and stage-1 reduces its columns into its output batches,
+so on the aggregate tier's hot paths no row object exists (DESIGN.md §14).
 
 Everything is byte-deterministic: fixed zlib level, no timestamps, dict
 codes in first-appearance order — identical records produce identical
@@ -42,6 +42,7 @@ import datetime
 import json
 import operator
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,7 +104,7 @@ class ColumnSpec:
     """One typed column of a table's row schema.
 
     ``enum`` declares that the record holds a member of that
-    :class:`enum.Enum` where the row (and the chunk) holds its ``value``.
+    :class:`enum.Enum` (or None) where the row (and the chunk) holds its ``value``.
     ``attr`` says where the record keeps the cell when that is not the
     attribute called ``name`` (a dotted path reaches into a nested object:
     ``"rtt.min_ms"``).  ``digits`` is the wire precision of a ``float``
@@ -141,28 +142,34 @@ class ColumnarCodec(Generic[T]):
     an ``enum=`` column holding a member of that enum — and the row
     functions are derived.  That is what lets a :class:`ColumnBatch` prove
     "every row decodes" from its columns alone (:meth:`ColumnBatch.decode`).
+    So are the line functions unless given: the row's cells as ``str``
+    prints them (a date in ISO form, an enum as its value), tab-separated.
 
     ``zone_columns`` names the string columns whose distinct values are
     recorded in the partition zone map; ``day_column`` names the date
     column used for the zone map's day range (``None`` when rows carry no
     date — the partition day stands in).
+
+    A codec is declared at module level and pickles as a reference to that
+    name (the ``collections.namedtuple`` idiom).
     """
 
     def __init__(
         self,
         *,
-        encode: Callable[[T], str],
-        decode: Callable[[str], T],
         columns: Sequence[ColumnSpec],
         record: Callable[..., T],
+        encode: Optional[Callable[[T], str]] = None,
+        decode: Optional[Callable[[str], T]] = None,
         zone_columns: Sequence[str] = (),
         day_column: Optional[str] = None,
     ) -> None:
-        self.encode = encode
-        self.decode = decode
         self.columns = tuple(columns)
         self.record = record
         self.to_row, self.from_row = _derived_row_functions(record, self.columns)
+        self.encode = encode or self._line
+        self.decode = decode or self._parse_line
+        self.__module__ = sys._getframe(1).f_globals.get("__name__", "__main__")
         self.zone_columns = tuple(zone_columns)
         self.day_column = day_column
         self._index = {spec.name: i for i, spec in enumerate(self.columns)}
@@ -184,6 +191,27 @@ class ColumnarCodec(Generic[T]):
     def column_names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.columns)
 
+    def _line(self, record: T) -> str:
+        return "\t".join(map(str, self.to_row(record)))  # a date prints as ISO
+
+    def _parse_line(self, line: str) -> T:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != len(self.columns):
+            raise ValueError(f"{len(fields)} fields, expected {len(self.columns)}")
+        return self.from_row(
+            tuple(_PARSE_CELL[spec.kind](cell) for spec, cell in zip(self.columns, fields))
+        )
+
+    def __reduce__(self) -> str:  # a name pickle fails to look up when there is none
+        module = vars(sys.modules.get(self.__module__, sys))
+        return next((name for name, value in module.items() if value is self), "<local>")
+
+
+#: A v1 line's field back to its row cell, by column kind.
+_PARSE_CELL = MappingProxyType(
+    {"int": int, "float": float, "str": str, "date": datetime.date.fromisoformat}
+)
+
 
 def _derived_row_functions(
     record: Callable[..., T], columns: Tuple[ColumnSpec, ...]
@@ -203,7 +231,7 @@ def _derived_row_functions(
     def from_row(row: Tuple[Any, ...]) -> T:
         cells = list(row)
         for index, enum in enums:
-            cells[index] = enum(cells[index])
+            cells[index] = None if cells[index] is None else enum(cells[index])
         return record(*cells)
 
     return to_row, from_row
@@ -258,7 +286,8 @@ class ColumnBatch(Sequence[T]):
     The batch is a ``Sequence`` of the codec's records: ``len``,
     truthiness, iteration, indexing and ``==`` against any record sequence
     work, each record built through ``codec.from_row`` when asked for and
-    never kept.  Consumers that can, read ``columns`` instead.
+    never kept (two batches of one codec compare cells).  Consumers that
+    can, read ``columns`` instead.  A batch pickles with nothing per row.
     """
 
     __slots__ = ("codec", "columns", "dictionaries", "_size")
@@ -320,8 +349,10 @@ class ColumnBatch(Sequence[T]):
         cls, blocks: Iterable[Iterable[T]], codec: ColumnarCodec[T]
     ) -> "ColumnBatch[T]":
         """Blocks of records (batches or not) as one batch, in order; the
-        blocks' string dictionaries are merged and their codes remapped."""
+        blocks' string dictionaries are merged and their codes remapped (an
+        empty block adds nothing, a lone non-empty one is returned)."""
         batches = [cls.of(block, codec) for block in blocks]
+        batches = [batch for batch in batches if batch] or batches[:1]
         if len(batches) == 1:
             return batches[0]
         if not batches:
@@ -334,7 +365,8 @@ class ColumnBatch(Sequence[T]):
                 ids: Dict[Optional[str], int] = {}
                 for index, batch in enumerate(batches):
                     remap = dictionary_codes(batch.dictionaries[spec.name], ids)
-                    arrays[index] = remap[arrays[index]]
+                    if not np.array_equal(remap, np.arange(remap.size)):
+                        arrays[index] = remap[arrays[index]]
                 dictionaries[spec.name] = list(ids)
             columns[spec.name] = np.concatenate(arrays)
         return cls(codec, columns, dictionaries)
@@ -346,6 +378,10 @@ class ColumnBatch(Sequence[T]):
             {name: array[indices] for name, array in self.columns.items()},
             self.dictionaries,
         )
+
+    def value_ranks(self, name: str) -> np.ndarray:
+        """Per code of the ``str`` column ``name``, its value's sorted rank."""
+        return np.argsort(np.argsort(np.array(list(self.dictionaries[name]), dtype=object)))
 
     def equals(self, name: str, value: Optional[str]) -> np.ndarray:
         """Boolean column: the rows whose ``str`` column ``name`` holds
@@ -423,6 +459,8 @@ class ColumnBatch(Sequence[T]):
         return record
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnBatch) and other.codec is self.codec:
+            return len(self) == len(other) and self.cells() == other.cells()
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(

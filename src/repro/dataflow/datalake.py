@@ -113,16 +113,6 @@ class LineCodec(Generic[T]):
 register_codec_provider(lambda: {"flows": FLOW_CODEC})
 
 
-def tsv_codec(
-    from_fields: Callable[[List[str]], T], to_fields: Callable[[T], List[str]]
-) -> LineCodec[T]:
-    """Build a codec for tab-separated rows of typed fields."""
-    return LineCodec(
-        encode=lambda record: "\t".join(to_fields(record)),
-        decode=lambda line: from_fields(line.rstrip("\n").split("\t")),
-    )
-
-
 class DataLake:
     """A directory-rooted, day-partitioned record store.
 
@@ -510,8 +500,9 @@ class CheckpointError(RuntimeError):
 #: Bumped whenever the checkpoint payload layout changes; older files
 #: are rejected (and recomputed) instead of being misread.  v2 pickles
 #: the payload separately and stores its CRC32 alongside, so truncation
-#: and bit rot inside the payload are detected, not just torn envelopes.
-CHECKPOINT_VERSION = 2
+#: and bit rot inside the payload are detected, not just torn envelopes;
+#: v3 payloads hold stage-1's tables as column batches, not row objects.
+CHECKPOINT_VERSION = 3
 
 
 #: What a record is written under and must be read back under:

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analytics.timeseries import MonthlySeries, monthly_mean
+from repro.analytics.popularity import SERVICE_STATS_CODEC, heatmap
+from repro.analytics.timeseries import MonthlySeries
 from repro.core.study import StudyData
+from repro.dataflow.columnar import ColumnBatch
 from repro.figures.common import Expectation, within
 from repro.services import catalog
 from repro.synthesis.population import Technology
@@ -37,26 +39,13 @@ def compute(
     data: StudyData, technology: Technology = Technology.ADSL
 ) -> Fig5Data:
     services = catalog.FIGURE5_SERVICES
-    day_totals: Dict = {}
-    for cell in data.service_stats:
-        if cell.technology is technology:
-            day_totals[cell.day] = day_totals.get(cell.day, 0) + cell.bytes_down
-
-    popularity: Dict[str, MonthlySeries] = {}
-    share: Dict[str, MonthlySeries] = {}
-    for service in services:
-        pop_samples = []
-        share_samples = []
-        for cell in data.service_stats:
-            if cell.service != service or cell.technology is not technology:
-                continue
-            pop_samples.append((cell.day, 100.0 * cell.popularity))
-            total = day_totals.get(cell.day, 0)
-            if total > 0:
-                share_samples.append((cell.day, 100.0 * cell.bytes_down / total))
-        popularity[service] = monthly_mean(pop_samples, data.months)
-        share[service] = monthly_mean(share_samples, data.months)
-    return Fig5Data(popularity=popularity, byte_share=share, services=services)
+    stats = ColumnBatch.of(data.service_stats, SERVICE_STATS_CODEC)
+    cells = stats.take(stats.equals("technology", technology.value))
+    return Fig5Data(
+        popularity=heatmap(cells, services, data.months, "popularity"),
+        byte_share=heatmap(cells, services, data.months, "share"),
+        services=services,
+    )
 
 
 def _mean_defined(series: MonthlySeries, year: int) -> Optional[float]:

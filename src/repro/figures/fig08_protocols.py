@@ -12,6 +12,7 @@ November 2016 and carries more than half of Facebook's traffic.  End of
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -21,8 +22,10 @@ from repro.analytics.protocols import (
     service_protocol_volume,
 )
 from repro.core.study import StudyData
+from repro.dataflow.columnar import ColumnBatch
 from repro.figures.common import Expectation, within
 from repro.services import catalog
+from repro.synthesis.flowgen import PROTOCOL_CODEC
 from repro.tstat.flow import WebProtocol
 
 
@@ -39,12 +42,11 @@ class Fig8Data:
 
 
 def compute(data: StudyData) -> Fig8Data:
-    shares = monthly_protocol_shares(data.protocol_rows, data.months)
-    fb_rows = [
-        row
-        for row in data.protocol_rows
-        if row.service == catalog.FACEBOOK and row.day.year == 2017
-    ]
+    rows = ColumnBatch.of(data.protocol_rows, PROTOCOL_CODEC)
+    shares = monthly_protocol_shares(rows, data.months)
+    day_of_2017 = rows.columns["day"] - datetime.date(2017, 1, 1).toordinal()
+    in_2017 = (day_of_2017 >= 0) & (day_of_2017 < 365)
+    fb_rows = rows.take(rows.equals("service", catalog.FACEBOOK) & in_2017)
     fb_by_protocol = service_protocol_volume(fb_rows, catalog.FACEBOOK)
     fb_total = sum(fb_by_protocol.values())
     zero_share = (

@@ -93,14 +93,6 @@ class LintConfig:
             ("repro.dataflow.integrity:RecordDecodeError",),
         ),
         (
-            "repro.tstat.ipfix:parse_ipfix",
-            ("repro.dataflow.integrity:RecordDecodeError",),
-        ),
-        (
-            "repro.tstat.netflow:parse_netflow_v5",
-            ("repro.dataflow.integrity:RecordDecodeError",),
-        ),
-        (
             "repro.core.parallel:execute_study",
             (
                 "repro.core.parallel:ChunkError",

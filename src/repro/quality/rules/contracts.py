@@ -1,9 +1,8 @@
 """RPR009 — typed-error contracts on decode and pool entry points.
 
 Invariant (DESIGN.md §10/§12): failure *routing* is part of an API's
-type.  Callers of the decode paths (``parse_record``, ``read_flow_log``,
-``parse_ipfix``, ``parse_netflow_v5``) quarantine on
-:class:`~repro.dataflow.integrity.RecordDecodeError` — a bare
+type.  Callers of the decode paths (``parse_record``, ``read_flow_log``)
+quarantine on :class:`~repro.dataflow.integrity.RecordDecodeError` — a bare
 ``ValueError`` escaping instead sails straight past every quarantine
 ``except`` and kills a five-year scan.  Likewise the pool path
 (:func:`~repro.core.parallel.execute_study`) promises ``ChunkError`` /

@@ -22,6 +22,7 @@ import json
 from typing import Dict, List
 
 from repro.core.study import StudyData
+from repro.dataflow.columnar import ColumnBatch
 from repro.service.errors import NotFoundError, ServiceError
 
 
@@ -31,8 +32,18 @@ def canonical(obj: object) -> object:
     Containers with run-dependent iteration order (dicts keyed by
     tuples, sets of addresses) are sorted by their canonical JSON
     encoding; dataclasses encode as (class name, fields in declaration
-    order); enums by (type, member name); dates as ISO strings.
+    order); enums by (type, member name); dates as ISO strings.  A column
+    batch, whose columns are its record's fields, encodes as its records.
     """
+    if isinstance(obj, ColumnBatch):  # its records' encoding, from the columns
+        cells = []
+        for spec, values in zip(obj.codec.columns, obj.cells()):
+            if spec.kind == "date" or spec.enum is not None:
+                encoded = {cell: canonical(spec.enum(cell) if spec.enum and cell else cell)
+                           for cell in dict.fromkeys(values)}
+                values = [encoded[cell] for cell in values]
+            cells.append(values)
+        return [["@" + obj.codec.record.__name__, list(row)] for row in zip(*cells)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return [
             "@" + type(obj).__name__,

@@ -40,7 +40,6 @@ from repro.dataflow.columnar import (
     ColumnarCodec,
     first_appearance_codes,
 )
-from repro.dataflow.datalake import LineCodec, tsv_codec
 from repro.services import catalog
 from repro.synthesis import studycalendar
 from repro.synthesis.population import Technology
@@ -116,42 +115,17 @@ class DayTraffic:
     byte sums over those blocks, so the protocol rows of a split day add
     up to the whole day's.
 
-    ``usage`` is a :class:`~repro.dataflow.columnar.ColumnBatch`: a
-    sequence of :class:`DailyUsage` to whoever iterates it, columns to
-    stage-1, the lake and the hourly and flow tiers, which never do.
+    Both are :class:`~repro.dataflow.columnar.ColumnBatch`\\ es: a
+    sequence of records to whoever iterates them, columns to stage-1, the
+    lake and the hourly and flow tiers, which never do.
     """
 
     day: datetime.date
     usage: Sequence[DailyUsage]
-    protocols: Tuple[ProtocolUsage, ...]
+    protocols: Sequence[ProtocolUsage]
 
-
-_USAGE_LINES: LineCodec[DailyUsage] = tsv_codec(
-    from_fields=lambda fields: DailyUsage(
-        day=datetime.date.fromisoformat(fields[0]),
-        subscriber_id=int(fields[1]),
-        technology=Technology(fields[2]),
-        pop=fields[3],
-        service=fields[4],
-        bytes_down=int(fields[5]),
-        bytes_up=int(fields[6]),
-        flows=int(fields[7]),
-    ),
-    to_fields=lambda row: [
-        row.day.isoformat(),
-        str(row.subscriber_id),
-        row.technology.value,
-        row.pop,
-        row.service,
-        str(row.bytes_down),
-        str(row.bytes_up),
-        str(row.flows),
-    ],
-)
 
 USAGE_CODEC: ColumnarCodec[DailyUsage] = ColumnarCodec(
-    encode=_USAGE_LINES.encode,
-    decode=_USAGE_LINES.decode,
     columns=[
         ColumnSpec("day", "date"),
         ColumnSpec("subscriber_id", "int"),
@@ -167,24 +141,7 @@ USAGE_CODEC: ColumnarCodec[DailyUsage] = ColumnarCodec(
     day_column="day",
 )
 
-_PROTOCOL_LINES: LineCodec[ProtocolUsage] = tsv_codec(
-    from_fields=lambda fields: ProtocolUsage(
-        day=datetime.date.fromisoformat(fields[0]),
-        service=fields[1],
-        protocol=WebProtocol(fields[2]),
-        total_bytes=int(fields[3]),
-    ),
-    to_fields=lambda row: [
-        row.day.isoformat(),
-        row.service,
-        row.protocol.value,
-        str(row.total_bytes),
-    ],
-)
-
 PROTOCOL_CODEC: ColumnarCodec[ProtocolUsage] = ColumnarCodec(
-    encode=_PROTOCOL_LINES.encode,
-    decode=_PROTOCOL_LINES.decode,
     columns=[
         ColumnSpec("day", "date"),
         ColumnSpec("service", "str"),
@@ -193,6 +150,18 @@ PROTOCOL_CODEC: ColumnarCodec[ProtocolUsage] = ColumnarCodec(
     ],
     record=ProtocolUsage,
     zone_columns=("service", "protocol"),
+    day_column="day",
+)
+
+HOURLY_CODEC: ColumnarCodec[HourlyVolume] = ColumnarCodec(
+    columns=[
+        ColumnSpec("day", "date"),
+        ColumnSpec("technology", "str", enum=Technology),
+        ColumnSpec("bin_index", "int"),
+        ColumnSpec("bytes_down", "int"),
+    ],
+    record=HourlyVolume,
+    zone_columns=("technology",),
     day_column="day",
 )
 
@@ -253,14 +222,12 @@ class TrafficGenerator:
         protocol_totals: Dict[Tuple[str, WebProtocol], int] = {}
         for block in range(-(-lo // SUBSCRIBER_BLOCK), -(-hi // SUBSCRIBER_BLOCK)):
             self._draw_block(day, block, rows, protocol_totals)
-        protocol_rows = tuple(
-            ProtocolUsage(day=day, service=service, protocol=protocol, total_bytes=total)
-            for (service, protocol), total in sorted(
-                protocol_totals.items(), key=lambda item: (item[0][0], item[0][1].value)
-            )
-        )
+        totals = protocol_totals.items()
+        protocols = sorted((day, name, label.value, total) for (name, label), total in totals)
         traffic = DayTraffic(
-            day=day, usage=self._usage_batch(day, rows), protocols=protocol_rows
+            day=day,
+            usage=self._usage_batch(day, rows),
+            protocols=ColumnBatch.from_rows(protocols, PROTOCOL_CODEC),
         )
         telemetry.count("usage_rows_generated", len(traffic.usage))
         return traffic
@@ -435,13 +402,14 @@ class TrafficGenerator:
 
     def generate_hourly(
         self, day: datetime.date, traffic: Optional[DayTraffic] = None
-    ) -> List[HourlyVolume]:
+    ) -> "ColumnBatch[HourlyVolume]":
         """Distribute the day's downloads over 10-minute bins (Fig. 4).
 
         Each subscriber block of ``traffic`` spreads its own per-technology
         download total with noise from its own stream, and a bin holds the
         sum over the blocks, so the volumes of a split day's tasks add up
-        to the whole day's.
+        to the whole day's.  The table holds every bin of ADSL, then every
+        bin of FTTH.
         """
         traffic = traffic if traffic is not None else self.generate_day(day)
         usage = ColumnBatch.of(traffic.usage, USAGE_CODEC)
@@ -463,13 +431,16 @@ class TrafficGenerator:
                 weights = self._diurnal(day.year, technology) * noise
                 weights /= weights.sum()
                 volumes[index] += (block_totals[index] * weights).astype(np.int64)
-        return [
-            HourlyVolume(
-                day=day, technology=technology, bin_index=bin_index, bytes_down=volume
-            )
-            for technology, row in zip(technologies, volumes.tolist())
-            for bin_index, volume in enumerate(row)
-        ]
+        return ColumnBatch(
+            HOURLY_CODEC,
+            {
+                "day": np.full(volumes.size, day.toordinal()),
+                "technology": np.repeat(np.arange(len(technologies)), BINS_PER_DAY),
+                "bin_index": np.tile(np.arange(BINS_PER_DAY), len(technologies)),
+                "bytes_down": volumes.ravel(),
+            },
+            {"day": {day.toordinal(): day}, "technology": _TECHNOLOGY_VALUES},
+        )
 
     # -- flow tier ---------------------------------------------------------------
 

@@ -1,8 +1,8 @@
-"""The Tstat-equivalent passive probe and its export formats.
+"""The Tstat-equivalent passive probe and its export format.
 
 Submodules: ``probe`` (deployment wrapper), ``meter`` (flow table + DPI),
 ``rtt`` (SEQ/ACK estimation), ``dnhunter`` (DNS-based naming), ``flow``
-(record schema), ``logs`` (native gzip TSV logs), ``ipfix`` / ``netflow``
-(collector formats), ``versions`` (probe capability history), ``outages``
-(failure calendar).
+(record schema), ``logs`` (native gzip TSV logs), ``flowbatch`` (flow
+records as columns), ``versions`` (probe capability history),
+``outages`` (failure calendar).
 """

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,10 @@ from repro.synthesis.flowgen import TrafficGenerator
 from repro.synthesis.world import World, WorldConfig
 
 TEST_SEED = 20181204  # CoNEXT'18 started December 4
+
+# The interchange formats (pcap, IPFIX, NetFlow v5) live beside the example
+# that uses them, as the ``interop`` package; their tests import it there.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,15 @@ from repro.analytics.hourly import (
     profile_ratio,
 )
 from repro.analytics.popularity import (
+    SERVICE_STATS_CODEC,
     byte_share_series,
     daily_service_stats,
     heatmap,
     popularity_series,
     weekly_reach,
 )
+from repro.core.study import StudyData
+from repro.dataflow.columnar import ColumnBatch
 from repro.services.thresholds import VisitClassifier, no_threshold_classifier
 from repro.synthesis.flowgen import DailyUsage, HourlyVolume
 from repro.synthesis.population import Technology
@@ -140,22 +143,23 @@ class TestDailyServiceStats:
         netflix = next(cell for cell in stats if cell.service == "Netflix")
         assert netflix.mean_visitor_bytes == pytest.approx(500_000_000)
 
-    def test_merged_across_technologies(self, service_usage):
+    def test_stats_for_sums_across_technologies(self, service_usage):
         days = subscriber_days(service_usage)
-        adsl = daily_service_stats(service_usage, days, technology=Technology.ADSL)
-        ftth = daily_service_stats(service_usage, days, technology=Technology.FTTH)
-        adsl_netflix = next(cell for cell in adsl if cell.service == "Netflix")
-        ftth_netflix = next(cell for cell in ftth if cell.service == "Netflix")
-        merged = adsl_netflix.merged(ftth_netflix)
+        data = StudyData(
+            service_stats=ColumnBatch.concat(
+                [
+                    daily_service_stats(service_usage, days, technology=technology)
+                    for technology in Technology
+                ],
+                SERVICE_STATS_CODEC,
+            )
+        )
+        (merged,) = data.stats_for("Netflix")
         assert merged.visitors == 2
         assert merged.active_subscribers == 3
         assert merged.technology is None
-
-    def test_merged_rejects_mismatch(self, service_usage):
-        days = subscriber_days(service_usage)
-        stats = daily_service_stats(service_usage, days)
-        with pytest.raises(ValueError):
-            stats[0].merged(stats[1])
+        (adsl,) = data.stats_for("Netflix", Technology.ADSL)
+        assert adsl.technology is Technology.ADSL and adsl.visitors == 1
 
 
 class TestSeries:

@@ -295,9 +295,9 @@ class TestGoldenDigests:
 
 
 class TestPreRefactorCheckpoints:
-    """Checkpoint dirs written before the one-path refactor: whole days
-    keep loading byte for byte, shard files of another layout are
-    recomputed, never merged."""
+    """Checkpoint dirs written before the one-path refactor, under an older
+    checkpoint version and layout: every file is a typed CheckpointError
+    on load, so the run recomputes it, never merges it."""
 
     @staticmethod
     def _copy(name, tmp_path):
@@ -305,22 +305,25 @@ class TestPreRefactorCheckpoints:
         shutil.copytree(CHECKPOINT_FIXTURES / name, root)
         return root
 
-    def test_whole_day_files_load_and_are_rewritten_byte_identical(self, tmp_path):
+    def test_whole_day_files_of_version_2_are_recomputed(self, tmp_path):
+        """The N = 1 files are version 2 records whose payloads hold the
+        stage-1 tables as row objects: rejected before unpickling, then
+        recomputed onto the golden."""
         config = fixture_config()
-        resumed = execute_study(
-            config,
-            workers=1,
-            checkpoint_root=self._copy("shards1", tmp_path),
-            resume=True,
-        )
-        assert resumed.report.checkpoint_hits == resumed.report.planned_tasks == 3
+        root = self._copy("shards1", tmp_path)
+        store = CheckpointStore(root, config_hash(config))
+        days = sorted(LongitudinalStudy(config).planned_days())
+        assert store.days() == days
+        for day in days:
+            with pytest.raises(CheckpointError, match="version 2"):
+                store.load(day)
+        resumed = execute_study(config, workers=1, checkpoint_root=root, resume=True)
+        assert resumed.report.checkpoint_hits == 0
+        assert resumed.report.planned_tasks == 3
         assert_golden("checkpoint_fixture:17", config, resumed.data)
-        execute_study(config, workers=1, checkpoint_root=tmp_path / "fresh")
-        old_files = sorted((CHECKPOINT_FIXTURES / "shards1").rglob("*.ckpt"))
-        assert len(old_files) == 3
-        for old in old_files:
-            new = tmp_path / "fresh" / old.relative_to(CHECKPOINT_FIXTURES / "shards1")
-            assert new.read_bytes() == old.read_bytes(), old.name
+        again = execute_study(config, workers=1, checkpoint_root=root, resume=True)
+        assert again.report.checkpoint_hits == again.report.planned_tasks == 3
+        assert_golden("checkpoint_fixture:17", config, again.data)
 
     def test_old_range_shard_files_are_recomputed(self, tmp_path):
         """The N = 3 files hold sidecars of the 0-6/6-12/12-18 row ranges

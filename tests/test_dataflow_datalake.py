@@ -11,7 +11,6 @@ from repro.dataflow.datalake import (
     DataLake,
     LineCodec,
     month_days,
-    tsv_codec,
 )
 from repro.tstat.flow import FlowRecord, NameSource, Transport, WebProtocol
 
@@ -33,9 +32,13 @@ def record(client_id=1):
     )
 
 
-PAIR_CODEC: LineCodec = tsv_codec(
-    from_fields=lambda fields: (fields[0], int(fields[1])),
-    to_fields=lambda pair: [pair[0], str(pair[1])],
+def _parse_pair(line):
+    fields = line.rstrip("\n").split("\t")
+    return (fields[0], int(fields[1]))
+
+
+PAIR_CODEC = LineCodec(
+    encode=lambda pair: f"{pair[0]}\t{pair[1]}", decode=_parse_pair
 )
 
 

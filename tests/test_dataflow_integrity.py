@@ -25,7 +25,7 @@ from repro.core.config import StudyConfig
 from repro.analytics.infrastructure import daily_server_census
 from repro.core.study import INFRA_SERVICES, LongitudinalStudy
 from repro.dataflow.columnar import ColumnBatch
-from repro.dataflow.datalake import FLOW_CODEC, DataLake, LineCodec, tsv_codec
+from repro.dataflow.datalake import FLOW_CODEC, DataLake, LineCodec
 from repro.dataflow.engine import Dataset
 from repro.dataflow.integrity import (
     CORRUPT_BIT_FLIP,
@@ -66,9 +66,13 @@ DAY = D(2014, 2, 3)
 #: damage every walk must agree on: rows this build cannot decode.
 DRIFTED_ROW = "drifted_row"
 
-PAIR_CODEC: LineCodec = tsv_codec(
-    from_fields=lambda fields: (int(fields[0]), fields[1]),
-    to_fields=lambda pair: [str(pair[0]), pair[1]],
+def _parse_pair(line):
+    fields = line.rstrip("\n").split("\t")
+    return (int(fields[0]), fields[1])
+
+
+PAIR_CODEC = LineCodec(
+    encode=lambda pair: f"{pair[0]}\t{pair[1]}", decode=_parse_pair
 )
 
 

@@ -8,6 +8,8 @@ losses must be exactly the documented ones.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interop.ipfix import export_ipfix, parse_ipfix
+from interop.netflow import export_netflow_v5, merge_biflows, parse_netflow_v5
 from repro.nettypes.ip import Prefix
 from repro.tstat.flow import (
     FlowRecord,
@@ -16,9 +18,7 @@ from repro.tstat.flow import (
     Transport,
     WebProtocol,
 )
-from repro.tstat.ipfix import export_ipfix, parse_ipfix
 from repro.tstat.logs import format_record, parse_record
-from repro.tstat.netflow import export_netflow_v5, merge_biflows, parse_netflow_v5
 
 flow_strategy = st.builds(
     FlowRecord,

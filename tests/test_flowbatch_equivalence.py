@@ -406,6 +406,7 @@ def row_path_study(config):
     study = LongitudinalStudy(config)
     generator, rules = study.generator, study.rules
     data = study.empty_data()
+    data.protocol_rows, data.hourly = [], []
     plan = study.planned_days()
     for day in sorted(plan):
         traffic = generator.generate_day(day)

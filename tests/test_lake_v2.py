@@ -302,7 +302,7 @@ class TestChunkRoundTrip:
         rows, codec = {
             USAGE_TABLE: lambda: (list(traffic.usage), USAGE_CODEC),
             PROTOCOL_TABLE: lambda: (list(traffic.protocols), PROTOCOL_CODEC),
-            HOURLY_TABLE: lambda: (generator.generate_hourly(day, traffic), HOURLY_CODEC),
+            HOURLY_TABLE: lambda: (list(generator.generate_hourly(day, traffic)), HOURLY_CODEC),
             # flow records as a probe's log holds them: at wire precision
             FLOWS_TABLE: lambda: (
                 [

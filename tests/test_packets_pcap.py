@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nettypes.ip import ip_to_int
-from repro.packets.capture import CapturedPacket
-from repro.packets.pcap import (
+from interop.pcap import (
     MAGIC_NATIVE,
     PcapError,
     load_pcap,
     read_pcap,
     write_pcap,
 )
+from repro.nettypes.ip import ip_to_int
+from repro.packets.capture import CapturedPacket
 from repro.synthesis.packetgen import FlowSpec, PacketSynthesizer
 from repro.tstat.flow import WebProtocol
 from repro.tstat.probe import Probe, ProbeConfig

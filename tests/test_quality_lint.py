@@ -79,7 +79,6 @@ class TestForkClosureIsReal:
             "repro.cli",
             "repro.figures.fig02_ccdf",
             "repro.quality.engine",
-            "repro.packets.pcap",
         ):
             assert module not in closure, module
 

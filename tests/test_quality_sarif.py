@@ -24,7 +24,7 @@ FINDINGS = [
         message="`conn` leaks on the exception edge",
     ),
     Finding(
-        path="repro/tstat/ipfix.py",
+        path="repro/tstat/logs.py",
         line=7,
         column=0,
         rule_id="RPR009",

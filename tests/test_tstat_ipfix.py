@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interop.ipfix import IPFIX_VERSION, IpfixError, export_ipfix, parse_ipfix
 from repro.tstat.flow import (
     FlowRecord,
     NameSource,
@@ -13,7 +14,6 @@ from repro.tstat.flow import (
     Transport,
     WebProtocol,
 )
-from repro.tstat.ipfix import IPFIX_VERSION, IpfixError, export_ipfix, parse_ipfix
 
 
 def record(**overrides):

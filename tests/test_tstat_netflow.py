@@ -4,6 +4,13 @@ import struct
 
 import pytest
 
+from interop.netflow import (
+    MAX_RECORDS_PER_DATAGRAM,
+    NetflowError,
+    export_netflow_v5,
+    merge_biflows,
+    parse_netflow_v5,
+)
 from repro.nettypes.ip import Prefix, ip_to_int
 from repro.tstat.flow import (
     FlowRecord,
@@ -11,13 +18,6 @@ from repro.tstat.flow import (
     RttSummary,
     Transport,
     WebProtocol,
-)
-from repro.tstat.netflow import (
-    MAX_RECORDS_PER_DATAGRAM,
-    NetflowError,
-    export_netflow_v5,
-    merge_biflows,
-    parse_netflow_v5,
 )
 
 CLIENT_NETS = [Prefix.parse("10.0.0.0/8")]
