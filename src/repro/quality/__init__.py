@@ -8,9 +8,12 @@ worker import closure (RPR004), and order-stable aggregation
 layer — per-module symbol tables folded into a resolved call graph —
 powering the interprocedural rules: cross-process races (RPR008),
 typed-error contracts (RPR009), resource leaks (RPR010), and
-non-determinism taint through helper chains (RPR011).  Per-module facts
-are content-hash cached (:mod:`repro.quality.cache`), so warm runs skip
-parsing entirely.  See DESIGN.md "Quality gates" and "Whole-program
+non-determinism taint through helper chains (RPR011) — and giving RPR004
+its worker import closure.  Every rule reads a file's imports through
+one import map (:attr:`FileContext.imports`); RPR001, RPR002 and RPR011
+share one nondeterminism classifier, RPR003 and RPR011 one sink-taint
+walk.  Per-module facts are content-hash cached
+(:mod:`repro.quality.cache`), so warm runs skip parsing entirely.  See DESIGN.md "Quality gates" and "Whole-program
 analysis" for the rule ↔ invariant ↔ paper-section mapping.
 
 Programmatic use::
@@ -35,7 +38,6 @@ from repro.quality.engine import (
     run_lint,
 )
 from repro.quality.findings import Finding, LintError, Severity, sort_findings
-from repro.quality.importgraph import ImportGraph, fork_closure
 from repro.quality.registry import Rule, make_rules, register, registered_rules
 from repro.quality.sarif import findings_from_sarif, render_sarif, sarif_document
 from repro.quality.suppressions import SuppressionError, parse_suppressions
@@ -48,7 +50,6 @@ __all__ = [
     "CacheStats",
     "FileContext",
     "Finding",
-    "ImportGraph",
     "LintCache",
     "LintConfig",
     "LintContext",
@@ -61,7 +62,6 @@ __all__ = [
     "default_config",
     "file_sha",
     "findings_from_sarif",
-    "fork_closure",
     "load_baseline",
     "make_rules",
     "open_cache",

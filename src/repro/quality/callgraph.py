@@ -13,6 +13,10 @@ interprocedural rules ask:
   set of roots (RPR008's worker side is everything reachable from the
   fork entry; its import-time side is everything reachable from
   module-level call sites);
+* **the import closure** — the modules a fork worker executes: the
+  entry's module, its package ``__init__`` modules, and every project
+  module they import, transitively, imports inside functions included
+  (RPR004's scope);
 * **exception escape sets** — a fixpoint over the graph: a function's
   escapes are its own uncaught explicit raises plus every callee escape
   not subtracted by the ``except`` guards around the call site, with
@@ -34,11 +38,11 @@ import hashlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.quality.findings import LintError
 from repro.quality.symbols import (
     ANALYSIS_VERSION,
     FunctionInfo,
     ModuleSummary,
-    nondet_source,
     summarize_module,
 )
 
@@ -106,6 +110,31 @@ def file_sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def path_module(relpath: str) -> str:
+    """The dotted module a ``.py`` file implements, from its POSIX path
+    relative to the analysis root (``a/b.py`` and ``a/b/__init__.py``
+    both give ``a.b``); ``""`` for the root's own ``__init__.py``."""
+    parts = relpath[: -len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def absolute_module(package: str, source: str) -> Optional[str]:
+    """An import source made absolute: a relative one (leading dots)
+    resolves against ``package``, the importing module's package —
+    ``None`` when it climbs above the root."""
+    rest = source.lstrip(".")
+    level = len(source) - len(rest)
+    if not level:
+        return source
+    base = package.split(".") if package else []
+    if level > len(base):
+        return None
+    base = base[: len(base) - (level - 1)]
+    return ".".join(base + ([rest] if rest else []))
+
+
 class ProjectFacts:
     """Index over every module summary under one analysis root."""
 
@@ -139,18 +168,10 @@ class ProjectFacts:
         packages: Set[str] = set()
         relpaths: Dict[str, str] = {}
         for path in sorted(base.rglob("*.py")):
-            relative = path.resolve().relative_to(src_root.resolve())
-            parts = list(relative.parts)
-            if parts[-1] == "__init__.py":
-                parts = parts[:-1]
-                is_package = True
-            else:
-                parts[-1] = parts[-1][: -len(".py")]
-                is_package = False
-            module = ".".join(parts)
+            relkey = path.resolve().relative_to(src_root.resolve()).as_posix()
+            module = path_module(relkey)
             if not module:
                 continue
-            relkey = relative.as_posix()
             sha = file_sha(path)
             summary: Optional[ModuleSummary] = None
             if cache is not None:
@@ -166,7 +187,7 @@ class ProjectFacts:
                     cache.store_facts(relkey, sha, summary.to_dict())
             summaries[module] = summary
             relpaths[module] = relkey
-            if is_package:
+            if path.name == "__init__.py":
                 packages.add(module)
         return cls(summaries, packages, relpaths)
 
@@ -190,16 +211,10 @@ class ProjectFacts:
         if ":" not in target:
             return ("mod", target) if target in self.modules else None
         source, _, symbol = target.partition(":")
-        if source.startswith("."):
-            level = len(source) - len(source.lstrip("."))
-            rest = source.lstrip(".")
-            base_parts = self._package_of(module).split(".")
-            if level - 1 > 0:
-                base_parts = base_parts[: len(base_parts) - (level - 1)]
-            if not base_parts or not base_parts[0]:
-                return None
-            source = ".".join(base_parts + ([rest] if rest else []))
-        submodule = f"{source}.{symbol}" if source else symbol
+        source = absolute_module(self._package_of(module), source)
+        if source is None:
+            return None
+        submodule = f"{source}.{symbol}"
         if submodule in self.modules:
             return ("mod", submodule)
         if source in self.modules:
@@ -363,6 +378,53 @@ class ProjectFacts:
         if info is not None and function in info.functions:
             return (module, function)
         return None
+
+    def worker_closure(self, entry: str) -> Set[str]:
+        """The import closure of the fork entry's module.  Raises
+        :class:`LintError` unless ``entry`` (``module:function``) names a
+        real function — the rule is anchored to code, not to a stale
+        configuration string."""
+        fid = self.entry_function(entry)
+        if fid is None:
+            raise LintError(
+                f"fork entry {entry!r} names no function under the analysis root"
+            )
+        return self.import_closure(fid[0])
+
+    def import_closure(self, module: str) -> Set[str]:
+        """``module``, its package ancestors, and every project module
+        they import, transitively — what executing ``module`` runs."""
+        seen: Set[str] = set()
+        stack = self._executed(module)
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            stack.extend(self._imported_by(current) - seen)
+        return seen
+
+    def _executed(self, module: str) -> List[str]:
+        """``module`` and every package ``__init__`` run to reach it, as
+        far as they are project modules."""
+        parts = module.split(".")
+        names = (".".join(parts[:n]) for n in range(1, len(parts) + 1))
+        return [name for name in names if name in self.modules]
+
+    def _imported_by(self, module: str) -> Set[str]:
+        """Project modules one module's import statements execute: a
+        ``from a import b`` runs ``a`` and, if it is a module, ``a.b``."""
+        package = self._package_of(module)
+        found: Set[str] = set()
+        for target in self.modules[module].import_targets:
+            source, _, symbol = target.partition(":")
+            resolved = absolute_module(package, source)
+            if not resolved:
+                continue
+            found.update(self._executed(resolved))
+            if f"{resolved}.{symbol}" in self.modules:
+                found.add(f"{resolved}.{symbol}")
+        return found
 
     def import_time_roots(self, modules: Iterable[str]) -> List[FuncId]:
         """Functions invoked by module-level statements of ``modules``."""

@@ -1,33 +1,36 @@
 """The analysis engine: files → ASTs → rules → reported findings.
 
 One :class:`Analyzer` run parses each target file once, hands the shared
-:class:`FileContext` to every applicable rule, filters the raw findings
-through in-source suppressions (``# repro: noqa[...]``) and the optional
-baseline, and renders the survivors as text or JSON.
+:class:`FileContext` (tree, import map, module name) to every applicable
+rule, filters the raw findings through in-source suppressions
+(``# repro: noqa[...]``) and the optional baseline, and renders the
+survivors as text or JSON.
 
-Whole-program facts (today: the fork-worker import closure for RPR004)
-live on the run-wide :class:`LintContext` and are computed lazily, so a
-``--select RPR001`` run never parses the import graph.
+Whole-program facts — the symbol tables, the call graph, and the
+fork-worker import closure derived from them — live on the run-wide
+:class:`LintContext` and are built lazily, so a ``--select RPR001`` run
+never summarizes the project.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.quality.baseline import load_baseline, subtract_baseline
-from repro.quality.callgraph import ProjectFacts, file_sha, project_digest
+from repro.quality.callgraph import ProjectFacts, file_sha, path_module, project_digest
 from repro.quality.findings import Finding, LintError, Severity, sort_findings
-from repro.quality.importgraph import ImportGraph, fork_closure
 from repro.quality.registry import Rule, make_rules
 from repro.quality.suppressions import (
     Suppression,
     SuppressionError,
     parse_suppressions,
 )
+from repro.quality.symbols import read_imports
 
 if False:  # pragma: no cover - import for type checkers only
     from repro.quality.cache import LintCache
@@ -140,7 +143,6 @@ class LintContext:
     ) -> None:
         self.config = config
         self.cache = cache
-        self.graph = ImportGraph(config.src_root)
         self._fork_closure: Optional[Set[str]] = None
         self._facts: Optional[ProjectFacts] = None
         #: Scratch space for rules that precompute whole-program results
@@ -152,12 +154,7 @@ class LintContext:
         """Modules a fork worker executes (lazy; raises LintError if the
         configured entry point does not resolve to a real function)."""
         if self._fork_closure is None:
-            try:
-                self._fork_closure = fork_closure(
-                    self.config.src_root, self.config.fork_entry
-                )
-            except ValueError as exc:
-                raise LintError(str(exc)) from exc
+            self._fork_closure = self.facts().worker_closure(self.config.fork_entry)
         return self._fork_closure
 
     def facts(self) -> ProjectFacts:
@@ -185,13 +182,21 @@ class FileContext:
         self.path = path
         self.source = source
         self.tree = tree
-        self.module = ctx.graph.path_module(path)
+        #: The dotted module name, ``None`` outside the analysis root.
+        self.module: Optional[str] = None
         try:
             relative = path.resolve().relative_to(ctx.config.src_root.resolve())
             self.relpath = relative.as_posix()
+            self.module = path_module(self.relpath) or None
         except ValueError:
             self.relpath = path.as_posix()
         self._suppressions: Optional[Dict[int, Suppression]] = None
+
+    @functools.cached_property
+    def imports(self) -> Dict[str, str]:
+        """The file's import map (:func:`~repro.quality.symbols.
+        read_imports`), read once for every rule."""
+        return read_imports(self.tree)[0]
 
     def suppressions(self) -> Dict[int, Suppression]:
         if self._suppressions is None:

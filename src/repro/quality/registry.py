@@ -9,7 +9,7 @@ and the documentation all draw from one catalogue.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Type
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Type
 
 from repro.quality.findings import Finding, Severity
 
@@ -99,17 +99,6 @@ def call_name(node: ast.Call) -> str:
     return dotted_name(node.func)
 
 
-def walk_in_order(tree: ast.AST) -> Iterator[ast.AST]:
-    """AST nodes sorted by source position (stable for linear passes)."""
-    positioned = [
-        node
-        for node in ast.walk(tree)
-        if hasattr(node, "lineno") and hasattr(node, "col_offset")
-    ]
-    positioned.sort(key=lambda node: (node.lineno, node.col_offset))
-    return iter(positioned)
-
-
 def module_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
     """Top-level statements, descending into module-level if/try blocks
     (their bodies still execute at import time)."""
@@ -130,12 +119,33 @@ def module_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
     return expand(tree.body)
 
 
+def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of one scope: like ``ast.walk``, but a nested function
+    definition is yielded without its body (lambdas stay part of the
+    enclosing scope)."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def target_names(*targets: ast.AST) -> List[str]:
+    """Names the assignment targets bind, in order: ``a, (b, c) = ...``
+    binds ``a``, ``b``, ``c``; attribute and subscript targets bind none."""
+    names: List[str] = []
+    for target in targets:
+        if isinstance(target, ast.Name):
+            names.append(target.id)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            names.extend(target_names(*target.elts))
+    return names
+
+
 def function_scopes(tree: ast.Module) -> Iterator[ast.AST]:
     """The module itself plus every function/method body, innermost last."""
     yield tree
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-ScopeVisitor = Callable[[ast.AST], Iterator[Finding]]

@@ -17,9 +17,9 @@ RPR010      acquired resources closed or handed off on every path
 RPR011      no wall-clock/RNG taint into export sinks, even via helpers
 ==========  ==========================================================
 
-RPR001–RPR007 are per-file AST checks; RPR008–RPR011 draw on the
-whole-program symbol table and call graph (:mod:`repro.quality.symbols`,
-:mod:`repro.quality.callgraph`).
+RPR001–RPR007 are per-file AST checks; RPR004 (its worker import
+closure) and RPR008–RPR011 draw on the whole-program symbol table and
+call graph (:mod:`repro.quality.symbols`, :mod:`repro.quality.callgraph`).
 """
 
 from repro.quality.rules import (  # noqa: F401  (import registers the rules)

@@ -12,22 +12,23 @@ Sanitization is recognized two ways: the value is the result of a call
 whose name mentions ``anonymize``/``anonymizer`` (covers bound
 ``TableAnonymizer`` instances and ``self._anonymize``), or the variable
 was reassigned from such a call earlier in the same function.
+
+The walk itself — sink calls found through the file's import map, taint
+carried through assignments in source order, writer instances tracked,
+each nested function starting from its enclosing scope's state — is
+:meth:`Sinks.arguments`, which RPR011 shares; the two rules differ only in
+what starts the taint and in their message.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.quality.findings import Finding
-from repro.quality.registry import (
-    Rule,
-    call_name,
-    dotted_name,
-    function_scopes,
-    register,
-)
+from repro.quality.registry import Rule, call_name, dotted_name, register, scope_walk
 
 #: Identifiers that denote an un-anonymized subscriber address.
 _RAW_IP_RE = re.compile(
@@ -50,6 +51,123 @@ def _is_sanitizer_call(node: ast.AST) -> bool:
     )
 
 
+@dataclass
+class Taint:
+    """One scope's state in the sink walk."""
+
+    #: name -> why it is tainted
+    tainted: Dict[str, str] = field(default_factory=dict)
+    #: names rebound from a sanitizer call
+    cleansed: Set[str] = field(default_factory=set)
+    #: names bound to sink-writer instances
+    writers: Set[str] = field(default_factory=set)
+
+    def copy(self) -> "Taint":
+        return Taint(dict(self.tainted), set(self.cleansed), set(self.writers))
+
+
+#: ``taint_of(expression, state)``: why the expression is tainted, or None.
+TaintOf = Callable[[ast.AST, Taint], Optional[str]]
+
+
+class Sinks:
+    """The export sinks as one file sees them through its import map."""
+
+    def __init__(self, imports: Dict[str, str], sink_modules: Sequence[str]) -> None:
+        self._imports = imports
+        self._prefixes = tuple(f"{module}." for module in sink_modules)
+
+    def bound(self) -> bool:
+        """Whether any import binds a sink module, a name from one, or a
+        package above one — else no call in the file can reach a sink."""
+        return any(
+            path.startswith(self._prefixes)
+            or any(prefix.startswith(f"{path}.") for prefix in self._prefixes)
+            for path in (target.replace(":", ".") for target in self._imports.values())
+        )
+
+    def arguments(
+        self,
+        tree: ast.Module,
+        taint_of: TaintOf,
+        cleanses: Callable[[ast.AST], bool] = lambda value: False,
+    ) -> Iterator[Tuple[ast.Call, ast.expr, Taint]]:
+        """Every argument of every sink call, with the taint state there.
+
+        Each scope is walked once, in source order: an assignment taints
+        its name targets when ``taint_of`` says the value is tainted and
+        cleans them otherwise (``cleanses`` cleans them for good); a nested
+        function starts from a copy of its enclosing scope's state where
+        it is defined.
+        """
+
+        def assign(node: ast.Assign, state: Taint) -> None:
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if not targets:
+                return
+            reason = None
+            if cleanses(node.value):
+                state.cleansed.update(targets)
+            else:
+                reason = taint_of(node.value, state)
+            for target in targets:
+                if reason is None:
+                    state.tainted.pop(target, None)
+                else:
+                    # Taint propagates through plain assignment: rows built
+                    # from a raw address stay raw under any other name.
+                    state.tainted[target] = reason
+            if isinstance(node.value, ast.Call) and self._is_writer(node.value):
+                state.writers.update(targets)
+
+        def walk(scope: ast.AST, state: Taint):
+            events = sorted(
+                (node for node in scope_walk(scope) if isinstance(node, _EVENTS)),
+                key=lambda node: (node.lineno, node.col_offset),
+            )
+            for node in events:
+                if isinstance(node, ast.Assign):
+                    assign(node, state)
+                elif isinstance(node, ast.Call):
+                    if self._is_sink_call(node, state.writers):
+                        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                            yield node, arg, state
+                else:  # a nested function
+                    yield from walk(node, state.copy())
+
+        return walk(tree, Taint())
+
+    def _sink_path(self, call: ast.Call) -> str:
+        """The callee's absolute dotted path if it lies in a sink module."""
+        head, _, rest = call_name(call).partition(".")
+        target = self._imports.get(head)
+        if target is None:
+            return ""
+        path = target.replace(":", ".") + (f".{rest}" if rest else "")
+        return path if path.startswith(self._prefixes) else ""
+
+    def _is_writer(self, call: ast.Call) -> bool:
+        """``FlowLogWriter(path)``: constructs a sink class."""
+        return self._sink_path(call).rpartition(".")[2][:1].isupper()
+
+    def _is_sink_call(self, call: ast.Call, writers: Set[str]) -> bool:
+        if self._sink_path(call):
+            return True
+        func = call.func
+        if not isinstance(func, ast.Attribute) or func.attr not in _WRITE_METHODS:
+            return False
+        # writer.write(record) on a tracked instance, or the chained
+        # FlowLogWriter(path).write(record).
+        receiver = func.value
+        if isinstance(receiver, ast.Name):
+            return receiver.id in writers
+        return isinstance(receiver, ast.Call) and self._is_writer(receiver)
+
+
+#: What the sink walk visits: assignments, calls, nested function scopes.
+_EVENTS = (ast.Assign, ast.Call, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 @register
 class AnonymizeBeforeExportRule(Rule):
     rule_id = "RPR003"
@@ -61,153 +179,40 @@ class AnonymizeBeforeExportRule(Rule):
     )
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        sinks = _sink_bindings(file_ctx.tree, file_ctx.ctx.config.sink_modules)
-        if not sinks.names and not sinks.module_aliases:
+        sinks = Sinks(file_ctx.imports, file_ctx.ctx.config.sink_modules)
+        if not sinks.bound():
             return
-        for scope in function_scopes(file_ctx.tree):
-            yield from self._check_scope(file_ctx, scope, sinks)
-
-    def _check_scope(self, file_ctx, scope: ast.AST, sinks) -> Iterator[Finding]:
-        events: List[Tuple[int, int, str, ast.AST]] = []
-        for node in ast.walk(scope):
-            if node is scope:
-                continue
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # inner scopes get their own pass
-            if isinstance(node, ast.Assign):
-                events.append((node.lineno, node.col_offset, "assign", node))
-            elif isinstance(node, ast.Call):
-                events.append((node.lineno, node.col_offset, "call", node))
-        events.sort(key=lambda event: (event[0], event[1]))
-        sanitized: Set[str] = set()
-        tainted: Set[str] = set()
-        writer_names: Set[str] = set()
-        for _, _, kind, node in events:
-            if kind == "assign":
-                self._track_assign(node, sinks, sanitized, tainted, writer_names)
-            elif self._is_sink_call(node, sinks, writer_names):
-                yield from self._check_sink_args(file_ctx, node, sanitized, tainted)
-
-    @staticmethod
-    def _track_assign(
-        node: ast.Assign,
-        sinks,
-        sanitized: Set[str],
-        tainted: Set[str],
-        writer_names: Set[str],
-    ) -> None:
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if not targets:
-            return
-        if _is_sanitizer_call(node.value):
-            sanitized.update(targets)
-            tainted.difference_update(targets)
-        elif any(_tainted_subexpressions(node.value, sanitized, tainted)):
-            # Taint propagates through plain assignment: rows built from a
-            # raw address stay raw under any other name.
-            tainted.update(targets)
-        else:
-            tainted.difference_update(targets)
-        if isinstance(node.value, ast.Call):
-            callee = call_name(node.value)
-            if callee.split(".")[-1] in sinks.writer_classes:
-                writer_names.update(targets)
-
-    def _is_sink_call(
-        self, node: ast.Call, sinks, writer_names: Set[str]
-    ) -> bool:
-        name = call_name(node)
-        if not name:
-            # Chained FlowLogWriter(path).write(record): the receiver is a
-            # call expression, so resolve the writer class directly.
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _WRITE_METHODS
-                and isinstance(func.value, ast.Call)
-                and call_name(func.value).split(".")[-1] in sinks.writer_classes
-            ):
-                return True
-            return False
-        parts = name.split(".")
-        if parts[0] in sinks.names and len(parts) == 1:
-            return True
-        # export.write_rows(...) via a module alias.
-        if parts[0] in sinks.module_aliases and len(parts) >= 2:
-            return True
-        # writer.write(record) / writer.write_all(...) on a tracked instance.
-        if (
-            len(parts) == 2
-            and parts[-1] in _WRITE_METHODS
-            and parts[0] in writer_names
+        for call, arg, state in sinks.arguments(
+            file_ctx.tree, _raw_address, cleanses=_is_sanitizer_call
         ):
-            return True
-        return False
-
-    def _check_sink_args(
-        self, file_ctx, node: ast.Call, sanitized: Set[str], tainted: Set[str]
-    ) -> Iterator[Finding]:
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-            for raw in _tainted_subexpressions(arg, sanitized, tainted):
+            for raw in _tainted_subexpressions(arg, state):
                 label = dotted_name(raw) or ast.dump(raw)[:40]
                 yield self.finding(
                     file_ctx,
                     raw,
                     f"raw client address `{label}` reaches export sink "
-                    f"`{call_name(node)}` without passing through "
+                    f"`{call_name(call)}` without passing through "
                     "nettypes.anonymize",
                 )
 
 
-class _SinkBindings:
-    def __init__(self) -> None:
-        self.names: Set[str] = set()  # functions/classes imported from sinks
-        self.module_aliases: Set[str] = set()  # the sink modules themselves
-        self.writer_classes: Set[str] = set()  # class names (FlowLogWriter)
+def _raw_address(expression: ast.AST, state: Taint) -> Optional[str]:
+    raw = next(_tainted_subexpressions(expression, state), None)
+    return None if raw is None else "raw client address"
 
 
-def _sink_bindings(tree: ast.Module, sink_modules) -> _SinkBindings:
-    sinks = _SinkBindings()
-    sink_set = set(sink_modules)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and not node.level and node.module:
-            if node.module in sink_set:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    sinks.names.add(bound)
-                    if alias.name[:1].isupper():
-                        sinks.writer_classes.add(bound)
-            else:
-                # from repro.reporting import export
-                for alias in node.names:
-                    candidate = f"{node.module}.{alias.name}"
-                    if candidate in sink_set:
-                        sinks.module_aliases.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in sink_set:
-                    sinks.module_aliases.add(
-                        alias.asname or alias.name.split(".")[0]
-                    )
-    return sinks
-
-
-def _tainted_subexpressions(
-    expression: ast.AST,
-    sanitized: Set[str],
-    tainted: Set[str] = frozenset(),  # type: ignore[assignment]
-) -> Iterator[ast.AST]:
+def _tainted_subexpressions(expression: ast.AST, state: Taint) -> Iterator[ast.AST]:
     """Raw-address names/attributes (or names carrying propagated taint)
     in ``expression`` that are not inside a sanitizer call."""
-    stack: List[ast.AST] = [expression]
+    stack = [expression]
     while stack:
         node = stack.pop()
         if _is_sanitizer_call(node):
             continue  # everything below is cleansed
         if isinstance(node, ast.Name):
-            if node.id in sanitized:
+            if node.id in state.cleansed:
                 continue
-            if _is_raw_identifier(node.id) or node.id in tainted:
+            if _is_raw_identifier(node.id) or node.id in state.tainted:
                 yield node
             continue
         if isinstance(node, ast.Attribute):
@@ -215,4 +220,3 @@ def _tainted_subexpressions(
                 yield node
                 continue
         stack.extend(ast.iter_child_nodes(node))
-    return

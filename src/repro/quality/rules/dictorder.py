@@ -22,7 +22,7 @@ import ast
 from typing import Iterator, List, Set, Tuple
 
 from repro.quality.findings import Finding
-from repro.quality.registry import Rule, function_scopes, register
+from repro.quality.registry import Rule, function_scopes, register, scope_walk
 
 _SET_CALLS = {"set", "frozenset"}
 #: Callables that materialize their argument's iteration order.
@@ -44,7 +44,7 @@ class DictOrderStabilityRule(Rule):
 
     def _check_scope(self, file_ctx, scope: ast.AST) -> Iterator[Finding]:
         set_names = self._collect_set_names(scope)
-        for node in self._scope_walk(scope):
+        for node in scope_walk(scope):
             if isinstance(node, ast.For):
                 if self._is_set_valued(node.iter, set_names):
                     yield self._report(file_ctx, node.iter, "for-loop")
@@ -84,21 +84,10 @@ class DictOrderStabilityRule(Rule):
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk a scope without descending into nested function bodies."""
-        stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
     def _collect_set_names(self, scope: ast.AST) -> Set[str]:
         """Local names whose last syntactic binding builds a set."""
         bindings: List[Tuple[int, int, str, bool]] = []
-        for node in self._scope_walk(scope):
+        for node in scope_walk(scope):
             if isinstance(node, ast.Assign):
                 value_is_set = self._builds_set(node.value)
                 for target in node.targets:

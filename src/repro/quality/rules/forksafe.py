@@ -18,10 +18,12 @@ traps are flagged:
   ``"fork"``, portability to platforms without it).  Pass a resolved
   variable instead.
 
-The closure is computed from the real AST import graph
-(:mod:`repro.quality.importgraph`) every run — never from a hard-coded
-module list — and includes package ``__init__`` modules and
-function-local imports, because workers execute those too.
+The closure is computed every run from the same per-module facts as the
+call graph (:meth:`repro.quality.callgraph.ProjectFacts.worker_closure`:
+each module summary records every import target) — never from a
+hard-coded module list — and includes package ``__init__`` modules and
+function-local imports, because workers execute those too.  The entry
+must name a real function, exactly as for RPR008.
 
 A flagged assignment is accepted only when it is frozen
 (``tuple``/``frozenset``/``MappingProxyType``) or carries a
@@ -32,7 +34,7 @@ safe.  A bare noqa without justification does not count.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.quality.findings import Finding
 from repro.quality.registry import (
@@ -40,6 +42,7 @@ from repro.quality.registry import (
     call_name,
     module_level_statements,
     register,
+    target_names,
 )
 
 #: Callables producing mutable containers.
@@ -98,7 +101,7 @@ class ForkSafeWorkersRule(Rule):
                 value = statement.value
             else:
                 continue
-            names = _target_names(targets)
+            names = target_names(*targets)
             if not names or all(_is_dunder(name) for name in names):
                 continue
             offense = _mutability(value)
@@ -133,20 +136,6 @@ class ForkSafeWorkersRule(Rule):
                 "resolve it at runtime (repro.core.pool.resolve_start_method) "
                 "and pass the result instead",
             )
-
-
-def _target_names(targets: List[ast.expr]) -> List[str]:
-    names: List[str] = []
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            names.extend(
-                element.id
-                for element in target.elts
-                if isinstance(element, ast.Name)
-            )
-    return names
 
 
 def _is_dunder(name: str) -> bool:

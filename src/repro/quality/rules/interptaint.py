@@ -19,7 +19,10 @@ set of functions whose *return value* derives from a wall-clock or
 unseeded-RNG read (a fixpoint over helper chains), and every file with
 export-sink bindings gets a local taint pass — names assigned from a
 non-deterministic call (directly or through such a helper) may not
-appear in the arguments of a sink write.
+appear in the arguments of a sink write.  The pass is RPR003's
+(:meth:`repro.quality.rules.anonymize.Sinks.arguments`) with a different
+taint source; calls are classified by the same function as RPR001/RPR002
+(:func:`repro.quality.symbols.nondet_kind`).
 
 Example violation::
 
@@ -38,18 +41,12 @@ through it are legitimate.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.quality.findings import Finding
-from repro.quality.registry import (
-    Rule,
-    call_name,
-    dotted_name,
-    function_scopes,
-    register,
-)
-from repro.quality.rules.anonymize import _WRITE_METHODS, _sink_bindings
-from repro.quality.symbols import nondet_source, summarize_module
+from repro.quality.registry import Rule, call_name, dotted_name, register
+from repro.quality.rules.anonymize import Sinks, Taint
+from repro.quality.symbols import nondet_source
 
 _MEMO_KEY = "RPR011"
 
@@ -70,28 +67,44 @@ class InterproceduralTaintRule(Rule):
         config = file_ctx.ctx.config
         if any(file_ctx.relpath.endswith(e) for e in config.wallclock_allowlist):
             return
-        sinks = _sink_bindings(file_ctx.tree, config.sink_modules)
-        if not sinks.names and not sinks.module_aliases:
+        sinks = Sinks(file_ctx.imports, config.sink_modules)
+        if not sinks.bound():
             return
         facts = file_ctx.ctx.facts()
         nondet = self._nondet(file_ctx.ctx)
         module = file_ctx.module or ""
-        summary = facts.modules.get(module)
-        if summary is not None:
-            imports = summary.imports
-        else:  # file outside the facts tree: summarize it standalone
-            imports = summarize_module(module, file_ctx.tree).imports
-        seen = set()
-        for scope in function_scopes(file_ctx.tree):
-            # The module scope's walk descends into function bodies too,
-            # so identical findings surface from both passes: dedupe.
-            for finding in self._check_scope(
-                file_ctx, scope, sinks, facts, nondet, module, imports
-            ):
-                key = (finding.line, finding.column, finding.message)
-                if key not in seen:
-                    seen.add(key)
-                    yield finding
+
+        def taint_of(expr: ast.AST, state: Taint) -> Optional[str]:
+            """Why ``expr`` is non-deterministic, or None if it is clean."""
+            for node in ast.walk(expr):
+                if isinstance(node, ast.Name) and node.id in state.tainted:
+                    return state.tainted[node.id]
+                if not isinstance(node, ast.Call):
+                    continue
+                name = call_name(node)
+                if not name:
+                    continue
+                direct = nondet_source(name, file_ctx.imports)
+                if direct:
+                    return direct
+                target = facts.resolve_call(module, name)
+                if target is not None and target in nondet:
+                    return f"`{name}()` — {nondet[target]}"
+            return None
+
+        for call, arg, state in sinks.arguments(file_ctx.tree, taint_of):
+            reason = taint_of(arg, state)
+            if reason is None:
+                continue
+            label = dotted_name(arg) or type(arg).__name__
+            yield self.finding(
+                file_ctx,
+                arg,
+                f"`{label}` passed to export sink `{call_name(call)}` "
+                f"carries non-determinism ({reason}) — exported results "
+                "would differ between identical runs; thread time through "
+                "the Clock protocol or the study config instead",
+            )
 
     def _nondet(self, ctx) -> Dict[Tuple[str, str], str]:
         cached = ctx.memo.get(_MEMO_KEY)
@@ -101,113 +114,3 @@ class InterproceduralTaintRule(Rule):
             )
             ctx.memo[_MEMO_KEY] = cached
         return cached
-
-    # ------------------------------------------------------------------
-
-    def _check_scope(
-        self, file_ctx, scope, sinks, facts, nondet, module, imports
-    ) -> Iterator[Finding]:
-        events: List[Tuple[int, int, str, ast.AST]] = []
-        for node in ast.walk(scope):
-            if node is scope:
-                continue
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # inner scopes get their own pass
-            if isinstance(node, ast.Assign):
-                events.append((node.lineno, node.col_offset, "assign", node))
-            elif isinstance(node, ast.Call):
-                events.append((node.lineno, node.col_offset, "call", node))
-        events.sort(key=lambda event: (event[0], event[1]))
-        tainted: Dict[str, str] = {}  # name -> why it is non-deterministic
-        writer_names: Set[str] = set()
-        for _, _, kind, node in events:
-            if kind == "assign":
-                self._track_assign(
-                    node, facts, nondet, module, imports, tainted, writer_names, sinks
-                )
-            elif self._is_sink_call(node, sinks, writer_names):
-                yield from self._check_sink_args(
-                    file_ctx, node, facts, nondet, module, imports, tainted
-                )
-
-    def _track_assign(
-        self, node, facts, nondet, module, imports, tainted, writer_names, sinks
-    ) -> None:
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if not targets:
-            return
-        reason = self._taint_reason(
-            node.value, facts, nondet, module, imports, tainted
-        )
-        if reason is not None:
-            for target in targets:
-                tainted[target] = reason
-        else:
-            for target in targets:
-                tainted.pop(target, None)
-        if isinstance(node.value, ast.Call):
-            callee = call_name(node.value)
-            if callee.split(".")[-1] in sinks.writer_classes:
-                writer_names.update(targets)
-
-    def _taint_reason(
-        self, expr, facts, nondet, module, imports, tainted
-    ) -> Optional[str]:
-        """Why ``expr`` is non-deterministic, or None if it is clean."""
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id in tainted:
-                return tainted[node.id]
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            if not name:
-                continue
-            direct = nondet_source(name, imports)
-            if direct:
-                return direct
-            target = facts.resolve_call(module, name)
-            if target is not None and target in nondet:
-                return f"`{name}()` — {nondet[target]}"
-        return None
-
-    def _is_sink_call(self, node: ast.Call, sinks, writer_names) -> bool:
-        name = call_name(node)
-        if not name:
-            func = node.func
-            return (
-                isinstance(func, ast.Attribute)
-                and func.attr in _WRITE_METHODS
-                and isinstance(func.value, ast.Call)
-                and call_name(func.value).split(".")[-1] in sinks.writer_classes
-            )
-        parts = name.split(".")
-        if parts[0] in sinks.names and len(parts) == 1:
-            return True
-        if parts[0] in sinks.module_aliases and len(parts) >= 2:
-            return True
-        if (
-            len(parts) == 2
-            and parts[-1] in _WRITE_METHODS
-            and parts[0] in writer_names
-        ):
-            return True
-        return False
-
-    def _check_sink_args(
-        self, file_ctx, node, facts, nondet, module, imports, tainted
-    ) -> Iterator[Finding]:
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-            reason = self._taint_reason(
-                arg, facts, nondet, module, imports, tainted
-            )
-            if reason is None:
-                continue
-            label = dotted_name(arg) or type(arg).__name__
-            yield self.finding(
-                file_ctx,
-                arg,
-                f"`{label}` passed to export sink `{call_name(node)}` "
-                f"carries non-determinism ({reason}) — exported results "
-                "would differ between identical runs; thread time through "
-                "the Clock protocol or the study config instead",
-            )

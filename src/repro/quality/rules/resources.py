@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.quality.findings import Finding
-from repro.quality.registry import Rule, call_name, register
+from repro.quality.registry import Rule, call_name, register, target_names
 
 
 @dataclass
@@ -135,7 +135,7 @@ class _FunctionScan:
             # Factory-call arguments may still hand off earlier resources.
             for root in list(value.args) + [kw.value for kw in value.keywords]:
                 self._expr(root, in_finally, in_handler)
-            for name in self._target_names(stmt.targets):
+            for name in target_names(*stmt.targets):
                 self.resources[name] = _Resource(
                     name=name,
                     factory=factory,
@@ -255,20 +255,6 @@ class _FunctionScan:
         if resource is not None and func.attr == resource.closer:
             return resource
         return None
-
-    @staticmethod
-    def _target_names(targets: List[ast.expr]) -> List[str]:
-        names: List[str] = []
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.append(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                names.extend(
-                    element.id
-                    for element in target.elts
-                    if isinstance(element, ast.Name)
-                )
-        return names
 
 
 @register

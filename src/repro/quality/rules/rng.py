@@ -7,29 +7,44 @@ NumPy's legacy global generator (``np.random.normal`` etc.) share hidden
 process-wide state: they make results depend on call order and on which
 worker handled which day — precisely what the parallelism contract
 ("parallelism changes wall-clock, never results") forbids.
+``os.urandom``, ``uuid.uuid1`` and ``uuid.uuid4`` differ on every run
+for the same reason.  Calls are classified by the same function RPR011
+uses (:func:`repro.quality.symbols.nondet_kind`), through the file's
+import map, so ``import numpy.random`` or an alias changes nothing.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator
 
 from repro.quality.findings import Finding
-from repro.quality.registry import Rule, dotted_name, register
+from repro.quality.registry import Rule, call_name, register
+from repro.quality.symbols import nondet_kind
 
-#: The only attributes of ``numpy.random`` the seeded plumbing may touch.
-_NUMPY_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "BitGenerator",
-    "SeedSequence",
-    "PCG64",
-    "Philox",
-    "SFC64",
+#: The message for each kind of unseeded draw the shared classifier
+#: (:func:`~repro.quality.symbols.nondet_kind`) recognizes.
+_MESSAGES = {
+    "random-module": (
+        "`{name}()` draws from the stdlib random module's shared global "
+        "state; use a seeded np.random.Generator (or random.Random(seed)) "
+        "instead"
+    ),
+    "random-name": (
+        "`{name}()` was imported from the stdlib random module and draws "
+        "from shared global state; use a seeded generator instead"
+    ),
+    "numpy-global": (
+        "`{name}()` uses NumPy's legacy global generator; draw from "
+        "np.random.default_rng(SeedSequence([...])) so the stream is keyed "
+        "by (seed, day)"
+    ),
+    "entropy": (
+        "`{name}()` reads operating-system entropy or the host clock, which "
+        "differ on every run; derive the value from a seeded generator "
+        "keyed by (seed, day)"
+    ),
 }
-
-#: ``random.<name>`` calls that do not draw from the shared global state.
-_STDLIB_ALLOWED = {"Random", "SystemRandom", "getstate", "seed"}
 
 
 @register
@@ -42,97 +57,10 @@ class SeededRngRule(Rule):
     )
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        random_aliases = _module_aliases(file_ctx.tree, "random")
-        numpy_aliases = _module_aliases(file_ctx.tree, "numpy")
-        numpy_random_aliases = _module_aliases(file_ctx.tree, "numpy.random")
-        stdlib_from = _stdlib_from_imports(file_ctx.tree)
         for node in ast.walk(file_ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted_name(node.func)
-            if not name:
-                continue
-            parts = name.split(".")
-            head, tail = parts[0], parts[-1]
-            if (
-                head in random_aliases
-                and len(parts) == 2
-                and tail not in _STDLIB_ALLOWED
-            ):
-                yield self.finding(
-                    file_ctx,
-                    node,
-                    f"`{name}()` draws from the stdlib random module's shared "
-                    "global state; use a seeded np.random.Generator "
-                    "(or random.Random(seed)) instead",
-                )
-            elif name in stdlib_from:
-                yield self.finding(
-                    file_ctx,
-                    node,
-                    f"`{name}()` was imported from the stdlib random module "
-                    "and draws from shared global state; use a seeded "
-                    "generator instead",
-                )
-            elif self._is_numpy_global(
-                parts, numpy_aliases, numpy_random_aliases
-            ):
-                yield self.finding(
-                    file_ctx,
-                    node,
-                    f"`{name}()` uses NumPy's legacy global generator; draw "
-                    "from np.random.default_rng(SeedSequence([...])) so the "
-                    "stream is keyed by (seed, day)",
-                )
-
-    @staticmethod
-    def _is_numpy_global(
-        parts, numpy_aliases: Set[str], numpy_random_aliases: Set[str]
-    ) -> bool:
-        # np.random.<fn>(...) with <fn> outside the seeded-plumbing allowance.
-        if (
-            len(parts) == 3
-            and parts[0] in numpy_aliases
-            and parts[1] == "random"
-            and parts[2] not in _NUMPY_ALLOWED
-        ):
-            return True
-        # from numpy import random as npr; npr.<fn>(...)
-        if (
-            len(parts) == 2
-            and parts[0] in numpy_random_aliases
-            and parts[1] not in _NUMPY_ALLOWED
-        ):
-            return True
-        return False
-
-
-def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module:
-                    aliases.add(alias.asname or module.split(".")[0])
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            parent, _, leaf = module.rpartition(".")
-            if parent and node.module == parent:
-                for alias in node.names:
-                    if alias.name == leaf:
-                        aliases.add(alias.asname or leaf)
-    return aliases
-
-
-def _stdlib_from_imports(tree: ast.Module) -> Set[str]:
-    """Names bound via ``from random import ...`` (minus the allowed ones)."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.ImportFrom)
-            and not node.level
-            and node.module == "random"
-        ):
-            for alias in node.names:
-                if alias.name not in _STDLIB_ALLOWED:
-                    names.add(alias.asname or alias.name)
-    return names
+            name = call_name(node)
+            message = _MESSAGES.get(nondet_kind(name, file_ctx.imports))
+            if message:
+                yield self.finding(file_ctx, node, message.format(name=name))

@@ -11,28 +11,26 @@ read real elapsed time when an operator profiles a run.  The config's
 sanctioned call sites — by default only ``repro/telemetry/clock.py`` —
 and this rule skips those files entirely; every other module in scope,
 telemetry included, must go through the :class:`~repro.telemetry.clock.
-Clock` protocol.
+Clock` protocol.  Clock reads are recognized by the same classifier
+RPR002 and RPR011 use (:func:`repro.quality.symbols.nondet_kind`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator
 
 from repro.quality.findings import Finding
-from repro.quality.registry import Rule, dotted_name, register
+from repro.quality.registry import Rule, call_name, register
+from repro.quality.symbols import nondet_kind
 
-
-#: ``<attr>`` calls banned when the receiver chain ends in ``<receiver>``.
-_BANNED_METHODS = {
-    "now": ("datetime",),
-    "utcnow": ("datetime",),
-    "today": ("datetime", "date"),
+#: What this rule calls each kind of clock read the shared classifier
+#: (:func:`~repro.quality.symbols.nondet_kind`) recognizes.
+_OFFENSES = {
+    "datetime": "non-deterministic datetime constructor",
+    "time-module": "stdlib time module clock",
+    "time-name": "clock imported by name",
 }
-
-#: Functions of the stdlib ``time`` module that read the wall clock or an
-#: otherwise run-dependent clock.
-_BANNED_TIME_FUNCS = {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter"}
 
 
 @register
@@ -54,15 +52,11 @@ class WallClockRule(Rule):
         return file_ctx.in_scope(config.wallclock_scopes)
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        time_aliases = _time_module_aliases(file_ctx.tree)
-        from_imports = _banned_from_imports(file_ctx.tree)
         for node in ast.walk(file_ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted_name(node.func)
-            if not name:
-                continue
-            offense = _classify(name, time_aliases, from_imports)
+            name = call_name(node)
+            offense = _OFFENSES.get(nondet_kind(name, file_ctx.imports))
             if offense:
                 yield self.finding(
                     file_ctx,
@@ -70,42 +64,3 @@ class WallClockRule(Rule):
                     f"wall-clock read `{name}()` — {offense}; derive times "
                     "from the study calendar or the day's seed instead",
                 )
-
-
-def _classify(
-    name: str, time_aliases: Set[str], from_imports: Set[str]
-) -> str:
-    parts = name.split(".")
-    head, tail = parts[0], parts[-1]
-    receiver = parts[-2] if len(parts) >= 2 else ""
-    if tail in _BANNED_METHODS and receiver in _BANNED_METHODS[tail]:
-        return "non-deterministic datetime constructor"
-    if head in time_aliases and len(parts) == 2 and tail in _BANNED_TIME_FUNCS:
-        return "stdlib time module clock"
-    if name in from_imports:
-        return "clock imported by name"
-    return ""
-
-
-def _time_module_aliases(tree: ast.Module) -> Set[str]:
-    """Names the stdlib ``time`` module is bound to (``import time as t``)."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "time":
-                    aliases.add(alias.asname or "time")
-    return aliases
-
-
-def _banned_from_imports(tree: ast.Module) -> Set[str]:
-    """Local names bound to banned clocks via ``from`` imports."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom) or node.level:
-            continue
-        if node.module == "time":
-            for alias in node.names:
-                if alias.name in _BANNED_TIME_FUNCS:
-                    names.add(alias.asname or alias.name)
-    return names

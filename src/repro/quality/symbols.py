@@ -15,7 +15,9 @@ alive:
 * classes with their base-class names (the project side of the exception
   hierarchy);
 * the import map (local name → module or module symbol), which is how
-  the call graph resolves dotted call names across files;
+  the call graph resolves dotted call names across files, and every
+  import target (function-local imports included), from which the call
+  graph derives the fork worker's import closure (RPR004);
 * module-level state: global names bound at import time and the calls
   the module makes while being imported (both feed RPR008's
   "written-at-import-time is safe" exemption).
@@ -34,10 +36,15 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.quality.registry import dotted_name
+from repro.quality.registry import (
+    dotted_name,
+    module_level_statements,
+    scope_walk,
+    target_names,
+)
 
 #: Bump to invalidate all cached facts when extraction semantics change.
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 #: Method names that mutate their receiver in place — a call to one of
 #: these on a module-global name counts as a write to that global, unless
@@ -212,6 +219,8 @@ class ModuleSummary:
     classes: Dict[str, Tuple[str, ...]] = field(default_factory=dict)  # name -> bases
     #: local name -> "pkg.mod" (module import) or "pkg.mod:symbol".
     imports: Dict[str, str] = field(default_factory=dict)
+    #: Every import statement's target, see :func:`read_imports`.
+    import_targets: Tuple[str, ...] = ()
     #: Names bound by module-level statements (import-time state).
     module_globals: Tuple[str, ...] = ()
     #: Call names executed at import time (module-level statements).
@@ -223,6 +232,7 @@ class ModuleSummary:
             "functions": {q: f.to_dict() for q, f in sorted(self.functions.items())},
             "classes": {n: list(b) for n, b in sorted(self.classes.items())},
             "imports": dict(sorted(self.imports.items())),
+            "import_targets": list(self.import_targets),
             "module_globals": sorted(self.module_globals),
             "module_calls": sorted(self.module_calls),
         }
@@ -242,6 +252,7 @@ class ModuleSummary:
             imports={
                 str(k): str(v) for k, v in data.get("imports", {}).items()  # type: ignore[union-attr]
             },
+            import_targets=tuple(str(t) for t in data.get("import_targets", ())),  # type: ignore[union-attr]
             module_globals=tuple(str(n) for n in data.get("module_globals", ())),  # type: ignore[union-attr]
             module_calls=tuple(str(n) for n in data.get("module_calls", ())),  # type: ignore[union-attr]
         )
@@ -254,11 +265,11 @@ class ModuleSummary:
 def summarize_module(module: str, tree: ast.Module) -> ModuleSummary:
     """Extract a :class:`ModuleSummary` from a parsed module."""
     summary = ModuleSummary(module=module)
-    summary.imports = _import_map(tree)
+    summary.imports, summary.import_targets = read_imports(tree)
     module_globals: Set[str] = set()
     imported_modules: Set[str] = set()
     module_calls: Set[str] = set()
-    for statement in _import_time_statements(tree.body):
+    for statement in module_level_statements(tree):
         _collect_bound_names(statement, module_globals)
         if isinstance(statement, ast.Import):
             _collect_bound_names(statement, imported_modules)
@@ -293,30 +304,14 @@ def summarize_module(module: str, tree: ast.Module) -> ModuleSummary:
     return summary
 
 
-def _import_time_statements(body: Sequence[ast.stmt]):
-    """Top-level statements, descending into if/try (they run on import)."""
-    for statement in body:
-        yield statement
-        if isinstance(statement, ast.If):
-            yield from _import_time_statements(statement.body)
-            yield from _import_time_statements(statement.orelse)
-        elif isinstance(statement, ast.Try):
-            yield from _import_time_statements(statement.body)
-            yield from _import_time_statements(statement.orelse)
-            yield from _import_time_statements(statement.finalbody)
-            for handler in statement.handlers:
-                yield from _import_time_statements(handler.body)
-
-
 def _collect_bound_names(statement: ast.stmt, into: Set[str]) -> None:
     if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         into.add(statement.name)
         return
     if isinstance(statement, ast.Assign):
-        for target in statement.targets:
-            _target_names(target, into)
+        into.update(target_names(*statement.targets))
     elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
-        _target_names(statement.target, into)
+        into.update(target_names(statement.target))
     elif isinstance(statement, (ast.Import, ast.ImportFrom)):
         for alias in statement.names:
             if alias.name == "*":
@@ -324,38 +319,35 @@ def _collect_bound_names(statement: ast.stmt, into: Set[str]) -> None:
             into.add(alias.asname or alias.name.split(".")[0])
 
 
-def _target_names(target: ast.AST, into: Set[str]) -> None:
-    if isinstance(target, ast.Name):
-        into.add(target.id)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            _target_names(element, into)
+def read_imports(tree: ast.Module) -> Tuple[Dict[str, str], Tuple[str, ...]]:
+    """The one reading of a file's imports, function-local ones included.
 
-
-def _import_map(tree: ast.Module) -> Dict[str, str]:
-    """Local name → imported module (``a.b``) or symbol (``a.b:c``)."""
-    imports: Dict[str, str] = {}
+    Returns the import map — local name → imported module (``a.b``) or
+    symbol (``a.b:c``) — and every import target, sorted: ``import
+    a.b.c`` → ``a.b.c`` (the map only binds ``a``), ``from a import b``
+    → ``a:b``, ``from a import *`` → ``a:*``.  Relative sources keep
+    their leading dots; the call-graph layer resolves them against the
+    importing module's package.
+    """
+    names: Dict[str, str] = {}
+    targets: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                imports[bound] = alias.name if alias.asname else alias.name.split(".")[0]
+                targets.add(alias.name)
                 if alias.asname:
-                    imports[alias.asname] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                imports[alias.asname or alias.name] = f"{node.module}:{alias.name}"
-        elif isinstance(node, ast.ImportFrom) and node.level:
-            # Relative imports are resolved by the call-graph layer, which
-            # knows the module's package; mark them with the level prefix.
+                    names[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    names[head] = head
+        elif isinstance(node, ast.ImportFrom):
             source = "." * node.level + (node.module or "")
             for alias in node.names:
-                if alias.name == "*":
-                    continue
-                imports[alias.asname or alias.name] = f"{source}:{alias.name}"
-    return imports
+                target = f"{source}:{alias.name}"
+                targets.add(target)
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = target
+    return names, tuple(sorted(targets))
 
 
 def _walk_functions(tree: ast.Module):
@@ -536,20 +528,19 @@ def _local_bindings(node) -> Set[str]:
             if sub is not node:
                 bound.add(sub.name)
         elif isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                _target_names(target, bound)
-        elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
-            _target_names(sub.target, bound)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            _target_names(sub.target, bound)
+            bound.update(target_names(*sub.targets))
+        elif isinstance(sub, (ast.AnnAssign, ast.AugAssign, ast.For, ast.AsyncFor)):
+            bound.update(target_names(sub.target))
         elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            for item in sub.items:
-                if item.optional_vars is not None:
-                    _target_names(item.optional_vars, bound)
+            bound.update(
+                target_names(
+                    *(item.optional_vars for item in sub.items if item.optional_vars)
+                )
+            )
         elif isinstance(sub, ast.ExceptHandler) and sub.name:
             bound.add(sub.name)
         elif isinstance(sub, ast.comprehension):
-            _target_names(sub.target, bound)
+            bound.update(target_names(sub.target))
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             for alias in sub.names:
                 if alias.name != "*":
@@ -640,55 +631,59 @@ def _global_write_targets(
 # non-determinism taint (feeds RPR011)
 
 
-def nondet_source(name: str, imports: Dict[str, str]) -> str:
-    """If ``name`` is a wall-clock or unseeded-RNG call, say which; ``""``
-    otherwise.  Resolution uses the module's import map, so aliases
-    (``import time as t``) are seen through."""
+def nondet_kind(name: str, imports: Dict[str, str]) -> str:
+    """Which kind of wall-clock or unseeded-RNG source a call of ``name``
+    is — a key of :data:`NONDET_KINDS` — or ``""``.  Resolution uses the
+    module's import map, so aliases (``import time as t``) are seen
+    through.  RPR001, RPR002 and RPR011 all classify calls with it."""
     parts = name.split(".")
     head, tail = parts[0], parts[-1]
     target = imports.get(head, "")
+    symbol = target.partition(":")[2] if len(parts) == 1 else ""
     if tail in _CLOCK_METHODS and len(parts) >= 2:
         if parts[-2] in _CLOCK_METHODS[tail]:
-            return f"wall-clock read `{name}()`"
+            return "datetime"
     if target == "time" and len(parts) == 2 and tail in _CLOCK_FUNCS:
-        return f"wall-clock read `{name}()`"
-    if target.startswith("time:") and target.split(":")[1] in _CLOCK_FUNCS:
-        return f"wall-clock read `{name}()`"
+        return "time-module"
+    if target.startswith("time:") and symbol in _CLOCK_FUNCS:
+        return "time-name"
     if target == "random" and len(parts) == 2 and tail not in _RNG_ALLOWED:
-        return f"unseeded RNG draw `{name}()`"
-    if (
-        target.startswith("random:")
-        and len(parts) == 1
-        and target.split(":")[1] not in _RNG_ALLOWED
-    ):
-        return f"unseeded RNG draw `{name}()`"
+        return "random-module"
+    if target.startswith("random:") and symbol and symbol not in _RNG_ALLOWED:
+        return "random-name"
     if (
         target == "numpy"
         and len(parts) == 3
         and parts[1] == "random"
         and parts[2] not in _NP_RANDOM_ALLOWED
-    ):
-        return f"unseeded RNG draw `{name}()`"
-    if (
+    ) or (
         target in ("numpy.random", "numpy:random")
         and len(parts) == 2
         and parts[1] not in _NP_RANDOM_ALLOWED
     ):
-        return f"unseeded RNG draw `{name}()`"
+        return "numpy-global"
     if name in ("os.urandom", "uuid.uuid1", "uuid.uuid4") and target in ("os", "uuid"):
-        return f"non-deterministic source `{name}()`"
+        return "entropy"
     return ""
 
 
-def _scope_walk(node):
-    """``ast.walk`` pruned at nested function/lambda boundaries."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        sub = stack.pop()
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield sub
-        stack.extend(ast.iter_child_nodes(sub))
+#: How RPR011 names each kind of source in a diagnosis.
+NONDET_KINDS = {
+    "datetime": "wall-clock read",
+    "time-module": "wall-clock read",
+    "time-name": "wall-clock read",
+    "random-module": "unseeded RNG draw",
+    "random-name": "unseeded RNG draw",
+    "numpy-global": "unseeded RNG draw",
+    "entropy": "non-deterministic source",
+}
+
+
+def nondet_source(name: str, imports: Dict[str, str]) -> str:
+    """If ``name`` is a wall-clock or unseeded-RNG call, say which; ``""``
+    otherwise."""
+    kind = nondet_kind(name, imports)
+    return f"{NONDET_KINDS[kind]} `{name}()`" if kind else ""
 
 
 def _analyze_return_taint(node, info: FunctionInfo) -> None:
@@ -701,7 +696,7 @@ def _analyze_return_taint(node, info: FunctionInfo) -> None:
     import map) and by the call graph's fixpoint for helper chains.
     """
     assigned_from: Dict[str, List[str]] = {}
-    for sub in _scope_walk(node):
+    for sub in scope_walk(node):
         if isinstance(sub, ast.Assign):
             calls = [
                 dotted_name(c.func)
@@ -714,7 +709,7 @@ def _analyze_return_taint(node, info: FunctionInfo) -> None:
                 if isinstance(target, ast.Name):
                     assigned_from.setdefault(target.id, []).extend(calls)
     return_calls: List[str] = []
-    for sub in _scope_walk(node):
+    for sub in scope_walk(node):
         if not isinstance(sub, (ast.Return, ast.Yield)) or sub.value is None:
             continue
         for inner in ast.walk(sub.value):

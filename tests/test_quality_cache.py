@@ -171,3 +171,41 @@ class TestCacheRobustness:
         plain = Analyzer(config).analyze()
         cached, _ = run(root, tmp_path / "lint.cache.json")
         assert render_json(plain) == render_json(cached)
+
+
+class TestWorkerClosureFromCachedFacts:
+    def test_import_added_to_closure_module_is_seen_warm(self, tmp_path):
+        """RPR004's closure comes from the cached module facts: an edit
+        that makes a closure module import one with mutable state flags
+        that state on the warm run exactly as on a cold one."""
+        root = tmp_path / "proj"
+        shutil.copytree(FIXTURES / "forkpkg", root / "forkpkg")
+        config = LintConfig(
+            src_root=root,
+            package="",
+            fork_entry="forkpkg.pool:_run_chunk",
+            select=("RPR004",),
+        )
+        cache_path = tmp_path / "lint.cache.json"
+        before = Analyzer(config, cache=open_cache(cache_path)).analyze()
+        assert "forkpkg/unreachable.py" not in {f.path for f in before}
+
+        # A function-local import inside a closure module.
+        lazy = root / "forkpkg" / "lazy.py"
+        lazy.write_text(
+            lazy.read_text(encoding="utf-8")
+            + "\n\ndef scratch():\n"
+            "    from forkpkg import unreachable\n\n"
+            "    return unreachable.SCRATCH\n",
+            encoding="utf-8",
+        )
+        cache = open_cache(cache_path)
+        warm = Analyzer(config, cache=cache).analyze()
+        assert cache.stats.facts_computed == 1  # only lazy.py re-summarized
+        assert cache.stats.facts_reused == len(list(root.rglob("*.py"))) - 1
+
+        cold = Analyzer(config).analyze()
+        assert render_json(warm) == render_json(cold)
+        [added] = [f for f in warm if f.path == "forkpkg/unreachable.py"]
+        assert added.line == 8
+        assert "`SCRATCH`" in added.message

@@ -2,11 +2,16 @@
 
 Also pins the analyzer's public behavior: CLI exit codes, JSON output
 round-tripping, and — crucially — that the fork-safety rule's import
-closure is computed from the real AST import graph rooted at
-``core.parallel._run_chunk``, not from a hard-coded module list.
+closure is computed from the import targets the module summaries record,
+walked from ``core.parallel._run_chunk``, not from a hard-coded module
+list.
 """
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,14 +19,16 @@ import pytest
 from repro.cli import main
 from repro.quality import (
     Analyzer,
+    FileContext,
+    ProjectFacts,
     default_config,
-    fork_closure,
     render_json,
     render_text,
 )
-from repro.quality.importgraph import ImportGraph
+from repro.quality.callgraph import path_module
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+ENTRY = "repro.core.parallel:_run_chunk"
 
 
 class TestSourceTreeIsClean:
@@ -45,16 +52,21 @@ class TestSourceTreeIsClean:
 
 
 class TestForkClosureIsReal:
-    """RPR004's module set is derived by walking imports from the entry."""
+    """RPR004's module set is derived by walking the module summaries'
+    import targets from the entry."""
 
-    def test_entry_function_must_exist(self):
-        with pytest.raises(ValueError):
-            fork_closure(SRC_ROOT, "repro.core.parallel:_no_such_function")
-        with pytest.raises(ValueError):
-            fork_closure(SRC_ROOT, "repro.no_such_module:_run_chunk")
+    @pytest.fixture(scope="class")
+    def facts(self):
+        return ProjectFacts.build(SRC_ROOT, "repro")
 
-    def test_closure_contains_what_workers_execute(self):
-        closure = fork_closure(SRC_ROOT, "repro.core.parallel:_run_chunk")
+    def test_entry_function_must_exist(self, facts):
+        with pytest.raises(ValueError):
+            facts.worker_closure("repro.core.parallel:_no_such_function")
+        with pytest.raises(ValueError):
+            facts.worker_closure("repro.no_such_module:_run_chunk")
+
+    def test_closure_contains_what_workers_execute(self, facts):
+        closure = facts.worker_closure(ENTRY)
         # The worker rebuilds a LongitudinalStudy, which generates synthetic
         # days and aggregates them — all of that must be in the closure.
         for module in (
@@ -72,8 +84,27 @@ class TestForkClosureIsReal:
         assert "repro" in closure
         assert "repro.synthesis" in closure
 
-    def test_closure_excludes_non_worker_layers(self):
-        closure = fork_closure(SRC_ROOT, "repro.core.parallel:_run_chunk")
+    def test_closure_covers_what_importing_the_entry_runs(self, facts):
+        """Every project module the interpreter loads for the entry
+        module is in the static closure (which also holds the imports
+        inside functions, run later by the worker)."""
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.core.parallel; "
+                "print(' '.join(m for m in sys.modules if m.startswith('repro')))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_ROOT)},
+        ).stdout.split()
+        assert "repro.core.parallel" in loaded
+        assert set(loaded) <= facts.worker_closure(ENTRY)
+
+    def test_closure_excludes_non_worker_layers(self, facts):
+        closure = facts.worker_closure(ENTRY)
         # Figures, the CLI, and the linter itself are driver-side only.
         for module in (
             "repro.cli",
@@ -82,23 +113,26 @@ class TestForkClosureIsReal:
         ):
             assert module not in closure, module
 
-    def test_closure_tracks_graph_changes_not_a_list(self):
+    def test_closure_tracks_graph_changes_not_a_list(self, facts):
         """The same walker applied to a different entry gives a different
         closure — i.e. the result is a function of the graph, not a
         constant baked into the rule."""
-        study_closure = ImportGraph(SRC_ROOT).closure("repro.core.study")
-        parallel_closure = ImportGraph(SRC_ROOT).closure("repro.core.parallel")
+        study_closure = facts.import_closure("repro.core.study")
+        parallel_closure = facts.import_closure("repro.core.parallel")
         assert "repro.core.parallel" not in study_closure
         assert study_closure < parallel_closure
 
-    def test_module_path_round_trip(self):
-        graph = ImportGraph(SRC_ROOT)
-        path = graph.module_path("repro.core.parallel")
-        assert path is not None and path.name == "parallel.py"
-        assert graph.path_module(path) == "repro.core.parallel"
-        init = graph.module_path("repro.synthesis")
-        assert init is not None and init.name == "__init__.py"
-        assert graph.path_module(init) == "repro.synthesis"
+    def test_module_path_round_trip(self, facts):
+        # One path -> module function serves ProjectFacts and FileContext.
+        relpath = facts.module_relpath("repro.core.parallel")
+        assert relpath == "repro/core/parallel.py"
+        assert path_module(relpath) == "repro.core.parallel"
+        init = facts.module_relpath("repro.synthesis")
+        assert init == "repro/synthesis/__init__.py"
+        assert path_module(init) == "repro.synthesis"
+        context = Analyzer(default_config()).context
+        file_ctx = FileContext(context, SRC_ROOT / relpath, "", ast.parse(""))
+        assert file_ctx.module == "repro.core.parallel"
 
 
 class TestRendering:

@@ -1,6 +1,7 @@
 """Per-rule fixture tests: one violating and one clean example per rule,
 plus suppression (``# repro: noqa[...]``) and baseline behavior."""
 
+import ast
 import dataclasses
 import json
 from pathlib import Path
@@ -15,6 +16,7 @@ from repro.quality import (
     subtract_baseline,
     write_baseline,
 )
+from repro.quality.symbols import nondet_source, read_imports
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint" / "cases"
 
@@ -94,14 +96,52 @@ class TestRpr002SeededRng:
     def test_clean(self):
         assert run_rule("RPR002", "rpr002_clean.py") == []
 
+    def test_sources_shared_with_rpr011(self):
+        # `import numpy.random`, uuid and os.urandom are sources to the
+        # classifier RPR002 shares with RPR011.
+        findings = run_rule("RPR002", "rpr002_more_sources.py")
+        names = ("numpy.random.normal", "uuid.uuid4", "os.urandom")
+        assert [(f.line, f.message.split("()")[0]) for f in findings] == [
+            (11, f"`{names[0]}"),
+            (15, f"`{names[1]}"),
+            (19, f"`{names[2]}"),
+        ]
+        assert "legacy global generator" in findings[0].message
+        assert all("operating-system entropy" in f.message for f in findings[1:])
+        source = (FIXTURES / "rpr002_more_sources.py").read_text()
+        imports = read_imports(ast.parse(source))[0]
+        assert all(nondet_source(name, imports) for name in names)
+
 
 class TestRpr003Anonymize:
     def test_violation(self):
         findings = run_rule("RPR003", "rpr003_violation.py")
-        lines = {f.line for f in findings}
-        assert len(findings) >= 4
-        # attribute access, bare name, propagated taint, writer method
-        assert {12, 17, 23, 28} <= lines
+        # attribute access, bare name, propagated taint, writer method —
+        # each reported once.
+        assert [(f.line, f.column) for f in findings] == [
+            (12, 10),
+            (17, 47),
+            (23, 45),
+            (28, 17),
+        ]
+
+    def test_module_scope_taint_reaches_function_bodies(self, tmp_path):
+        # A writer or a tainted name bound at module scope is still seen by
+        # the function that uses it: a function's walk starts from its
+        # enclosing scope's state.
+        source = tmp_path / "export_job.py"
+        source.write_text(
+            "from repro.tstat.logs import FlowLogWriter\n"
+            "LOG = FlowLogWriter('flows.log')\n"
+            "ROWS = [record.client_ip for record in RECORDS]\n"
+            "def flush(address):\n"
+            "    LOG.write(ROWS)\n"
+            "    LOG.write(address)\n",
+            encoding="utf-8",
+        )
+        config = fixture_config(src_root=tmp_path, select=("RPR003",))
+        findings = Analyzer(config).analyze([source])
+        assert [(f.line, f.column) for f in findings] == [(5, 14)]
 
     def test_clean(self):
         assert run_rule("RPR003", "rpr003_clean.py") == []
