@@ -15,15 +15,15 @@ The package rebuilds the paper's measurement pipeline end to end:
 * :mod:`repro.analytics` / :mod:`repro.figures` — stage-1/stage-2 jobs and
   one module per paper figure;
 * :mod:`repro.core` — :class:`~repro.core.study.LongitudinalStudy`, the
-  end-to-end orchestration.
+  end-to-end orchestration, run by :func:`~repro.core.parallel.execute_study`.
 
 Quickstart::
 
-    from repro import LongitudinalStudy, small_study
+    from repro import small_study
+    from repro.core.parallel import execute_study
     from repro.figures import fig03_volume_trend
 
-    study = LongitudinalStudy(small_study())
-    data = study.run()
+    data = execute_study(small_study(), workers=1).data
     print("\n".join(fig03_volume_trend.report(fig03_volume_trend.compute(data))))
 """
 

@@ -8,10 +8,10 @@ Commands:
 * ``study [--scale ...] [--figure N|all] [--out DIR]`` — run the
   longitudinal study and print figure reports (optionally exporting CSVs);
 * ``run [--shards N] [--shard-spill-dir DIR] [--checkpoint-dir DIR]
-  [--resume] [--report] [--telemetry DIR]`` — fault-tolerant study
-  execution: per-day (or per-shard) checkpoints, crash-safe parallel
-  workers, spill-to-disk partials, a run manifest, and optional
-  telemetry exports (see :mod:`repro.core.parallel`);
+  [--resume] [--report] [--telemetry DIR] [--lake DIR]`` — fault-tolerant
+  study execution: per-day (or per-shard) checkpoints, crash-safe parallel
+  workers, spill-to-disk partials, a run manifest, telemetry exports and a
+  v2 lake archive of the stage-1 outputs (see :mod:`repro.core.parallel`);
 * ``profile [--clock virtual] [--out DIR]`` — run a telemetry-enabled
   study and print per-stage counters, histograms, and the span tree
   (see :mod:`repro.telemetry`);
@@ -22,10 +22,6 @@ Commands:
   a data lake's partitions against their integrity manifests and report
   torn files, checksum/count mismatches, schema drift, and undecodable
   records (see :mod:`repro.dataflow.integrity`);
-* ``archive LAKE [--format v1|v2] [--scale ...] [--seed N]`` — run the
-  study and archive its stage-1 outputs into a day-partitioned lake, in
-  either the gzip-TSV v1 format or the column-chunk v2 format (see
-  :mod:`repro.dataflow.datalake`);
 * ``replay LAKE [--bad-records strict|quarantine|skip]
   [--min-day-quality F] [--report]`` — rebuild the aggregate-tier study
   from an archived lake under an integrity policy, excluding degraded
@@ -208,6 +204,8 @@ def _write_telemetry(run_telemetry, directory: Path) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     """Fault-tolerant study execution with checkpoints and a manifest."""
     from repro.core.parallel import ChunkError, RetryPolicy, execute_study
+    from repro.core.persistence import ForeignPartitionError
+    from repro.dataflow.datalake import DataLake
 
     if args.workers is not None and args.workers < 1:
         print(_workers_error("run", args.workers), file=sys.stderr)
@@ -244,6 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry.for_spec(args.clock)
+    lake = DataLake(args.lake, write_format="v2") if args.lake is not None else None
     try:
         result = execute_study(
             config,
@@ -256,7 +255,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             shards=args.shards,
             shard_spill_dir=args.shard_spill_dir,
             spill_watermark_bytes=args.spill_watermark_bytes,
+            lake=lake,
         )
+    except ForeignPartitionError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     except ChunkError as exc:
         print(f"repro run: {exc}", file=sys.stderr)
         if exc.report is not None:
@@ -281,6 +284,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.telemetry is not None and result.telemetry is not None:
         _write_telemetry(result.telemetry, args.telemetry)
         print(f"telemetry written to {args.telemetry}")
+    if lake is not None:
+        per_table = ", ".join(f"{table}={len(lake.days(table))}" for table in lake.tables())
+        print(f"archived into {args.lake} (day counts): {per_table}")
     return 0
 
 
@@ -404,24 +410,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     else:
         print("\n".join(report.summary_lines()))
     return 0 if report.clean else 1
-
-
-def cmd_archive(args: argparse.Namespace) -> int:
-    """Run the study and archive stage-1 outputs into a data lake."""
-    from repro.core.persistence import PersistingStudy
-    from repro.dataflow.datalake import DataLake
-
-    config = _apply_date_range(_build_config(args), args)
-    lake = DataLake(args.lake, write_format=args.format)
-    study = PersistingStudy(config, lake=lake)
-    study.run()
-    tables = lake.tables()
-    per_table = ", ".join(f"{table}={len(lake.days(table))}" for table in tables)
-    print(
-        f"archived {study.sink.days_written} day(s) into {args.lake} "
-        f"(format {args.format}): {per_table}"
-    )
-    return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -653,6 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="monotonic",
                      help="telemetry clock: real time, or a deterministic "
                           "virtual clock (byte-identical exports per seed)")
+    run.add_argument("--lake", type=Path, default=None, metavar="DIR",
+                     help="archive every task's stage-1 outputs into the "
+                          "data lake at DIR (v2 column chunks)")
     run.set_defaults(func=cmd_run)
 
     profile = sub.add_parser(
@@ -687,23 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="structural checks only (skip per-record decoding)")
     fsck.add_argument("--format", choices=("text", "json"), default="text")
     fsck.set_defaults(func=cmd_fsck)
-
-    archive = sub.add_parser(
-        "archive",
-        help="run the study and archive stage-1 outputs into a lake",
-    )
-    archive.add_argument("lake", type=Path, help="data lake root directory")
-    archive.add_argument("--format", choices=("v1", "v2"), default="v1",
-                         help="partition format: gzip-TSV (v1) or "
-                              "column chunks with zone maps (v2)")
-    archive.add_argument("--scale", choices=("small", "medium"),
-                         default="small")
-    archive.add_argument("--seed", type=int, default=7)
-    archive.add_argument("--start", default=None, metavar="YYYY-MM-DD",
-                         help="override the study start date")
-    archive.add_argument("--end", default=None, metavar="YYYY-MM-DD",
-                         help="override the study end date")
-    archive.set_defaults(func=cmd_archive)
 
     replay = sub.add_parser(
         "replay",

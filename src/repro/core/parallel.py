@@ -104,7 +104,8 @@ from repro.core.shards import (
     task_label,
 )
 from repro.core.study import STUDY_TABLES, LongitudinalStudy, StudyData, merge_day_shards
-from repro.dataflow.datalake import CheckpointError, CheckpointStore
+from repro.core.persistence import LakeSink, check_lake_days, holds_task, shard_source
+from repro.dataflow.datalake import CheckpointError, CheckpointStore, DataLake
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.clock import Clock, MonotonicClock, VirtualClock, clock_for
 from repro.telemetry.export import RunEvent, RunTelemetry
@@ -235,6 +236,8 @@ class DayTask:
     #: Clock spec for the worker's bundle; matches the parent's clock so
     #: virtual-clock runs stay deterministic end to end.
     clock_spec: str = "monotonic"
+    #: When set, the worker archives the task's stage-1 inputs here.
+    lake: Optional[DataLake] = None
 
     @property
     def label(self) -> str:
@@ -314,9 +317,10 @@ def _run_chunk(task: DayTask) -> object:
             if bundle is not None
             else nullcontext()
         )
+        sink = LakeSink(task.lake, shard_source(shard)) if task.lake is not None else None
         with scope:
             data, extra = study.day_shard_partial(
-                task.day, set(task.roles), shard
+                task.day, set(task.roles), shard, sink
             )
             if shard.key is None:
                 # The task holds the whole day: fan it in here and ship the
@@ -404,7 +408,7 @@ class DayRecord:
     attempts: int
     wall_time: float
     worker: Optional[int]
-    source: str  # "worker" | "serial" | "checkpoint"
+    source: str  # "worker" | "serial" | "checkpoint" | "lake" (replay)
     error: str = ""
     #: Which shard of the day this row covers (0 of 1 for a whole day).
     shard: int = 0
@@ -1228,6 +1232,7 @@ def execute_study(
     shard_spill_dir: Optional[object] = None,
     spill_watermark_bytes: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
+    lake: Optional[DataLake] = None,
 ) -> RunResult:
     """Run the study fault-tolerantly; returns the data and its manifest.
 
@@ -1258,6 +1263,10 @@ def execute_study(
     and checkpoints, the manifest is written, and :class:`RunCancelled`
     is raised — the run is always resumable from exactly where it
     stopped.
+
+    ``lake`` archives the run: each task writes its stage-1 inputs there
+    as its own partition before it returns (see
+    :func:`~repro.core.persistence.check_lake_days` and ``holds_task``).
     """
     policy = retry or RetryPolicy()
     if workers is None:
@@ -1271,6 +1280,8 @@ def execute_study(
     days = sorted(plan)
     digest = config_hash(config)
     specs = plan_shards(len(planner.world.population), shards)
+    if lake is not None:
+        check_lake_days(lake, days, specs)
     store = (
         CheckpointStore(checkpoint_root, digest)  # type: ignore[arg-type]
         if checkpoint_root is not None
@@ -1311,6 +1322,8 @@ def execute_study(
                                 _check_layout(day, partial, spec)
                             except CheckpointError:
                                 continue  # unreadable or foreign: recompute
+                            if lake is not None and not holds_task(lake, day, spec, partial.data):
+                                continue  # the lake lacks its partitions
                             dispatch.hit_checkpoint(day, partial, spec)
 
             remaining: List[DayTask] = []
@@ -1330,6 +1343,7 @@ def execute_study(
                                 fault_plan,
                                 telemetry_enabled=telemetry is not None,
                                 clock_spec=clock_spec,
+                                lake=lake,
                             )
                         )
                     index += 1

@@ -5,10 +5,10 @@ analytics updated continuously as daily logs arrive, and *specific
 queries on historical collections*.  This module implements both ends
 for the reproduction:
 
-* :class:`LakeSink` — attach it to a study run and every day's stage-1
-  outputs (usage rows, protocol rows, hourly bins) are written into a
-  day-partitioned :class:`~repro.dataflow.datalake.DataLake` as they are
-  produced;
+* :class:`LakeSink` — ``execute_study(..., lake=)`` hands one to every
+  day (or shard) task, which writes its stage-1 outputs (usage rows,
+  protocol rows, hourly bins) into a day-partitioned
+  :class:`~repro.dataflow.datalake.DataLake` as its own partition;
 * :func:`replay_study` — rebuild a :class:`StudyData` purely from the
   lake, without the world model: the historical-query path.  Covers the
   aggregate-tier figures (2-9); the flow tier is not persisted (flow
@@ -20,17 +20,20 @@ from __future__ import annotations
 import datetime
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.parallel import RunReport
 
-from repro.core.study import LongitudinalStudy, StudyData, aggregate_usage_day
-from repro.dataflow.columnar import ColumnBatch
+from repro.core.shards import ShardSpec
+from repro.core.study import StudyData, _summed, aggregate_usage_day
+from repro.dataflow.columnar import ColumnarCodec, ColumnBatch
 from repro.dataflow.datalake import DataLake
 from repro.dataflow.integrity import (
     DayAdmission,
     LakeIntegrity,
+    partition_files,
     register_codec_provider,
 )
 from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
@@ -46,55 +49,68 @@ USAGE_TABLE = "usage"
 PROTOCOL_TABLE = "protocols"
 HOURLY_TABLE = "hourly"
 
+#: The tables a task archives, in write order, with their codecs.
+ARCHIVE_CODECS: Mapping[str, ColumnarCodec[Any]] = MappingProxyType(
+    {USAGE_TABLE: USAGE_CODEC, PROTOCOL_TABLE: PROTOCOL_CODEC, HOURLY_TABLE: HOURLY_CODEC}
+)
+
 # Make the aggregate tables decodable by `repro fsck` record scans —
 # registering the codec objects (not bare line decoders) lets fsck decode
 # v2 chunk partitions of these tables too.
-register_codec_provider(
-    lambda: {
-        USAGE_TABLE: USAGE_CODEC,
-        PROTOCOL_TABLE: PROTOCOL_CODEC,
-        HOURLY_TABLE: HOURLY_CODEC,
-    }
-)
+register_codec_provider(lambda: dict(ARCHIVE_CODECS))
+
+
+def shard_source(shard: ShardSpec) -> str:
+    """The partition a (day, shard) task writes: ``part-0`` for a whole day;
+    a split day's parts are zero-padded to sort in shard (= row) order."""
+    return f"part-{shard.index:0{len(str(shard.count - 1))}d}"
+
+
+class ForeignPartitionError(ValueError):
+    """A planned lake day holds a partition the run would not write (another
+    container or shard count): replay would read it beside the new parts."""
 
 
 class LakeSink:
-    """Streams a study's stage-1 outputs into a data lake as it runs.
+    """Writes one task's stage-1 outputs into a lake as partition ``source``."""
 
-    Use with :meth:`PersistingStudy.run` or drive it manually via
-    :meth:`store_day`.
-    """
-
-    def __init__(self, lake: DataLake) -> None:
+    def __init__(self, lake: DataLake, source: str = "part-0") -> None:
         self.lake = lake
-        self.days_written = 0
+        self.source = source
 
     def store_day(
-        self,
-        day: datetime.date,
-        traffic: DayTraffic,
+        self, day: datetime.date, traffic: DayTraffic,
         hourly: Optional[Sequence[HourlyVolume]] = None,
     ) -> None:
-        if traffic.usage:
-            self.lake.write_day(USAGE_TABLE, day, traffic.usage, USAGE_CODEC)
-        if traffic.protocols:
-            self.lake.write_day(
-                PROTOCOL_TABLE, day, traffic.protocols, PROTOCOL_CODEC
-            )
-        if hourly:
-            self.lake.write_day(HOURLY_TABLE, day, hourly, HOURLY_CODEC)
-        self.days_written += 1
+        tables: Sequence[Optional[Sequence[Any]]] = (traffic.usage, traffic.protocols, hourly)
+        for (table, codec), records in zip(ARCHIVE_CODECS.items(), tables):
+            if records:
+                self.lake.write_day(table, day, records, codec, source=self.source)
 
 
-class PersistingStudy(LongitudinalStudy):
-    """A study that also archives every processed day into a lake."""
+def check_lake_days(
+    lake: DataLake, days: Sequence[datetime.date], shards: Sequence[ShardSpec]
+) -> None:
+    """Refuse a lake whose planned ``days`` hold partitions the ``shards``
+    do not write (days outside the plan may hold anything)."""
+    for table in ARCHIVE_CODECS:
+        for day in days:
+            written = {lake.partition_path(table, day, shard_source(s)) for s in shards}
+            for path in partition_files(lake.day_dir(table, day)):
+                if path not in written:
+                    raise ForeignPartitionError(
+                        f"lake day {day} holds {path}, a partition this run would not write"
+                    )
 
-    def __init__(self, *args, lake: DataLake, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.sink = LakeSink(lake)
 
-    def _day_generated(self, day, traffic, hourly) -> None:
-        self.sink.store_day(day, traffic, hourly)
+def holds_task(lake: DataLake, day: datetime.date, shard: ShardSpec, data: StudyData) -> bool:
+    """Whether the lake holds each partition the task that reduced ``data`` wrote."""
+    wrote = (day in data.subscriber_days, len(data.protocol_rows), len(data.hourly))
+    return all(
+        lake.partition_path(table, day, shard_source(shard)).exists()
+        for table, written in zip(ARCHIVE_CODECS, wrote)
+        if written
+    )
 
 
 def replay_study(
@@ -121,27 +137,24 @@ def replay_study(
     """
     classifier = visit_classifier or VisitClassifier()
     active_criterion = criterion or ActiveSubscriberCriterion()
-    all_days = sorted(
-        set(lake.days(USAGE_TABLE))
-        | set(lake.days(PROTOCOL_TABLE))
-        | set(lake.days(HOURLY_TABLE))
-    )
     days: List[StudyData] = []
-    for day in all_days:
+    for day in sorted({day for table in ARCHIVE_CODECS for day in lake.days(table)}):
         usage, protocols, hourly = (
-            ColumnBatch.concat(lake.read_day(table, day, codec, integrity).blocks(), codec)
-            for table, codec in (
-                (USAGE_TABLE, USAGE_CODEC),
-                (PROTOCOL_TABLE, PROTOCOL_CODEC),
-                (HOURLY_TABLE, HOURLY_CODEC),
-            )
+            list(lake.read_day(table, day, codec, integrity).blocks())
+            for table, codec in ARCHIVE_CODECS.items()
         )
         if integrity is not None and admission is not None:
             if not admission.admit(integrity.ledger.report_for(day)):
                 continue
-        part = StudyData(months=list(months), protocol_rows=protocols, hourly=hourly)
-        if usage:
-            aggregate_usage_day(part, day, usage, active_criterion, classifier)
+        # A split day's parts: usage concatenates, the other tables key-sum.
+        part = StudyData(
+            months=list(months),
+            protocol_rows=_summed(protocols, "protocol_rows"),
+            hourly=_summed(hourly, "hourly"),
+        )
+        rows = ColumnBatch.concat(usage, USAGE_CODEC)
+        if rows:
+            aggregate_usage_day(part, day, rows, active_criterion, classifier)
         days.append(part)
     data = StudyData(months=list(months))
     data.merge(*days)

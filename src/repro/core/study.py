@@ -16,7 +16,7 @@ import datetime
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,6 +88,12 @@ STUDY_TABLES: Mapping[str, Tuple[ColumnarCodec, Tuple[str, ...]]] = MappingProxy
 
 def _table(name: str) -> Any:
     return field(default_factory=lambda: ColumnBatch.from_rows((), STUDY_TABLES[name][0]))
+
+
+class DaySink(Protocol):
+    """Archives a range task's stage-1 inputs (a ``persistence.LakeSink``)."""
+
+    def store_day(self, day: datetime.date, traffic: DayTraffic, hourly: Any) -> None: ...
 
 
 class MergeOverlapError(ValueError):
@@ -311,7 +317,7 @@ class LongitudinalStudy:
         )
 
     def day_shard_partial(
-        self, day: datetime.date, roles: Set[str], shard: ShardSpec
+        self, day: datetime.date, roles: Set[str], shard: ShardSpec, sink: Optional[DaySink] = None
     ) -> Tuple[StudyData, ShardExtra]:
         """One subscriber range of one planned day (DESIGN.md §15).
 
@@ -319,7 +325,7 @@ class LongitudinalStudy:
         own streams, and stage-1 runs over the range's rows alone.  The
         returned :class:`ShardExtra` carries what the fan-in
         (:func:`merge_day_shards`) needs on top to reassemble the exact
-        day partial.
+        day partial.  A ``sink`` archives the range's stage-1 inputs.
 
         The single site that opens the per-day telemetry span, so every
         execution mode yields the same trace shape
@@ -349,27 +355,15 @@ class LongitudinalStudy:
                     self._consume_flows(
                         data, extra, day, traffic, with_rtt="rtt" in roles
                     )
-            self._day_generated(day, traffic, hourly)
+            if sink is not None:
+                sink.store_day(day, traffic, hourly)
         return data, extra
 
-    def _day_generated(
-        self,
-        day: datetime.date,
-        traffic: DayTraffic,
-        hourly: Optional[Sequence[HourlyVolume]],
-    ) -> None:
-        """Hook: the stage-1 inputs of a processed day, for archiving."""
-
-    def run(self, progress: Optional[object] = None) -> StudyData:
-        """Execute the study; returns the reduced per-day data."""
+    def run(self) -> StudyData:
+        """Execute the study serially; returns the reduced per-day data."""
         plan = self.planned_days()
-        days: List[StudyData] = []
-        for day in sorted(plan):
-            days.append(self.day_partial(day, plan[day]))
-            if progress is not None:
-                progress(day)  # type: ignore[operator]
         data = self.empty_data()
-        data.merge(*days)
+        data.merge(*(self.day_partial(day, plan[day]) for day in sorted(plan)))
         return data
 
     def _consume_aggregate(

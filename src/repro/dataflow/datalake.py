@@ -138,6 +138,10 @@ class DataLake:
     def day_dir(self, table: str, day: datetime.date) -> Path:
         return day_directory(self.root, table, day)
 
+    def partition_path(self, table: str, day: datetime.date, source: str) -> Path:
+        """Where :meth:`write_day` puts ``source`` in this lake's format."""
+        return self.day_dir(table, day) / f"{source}{_FORMAT_SUFFIX[self.write_format]}"
+
     # -- writes ---------------------------------------------------------------
 
     def write_day(
@@ -161,10 +165,9 @@ class DataLake:
         (requires a :class:`~repro.dataflow.columnar.ColumnarCodec`) and
         the manifest additionally carries the zone map.
         """
-        directory = self.day_dir(table, day)
-        directory.mkdir(parents=True, exist_ok=True)
-        suffix = _FORMAT_SUFFIX[self.write_format]
-        if suffix == CHUNK_SUFFIX:
+        path = self.partition_path(table, day, source)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if self.write_format == LAKE_FORMAT_V2:
             if not isinstance(codec, ColumnarCodec):
                 raise TypeError(
                     f"table {table!r}: v2 chunk partitions need a "
@@ -173,8 +176,7 @@ class DataLake:
             payload, manifest = encode_chunk(records, codec, day)
         else:
             payload, manifest = _encode_lines(records, codec)
-        path = directory / f"{source}{suffix}"
-        tmp = directory / f".{source}{suffix}.{os.getpid()}.part"
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.part")
         fsio.write_and_replace(path, payload, surface=fsio.SURFACE_LAKE, tmp=tmp)
         write_manifest(path, manifest)
         telemetry.count("datalake_files_written", table=table)

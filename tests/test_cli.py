@@ -142,6 +142,37 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "checkpoint" in out  # per-day rows name their source
 
+    def test_run_lake_archives_v2_and_counts_days_from_the_listing(
+        self, tmp_path, capsys
+    ):
+        from repro.core.persistence import replay_study
+        from repro.dataflow.datalake import DataLake
+
+        root = tmp_path / "lake"
+        assert main(self.RUN_SPAN + ["--shards", "2", "--lake", str(root)]) == 0
+        lake = DataLake(root)
+        counts = ", ".join(f"{t}={len(lake.days(t))}" for t in lake.tables())
+        assert f"archived into {root} (day counts): {counts}" in capsys.readouterr().out
+        files = [path for path in root.rglob("*") if path.is_file()]
+        assert files and all(".colchunk" in path.name for path in files)
+        assert replay_study(lake, []).subscriber_days
+
+    def test_run_lake_refuses_a_day_of_another_container(self, tmp_path, capsys):
+        from repro.core.persistence import USAGE_TABLE
+        from repro.dataflow.datalake import DataLake
+        from repro.synthesis.flowgen import USAGE_CODEC
+
+        root = tmp_path / "lake"
+        assert main(self.RUN_SPAN + ["--lake", str(root)]) == 0
+        lake = DataLake(root)  # writes v1 beside the v2 partition
+        day = lake.days(USAGE_TABLE)[0]
+        rows = lake.read_day(USAGE_TABLE, day, USAGE_CODEC).collect()
+        lake.write_day(USAGE_TABLE, day, rows, USAGE_CODEC)
+        capsys.readouterr()
+        assert main(self.RUN_SPAN + ["--lake", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert day.isoformat() in err and "part-0.tsv.gz" in err
+
 
 class TestParser:
     def test_requires_command(self):
@@ -197,7 +228,7 @@ def small_lake(tmp_path_factory):
     import datetime
 
     from repro.core.config import StudyConfig
-    from repro.core.persistence import PersistingStudy
+    from repro.core.parallel import execute_study
     from repro.dataflow.datalake import DataLake
     from repro.synthesis.world import WorldConfig
 
@@ -214,7 +245,7 @@ def small_lake(tmp_path_factory):
         flow_days_per_month=1,
         rtt_days_per_comparison_month=1,
     )
-    PersistingStudy(config, lake=DataLake(root)).run()
+    execute_study(config, workers=1, lake=DataLake(root))
     return root
 
 

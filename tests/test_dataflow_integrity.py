@@ -17,11 +17,11 @@ from repro.core.persistence import (
     HOURLY_TABLE,
     PROTOCOL_TABLE,
     USAGE_TABLE,
-    PersistingStudy,
     replay_study,
     run_replay,
 )
 from repro.core.config import StudyConfig
+from repro.core.parallel import execute_study
 from repro.analytics.infrastructure import daily_server_census
 from repro.core.study import INFRA_SERVICES, LongitudinalStudy
 from repro.dataflow.columnar import ColumnBatch
@@ -606,7 +606,7 @@ def pristine_lake(tmp_path_factory):
     """A small archived lake, kept pristine — tests copy it."""
     root = tmp_path_factory.mktemp("pristine") / "lake"
     lake = DataLake(root)
-    PersistingStudy(replay_config(), lake=lake).run()
+    execute_study(replay_config(), workers=1, lake=lake)
     return lake
 
 
@@ -734,7 +734,7 @@ def pristine_v2_lake(tmp_path_factory):
     """The same study archived as v2 column chunks, kept pristine."""
     root = tmp_path_factory.mktemp("pristine_v2") / "lake"
     lake = DataLake(root, write_format="v2")
-    PersistingStudy(replay_config(), lake=lake).run()
+    execute_study(replay_config(), workers=1, lake=lake)
     return lake
 
 

@@ -20,7 +20,6 @@ from repro.core.persistence import (
     HOURLY_TABLE,
     PROTOCOL_TABLE,
     USAGE_TABLE,
-    PersistingStudy,
     replay_study,
 )
 from repro.dataflow.columnar import (
@@ -74,7 +73,7 @@ def assert_identical(expected, actual):
 
 def archive(root, seed, write_format):
     lake = DataLake(root, write_format=write_format)
-    data = PersistingStudy(small_config(seed), lake=lake).run()
+    data = execute_study(small_config(seed), workers=1, lake=lake).data
     return lake, data
 
 
