@@ -9,7 +9,9 @@ layer — per-module symbol tables folded into a resolved call graph —
 powering the interprocedural rules: cross-process races (RPR008),
 typed-error contracts (RPR009), resource leaks (RPR010), and
 non-determinism taint through helper chains (RPR011) — and giving RPR004
-its worker import closure.  Every rule reads a file's imports through
+its worker import closure.  A run reads and parses each file once, and
+the rules, the call graph and the cache all use that read
+(:class:`FileContext`).  Every rule reads a file's imports through
 one import map (:attr:`FileContext.imports`); RPR001, RPR002 and RPR011
 share one nondeterminism classifier, RPR003 and RPR011 one sink-taint
 walk.  Per-module facts are content-hash cached
@@ -26,13 +28,14 @@ Programmatic use::
 
 from repro.quality.baseline import BaselineError, load_baseline, subtract_baseline, write_baseline
 from repro.quality.cache import CacheStats, LintCache, open_cache
-from repro.quality.callgraph import ProjectFacts, file_sha, project_digest
+from repro.quality.callgraph import ProjectFacts
 from repro.quality.engine import (
     Analyzer,
     FileContext,
     LintConfig,
     LintContext,
     default_config,
+    project_digest,
     render_json,
     render_text,
     run_lint,
@@ -60,7 +63,6 @@ __all__ = [
     "Severity",
     "SuppressionError",
     "default_config",
-    "file_sha",
     "findings_from_sarif",
     "load_baseline",
     "make_rules",

@@ -27,24 +27,19 @@ interprocedural rules ask:
   unseeded-RNG derived values, propagated through helper chains
   (RPR011).
 
-Everything here is derived from cached per-module facts; building the
-index parses nothing when the cache is warm.
+Everything here is derived from per-module summaries, which the engine
+reads from the facts cache when it is warm; this module reads no file.
 """
 
 from __future__ import annotations
 
-import ast
-import hashlib
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.quality.findings import LintError
-from repro.quality.symbols import (
-    ANALYSIS_VERSION,
-    FunctionInfo,
-    ModuleSummary,
-    summarize_module,
-)
+from repro.quality.symbols import FunctionInfo, ModuleSummary
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.quality.engine import FileContext
 
 #: (module, qualname) — one function in the project.
 FuncId = Tuple[str, str]
@@ -106,10 +101,6 @@ _BUILTIN_PARENT: Dict[str, str] = {
 }
 
 
-def file_sha(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def path_module(relpath: str) -> str:
     """The dotted module a ``.py`` file implements, from its POSIX path
     relative to the analysis root (``a/b.py`` and ``a/b/__init__.py``
@@ -155,40 +146,22 @@ class ProjectFacts:
     # construction
 
     @classmethod
-    def build(cls, src_root: Path, package: str, cache=None) -> "ProjectFacts":
-        """Summarize every module under ``src_root/package`` (the whole
-        root when the package directory is absent), reusing per-file
-        facts from ``cache`` (a :class:`~repro.quality.cache.LintCache`)
-        keyed by content hash."""
-        src_root = Path(src_root)
-        base = src_root / package if package else src_root
-        if not base.is_dir():
-            base = src_root
+    def build(cls, files: Iterable["FileContext"]) -> "ProjectFacts":
+        """Index the summaries of a program's files.  A file that does not
+        parse has no facts: its own analysis reports the syntax error."""
         summaries: Dict[str, ModuleSummary] = {}
         packages: Set[str] = set()
         relpaths: Dict[str, str] = {}
-        for path in sorted(base.rglob("*.py")):
-            relkey = path.resolve().relative_to(src_root.resolve()).as_posix()
-            module = path_module(relkey)
-            if not module:
+        for file_ctx in files:
+            if not file_ctx.module:
                 continue
-            sha = file_sha(path)
-            summary: Optional[ModuleSummary] = None
-            if cache is not None:
-                data = cache.facts_for(relkey, sha)
-                if data is not None:
-                    summary = ModuleSummary.from_dict(data)
-            if summary is None:
-                tree = ast.parse(
-                    path.read_text(encoding="utf-8"), filename=str(path)
-                )
-                summary = summarize_module(module, tree)
-                if cache is not None:
-                    cache.store_facts(relkey, sha, summary.to_dict())
-            summaries[module] = summary
-            relpaths[module] = relkey
-            if path.name == "__init__.py":
-                packages.add(module)
+            try:
+                summaries[file_ctx.module] = file_ctx.summary
+            except SyntaxError:
+                continue
+            relpaths[file_ctx.module] = file_ctx.relpath
+            if file_ctx.path.name == "__init__.py":
+                packages.add(file_ctx.module)
         return cls(summaries, packages, relpaths)
 
     def module_relpath(self, module: str) -> str:
@@ -551,20 +524,3 @@ class ProjectFacts:
                             break
         return tainted
 
-
-def project_digest(
-    src_root: Path, package: str, fingerprint: str
-) -> str:
-    """A hash of every analyzed file's content plus the run fingerprint
-    (config + rule ids) — the cache key for whole-program findings."""
-    src_root = Path(src_root)
-    base = src_root / package if package else src_root
-    if not base.is_dir():
-        base = src_root
-    digest = hashlib.sha256()
-    digest.update(f"analysis:{ANALYSIS_VERSION}\n".encode())
-    digest.update(fingerprint.encode())
-    for path in sorted(base.rglob("*.py")):
-        relative = path.resolve().relative_to(src_root.resolve()).as_posix()
-        digest.update(f"{relative}:{file_sha(path)}\n".encode())
-    return digest.hexdigest()

@@ -1,15 +1,17 @@
 """The analysis engine: files → ASTs → rules → reported findings.
 
-One :class:`Analyzer` run parses each target file once, hands the shared
-:class:`FileContext` (tree, import map, module name) to every applicable
-rule, filters the raw findings through in-source suppressions
-(``# repro: noqa[...]``) and the optional baseline, and renders the
-survivors as text or JSON.
+One :class:`Analyzer` run lists the program once and keeps one
+:class:`FileContext` per file: the file is read once (its bytes' SHA and
+source), parsed at most once, summarized at most once, and walked at most
+once, and that one read serves the rules, the whole-program facts and
+both cache tiers.  The run filters the raw findings through in-source
+suppressions (``# repro: noqa[...]``) and the optional baseline, and
+renders the survivors as text or JSON.
 
 Whole-program facts — the symbol tables, the call graph, and the
 fork-worker import closure derived from them — live on the run-wide
 :class:`LintContext` and are built lazily, so a ``--select RPR001`` run
-never summarizes the project.
+summarizes only the files it checks and never builds the call graph.
 """
 
 from __future__ import annotations
@@ -17,20 +19,17 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union
 
 from repro.quality.baseline import load_baseline, subtract_baseline
-from repro.quality.callgraph import ProjectFacts, file_sha, path_module, project_digest
+from repro.quality.callgraph import ProjectFacts, path_module
 from repro.quality.findings import Finding, LintError, Severity, sort_findings
 from repro.quality.registry import Rule, make_rules
-from repro.quality.suppressions import (
-    Suppression,
-    SuppressionError,
-    parse_suppressions,
-)
-from repro.quality.symbols import read_imports
+from repro.quality.suppressions import SuppressionError, parse_suppressions
+from repro.quality.symbols import ANALYSIS_VERSION, ModuleSummary, summarize_module
 
 if False:  # pragma: no cover - import for type checkers only
     from repro.quality.cache import LintCache
@@ -128,6 +127,12 @@ class LintConfig:
     )
     select: Tuple[str, ...] = ()
 
+    def program_root(self) -> Path:
+        """The tree analyzed by default and summarized whole:
+        ``src_root/package``, or ``src_root`` when that is no directory."""
+        base = self.src_root / self.package
+        return base if base.is_dir() else self.src_root
+
 
 def default_config() -> LintConfig:
     """Configuration for the repo's own ``src/`` tree."""
@@ -145,6 +150,7 @@ class LintContext:
         self.cache = cache
         self._fork_closure: Optional[Set[str]] = None
         self._facts: Optional[ProjectFacts] = None
+        self._program: Optional[Dict[Path, "FileContext"]] = None
         #: Scratch space for rules that precompute whole-program results
         #: once and attribute findings per file (RPR008/RPR009), keyed by
         #: rule id.
@@ -159,29 +165,44 @@ class LintContext:
 
     def facts(self) -> ProjectFacts:
         """The whole-program fact store (symbol tables + call graph),
-        built lazily and fed from the incremental cache when one is
-        attached — a warm run deserializes summaries instead of parsing."""
+        built lazily from the program's files — a warm facts cache
+        deserializes their summaries instead of parsing them."""
         if self._facts is None:
-            self._facts = ProjectFacts.build(
-                self.config.src_root, self.config.package, cache=self.cache
-            )
+            self._facts = ProjectFacts.build(self.program())
         return self._facts
+
+    def program(self) -> List["FileContext"]:
+        """Every file under :meth:`LintConfig.program_root`, listed once
+        per run; each file is read on first use."""
+        return list(self._files().values())
+
+    def file(self, path: Path) -> "FileContext":
+        """The run's context for ``path``: the program's own when the
+        file lies in the program, so it is read only once."""
+        return self._files().get(path.resolve()) or FileContext(self, path)
+
+    def _files(self) -> Dict[Path, "FileContext"]:
+        if self._program is None:
+            self._program = {
+                path.resolve(): FileContext(self, path)
+                for path in sorted(self.config.program_root().rglob("*.py"))
+            }
+        return self._program
+
+
+_Node = TypeVar("_Node", bound=ast.AST)
 
 
 class FileContext:
-    """One parsed file plus everything rules need to inspect it."""
+    """One file, read once, plus everything rules need to inspect it.
 
-    def __init__(
-        self,
-        ctx: LintContext,
-        path: Path,
-        source: str,
-        tree: ast.Module,
-    ) -> None:
+    The bytes are read, hashed, decoded, parsed, summarized and walked
+    lazily, each at most once: a warm cache hit needs only the hash.
+    """
+
+    def __init__(self, ctx: LintContext, path: Path) -> None:
         self.ctx = ctx
         self.path = path
-        self.source = source
-        self.tree = tree
         #: The dotted module name, ``None`` outside the analysis root.
         self.module: Optional[str] = None
         try:
@@ -190,18 +211,55 @@ class FileContext:
             self.module = path_module(self.relpath) or None
         except ValueError:
             self.relpath = path.as_posix()
-        self._suppressions: Optional[Dict[int, Suppression]] = None
 
     @functools.cached_property
-    def imports(self) -> Dict[str, str]:
-        """The file's import map (:func:`~repro.quality.symbols.
-        read_imports`), read once for every rule."""
-        return read_imports(self.tree)[0]
+    def _bytes(self) -> bytes:
+        return self.path.read_bytes()
 
-    def suppressions(self) -> Dict[int, Suppression]:
-        if self._suppressions is None:
-            self._suppressions = parse_suppressions(self.source)
-        return self._suppressions
+    @functools.cached_property
+    def sha(self) -> str:
+        """SHA-256 of the file's bytes: the key of both cache tiers."""
+        return hashlib.sha256(self._bytes).hexdigest()
+
+    @functools.cached_property
+    def source(self) -> str:
+        return self._bytes.decode("utf-8")
+
+    @functools.cached_property
+    def tree(self) -> ast.Module:
+        return ast.parse(self.source, filename=str(self.path))
+
+    @functools.cached_property
+    def summary(self) -> ModuleSummary:
+        """The file's symbol summary: from the facts cache when the bytes
+        are unchanged, else extracted from :attr:`tree` and stored."""
+        cache = self.ctx.cache
+        if cache is not None:
+            data = cache.facts_for(self.relpath, self.sha)
+            if data is not None:
+                return ModuleSummary.from_dict(data)
+        summary = summarize_module(self.module or "", self.tree)
+        if cache is not None:
+            cache.store_facts(self.relpath, self.sha, summary.to_dict())
+        return summary
+
+    @property
+    def imports(self) -> Dict[str, str]:
+        """The file's import map, from the read that produced its
+        :attr:`summary`."""
+        return self.summary.imports
+
+    @functools.cached_property
+    def _nodes(self) -> Dict[type, List[ast.AST]]:
+        nodes: Dict[type, List[ast.AST]] = {}
+        for node in ast.walk(self.tree):
+            nodes.setdefault(type(node), []).append(node)
+        return nodes
+
+    def nodes(self, kind: Type[_Node]) -> List[_Node]:
+        """The file's ``kind`` nodes in ``ast.walk`` order, from the one
+        walk of its tree that every rule shares."""
+        return self._nodes.get(kind, [])  # type: ignore[return-value]
 
     def in_scope(self, scopes: Sequence[str]) -> bool:
         """True when the file's relative path crosses any scope fragment."""
@@ -231,10 +289,7 @@ class Analyzer:
         self, paths: Optional[Iterable[Union[str, Path]]] = None
     ) -> List[Path]:
         if paths is None:
-            base = self.config.src_root / self.config.package
-            if not base.is_dir():
-                base = self.config.src_root
-            return sorted(base.rglob("*.py"))
+            return [file_ctx.path for file_ctx in self.context.program()]
         files: List[Path] = []
         for entry in paths:
             entry = Path(entry)
@@ -256,51 +311,39 @@ class Analyzer:
         configuration, the rule set) changed — a fully warm run hashes
         files and renders, running zero rules.
         """
-        files = self.target_files(paths)
-        if self.cache is None:
-            findings: List[Finding] = []
-            for path in files:
-                findings.extend(self.analyze_file(path))
-            return sort_findings(findings)
-        digest = project_digest(
-            self.config.src_root, self.config.package, self._fingerprint()
-        )
-        findings = []
-        for path in files:
-            relpath = self._relpath(path)
-            sha = file_sha(path)
-            cached = self.cache.findings_for(relpath, sha, digest)
-            if cached is not None:
-                findings.extend(Finding.from_dict(entry) for entry in cached)
-                continue
-            fresh = self.analyze_file(path)
-            self.cache.store_findings(
-                relpath, sha, digest, [finding.to_dict() for finding in fresh]
-            )
-            findings.extend(fresh)
-        self.cache.save()
+        digest = ""
+        if self.cache is not None:
+            digest = project_digest(self.context.program(), self._fingerprint())
+        findings: List[Finding] = []
+        for path in self.target_files(paths):
+            findings.extend(self._cached_findings(path, digest))
+        if self.cache is not None:
+            self.cache.save()
         return sort_findings(findings)
+
+    def _cached_findings(self, path: Path, digest: str) -> List[Finding]:
+        if self.cache is None:
+            return self.analyze_file(path)
+        file_ctx = self.context.file(path)
+        cached = self.cache.findings_for(file_ctx.relpath, file_ctx.sha, digest)
+        if cached is not None:
+            return [Finding.from_dict(entry) for entry in cached]
+        fresh = self.analyze_file(path)
+        self.cache.store_findings(
+            file_ctx.relpath, file_ctx.sha, digest, [finding.to_dict() for finding in fresh]
+        )
+        return fresh
 
     def _fingerprint(self) -> str:
         """Configuration + rule-set identity folded into the cache key."""
         rule_ids = ",".join(sorted(rule.rule_id for rule in self.rules))
         return f"{self.config!r}|{rule_ids}"
 
-    def _relpath(self, path: Path) -> str:
-        try:
-            return (
-                path.resolve()
-                .relative_to(self.config.src_root.resolve())
-                .as_posix()
-            )
-        except ValueError:
-            return path.as_posix()
-
     def analyze_file(self, path: Union[str, Path]) -> List[Finding]:
         path = Path(path)
-        source = path.read_text(encoding="utf-8")
+        file_ctx = self.context.file(path)
         try:
-            tree = ast.parse(source, filename=str(path))
+            file_ctx.tree  # parsed here, so a syntax error is this file's finding
         except SyntaxError as exc:
             return [
                 Finding(
@@ -312,7 +355,6 @@ class Analyzer:
                     message=f"syntax error: {exc.msg}",
                 )
             ]
-        file_ctx = FileContext(self.context, path, source, tree)
         raw: List[Finding] = []
         for rule in self.rules:
             if not rule.applies_to(file_ctx):
@@ -338,7 +380,7 @@ class Analyzer:
     def _apply_suppressions(
         self, file_ctx: FileContext, findings: List[Finding]
     ) -> List[Finding]:
-        directives = file_ctx.suppressions()
+        directives = parse_suppressions(file_ctx.source)
         if not directives:
             return findings
         by_id = {rule.rule_id: rule for rule in self.rules}
@@ -353,6 +395,17 @@ class Analyzer:
                 continue
             kept.append(finding)
         return kept
+
+
+def project_digest(files: Iterable[FileContext], fingerprint: str) -> str:
+    """A hash of every program file's content plus the run fingerprint
+    (config + rule ids) — the cache key for whole-program findings."""
+    digest = hashlib.sha256()
+    digest.update(f"analysis:{ANALYSIS_VERSION}\n".encode())
+    digest.update(fingerprint.encode())
+    for file_ctx in files:
+        digest.update(f"{file_ctx.relpath}:{file_ctx.sha}\n".encode())
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -142,10 +142,3 @@ def target_names(*targets: ast.AST) -> List[str]:
             names.extend(target_names(*target.elts))
     return names
 
-
-def function_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """The module itself plus every function/method body, innermost last."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

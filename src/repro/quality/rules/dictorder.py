@@ -22,11 +22,12 @@ import ast
 from typing import Iterator, List, Set, Tuple
 
 from repro.quality.findings import Finding
-from repro.quality.registry import Rule, function_scopes, register, scope_walk
+from repro.quality.registry import Rule, register, scope_walk
 
 _SET_CALLS = {"set", "frozenset"}
-#: Callables that materialize their argument's iteration order.
-_ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter"}
+#: Callables that materialize their argument's iteration order; ``join``
+#: counts as a method too (``"".join``).
+_ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "join"}
 
 
 @register
@@ -39,89 +40,78 @@ class DictOrderStabilityRule(Rule):
     )
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        for scope in function_scopes(file_ctx.tree):
+        scopes = [
+            file_ctx.tree,
+            *file_ctx.nodes(ast.FunctionDef),
+            *file_ctx.nodes(ast.AsyncFunctionDef),
+        ]
+        for scope in scopes:
             yield from self._check_scope(file_ctx, scope)
 
     def _check_scope(self, file_ctx, scope: ast.AST) -> Iterator[Finding]:
-        set_names = self._collect_set_names(scope)
+        """One pass over the scope collects its name bindings and the
+        expressions iterated in order; an iterated expression is reported
+        when it builds a set or names a local whose last binding did."""
+        bindings: List[Tuple[int, int, str, bool]] = []
+        iterated: List[Tuple[ast.expr, str]] = []
         for node in scope_walk(scope):
-            if isinstance(node, ast.For):
-                if self._is_set_valued(node.iter, set_names):
-                    yield self._report(file_ctx, node.iter, "for-loop")
+            if isinstance(node, ast.Assign):
+                is_set = _builds_set(node.value)
+                bindings.extend(
+                    (node.lineno, node.col_offset, target.id, is_set)
+                    for target in node.targets
+                    if isinstance(target, ast.Name)
+                )
+            elif (
+                isinstance(node, ast.AnnAssign)
+                and node.value is not None
+                and isinstance(node.target, ast.Name)
+            ):
+                bindings.append(
+                    (node.lineno, node.col_offset, node.target.id, _builds_set(node.value))
+                )
+            elif isinstance(node, ast.For):
+                iterated.append((node.iter, "for-loop"))
             elif isinstance(node, (ast.ListComp, ast.DictComp, ast.GeneratorExp)):
                 # SetComp is exempt: its output is itself unordered, so the
                 # iteration order of the source set cannot leak through it.
-                for generator in node.generators:
-                    if self._is_set_valued(generator.iter, set_names):
-                        yield self._report(
-                            file_ctx, generator.iter, "comprehension"
-                        )
+                iterated.extend((generator.iter, "comprehension") for generator in node.generators)
             elif isinstance(node, ast.Call):
-                yield from self._check_call(file_ctx, node, set_names)
-
-    def _check_call(
-        self, file_ctx, node: ast.Call, set_names: Set[str]
-    ) -> Iterator[Finding]:
-        func = node.func
-        name = ""
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute) and func.attr == "join":
-            name = "join"
-        if name not in _ORDER_SENSITIVE_CALLS and name != "join":
-            return
-        for arg in node.args:
-            if self._is_set_valued(arg, set_names):
-                yield self._report(file_ctx, arg, f"{name}()")
-
-    def _report(self, file_ctx, node: ast.AST, consumer: str) -> Finding:
-        return self.finding(
-            file_ctx,
-            node,
-            f"set iterated by {consumer} in arbitrary hash order; wrap it in "
-            "sorted() or deduplicate in insertion order",
-        )
-
-    # ------------------------------------------------------------------
-
-    def _collect_set_names(self, scope: ast.AST) -> Set[str]:
-        """Local names whose last syntactic binding builds a set."""
-        bindings: List[Tuple[int, int, str, bool]] = []
-        for node in scope_walk(scope):
-            if isinstance(node, ast.Assign):
-                value_is_set = self._builds_set(node.value)
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bindings.append(
-                            (node.lineno, node.col_offset, target.id, value_is_set)
-                        )
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    bindings.append(
-                        (
-                            node.lineno,
-                            node.col_offset,
-                            node.target.id,
-                            self._builds_set(node.value),
-                        )
-                    )
-        names: Set[str] = set()
+                name = _order_sensitive_call(node)
+                if name:
+                    iterated.extend((arg, f"{name}()") for arg in node.args)
+        set_names: Set[str] = set()
         for _, _, name, is_set in sorted(bindings):
             if is_set:
-                names.add(name)
+                set_names.add(name)
             else:
-                names.discard(name)
-        return names
+                set_names.discard(name)
+        for expression, consumer in iterated:
+            if _builds_set(expression) or (
+                isinstance(expression, ast.Name) and expression.id in set_names
+            ):
+                yield self.finding(
+                    file_ctx,
+                    expression,
+                    f"set iterated by {consumer} in arbitrary hash order; wrap it in "
+                    "sorted() or deduplicate in insertion order",
+                )
 
-    @staticmethod
-    def _builds_set(value: ast.expr) -> bool:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-            return value.func.id in _SET_CALLS
-        return False
 
-    def _is_set_valued(self, expression: ast.expr, set_names: Set[str]) -> bool:
-        if isinstance(expression, ast.Name):
-            return expression.id in set_names
-        return self._builds_set(expression)
+def _order_sensitive_call(node: ast.Call) -> str:
+    """The name of a call that materializes its arguments' iteration
+    order, else ``""``."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id in _ORDER_SENSITIVE_CALLS:
+        return func.id
+    if isinstance(func, ast.Attribute) and func.attr == "join":
+        return "join"
+    return ""
+
+
+def _builds_set(value: ast.expr) -> bool:
+    if isinstance(value, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id in _SET_CALLS
+    return False

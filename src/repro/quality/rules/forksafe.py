@@ -119,9 +119,7 @@ class ForkSafeWorkersRule(Rule):
 
     def _pinned_start_methods(self, file_ctx) -> Iterator[Finding]:
         """Flag literal-argument get_context/set_start_method calls."""
-        for node in ast.walk(file_ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in file_ctx.nodes(ast.Call):
             name = call_name(node).split(".")[-1]
             if name not in _START_METHOD_CALLS:
                 continue

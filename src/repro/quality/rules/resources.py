@@ -270,9 +270,11 @@ class ResourceLeakRule(Rule):
         factories = dict(file_ctx.ctx.config.resource_factories)
         if not factories:
             return
-        for node in ast.walk(file_ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        functions = [
+            *file_ctx.nodes(ast.FunctionDef),
+            *file_ctx.nodes(ast.AsyncFunctionDef),
+        ]
+        for node in functions:
             scan = _FunctionScan(factories)
             scan.scan(node.body)
             for resource in scan.resources.values():

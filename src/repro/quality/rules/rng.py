@@ -57,9 +57,7 @@ class SeededRngRule(Rule):
     )
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        for node in ast.walk(file_ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in file_ctx.nodes(ast.Call):
             name = call_name(node)
             message = _MESSAGES.get(nondet_kind(name, file_ctx.imports))
             if message:

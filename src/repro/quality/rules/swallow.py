@@ -40,9 +40,7 @@ class SwallowRule(Rule):
         return file_ctx.in_scope(file_ctx.ctx.config.swallow_scopes)
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        for node in ast.walk(file_ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in file_ctx.nodes(ast.ExceptHandler):
             if not _is_broad(node.type):
                 continue
             if _handles_error(node):

@@ -52,9 +52,7 @@ class WallClockRule(Rule):
         return file_ctx.in_scope(config.wallclock_scopes)
 
     def check(self, file_ctx) -> Iterator[Finding]:
-        for node in ast.walk(file_ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in file_ctx.nodes(ast.Call):
             name = call_name(node)
             offense = _OFFENSES.get(nondet_kind(name, file_ctx.imports))
             if offense:

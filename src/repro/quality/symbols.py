@@ -34,17 +34,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.quality.registry import (
-    dotted_name,
-    module_level_statements,
-    scope_walk,
-    target_names,
-)
+from repro.quality.registry import dotted_name
 
 #: Bump to invalidate all cached facts when extraction semantics change.
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 #: Method names that mutate their receiver in place — a call to one of
 #: these on a module-global name counts as a write to that global, unless
@@ -217,9 +212,14 @@ class ModuleSummary:
     module: str
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, Tuple[str, ...]] = field(default_factory=dict)  # name -> bases
-    #: local name -> "pkg.mod" (module import) or "pkg.mod:symbol".
+    #: The import map, function-local imports included: local name ->
+    #: module (``import a.b as m`` binds ``m`` to ``a.b``; ``import a.b``
+    #: binds ``a``) or ``module:symbol`` (``from a import b``).  Relative
+    #: sources keep their leading dots; the call-graph layer resolves them
+    #: against the importing module's package.
     imports: Dict[str, str] = field(default_factory=dict)
-    #: Every import statement's target, see :func:`read_imports`.
+    #: Every import target, sorted: ``import a.b.c`` -> ``a.b.c``,
+    #: ``from a import b`` -> ``a:b``, ``from a import *`` -> ``a:*``.
     import_targets: Tuple[str, ...] = ()
     #: Names bound by module-level statements (import-time state).
     module_globals: Tuple[str, ...] = ()
@@ -260,38 +260,57 @@ class ModuleSummary:
 
 # ----------------------------------------------------------------------
 # extraction
+#
+# One scope rule serves every walk below: a nested ``def``, ``class`` or
+# ``lambda`` body is a scope of its own and is never entered from the
+# enclosing one, while its decorators, default values, base classes and
+# class keywords run in — and belong to — the enclosing scope.
 
 
 def summarize_module(module: str, tree: ast.Module) -> ModuleSummary:
-    """Extract a :class:`ModuleSummary` from a parsed module."""
+    """Extract a :class:`ModuleSummary` from a parsed module.
+
+    Each scope — the module, every class body, every function body — is
+    walked once by :class:`_ScopeWalk`, so each node is visited once.
+    Class bodies run when their enclosing scope does: at module level,
+    their calls are import-time calls.
+    """
     summary = ModuleSummary(module=module)
-    summary.imports, summary.import_targets = read_imports(tree)
-    module_globals: Set[str] = set()
-    imported_modules: Set[str] = set()
+    module_walk = _ScopeWalk(tree)
+    module_globals = module_walk.bound
+    imported_modules = {
+        alias.asname or alias.name.split(".")[0]
+        for statement in module_walk.imports
+        if isinstance(statement, ast.Import)
+        for alias in statement.names
+    }
+    imports: Dict[str, str] = {}
+    import_targets: Set[str] = set()
     module_calls: Set[str] = set()
-    for statement in module_level_statements(tree):
-        _collect_bound_names(statement, module_globals)
-        if isinstance(statement, ast.Import):
-            _collect_bound_names(statement, imported_modules)
-        for node in ast.walk(statement):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                break  # function bodies don't run at import time
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name:
-                    module_calls.add(name)
+
+    def visit(walk: _ScopeWalk, qualname: str, class_name: Optional[str], at_import: bool) -> None:
+        for statement in walk.imports:
+            _read_import(statement, imports, import_targets)
+        if at_import:
+            module_calls.update(filter(None, (dotted_name(call.func) for call, _ in walk.calls)))
+        prefix = f"{qualname}." if qualname else ""
+        for nested in walk.nested:
+            nested_walk = _ScopeWalk(nested)
+            name = prefix + nested.name
+            if isinstance(nested, ast.ClassDef):
+                summary.classes[nested.name] = tuple(filter(None, map(dotted_name, nested.bases)))
+                visit(nested_walk, name, nested.name, at_import)
+            else:
+                summary.functions[name] = nested_walk.function_info(
+                    nested, name, class_name, module_globals, imported_modules
+                )
+                visit(nested_walk, name, class_name, False)
+
+    visit(module_walk, "", None, True)
+    summary.imports = imports
+    summary.import_targets = tuple(sorted(import_targets))
     summary.module_globals = tuple(sorted(module_globals))
     summary.module_calls = tuple(sorted(module_calls))
-    for qualname, node, class_name in _walk_functions(tree):
-        summary.functions[qualname] = _summarize_function(
-            qualname, node, module_globals, imported_modules, class_name
-        )
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            bases = tuple(
-                name for name in (dotted_name(base) for base in node.bases) if name
-            )
-            summary.classes[node.name] = bases
     # Direct non-determinism: a return fed by a wall-clock/RNG call in
     # this very module.  Helper-chain taint is the call graph's fixpoint.
     for info in summary.functions.values():
@@ -304,150 +323,254 @@ def summarize_module(module: str, tree: ast.Module) -> ModuleSummary:
     return summary
 
 
-def _collect_bound_names(statement: ast.stmt, into: Set[str]) -> None:
-    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        into.add(statement.name)
-        return
-    if isinstance(statement, ast.Assign):
-        into.update(target_names(*statement.targets))
-    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
-        into.update(target_names(statement.target))
-    elif isinstance(statement, (ast.Import, ast.ImportFrom)):
+def _read_import(statement: ast.stmt, names: Dict[str, str], targets: Set[str]) -> None:
+    if isinstance(statement, ast.Import):
         for alias in statement.names:
-            if alias.name == "*":
-                continue
-            into.add(alias.asname or alias.name.split(".")[0])
+            targets.add(alias.name)
+            if alias.asname:
+                names[alias.asname] = alias.name
+            else:
+                head = alias.name.split(".")[0]
+                names[head] = head
+    elif isinstance(statement, ast.ImportFrom):
+        source = "." * statement.level + (statement.module or "")
+        for alias in statement.names:
+            target = f"{source}:{alias.name}"
+            targets.add(target)
+            if alias.name != "*":
+                names[alias.asname or alias.name] = target
 
 
-def read_imports(tree: ast.Module) -> Tuple[Dict[str, str], Tuple[str, ...]]:
-    """The one reading of a file's imports, function-local ones included.
+_Scope = Union[ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef]
+#: The type names of the ``except`` clauses protecting a node.
+_Guards = Tuple[str, ...]
+#: The enclosing handlers, innermost last: (bound name, caught types).
+_Handlers = Tuple[Tuple[str, Tuple[str, ...]], ...]
+#: Lists collecting the calls and names inside a value being assigned or
+#: returned.
+_Feeds = Tuple[List[ast.expr], ...]
 
-    Returns the import map — local name → imported module (``a.b``) or
-    symbol (``a.b:c``) — and every import target, sorted: ``import
-    a.b.c`` → ``a.b.c`` (the map only binds ``a``), ``from a import b``
-    → ``a:b``, ``from a import *`` → ``a:*``.  Relative sources keep
-    their leading dots; the call-graph layer resolves them against the
-    importing module's package.
-    """
-    names: Dict[str, str] = {}
-    targets: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                targets.add(alias.name)
-                if alias.asname:
-                    names[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    names[head] = head
-        elif isinstance(node, ast.ImportFrom):
-            source = "." * node.level + (node.module or "")
-            for alias in node.names:
-                target = f"{source}:{alias.name}"
-                targets.add(target)
-                if alias.name != "*":
-                    names[alias.asname or alias.name] = target
-    return names, tuple(sorted(targets))
+#: ``ast.TryStar`` (``except*``) exists from Python 3.11 on.
+_TRY = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
 
 
-def _walk_functions(tree: ast.Module):
-    """Yield (qualname, node, enclosing_class_name) for every function."""
+class _ScopeWalk:
+    """One pass over one scope, in source order, collecting all its
+    summary needs: call and raise sites with the ``except`` guards around
+    them, the names it binds, loads, assigns, and declares ``global``,
+    the values it assigns from calls and returns, its imports, and the
+    nested ``def`` and ``class`` nodes it defines — listed, not entered."""
 
-    def visit(nodes, prefix: str, class_name: Optional[str]):
-        for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{node.name}"
-                yield qualname, node, class_name
-                yield from visit(node.body, f"{qualname}.", class_name)
-            elif isinstance(node, ast.ClassDef):
-                yield from visit(node.body, f"{prefix}{node.name}.", node.name)
-            elif isinstance(node, (ast.If, ast.Try)):
-                yield from visit(ast.iter_child_nodes(node), prefix, class_name)
+    def __init__(self, scope: _Scope) -> None:
+        self.nested: List[Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]] = []
+        self.imports: List[ast.stmt] = []
+        self.calls: List[Tuple[ast.Call, _Guards]] = []
+        self.raises: List[Tuple[ast.Raise, _Guards, Tuple[str, ...]]] = []
+        self.bound: Set[str] = set()
+        self.declared_global: Set[str] = set()
+        self.loads: List[ast.Name] = []
+        #: Assignment and ``del`` targets: the candidate global writes.
+        self.targets: List[ast.expr] = []
+        #: ``name -> ClassName`` for locals assigned from a constructor
+        #: call, so ``pool.submit`` resolves as ``SupervisedPool.submit``.
+        self.constructed: Dict[str, str] = {}
+        #: name -> callees whose results were assigned to it.
+        self.assigned_from: Dict[str, List[str]] = {}
+        #: The calls and names inside returned or yielded values.
+        self.returned: List[ast.expr] = []
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = scope.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                if arg is not None:
+                    self.bound.add(arg.arg)
+        for statement in scope.body:
+            self._visit(statement, (), (), ())
 
-    yield from visit(tree.body, "", None)
+    def _visit(self, node: ast.AST, guards: _Guards, handlers: _Handlers, feeds: _Feeds) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            self.bound.add(node.name)
+            self.nested.append(node)
+            outer = list(node.decorator_list)
+            if isinstance(node, ast.ClassDef):
+                outer += [*node.bases, *(keyword.value for keyword in node.keywords)]
+            else:
+                outer += _defaults(node.args)
+            for child in outer:
+                self._visit(child, guards, handlers, feeds)
+            return
+        if isinstance(node, ast.Lambda):
+            for child in _defaults(node.args):
+                self._visit(child, guards, handlers, feeds)
+            return
+        if isinstance(node, _TRY):
+            self._try(node, guards, handlers)
+            return
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                self.loads.append(node)
+                for feed in feeds:
+                    feed.append(node)
+            else:
+                self.bound.add(node.id)
+            return
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            self.imports.append(node)
+            self.bound.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name != "*"
+            )
+            return
+        if isinstance(node, ast.Global):
+            self.declared_global.update(node.names)
+            return
+        if isinstance(node, ast.Assign):
+            self._assign(node, guards, handlers)
+            return
+        if isinstance(node, ast.Call):
+            self.calls.append((node, guards))
+            for feed in feeds:
+                feed.append(node)
+        elif isinstance(node, ast.Raise):
+            self._record_raise(node, guards, handlers)
+        elif isinstance(node, (ast.Return, ast.Yield)) and node.value is not None:
+            feeds = (*feeds, self.returned)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            self.targets.append(node.target)
+        elif isinstance(node, ast.Delete):
+            self.targets.extend(node.targets)
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, guards, handlers, feeds)
 
+    def _try(self, node: ast.Try, guards: _Guards, handlers: _Handlers) -> None:
+        caught = [tuple(_handler_type_names(handler)) for handler in node.handlers]
+        inner = guards + tuple(name for names in caught for name in names)
+        for statement in node.body:
+            self._visit(statement, inner, handlers, ())
+        # else/finally and the handlers themselves are NOT protected by
+        # this try's handlers.
+        for statement in [*node.orelse, *node.finalbody]:
+            self._visit(statement, guards, handlers, ())
+        for handler, types in zip(node.handlers, caught):
+            if handler.name:
+                self.bound.add(handler.name)
+            if handler.type is not None:
+                self._visit(handler.type, guards, handlers, ())
+            context = handlers + ((handler.name or "", types),)
+            for statement in handler.body:
+                self._visit(statement, guards, context, ())
 
-class _GuardedWalker:
-    """Walks one function body tracking the enclosing ``except`` guards."""
+    def _assign(self, node: ast.Assign, guards: _Guards, handlers: _Handlers) -> None:
+        self.targets.extend(node.targets)
+        for target in node.targets:
+            self._visit(target, guards, handlers, ())
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        value: List[ast.expr] = []
+        self._visit(node.value, guards, handlers, (value,))
+        callees = [dotted_name(call.func) for call in value if isinstance(call, ast.Call)]
+        callees = list(filter(None, callees))
+        constructor = ""
+        if isinstance(node.value, ast.Call):
+            constructor = dotted_name(node.value.func).rpartition(".")[2]
+        for name in names:
+            if callees:
+                self.assigned_from.setdefault(name, []).extend(callees)
+            if constructor[:1].isupper():
+                self.constructed[name] = constructor
 
-    def __init__(self) -> None:
-        self.calls: List[Tuple[ast.Call, Tuple[str, ...]]] = []
-        self.raises: List[Tuple[ast.Raise, Tuple[str, ...], Tuple[str, ...]]] = []
-
-    def walk(self, body: Sequence[ast.stmt]) -> None:
-        self._walk(body, guards=(), handler_ctx=())
-
-    def _walk(
-        self,
-        nodes,
-        guards: Tuple[str, ...],
-        handler_ctx: Tuple[Tuple[str, Tuple[str, ...]], ...],
-    ) -> None:
-        for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # nested scopes are summarized separately
-            if isinstance(node, ast.Try):
-                inner = guards + tuple(
-                    name
-                    for handler in node.handlers
-                    for name in _handler_type_names(handler)
-                )
-                self._walk(node.body, inner, handler_ctx)
-                # else/finally and the handlers themselves are NOT
-                # protected by this try's handlers.
-                self._walk(node.orelse, guards, handler_ctx)
-                self._walk(node.finalbody, guards, handler_ctx)
-                for handler in node.handlers:
-                    caught = tuple(_handler_type_names(handler))
-                    bound = handler.name or ""
-                    self._walk(
-                        handler.body,
-                        guards,
-                        handler_ctx + ((bound, caught),),
-                    )
-                continue
-            if isinstance(node, ast.Raise):
-                self._record_raise(node, guards, handler_ctx)
-            for _, value in ast.iter_fields(node):
-                if isinstance(value, list):
-                    statements = [v for v in value if isinstance(v, ast.stmt)]
-                    if statements:
-                        self._walk(statements, guards, handler_ctx)
-                    for element in value:
-                        if isinstance(element, ast.AST) and not isinstance(
-                            element, ast.stmt
-                        ):
-                            self._walk_expr(element, guards)
-                elif isinstance(value, ast.AST):
-                    self._walk_expr(value, guards)
-
-    def _walk_expr(self, node: ast.AST, guards: Tuple[str, ...]) -> None:
-        stack: List[ast.AST] = [node]
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # pruned: nested scopes get their own summary
-            if isinstance(sub, ast.Call):
-                self.calls.append((sub, guards))
-            stack.extend(ast.iter_child_nodes(sub))
-
-    def _record_raise(self, node: ast.Raise, guards, handler_ctx) -> None:
+    def _record_raise(self, node: ast.Raise, guards: _Guards, handlers: _Handlers) -> None:
         if node.exc is None:
             # Bare ``raise``: re-raises whatever the innermost handler caught.
-            caught = handler_ctx[-1][1] if handler_ctx else ()
+            caught = handlers[-1][1] if handlers else ()
             self.raises.append((node, guards, caught))
             return
         root = node.exc
         while isinstance(root, (ast.Call, ast.Attribute)):
             root = root.func if isinstance(root, ast.Call) else root.value
         if isinstance(root, ast.Name):
-            for bound, caught in reversed(handler_ctx):
+            for bound, caught in reversed(handlers):
                 if bound and root.id == bound:
                     # ``raise e`` / ``raise e.with_context(...)``: the
                     # escaping types are whatever the handler caught.
                     self.raises.append((node, guards, caught))
                     return
         self.raises.append((node, guards, ()))
+
+    def function_info(
+        self,
+        node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+        qualname: str,
+        class_name: Optional[str],
+        module_globals: Set[str],
+        imported_modules: Set[str],
+    ) -> FunctionInfo:
+        """The walked function's summary; ``self`` resolves to
+        ``class_name`` and module-level names are globals unless bound
+        locally without a ``global`` declaration."""
+        info = FunctionInfo(qualname=qualname, line=node.lineno)
+        receivers = dict(self.constructed)
+        if class_name:
+            receivers.setdefault("self", class_name)
+        for call, guards in self.calls:
+            name = dotted_name(call.func)
+            if not name:
+                continue
+            head, _, rest = name.partition(".")
+            if rest and head in receivers:
+                name = f"{receivers[head]}.{rest}"
+            info.calls.append(CallSite(name=name, line=call.lineno, guards=guards))
+        for raise_node, guards, reraise_of in self.raises:
+            type_name = ""
+            if raise_node.exc is not None and not reraise_of:
+                exc = raise_node.exc
+                type_name = dotted_name(exc.func if isinstance(exc, ast.Call) else exc)
+            info.raises.append(
+                RaiseSite(
+                    type_name=type_name,
+                    line=raise_node.lineno,
+                    guards=guards,
+                    reraise_of=reraise_of,
+                )
+            )
+        declared = self.declared_global
+        visible = (module_globals | declared) - (self.bound - declared)
+        for target in self.targets:
+            _global_write_targets(target, declared, visible, info)
+        containers = visible - imported_modules
+        for call, _ in self.calls:
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _MUTATOR_METHODS
+                and isinstance(func.value, ast.Name)
+                and func.value.id in containers
+            ):
+                info.global_writes.append(
+                    GlobalAccess(name=func.value.id, line=call.lineno, kind="mutate")
+                )
+        info.global_reads = [
+            GlobalAccess(name=name.id, line=name.lineno, kind="read")
+            for name in self.loads
+            if name.id in visible
+        ]
+        # A name assigned *anywhere* in the function from a call feeds the
+        # return if that name is returned; whether a callee is a
+        # non-deterministic source is decided later, by summarize_module
+        # for direct sources and by the call graph's fixpoint for helpers.
+        returned: List[str] = []
+        for value in self.returned:
+            if isinstance(value, ast.Call):
+                name = dotted_name(value.func)
+                if name:
+                    returned.append(name)
+            elif isinstance(value, ast.Name):
+                returned.extend(self.assigned_from.get(value.id, ()))
+        info.return_calls = tuple(dict.fromkeys(returned))
+        return info
+
+
+def _defaults(args: ast.arguments) -> List[ast.expr]:
+    return [*args.defaults, *(default for default in args.kw_defaults if default is not None)]
 
 
 def _handler_type_names(handler: ast.ExceptHandler) -> List[str]:
@@ -456,153 +579,6 @@ def _handler_type_names(handler: ast.ExceptHandler) -> List[str]:
     if isinstance(handler.type, ast.Tuple):
         return [dotted_name(el) or "*" for el in handler.type.elts]
     return [dotted_name(handler.type) or "*"]
-
-
-def _summarize_function(
-    qualname: str,
-    node,
-    module_globals: Set[str],
-    imported_modules: Set[str],
-    class_name: Optional[str],
-) -> FunctionInfo:
-    info = FunctionInfo(qualname=qualname, line=node.lineno)
-    local_names = _local_bindings(node)
-    declared_global = {
-        name
-        for stmt in ast.walk(node)
-        if isinstance(stmt, ast.Global)
-        for name in stmt.names
-    }
-    receiver_types = _local_constructors(node)
-    if class_name:
-        receiver_types.setdefault("self", class_name)
-
-    walker = _GuardedWalker()
-    walker.walk(node.body)
-    for call, guards in walker.calls:
-        name = dotted_name(call.func)
-        if not name:
-            continue
-        parts = name.split(".")
-        if parts[0] in receiver_types and len(parts) > 1:
-            name = ".".join([receiver_types[parts[0]], *parts[1:]])
-        info.calls.append(CallSite(name=name, line=call.lineno, guards=guards))
-    for raise_node, guards, reraise_of in walker.raises:
-        type_name = ""
-        if raise_node.exc is not None and not reraise_of:
-            exc = raise_node.exc
-            if isinstance(exc, ast.Call):
-                type_name = dotted_name(exc.func)
-            else:
-                type_name = dotted_name(exc)
-        info.raises.append(
-            RaiseSite(
-                type_name=type_name,
-                line=raise_node.lineno,
-                guards=guards,
-                reraise_of=reraise_of,
-            )
-        )
-
-    _collect_global_accesses(
-        node, module_globals, imported_modules, local_names, declared_global, info
-    )
-    _analyze_return_taint(node, info)
-    return info
-
-
-def _local_bindings(node) -> Set[str]:
-    """Names bound locally in the function (so not module-global reads)."""
-    bound: Set[str] = set()
-    args = node.args
-    for arg in [
-        *args.posonlyargs,
-        *args.args,
-        *args.kwonlyargs,
-        *([args.vararg] if args.vararg else []),
-        *([args.kwarg] if args.kwarg else []),
-    ]:
-        bound.add(arg.arg)
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if sub is not node:
-                bound.add(sub.name)
-        elif isinstance(sub, ast.Assign):
-            bound.update(target_names(*sub.targets))
-        elif isinstance(sub, (ast.AnnAssign, ast.AugAssign, ast.For, ast.AsyncFor)):
-            bound.update(target_names(sub.target))
-        elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            bound.update(
-                target_names(
-                    *(item.optional_vars for item in sub.items if item.optional_vars)
-                )
-            )
-        elif isinstance(sub, ast.ExceptHandler) and sub.name:
-            bound.add(sub.name)
-        elif isinstance(sub, ast.comprehension):
-            bound.update(target_names(sub.target))
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            for alias in sub.names:
-                if alias.name != "*":
-                    bound.add(alias.asname or alias.name.split(".")[0])
-    return bound
-
-
-def _local_constructors(node) -> Dict[str, str]:
-    """``name -> ClassName`` for locals assigned from a constructor call,
-    so ``pool.submit`` resolves as ``SupervisedPool.submit``."""
-    ctors: Dict[str, str] = {}
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Assign) or not isinstance(sub.value, ast.Call):
-            continue
-        callee = dotted_name(sub.value.func)
-        if not callee or not callee.split(".")[-1][:1].isupper():
-            continue
-        for target in sub.targets:
-            if isinstance(target, ast.Name):
-                ctors[target.id] = callee.split(".")[-1]
-    return ctors
-
-
-def _collect_global_accesses(
-    node,
-    module_globals: Set[str],
-    imported_modules: Set[str],
-    local_names: Set[str],
-    declared_global: Set[str],
-    info: FunctionInfo,
-) -> None:
-    visible_globals = (module_globals | declared_global) - (
-        local_names - declared_global
-    )
-    containers = visible_globals - imported_modules
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not node:
-            continue
-        if isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                _global_write_targets(target, declared_global, visible_globals, info)
-        elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-            _global_write_targets(sub.target, declared_global, visible_globals, info)
-        elif isinstance(sub, ast.Delete):
-            for target in sub.targets:
-                _global_write_targets(target, declared_global, visible_globals, info)
-        elif isinstance(sub, ast.Call):
-            func = sub.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATOR_METHODS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in containers
-            ):
-                info.global_writes.append(
-                    GlobalAccess(name=func.value.id, line=sub.lineno, kind="mutate")
-                )
-        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            if sub.id in visible_globals:
-                info.global_reads.append(
-                    GlobalAccess(name=sub.id, line=sub.lineno, kind="read")
-                )
 
 
 def _global_write_targets(
@@ -684,39 +660,3 @@ def nondet_source(name: str, imports: Dict[str, str]) -> str:
     otherwise."""
     kind = nondet_kind(name, imports)
     return f"{NONDET_KINDS[kind]} `{name}()`" if kind else ""
-
-
-def _analyze_return_taint(node, info: FunctionInfo) -> None:
-    """Record which callee results feed the function's return value.
-
-    The pass is local and coarse: a name assigned *anywhere* in the
-    function from a call feeds the return if that name is returned.
-    Whether any of those callees is a non-deterministic source is decided
-    later — by :func:`summarize_module` for direct sources (it holds the
-    import map) and by the call graph's fixpoint for helper chains.
-    """
-    assigned_from: Dict[str, List[str]] = {}
-    for sub in scope_walk(node):
-        if isinstance(sub, ast.Assign):
-            calls = [
-                dotted_name(c.func)
-                for c in ast.walk(sub.value)
-                if isinstance(c, ast.Call) and dotted_name(c.func)
-            ]
-            if not calls:
-                continue
-            for target in sub.targets:
-                if isinstance(target, ast.Name):
-                    assigned_from.setdefault(target.id, []).extend(calls)
-    return_calls: List[str] = []
-    for sub in scope_walk(node):
-        if not isinstance(sub, (ast.Return, ast.Yield)) or sub.value is None:
-            continue
-        for inner in ast.walk(sub.value):
-            if isinstance(inner, ast.Call):
-                name = dotted_name(inner.func)
-                if name:
-                    return_calls.append(name)
-            elif isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
-                return_calls.extend(assigned_from.get(inner.id, ()))
-    info.return_calls = tuple(dict.fromkeys(return_calls))

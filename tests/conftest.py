@@ -5,11 +5,13 @@ from __future__ import annotations
 import datetime
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import StudyConfig
 from repro.core.study import LongitudinalStudy, StudyData
+from repro.quality import Analyzer, default_config, open_cache
 from repro.services import catalog
 from repro.synthesis.flowgen import TrafficGenerator
 from repro.synthesis.world import World, WorldConfig
@@ -66,6 +68,19 @@ def mini_study() -> LongitudinalStudy:
 def study_data(mini_study: LongitudinalStudy) -> StudyData:
     """The mini study's results (one run for the whole session)."""
     return mini_study.run()
+
+
+@pytest.fixture(scope="session")
+def src_lint(tmp_path_factory) -> SimpleNamespace:
+    """One cold ``repro lint`` analysis of ``src/`` for the whole session:
+    its ``findings``, its whole-program ``facts``, and the ``cache`` file
+    it filled, against which CLI runs over the same tree are warm."""
+    cache = tmp_path_factory.mktemp("lint") / "lint.cache.json"
+    analyzer = Analyzer(default_config(), cache=open_cache(cache))
+    findings = analyzer.analyze()
+    return SimpleNamespace(
+        findings=findings, facts=analyzer.context.facts(), cache=str(cache)
+    )
 
 
 @pytest.fixture

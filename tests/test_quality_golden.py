@@ -1,23 +1,13 @@
 """Golden of every lint finding over the fixture tree, rule by rule.
 
 ``tests/golden/lint_findings.json`` holds (path, line, column, message)
-for each rule's findings over ``tests/fixtures/lint/cases``, captured
-before the rules were rebuilt on one shared program model.  A rule's
-findings may change only where the golden test says so:
-
-* RPR003 reported every finding twice (the module-scope walk descended
-  into function bodies, which then got their own walk as well); the
-  golden's duplicates are dropped, its set of sites is not.
-* RPR002 classifies calls with the same nondeterminism classifier as
-  RPR011, so ``rpr002_more_sources.py`` adds three findings.
-
-A deliberate change of findings regenerates the golden with::
+for each rule's findings over ``tests/fixtures/lint/cases``.  A rule's
+findings may change only on purpose; a deliberate change regenerates the
+golden with::
 
     PYTHONPATH=src python -c "import json, tests.test_quality_golden as g; \\
         print(json.dumps(g.all_findings(), indent=1))" \\
         > tests/golden/lint_findings.json
-
-and then drops the two adjustments in ``test_findings_match_golden``.
 """
 
 import json
@@ -33,21 +23,6 @@ CONTRACTS = (
     ("contractpkg.good:parse_good", ("contractpkg.errors:DecodeError",)),
     ("contractpkg.bad:parse_bad", ("contractpkg.errors:DecodeError",)),
 )
-
-#: RPR002 findings the shared classifier adds (not in the golden).
-_ENTROPY = (
-    "reads operating-system entropy or the host clock, which differ on "
-    "every run; derive the value from a seeded generator keyed by (seed, day)"
-)
-NEW_RPR002 = [
-    ["rpr002_more_sources.py", 11, 11,
-     "`numpy.random.normal()` uses NumPy's legacy global generator; draw "
-     "from np.random.default_rng(SeedSequence([...])) so the stream is "
-     "keyed by (seed, day)"],
-    ["rpr002_more_sources.py", 15, 11, f"`uuid.uuid4()` {_ENTROPY}"],
-    ["rpr002_more_sources.py", 19, 11, f"`os.urandom()` {_ENTROPY}"],
-]
-
 
 #: The fork entries the fixture tests anchor RPR004 and RPR008 at.
 FORK_ENTRIES = (
@@ -85,19 +60,9 @@ def all_findings():
     return found
 
 
-def without_duplicates(rows):
-    unique = []
-    for row in rows:
-        if row not in unique:
-            unique.append(row)
-    return unique
-
-
 class TestLintFindingsGolden:
     def test_findings_match_golden(self):
         expected = json.loads(GOLDEN.read_text())
-        expected["RPR003"] = without_duplicates(expected["RPR003"])
-        expected["RPR002"] = sorted(expected["RPR002"] + NEW_RPR002)
         assert all_findings() == expected
 
     def test_golden_covers_every_rule(self):

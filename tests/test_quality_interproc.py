@@ -16,13 +16,13 @@ import ast
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import multiprocessing
 import pytest
 
-from repro.quality import Analyzer, LintConfig, LintError, default_config
-from repro.quality.callgraph import ProjectFacts
+from repro.quality import Analyzer, LintConfig, LintContext, LintError, default_config
 from repro.quality.symbols import nondet_source, summarize_module
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint" / "cases"
@@ -128,6 +128,39 @@ class TestModuleSummaries:
         assert info.global_writes == []
         assert info.global_reads == []
 
+    def test_nested_local_does_not_hide_outer_global_read(self):
+        summary = summarize(
+            """
+            LIMIT = 1
+
+            def outer():
+                def inner():
+                    LIMIT = 2
+                    return LIMIT
+                return LIMIT
+            """
+        )
+        assert [r.name for r in summary.functions["outer"].global_reads] == ["LIMIT"]
+        assert summary.functions["outer.inner"].global_reads == []
+
+    def test_functions_in_with_for_while_bodies_are_summarized(self):
+        summary = summarize(
+            """
+            with lock:
+                def in_with():
+                    pass
+
+            def setup(items):
+                for item in items:
+                    def in_for():
+                        pass
+                while items:
+                    def in_while():
+                        pass
+            """
+        )
+        assert {"in_with", "setup.in_for", "setup.in_while"} <= set(summary.functions)
+
     def test_nondet_source_sees_through_aliases(self):
         imports = {"t": "time", "perf": "time:perf_counter"}
         assert nondet_source("t.time", imports)
@@ -156,7 +189,7 @@ class TestModuleSummaries:
 class TestProjectFacts:
     @pytest.fixture(scope="class")
     def facts(self):
-        return ProjectFacts.build(FIXTURES, "")
+        return LintContext(fixture_config()).facts()
 
     def test_resolves_cross_module_call(self, facts):
         assert facts.resolve_call("contractpkg.bad", "unchecked_lookup") == (
@@ -237,6 +270,62 @@ class TestRpr008CrossProcessRace:
         )
         assert [f.line for f in findings] == [12]
         assert "_SEEN" in findings[0].message and "remember" in findings[0].message
+
+    RACY_POOL = textwrap.dedent(
+        """
+        LIMIT = 10
+        SEEN = {}
+
+
+        def remember(key):
+            SEEN[key] = True
+            return key
+
+
+        class Registry:
+            first = remember("boot")
+
+            def names(self):
+                return sorted(SEEN)
+
+
+        def driver():
+            def set_limit():
+                global LIMIT
+                LIMIT = 5
+
+            set_limit()
+
+
+        def _run_chunk(task):
+            return LIMIT + len(SEEN)
+        """
+    )
+
+    def racy_findings(self, tmp_path):
+        package = tmp_path / "racy"
+        package.mkdir()
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        (package / "pool.py").write_text(self.RACY_POOL, encoding="utf-8")
+        config = LintConfig(
+            src_root=tmp_path,
+            package="racy",
+            fork_entry="racy.pool:_run_chunk",
+            select=("RPR008",),
+        )
+        return Analyzer(config).analyze()
+
+    def test_nested_write_is_blamed_once_on_the_nested_function(self, tmp_path):
+        limit_line = self.RACY_POOL.splitlines().index("        LIMIT = 5") + 1
+        findings = [f for f in self.racy_findings(tmp_path) if f.line == limit_line]
+        assert len(findings) == 1
+        assert "parent-side `driver.set_limit()`" in findings[0].message
+
+    def test_class_body_call_runs_at_import_time(self, tmp_path):
+        # remember() is called only by the class body, which runs while
+        # the module imports: its write to SEEN is import-time state.
+        findings = self.racy_findings(tmp_path)
+        assert not [f for f in findings if "remember()" in f.message]
 
     def test_requires_justified_suppression(self):
         from repro.quality.rules.race import CrossProcessRaceRule
@@ -397,16 +486,44 @@ class TestRpr011InterproceduralTaint:
 
 
 # ----------------------------------------------------------------------
+# one read per file
+
+
+class TestReadOnce:
+    def test_each_file_is_parsed_once(self, monkeypatch):
+        parsed = Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[str(filename)] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        config = fixture_config(
+            select=("RPR008", "RPR011"), fork_entry="racepkg.pool:_run_chunk"
+        )
+        Analyzer(config).analyze([FIXTURES])
+        assert parsed == {str(path): 1 for path in FIXTURES.rglob("*.py")}
+
+
+    def test_unparseable_module_is_a_finding_not_a_crash(self, tmp_path):
+        (tmp_path / "pool.py").write_text("def _run_chunk(task):\n    return task\n")
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        config = LintConfig(
+            src_root=tmp_path, package="", fork_entry="pool:_run_chunk"
+        )
+        findings = Analyzer(config).analyze()
+        assert [(f.rule_id, Path(f.path).name) for f in findings] == [
+            ("RPR000", "broken.py")
+        ]
+
+
+# ----------------------------------------------------------------------
 # the repo's own tree
 
 
 class TestSourceTreeInterprocClean:
-    def test_interprocedural_rules_find_nothing_in_tree(self):
-        config = default_config()
-        findings = Analyzer(
-            LintConfig(
-                src_root=config.src_root,
-                select=("RPR008", "RPR009", "RPR010", "RPR011"),
-            )
-        ).analyze()
+    def test_interprocedural_rules_find_nothing_in_tree(self, src_lint):
+        interprocedural = ("RPR008", "RPR009", "RPR010", "RPR011")
+        findings = [f for f in src_lint.findings if f.rule_id in interprocedural]
         assert findings == []

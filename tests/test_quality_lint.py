@@ -1,5 +1,8 @@
 """Tier-1 gate: the repo's own source tree passes ``repro lint``.
 
+The whole-tree checks read one analysis of ``src/``, the session's
+``src_lint`` fixture; the CLI cases rerun it warm from its cache.
+
 Also pins the analyzer's public behavior: CLI exit codes, JSON output
 round-tripping, and — crucially — that the fork-safety rule's import
 closure is computed from the import targets the module summaries record,
@@ -7,7 +10,6 @@ walked from ``core.parallel._run_chunk``, not from a hard-coded module
 list.
 """
 
-import ast
 import json
 import os
 import subprocess
@@ -20,7 +22,6 @@ from repro.cli import main
 from repro.quality import (
     Analyzer,
     FileContext,
-    ProjectFacts,
     default_config,
     render_json,
     render_text,
@@ -32,20 +33,20 @@ ENTRY = "repro.core.parallel:_run_chunk"
 
 
 class TestSourceTreeIsClean:
-    def test_zero_findings_over_src(self):
-        findings = Analyzer(default_config()).analyze()
+    def test_zero_findings_over_src(self, src_lint):
+        findings = src_lint.findings
         assert findings == [], "\n" + render_text(findings)
 
     def test_default_config_points_at_this_repo(self):
         config = default_config()
         assert (config.src_root / "repro" / "core" / "parallel.py").is_file()
 
-    def test_cli_lint_exits_zero_on_src(self, capsys):
-        assert main(["lint"]) == 0
+    def test_cli_lint_exits_zero_on_src(self, src_lint, capsys):
+        assert main(["lint", "--cache", src_lint.cache]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_cli_lint_json_round_trips(self, capsys):
-        assert main(["lint", "--format", "json"]) == 0
+    def test_cli_lint_json_round_trips(self, src_lint, capsys):
+        assert main(["lint", "--format", "json", "--cache", src_lint.cache]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["total"] == 0
         assert payload["findings"] == []
@@ -56,8 +57,8 @@ class TestForkClosureIsReal:
     import targets from the entry."""
 
     @pytest.fixture(scope="class")
-    def facts(self):
-        return ProjectFacts.build(SRC_ROOT, "repro")
+    def facts(self, src_lint):
+        return src_lint.facts
 
     def test_entry_function_must_exist(self, facts):
         with pytest.raises(ValueError):
@@ -131,7 +132,7 @@ class TestForkClosureIsReal:
         assert init == "repro/synthesis/__init__.py"
         assert path_module(init) == "repro.synthesis"
         context = Analyzer(default_config()).context
-        file_ctx = FileContext(context, SRC_ROOT / relpath, "", ast.parse(""))
+        file_ctx = FileContext(context, SRC_ROOT / relpath)
         assert file_ctx.module == "repro.core.parallel"
 
 

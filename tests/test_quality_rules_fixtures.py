@@ -16,7 +16,7 @@ from repro.quality import (
     subtract_baseline,
     write_baseline,
 )
-from repro.quality.symbols import nondet_source, read_imports
+from repro.quality.symbols import nondet_source, summarize_module
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint" / "cases"
 
@@ -109,7 +109,7 @@ class TestRpr002SeededRng:
         assert "legacy global generator" in findings[0].message
         assert all("operating-system entropy" in f.message for f in findings[1:])
         source = (FIXTURES / "rpr002_more_sources.py").read_text()
-        imports = read_imports(ast.parse(source))[0]
+        imports = summarize_module("m", ast.parse(source)).imports
         assert all(nondet_source(name, imports) for name in names)
 
 

@@ -93,8 +93,8 @@ class TestSarifDocument:
 
 
 class TestCliSurface:
-    def test_lint_sarif_on_clean_tree(self, capsys):
-        assert main(["lint", "--format", "sarif"]) == 0
+    def test_lint_sarif_on_clean_tree(self, src_lint, capsys):
+        assert main(["lint", "--format", "sarif", "--cache", src_lint.cache]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"] == []
