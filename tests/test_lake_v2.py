@@ -1,5 +1,7 @@
 """Lake format v2 (column chunks + zone maps): v1 equivalence, pruning,
-predicate pushdown, and the telemetry counters of the pruned read path.
+predicate pushdown, and the telemetry counters of the pruned read path;
+the chunk layout itself — format 3's byte planes, format 2 still read
+through the same decode path, and a damaged header always a finding.
 
 The contract under test: the lake's partition format is an
 implementation detail.  Whatever execution style produced the archive
@@ -9,8 +11,14 @@ holds, the replayed StudyData is field-identical.
 
 import dataclasses
 import datetime
+import json
+import struct
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.persistence  # noqa: F401 — registers fsck table codecs
 from repro.core.config import StudyConfig
@@ -23,15 +31,30 @@ from repro.core.persistence import (
     replay_study,
 )
 from repro.dataflow.columnar import (
+    CHUNK_MAGIC,
+    Chunk,
+    ColumnarCodec,
     ColumnBatch,
+    ColumnSpec,
     ScanPredicate,
+    dictionary_codes,
     encode_chunk,
     read_chunk,
+    verify_chunk,
     zone_map,
 )
 from repro.dataflow.datalake import FLOW_CODEC, DataLake
-from repro.dataflow.integrity import fsck_lake, load_manifest
-from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC
+from repro.dataflow.integrity import (
+    CORRUPT_BIT_FLIP,
+    CorruptionPlan,
+    CorruptionSpec,
+    default_codecs,
+    fsck_lake,
+    load_manifest,
+    write_manifest,
+)
+from repro.synthesis.flowgen import PROTOCOL_CODEC, USAGE_CODEC, DailyUsage
+from repro.synthesis.population import Technology
 from repro.synthesis.world import WorldConfig
 from repro.telemetry import Telemetry, VirtualClock
 from repro.telemetry.runtime import activate
@@ -338,3 +361,299 @@ class TestChunkRoundTrip:
         halves = ColumnBatch.concat([rows[:2], batch[2:], empty], codec)
         assert halves == rows
         assert encode_chunk(halves, codec, day) == encoded
+
+
+# ----------------------------------------------------------------------
+# Chunk format 3: integer-coded columns as byte planes
+
+
+#: Every column kind, for round trips below the record level.
+EVERY_KIND_CODEC = ColumnarCodec(
+    columns=[
+        ColumnSpec("count", "int"),
+        ColumnSpec("value", "float"),
+        ColumnSpec("name", "str"),
+        ColumnSpec("day", "date"),
+    ],
+    record=lambda *cells: cells,
+)
+
+INT64 = np.iinfo(np.int64)
+EDGE_ROW = (INT64.min, -0.0, None, 1)
+EDGE_FLOATS = [float("nan"), -0.0, 0.0, float("inf"), float("-inf")]
+
+
+def every_kind_batch(rows, step):
+    """``rows`` as an :data:`EVERY_KIND_CODEC` batch whose columns are
+    strided views when ``step`` is not 1."""
+    counts, values, names, ordinals = zip(*rows) if rows else ((), (), (), ())
+    ids = {}
+    batch = ColumnBatch(
+        EVERY_KIND_CODEC,
+        {
+            "count": np.array(counts, dtype="<i8"),
+            "value": np.array(values, dtype="<f8"),
+            "name": dictionary_codes(names, ids),
+            "day": np.array(ordinals, dtype="<i8"),
+        },
+        {"name": list(ids)},
+    )
+    return batch.take(slice(None, None, step))
+
+
+def split_chunk(path):
+    """A chunk file as its header and its compressed column blobs."""
+    blob = path.read_bytes()
+    body = len(CHUNK_MAGIC) + 4
+    (length,) = struct.unpack_from("<I", blob, len(CHUNK_MAGIC))
+    header = json.loads(blob[body : body + length])
+    base = body + length
+    blobs = [
+        blob[base + meta["offset"] : base + meta["offset"] + meta["nbytes"]]
+        for meta in header["columns"]
+    ]
+    return header, blobs
+
+
+def write_chunk(path, header, blobs):
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"".join([CHUNK_MAGIC, struct.pack("<I", len(text)), text, *blobs]))
+
+
+def join_chunk(path, header, blobs):
+    """Write ``header`` and ``blobs`` back as a chunk, offsets recomputed."""
+    offset = 0
+    for meta, blob in zip(header["columns"], blobs):
+        meta["offset"], meta["nbytes"] = offset, len(blob)
+        offset += len(blob)
+    write_chunk(path, header, blobs)
+
+
+def rewrite_header(path, change):
+    header, blobs = split_chunk(path)
+    change(header)
+    write_chunk(path, header, blobs)
+
+
+def restream(path, name, change):
+    """Pass column ``name``'s decompressed stream through ``change``."""
+    header, blobs = split_chunk(path)
+    index = [meta["name"] for meta in header["columns"]].index(name)
+    blobs[index] = zlib.compress(change(zlib.decompress(blobs[index])))
+    join_chunk(path, header, blobs)
+
+
+def encode_format2(records, codec):
+    """The format-2 layout, kept as the oracle: each column's values' own
+    little-endian bytes, compressed as they are."""
+    batch = ColumnBatch.of(records, codec)
+    header_columns, blobs = [], []
+    for spec in codec.columns:
+        array, dictionary = batch.columns[spec.name], None
+        if spec.kind == "str":
+            array, dictionary = batch.canonical_codes(spec.name)
+        elif spec.digits is not None:
+            array = np.array([round(v, spec.digits) for v in array.tolist()])
+        raw = array.tobytes()
+        meta = {"name": spec.name, "kind": spec.kind, "crc32": zlib.crc32(raw)}
+        if dictionary is not None:
+            meta["values"] = dictionary
+        header_columns.append(meta)
+        blobs.append(zlib.compress(raw, 6))
+    header = {"format": 2, "rows": len(batch), "schema_version": 1,
+              "columns": header_columns}
+    return header, blobs
+
+
+def rewrite_as_format2(path, codec):
+    """Re-encode a stored chunk in the format-2 layout, its sidecar updated;
+    returns the rows it holds.  The column CRCs stay the ones format 3
+    recorded: both formats take them over the values."""
+    rows = Chunk(path).scan(codec).batch
+    header, blobs = encode_format2(rows, codec)
+    current, _ = split_chunk(path)
+    assert [m["crc32"] for m in header["columns"]] == [
+        m["crc32"] for m in current["columns"]
+    ]
+    join_chunk(path, header, blobs)
+    payload = path.read_bytes()
+    write_manifest(path, dataclasses.replace(
+        load_manifest(path), crc32=zlib.crc32(payload), payload_bytes=len(payload)
+    ))
+    assert Chunk(path).format == 2
+    return rows
+
+
+def usage_lake(root, rows=5):
+    """A v2 lake of one small usage partition; returns it and the path."""
+    day = D(2017, 4, 12)
+    records = [
+        DailyUsage(day, i, Technology.FTTH, f"pop-{i % 2}", "YouTube", 1000 * i, 7 * i, i)
+        for i in range(rows)
+    ]
+    lake = DataLake(root, write_format="v2")
+    return lake, lake.write_day(USAGE_TABLE, day, records, USAGE_CODEC), records
+
+
+def fsck_kinds(lake):
+    return [finding.kind for finding in fsck_lake(lake).findings]
+
+
+class TestFormat3RoundTrip:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max]),
+                st.floats() | st.sampled_from(EDGE_FLOATS),
+                st.none() | st.text(max_size=3),
+                st.integers(1, D.max.toordinal()),
+            ),
+            max_size=40,
+        ),
+        step=st.sampled_from([1, 2, -1, -3]),
+    )
+    @example(rows=[], step=1)
+    @example(rows=[EDGE_ROW], step=-1)
+    @example(
+        rows=[(INT64.max, value, "a", D.max.toordinal()) for value in EDGE_FLOATS],
+        step=2,
+    )
+    def test_every_kind_reads_back_bit_for_bit(self, tmp_path, rows, step):
+        batch = every_kind_batch(rows, step)
+        payload, manifest = encode_chunk(batch, EVERY_KIND_CODEC, D(2017, 4, 12))
+        contiguous = ColumnBatch(
+            EVERY_KIND_CODEC,
+            {name: array.copy() for name, array in batch.columns.items()},
+            batch.dictionaries,
+        )
+        assert encode_chunk(contiguous, EVERY_KIND_CODEC, D(2017, 4, 12)) == (
+            payload, manifest
+        )
+        path = tmp_path / "part-0.colchunk"
+        path.write_bytes(payload)
+        chunk = Chunk(path)
+        assert chunk.format == 3 and chunk.rows == len(batch) == manifest.records
+        assert chunk.check(manifest).ok
+        for name in ("count", "value", "day"):  # NaN payloads and -0.0 included
+            assert chunk.column(name).tobytes() == batch.columns[name].tobytes()
+        names = batch.dictionaries["name"]
+        stored = chunk._meta["name"]["values"]
+        assert [stored[code] for code in chunk.column("name").tolist()] == [
+            names[code] for code in batch.columns["name"].tolist()
+        ]
+
+    def test_integer_columns_are_planed_and_floats_are_not(self, tmp_path):
+        rows = [(i * 1_000_003, i / 7, f"s{i % 3}", 735_000 + i) for i in range(50)]
+        batch = every_kind_batch(rows, 1)
+        path = tmp_path / "part-0.colchunk"
+        path.write_bytes(encode_chunk(batch, EVERY_KIND_CODEC, D(2017, 4, 12))[0])
+        header, blobs = split_chunk(path)
+        streams = {
+            meta["name"]: (meta, zlib.decompress(blob))
+            for meta, blob in zip(header["columns"], blobs)
+        }
+        codes = np.array([i % 3 for i in range(50)], dtype="<i4")
+        for name, values in (
+            ("count", batch.columns["count"]),
+            ("name", codes),
+            ("day", batch.columns["day"]),
+        ):
+            meta, stream = streams[name]
+            raw, width = values.tobytes(), values.dtype.itemsize
+            assert stream == b"".join(raw[plane::width] for plane in range(width))
+            assert meta["crc32"] == zlib.crc32(raw)  # of the values, not the planes
+        meta, stream = streams["value"]
+        assert stream == batch.columns["value"].tobytes()
+        assert meta["crc32"] == zlib.crc32(stream)
+
+
+class TestFormat2Chunks:
+    """Chunks of the previous layout stay readable through the one decode
+    path: their column CRCs mean what format 3's do."""
+
+    def test_format2_lake_fscks_clean_and_replays_the_same_study(self, tmp_path):
+        lake, data = archive(tmp_path / "v2", 31, "v2")
+        expected = replay_study(lake, data.months)
+        codecs = default_codecs()
+        rewritten = 0
+        for table in lake.tables():
+            for day in lake.days(table):
+                for path in sorted(lake.day_dir(table, day).glob("*.colchunk")):
+                    rows = rewrite_as_format2(path, codecs[table])
+                    assert Chunk(path).scan(codecs[table]).batch == rows
+                    rewritten += 1
+        assert rewritten > 4
+        assert fsck_lake(lake).clean
+        assert_identical(expected, replay_study(lake, data.months))
+        day = lake.days(USAGE_TABLE)[1]
+        plan = CorruptionPlan.of(CorruptionSpec(USAGE_TABLE, day, CORRUPT_BIT_FLIP), seed=3)
+        plan.apply(lake.root)
+        assert {(f.table, f.day) for f in fsck_lake(lake).findings} == {(USAGE_TABLE, day)}
+
+    def test_flow_chunk_of_either_format_reads_the_same(self, tmp_path, generator):
+        """Flow columns at wire precision, floats among them, in format 2."""
+        day = D(2017, 4, 12)
+        lake = DataLake(tmp_path, write_format="v2")
+        path = lake.write_day(
+            FLOWS_TABLE, day, generator.expand_flows_batch(day)[:300], FLOW_CODEC
+        )
+        expected = lake.read_day(FLOWS_TABLE, day, FLOW_CODEC).collect()
+        rewrite_as_format2(path, FLOW_CODEC)
+        assert fsck_lake(lake).clean
+        assert lake.read_day(FLOWS_TABLE, day, FLOW_CODEC).collect() == expected
+
+
+class TestChunkHeaderDamage:
+    """A header of the wrong shape is a ``schema`` finding: ``fsck`` reports
+    it and never raises."""
+
+    def test_a_newer_format_is_refused_as_schema(self, tmp_path):
+        lake, path, _ = usage_lake(tmp_path)
+        rewrite_header(path, lambda header: header.update(format=4))
+        assert verify_chunk(path).kind == "schema"
+        assert fsck_kinds(lake) == ["schema"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda header: header.update(rows="abc"),
+            lambda header: header.update(rows=None),
+            lambda header: header["columns"][0].pop("offset"),
+            lambda header: header.update(columns=5),
+            lambda header: next(
+                meta for meta in header["columns"] if "values" in meta
+            ).update(values=None),
+        ],
+        ids=[
+            "rows-not-a-number",
+            "rows-null",
+            "column-without-offset",
+            "columns-not-a-list",
+            "dictionary-not-a-list",
+        ],
+    )
+    def test_wrong_field_types_are_schema_findings(self, tmp_path, damage):
+        lake, path, _ = usage_lake(tmp_path)
+        rewrite_header(path, damage)
+        assert verify_chunk(path).kind == "schema"
+        assert fsck_kinds(lake) == ["schema"]
+
+    def test_a_truncated_plane_stream_reports_count(self, tmp_path):
+        lake, path, _ = usage_lake(tmp_path)
+        restream(path, "bytes_down", lambda stream: stream[:-1])
+        check = verify_chunk(path)
+        assert (check.kind, check.detail) == (
+            "count", "column 'bytes_down' holds 4 values, header declares 5 rows"
+        )
+        assert fsck_kinds(lake) == ["count"]
+
+    def test_swapped_planes_fail_the_values_crc(self, tmp_path):
+        lake, path, _ = usage_lake(tmp_path)
+        restream(path, "bytes_down", lambda stream: stream[5:10] + stream[:5] + stream[10:])
+        assert verify_chunk(path).kind == "checksum"
+        assert fsck_kinds(lake) == ["checksum"]

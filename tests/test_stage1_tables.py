@@ -31,7 +31,7 @@ from repro.core.persistence import HOURLY_CODEC
 from repro.core.pool import EVENT_DONE, SupervisedPool
 from repro.core.shards import plan_shards
 from repro.core.study import STUDY_TABLES, LongitudinalStudy
-from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
+from repro.dataflow.columnar import Chunk, ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.dataflow.datalake import DataLake
 from repro.dataflow.integrity import load_manifest
 from repro.service.results import render_figures, study_digest
@@ -86,6 +86,14 @@ V1_PINS = [
     ),
 ]
 
+#: The CRC32 / byte count of the format-3 column chunk holding the same
+#: record twice, by table: a chunk layout change cannot pass unnoticed.
+CHUNK_PINS = {
+    "usage": (1255729939, 923),
+    "protocols": (7283873, 513),
+    "hourly": (2795073756, 492),
+}
+
 
 class TestDerivedLines:
     @pytest.mark.parametrize("table,codec,record,line,crc,size", V1_PINS)
@@ -103,6 +111,17 @@ class TestDerivedLines:
             record,
             record,
         ]
+
+    @pytest.mark.parametrize("table,codec,record", [pin[:3] for pin in V1_PINS])
+    def test_format3_chunk_is_unchanged(self, tmp_path, table, codec, record):
+        lake = DataLake(tmp_path, write_format="v2")
+        path = lake.write_day(table, DAY, [record, record], codec)
+        manifest = load_manifest(path)
+        assert (manifest.crc32, manifest.payload_bytes, manifest.records) == (
+            *CHUNK_PINS[table], 2
+        )
+        assert Chunk(path).format == 3
+        assert lake.read_day(table, DAY, codec).collect() == [record, record]
 
     def test_a_line_of_another_width_does_not_decode(self):
         with pytest.raises(ValueError, match="3 fields, expected 4"):
