@@ -277,37 +277,6 @@ def shares_from_totals(totals: Dict[str, int]) -> Dict[str, float]:
     return {domain: volume / total for domain, volume in totals.items()}
 
 
-@dataclass(frozen=True)
-class InfrastructureTimeline:
-    """The assembled Fig. 11 panels for one service."""
-
-    service: str
-    census: List[DailyServerStats]
-    asn: List[AsnBreakdown]
-    domains: List[Tuple[datetime.date, Dict[str, float]]]
-
-    def ip_count_series(self) -> List[Tuple[datetime.date, int]]:
-        return [(entry.day, entry.total_ips) for entry in self.census]
-
-    def shared_share_series(self) -> List[Tuple[datetime.date, float]]:
-        series = []
-        for entry in self.census:
-            if entry.total_ips:
-                series.append((entry.day, entry.shared_ips / entry.total_ips))
-        return series
-
-    def cumulative_unique_ips(
-        self, daily_ip_sets: List[Tuple[datetime.date, Set[int]]]
-    ) -> List[Tuple[datetime.date, int]]:
-        """Cumulative distinct addresses over time ("new IPs keep appearing")."""
-        seen: Set[int] = set()
-        series = []
-        for day, addresses in sorted(daily_ip_sets, key=lambda pair: pair[0]):
-            seen.update(addresses)
-            series.append((day, len(seen)))
-        return series
-
-
 def service_ip_set(
     flows: Iterable[FlowRecord],
     rules: RuleSet,

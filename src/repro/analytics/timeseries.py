@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analytics.activity import SubscriberDay
-from repro.synthesis.flowgen import DailyUsage
 from repro.synthesis.population import Technology
 
 Month = Tuple[int, int]
@@ -94,35 +93,6 @@ def mean_daily_traffic_per_subscriber(
             continue
         value = entry.bytes_down if direction == "down" else entry.bytes_up
         by_day.setdefault(entry.day, []).append(value)
-    daily_means = [
-        (day, sum(values) / len(values)) for day, values in by_day.items() if values
-    ]
-    return monthly_mean(daily_means, months)
-
-
-def per_user_service_volume(
-    usage: Iterable[DailyUsage],
-    visited: Callable[[DailyUsage], bool],
-    months: List[Month],
-    technology: Technology,
-    direction: str = "total",
-) -> MonthlySeries:
-    """Figs. 6/7/9 bottom: mean daily bytes per subscriber *using* a service.
-
-    ``usage`` must already be filtered to the service of interest;
-    ``visited`` applies the per-service visit threshold (Section 4.1).
-    """
-    by_day: Dict[datetime.date, List[int]] = {}
-    for row in usage:
-        if row.technology is not technology or not visited(row):
-            continue
-        if direction == "down":
-            value = row.bytes_down
-        elif direction == "up":
-            value = row.bytes_up
-        else:
-            value = row.bytes_down + row.bytes_up
-        by_day.setdefault(row.day, []).append(value)
     daily_means = [
         (day, sum(values) / len(values)) for day, values in by_day.items() if values
     ]

@@ -5,18 +5,20 @@ Commands:
 * ``classify DOMAIN [DOMAIN...]`` — run the Table 1 rule engine;
 * ``probe-log PATH`` — summarize a probe flow log (protocols, services,
   name sources, RTT by service);
-* ``study [--scale ...] [--figure N|all] [--out DIR]`` — run the
-  longitudinal study and print figure reports (optionally exporting CSVs);
-* ``run [--shards N] [--shard-spill-dir DIR] [--checkpoint-dir DIR]
-  [--resume] [--report] [--telemetry DIR] [--lake DIR]`` — fault-tolerant
-  study execution: per-day (or per-shard) checkpoints, crash-safe parallel
-  workers, spill-to-disk partials, a run manifest, telemetry exports and a
-  v2 lake archive of the stage-1 outputs (see :mod:`repro.core.parallel`);
-* ``profile [--clock virtual] [--out DIR]`` — run a telemetry-enabled
-  study and print per-stage counters, histograms, and the span tree
-  (see :mod:`repro.telemetry`);
+* ``run [--scale small|medium] [--seed N] [--start D] [--end D]
+  [--figure NAME|all] [--shards N] [--shard-spill-dir DIR]
+  [--checkpoint-dir DIR] [--resume] [--report] [--telemetry DIR]
+  [--lake DIR]`` — the one command that runs the study: it builds the
+  study from the same request model as ``POST /v1/studies``
+  (:func:`repro.service.configs.build_config`) and executes it
+  fault-tolerantly — per-day (or per-shard) checkpoints, crash-safe
+  parallel workers, spill-to-disk partials, a run manifest, telemetry
+  exports (``DIR/summary.txt`` holds the counters and the span tree) and
+  a v2 lake archive of the stage-1 outputs (see
+  :mod:`repro.core.parallel`); ``--figure`` prints figure reports by the
+  service's names (``table1``, ``fig02`` … ``fig11``);
 * ``events`` — list the Fig. 8 events with their model dates;
-* ``lint [PATHS...] [--format text|json] [--baseline FILE]`` — run the
+* ``lint [PATHS...] [--format text|json|sarif] [--cache FILE]`` — run the
   repo-specific static invariant checker (see :mod:`repro.quality`);
 * ``fsck LAKE [--quarantine] [--no-decode] [--format text|json]`` — scan
   a data lake's partitions against their integrity manifests and report
@@ -36,41 +38,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.config import StudyConfig, small_study
 from repro.services import catalog
 from repro.synthesis import servicemodels
-from repro.synthesis.world import WorldConfig
-
-
-def _load_figures():
-    # Imported lazily so `classify` stays snappy.
-    from repro.figures import (
-        fig02_ccdf,
-        fig03_volume_trend,
-        fig04_hourly_ratio,
-        fig05_services,
-        fig06_video_p2p,
-        fig07_social,
-        fig08_protocols,
-        fig09_autoplay,
-        fig10_rtt,
-        fig11_infrastructure,
-        table1,
-    )
-
-    return {
-        "table1": table1,
-        "2": fig02_ccdf,
-        "3": fig03_volume_trend,
-        "4": fig04_hourly_ratio,
-        "5": fig05_services,
-        "6": fig06_video_p2p,
-        "7": fig07_social,
-        "8": fig08_protocols,
-        "9": fig09_autoplay,
-        "10": fig10_rtt,
-        "11": fig11_infrastructure,
-    }
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -131,84 +100,21 @@ def cmd_probe_log(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workers_error(command: str, workers: int) -> str:
-    return (
-        f"repro {command}: --workers must be a positive integer "
-        f"(got {workers}); use --workers 1 for a serial run"
-    )
-
-
-def _build_config(args: argparse.Namespace) -> StudyConfig:
-    if args.scale == "small":
-        return small_study(seed=args.seed)
-    return StudyConfig(
-        world=WorldConfig(seed=args.seed, adsl_count=500, ftth_count=250),
-        day_stride=4,
-    )
-
-
-def cmd_study(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(_workers_error("study", args.workers), file=sys.stderr)
-        return 2
-    figures = _load_figures()
-    wanted = list(figures) if args.figure == "all" else [args.figure]
-    unknown = [name for name in wanted if name not in figures]
-    if unknown:
-        print(f"unknown figure(s): {unknown}; choose from {sorted(figures)}",
-              file=sys.stderr)
-        return 2
-    config = _build_config(args)
-    data = None
-    if wanted != ["table1"]:  # Table 1 needs no measurement pass
-        print(f"running study (seed={args.seed}, scale={args.scale}, "
-              f"workers={args.workers})...", file=sys.stderr)
-        from repro.core.parallel import execute_study
-
-        data = execute_study(config, workers=args.workers).data
-    for name in wanted:
-        module = figures[name]
-        fig = module.compute() if name == "table1" else module.compute(data)
-        print()
-        print("\n".join(module.report(fig)))
-    return 0
-
-
-def _apply_date_range(config: StudyConfig, args: argparse.Namespace) -> StudyConfig:
-    """Apply ``--start``/``--end`` overrides to a study config."""
-    import dataclasses
-    import datetime
-
-    if not (args.start or args.end):
-        return config
-    world = dataclasses.replace(
-        config.world,
-        start=datetime.date.fromisoformat(args.start)
-        if args.start else config.world.start,
-        end=datetime.date.fromisoformat(args.end)
-        if args.end else config.world.end,
-    )
-    return dataclasses.replace(config, world=world)
-
-
-def _write_telemetry(run_telemetry, directory: Path) -> None:
-    """Write the three exporter outputs into ``directory``."""
-    from repro.telemetry import write_jsonl, write_prometheus, write_summary
-
-    directory.mkdir(parents=True, exist_ok=True)
-    write_jsonl(run_telemetry, directory / "telemetry.jsonl")
-    write_prometheus(run_telemetry, directory / "metrics.prom")
-    write_summary(run_telemetry, directory / "summary.txt")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Fault-tolerant study execution with checkpoints and a manifest."""
     from repro.core.parallel import ChunkError, RetryPolicy, execute_study
     from repro.core.persistence import ForeignPartitionError
     from repro.dataflow.datalake import DataLake
+    from repro.service.configs import ALLOWED_KEYS, build_config
+    from repro.service.errors import BadRequestError, NotFoundError
+    from repro.service.results import figure_module
 
     if args.workers is not None and args.workers < 1:
-        print(_workers_error("run", args.workers), file=sys.stderr)
+        print(
+            f"repro run: --workers must be a positive integer "
+            f"(got {args.workers}); use --workers 1 for a serial run",
+            file=sys.stderr,
+        )
         return 2
     if args.resume and args.checkpoint_dir is None:
         print("repro run: --resume requires --checkpoint-dir", file=sys.stderr)
@@ -235,7 +141,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = _apply_date_range(_build_config(args), args)
+    # The request a POST /v1/studies would carry: the same builder makes
+    # the same study of it, or refuses it with the same message.
+    payload = {
+        key: value for key, value in vars(args).items()
+        if key in ALLOWED_KEYS and value is not None
+    }
+    try:
+        config, _ = build_config(payload)
+        if args.figure not in (None, "all"):
+            figure_module(args.figure)
+    except (BadRequestError, NotFoundError) as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
+    if args.figure == "table1":  # Table 1 needs no measurement pass
+        return _print_figures(None, args.figure)
     method = None if args.start_method == "auto" else args.start_method
     telemetry = None
     if args.telemetry is not None:
@@ -282,37 +202,34 @@ def cmd_run(args: argparse.Namespace) -> int:
         for line in result.report.telemetry_lines():
             print(line)
     if args.telemetry is not None and result.telemetry is not None:
-        _write_telemetry(result.telemetry, args.telemetry)
+        from repro.telemetry import write_jsonl, write_prometheus, write_summary
+
+        args.telemetry.mkdir(parents=True, exist_ok=True)
+        write_jsonl(result.telemetry, args.telemetry / "telemetry.jsonl")
+        write_prometheus(result.telemetry, args.telemetry / "metrics.prom")
+        write_summary(result.telemetry, args.telemetry / "summary.txt")
         print(f"telemetry written to {args.telemetry}")
     if lake is not None:
         per_table = ", ".join(f"{table}={len(lake.days(table))}" for table in lake.tables())
         print(f"archived into {args.lake} (day counts): {per_table}")
+    if args.figure is not None:
+        return _print_figures(result.data, args.figure)
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Run a telemetry-enabled study and print the ASCII profile."""
-    from repro.core.parallel import ChunkError, execute_study
-    from repro.telemetry import Telemetry, ascii_summary
+def _print_figures(data, figure: str) -> int:
+    """``run --figure``: one figure's report, or (``all``) every report
+    the study's span allows, each unrendered figure named on stderr with
+    the reason the service records for it."""
+    from repro.service.results import render_figures
 
-    if args.workers is not None and args.workers < 1:
-        print(_workers_error("profile", args.workers), file=sys.stderr)
-        return 2
-    config = _apply_date_range(_build_config(args), args)
-    telemetry = Telemetry.for_spec(args.clock)
-    try:
-        result = execute_study(
-            config, workers=args.workers, telemetry=telemetry
-        )
-    except ChunkError as exc:
-        print(f"repro profile: {exc}", file=sys.stderr)
-        return 1
-    assert result.telemetry is not None
-    print("\n".join(ascii_summary(result.telemetry, max_tree_rows=args.tree_rows)))
-    if args.out is not None:
-        _write_telemetry(result.telemetry, args.out)
-        print(f"\ntelemetry written to {args.out}")
-    return 0
+    rendered, unrendered = render_figures(data, None if figure == "all" else [figure])
+    for lines in rendered.values():
+        print()
+        print("\n".join(lines))
+    for name, reason in unrendered.items():
+        print(f"repro run: figure {name} not rendered: {reason}", file=sys.stderr)
+    return 1 if unrendered and figure != "all" else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -322,13 +239,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         Analyzer,
         LintError,
         default_config,
-        load_baseline,
         open_cache,
         render_json,
         render_sarif,
         render_text,
-        subtract_baseline,
-        write_baseline,
     )
 
     if args.explain is not None:
@@ -339,12 +253,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         analyzer = Analyzer(config, cache=open_cache(args.cache))
         findings = analyzer.analyze(args.paths or None)
-        if args.write_baseline is not None:
-            path = write_baseline(args.write_baseline, findings)
-            print(f"wrote baseline with {len(findings)} finding(s) to {path}")
-            return 0
-        if args.baseline is not None:
-            findings = subtract_baseline(findings, load_baseline(args.baseline))
     except (LintError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -590,15 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     probe_log.add_argument("path", type=Path)
     probe_log.set_defaults(func=cmd_probe_log)
 
-    study = sub.add_parser("study", help="run the longitudinal study")
-    study.add_argument("--figure", default="all",
-                       help="figure number, 'table1', or 'all'")
-    study.add_argument("--scale", choices=("small", "medium"), default="small")
-    study.add_argument("--seed", type=int, default=7)
-    study.add_argument("--workers", type=int, default=1,
-                       help="worker processes (results identical to serial)")
-    study.set_defaults(func=cmd_study)
-
     run = sub.add_parser(
         "run",
         help="fault-tolerant study run: checkpoints, resume, manifest",
@@ -634,6 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the study start date")
     run.add_argument("--end", default=None, metavar="YYYY-MM-DD",
                      help="override the study end date")
+    run.add_argument("--figure", default=None, metavar="NAME",
+                     help="print a figure report after the run: table1 "
+                          "(needs no run), fig02 ... fig11, or all")
     run.add_argument("--telemetry", type=Path, default=None, metavar="DIR",
                      help="collect run telemetry and write telemetry.jsonl, "
                           "metrics.prom, and summary.txt into DIR")
@@ -645,27 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="archive every task's stage-1 outputs into the "
                           "data lake at DIR (v2 column chunks)")
     run.set_defaults(func=cmd_run)
-
-    profile = sub.add_parser(
-        "profile",
-        help="run a telemetry-enabled study and print the stage profile",
-    )
-    profile.add_argument("--scale", choices=("small", "medium"),
-                         default="small")
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--workers", type=int, default=1,
-                         help="worker processes (default: serial)")
-    profile.add_argument("--clock", choices=("monotonic", "virtual"),
-                         default="monotonic")
-    profile.add_argument("--start", default=None, metavar="YYYY-MM-DD",
-                         help="override the study start date")
-    profile.add_argument("--end", default=None, metavar="YYYY-MM-DD",
-                         help="override the study end date")
-    profile.add_argument("--tree-rows", type=int, default=40,
-                         help="max span-tree rows to print (default 40)")
-    profile.add_argument("--out", type=Path, default=None, metavar="DIR",
-                         help="also write the three telemetry exports here")
-    profile.set_defaults(func=cmd_profile)
 
     fsck = sub.add_parser(
         "fsck",
@@ -754,10 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories (default: the repro package)")
     lint.add_argument("--format", choices=("text", "json", "sarif"),
                       default="text")
-    lint.add_argument("--baseline", type=Path, default=None,
-                      help="subtract findings recorded in this baseline file")
-    lint.add_argument("--write-baseline", type=Path, default=None,
-                      help="snapshot current findings to FILE and exit 0")
     lint.add_argument("--select", nargs="*", default=(), metavar="RULE",
                       help="restrict to the given rule ids (e.g. RPR004)")
     lint.add_argument("--cache", type=Path, default=None, metavar="FILE",

@@ -87,10 +87,6 @@ def install_gate(gate: Optional[FaultGate]) -> Optional[FaultGate]:
     return previous
 
 
-def installed_gate() -> Optional[FaultGate]:
-    return _GATE
-
-
 def write_and_replace(
     target: Path,
     payload: bytes,

@@ -122,11 +122,6 @@ class Dataset(Generic[T]):
     def num_partitions(self) -> int:
         return len(self._sources)
 
-    @property
-    def partition_stats(self) -> List[Optional[Any]]:
-        """Per-partition stats, parallel to the partition list."""
-        return list(self._stats)
-
     def union(self, other: "Dataset[T]") -> "Dataset[T]":
         """Concatenate partitions of two datasets (no shuffle)."""
         return Dataset(

@@ -22,7 +22,7 @@ module               paper content
 ===================  =====================================================
 """
 
-from repro.figures import (  # noqa: F401
+from repro.figures import (
     fig02_ccdf,
     fig03_volume_trend,
     fig04_hourly_ratio,
@@ -36,16 +36,19 @@ from repro.figures import (  # noqa: F401
     table1,
 )
 
-ALL_FIGURES = (
-    table1,
-    fig02_ccdf,
-    fig03_volume_trend,
-    fig04_hourly_ratio,
-    fig05_services,
-    fig06_video_p2p,
-    fig07_social,
-    fig08_protocols,
-    fig09_autoplay,
-    fig10_rtt,
-    fig11_infrastructure,
-)
+#: Figure name → module, in paper order.  The names are the public ones:
+#: ``repro run --figure NAME``, ``GET /v1/runs/{id}/figures/{name}`` and
+#: the ``figures`` list of a run's ``results.json``.
+FIGURES = {
+    "table1": table1,
+    "fig02": fig02_ccdf,
+    "fig03": fig03_volume_trend,
+    "fig04": fig04_hourly_ratio,
+    "fig05": fig05_services,
+    "fig06": fig06_video_p2p,
+    "fig07": fig07_social,
+    "fig08": fig08_protocols,
+    "fig09": fig09_autoplay,
+    "fig10": fig10_rtt,
+    "fig11": fig11_infrastructure,
+}

@@ -26,7 +26,6 @@ Programmatic use::
     assert not findings
 """
 
-from repro.quality.baseline import BaselineError, load_baseline, subtract_baseline, write_baseline
 from repro.quality.cache import CacheStats, LintCache, open_cache
 from repro.quality.callgraph import ProjectFacts
 from repro.quality.engine import (
@@ -49,7 +48,6 @@ from repro.quality.symbols import ANALYSIS_VERSION, ModuleSummary, summarize_mod
 __all__ = [
     "ANALYSIS_VERSION",
     "Analyzer",
-    "BaselineError",
     "CacheStats",
     "FileContext",
     "Finding",
@@ -64,7 +62,6 @@ __all__ = [
     "SuppressionError",
     "default_config",
     "findings_from_sarif",
-    "load_baseline",
     "make_rules",
     "open_cache",
     "parse_suppressions",
@@ -77,7 +74,5 @@ __all__ = [
     "run_lint",
     "sarif_document",
     "sort_findings",
-    "subtract_baseline",
     "summarize_module",
-    "write_baseline",
 ]

@@ -5,8 +5,8 @@ One :class:`Analyzer` run lists the program once and keeps one
 source), parsed at most once, summarized at most once, and walked at most
 once, and that one read serves the rules, the whole-program facts and
 both cache tiers.  The run filters the raw findings through in-source
-suppressions (``# repro: noqa[...]``) and the optional baseline, and
-renders the survivors as text or JSON.
+suppressions (``# repro: noqa[...]``) and renders the survivors as text
+or JSON.
 
 Whole-program facts — the symbol tables, the call graph, and the
 fork-worker import closure derived from them — live on the run-wide
@@ -24,7 +24,6 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union
 
-from repro.quality.baseline import load_baseline, subtract_baseline
 from repro.quality.callgraph import ProjectFacts, path_module
 from repro.quality.findings import Finding, LintError, Severity, sort_findings
 from repro.quality.registry import Rule, make_rules
@@ -415,16 +414,12 @@ def project_digest(files: Iterable[FileContext], fingerprint: str) -> str:
 def run_lint(
     paths: Optional[Iterable[Union[str, Path]]] = None,
     config: Optional[LintConfig] = None,
-    baseline: Optional[Union[str, Path]] = None,
     cache: Optional[Union[str, Path]] = None,
 ) -> List[Finding]:
     from repro.quality.cache import open_cache
 
     analyzer = Analyzer(config=config, cache=open_cache(cache))
-    findings = analyzer.analyze(paths)
-    if baseline is not None:
-        findings = subtract_baseline(findings, load_baseline(baseline))
-    return findings
+    return analyzer.analyze(paths)
 
 
 def render_text(findings: Sequence[Finding]) -> str:

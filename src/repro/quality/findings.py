@@ -2,24 +2,24 @@
 
 A :class:`Finding` pins one invariant violation to a ``file:line`` with a
 rule id, a severity, and a human-readable message.  Findings are value
-objects: they sort stably (path, line, column, rule) so reports and
-baselines are deterministic, and they round-trip through JSON for the
-``repro lint --format json`` output and the baseline file format.
+objects: they sort stably (path, line, column, rule) so reports are
+deterministic, and they round-trip through JSON for the
+``repro lint --format json`` output.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 
 class LintError(ValueError):
-    """The linter's typed error family: unusable configuration, malformed
-    suppression directives, unreadable baselines.
+    """The linter's typed error family: unusable configuration and malformed
+    suppression directives.
 
     Defined here (the leaf module of the quality package) so every layer —
-    engine, baseline, suppressions, cache — can subclass it without import
+    engine, suppressions, cache — can subclass it without import
     cycles.  Anything ``repro lint`` raises deliberately is a
     :class:`LintError`; a bare ``TypeError``/``KeyError`` escaping the CLI
     is a bug, not an input problem.
@@ -64,15 +64,6 @@ class Finding:
             severity=Severity(str(data.get("severity", "error"))),
             message=str(data["message"]),
         )
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used by baseline matching.
-
-        Baselines must survive unrelated edits shifting line numbers, so
-        the key is (rule, path, message) — the message embeds enough of
-        the offending construct to stay specific.
-        """
-        return (self.rule_id, self.path, self.message)
 
     def render(self) -> str:
         return (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.quality.findings import LintError
 
@@ -110,12 +110,3 @@ def parse_suppressions(source: str) -> Dict[int, Suppression]:
         reason = (match.group("reason") or "").strip()
         directives[lineno] = Suppression(line=lineno, rule_ids=rules, reason=reason)
     return directives
-
-
-def directive_lines(source: str, rule_id: str) -> List[int]:
-    """Lines whose directive names ``rule_id`` (diagnostics helper)."""
-    return [
-        line
-        for line, suppression in parse_suppressions(source).items()
-        if rule_id.upper() in suppression.rule_ids
-    ]

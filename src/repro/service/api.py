@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.service import registry as reg
 from repro.service.errors import (
@@ -44,6 +44,7 @@ from repro.service.errors import (
 )
 from repro.service.queue import JobQueue
 from repro.service.registry import RunRecord, RunRegistry, paginate
+from repro.service.results import figure_module
 from repro.telemetry.export import RunTelemetry, prometheus_text
 from repro.telemetry.metrics import MetricRegistry
 
@@ -336,13 +337,7 @@ class Api:
                 f"run {run_id} is {record.state}; figures are available "
                 "once it is done"
             )
-        from repro.service.results import figure_modules
-
-        if name not in figure_modules():
-            raise NotFoundError(
-                f"unknown figure {name!r} (choose from "
-                f"{', '.join(sorted(figure_modules()))})"
-            )
+        figure_module(name)
         path = self.registry.figures_dir(run_id) / f"{name}.txt"
         try:
             text = path.read_text(encoding="utf-8")

@@ -1,7 +1,10 @@
 """Study-config payloads: the JSON body of ``POST /v1/studies``.
 
-The wire schema is deliberately small — the same knobs ``repro run``
-exposes, validated with field-precise 400s:
+The wire schema is deliberately small, and it is the one request model:
+``repro run --scale/--seed/--start/--end`` builds this same payload and
+calls :func:`build_config`, so the CLI and the service run the same
+study for the same knobs and refuse the same bad ones, with the same
+field-precise message (a 400 here, exit 2 there):
 
 .. code-block:: json
 
@@ -9,10 +12,11 @@ exposes, validated with field-precise 400s:
      "start": "2013-06-01", "end": "2013-06-30"}
 
 ``scale`` picks the preset (``small`` | ``medium``), ``seed`` the world
-seed, and ``start``/``end`` optionally narrow the study span.  The run
-id is the :func:`~repro.core.config.config_hash` of the built
-:class:`StudyConfig`, so identical payloads (after normalization) are
-idempotent and distinct payloads can never share checkpoints.
+seed, and ``start``/``end`` optionally narrow the study span (the span
+they leave must end after it starts).  The run id is the
+:func:`~repro.core.config.config_hash` of the built :class:`StudyConfig`,
+so identical payloads (after normalization) are idempotent and distinct
+payloads can never share checkpoints.
 """
 
 from __future__ import annotations
@@ -67,13 +71,6 @@ def build_config(payload: object) -> Tuple[StudyConfig, dict]:
     seed = payload.get("seed", 7)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise BadRequestError(f"'seed' must be an integer (got {seed!r})")
-    start = _parse_date(payload, "start")
-    end = _parse_date(payload, "end")
-    if start is not None and end is not None and start > end:
-        raise BadRequestError(
-            f"'start' ({start.isoformat()}) must not be after "
-            f"'end' ({end.isoformat()})"
-        )
     if scale == "small":
         config = small_study(seed=seed)
     else:
@@ -81,18 +78,22 @@ def build_config(payload: object) -> Tuple[StudyConfig, dict]:
             world=WorldConfig(seed=seed, adsl_count=500, ftth_count=250),
             day_stride=4,
         )
-    if start is not None or end is not None:
-        world = dataclasses.replace(
-            config.world,
-            start=start if start is not None else config.world.start,
-            end=end if end is not None else config.world.end,
+    # The span the study will run, checked with the population's rule.
+    start = _parse_date(payload, "start") or config.world.start
+    end = _parse_date(payload, "end") or config.world.end
+    if end <= start:
+        raise BadRequestError(
+            f"'start' ({start.isoformat()}) must be before "
+            f"'end' ({end.isoformat()})"
         )
-        config = dataclasses.replace(config, world=world)
+    config = dataclasses.replace(
+        config, world=dataclasses.replace(config.world, start=start, end=end)
+    )
     normalized = {
         "scale": scale,
         "seed": seed,
-        "start": config.world.start.isoformat(),
-        "end": config.world.end.isoformat(),
+        "start": start.isoformat(),
+        "end": end.isoformat(),
     }
     return config, normalized
 

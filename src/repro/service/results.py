@@ -27,7 +27,7 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _string
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.study import StudyData
 from repro.dataflow.columnar import ColumnBatch
@@ -241,62 +241,43 @@ def results_payload(
 # Figures
 
 
-def figure_modules() -> Dict[str, object]:
-    """Figure key → module, mirroring the ``repro study`` catalogue."""
-    from repro.figures import (
-        fig02_ccdf,
-        fig03_volume_trend,
-        fig04_hourly_ratio,
-        fig05_services,
-        fig06_video_p2p,
-        fig07_social,
-        fig08_protocols,
-        fig09_autoplay,
-        fig10_rtt,
-        fig11_infrastructure,
-        table1,
-    )
+def figure_module(name: str) -> Any:
+    """The catalogue's module for figure ``name``, else a NotFoundError
+    naming the choices."""
+    from repro.figures import FIGURES  # on first use: keeps imports lean
 
-    return {
-        "table1": table1,
-        "fig02": fig02_ccdf,
-        "fig03": fig03_volume_trend,
-        "fig04": fig04_hourly_ratio,
-        "fig05": fig05_services,
-        "fig06": fig06_video_p2p,
-        "fig07": fig07_social,
-        "fig08": fig08_protocols,
-        "fig09": fig09_autoplay,
-        "fig10": fig10_rtt,
-        "fig11": fig11_infrastructure,
-    }
-
-
-def figure_report(data: StudyData, name: str) -> List[str]:
-    """Render one figure's text report from a run's StudyData."""
-    modules = figure_modules()
-    module = modules.get(name)
+    module = FIGURES.get(name)
     if module is None:
         raise NotFoundError(
-            f"unknown figure {name!r} (choose from {', '.join(sorted(modules))})"
+            f"unknown figure {name!r} (choose from {', '.join(FIGURES)})"
         )
+    return module
+
+
+def figure_report(data: Optional[StudyData], name: str) -> List[str]:
+    """Render one figure's text report from a run's StudyData (Table 1
+    reads the rule set, not the study: it takes ``data=None``)."""
+    module = figure_module(name)
     fig = module.compute() if name == "table1" else module.compute(data)
     return list(module.report(fig))
 
 
 def render_figures(
-    data: StudyData,
+    data: Optional[StudyData], names: Optional[Iterable[str]] = None
 ) -> "tuple[Dict[str, List[str]], Dict[str, str]]":
-    """Render every figure that the study's coverage allows.
+    """Render each of ``names`` (default: the whole catalogue) that the
+    study's coverage allows.
 
     Figures pin specific months (e.g. figure 4 ratios April 2017 over
     April 2014), so a date-narrowed study legitimately cannot render all
     of them.  Returns ``(rendered, unrendered)`` where ``unrendered``
     maps figure name to the reason its compute refused the data.
     """
+    from repro.figures import FIGURES
+
     rendered: Dict[str, List[str]] = {}
     unrendered: Dict[str, str] = {}
-    for name in figure_modules():
+    for name in FIGURES if names is None else names:
         try:
             rendered[name] = figure_report(data, name)
         except (ValueError, KeyError, IndexError, ArithmeticError) as exc:

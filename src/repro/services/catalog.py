@@ -119,8 +119,3 @@ _RULES: Tuple[Rule, ...] = TABLE1_RULES + (
 def default_ruleset() -> RuleSet:
     """The full curated rule set (fresh instance; callers may extend it)."""
     return RuleSet(_RULES)
-
-
-def default_rules() -> Tuple[Rule, ...]:
-    """The raw rule tuples behind :func:`default_ruleset`."""
-    return _RULES

@@ -89,9 +89,6 @@ class ServiceModel:
     def mean_volume_down(self, technology: Technology, day: datetime.date) -> float:
         return self.volume_down[technology](day)
 
-    def mean_volume_up(self, technology: Technology, day: datetime.date) -> float:
-        return self.volume_down[technology](day) * self.upload_ratio[technology](day)
-
 
 def _per_tech(adsl: Curve, ftth: Curve = None) -> Dict[Technology, Curve]:
     """Build the per-technology map; FTTH defaults to the ADSL curve."""

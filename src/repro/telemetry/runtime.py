@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.telemetry.clock import Clock, MonotonicClock, clock_for
 from repro.telemetry.metrics import (
@@ -28,7 +28,7 @@ from repro.telemetry.metrics import (
     NoopRegistry,
     Number,
 )
-from repro.telemetry.spans import NoopSpanRecorder, SpanRecord, SpanRecorder
+from repro.telemetry.spans import NoopSpanRecorder, SpanRecorder
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ def count(name: str, amount: Number = 1, **labels: object) -> None:
     _ACTIVE.registry.counter(name, **labels).inc(amount)
 
 
-def set_gauge(name: str, value: Number, **labels: object) -> None:
-    _ACTIVE.registry.gauge(name, **labels).set(value)
-
-
 def observe(
     name: str,
     value: Number,
@@ -131,7 +127,3 @@ def span(name: str, **attrs: object):
 
 def event(name: str, **attrs: object) -> None:
     _ACTIVE.spans.event(name, **attrs)
-
-
-def spans_of(snapshot: TelemetrySnapshot) -> List[SpanRecord]:
-    return list(snapshot.spans)

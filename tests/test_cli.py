@@ -76,36 +76,34 @@ class TestProbeLog:
         assert main(["probe-log", str(path)]) == 1
 
 
-class TestStudyCommand:
-    def test_unknown_figure_rejected(self, capsys):
-        assert main(["study", "--figure", "99"]) == 2
-
-    def test_table1_via_study(self, capsys):
-        # table1 needs no study data pass beyond the (fast) run itself;
-        # use a tiny scale through the small preset.
-        code = main(["study", "--figure", "table1", "--seed", "3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-
-
-    def test_workers_zero_rejected(self, capsys):
-        assert main(["study", "--workers", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "--workers must be a positive integer" in err
-        assert "got 0" in err
-
-    def test_workers_negative_rejected(self, capsys):
-        assert main(["study", "--workers", "-3"]) == 2
-
-
 class TestRunCommand:
     RUN_SPAN = ["run", "--seed", "3", "--workers", "1",
                 "--start", "2014-01-01", "--end", "2014-02-28"]
 
     def test_workers_zero_rejected(self, capsys):
         assert main(["run", "--workers", "0"]) == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--workers must be a positive integer" in err
+        assert "got 0" in err
+
+    def test_workers_negative_rejected(self, capsys):
+        assert main(["run", "--workers", "-3"]) == 2
+
+    def test_unknown_figure_rejected(self, capsys):
+        assert main(["run", "--figure", "99"]) == 2
+        assert "unknown figure '99'" in capsys.readouterr().err
+
+    def test_table1_without_a_study(self, monkeypatch, capsys):
+        from repro.core import parallel
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("--figure table1 planned a study")
+
+        monkeypatch.setattr(parallel, "execute_study", no_study)
+        assert main(["run", "--figure", "table1", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1" in out
+        assert "planned" not in out
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(["run", "--resume"]) == 2
@@ -174,18 +172,137 @@ class TestRunCommand:
         assert day.isoformat() in err and "part-0.tsv.gz" in err
 
 
+BAD_SPANS = [
+    pytest.param({"start": "2015-03-01", "end": "2014-01-01"}, id="reversed"),
+    pytest.param({"start": "2014-01-01", "end": "2014-01-01"}, id="empty"),
+    pytest.param({"start": "2018-01-01"}, id="start-after-default-end"),
+    pytest.param({"end": "2013-01-01"}, id="end-before-default-start"),
+    pytest.param({"start": "2015-3-1"}, id="not-iso"),
+]
+
+
+class TestOneFrontDoor:
+    """The {CLI, service} cell: ``repro run`` and ``POST /v1/studies`` build
+    a study from one request model and render from one figure catalogue."""
+
+    SPAN = {"start": "2014-01-01", "end": "2014-02-28"}
+
+    @staticmethod
+    def argv(payload):
+        argv = ["run", "--workers", "1"]
+        for key, value in payload.items():
+            argv += [f"--{key}", str(value)]
+        return argv
+
+    @pytest.mark.parametrize("scale", ["small", "medium"])
+    @pytest.mark.parametrize(
+        "span",
+        [{}, {"start": "2017-10-01"}, SPAN],
+        ids=["no-dates", "start-only", "both-dates"],
+    )
+    def test_checkpoints_land_under_the_service_run_id(
+        self, scale, span, tmp_path, monkeypatch
+    ):
+        from repro.core import parallel
+        from repro.service import configs
+
+        execute_study = parallel.execute_study
+
+        def cancelled(config, **kwargs):
+            # plans the run, opens its checkpoint store and writes the
+            # manifest, but starts no task
+            token = parallel.CancelToken()
+            token.set()
+            return execute_study(config, cancel=token, **kwargs)
+
+        monkeypatch.setattr(parallel, "execute_study", cancelled)
+        payload = {"scale": scale, "seed": 3, **span}
+        with pytest.raises(parallel.RunCancelled):
+            main(self.argv(payload) + ["--checkpoint-dir", str(tmp_path)])
+        run_id = configs.run_id_for(configs.build_config(payload)[0])
+        assert [path.name for path in tmp_path.iterdir()] == [f"config={run_id}"]
+        assert (tmp_path / f"config={run_id}" / "manifest.json").is_file()
+
+    def test_a_full_run_checkpoints_under_the_service_run_id(self, tmp_path, capsys):
+        from repro.service import configs
+
+        payload = {"seed": 3, **self.SPAN}
+        assert main(self.argv(payload) + ["--checkpoint-dir", str(tmp_path)]) == 0
+        run_id = configs.run_id_for(configs.build_config(payload)[0])
+        assert capsys.readouterr().out.startswith(f"run {run_id} ")
+        assert list((tmp_path / f"config={run_id}").glob("day=*.ckpt"))
+
+    @pytest.mark.parametrize("span", BAD_SPANS)
+    def test_bad_spans_are_refused_with_the_service_message(self, span, capsys):
+        from repro.service import configs
+        from repro.service.errors import BadRequestError
+
+        with pytest.raises(BadRequestError) as refused:
+            configs.build_config(span)
+        assert main(self.argv(span)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro run: {refused.value}\n"
+        assert "Traceback" not in captured.err and not captured.out
+
+    def test_figure_names_are_the_served_ones(self, tmp_path, capsys):
+        from repro.figures import FIGURES
+        from repro.service import ClientError, ServerThread, ServiceClient
+
+        payload = {"scale": "small", "seed": 3, **self.SPAN}
+        with ServerThread(tmp_path / "state") as server:
+            client = ServiceClient("127.0.0.1", server.port, timeout=30.0)
+            run_id = client.submit(payload)["id"]
+            assert client.wait(run_id)["state"] == "done"
+            outcomes = set()
+            for name in [*FIGURES, "fig99", "8", "Fig08", "fig8"]:
+                code = main(self.argv(payload) + ["--figure", name])
+                out, err = capsys.readouterr()
+                try:
+                    served = client.figure(run_id, name)
+                except ClientError as exc:
+                    assert exc.status == 404
+                    reason = str(exc).split(": ", 1)[1]
+                    if reason.startswith("unknown figure"):
+                        outcomes.add("unknown")
+                        assert (code, err) == (2, f"repro run: {reason}\n")
+                    else:  # catalogued, but this span cannot render it
+                        outcomes.add("unrendered")
+                        assert code == 1
+                        assert f"repro run: figure {name} not rendered: " in err
+                else:
+                    outcomes.add("served")
+                    assert code == 0
+                    assert out.endswith("\n" + "\n".join(served) + "\n")
+            assert outcomes == {"served", "unrendered", "unknown"}
+
+    def test_figure_all_names_what_the_service_leaves_unrendered(self, capsys):
+        from repro.core.parallel import execute_study
+        from repro.service import configs
+        from repro.service.results import render_figures
+
+        payload = {"seed": 3, **self.SPAN}
+        assert main(self.argv(payload) + ["--figure", "all"]) == 0
+        out, err = capsys.readouterr()
+        data = execute_study(configs.build_config(payload)[0], workers=1).data
+        rendered, unrendered = render_figures(data)
+        assert unrendered  # the span misses the month-pinned figures
+        assert err == "".join(
+            f"repro run: figure {name} not rendered: {reason}\n"
+            for name, reason in unrendered.items()
+        )
+        for lines in rendered.values():
+            assert "\n".join(lines) in out
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_study_defaults(self):
-        args = build_parser().parse_args(["study"])
-        assert args.figure == "all"
-        assert args.scale == "small"
-
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
+        assert args.figure is None
+        assert args.scale == "small"
         assert args.workers is None
         assert args.start_method == "auto"
         assert args.retries == 2

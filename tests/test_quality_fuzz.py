@@ -1,23 +1,10 @@
-"""Property-based tests for the linter's parsing edges: arbitrary
-source never crashes the suppression scanner, arbitrary JSON never
-crashes the baseline loader — both fail only through their typed
-``LintError`` families — and the baseline write/load/subtract cycle is
-exact."""
-
-import json
+"""Property-based tests for the linter's parsing edge: arbitrary source
+never crashes the suppression scanner, which fails only through its
+typed ``LintError`` family."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.quality import (
-    BaselineError,
-    Finding,
-    Severity,
-    SuppressionError,
-    load_baseline,
-    parse_suppressions,
-    subtract_baseline,
-    write_baseline,
-)
+from repro.quality import SuppressionError, parse_suppressions
 
 # ----------------------------------------------------------------------
 # suppression scanning
@@ -79,103 +66,3 @@ class TestParseSuppressionsNeverCrashes:
         for line, suppression in table.items():
             assert 1 <= line <= line_count
             assert suppression.rule_ids
-
-
-# ----------------------------------------------------------------------
-# baseline load
-
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=10), children, max_size=4),
-    max_leaves=12,
-)
-
-
-class TestLoadBaselineNeverCrashes:
-    @settings(max_examples=200, deadline=None)
-    @given(payload=JSON_VALUES)
-    def test_arbitrary_json_payloads(self, payload, tmp_path_factory):
-        path = tmp_path_factory.mktemp("baseline") / "baseline.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        try:
-            keys = load_baseline(path)
-        except BaselineError:
-            return
-        assert all(
-            isinstance(key, tuple) and len(key) == 3 for key in keys
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(garbage=st.text())
-    def test_arbitrary_text_payloads(self, garbage, tmp_path_factory):
-        path = tmp_path_factory.mktemp("baseline") / "baseline.json"
-        path.write_text(garbage, encoding="utf-8")
-        try:
-            load_baseline(path)
-        except BaselineError:
-            pass
-
-    def test_missing_file_is_a_baseline_error(self, tmp_path):
-        try:
-            load_baseline(tmp_path / "absent.json")
-        except BaselineError:
-            return
-        raise AssertionError("missing file must raise BaselineError")
-
-
-# ----------------------------------------------------------------------
-# write / load / subtract round-trip
-
-FINDINGS = st.lists(
-    st.builds(
-        Finding,
-        path=st.sampled_from(["a.py", "b/c.py", "deep/mod.py"]),
-        line=st.integers(min_value=1, max_value=500),
-        column=st.integers(min_value=0, max_value=80),
-        rule_id=st.sampled_from(["RPR001", "RPR008", "RPR010"]),
-        severity=st.sampled_from([Severity.ERROR, Severity.WARNING]),
-        message=st.text(min_size=1, max_size=40),
-    ),
-    max_size=12,
-)
-
-
-class TestBaselineRoundTrip:
-    @settings(max_examples=100, deadline=None)
-    @given(findings=FINDINGS)
-    def test_snapshot_absorbs_exactly_itself(self, findings, tmp_path_factory):
-        path = tmp_path_factory.mktemp("baseline") / "baseline.json"
-        write_baseline(path, findings)
-        baseline = load_baseline(path)
-        # Count-aware: the snapshot absorbs every finding it recorded...
-        assert subtract_baseline(findings, baseline) == []
-        # ...but not one more copy of any of them.
-        if findings:
-            doubled = findings + [findings[0]]
-            assert subtract_baseline(doubled, baseline) == [findings[0]]
-
-    @settings(max_examples=50, deadline=None)
-    @given(findings=FINDINGS, moved=st.integers(min_value=1, max_value=500))
-    def test_matching_is_line_insensitive(
-        self, findings, moved, tmp_path_factory
-    ):
-        path = tmp_path_factory.mktemp("baseline") / "baseline.json"
-        write_baseline(path, findings)
-        baseline = load_baseline(path)
-        shifted = [
-            Finding(
-                path=f.path,
-                line=moved,
-                column=f.column,
-                rule_id=f.rule_id,
-                severity=f.severity,
-                message=f.message,
-            )
-            for f in findings
-        ]
-        assert subtract_baseline(shifted, baseline) == []

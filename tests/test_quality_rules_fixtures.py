@@ -1,5 +1,5 @@
 """Per-rule fixture tests: one violating and one clean example per rule,
-plus suppression (``# repro: noqa[...]``) and baseline behavior."""
+plus suppression (``# repro: noqa[...]``) behavior."""
 
 import ast
 import dataclasses
@@ -9,13 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.quality import (
-    Analyzer,
-    LintConfig,
-    load_baseline,
-    subtract_baseline,
-    write_baseline,
-)
+from repro.quality import Analyzer, LintConfig
 from repro.quality.symbols import nondet_source, summarize_module
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint" / "cases"
@@ -276,33 +270,6 @@ class TestSuppressions:
         assert lines == [11, 15]
 
 
-class TestBaseline:
-    def test_baseline_round_trip(self, tmp_path):
-        violating = "rpr002_violation.py"
-        findings = run_rule("RPR002", violating)
-        assert findings
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-        reloaded = load_baseline(baseline_path)
-        assert sum(reloaded.values()) == len(findings)
-        assert subtract_baseline(findings, reloaded) == []
-
-    def test_baseline_only_absorbs_recorded_findings(self, tmp_path):
-        rpr002 = run_rule("RPR002", "rpr002_violation.py")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, rpr002)
-        other = run_rule("RPR006", "rpr006_violation.py")
-        remaining = subtract_baseline(other, load_baseline(baseline_path))
-        assert remaining == other
-
-    def test_baseline_is_count_aware(self, tmp_path):
-        findings = run_rule("RPR002", "rpr002_violation.py")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings[:1])
-        remaining = subtract_baseline(findings, load_baseline(baseline_path))
-        assert len(remaining) == len(findings) - 1
-
-
 class TestCliOnFixtures:
     def test_nonzero_exit_with_precise_location(self, capsys):
         target = FIXTURES / "rpr002_violation.py"
@@ -321,20 +288,6 @@ class TestCliOnFixtures:
         assert code == 1
         assert payload["summary"]["total"] == 2
         assert all(f["rule"] == "RPR002" for f in payload["findings"])
-
-    def test_baseline_flag(self, tmp_path, capsys):
-        target = FIXTURES / "rpr002_violation.py"
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(["lint", str(target), "--select", "RPR002",
-                  "--write-baseline", str(baseline)])
-            == 0
-        )
-        capsys.readouterr()
-        code = main(["lint", str(target), "--select", "RPR002",
-                     "--baseline", str(baseline)])
-        assert code == 0
-        assert "clean" in capsys.readouterr().out
 
     def test_unknown_rule_is_usage_error(self, capsys):
         assert main(["lint", "--select", "NOPE"]) == 2

@@ -126,7 +126,14 @@ class TestLifecycle:
                 ({"seed": "seven"}, "'seed' must be an integer"),
                 ({"start": "June 1st"}, "not an ISO date"),
                 ({"start": "2014-01-01", "end": "2013-01-01"},
-                 "must not be after"),
+                 "'start' (2014-01-01) must be before 'end' (2013-01-01)"),
+                # the span the study would run is checked, not the request
+                ({"start": "2018-01-01"},
+                 "'start' (2018-01-01) must be before 'end' (2017-12-31)"),
+                ({"end": "2013-01-01"},
+                 "'start' (2013-07-01) must be before 'end' (2013-01-01)"),
+                ({"start": "2014-01-01", "end": "2014-01-01"},
+                 "'start' (2014-01-01) must be before 'end' (2014-01-01)"),
             ]
             for payload, fragment in cases:
                 with pytest.raises(ClientError) as excinfo:
