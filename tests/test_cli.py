@@ -89,6 +89,13 @@ class TestRunCommand:
     def test_workers_negative_rejected(self, capsys):
         assert main(["run", "--workers", "-3"]) == 2
 
+    def test_figure_run_workers_zero_rejected(self, capsys):
+        # the worker count is checked before any figure is planned
+        assert main(["run", "--figure", "all", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--workers must be a positive integer" in err
+        assert "got 0" in err
+
     def test_unknown_figure_rejected(self, capsys):
         assert main(["run", "--figure", "99"]) == 2
         assert "unknown figure '99'" in capsys.readouterr().err
@@ -307,6 +314,12 @@ class TestParser:
         assert args.start_method == "auto"
         assert args.retries == 2
         assert not args.resume
+
+    def test_figure_run_defaults(self):
+        args = build_parser().parse_args(["run", "--figure", "all"])
+        assert args.figure == "all"
+        assert args.scale == "small"
+        assert args.workers is None
 
     def test_serve_defaults(self, tmp_path):
         args = build_parser().parse_args(
