@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnBatch
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.services.thresholds import ActiveSubscriberCriterion
 from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
@@ -30,6 +30,24 @@ class SubscriberDay:
     bytes_up: int
     flows: int
     active: bool
+
+
+#: Stage-1's per-(day, subscriber) table (``StudyData.subscriber_days``,
+#: Figs. 2-3).  ``active`` is a ``bool`` column, so its cells stay Python
+#: bools (the digest writes them ``true``/``false``).
+SUBSCRIBER_DAY_CODEC: ColumnarCodec[SubscriberDay] = ColumnarCodec(
+    columns=[
+        ColumnSpec("day", "date"),
+        ColumnSpec("subscriber_id", "int"),
+        ColumnSpec("technology", "str", enum=Technology),
+        ColumnSpec("bytes_down", "int"),
+        ColumnSpec("bytes_up", "int"),
+        ColumnSpec("flows", "int"),
+        ColumnSpec("active", "bool"),
+    ],
+    record=SubscriberDay,
+    day_column="day",
+)
 
 
 def group_rows(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -61,15 +79,16 @@ def group_ids(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def subscriber_days(
     usage: Iterable[DailyUsage],
     criterion: ActiveSubscriberCriterion = ActiveSubscriberCriterion(),
-) -> List[SubscriberDay]:
-    """Roll per-service rows up to per-subscriber days with the activity flag.
+) -> "ColumnBatch[SubscriberDay]":
+    """Roll per-service rows up to per-subscriber days with the activity flag,
+    as a :data:`SUBSCRIBER_DAY_CODEC` table.
 
-    One entry per (day, subscriber) in first-appearance order, carrying the
-    technology of its first row.
+    One row per (day, subscriber) in first-appearance order, carrying the
+    technology of its first usage row.
     """
     batch = ColumnBatch.of(usage, USAGE_CODEC)
     if not batch:
-        return []
+        return ColumnBatch.from_rows((), SUBSCRIBER_DAY_CODEC)
     columns = batch.columns
     order, starts = group_rows(columns["day"], columns["subscriber_id"])
     firsts = order[starts]
@@ -79,50 +98,47 @@ def subscriber_days(
         np.add.reduceat(columns[name][order], starts)[appearance]
         for name in ("bytes_down", "bytes_up", "flows")
     )
-    active = (
-        (flows >= criterion.min_flows)
-        & (down > criterion.min_bytes_down)
-        & (up > criterion.min_bytes_up)
-    )
-    ordinals, codes = columns["day"][firsts], columns["technology"][firsts]
-    to_date = batch.cell_decoder("day")
-    day_of = {ordinal: to_date(ordinal) for ordinal in np.unique(ordinals).tolist()}
-    technology_of = {
-        code: Technology(batch.dictionaries["technology"][code])
-        for code in np.unique(codes).tolist()
-    }
-    return list(
-        map(
-            SubscriberDay,
-            [day_of[ordinal] for ordinal in ordinals.tolist()],
-            columns["subscriber_id"][firsts].tolist(),
-            [technology_of[code] for code in codes.tolist()],
-            down.tolist(),
-            up.tolist(),
-            flows.tolist(),
-            active.tolist(),
-        )
+    return ColumnBatch(
+        SUBSCRIBER_DAY_CODEC,
+        {
+            "day": columns["day"][firsts],
+            "subscriber_id": columns["subscriber_id"][firsts],
+            "technology": columns["technology"][firsts],
+            "bytes_down": down,
+            "bytes_up": up,
+            "flows": flows,
+            "active": (
+                (flows >= criterion.min_flows)
+                & (down > criterion.min_bytes_down)
+                & (up > criterion.min_bytes_up)
+            ),
+        },
+        {
+            "day": batch.dictionaries.get("day", {}),
+            "technology": batch.dictionaries["technology"],
+        },
     )
 
 
 def active_subscribers_by_day(
     days: Iterable[SubscriberDay],
 ) -> Dict[datetime.date, Set[int]]:
-    """day → the set of active subscriber ids."""
-    active: Dict[datetime.date, Set[int]] = {}
-    for entry in days:
-        if entry.active:
-            active.setdefault(entry.day, set()).add(entry.subscriber_id)
-    return active
+    """day → the set of active subscriber ids, days in first-appearance order."""
+    table = ColumnBatch.of(days, SUBSCRIBER_DAY_CODEC)
+    rows = np.nonzero(table.columns["active"])[0]
+    ordinals = table.columns["day"][rows]
+    order, starts = group_rows(ordinals)
+    members = np.split(table.columns["subscriber_id"][rows][order], starts[1:])
+    to_date = table.cell_decoder("day")
+    return {
+        to_date(int(ordinals[order[starts[group]]])): set(members[group].tolist())
+        for group in np.argsort(order[starts]).tolist()
+    }
 
 
 def activity_rate(days: Iterable[SubscriberDay]) -> float:
     """Fraction of observed subscriber-days that are active (paper: ~0.8)."""
-    total = 0
-    active = 0
-    for entry in days:
-        total += 1
-        active += int(entry.active)
-    if total == 0:
+    table = ColumnBatch.of(days, SUBSCRIBER_DAY_CODEC)
+    if not table:
         return 0.0
-    return active / total
+    return int(np.count_nonzero(table.columns["active"])) / len(table)

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analytics.activity import SubscriberDay, group_ids, group_rows
+from repro.analytics.activity import (
+    SUBSCRIBER_DAY_CODEC,
+    SubscriberDay,
+    group_ids,
+    group_rows,
+)
 from repro.analytics.timeseries import Month, MonthlySeries, monthly_mean
 from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.services.thresholds import VisitClassifier
@@ -99,30 +104,22 @@ def daily_service_stats(
     """
     batch = ColumnBatch.of(usage, USAGE_CODEC)
     columns = batch.columns
-    active = np.array(
-        [
-            (entry.day.toordinal(), entry.subscriber_id)
-            for entry in subscriber_days
-            if entry.active and (technology is None or entry.technology is technology)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    table = ColumnBatch.of(subscriber_days, SUBSCRIBER_DAY_CODEC)
+    chosen = table.columns["active"]
+    if technology is not None:
+        chosen = chosen & table.equals("technology", technology.value)
+    active_days, active_ids = (table.columns[name][chosen] for name in ("day", "subscriber_id"))
     # One grouping of the active (day, subscriber) pairs and the rows' pairs
     # together: the sort is stable and the active pairs come first, so a
     # group holds an active pair exactly when its first member is one.
-    days = np.concatenate([active[:, 0], columns["day"]])
+    days = np.concatenate([active_days, columns["day"]])
     order, starts = group_rows(
-        days, np.concatenate([active[:, 1], columns["subscriber_id"]])
+        days, np.concatenate([active_ids, columns["subscriber_id"]])
     )
-    group_active = order[starts] < len(active)
-    keep = group_active[group_ids(order, starts)[len(active):]]
+    group_active = order[starts] < active_days.size
+    keep = group_active[group_ids(order, starts)[active_days.size:]]
     if technology is not None:
-        codes = [
-            code
-            for code, value in enumerate(batch.dictionaries["technology"])
-            if value == technology.value
-        ]
-        keep &= np.isin(columns["technology"], codes)
+        keep &= batch.equals("technology", technology.value)
     rows = np.nonzero(keep)[0]
     if not rows.size:
         return ColumnBatch.from_rows((), SERVICE_STATS_CODEC)
@@ -216,39 +213,3 @@ def heatmap(
         }
     raise ValueError(f"unknown quantity {quantity!r}")
 
-
-def weekly_reach(
-    usage: Iterable[DailyUsage],
-    subscriber_days: Iterable[SubscriberDay],
-    service: str,
-    classifier: VisitClassifier,
-    technology: Technology,
-    year: int,
-) -> float:
-    """Fraction of subscribers visiting a service at least once per week,
-    averaged over the weeks of ``year`` (the §4.3 weekly Netflix statistic)."""
-    weeks_visited: Dict[Tuple[int, int], Set[int]] = {}
-    weeks_active: Dict[Tuple[int, int], Set[int]] = {}
-    for entry in subscriber_days:
-        if entry.day.year != year or entry.technology is not technology:
-            continue
-        if entry.active:
-            weeks_active.setdefault(entry.day.isocalendar()[:2], set()).add(
-                entry.subscriber_id
-            )
-    for row in usage:
-        if row.day.year != year or row.technology is not technology:
-            continue
-        if row.service != service:
-            continue
-        if classifier.is_visit(service, row.bytes_down + row.bytes_up):
-            weeks_visited.setdefault(row.day.isocalendar()[:2], set()).add(
-                row.subscriber_id
-            )
-    ratios = []
-    for week, active in weeks_active.items():
-        if active:
-            ratios.append(len(weeks_visited.get(week, ())) / len(active))
-    if not ratios:
-        return 0.0
-    return sum(ratios) / len(ratios)

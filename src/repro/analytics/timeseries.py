@@ -12,7 +12,10 @@ import datetime
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analytics.activity import SubscriberDay
+import numpy as np
+
+from repro.analytics.activity import SUBSCRIBER_DAY_CODEC, SubscriberDay, group_rows
+from repro.dataflow.columnar import ColumnBatch
 from repro.synthesis.population import Technology
 
 Month = Tuple[int, int]
@@ -80,23 +83,33 @@ def mean_daily_traffic_per_subscriber(
 ) -> MonthlySeries:
     """Fig. 3: average per-subscription daily traffic, by month and tech.
 
-    Per day, the mean over (active) subscribers of that day's bytes; per
-    month, the mean over days.
+    Per day, the mean over (active) subscribers of that day's bytes — the
+    exact integer sum over the count; per month, the mean over days, taken
+    in the order the days first appear.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"bad direction {direction!r}")
-    by_day: Dict[datetime.date, List[int]] = {}
-    for entry in days:
-        if entry.technology is not technology:
-            continue
-        if active_only and not entry.active:
-            continue
-        value = entry.bytes_down if direction == "down" else entry.bytes_up
-        by_day.setdefault(entry.day, []).append(value)
-    daily_means = [
-        (day, sum(values) / len(values)) for day, values in by_day.items() if values
-    ]
-    return monthly_mean(daily_means, months)
+    table = ColumnBatch.of(days, SUBSCRIBER_DAY_CODEC)
+    rows = table.equals("technology", technology.value)
+    if active_only:
+        rows &= table.columns["active"]
+    ordinals = table.columns["day"][rows]
+    order, starts = group_rows(ordinals)
+    totals = np.add.reduceat(table.columns[f"bytes_{direction}"][rows][order], starts)
+    counts = np.diff(starts, append=order.size)
+    first = np.argsort(order[starts])  # the days in first-appearance order
+    to_date = table.cell_decoder("day")
+    return monthly_mean(
+        (
+            (to_date(ordinal), total / count)
+            for ordinal, total, count in zip(
+                ordinals[order[starts]][first].tolist(),
+                totals[first].tolist(),
+                counts[first].tolist(),
+            )
+        ),
+        months,
+    )
 
 
 def daily_series(

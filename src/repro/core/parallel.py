@@ -57,7 +57,9 @@ server-IP sets and (address → shared?) role maps — are flattened into
 NumPy arrays before pickling, so the parent deserializes a handful of
 buffers instead of millions of boxed floats and dict entries.  Packing
 and unpacking are exact inverses; the merged result is unchanged.  The
-stage-1 tables need none: a column batch pickles as its arrays.
+stage-1 tables need none: a column batch pickles as its arrays — the
+service stats, protocol and hourly tables, and each day's subscriber
+days.
 """
 
 from __future__ import annotations
@@ -179,9 +181,10 @@ class ColumnarPartial:
     def approx_nbytes(self) -> int:
         """Cheap resident-size estimate used by the spill watermark.
 
-        Exact for the arrays and the stage-1 tables; the boxed rows are
-        charged a flat per-row estimate (a pickle round-trip per ``put``
-        would cost more than the spill it gates).
+        Exact for the arrays and the stage-1 tables, subscriber days
+        included; the census rows are charged a flat per-row estimate (a
+        pickle round-trip per ``put`` would cost more than the spill it
+        gates).
         """
         total = 0
         for _, samples in self.rtt:
@@ -191,9 +194,9 @@ class ColumnarPartial:
         for _, _, addresses, shared in self.ip_roles:
             total += addresses.nbytes + shared.nbytes
         data = self.data
-        for name in STUDY_TABLES:
-            total += sum(array.nbytes for array in getattr(data, name).columns.values())
-        total += 96 * sum(len(rows) for rows in data.subscriber_days.values())
+        tables = [getattr(data, name) for name in STUDY_TABLES]
+        for table in [*tables, *data.subscriber_days.values()]:
+            total += sum(array.nbytes for array in table.columns.values())
         total += 96 * len(data.census)
         return total
 

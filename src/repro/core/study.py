@@ -21,7 +21,12 @@ from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Set, 
 import numpy as np
 
 from repro.analytics import rtt as rtt_analytics
-from repro.analytics.activity import SubscriberDay, group_rows, subscriber_days
+from repro.analytics.activity import (
+    SUBSCRIBER_DAY_CODEC,
+    SubscriberDay,
+    group_rows,
+    subscriber_days,
+)
 from repro.analytics.infrastructure import (
     AsnBreakdown,
     DailyServerStats,
@@ -117,14 +122,16 @@ class MergeOverlapError(ValueError):
 class StudyData:
     """Everything the figures need, reduced per day during the single pass.
 
-    Stage-1's output tables (:data:`STUDY_TABLES`) are column batches:
-    records to whoever iterates them, columns to the fan-in, the calendar
-    fold, the stage-2 readers that scan a whole table and the digest.
+    Stage-1's output tables (:data:`STUDY_TABLES`, and each day of
+    ``subscriber_days``) are column batches: records to whoever iterates
+    them, columns to the fan-in, the calendar fold, the stage-2 readers
+    that scan a whole table and the digest.
     """
 
     months: List[Month] = field(default_factory=list)
-    #: day → per-subscriber totals with the activity flag.
-    subscriber_days: Dict[datetime.date, List[SubscriberDay]] = field(
+    #: day → per-subscriber totals with the activity flag, one
+    #: :data:`SUBSCRIBER_DAY_CODEC` table per day.
+    subscriber_days: Dict[datetime.date, "ColumnBatch[SubscriberDay]"] = field(
         default_factory=dict
     )
     #: per-(day, service, technology) popularity/volume cells.
@@ -181,11 +188,12 @@ class StudyData:
             for cell, alone in zip(_summed([cells], "service_stats", ("day",)), lone.tolist())
         ]
 
-    def all_subscriber_days(self) -> List[SubscriberDay]:
-        rows: List[SubscriberDay] = []
-        for day in sorted(self.subscriber_days):
-            rows.extend(self.subscriber_days[day])
-        return rows
+    def all_subscriber_days(self) -> "ColumnBatch[SubscriberDay]":
+        """Every day's subscriber days as one table, in day order."""
+        return ColumnBatch.concat(
+            (self.subscriber_days[day] for day in sorted(self.subscriber_days)),
+            SUBSCRIBER_DAY_CODEC,
+        )
 
     def merge(self, *others: "StudyData") -> None:
         """Fold other partial results in, in order (disjoint day sets enforced).
@@ -384,9 +392,12 @@ class LongitudinalStudy:
             data, day, traffic.usage, self.criterion, self.visit_classifier
         )
         extra.active_counts = {technology: 0 for technology in Technology}
-        for entry in day_rows:
-            if entry.active:
-                extra.active_counts[entry.technology] += 1
+        counts = np.bincount(
+            day_rows.columns["technology"][day_rows.columns["active"]],
+            minlength=len(day_rows.dictionaries["technology"]),
+        )
+        for value, count in zip(day_rows.dictionaries["technology"], counts.tolist()):
+            extra.active_counts[Technology(value)] += count
         data.protocol_rows = traffic.protocols
 
     def _consume_flows(
@@ -447,13 +458,13 @@ def aggregate_usage_day(
     usage: Sequence[DailyUsage],
     criterion: ActiveSubscriberCriterion,
     classifier: VisitClassifier,
-) -> List[SubscriberDay]:
+) -> "ColumnBatch[SubscriberDay]":
     """Stage-1 aggregate reductions of one day's usage rows into ``data``.
 
     Shared by the live study (per shard) and the lake replay (whole
     day): subscriber days, per-technology service cells, and — inside
     the full-resolution comparison months — weekly reach (§4.3).
-    Returns the subscriber-day rows it stored.  ``usage`` is reduced as
+    Returns the subscriber-day table it stored.  ``usage`` is reduced as
     columns (a batch is taken as it is, rows are normalised once).
     """
     usage = ColumnBatch.of(usage, USAGE_CODEC)
@@ -463,11 +474,14 @@ def aggregate_usage_day(
     data.service_stats = ColumnBatch.concat([data.service_stats, *cells], SERVICE_STATS_CODEC)
     if (day.year, day.month) in COMPARISON_MONTHS:
         iso_year, iso_week, _ = day.isocalendar()
-        active_by_id = {
-            entry.subscriber_id: entry.technology
-            for entry in day_rows
-            if entry.active
-        }
+        active = day_rows.columns["active"]
+        technologies = [Technology(value) for value in day_rows.dictionaries["technology"]]
+        active_by_id = dict(
+            zip(
+                day_rows.columns["subscriber_id"][active].tolist(),
+                map(technologies.__getitem__, day_rows.columns["technology"][active].tolist()),
+            )
+        )
         for subscriber_id, technology in active_by_id.items():
             data.weekly_active.setdefault(
                 (iso_year, iso_week, technology), set()
@@ -540,9 +554,9 @@ def merge_day_shards(
     telemetry.count("study_days_processed")
 
     # subscriber_days: shards partition subscribers, so each entry is exact.
-    out.subscriber_days[day] = [
-        row for data in datas for row in data.subscriber_days.get(day, ())
-    ]
+    out.subscriber_days[day] = ColumnBatch.concat(
+        [data.subscriber_days.get(day, ()) for data in datas], SUBSCRIBER_DAY_CODEC
+    )
 
     # Each table is summed per key, in key order — the order every part
     # holds its rows in.  A service-stats cell is additive except

@@ -4,7 +4,7 @@ The paper's platform re-queries five years of daily partitions for every
 new analysis (Section 2.2); at that scale row-at-a-time gzip-TSV decoding
 is the dominant cost of a historical query.  Lake v2 stores each
 ``(table, day)`` partition as one **column chunk**: NumPy-backed columns
-(ints and floats packed little-endian, strings dictionary-encoded)
+(ints, floats and bools packed little-endian, strings dictionary-encoded)
 individually zlib-compressed behind a JSON header, plus a **zone map**
 (min/max day, distinct values of designated key columns, row count) in
 the partition's sidecar manifest.  Readers holding a
@@ -38,7 +38,8 @@ byte, then every second byte, and so on — Blosc's shuffle, Parquet's
 mostly zero high bytes; planed, those zeros form long runs that zlib
 compresses in a fraction of the time, to fewer bytes.  A ``float``
 column is stored as its values' own bytes: its bytes vary in every
-position, and planing it only spreads that noise.  A column's ``crc32``
+position, and planing it only spreads that noise.  A ``bool`` value is
+one byte, so its column is one plane: its own bytes.  A column's ``crc32``
 is the CRC of its values' bytes, not of the planes, so it means the same
 in every format.  Format 2 (no planes) stays readable through the same
 decode path — its plane count is 1, the identity; only format 3 is
@@ -104,7 +105,7 @@ _READ_FORMATS = (2, CHUNK_FORMAT)
 #: Fixed compression level keeps chunk bytes deterministic.
 _ZLIB_LEVEL = 6
 
-COLUMN_KINDS = ("int", "float", "str", "date")
+COLUMN_KINDS = ("int", "float", "str", "date", "bool")
 
 _KIND_DTYPE = MappingProxyType(
     {
@@ -112,6 +113,7 @@ _KIND_DTYPE = MappingProxyType(
         "float": np.dtype("<f8"),
         "str": np.dtype("<i4"),  # codes into the header dictionary
         "date": np.dtype("<i8"),  # proleptic ordinals
+        "bool": np.dtype("?"),  # one byte, its cells Python bools
     }
 )
 
@@ -161,7 +163,7 @@ class ColumnSpec:
     """
 
     name: str
-    kind: str  # "int" | "float" | "str" | "date"
+    kind: str  # "int" | "float" | "str" | "date" | "bool"
     enum: Optional[type] = None
     attr: Optional[str] = None
     digits: Optional[int] = None
@@ -254,9 +256,22 @@ class ColumnarCodec(Generic[T]):
         return next((name for name, value in module.items() if value is self), "<local>")
 
 
+def _parse_bool(cell: str) -> bool:
+    """A ``bool`` cell as ``str`` prints it, back: ``True`` or ``False``."""
+    if cell not in ("True", "False"):
+        raise ValueError(f"not a bool cell: {cell!r}")
+    return cell == "True"
+
+
 #: A v1 line's field back to its row cell, by column kind.
 _PARSE_CELL = MappingProxyType(
-    {"int": int, "float": float, "str": str, "date": datetime.date.fromisoformat}
+    {
+        "int": int,
+        "float": float,
+        "str": str,
+        "date": datetime.date.fromisoformat,
+        "bool": _parse_bool,
+    }
 )
 
 
@@ -319,8 +334,8 @@ class ColumnBatch(Sequence[T]):
     """A table's rows as typed arrays — and, on demand, as records.
 
     ``columns`` holds one array per codec column in the chunk's own
-    encoding: ``int``/``float`` values as they are, ``date`` values as
-    proleptic ordinals, ``str`` values as ``<i4`` codes into
+    encoding: ``int``/``float``/``bool`` values as they are, ``date``
+    values as proleptic ordinals, ``str`` values as ``<i4`` codes into
     ``dictionaries[name]`` (distinct values in any order, not all of them
     necessarily used).  Arrays are adopted, not copied, when they already
     have the column's dtype.  For a ``date`` column ``dictionaries`` may

@@ -503,8 +503,9 @@ class CheckpointError(RuntimeError):
 #: are rejected (and recomputed) instead of being misread.  v2 pickles
 #: the payload separately and stores its CRC32 alongside, so truncation
 #: and bit rot inside the payload are detected, not just torn envelopes;
-#: v3 payloads hold stage-1's tables as column batches, not row objects.
-CHECKPOINT_VERSION = 3
+#: v3 payloads hold stage-1's tables as column batches, not row objects;
+#: v4 payloads hold each day's subscriber days as a table too.
+CHECKPOINT_VERSION = 4
 
 
 #: What a record is written under and must be read back under:

@@ -11,8 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.analytics.activity import SUBSCRIBER_DAY_CODEC
 from repro.analytics.distributions import EmpiricalDistribution, log_grid
 from repro.core.study import StudyData
+from repro.dataflow.columnar import ColumnBatch
 from repro.figures.common import MB, Expectation, ratio, within
 from repro.synthesis.population import Technology
 
@@ -49,16 +53,17 @@ def compute(data: StudyData, month: int = 4) -> Fig2Data:
     samples: Dict[Tuple[int, Technology, str], List[float]] = {
         key: [] for key in CURVE_KEYS
     }
-    for day, rows in data.subscriber_days.items():
+    for day, table in data.subscriber_days.items():
         if day.month != month or day.year not in (2014, 2017):
             continue
-        for entry in rows:
-            if not entry.active:
-                continue
-            samples[(day.year, entry.technology, "down")].append(
-                float(entry.bytes_down)
-            )
-            samples[(day.year, entry.technology, "up")].append(float(entry.bytes_up))
+        table = ColumnBatch.of(table, SUBSCRIBER_DAY_CODEC)
+        for technology in Technology:
+            rows = table.columns["active"] & table.equals("technology", technology.value)
+            for direction in ("down", "up"):
+                values = table.columns[f"bytes_{direction}"][rows]
+                samples[(day.year, technology, direction)].extend(
+                    values.astype(np.float64).tolist()
+                )
     distributions = {
         key: EmpiricalDistribution.from_samples(values)
         for key, values in samples.items()

@@ -31,12 +31,12 @@ class Fig3Data:
 
 
 def compute(data: StudyData) -> Fig3Data:
-    rows = data.all_subscriber_days()
+    table = data.all_subscriber_days()
     series = {}
     for technology in Technology:
         for direction in ("down", "up"):
             series[(technology, direction)] = mean_daily_traffic_per_subscriber(
-                rows, data.months, technology, direction
+                table, data.months, technology, direction
             )
     return Fig3Data(series=series)
 

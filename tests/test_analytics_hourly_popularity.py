@@ -18,11 +18,14 @@ from repro.analytics.popularity import (
     daily_service_stats,
     heatmap,
     popularity_series,
-    weekly_reach,
 )
-from repro.core.study import StudyData
+from repro.core.study import StudyData, aggregate_usage_day
 from repro.dataflow.columnar import ColumnBatch
-from repro.services.thresholds import VisitClassifier, no_threshold_classifier
+from repro.services.thresholds import (
+    ActiveSubscriberCriterion,
+    VisitClassifier,
+    no_threshold_classifier,
+)
 from repro.synthesis.flowgen import DailyUsage, HourlyVolume
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
@@ -193,17 +196,27 @@ class TestSeries:
 
 class TestWeeklyReach:
     def test_weekly_beats_daily(self):
-        """A subscriber visiting once a week counts weekly, not daily."""
+        """A subscriber visiting once a week counts weekly, not daily
+        (``StudyData.weekly_reach`` over the weeks stage-1 tracks: those of
+        a comparison month)."""
         rows = []
-        # Subscriber 1 uses Netflix every Monday of January 2017 only.
-        for day_number in (2, 9, 16, 23, 30):
-            rows.append(usage_row(1, "Netflix", 500_000_000, day=D(2017, 1, day_number)))
-        # Both subscribers browse daily.
-        for day_number in range(2, 31):
-            rows.append(usage_row(1, "Other", 50_000_000, day=D(2017, 1, day_number)))
-            rows.append(usage_row(2, "Other", 50_000_000, day=D(2017, 1, day_number)))
-        days = subscriber_days(rows)
-        reach = weekly_reach(
-            rows, days, "Netflix", VisitClassifier(), Technology.ADSL, 2017
-        )
+        # Subscriber 1 uses Netflix every Monday of April 2017 only.
+        for day_number in (3, 10, 17, 24):
+            rows.append(usage_row(1, "Netflix", 500_000_000, day=D(2017, 4, day_number)))
+        # Both subscribers browse daily, Monday 3 to Sunday 30: four whole weeks.
+        for day_number in range(3, 31):
+            rows.append(usage_row(1, "Other", 50_000_000, day=D(2017, 4, day_number)))
+            rows.append(usage_row(2, "Other", 50_000_000, day=D(2017, 4, day_number)))
+        data = StudyData()
+        for day in sorted({row.day for row in rows}):
+            aggregate_usage_day(
+                data,
+                day,
+                [row for row in rows if row.day == day],
+                ActiveSubscriberCriterion(),
+                VisitClassifier(),
+            )
+        assert len(data.weekly_active) == 4
+        reach = data.weekly_reach("Netflix", Technology.ADSL, 2017)
         assert reach == pytest.approx(0.5, abs=0.05)
+        assert data.weekly_reach("Netflix", Technology.ADSL, 2014) is None

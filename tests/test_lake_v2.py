@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.persistence  # noqa: F401 — registers fsck table codecs
+from repro.analytics.activity import SUBSCRIBER_DAY_CODEC, SubscriberDay
 from repro.core.config import StudyConfig
 from repro.core.parallel import execute_study
 from repro.core.persistence import (
@@ -30,6 +31,7 @@ from repro.core.persistence import (
     USAGE_TABLE,
     replay_study,
 )
+from repro.dataflow import columnar
 from repro.dataflow.columnar import (
     CHUNK_MAGIC,
     Chunk,
@@ -374,19 +376,20 @@ EVERY_KIND_CODEC = ColumnarCodec(
         ColumnSpec("value", "float"),
         ColumnSpec("name", "str"),
         ColumnSpec("day", "date"),
+        ColumnSpec("flag", "bool"),
     ],
     record=lambda *cells: cells,
 )
 
 INT64 = np.iinfo(np.int64)
-EDGE_ROW = (INT64.min, -0.0, None, 1)
+EDGE_ROW = (INT64.min, -0.0, None, 1, False)
 EDGE_FLOATS = [float("nan"), -0.0, 0.0, float("inf"), float("-inf")]
 
 
 def every_kind_batch(rows, step):
     """``rows`` as an :data:`EVERY_KIND_CODEC` batch whose columns are
     strided views when ``step`` is not 1."""
-    counts, values, names, ordinals = zip(*rows) if rows else ((), (), (), ())
+    counts, values, names, ordinals, flags = zip(*rows) if rows else ((),) * 5
     ids = {}
     batch = ColumnBatch(
         EVERY_KIND_CODEC,
@@ -395,6 +398,7 @@ def every_kind_batch(rows, step):
             "value": np.array(values, dtype="<f8"),
             "name": dictionary_codes(names, ids),
             "day": np.array(ordinals, dtype="<i8"),
+            "flag": np.array(flags, dtype="?"),
         },
         {"name": list(ids)},
     )
@@ -512,6 +516,7 @@ class TestFormat3RoundTrip:
                 st.floats() | st.sampled_from(EDGE_FLOATS),
                 st.none() | st.text(max_size=3),
                 st.integers(1, D.max.toordinal()),
+                st.booleans(),
             ),
             max_size=40,
         ),
@@ -520,7 +525,7 @@ class TestFormat3RoundTrip:
     @example(rows=[], step=1)
     @example(rows=[EDGE_ROW], step=-1)
     @example(
-        rows=[(INT64.max, value, "a", D.max.toordinal()) for value in EDGE_FLOATS],
+        rows=[(INT64.max, value, "a", D.max.toordinal(), True) for value in EDGE_FLOATS],
         step=2,
     )
     def test_every_kind_reads_back_bit_for_bit(self, tmp_path, rows, step):
@@ -539,8 +544,11 @@ class TestFormat3RoundTrip:
         chunk = Chunk(path)
         assert chunk.format == 3 and chunk.rows == len(batch) == manifest.records
         assert chunk.check(manifest).ok
-        for name in ("count", "value", "day"):  # NaN payloads and -0.0 included
+        for name in ("count", "value", "day", "flag"):  # NaN payloads and -0.0 included
             assert chunk.column(name).tobytes() == batch.columns[name].tobytes()
+        flags = chunk.scan(EVERY_KIND_CODEC).batch.cells()[4]
+        assert flags == batch.columns["flag"].tolist()
+        assert {type(flag) for flag in flags} <= {bool}  # cells are Python bools
         names = batch.dictionaries["name"]
         stored = chunk._meta["name"]["values"]
         assert [stored[code] for code in chunk.column("name").tolist()] == [
@@ -548,7 +556,7 @@ class TestFormat3RoundTrip:
         ]
 
     def test_integer_columns_are_planed_and_floats_are_not(self, tmp_path):
-        rows = [(i * 1_000_003, i / 7, f"s{i % 3}", 735_000 + i) for i in range(50)]
+        rows = [(i * 1_000_003, i / 7, f"s{i % 3}", 735_000 + i, i % 4 == 0) for i in range(50)]
         batch = every_kind_batch(rows, 1)
         path = tmp_path / "part-0.colchunk"
         path.write_bytes(encode_chunk(batch, EVERY_KIND_CODEC, D(2017, 4, 12))[0])
@@ -567,9 +575,45 @@ class TestFormat3RoundTrip:
             raw, width = values.tobytes(), values.dtype.itemsize
             assert stream == b"".join(raw[plane::width] for plane in range(width))
             assert meta["crc32"] == zlib.crc32(raw)  # of the values, not the planes
-        meta, stream = streams["value"]
-        assert stream == batch.columns["value"].tobytes()
-        assert meta["crc32"] == zlib.crc32(stream)
+        for name in ("value", "flag"):  # a bool's one byte is its one plane
+            meta, stream = streams[name]
+            assert stream == batch.columns[name].tobytes()
+            assert meta["crc32"] == zlib.crc32(stream)
+
+
+class TestBoolColumns:
+    """The ``bool`` kind (``active`` of a subscriber day) in both containers,
+    and in front of a reader that predates it."""
+
+    RECORDS = [
+        SubscriberDay(D(2017, 4, 12), 7, Technology.ADSL, 20_000, 6_000, 12, True),
+        SubscriberDay(D(2017, 4, 12), 8, Technology.FTTH, 10, 1, 1, False),
+    ]
+
+    def test_a_v1_line_round_trips_true_and_false(self, tmp_path):
+        codec = SUBSCRIBER_DAY_CODEC
+        lines = [codec.encode(record) for record in self.RECORDS]
+        assert [line.rsplit("\t", 1)[1] for line in lines] == ["True", "False"]
+        decoded = [codec.decode(line) for line in lines]
+        assert decoded == self.RECORDS
+        assert [type(record.active) for record in decoded] == [bool, bool]
+        with pytest.raises(ValueError, match="not a bool cell"):
+            codec.decode(lines[0].rsplit("\t", 1)[0] + "\t1")
+        lake = DataLake(tmp_path)
+        lake.write_day("subscriber_days", D(2017, 4, 12), self.RECORDS, codec)
+        assert lake.read_day("subscriber_days", D(2017, 4, 12), codec).collect() == self.RECORDS
+
+    def test_an_older_reader_refuses_a_bool_column_as_schema(self, tmp_path, monkeypatch):
+        lake = DataLake(tmp_path, write_format="v2")
+        path = lake.write_day(
+            "subscriber_days", D(2017, 4, 12), self.RECORDS, SUBSCRIBER_DAY_CODEC
+        )
+        assert verify_chunk(path).ok and fsck_kinds(lake) == []
+        older = {kind: dtype for kind, dtype in columnar._KIND_DTYPE.items() if kind != "bool"}
+        monkeypatch.setattr(columnar, "_KIND_DTYPE", older)
+        check = verify_chunk(path)
+        assert (check.kind, check.detail) == ("schema", "unknown column kind 'bool'")
+        assert fsck_kinds(lake) == ["schema"]
 
 
 class TestFormat2Chunks:

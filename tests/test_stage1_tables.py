@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analytics.activity import SUBSCRIBER_DAY_CODEC, subscriber_days
+from repro.analytics.distributions import EmpiricalDistribution
 from repro.analytics.hourly import monthly_profile
 from repro.analytics.popularity import (
     SERVICE_STATS_CODEC,
@@ -24,7 +26,7 @@ from repro.analytics.popularity import (
     popularity_series,
 )
 from repro.analytics.protocols import monthly_protocol_shares
-from repro.analytics.timeseries import monthly_mean
+from repro.analytics.timeseries import mean_daily_traffic_per_subscriber, monthly_mean
 from repro.core.config import StudyConfig, small_study
 from repro.core.parallel import DayTask, DaySuccess, _run_chunk
 from repro.core.persistence import HOURLY_CODEC
@@ -34,6 +36,7 @@ from repro.core.study import STUDY_TABLES, LongitudinalStudy
 from repro.dataflow.columnar import Chunk, ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.dataflow.datalake import DataLake
 from repro.dataflow.integrity import load_manifest
+from repro.figures import fig02_ccdf
 from repro.service.results import render_figures, study_digest
 from repro.services import catalog
 from repro.synthesis.flowgen import (
@@ -144,7 +147,8 @@ def _local_codec():
 
 class TestPickle:
     @pytest.mark.parametrize(
-        "codec", [codec for codec, _ in STUDY_TABLES.values()] + [USAGE_CODEC]
+        "codec",
+        [codec for codec, _ in STUDY_TABLES.values()] + [USAGE_CODEC, SUBSCRIBER_DAY_CODEC],
     )
     def test_codec_pickles_by_reference(self, codec):
         assert pickle.loads(pickle.dumps(codec)) is codec
@@ -153,14 +157,15 @@ class TestPickle:
         with pytest.raises(pickle.PicklingError):
             pickle.dumps(_local_codec())
 
-    @pytest.mark.parametrize("table", ["usage", "protocols", "hourly"])
+    @pytest.mark.parametrize("table", ["usage", "protocols", "hourly", "subscriber_days"])
     def test_batch_pickle_holds_no_per_row_object(self, generator, table):
         traffic = generator.generate_day(DAY)
         batch = {
-            "usage": traffic.usage,
-            "protocols": traffic.protocols,
-            "hourly": generator.generate_hourly(DAY, traffic),
-        }[table]
+            "usage": lambda: traffic.usage,
+            "protocols": lambda: traffic.protocols,
+            "hourly": lambda: generator.generate_hourly(DAY, traffic),
+            "subscriber_days": lambda: subscriber_days(traffic.usage),
+        }[table]()
         assert isinstance(batch, ColumnBatch) and len(batch) > 20
 
         def opcodes(rows):
@@ -297,6 +302,33 @@ def oracle_stats_for(stats, service):
 SUMMED = ("visitors", "active_subscribers", "bytes_down", "bytes_total", "visitor_bytes")
 
 
+def oracle_fig2_samples(subscriber_days, month=4):
+    samples = {key: [] for key in fig02_ccdf.CURVE_KEYS}
+    for day, rows in subscriber_days.items():
+        if day.month != month or day.year not in (2014, 2017):
+            continue
+        for entry in rows:
+            if not entry.active:
+                continue
+            samples[(day.year, entry.technology, "down")].append(float(entry.bytes_down))
+            samples[(day.year, entry.technology, "up")].append(float(entry.bytes_up))
+    return samples
+
+
+def oracle_mean_daily_traffic(days, months, technology, direction, active_only):
+    by_day = {}
+    for entry in days:
+        if entry.technology is not technology:
+            continue
+        if active_only and not entry.active:
+            continue
+        value = entry.bytes_down if direction == "down" else entry.bytes_up
+        by_day.setdefault(entry.day, []).append(value)
+    return monthly_mean(
+        [(day, sum(values) / len(values)) for day, values in by_day.items() if values], months
+    )
+
+
 class TestReadersMatchRowLoops:
     def test_monthly_profile(self, study_data):
         rows = list(study_data.hourly)
@@ -323,6 +355,30 @@ class TestReadersMatchRowLoops:
             assert byte_share_series(adsl_table, service, months) == oracle_byte_share(
                 adsl, service, months
             )
+
+    def test_fig2_distributions(self, study_data):
+        samples = oracle_fig2_samples(study_data.subscriber_days)
+        assert all(samples.values())
+        assert fig02_ccdf.compute(study_data).distributions == {
+            key: EmpiricalDistribution.from_samples(values) for key, values in samples.items()
+        }
+
+    def test_mean_daily_traffic_per_subscriber(self, study_data):
+        table = study_data.all_subscriber_days()
+        rows = list(table)
+        # unsorted, so the days' first-appearance order is not day order
+        shuffled = rows[len(rows) // 2 :] + rows[: len(rows) // 2]
+        months = study_data.months
+        for technology in Technology:
+            for direction in ("down", "up"):
+                for active_only in (True, False):
+                    args = (technology, direction, active_only)
+                    expected = oracle_mean_daily_traffic(rows, months, *args)
+                    assert expected.defined()
+                    assert mean_daily_traffic_per_subscriber(table, months, *args) == expected
+                    assert mean_daily_traffic_per_subscriber(
+                        shuffled, months, *args
+                    ) == oracle_mean_daily_traffic(shuffled, months, *args)
 
     def test_stats_for(self, study_data):
         stats = list(study_data.service_stats)
