@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.routing.asns import by_number
 from repro.routing.rib import RibArchive
 from repro.services.rules import RuleSet
@@ -56,6 +57,36 @@ class DailyServerStats:
     @property
     def total_ips(self) -> int:
         return self.dedicated_ips + self.shared_ips
+
+    @classmethod
+    def of(cls, day: datetime.date, service: str, roles: Dict[int, bool]) -> "DailyServerStats":
+        """The census of one day's (address → shared?) map."""
+        shared = sum(roles.values())
+        return cls(day, service, len(roles) - shared, shared)
+
+
+@dataclass(frozen=True)
+class ServerAddress:
+    """Fig. 11 top row: one server address a service used on one day."""
+
+    day: datetime.date
+    service: str
+    ip: int
+    shared: bool
+
+
+#: Stage-1's per-(day, service, address) table (``StudyData.servers``):
+#: Fig. 11's census, cumulative growth and raster are its reductions.
+SERVER_CODEC: ColumnarCodec[ServerAddress] = ColumnarCodec(
+    columns=[
+        ColumnSpec("day", "date"),
+        ColumnSpec("service", "str"),
+        ColumnSpec("ip", "int"),
+        ColumnSpec("shared", "bool"),
+    ],
+    record=ServerAddress,
+    day_column="day",
+)
 
 
 @dataclass(frozen=True)
@@ -114,29 +145,38 @@ class ServicePairs:
             codes.append(remap[part_codes])
         return cls.distinct(np.concatenate(ips), np.concatenate(codes), tuple(code_of))
 
-    def _member(self, service: str) -> np.ndarray:
-        if service not in self.services:
-            return np.zeros(self.codes.shape, dtype=bool)
-        return self.codes == self.services.index(service)
-
-    def census(self, day: datetime.date, service: str) -> DailyServerStats:
-        member = self._member(service)
-        shared_ips = int(np.count_nonzero(self.shared & member))
-        return DailyServerStats(
-            day=day,
-            service=service,
-            dedicated_ips=int(np.count_nonzero(member)) - shared_ips,
-            shared_ips=shared_ips,
+    def servers(
+        self, day: datetime.date, services: Tuple[str, ...]
+    ) -> "ColumnBatch[ServerAddress]":
+        """The :data:`SERVER_CODEC` rows of ``services``, in that order, each
+        service's addresses ascending."""
+        code_of = {name: code for code, name in enumerate(self.services)}
+        rows = [np.nonzero(self.codes == code_of.get(service, -1))[0] for service in services]
+        picked = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+        return ColumnBatch(
+            SERVER_CODEC,
+            {
+                "day": np.full(picked.size, day.toordinal()),
+                "service": np.repeat(np.arange(len(services)), [row.size for row in rows]),
+                "ip": self.ips[picked],
+                "shared": self.shared[picked],
+            },
+            {"service": list(services)},
         )
 
-    def roles(self, service: str) -> Dict[int, bool]:
-        """The service's addresses of the day → shared?"""
-        member = self._member(service)
-        return dict(zip(self.ips[member].tolist(), self.shared[member].tolist()))
 
-    def addresses(self, service: str) -> List[int]:
-        """The service's distinct addresses, ascending."""
-        return self.ips[self._member(service)].tolist()
+def server_roles(
+    servers: Iterable[ServerAddress], service: str, days: Iterable[datetime.date]
+) -> List[Tuple[datetime.date, Dict[int, bool]]]:
+    """One service's (address → shared?) map per day, in day order, from a
+    :data:`SERVER_CODEC` table: every day of ``days`` (one on which the
+    service used no address maps nothing) and every day the table holds."""
+    table = ColumnBatch.of(servers, SERVER_CODEC)
+    rows = table.take(table.equals("service", service))
+    roles: Dict[datetime.date, Dict[int, bool]] = {day: {} for day in days}
+    for day, _, ip, shared in zip(*rows.cells()):
+        roles.setdefault(day, {})[ip] = shared
+    return sorted(roles.items())
 
 
 def ip_service_pairs(
@@ -163,8 +203,8 @@ def daily_server_census(
     An address is *shared* if, on the same day, it also served traffic
     classified to any other service (including the unnamed rest).
     """
-    pairs = ip_service_pairs(flows, rules, codes)
-    return [pairs.census(day, service) for service in services]
+    roles = daily_ip_roles(flows, rules, services, day, codes)
+    return [DailyServerStats.of(day, service, roles[service]) for service in services]
 
 
 @dataclass(frozen=True)
@@ -299,8 +339,8 @@ def daily_ip_roles(
     This is the raw material of Fig. 11's top panels: each (ip, day) cell
     is a red dot (dedicated) or a blue dot (also served another service).
     """
-    pairs = ip_service_pairs(flows, rules, codes)
-    return {service: pairs.roles(service) for service in services}
+    servers = ip_service_pairs(flows, rules, codes).servers(day, tuple(services))
+    return {service: server_roles(servers, service, [day])[0][1] for service in services}
 
 
 @dataclass(frozen=True)

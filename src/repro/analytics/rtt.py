@@ -8,14 +8,36 @@ the distribution of minimum per-flow RTT, ignoring samples in the tails."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.analytics.distributions import EmpiricalDistribution
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
 from repro.services.rules import RuleSet
 from repro.tstat.flow import FlowRecord, Transport
 from repro.tstat.flowbatch import BatchServiceView, FlowBatch
+
+
+@dataclass(frozen=True)
+class RttSample:
+    """Fig. 10: one flow's minimum RTT to a service, in a given year."""
+
+    service: str
+    year: int
+    ms: float
+
+
+#: Stage-1's per-flow min-RTT table (``StudyData.rtt``), in flow order:
+#: Fig. 10 groups it by (service, year).
+RTT_CODEC: ColumnarCodec[RttSample] = ColumnarCodec(
+    columns=[
+        ColumnSpec("service", "str"),
+        ColumnSpec("year", "int"),
+        ColumnSpec("ms", "float"),
+    ],
+    record=RttSample,
+)
 
 
 def min_rtt_mask(
@@ -25,10 +47,7 @@ def min_rtt_mask(
     min_samples: int = 1,
     codes: Optional[BatchServiceView] = None,
 ) -> np.ndarray:
-    """Boolean mask of the batch flows :func:`min_rtt_samples` selects.
-
-    Exposed separately so shard partials can tag each sample with its
-    flow position (the merged sample list is order-sensitive)."""
+    """Boolean mask of the batch flows :func:`min_rtt_samples` selects."""
     flows, view = FlowBatch.classified(flows, rules, codes)
     return (
         flows.equals("transport", Transport.TCP.value)
@@ -54,6 +73,30 @@ def min_rtt_samples(
     batch = FlowBatch.of(flows)
     mask = min_rtt_mask(batch, rules, service, min_samples, codes)
     return batch.columns["rtt_min_ms"][mask].tolist()
+
+
+def min_rtt_table(
+    flows: FlowBatch,
+    rules: RuleSet,
+    services: Sequence[str],
+    year: int,
+    codes: Optional[BatchServiceView] = None,
+) -> "ColumnBatch[RttSample]":
+    """The :func:`min_rtt_samples` of ``services`` as one :data:`RTT_CODEC`
+    table in flow order, so consecutive flow ranges' tables concatenate."""
+    service = np.full(len(flows), -1)
+    for code, name in enumerate(services):
+        service[min_rtt_mask(flows, rules, name, codes=codes)] = code
+    rows = np.nonzero(service >= 0)[0]
+    return ColumnBatch(
+        RTT_CODEC,
+        {
+            "service": service[rows],
+            "year": np.full(rows.size, year),
+            "ms": flows.columns["rtt_min_ms"][rows],
+        },
+        {"service": list(services)},
+    )
 
 
 def rtt_distribution(

@@ -7,19 +7,21 @@ Two observations of the paper that sit outside its numbered figures:
 * Section 3.1 — "many different subscribers present days of heavy usage,
   often alternating between days of light and heavy usage".
 
-Both are measurable from the per-subscriber day rows; this module
-computes them so the claims can be asserted instead of eyeballed.
+Both are measurable from the subscriber-day table; this module computes
+them from its columns so the claims can be asserted instead of eyeballed.
 """
 
 from __future__ import annotations
 
-import datetime
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.analytics.activity import SubscriberDay
-from repro.analytics.timeseries import Month, MonthlySeries
+import numpy as np
+
+from repro.analytics.activity import SUBSCRIBER_DAY_CODEC, SubscriberDay, group_rows
+from repro.analytics.timeseries import Month, MonthlySeries, monthly_mean
+from repro.dataflow.columnar import ColumnBatch
 from repro.synthesis.population import Technology
 
 GB = 1_000_000_000
@@ -31,14 +33,11 @@ def observed_subscribers(
     technology: Technology,
 ) -> MonthlySeries:
     """Mean daily count of observed subscribers per month, one technology."""
-    per_day: Dict[datetime.date, int] = {}
-    for entry in days:
-        if entry.technology is technology:
-            per_day[entry.day] = per_day.get(entry.day, 0) + 1
-    samples = [(day, float(count)) for day, count in per_day.items()]
-    from repro.analytics.timeseries import monthly_mean
-
-    return monthly_mean(samples, months)
+    table = ColumnBatch.of(days, SUBSCRIBER_DAY_CODEC)
+    ordinals = table.columns["day"][table.equals("technology", technology.value)]
+    distinct, counts = np.unique(ordinals, return_counts=True)
+    dates = map(table.cell_decoder("day"), distinct.tolist())
+    return monthly_mean(zip(dates, map(float, counts.tolist())), months)
 
 
 def churn_trend(
@@ -48,10 +47,10 @@ def churn_trend(
 
     The paper's expectation: ADSL < 1 (decline), FTTH > 1 (growth).
     """
-    days = list(days)
+    table = ColumnBatch.of(days, SUBSCRIBER_DAY_CODEC)
     trends: Dict[Technology, Optional[float]] = {}
     for technology in Technology:
-        series = observed_subscribers(days, months, technology)
+        series = observed_subscribers(table, months, technology)
         defined = series.defined()
         if len(defined) < 2 or defined[0][1] == 0:
             trends[technology] = None
@@ -85,37 +84,30 @@ def heavy_day_stats(
     active_only: bool = True,
 ) -> HeavyDayStats:
     """Quantify who has heavy (>threshold download) days and whether they
-    alternate with light days rather than clustering."""
-    by_subscriber: Dict[int, List[Tuple[datetime.date, bool]]] = {}
-    for entry in days:
-        if active_only and not entry.active:
-            continue
-        by_subscriber.setdefault(entry.subscriber_id, []).append(
-            (entry.day, entry.bytes_down > threshold_bytes)
-        )
-    with_heavy: Set[int] = set()
-    heavy_fractions: List[float] = []
-    transitions = 0
-    alternations = 0
-    for subscriber_id, entries in by_subscriber.items():
-        entries.sort(key=lambda pair: pair[0])
-        flags = [heavy for _, heavy in entries]
-        if any(flags):
-            with_heavy.add(subscriber_id)
-            heavy_fractions.append(sum(flags) / len(flags))
-        for previous, current in zip(flags, flags[1:]):
-            if previous:
-                transitions += 1
-                if not current:
-                    alternations += 1
+    alternate with light days rather than clustering.
+
+    Each subscriber's days are taken in day order; a transition is a pair
+    of consecutive observed days of one subscriber."""
+    table = ColumnBatch.of(days, SUBSCRIBER_DAY_CODEC)
+    rows = table.columns["active"] if active_only else slice(None)
+    subscribers = table.columns["subscriber_id"][rows]
+    order, _ = group_rows(subscribers, table.columns["day"][rows])
+    subscribers = subscribers[order]
+    heavy = (table.columns["bytes_down"][rows] > threshold_bytes)[order]
+    starts = group_rows(subscribers)[1]  # each subscriber's first day
+    same = subscribers[1:] == subscribers[:-1]  # consecutive days of one subscriber
+    heavy_days = np.add.reduceat(heavy.astype(np.int64), starts)
+    with_heavy = heavy_days > 0
+    fractions = heavy_days[with_heavy] / np.diff(starts, append=subscribers.size)[with_heavy]
+    after_heavy = heavy[:-1] & same
+    transitions = int(np.count_nonzero(after_heavy))
+    alternations = int(np.count_nonzero(after_heavy & ~heavy[1:]))
     return HeavyDayStats(
         threshold_bytes=threshold_bytes,
-        subscribers_observed=len(by_subscriber),
-        subscribers_with_heavy_days=len(with_heavy),
+        subscribers_observed=int(starts.size),
+        subscribers_with_heavy_days=int(fractions.size),
         mean_heavy_fraction=(
-            math.fsum(heavy_fractions) / len(heavy_fractions)
-            if heavy_fractions
-            else 0.0
+            math.fsum(fractions.tolist()) / fractions.size if fractions.size else 0.0
         ),
         alternation_rate=alternations / transitions if transitions else 0.0,
     )

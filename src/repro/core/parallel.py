@@ -51,15 +51,11 @@ so a killed 100k-subscriber run resumes mid-day.  Completed partials
 above a memory watermark spill to disk (``shard_spill_dir``) in the
 checkpoint tier's record format and are read back during fan-in.
 
-Workers ship their partials back as :class:`ColumnarPartial`\\ s: the
-bulky flow-tier payloads — per-(service, year) RTT sample lists, per-day
-server-IP sets and (address → shared?) role maps — are flattened into
-NumPy arrays before pickling, so the parent deserializes a handful of
-buffers instead of millions of boxed floats and dict entries.  Packing
-and unpacking are exact inverses; the merged result is unchanged.  The
-stage-1 tables need none: a column batch pickles as its arrays — the
-service stats, protocol and hourly tables, and each day's subscriber
-days.
+Workers ship their partials back as :class:`ColumnarPartial`\\ s: a
+day's StudyData and, for one part of a split day, its fan-in sidecar.
+Every per-day output of stage-1 is a column batch — the service stats,
+protocol, hourly, server and RTT tables, and each day's subscriber days
+— so a partial pickles as a handful of arrays with nothing per row.
 """
 
 from __future__ import annotations
@@ -79,8 +75,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core import fsio
 from repro.core.config import StudyConfig, config_hash
@@ -132,88 +126,31 @@ _STUDY_CACHE: Dict[str, LongitudinalStudy] = {}  # repro: noqa[RPR004] -- per-pr
 
 @dataclass
 class ColumnarPartial:
-    """One worker's StudyData with the heavy flow-tier fields columnarized."""
+    """One task's result, as the pipe, the spill file and the checkpoint
+    carry it: its StudyData and the fan-in sidecar."""
 
     data: StudyData
-    rtt: List[Tuple[Tuple[str, int], np.ndarray]]
-    ip_sets: List[Tuple[str, datetime.date, np.ndarray]]
-    ip_roles: List[Tuple[str, datetime.date, np.ndarray, np.ndarray]]
     #: Shard fan-in sidecar (:class:`~repro.core.shards.ShardExtra`) of
     #: one part of a split day; ``None`` on a finished day partial.
     extra: Optional[object] = None
 
     @classmethod
     def pack(cls, data: StudyData, extra: Optional[object] = None) -> "ColumnarPartial":
-        """Flatten the object-graph fields into compact arrays.
-
-        ``data`` is left untouched: the returned partial wraps a shallow
-        copy whose three flow-tier dicts are emptied, so callers that
-        pack a partial and keep using their StudyData never see silent
-        loss.  (The copy shares the remaining aggregate lists with
-        ``data`` — packing is a serialization step, not a deep fork.)
-        """
-        rtt = [
-            (key, np.asarray(samples, dtype=np.float64))
-            for key, samples in data.rtt_samples.items()
-        ]
-        ip_sets = [
-            (service, day, np.fromiter(sorted(addresses), np.int64, len(addresses)))
-            for service, entries in data.daily_ip_sets.items()
-            for day, addresses in entries
-        ]
-        ip_roles = [
-            (
-                service,
-                day,
-                np.fromiter(roles.keys(), np.int64, len(roles)),
-                np.fromiter(roles.values(), bool, len(roles)),
-            )
-            for service, entries in data.daily_ip_roles.items()
-            for day, roles in entries
-        ]
-        shell = dataclasses.replace(
-            data, rtt_samples={}, daily_ip_sets={}, daily_ip_roles={}
-        )
-        return cls(
-            data=shell, rtt=rtt, ip_sets=ip_sets, ip_roles=ip_roles, extra=extra
-        )
-
-    def approx_nbytes(self) -> int:
-        """Cheap resident-size estimate used by the spill watermark.
-
-        Exact for the arrays and the stage-1 tables, subscriber days
-        included; the census rows are charged a flat per-row estimate (a
-        pickle round-trip per ``put`` would cost more than the spill it
-        gates).
-        """
-        total = 0
-        for _, samples in self.rtt:
-            total += samples.nbytes
-        for _, _, addresses in self.ip_sets:
-            total += addresses.nbytes
-        for _, _, addresses, shared in self.ip_roles:
-            total += addresses.nbytes + shared.nbytes
-        data = self.data
-        tables = [getattr(data, name) for name in STUDY_TABLES]
-        for table in [*tables, *data.subscriber_days.values()]:
-            total += sum(array.nbytes for array in table.columns.values())
-        total += 96 * len(data.census)
-        return total
+        return cls(data, extra)
 
     def unpack(self) -> StudyData:
-        """Rebuild the exact StudyData the worker reduced."""
+        return self.data
+
+    def approx_nbytes(self) -> int:
+        """What the spill watermark charges: the exact bytes of the tables,
+        subscriber days included (the ASN, domain and weekly objects not)."""
         data = self.data
-        for key, samples in self.rtt:
-            data.rtt_samples[key] = samples.tolist()
-        for service, day, addresses in self.ip_sets:
-            data.daily_ip_sets.setdefault(service, []).append(
-                (day, set(addresses.tolist()))
-            )
-        for service, day, addresses, shared in self.ip_roles:
-            data.daily_ip_roles.setdefault(service, []).append(
-                (day, dict(zip(addresses.tolist(), shared.tolist())))
-            )
-        return data
+        tables = [getattr(data, name) for name in STUDY_TABLES]
+        return sum(
+            array.nbytes
+            for table in [*tables, *data.subscriber_days.values()]
+            for array in table.columns.values()
+        )
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Set, 
 
 import numpy as np
 
-from repro.analytics import rtt as rtt_analytics
 from repro.analytics.activity import (
     SUBSCRIBER_DAY_CODEC,
     SubscriberDay,
@@ -28,15 +27,16 @@ from repro.analytics.activity import (
     subscriber_days,
 )
 from repro.analytics.infrastructure import (
+    SERVER_CODEC,
     AsnBreakdown,
-    DailyServerStats,
+    ServerAddress,
     ServicePairs,
     asn_of_addresses,
     domain_byte_totals,
     ip_service_pairs,
-    service_ip_set,
     shares_from_totals,
 )
+from repro.analytics.rtt import RTT_CODEC, RttSample, min_rtt_table
 from repro.analytics.popularity import (
     SERVICE_STATS_CODEC,
     DailyServiceStats,
@@ -80,13 +80,27 @@ RTT_SERVICES = (
 )
 
 
-#: StudyData's per-day output tables, by field: the codec, and the key
-#: columns the fan-in sums a day's parts by (its other int columns add up).
-STUDY_TABLES: Mapping[str, Tuple[ColumnarCodec, Tuple[str, ...]]] = MappingProxyType(
+@dataclass(frozen=True)
+class FanIn:
+    """How :func:`merge_day_shards` makes a day's table of its shard parts:
+    summed by the ``keys`` columns (each other int column adds up), the
+    servers of the ``from_pairs`` services in the union of the shards'
+    sidecar pairs (:meth:`ServicePairs.servers`), or else concatenated in
+    shard order."""
+
+    keys: Tuple[str, ...] = ()
+    from_pairs: Tuple[str, ...] = ()
+
+
+#: StudyData's per-day output tables, by field: the codec and the fan-in
+#: rule.  The calendar fold concatenates every one of them in day order.
+STUDY_TABLES: Mapping[str, Tuple[ColumnarCodec, FanIn]] = MappingProxyType(
     {
-        "service_stats": (SERVICE_STATS_CODEC, ("day", "technology", "service")),
-        "protocol_rows": (PROTOCOL_CODEC, ("day", "service", "protocol")),
-        "hourly": (HOURLY_CODEC, ("day", "technology", "bin_index")),
+        "service_stats": (SERVICE_STATS_CODEC, FanIn(keys=("day", "technology", "service"))),
+        "protocol_rows": (PROTOCOL_CODEC, FanIn(keys=("day", "service", "protocol"))),
+        "hourly": (HOURLY_CODEC, FanIn(keys=("day", "technology", "bin_index"))),
+        "servers": (SERVER_CODEC, FanIn(from_pairs=INFRA_SERVICES)),
+        "rtt": (RTT_CODEC, FanIn()),
     }
 )
 
@@ -140,24 +154,16 @@ class StudyData:
     protocol_rows: Sequence[ProtocolUsage] = _table("protocol_rows")
     #: 10-minute-bin volumes for the comparison months.
     hourly: Sequence[HourlyVolume] = _table("hourly")
-    #: Fig. 11 top: per-day census for the tracked services.
-    census: List[DailyServerStats] = field(default_factory=list)
+    #: Fig. 11 top: each address a tracked service used on a flow day.
+    servers: Sequence[ServerAddress] = _table("servers")
     #: Fig. 11 middle: per-day ASN breakdowns.
     asn: List[AsnBreakdown] = field(default_factory=list)
     #: Fig. 11 bottom: per-day domain shares, keyed (day, service).
     domains: List[Tuple[datetime.date, str, Dict[str, float]]] = field(
         default_factory=list
     )
-    #: Fig. 11 cumulative growth: per-day server-IP sets per service.
-    daily_ip_sets: Dict[str, List[Tuple[datetime.date, Set[int]]]] = field(
-        default_factory=dict
-    )
-    #: Fig. 11 top panels: per-day (address → shared?) maps per service.
-    daily_ip_roles: Dict[
-        str, List[Tuple[datetime.date, Dict[int, bool]]]
-    ] = field(default_factory=dict)
-    #: (service, year) → per-flow min-RTT samples of that April.
-    rtt_samples: Dict[Tuple[str, int], List[float]] = field(default_factory=dict)
+    #: Fig. 10: per-flow min-RTT samples of the RTT days, in flow order.
+    rtt: Sequence[RttSample] = _table("rtt")
     #: days expanded to the flow tier.
     flow_days: List[datetime.date] = field(default_factory=list)
     #: §4.3 extension: (iso-year, iso-week, service, technology) → visitors,
@@ -214,15 +220,8 @@ class StudyData:
             if overlap:
                 raise MergeOverlapError("subscriber_days", min(overlap).isoformat())
             self.subscriber_days.update(other.subscriber_days)
-            self.census.extend(other.census)
             self.asn.extend(other.asn)
             self.domains.extend(other.domains)
-            for service, entries in other.daily_ip_sets.items():
-                self.daily_ip_sets.setdefault(service, []).extend(entries)
-            for service, role_entries in other.daily_ip_roles.items():
-                self.daily_ip_roles.setdefault(service, []).extend(role_entries)
-            for key, samples in other.rtt_samples.items():
-                self.rtt_samples.setdefault(key, []).extend(samples)
             # Insertion keeps flow_days sorted without re-sorting the whole
             # list on every one of the k partial merges (was O(k·n log n)).
             for day in other.flow_days:
@@ -410,12 +409,12 @@ class LongitudinalStudy:
     ) -> None:
         """Flow tier of one shard.
 
-        Census, ASN, domain, and role analytics mix information *across*
+        The server, ASN and domain analytics mix information *across*
         flows (an address dedicated in one shard may be shared in
         another), so the shard only collects their additive raw material
         — (ip, service) pairs, domain byte totals — and
         :func:`merge_day_shards` computes the day-level results over the
-        union.  RTT samples are kept in flow order, the day's order once
+        union.  The RTT table is kept in flow order, the day's order once
         the shards are concatenated in range order.
         """
         with telemetry.span("expand"):
@@ -434,22 +433,11 @@ class LongitudinalStudy:
                 extra.domain_totals[service] = domain_byte_totals(
                     flows, self.rules, service, codes=codes
                 )
-                data.daily_ip_sets.setdefault(service, []).append(
-                    (day, service_ip_set(flows, self.rules, service, codes=codes))
-                )
             if with_rtt:
-                for service in RTT_SERVICES:
-                    mask = rtt_analytics.min_rtt_mask(
-                        flows, self.rules, service, codes=codes
-                    )
-                    data.rtt_samples[(service, day.year)] = flows.columns[
-                        "rtt_min_ms"
-                    ][mask].tolist()
-                    telemetry.count(
-                        "rtt_samples_collected",
-                        int(np.count_nonzero(mask)),
-                        service=service,
-                    )
+                data.rtt = min_rtt_table(flows, self.rules, RTT_SERVICES, day.year, codes)
+                counts = np.bincount(data.rtt.columns["service"], minlength=len(RTT_SERVICES))
+                for service, count in zip(RTT_SERVICES, counts.tolist()):
+                    telemetry.count("rtt_samples_collected", count, service=service)
 
 
 def aggregate_usage_day(
@@ -538,12 +526,12 @@ def merge_day_shards(
 
     The result is the same for any partition of the subscriber blocks,
     including the single whole-day shard: the shards hold consecutive
-    runs of blocks, so order-sensitive lists (subscriber days, RTT
-    samples) are their concatenation in range order; additive counters,
-    protocol totals and hourly volumes are summed; and cross-flow
-    analytics (census/ASN/domains/roles) are computed over the union of
-    the shards' raw pairs.  The parts are consumed: their containers may
-    be reused in the result.
+    runs of blocks, so subscriber days and the weekly sets are their
+    union, and each of :data:`STUDY_TABLES` follows its :class:`FanIn`
+    rule — summed by key, computed over the union of the shards' raw
+    (server, service) pairs, or concatenated in range order.  The ASN
+    breakdowns and domain shares are computed over the union too.  The
+    parts are consumed: their containers may be reused in the result.
     """
     parts = sorted(parts, key=lambda part: part[1].shard.index)
     datas = [data for data, _ in parts]
@@ -558,11 +546,25 @@ def merge_day_shards(
         [data.subscriber_days.get(day, ()) for data in datas], SUBSCRIBER_DAY_CODEC
     )
 
-    # Each table is summed per key, in key order — the order every part
-    # holds its rows in.  A service-stats cell is additive except
-    # active_subscribers, the whole-day denominator the sidecars carry.
-    for name in STUDY_TABLES:
-        setattr(out, name, _summed([getattr(data, name) for data in datas], name))
+    flow_extras = [extra for extra in extras if extra.flow_stage]
+    pairs = ServicePairs.union(
+        (extra.pair_ips, extra.pair_codes, extra.pair_services)
+        for extra in flow_extras
+        if extra.pair_ips is not None
+    ) if flow_extras else None
+    # A summed table comes out in key order — the order every part holds
+    # its rows in.
+    for name, (codec, fan_in) in STUDY_TABLES.items():
+        tables = [getattr(data, name) for data in datas]
+        if fan_in.keys:
+            table = _summed(tables, name)
+        elif fan_in.from_pairs and pairs is not None:
+            table = pairs.servers(day, fan_in.from_pairs)
+        else:  # on a day without flows, the parts of a from_pairs table are empty
+            table = ColumnBatch.concat(tables, codec)
+        setattr(out, name, table)
+    # A service-stats cell is additive except active_subscribers, the
+    # whole-day denominator the sidecars carry.
     active = [
         sum(extra.active_counts.get(Technology(value), 0) for extra in extras)
         for value in out.service_stats.dictionaries["technology"]
@@ -571,38 +573,20 @@ def merge_day_shards(
         out.service_stats.columns["technology"]
     ]
     for data in datas:
-        for key, samples in data.rtt_samples.items():
-            out.rtt_samples.setdefault(key, []).extend(samples)
         _union_sets(out.weekly_visitors, data.weekly_visitors)
         _union_sets(out.weekly_active, data.weekly_active)
 
-    flow_extras = [extra for extra in extras if extra.flow_stage]
-    if flow_extras:
+    if pairs is not None:
         out.flow_days.append(day)
-        pairs = ServicePairs.union(
-            (extra.pair_ips, extra.pair_codes, extra.pair_services)
-            for extra in flow_extras
-            if extra.pair_ips is not None
-        )
-        out.census.extend(pairs.census(day, service) for service in INFRA_SERVICES)
+        servers = out.servers
         for service in INFRA_SERVICES:
-            out.asn.append(
-                asn_of_addresses(pairs.addresses(service), rib, service, day)
-            )
+            addresses = servers.columns["ip"][servers.equals("service", service)]
+            out.asn.append(asn_of_addresses(addresses.tolist(), rib, service, day))
             domain_totals: Dict[str, int] = {}
             for extra in flow_extras:
                 for sld, volume in extra.domain_totals.get(service, {}).items():
                     domain_totals[sld] = domain_totals.get(sld, 0) + volume
             out.domains.append((day, service, shares_from_totals(domain_totals)))
-            merged_ips: Set[int] = set()
-            for data in datas:
-                for entry_day, addresses in data.daily_ip_sets.get(service, []):
-                    if entry_day == day:
-                        merged_ips |= addresses
-            out.daily_ip_sets.setdefault(service, []).append((day, merged_ips))
-            out.daily_ip_roles.setdefault(service, []).append(
-                (day, pairs.roles(service))
-            )
     return out
 
 
@@ -613,7 +597,7 @@ def _summed(
     distinct ``keys`` (the table's fan-in keys by default), in key order — a
     ``str`` key by its value — each other int column summed over the key's
     rows and every other column taken from its first row."""
-    codec, keys = STUDY_TABLES[name][0], keys or STUDY_TABLES[name][1]
+    codec, keys = STUDY_TABLES[name][0], keys or STUDY_TABLES[name][1].keys
     table = ColumnBatch.concat(tables, codec)
     columns = table.columns
     order, starts = group_rows(

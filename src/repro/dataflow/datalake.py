@@ -504,8 +504,9 @@ class CheckpointError(RuntimeError):
 #: the payload separately and stores its CRC32 alongside, so truncation
 #: and bit rot inside the payload are detected, not just torn envelopes;
 #: v3 payloads hold stage-1's tables as column batches, not row objects;
-#: v4 payloads hold each day's subscriber days as a table too.
-CHECKPOINT_VERSION = 4
+#: v4 payloads hold each day's subscriber days as a table too; v5 holds
+#: the flow tier's server addresses and RTT samples as tables.
+CHECKPOINT_VERSION = 5
 
 
 #: What a record is written under and must be read back under:

@@ -13,8 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.analytics.activity import group_rows
 from repro.analytics.distributions import EmpiricalDistribution, log_grid
+from repro.analytics.rtt import RTT_CODEC
 from repro.core.study import StudyData
+from repro.dataflow.columnar import ColumnBatch
 from repro.figures.common import Expectation, within
 from repro.services import catalog
 
@@ -34,16 +39,17 @@ class Fig10Data:
 
 
 def compute(data: StudyData, trim_tails: float = 0.01) -> Fig10Data:
+    rtt = ColumnBatch.of(data.rtt, RTT_CODEC)
+    services, years = rtt.columns["service"], rtt.columns["year"]
+    order, starts = group_rows(services, years)
+    groups = np.split(rtt.columns["ms"][order], starts[1:])
     distributions = {}
-    for (service, year), samples in data.rtt_samples.items():
-        if not samples:
-            continue
-        ordered = sorted(samples)
+    for first, samples in zip(order[starts].tolist(), groups):
+        key = (rtt.dictionaries["service"][services[first]], int(years[first]))
+        ordered = sorted(samples.tolist())
         cut = int(len(ordered) * trim_tails)
         body = ordered[cut : len(ordered) - cut] if cut else ordered
-        distributions[(service, year)] = EmpiricalDistribution.from_samples(
-            body or ordered
-        )
+        distributions[key] = EmpiricalDistribution.from_samples(body or ordered)
     return Fig10Data(distributions=distributions)
 
 

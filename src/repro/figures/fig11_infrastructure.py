@@ -29,6 +29,7 @@ from repro.analytics.infrastructure import (
     DailyServerStats,
     IpRaster,
     build_ip_raster,
+    server_roles,
 )
 from repro.core.study import StudyData
 from repro.figures.common import Expectation
@@ -84,10 +85,6 @@ class Fig11Data:
 def compute(data: StudyData) -> Fig11Data:
     panels = {}
     for service in SERVICES:
-        census = sorted(
-            (entry for entry in data.census if entry.service == service),
-            key=lambda entry: entry.day,
-        )
         asn = sorted(
             (entry for entry in data.asn if entry.service == service),
             key=lambda entry: entry.day,
@@ -100,21 +97,18 @@ def compute(data: StudyData) -> Fig11Data:
             ),
             key=lambda pair: pair[0],
         )
-        ip_sets = data.daily_ip_sets.get(service, [])
-        seen: set = set()
-        cumulative = []
-        for day, addresses in sorted(ip_sets, key=lambda pair: pair[0]):
-            seen.update(addresses)
+        roles = server_roles(data.servers, service, data.flow_days)
+        cumulative, seen = [], set()
+        for day, day_roles in roles:
+            seen.update(day_roles)
             cumulative.append((day, len(seen)))
-        roles = data.daily_ip_roles.get(service, [])
-        raster = build_ip_raster(service, roles) if roles else None
         panels[service] = ServiceInfraPanel(
             service=service,
-            census=census,
+            census=[DailyServerStats.of(day, service, day_roles) for day, day_roles in roles],
             asn=asn,
             domains=domains,
             cumulative_ips=cumulative,
-            raster=raster,
+            raster=build_ip_raster(service, roles) if roles else None,
         )
     return Fig11Data(panels=panels)
 

@@ -213,10 +213,10 @@ def study_summary(data: StudyData) -> dict:
         "service_stat_cells": len(data.service_stats),
         "protocol_rows": len(data.protocol_rows),
         "hourly_bins": len(data.hourly),
-        "census_rows": len(data.census),
+        "server_rows": len(data.servers),
         "asn_rows": len(data.asn),
         "domain_rows": len(data.domains),
-        "rtt_series": len(data.rtt_samples),
+        "rtt_rows": len(data.rtt),
         "flow_days": len(data.flow_days),
     }
 

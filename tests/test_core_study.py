@@ -99,13 +99,13 @@ class TestRunResults:
         assert merged_day.active_subscribers >= adsl[0].active_subscribers
 
     def test_census_covers_tracked_services(self, study_data):
-        services = {entry.service for entry in study_data.census}
+        services = {entry.service for entry in study_data.servers}
         assert services == set(INFRA_SERVICES)
 
     def test_rtt_samples_cover_both_years(self, study_data):
-        years = {year for _, year in study_data.rtt_samples}
+        years = {entry.year for entry in study_data.rtt}
         assert years == {2014, 2017}
-        services = {service for service, _ in study_data.rtt_samples}
+        services = {entry.service for entry in study_data.rtt}
         assert set(RTT_SERVICES) <= services
 
     def test_hourly_only_comparison_months(self, study_data):

@@ -17,9 +17,11 @@ import pytest
 
 from repro.analytics import rtt as rtt_analytics
 from repro.analytics.aggregate import classify_flow
+from repro.analytics.rtt import RttSample
 from repro.analytics.infrastructure import (
     AsnBreakdown,
     DailyServerStats,
+    ServerAddress,
     ServicePairs,
     asn_breakdown,
     asn_of_addresses,
@@ -50,6 +52,7 @@ from repro.tstat.flow import (
     second_level_domain,
 )
 from repro.tstat.flowbatch import FlowBatch
+from tests.test_flow_tables import pre_table_fields
 
 D = datetime.date
 DAY = D(2016, 9, 14)
@@ -193,6 +196,18 @@ def oracle_min_rtt(records, rules, service, min_samples=1):
             continue
         samples.append(record.rtt.min_ms)
     return samples
+
+
+def oracle_rtt_rows(records, rules, services, year):
+    """:func:`oracle_min_rtt`'s samples of ``services`` in flow order."""
+    rows = []
+    for record in records:
+        if record.transport is not Transport.TCP or record.rtt.samples < 1:
+            continue
+        service = rules.classify(record.server_name)
+        if service in services:
+            rows.append(RttSample(service, year, record.rtt.min_ms))
+    return rows
 
 
 def _oracle_results(world, records, rules):
@@ -341,7 +356,7 @@ class TestVectorisedJoins:
         empty = np.empty(0, dtype=np.int64)
         pairs = ServicePairs.distinct(empty, empty, ("a", "b"))
         self.assert_pairs(pairs, empty, empty)
-        assert pairs.addresses("a") == [] and pairs.census(DAY, "a").total_ips == 0
+        assert len(pairs.servers(DAY, ("a",))) == 0
 
     def test_union_of_parts_with_disjoint_service_tables(self):
         rng = np.random.default_rng(4)
@@ -401,12 +416,16 @@ def row_path_study(config):
     method: whole-day generation, the shared aggregate stage, and every
     flow consumer recomputed by its ``oracle_*`` row loop over the
     ``expand_flows`` records — the pre-batch row pipeline the columnar
-    study output must equal bit for bit.
+    study output must equal bit for bit.  Returns the study, whose
+    ``servers`` and ``rtt`` rows are built from the oracles' outputs, and
+    the four fields those tables replaced (:data:`PRE_TABLE_VIEWS`) as the
+    oracle loops compute them.
     """
     study = LongitudinalStudy(config)
     generator, rules = study.generator, study.rules
     data = study.empty_data()
-    data.protocol_rows, data.hourly = [], []
+    data.protocol_rows, data.hourly, data.servers, data.rtt = [], [], [], []
+    views = {"census": [], "daily_ip_sets": {}, "daily_ip_roles": {}, "rtt_samples": {}}
     plan = study.planned_days()
     for day in sorted(plan):
         traffic = generator.generate_day(day)
@@ -424,25 +443,35 @@ def row_path_study(config):
             day, traffic, max_flows_per_usage=config.max_flows_per_usage
         )
         data.flow_days.append(day)
-        data.census.extend(oracle_census(flows, rules, list(INFRA_SERVICES), day))
+        views["census"].extend(oracle_census(flows, rules, list(INFRA_SERVICES), day))
         roles_by_service = oracle_ip_roles(flows, rules, list(INFRA_SERVICES))
         for service in INFRA_SERVICES:
             data.asn.append(oracle_asn(flows, rules, study.world.rib, service, day))
             data.domains.append(
                 (day, service, oracle_domain_shares(flows, rules, service))
             )
-            data.daily_ip_sets.setdefault(service, []).append(
+            data.servers.extend(
+                ServerAddress(day, service, ip, shared)
+                for ip, shared in sorted(roles_by_service[service].items())
+            )
+            views["daily_ip_sets"].setdefault(service, []).append(
                 (day, oracle_ip_set(flows, rules, service))
             )
-            data.daily_ip_roles.setdefault(service, []).append(
+            views["daily_ip_roles"].setdefault(service, []).append(
                 (day, roles_by_service[service])
             )
         if "rtt" in plan[day]:
+            data.rtt.extend(oracle_rtt_rows(flows, rules, RTT_SERVICES, day.year))
             for service in RTT_SERVICES:
-                data.rtt_samples.setdefault((service, day.year), []).extend(
+                views["rtt_samples"].setdefault((service, day.year), []).extend(
                     oracle_min_rtt(flows, rules, service)
                 )
-    return data
+    return data, views
+
+
+#: The fields the flow-day tables replaced: rebuilt from the batched
+#: study's tables, computed by the oracle loops on the row path.
+PRE_TABLE_VIEWS = ("census", "daily_ip_sets", "daily_ip_roles", "rtt_samples")
 
 
 class TestFullStudyIdentity:
@@ -459,11 +488,15 @@ class TestFullStudyIdentity:
         return execute_study(_tiny_config(), workers=3).data
 
     @pytest.mark.parametrize(
-        "field", [f.name for f in dataclasses.fields(StudyData)]
+        "field", [f.name for f in dataclasses.fields(StudyData)] + list(PRE_TABLE_VIEWS)
     )
     def test_batched_equals_row_path(self, batched, row_path, field):
         # Serial vs serial: same iteration order, so raw equality holds.
-        assert getattr(batched, field) == getattr(row_path, field)
+        data, views = row_path
+        if field in PRE_TABLE_VIEWS:
+            assert pre_table_fields(batched, _tiny_config())[field] == views[field]
+        else:
+            assert getattr(batched, field) == getattr(data, field)
 
     def test_flow_and_rtt_day_builds_no_flow_record(self, monkeypatch):
         """A study day with every flow consumer on it stays columns from
@@ -480,37 +513,12 @@ class TestFullStudyIdentity:
 
         monkeypatch.setattr(FlowRecord, "__init__", counting_init)
         partial = study.day_partial(day, plan[day])
-        assert partial.flow_days == [day] and partial.census and partial.domains
-        assert any(partial.rtt_samples.values())
+        assert partial.flow_days == [day] and partial.servers and partial.domains
+        assert partial.rtt
         assert built == []
 
     def test_parallel_equals_row_path_flow_fields(self, parallel, row_path):
-        # Chunked merges reorder the per-day lists; compare canonically.
-        by_day_service = lambda entry: (entry.day, entry.service)
-        assert sorted(parallel.census, key=by_day_service) == sorted(
-            row_path.census, key=by_day_service
-        )
-        assert sorted(parallel.asn, key=by_day_service) == sorted(
-            row_path.asn, key=by_day_service
-        )
-        assert sorted(parallel.domains, key=lambda e: e[:2]) == sorted(
-            row_path.domains, key=lambda e: e[:2]
-        )
-        assert set(parallel.daily_ip_sets) == set(row_path.daily_ip_sets)
-        for service in row_path.daily_ip_sets:
-            assert sorted(parallel.daily_ip_sets[service]) == sorted(
-                row_path.daily_ip_sets[service]
-            )
-        assert set(parallel.daily_ip_roles) == set(row_path.daily_ip_roles)
-        for service in row_path.daily_ip_roles:
-            by_day = lambda entry: entry[0]
-            assert sorted(
-                parallel.daily_ip_roles[service], key=by_day
-            ) == sorted(row_path.daily_ip_roles[service], key=by_day)
-        assert parallel.flow_days == row_path.flow_days
-        assert set(parallel.rtt_samples) == set(row_path.rtt_samples)
-        for key in row_path.rtt_samples:
-            # Bit-identical samples, order canonicalized across chunks.
-            assert sorted(parallel.rtt_samples[key]) == sorted(
-                row_path.rtt_samples[key]
-            )
+        # A pooled run folds the days in the serial run's calendar order.
+        data, _ = row_path
+        for field in ("servers", "asn", "domains", "rtt", "flow_days"):
+            assert getattr(parallel, field) == getattr(data, field), field

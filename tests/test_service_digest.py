@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.analytics.activity import SubscriberDay
-from repro.analytics.infrastructure import AsnBreakdown, DailyServerStats
+from repro.analytics.infrastructure import SERVER_CODEC, AsnBreakdown, ServerAddress
 from repro.analytics.popularity import SERVICE_STATS_CODEC, DailyServiceStats
+from repro.analytics.rtt import RTT_CODEC, RttSample
 from repro.core.study import StudyData
 from repro.dataflow.columnar import ColumnBatch
 from repro.service.errors import ServiceError
@@ -138,23 +139,29 @@ def edge_study() -> StudyData:
         hourly=ColumnBatch.of(
             [HourlyVolume(D1, FTTH, 10, 9), HourlyVolume(D1, ADSL, 9, 100)], HOURLY_CODEC
         ),
-        census=[DailyServerStats(D1, "youtube", 10, 9), DailyServerStats(D2, "youtube", 0, 0)],
+        servers=ColumnBatch.of(  # D2 is a flow day without a row
+            [
+                ServerAddress(D1, "facebook", 100, True),
+                ServerAddress(D1, "facebook", 9, False),
+                ServerAddress(D1, "café", 2**32 - 1, True),
+                ServerAddress(D1, 'say "hi"', 10, True),
+            ],
+            SERVER_CODEC,
+        ),
         asn=[
             AsnBreakdown(D1, "facebook", {name: len(name) for name in ODD_NAMES}),
             AsnBreakdown(D2, "facebook", {}),
         ],
         domains=[(D1, "youtube", {name: 0.5 for name in ODD_NAMES}), (D2, "youtube", {})],
-        daily_ip_sets={
-            "facebook": [(D1, {9, 10, 100, 2**32 - 1}), (D2, set())],
-            "café": [],
-        },
-        daily_ip_roles={"facebook": [(D1, {100: True, 9: False, 10: True}), (D2, {})]},
-        rtt_samples={
-            ("youtube", 2017): [1.5, math.nan, math.inf, -math.inf, -0.0, 1e16],
-            ("youtube", 2014): [],
-            ("facebook", 2017): [0.1],
-        },
-        flow_days=[],
+        rtt=ColumnBatch.of(
+            [
+                RttSample("youtube", 2017, ms)
+                for ms in (1.5, math.nan, math.inf, -math.inf, -0.0, 1e16)
+            ]
+            + [RttSample("facebook", 2014, 0.1)],
+            RTT_CODEC,
+        ),
+        flow_days=[D1, D2],
         weekly_visitors={
             (2017, 15, "youtube", FTTH): {100, 9, 10},
             (2017, 15, "youtube", ADSL): set(),
