@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -37,6 +38,11 @@ class StudyConfig:
         if self.flow_days_per_month < 0:
             raise ValueError("flow_days_per_month must be >= 0")
 
+    @functools.cached_property
+    def _hash(self) -> str:
+        """:func:`config_hash`, computed on first use (not a field)."""
+        return _digest(self)
+
 
 def config_hash(config: StudyConfig) -> str:
     """Deterministic digest of every knob that shapes study results.
@@ -53,7 +59,14 @@ def config_hash(config: StudyConfig) -> str:
     before blocks existed, a wider one differently, so only the wider
     ones get a new hash and an older run's checkpoints for them are never
     resumed into a mix of old and new days.
+
+    A run asks for the digest once per task, so each (frozen) config
+    object computes it once and keeps it.
     """
+    return config._hash
+
+
+def _digest(config: StudyConfig) -> str:
     payload = dataclasses.asdict(config)
     if config.world.adsl_count + config.world.ftth_count > SUBSCRIBER_BLOCK:
         payload["subscriber_block"] = SUBSCRIBER_BLOCK

@@ -269,6 +269,7 @@ class LongitudinalStudy:
         self.rules = rules or catalog.default_ruleset()
         self.visit_classifier = visit_classifier or VisitClassifier()
         self.criterion = criterion or ActiveSubscriberCriterion()
+        self._months = study_months(self.config.world.start, self.config.world.end)
 
     # -- day planning --------------------------------------------------------
 
@@ -305,9 +306,7 @@ class LongitudinalStudy:
     # -- the pass --------------------------------------------------------------
 
     def empty_data(self) -> StudyData:
-        return StudyData(
-            months=study_months(self.config.world.start, self.config.world.end)
-        )
+        return StudyData(months=list(self._months))
 
     def day_partial(self, day: datetime.date, roles: Set[str]) -> StudyData:
         """One planned day reduced into a fresh :class:`StudyData`.
@@ -536,15 +535,10 @@ def merge_day_shards(
     parts = sorted(parts, key=lambda part: part[1].shard.index)
     datas = [data for data, _ in parts]
     extras = [extra for _, extra in parts]
-    out = StudyData(months=list(datas[0].months))
+    months = list(datas[0].months)
     if not any(extra.processed for extra in extras):
-        return out  # full-day outage
+        return StudyData(months=months)  # full-day outage
     telemetry.count("study_days_processed")
-
-    # subscriber_days: shards partition subscribers, so each entry is exact.
-    out.subscriber_days[day] = ColumnBatch.concat(
-        [data.subscriber_days.get(day, ()) for data in datas], SUBSCRIBER_DAY_CODEC
-    )
 
     flow_extras = [extra for extra in extras if extra.flow_stage]
     pairs = ServicePairs.union(
@@ -554,15 +548,26 @@ def merge_day_shards(
     ) if flow_extras else None
     # A summed table comes out in key order — the order every part holds
     # its rows in.
+    merged: Dict[str, ColumnBatch] = {}
     for name, (codec, fan_in) in STUDY_TABLES.items():
         tables = [getattr(data, name) for data in datas]
         if fan_in.keys:
-            table = _summed(tables, name)
+            merged[name] = _summed(tables, name)
         elif fan_in.from_pairs and pairs is not None:
-            table = pairs.servers(day, fan_in.from_pairs)
+            merged[name] = pairs.servers(day, fan_in.from_pairs)
         else:  # on a day without flows, the parts of a from_pairs table are empty
-            table = ColumnBatch.concat(tables, codec)
-        setattr(out, name, table)
+            merged[name] = ColumnBatch.concat(tables, codec)
+    out = StudyData(
+        months=months,
+        # Shards partition subscribers, so each subscriber day is exact.
+        subscriber_days={
+            day: ColumnBatch.concat(
+                [data.subscriber_days.get(day, ()) for data in datas],
+                SUBSCRIBER_DAY_CODEC,
+            )
+        },
+        **merged,
+    )
     # A service-stats cell is additive except active_subscribers, the
     # whole-day denominator the sidecars carry.
     active = [

@@ -10,9 +10,10 @@ switch), plus composition.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 Curve = Callable[[datetime.date], float]
@@ -29,9 +30,16 @@ def constant(value: float) -> Curve:
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Linear interpolation through (date, value) knots, clamped outside."""
+    """Linear interpolation through (date, value) knots, clamped outside.
+
+    A day strictly between two knots is found by bisecting the knots'
+    ordinals, kept beside the knots; the value is the same float
+    expression a scan from the left would compute: on an inner knot's
+    own day it is ``left + 1.0 * (right - left)``, not the knot value.
+    """
 
     knots: Tuple[Tuple[datetime.date, float], ...]
+    _days: List[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.knots:
@@ -41,21 +49,19 @@ class PiecewiseLinear:
             raise ValueError("knots must be sorted by date")
         if len(set(dates)) != len(dates):
             raise ValueError("duplicate knot dates")
+        object.__setattr__(self, "_days", [day.toordinal() for day in dates])
 
     def __call__(self, day: datetime.date) -> float:
-        knots = self.knots
-        if day <= knots[0][0]:
+        knots, days, ordinal = self.knots, self._days, day.toordinal()
+        if ordinal <= days[0]:
             return knots[0][1]
-        if day >= knots[-1][0]:
+        if ordinal >= days[-1]:
             return knots[-1][1]
-        for index in range(1, len(knots)):
-            right_date, right_value = knots[index]
-            if day <= right_date:
-                left_date, left_value = knots[index - 1]
-                span = _ordinal(right_date) - _ordinal(left_date)
-                fraction = (_ordinal(day) - _ordinal(left_date)) / span
-                return left_value + fraction * (right_value - left_value)
-        return knots[-1][1]  # unreachable, defensive
+        index = bisect.bisect_left(days, ordinal)  # first knot on or after day
+        left_value, right_value = knots[index - 1][1], knots[index][1]
+        span = float(days[index]) - float(days[index - 1])
+        fraction = (float(ordinal) - float(days[index - 1])) / span
+        return left_value + fraction * (right_value - left_value)
 
 
 def piecewise(*knots: Tuple[datetime.date, float]) -> Curve:

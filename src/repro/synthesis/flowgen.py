@@ -22,7 +22,10 @@ Generation is vectorized per (day, service) over the subscriber axis,
 one subscriber block at a time: every tier draws a block's rows from
 that block's own streams (``World.day_rng(day, stream, block)``,
 DESIGN.md §6), so any run of whole blocks is generated on its own and
-the day is the concatenation of its blocks (DESIGN.md §15).
+the day is the concatenation of its blocks (DESIGN.md §15).  What
+depends on the day alone is evaluated once per call into a
+:class:`DayPlan` that every block reads, so a block pays only for its
+draws (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +46,16 @@ from repro.dataflow.columnar import (
 )
 from repro.services import catalog
 from repro.synthesis import studycalendar
+from repro.synthesis.infrastructure import (
+    AddressPool,
+    ServerPlan,
+    addresses_in,
+    grouping,
+    placed,
+)
+from repro.synthesis.curves import Curve
 from repro.synthesis.population import Technology
+from repro.synthesis.servicemodels import ThirdPartyContact
 from repro.synthesis.studycalendar import BINS_PER_DAY
 from repro.synthesis.world import SUBSCRIBER_BLOCK, World
 from repro.telemetry import runtime as telemetry
@@ -199,6 +212,50 @@ class TrafficGenerator:
             ]
         )
         self._profiles: Dict[Tuple[int, Technology], np.ndarray] = {}
+        # Gather indices: a subscriber's technology and business flag pick
+        # a column of the day plan's (ADSL, FTTH) and season tables.
+        self._ftth_index = self._is_ftth.astype(np.intp)
+        self._business_index = self._business.astype(np.intp)
+        self._ranks, self._volume_affinity = world.affinity_matrices()
+        self._other = world.service_names().index(catalog.OTHER)
+        #: Every server name of the world, and per service its domain table
+        #: as ids into it: a flow batch's ``server_name`` dictionary is
+        #: the names its flows use, re-coded in first-appearance order.
+        names: Dict[Optional[str], int] = {}
+        self._name_ids = {
+            service.name: np.fromiter(
+                (
+                    names.setdefault(name, len(names))
+                    for name in world.infrastructure_for(service.name).domain_table
+                ),
+                np.int64,
+            )
+            for service in world.services
+        }
+        self._unnamed = names.setdefault(None, len(names))
+        self._names = list(names)
+        #: Every address pool of the world's deployments, and per service
+        #: each deployment's pool as an index into it.
+        pools: Dict[AddressPool, int] = {}
+        self._pool_ids = {
+            service.name: np.array(
+                [
+                    pools.setdefault(deployment.pool, len(pools))
+                    for deployment in world.infrastructure_for(service.name).deployments
+                ]
+            )
+            for service in world.services
+        }
+        self._pools = list(pools)
+        #: Per service: its popularity, volume and upload-ratio curves as
+        #: (ADSL, FTTH) pairs.
+        self._curves = tuple(
+            tuple(
+                (curves[Technology.ADSL], curves[Technology.FTTH])
+                for curves in (service.popularity, service.volume_down, service.upload_ratio)
+            )
+            for service in world.services
+        )
 
     # -- aggregate tier ------------------------------------------------------
 
@@ -218,12 +275,16 @@ class TrafficGenerator:
         lo, hi = shard if shard is not None else (0, self._count)
         if any(edge % SUBSCRIBER_BLOCK and edge != self._count for edge in (lo, hi)):
             raise ValueError(f"[{lo}, {hi}) does not fall on subscriber block edges")
-        rows: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        protocol_totals: Dict[Tuple[str, WebProtocol], int] = {}
+        plan = DayPlan(self, day)
+        rows: List[Tuple[np.ndarray, ...]] = []
+        protocol_totals: Dict[int, int] = {}
         for block in range(-(-lo // SUBSCRIBER_BLOCK), -(-hi // SUBSCRIBER_BLOCK)):
-            self._draw_block(day, block, rows, protocol_totals)
-        totals = protocol_totals.items()
-        protocols = sorted((day, name, label.value, total) for (name, label), total in totals)
+            self._draw_block(plan, block, rows, protocol_totals)
+        keys = plan.services.keys if protocol_totals else []
+        protocols = sorted(
+            (day, keys[key][0], keys[key][1].value, total)
+            for key, total in protocol_totals.items()
+        )
         traffic = DayTraffic(
             day=day,
             usage=self._usage_batch(day, rows),
@@ -234,150 +295,160 @@ class TrafficGenerator:
 
     def _draw_block(
         self,
-        day: datetime.date,
+        plan: "DayPlan",
         block: int,
-        rows: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-        protocol_totals: Dict[Tuple[str, WebProtocol], int],
+        rows: List[Tuple[np.ndarray, ...]],
+        protocol_totals: Dict[int, int],
     ) -> None:
-        """One subscriber block's usage rows (appended to ``rows`` as
-        ``(service, subscribers, bytes down, bytes up, flows)`` groups) and
-        its protocol volumes (added to ``protocol_totals``)."""
+        """One subscriber block's usage rows (appended to ``rows`` as one
+        ``(subscribers, services, bytes down, bytes up, flows)`` group, a
+        service as its row in ``world.services``) and its protocol volumes
+        (added to ``protocol_totals``, keyed by the plan's protocol keys).
+
+        The per-service loop makes only the block stream's draws, in the
+        order the rows need them; :meth:`_block_volumes` then does the
+        arithmetic once, over every service's users.
+        """
         start = block * SUBSCRIBER_BLOCK
         span = slice(start, min(start + SUBSCRIBER_BLOCK, self._count))
         width = span.stop - start
-        ordinal = day.toordinal()
-        pop_up = np.array(
-            [not self.world.outages.is_down(pop, day) for pop in self._pop_names],
-            dtype=bool,
-        )
         observed = (
-            (self._join[span] <= ordinal)
-            & (self._leave[span] >= ordinal)
-            & pop_up[self._pop_codes[span]]
+            (self._join[span] <= plan.ordinal)
+            & (self._leave[span] >= plan.ordinal)
+            & plan.pop_up[self._pop_codes[span]]
         )
         if not observed.any():
             return
 
-        rng = self.world.day_rng(day, stream=0, block=block)
+        table = plan.services
+        rng = self.world.day_rng(plan.day, stream=0, block=block)
         active = observed & (rng.random(width) < self._activity[span])
-        is_ftth = self._is_ftth[span]
-        capabilities = capabilities_on(day)
-        weekly = studycalendar.weekly_factor(day)
-        holiday = studycalendar.is_christmas_period(day) or studycalendar.is_new_year(
-            day
-        )
-        # season_factor takes only two values per day (business / residential);
-        # the np.where below reproduces the former per-index Python loop
-        # bit-for-bit at vector speed.
-        season_business = studycalendar.season_factor(day, 1.0)
-        season_residential = studycalendar.season_factor(day, 0.0)
-
-        for service in self.world.services:
-            ranks, volume_affinity = self.world.affinity_columns(service.name)
-            pop_adsl = service.popularity[Technology.ADSL](day)
-            pop_ftth = service.popularity[Technology.FTTH](day)
-            popularity = np.where(is_ftth, pop_ftth, pop_adsl)
-            overshoot = (
-                1.0
-                if service.name == catalog.OTHER
-                else self.world.config.adoption_overshoot
-            )
-            adoption = np.minimum(1.0, popularity * overshoot)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                use_probability = np.where(
-                    adoption > 0, popularity / np.maximum(adoption, 1e-12), 0.0
-                )
-            if holiday and service.holiday_messaging_boost:
-                use_probability = np.minimum(1.0, use_probability * _HOLIDAY_USE_BOOST)
-            users = (
-                active
-                & (ranks[span] < adoption)
-                & (rng.random(width) < use_probability)
-            )
-            indices = start + np.nonzero(users)[0]
-            if indices.size == 0:
+        technology = self._ftth_index[span]
+        adopters = active & (self._ranks[span].T < table.adoption[:, technology])
+        use_probability = table.use[:, technology]
+        # Per service with users: (service, users as offsets into the
+        # block, download noise, upload noise, flow draws); per service
+        # whose domains non-users touched: (service, those non-users,
+        # bytes down, flows).
+        drawn: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        touched: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for service, adopted in enumerate(adopters.any(axis=1).tolist()):
+            uniforms = rng.random(width)
+            if not adopted:
+                continue  # nobody in the block can use it
+            chosen = adopters[service] & (uniforms < use_probability[service])
+            users = np.flatnonzero(chosen)
+            if users.size == 0:
                 continue
-
-            vol_adsl = service.volume_down[Technology.ADSL](day)
-            vol_ftth = service.volume_down[Technology.FTTH](day)
-            mean_down = np.where(self._is_ftth[indices], vol_ftth, vol_adsl)
-            season = np.where(
-                self._business[indices], season_business, season_residential
-            )
-            sigma = service.volume_sigma
-            noise = rng.lognormal(-0.5 * sigma * sigma, sigma, indices.size)
-            base = (
-                mean_down
-                * self._heaviness[indices]
-                * volume_affinity[indices]
-                * weekly
-                * season
-            )
-            down = base * noise
-            if holiday and service.holiday_messaging_boost:
-                down = down * _HOLIDAY_VOLUME_BOOST
-            ratio_adsl = service.upload_ratio[Technology.ADSL](day)
-            ratio_ftth = service.upload_ratio[Technology.FTTH](day)
-            ratios = np.where(self._is_ftth[indices], ratio_ftth, ratio_adsl)
+            mean, sigma = table.noise[service]
+            down_noise = rng.lognormal(mean, sigma, users.size)
             # Uploads follow the subscriber's base rate with milder daily
             # noise than downloads: seeding and cloud sync are steadier
             # than bursty video fetching (and ADSL's uplink clips bursts).
-            up = base * ratios * rng.lognormal(-0.18, 0.6, indices.size)
-            if holiday and service.holiday_messaging_boost:
-                up = up * _HOLIDAY_VOLUME_BOOST
-            flow_mean = max(1.0, service.flows_per_day(day))
-            flows = np.maximum(1, rng.poisson(flow_mean, indices.size))
-
-            down_int = np.maximum(1_000, down).astype(np.int64)
-            up_int = np.maximum(200, up).astype(np.int64)
-            rows.append((service.name, indices, down_int, up_int, flows))
-            service_total = int(down_int.sum() + up_int.sum())
+            up_noise = rng.lognormal(-0.18, 0.6, users.size)
+            flows = rng.poisson(table.flow_mean[service], users.size)
+            drawn.append((service, users, down_noise, up_noise, flows))
 
             # Embedded-object noise: active non-users touch the service's
             # domains with volumes below its visit threshold (Section 4.1).
-            if service.third_party is not None:
-                contact = service.third_party
-                nonusers = start + np.nonzero(active & ~users)[0]
-                touched = nonusers[rng.random(nonusers.size) < contact.probability]
-                if touched.size:
-                    tp_down = rng.integers(
-                        contact.min_bytes, contact.max_bytes + 1, touched.size
-                    )
-                    tp_up = np.maximum(100, tp_down // 8)
-                    tp_flows = rng.integers(1, 4, touched.size)
-                    rows.append((service.name, touched, tp_down, tp_up, tp_flows))
-                    service_total += int(tp_down.sum() + tp_up.sum())
+            contact = table.third_party[service]
+            if contact is not None:
+                nonusers = np.flatnonzero(active & ~chosen)
+                hit = nonusers[rng.random(nonusers.size) < contact.probability]
+                if hit.size:
+                    down = rng.integers(contact.min_bytes, contact.max_bytes + 1, hit.size)
+                    touched.append((service, hit, down, rng.integers(1, 4, hit.size)))
 
-            for protocol, share in service.protocol_mix(day):
-                label = capabilities.reported_label(protocol)
-                key = (service.name, label)
-                protocol_totals[key] = protocol_totals.get(key, 0) + int(
-                    service_total * share
-                )
+        groups: List[Tuple[np.ndarray, ...]] = []
+        if drawn:
+            group, totals = self._block_volumes(plan, start, technology, drawn, touched)
+            groups.append(group)
+            used = np.zeros(totals.size, dtype=bool)
+            used[[draws[0] for draws in drawn]] = True
+            entries = np.flatnonzero(used[table.entry_service])
+            amounts = (
+                totals[table.entry_service[entries]] * table.entry_share[entries]
+            ).astype(np.int64)
+            for key, amount in zip(table.entry_key[entries].tolist(), amounts.tolist()):
+                protocol_totals[key] = protocol_totals.get(key, 0) + amount
 
         # Subscribed-but-inactive lines still emit background chatter that
         # must fail the Section 3 activity criterion.
-        background = start + np.nonzero(observed & ~active)[0]
+        background = start + np.flatnonzero(observed & ~active)
         if background.size:
-            rows.append(
-                (catalog.OTHER, background, *_background_chatter(rng, background.size))
-            )
+            chatter = _background_chatter(rng, background.size)
+            groups.append((background, np.full(background.size, self._other), *chatter))
+        if groups:
+            rows.append(tuple(_joined(list(column)) for column in zip(*groups)))
+
+    def _block_volumes(
+        self,
+        plan: "DayPlan",
+        start: int,
+        technology: np.ndarray,
+        drawn: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        touched: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+        """The usage rows of a block's users and touched non-users — each
+        service's users, then its touched non-users — from the draws
+        :meth:`_draw_block` made, and the bytes of each service."""
+        table = plan.services
+        services, users, down_noise, up_noise, flow_draws = zip(*drawn)
+        sizes = [offsets.size for offsets in users]
+        service = np.repeat(services, sizes)
+        offsets = np.concatenate(users)
+        ids = start + offsets
+        tech = technology[offsets]
+        base = (
+            table.volume[service, tech]
+            * self._heaviness[ids]
+            * self._volume_affinity[ids, service]
+            * plan.weekly
+            * plan.season[self._business_index[ids]]
+        )
+        down = base * np.concatenate(down_noise)
+        up = base * table.ratio[service, tech] * np.concatenate(up_noise)
+        boosted = table.boost[service]
+        if boosted.any():
+            down[boosted] *= _HOLIDAY_VOLUME_BOOST
+            up[boosted] *= _HOLIDAY_VOLUME_BOOST
+        down_int = np.maximum(1_000, down).astype(np.int64)
+        up_int = np.maximum(200, up).astype(np.int64)
+        totals = np.zeros(len(table.noise), dtype=np.int64)
+        firsts = _firsts(sizes)
+        totals[list(services)] = np.add.reduceat(down_int, firsts) + np.add.reduceat(
+            up_int, firsts
+        )
+        rows = (ids, service, down_int, up_int, np.maximum(1, np.concatenate(flow_draws)))
+        if not touched:
+            return rows, totals
+
+        services, hits, tp_down, tp_flows = zip(*touched)
+        sizes = [hit.size for hit in hits]
+        tp_down = np.concatenate(tp_down)
+        tp_up = np.maximum(100, tp_down // 8)
+        firsts = _firsts(sizes)
+        totals[list(services)] += np.add.reduceat(tp_down, firsts) + np.add.reduceat(
+            tp_up, firsts
+        )
+        tp_service = np.repeat(services, sizes)
+        third = (start + np.concatenate(hits), tp_service, tp_down, tp_up, np.concatenate(tp_flows))
+        # Each service's users, then its touched non-users.
+        segment = np.concatenate([2 * service, 2 * tp_service + 1]).astype(np.int16)
+        order = np.argsort(segment, kind="stable")
+        return tuple(np.concatenate(pair)[order] for pair in zip(rows, third)), totals
 
     def _usage_batch(
-        self,
-        day: datetime.date,
-        rows: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        self, day: datetime.date, rows: List[Tuple[np.ndarray, ...]]
     ) -> "ColumnBatch[DailyUsage]":
         """The drawn row groups as one usage batch, in the order drawn;
         services are coded in order of first appearance."""
-        services: Dict[str, int] = {}
-        service = _joined(
-            [
-                np.full(group[1].size, services.setdefault(group[0], len(services)))
-                for group in rows
-            ]
+        subscriber, service_of, down, up, flows = (
+            _joined([group[index] for group in rows]) for index in range(5)
         )
-        subscriber = _joined([group[1] for group in rows])
+        service, services = first_appearance_codes(
+            service_of, self.world.service_names()
+        )
         return ColumnBatch(
             USAGE_CODEC,
             {
@@ -386,9 +457,9 @@ class TrafficGenerator:
                 "technology": self._is_ftth[subscriber],
                 "pop": self._pop_codes[subscriber],
                 "service": service,
-                "bytes_down": _joined([group[2] for group in rows]),
-                "bytes_up": _joined([group[3] for group in rows]),
-                "flows": _joined([group[4] for group in rows]),
+                "bytes_down": down,
+                "bytes_up": up,
+                "flows": flows,
             },
             {
                 "day": {day.toordinal(): day},
@@ -480,9 +551,9 @@ class TrafficGenerator:
         counts = np.clip(usage.columns["flows"], 1, max_flows_per_usage)
         block_of = usage.columns["subscriber_id"] // SUBSCRIBER_BLOCK
         cuts = [0, *(np.flatnonzero(np.diff(block_of)) + 1).tolist(), len(usage)]
-        names: Dict[Optional[str], int] = {}  # the services' domain tables
+        plan = DayPlan(self, day)
         blocks = [
-            self._block_flows(day, int(block_of[lo]), usage[lo:hi], counts[lo:hi], names)
+            self._block_flows(plan, int(block_of[lo]), usage[lo:hi], counts[lo:hi])
             for lo, hi in zip(cuts, cuts[1:])
             if hi > lo
         ]
@@ -492,7 +563,7 @@ class TrafficGenerator:
             if name != "vantage"
         }
         columns["server_name"], name_dictionary = first_appearance_codes(
-            columns["server_name"], list(names)
+            columns["server_name"], self._names
         )
         row_vantage, vantages = usage.canonical_codes("pop")
         columns["vantage"] = np.repeat(row_vantage, counts)
@@ -512,25 +583,22 @@ class TrafficGenerator:
 
     def _block_flows(
         self,
-        day: datetime.date,
+        plan: "DayPlan",
         block: int,
         usage: "ColumnBatch[DailyUsage]",
         counts: np.ndarray,
-        names: Dict[Optional[str], int],
     ) -> Dict[str, np.ndarray]:
         """The flow columns of one subscriber block's usage rows, ``counts``
-        flows per row; ``server_name`` holds ids into ``names``.
+        flows per row; ``server_name`` holds ids into the world's names.
 
         The expansion is **born columnar**: every per-flow quantity is one
         NumPy draw over all of the block's flows (grouped by service for
         protocol mixes and server selection, by deployment inside
-        :meth:`~repro.synthesis.infrastructure.ServiceInfrastructure.
-        pick_servers`), and the columns are assembled directly — no
-        per-flow Python loop, no intermediate records.
+        :meth:`~repro.synthesis.infrastructure.ServerPlan.pick`), and the
+        columns are assembled directly — no per-flow Python loop, no
+        intermediate records.
         """
-        rng = self.world.day_rng(day, stream=2, block=block)
-        capabilities = capabilities_on(day)
-        midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
+        rng = self.world.day_rng(plan.day, stream=2, block=block)
         rows = usage.columns
         row_service, services = usage.canonical_codes("service")
         total = int(counts.sum())
@@ -553,64 +621,47 @@ class TrafficGenerator:
         uniforms = rng.random(total)
         flow_ftth = usage.equals("technology", Technology.FTTH.value)[flow_row]
         bins = np.empty(total, dtype=np.int64)
-        for technology in Technology:
+        for technology, cdf in plan.diurnal_cdfs.items():
             mask = flow_ftth == (technology is Technology.FTTH)
             if not mask.any():
                 continue
-            cdf = np.cumsum(self._diurnal(day.year, technology))
-            cdf /= cdf[-1]
             bins[mask] = np.minimum(
                 np.searchsorted(cdf, uniforms[mask], side="right"),
                 BINS_PER_DAY - 1,
             )
         seconds_per_bin = 86_400 // BINS_PER_DAY
-        ts_start = midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)
+        ts_start = plan.midnight + bins * seconds_per_bin + rng.uniform(0, 600, total)
 
-        # Protocol mixes and server picks, grouped by service
-        # (first-appearance order over the usage rows).  A server name is
-        # an id into ``names`` until the batch's dictionary is built.
-        flow_service = row_service[flow_row]
-        true_protocol = np.empty(total, dtype=np.int64)  # codes into PROTOCOLS
-        ips = np.empty(total, dtype=np.int64)
-        name_ids = np.empty(total, dtype=np.int64)
-        rtt_draw = np.empty(total, dtype=np.float64)
-        for code, service_name in enumerate(services):
-            mask = flow_service == code
-            hits = int(np.count_nonzero(mask))
-            service = self.world.service(service_name)
-            infra = self.world.infrastructure_for(service_name)
-            mix = service.protocol_mix(day)
-            if not mix:
-                true_protocol[mask] = protocol_code(WebProtocol.OTHER)
+        # Protocol mixes and server picks, service by service (in
+        # first-appearance order over the usage rows), each over its flows
+        # in flow order; placed onto the flows at once.  A server name is
+        # an id into the world's names until the batch's dictionary is
+        # built, a server's pool an index into the world's pools.
+        present, order = grouping(row_service[flow_row], len(services))
+        protocols, pools, slots, names, rtts = [], [], [], [], []
+        for code, hits in present:
+            flows = plan.flow_service(services[code])
+            if flows.mix is None:
+                protocols.append(np.full(hits, protocol_code(WebProtocol.OTHER)))
             else:
-                shares = np.array([share for _, share in mix], dtype=np.float64)
-                cumulative = np.cumsum(shares / shares.sum())
                 picks = np.minimum(
-                    np.searchsorted(cumulative, rng.random(hits), side="right"),
-                    len(mix) - 1,
+                    np.searchsorted(flows.mix, rng.random(hits), side="right"),
+                    flows.mix_codes.size - 1,
                 )
-                mix_codes = np.fromiter(
-                    (protocol_code(protocol) for protocol, _ in mix),
-                    np.int64, len(mix),
-                )
-                true_protocol[mask] = mix_codes[picks]
-            servers = infra.pick_servers(day, rng, hits)
-            ips[mask] = infra.addresses_of(day, servers.deployments, servers.slots)
-            day_id = np.fromiter(
-                (names.setdefault(name, len(names)) for name in infra.domain_table),
-                np.int64, len(infra.domain_table),
-            )
-            name_ids[mask] = day_id[servers.names]
-            rtt_draw[mask] = servers.rtts_ms
-
-        # Protocol-derived columns via 9-entry lookup tables.
-        label_of = np.fromiter(
-            (
-                protocol_code(capabilities.reported_label(protocol))
-                for protocol in PROTOCOLS
-            ),
-            np.int64, len(PROTOCOLS),
+                protocols.append(flows.mix_codes[picks])
+            servers = flows.servers.pick(rng, hits)
+            pools.append(flows.pools[servers.deployments])
+            slots.append(servers.slots)
+            names.append(flows.name_ids[servers.names])
+            rtts.append(servers.rtts_ms)
+        true_protocol = placed(order, protocols, np.int64)  # codes into PROTOCOLS
+        ips = addresses_in(
+            self._pools, plan.day, placed(order, pools, np.int64), placed(order, slots, np.int64)
         )
+        name_ids = placed(order, names, np.int64)
+        rtt_draw = placed(order, rtts, np.float64)
+
+        # Protocol-derived columns via the plan's 9-entry label table.
         quic = true_protocol == protocol_code(WebProtocol.QUIC)
         p2p = true_protocol == protocol_code(WebProtocol.P2P)
         other = true_protocol == protocol_code(WebProtocol.OTHER)
@@ -661,7 +712,7 @@ class TrafficGenerator:
             rtt_avg[p2p] = minimum * 1.6
             rtt_max[p2p] = minimum * 3.0
 
-        name_ids[~named] = names.setdefault(None, len(names))  # unnamed flows
+        name_ids[~named] = self._unnamed
         return {
             "client_id": rows["subscriber_id"][flow_row],
             "server_ip": ips,
@@ -674,7 +725,7 @@ class TrafficGenerator:
             "packets_down": packets_down,
             "bytes_up": up,
             "bytes_down": down,
-            "protocol": label_of[true_protocol],
+            "protocol": plan.label_of[true_protocol],
             "server_name": name_ids,
             "name_source": name_source,
             "rtt_samples": rtt_samples,
@@ -691,6 +742,182 @@ class TrafficGenerator:
             profile = np.array(studycalendar.diurnal_profile(year, technology.value))
             self._profiles[(year, technology)] = profile
         return profile
+
+
+class ServiceDay(NamedTuple):
+    """The aggregate tier's per-service parameters on one day: a row per
+    service of ``world.services``, a column per technology (ADSL, FTTH).
+
+    A service nobody can adopt that day keeps zero volumes and no
+    protocol-mix entries: no block draws users for it.
+    """
+
+    adoption: np.ndarray  # a subscriber whose rank is below it adopts
+    use: np.ndarray  # P(an adopter uses the service today)
+    volume: np.ndarray  # mean bytes down of a user
+    ratio: np.ndarray  # upload / download
+    boost: np.ndarray  # per service: the holiday volume boost applies
+    noise: List[Tuple[float, float]]  # download noise lognormal (mean, sigma)
+    flow_mean: List[float]
+    third_party: List[Optional[ThirdPartyContact]]
+    #: Protocol-mix entries: the service row, its share, and the entry's
+    #: (service, reported label) key as an index into ``keys``.
+    entry_service: np.ndarray
+    entry_share: np.ndarray
+    entry_key: np.ndarray
+    keys: List[Tuple[str, WebProtocol]]
+
+
+class ServiceFlows(NamedTuple):
+    """The flow tier's parameters of one service on one day."""
+
+    mix: Optional[np.ndarray]  # protocol shares, cumulated (None: no mix)
+    mix_codes: np.ndarray  # their protocols, as codes into PROTOCOLS
+    servers: ServerPlan
+    pools: np.ndarray  # each deployment's pool, as an index into the world's pools
+    name_ids: np.ndarray  # the service's domain table as ids into the world's names
+
+
+class DayPlan:
+    """What every subscriber block of one day reads that depends on the
+    day alone (DESIGN.md §5).
+
+    One plan is built per :meth:`TrafficGenerator.generate_day` or
+    :meth:`TrafficGenerator.expand_flows_batch` call and handed to each
+    block, so a block pays only for its draws; nothing outlives the call.
+    Every curve is evaluated by the scalar expression a block used to
+    evaluate, so every float is the one it computed.  The aggregate
+    tier's :attr:`services` table is made when a block first reads it, a
+    service's :meth:`flow_service` part when a block first holds that
+    service: a service absent from the batch is never planned.
+    """
+
+    def __init__(self, generator: "TrafficGenerator", day: datetime.date) -> None:
+        self.world = generator.world
+        self.day = day
+        self.ordinal = day.toordinal()
+        self.pop_up = np.array(
+            [not self.world.outages.is_down(pop, day) for pop in generator._pop_names],
+            dtype=bool,
+        )
+        capabilities = capabilities_on(day)
+        #: The probe's reported label of each true protocol, both as codes.
+        self.label_of = np.fromiter(
+            (protocol_code(capabilities.reported_label(protocol)) for protocol in PROTOCOLS),
+            np.int64, len(PROTOCOLS),
+        )
+        self.weekly = studycalendar.weekly_factor(day)
+        self.holiday = studycalendar.is_christmas_period(day) or studycalendar.is_new_year(
+            day
+        )
+        #: season_factor takes only two values per day: residential, business.
+        self.season = np.array(
+            [studycalendar.season_factor(day, 0.0), studycalendar.season_factor(day, 1.0)]
+        )
+        self.midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
+        self._generator = generator
+        self._flows: Dict[str, ServiceFlows] = {}
+
+    @cached_property
+    def services(self) -> ServiceDay:
+        """The aggregate tier's per-service parameters (built on first read)."""
+        day, services = self.day, self.world.services
+        curves = self._generator._curves
+        popularity = np.array(
+            [_per_technology(pair, day) for pair, _, _ in curves], dtype=np.float64
+        )
+        overshoot = np.array(
+            [
+                1.0 if service.name == catalog.OTHER else self.world.config.adoption_overshoot
+                for service in services
+            ]
+        )
+        adoption = np.minimum(1.0, popularity * overshoot[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            use = np.where(adoption > 0, popularity / np.maximum(adoption, 1e-12), 0.0)
+        boost = np.array(
+            [self.holiday and service.holiday_messaging_boost for service in services],
+            dtype=bool,
+        )
+        use = np.where(boost[:, None], np.minimum(1.0, use * _HOLIDAY_USE_BOOST), use)
+        volume = np.zeros_like(popularity)
+        ratio = np.zeros_like(popularity)
+        flow_mean = [1.0] * len(services)
+        labels = self.label_of.tolist()
+        keys: Dict[Tuple[str, int], int] = {}
+        entries: List[Tuple[int, float, int]] = []
+        for row in np.flatnonzero((adoption > 0).any(axis=1)).tolist():
+            service = services[row]
+            volume[row] = _per_technology(curves[row][1], day)
+            ratio[row] = _per_technology(curves[row][2], day)
+            flow_mean[row] = max(1.0, service.flows_per_day(day))
+            for protocol, share in service.protocol_mix(day):
+                key = (service.name, labels[protocol_code(protocol)])
+                entries.append((row, share, keys.setdefault(key, len(keys))))
+        entry_service, entry_share, entry_key = (
+            np.array([entry[index] for entry in entries], dtype=dtype)
+            for index, dtype in enumerate((np.intp, np.float64, np.intp))
+        )
+        return ServiceDay(
+            adoption=adoption,
+            use=use,
+            volume=volume,
+            ratio=ratio,
+            boost=boost,
+            noise=[
+                (-0.5 * service.volume_sigma * service.volume_sigma, service.volume_sigma)
+                for service in services
+            ],
+            flow_mean=flow_mean,
+            third_party=[service.third_party for service in services],
+            entry_service=entry_service,
+            entry_share=entry_share,
+            entry_key=entry_key,
+            keys=[(name, PROTOCOLS[label]) for name, label in keys],
+        )
+
+    @cached_property
+    def diurnal_cdfs(self) -> Dict[Technology, np.ndarray]:
+        """Each technology's diurnal profile as a CDF over the day's bins."""
+        cdfs = {}
+        for technology in Technology:
+            cdf = np.cumsum(self._generator._diurnal(self.day.year, technology))
+            cdf /= cdf[-1]
+            cdfs[technology] = cdf
+        return cdfs
+
+    def flow_service(self, name: str) -> ServiceFlows:
+        """The flow tier's parameters of service ``name``, made on first use."""
+        flows = self._flows.get(name)
+        if flows is None:
+            mix = self.world.service(name).protocol_mix(self.day)
+            infra = self.world.infrastructure_for(name)
+            shares = np.array([share for _, share in mix], dtype=np.float64)
+            flows = self._flows[name] = ServiceFlows(
+                mix=np.cumsum(shares / shares.sum()) if mix else None,
+                mix_codes=np.fromiter(
+                    (protocol_code(protocol) for protocol, _ in mix), np.int64, len(mix)
+                ),
+                servers=infra.day_plan(self.day),
+                pools=self._generator._pool_ids[name],
+                name_ids=self._generator._name_ids[name],
+            )
+        return flows
+
+
+def _per_technology(curves: Tuple[Curve, Curve], day: datetime.date) -> List[float]:
+    """The (ADSL, FTTH) values of a per-technology curve on ``day``; a
+    curve both technologies share is evaluated once."""
+    adsl, ftth = curves
+    value = adsl(day)
+    return [value, value if ftth is adsl else ftth(day)]
+
+
+def _firsts(sizes: List[int]) -> np.ndarray:
+    """Where each of consecutive runs of ``sizes`` elements starts."""
+    firsts = np.zeros(len(sizes), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=firsts[1:])
+    return firsts
 
 
 def _joined(parts: List[np.ndarray]) -> np.ndarray:

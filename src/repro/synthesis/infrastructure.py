@@ -24,7 +24,8 @@ world's ``ip_scale`` (DESIGN.md §5); relative shapes are preserved.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +50,17 @@ class AddressPool:
     asn: AutonomousSystem
     prefixes: Tuple[Prefix, ...]
     rotation_per_day: float = 0.3  # new addresses appearing over time
+    #: Per prefix: the pool index one past its last address, the index of
+    #: its first address and its network address — built with the pool.
+    _layout: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        sizes = np.array([prefix.size() for prefix in self.prefixes], dtype=np.int64)
+        bounds = np.cumsum(sizes)
+        networks = np.array([prefix.network for prefix in self.prefixes], dtype=np.int64)
+        object.__setattr__(self, "_layout", (bounds, bounds - sizes, networks))
 
     def capacity(self) -> int:
         return sum(prefix.size() for prefix in self.prefixes)
@@ -70,14 +82,10 @@ class AddressPool:
     def addresses_for(self, slots: np.ndarray, day: datetime.date) -> np.ndarray:
         """Vectorized :meth:`address_for` over an array of slots."""
         drift = int((day.toordinal() - STUDY_START.toordinal()) * self.rotation_per_day)
-        indices = (np.asarray(slots, dtype=np.int64) + drift) % self.capacity()
-        sizes = np.array([prefix.size() for prefix in self.prefixes], dtype=np.int64)
-        bounds = np.cumsum(sizes)
+        bounds, firsts, networks = self._layout
+        indices = (np.asarray(slots, dtype=np.int64) + drift) % int(bounds[-1])
         which = np.searchsorted(bounds, indices, side="right")
-        networks = np.array(
-            [prefix.network for prefix in self.prefixes], dtype=np.int64
-        )
-        return networks[which] + (indices - (bounds - sizes)[which])
+        return networks[which] + (indices - firsts[which])
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,15 @@ class Deployment:
     domains: Tuple[Tuple[str, Curve], ...]  # weighted FQDN templates
     rtt_sigma: float = 0.08  # lognormal spread of per-flow min RTT
     slot_offset: int = 0  # region of the pool (separates co-pool tenants)
+    #: Each template with the id of its first fill in :attr:`domain_table`.
+    _templates: Tuple[Tuple[str, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        templates = [template for template, _ in self.domains]
+        firsts = itertools.accumulate([0] + [_fill_count(name) for name in templates[:-1]])
+        object.__setattr__(self, "_templates", tuple(zip(templates, firsts)))
 
     @property
     def domain_table(self) -> Tuple[str, ...]:
@@ -104,30 +121,14 @@ class Deployment:
     def domains_on(
         self, day: datetime.date, rng: np.random.Generator, count: int
     ) -> np.ndarray:
-        """``count`` domain draws at once, as ids into :attr:`domain_table`.
+        """``count`` domain draws at once, as ids into :attr:`domain_table`."""
+        return self.domain_plan(day).draw(rng, count)
 
-        A template is picked by the day's weights, then its ``{n}`` /
-        ``{a}`` placeholders are drawn; no string is built per draw.
-        """
+    def domain_plan(self, day: datetime.date) -> "DomainPlan":
+        """The deployment's domain templates as weighted on ``day``."""
         weights = [max(0.0, curve(day)) for _, curve in self.domains]
         total = sum(weights)
-        if total <= 0:
-            picks = np.zeros(count, dtype=np.int64)
-        else:
-            cumulative = np.cumsum(weights)
-            picks = np.minimum(
-                np.searchsorted(cumulative, rng.random(count) * total),
-                len(weights) - 1,
-            )
-        ids = np.empty(count, dtype=np.int64)
-        base = 0
-        for index, (template, _) in enumerate(self.domains):
-            mask = picks == index
-            hits = int(np.count_nonzero(mask))
-            if hits:
-                ids[mask] = base + _fill_templates(template, rng, hits)
-            base += _fill_count(template)
-        return ids
+        return DomainPlan(self._templates, np.cumsum(weights) if total > 0 else None, total)
 
     def sample_rtt_ms(self, rng: np.random.Generator) -> float:
         return float(self.rtt_ms * rng.lognormal(0.0, self.rtt_sigma))
@@ -136,6 +137,36 @@ class Deployment:
         self, rng: np.random.Generator, count: int
     ) -> np.ndarray:
         return self.rtt_ms * rng.lognormal(0.0, self.rtt_sigma, count)
+
+
+class DomainPlan(NamedTuple):
+    """One deployment's domain templates as weighted on one day."""
+
+    templates: Tuple[Tuple[str, int], ...]  # each with its first id
+    cumulative: Optional[np.ndarray]  # of the weights; None when all are 0
+    total: float
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` domain draws at once, as ids into the deployment's
+        ``domain_table``.
+
+        A template is picked by the day's weights (the first one when
+        every weight is 0), then, template by template, its ``{n}`` /
+        ``{a}`` placeholders are drawn; no string is built per draw.
+        """
+        picks = np.zeros(count, dtype=np.int64)
+        if self.cumulative is not None:
+            weighted = rng.random(count) * self.total
+            if len(self.templates) > 1:
+                picks = np.minimum(
+                    np.searchsorted(self.cumulative, weighted), len(self.templates) - 1
+                )
+        present, order = grouping(picks, len(self.templates))
+        fills = [
+            self.templates[index][1] + _fill_templates(self.templates[index][0], rng, hits)
+            for index, hits in present
+        ]
+        return placed(order, fills, np.int64)
 
 
 class ServerPicks(NamedTuple):
@@ -224,46 +255,128 @@ class ServiceInfrastructure:
     def pick_servers(
         self, day: datetime.date, rng: np.random.Generator, count: int
     ) -> ServerPicks:
-        """Pick ``count`` servers at once, the draws grouped by deployment.
+        """Pick ``count`` servers at once (see :meth:`ServerPlan.pick`)."""
+        return self.day_plan(day).pick(rng, count)
 
-        Share weighting picks each flow's deployment; per deployment the
-        address slots, the domains and the RTTs are one draw each.  What
-        comes back is integers and the RTT draw — an address is derived
-        from ``(deployment, slot)`` by :meth:`addresses_of` and a name is
-        looked up in :attr:`domain_table`, by the caller.
-        """
-        shares = self.shares_on(day)
-        if not shares:
-            raise ValueError(f"{self.service}: no deployment active on {day}")
-        cumulative = np.cumsum([share for _, share in shares])
-        picks = np.minimum(
-            np.searchsorted(cumulative, rng.random(count)), len(shares) - 1
-        )
-        slots = np.empty(count, dtype=np.int64)
-        names = np.empty(count, dtype=np.int64)
-        rtts = np.empty(count, dtype=np.float64)
-        remaps = self._domain_layout()[1]
-        for index, (deployment, _) in enumerate(shares):
-            mask = picks == index
-            hits = int(np.count_nonzero(mask))
-            if not hits:
-                continue
-            active = max(1, int(deployment.active_slots(day)))
-            slots[mask] = deployment.slot_offset + rng.integers(0, active, hits)
-            names[mask] = remaps[index][deployment.domains_on(day, rng, hits)]
-            rtts[mask] = deployment.sample_rtts_ms(rng, hits)
-        return ServerPicks(picks, slots, names, rtts)
+    def day_plan(self, day: datetime.date) -> "ServerPlan":
+        """The service's deployments as weighted on ``day``."""
+        return ServerPlan(self, day)
 
     def addresses_of(
         self, day: datetime.date, deployments: np.ndarray, slots: np.ndarray
     ) -> np.ndarray:
         """The server addresses of picked ``(deployment, slot)`` pairs."""
-        ips = np.empty(slots.size, dtype=np.int64)
-        for index, deployment in enumerate(self.deployments):
-            mask = deployments == index
-            if mask.any():
-                ips[mask] = deployment.pool.addresses_for(slots[mask], day)
-        return ips
+        pools = [deployment.pool for deployment in self.deployments]
+        return addresses_in(pools, day, deployments, slots)
+
+
+def addresses_in(
+    pools: Sequence[AddressPool],
+    day: datetime.date,
+    which: np.ndarray,
+    slots: np.ndarray,
+) -> np.ndarray:
+    """The addresses of ``slots`` on ``day``, each in pool ``pools[which]``:
+    one :meth:`AddressPool.addresses_for` call per pool present."""
+    present, order = grouping(which, len(pools))
+    grouped = slots if order is None else slots[order]
+    parts, start = [], 0
+    for index, hits in present:
+        parts.append(pools[index].addresses_for(grouped[start : start + hits], day))
+        start += hits
+    return placed(order, parts, np.int64)
+
+
+class ServerPlan:
+    """One service's server selection on one day.
+
+    Holds what depends on the day alone — the deployment shares'
+    cumulative sum and, per deployment once a flow lands on it, its
+    active slot count and :class:`DomainPlan` — so that picking servers
+    for any number of flow runs only makes the draws.
+    """
+
+    def __init__(self, infra: ServiceInfrastructure, day: datetime.date) -> None:
+        self.infra = infra
+        self.day = day
+        shares = infra.shares_on(day)
+        self.cumulative = np.cumsum([share for _, share in shares]) if shares else None
+        self._parts: Dict[int, Tuple[int, int, np.ndarray, DomainPlan]] = {}
+
+    def _part(self, index: int) -> Tuple[int, int, np.ndarray, DomainPlan]:
+        """(slot offset, active slots, domain id remap, domain plan) of
+        one deployment, made when a flow first lands on it."""
+        part = self._parts.get(index)
+        if part is None:
+            deployment = self.infra.deployments[index]
+            part = self._parts[index] = (
+                deployment.slot_offset,
+                max(1, int(deployment.active_slots(self.day))),
+                self.infra._domain_layout()[1][index],
+                deployment.domain_plan(self.day),
+            )
+        return part
+
+    def pick(self, rng: np.random.Generator, count: int) -> ServerPicks:
+        """Pick ``count`` servers at once, the draws grouped by deployment.
+
+        Share weighting picks each flow's deployment; per deployment the
+        address slots, the domains and the RTTs are one draw each.  What
+        comes back is integers and the RTT draw — an address is derived
+        from ``(deployment, slot)`` by
+        :meth:`ServiceInfrastructure.addresses_of` and a name is looked up
+        in :attr:`ServiceInfrastructure.domain_table`, by the caller.
+        """
+        if self.cumulative is None:
+            raise ValueError(f"{self.infra.service}: no deployment active on {self.day}")
+        uniforms = rng.random(count)
+        picks = np.zeros(count, dtype=np.int64)
+        if self.cumulative.size > 1:
+            picks = np.minimum(
+                np.searchsorted(self.cumulative, uniforms), self.cumulative.size - 1
+            )
+        present, order = grouping(picks, self.cumulative.size)
+        slots, names, rtts = [], [], []
+        for index, hits in present:
+            offset, active, remap, domains = self._part(index)
+            slots.append(offset + rng.integers(0, active, hits))
+            names.append(remap[domains.draw(rng, hits)])
+            rtts.append(self.infra.deployments[index].sample_rtts_ms(rng, hits))
+        return ServerPicks(
+            picks,
+            placed(order, slots, np.int64),
+            placed(order, names, np.int64),
+            placed(order, rtts, np.float64),
+        )
+
+
+def grouping(
+    groups: np.ndarray, size: int
+) -> Tuple[List[Tuple[int, int]], Optional[np.ndarray]]:
+    """The ``(group, elements)`` of each of ``size`` groups that
+    ``groups`` (each element's group) holds, ascending, and the elements'
+    stable order by group — None when they are in at most one group.
+
+    Draws made group by group, in that order, are :func:`placed` back
+    onto the elements by it.
+    """
+    hits = np.bincount(groups, minlength=size).tolist()
+    present = [(group, count) for group, count in enumerate(hits) if count]
+    order = np.argsort(groups, kind="stable") if len(present) > 1 else None
+    return present, order
+
+
+def placed(
+    order: Optional[np.ndarray], parts: List[np.ndarray], dtype: type
+) -> np.ndarray:
+    """Values drawn group by group as one array over the elements:
+    ``parts`` holds each group's values in element order, and ``order``
+    is the elements' order by group from :func:`grouping`."""
+    if order is None:
+        return parts[0] if parts else np.empty(0, dtype=dtype)
+    values = np.empty(order.size, dtype=dtype)
+    values[order] = np.concatenate(parts)
+    return values
 
 
 #: Values a template's ``{n}`` and ``{a}`` placeholders take.

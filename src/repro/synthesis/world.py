@@ -138,10 +138,7 @@ class World:
             self._affinity["volume"][subscriber_id, self._service_index[service]]
         )
 
-    def affinity_columns(self, service: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(adoption ranks, volume affinities) for every subscriber."""
-        index = self._service_index[service]
-        return (
-            self._affinity["rank"][:, index],
-            self._affinity["volume"][:, index],
-        )
+    def affinity_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(adoption ranks, volume affinities): one row per subscriber,
+        one column per service in :attr:`services` order."""
+        return self._affinity["rank"], self._affinity["volume"]

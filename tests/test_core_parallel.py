@@ -132,6 +132,27 @@ class TestWorldBuiltOncePerProcess:
         assert parallel._cached_study(configs[0]) is not studies[0]
 
 
+class TestConfigHashedOncePerConfig:
+    def test_serial_run_hashes_its_config_once(self, monkeypatch):
+        """The digest is asked for per task; a config object computes it
+        once, however many tasks the run has."""
+        from repro.core import config as config_module
+
+        digest = config_module._digest
+        calls = []
+
+        def counting_digest(config):
+            calls.append(config)
+            return digest(config)
+
+        monkeypatch.setattr(config_module, "_digest", counting_digest)
+        config = tiny_config()
+        result = execute_study(config, workers=1)
+        assert result.report.planned_tasks > 10
+        assert len(calls) == 1
+        assert config_module.config_hash(config) == digest(tiny_config())
+
+
 class TestColumnarPartialPack:
     def test_pack_does_not_mutate_its_input(self):
         """Regression: pack() once stripped the flow-tier fields off the

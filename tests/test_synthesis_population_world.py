@@ -111,9 +111,12 @@ class TestWorld:
         assert world.volume_affinity(3, "YouTube") > 0.0
 
     def test_affinity_columns_shape(self, world):
-        ranks, volumes = world.affinity_columns("Facebook")
-        assert len(ranks) == len(world.population)
-        assert len(volumes) == len(world.population)
+        """A row per subscriber, a column per service."""
+        ranks, volumes = world.affinity_matrices()
+        shape = (len(world.population), len(world.services))
+        assert ranks.shape == volumes.shape == shape
+        column = world.service_names().index("Facebook")
+        assert world.adoption_rank(3, "Facebook") == ranks[3, column]
 
     def test_outages_toggle(self):
         quiet = World(WorldConfig(adsl_count=10, ftth_count=5, with_outages=False))
