@@ -337,7 +337,7 @@ class TrafficGenerator:
             if not adopted:
                 continue  # nobody in the block can use it
             chosen = adopters[service] & (uniforms < use_probability[service])
-            users = np.flatnonzero(chosen)
+            users = chosen.nonzero()[0]
             if users.size == 0:
                 continue
             mean, sigma = table.noise[service]
@@ -353,7 +353,7 @@ class TrafficGenerator:
             # domains with volumes below its visit threshold (Section 4.1).
             contact = table.third_party[service]
             if contact is not None:
-                nonusers = np.flatnonzero(active & ~chosen)
+                nonusers = (active & ~chosen).nonzero()[0]
                 hit = nonusers[rng.random(nonusers.size) < contact.probability]
                 if hit.size:
                     down = rng.integers(contact.min_bytes, contact.max_bytes + 1, hit.size)

@@ -128,7 +128,8 @@ class Deployment:
         """The deployment's domain templates as weighted on ``day``."""
         weights = [max(0.0, curve(day)) for _, curve in self.domains]
         total = sum(weights)
-        return DomainPlan(self._templates, np.cumsum(weights) if total > 0 else None, total)
+        cumulative = np.array(list(itertools.accumulate(weights))) if total > 0 else None
+        return DomainPlan(self._templates, cumulative, total)
 
     def sample_rtt_ms(self, rng: np.random.Generator) -> float:
         return float(self.rtt_ms * rng.lognormal(0.0, self.rtt_sigma))
@@ -300,7 +301,8 @@ class ServerPlan:
         self.infra = infra
         self.day = day
         shares = infra.shares_on(day)
-        self.cumulative = np.cumsum([share for _, share in shares]) if shares else None
+        cumulative = itertools.accumulate(share for _, share in shares)
+        self.cumulative = np.array(list(cumulative)) if shares else None
         self._parts: Dict[int, Tuple[int, int, np.ndarray, DomainPlan]] = {}
 
     def _part(self, index: int) -> Tuple[int, int, np.ndarray, DomainPlan]:
@@ -362,7 +364,11 @@ def grouping(
     """
     hits = np.bincount(groups, minlength=size).tolist()
     present = [(group, count) for group, count in enumerate(hits) if count]
-    order = np.argsort(groups, kind="stable") if len(present) > 1 else None
+    order = None
+    if len(present) > 1:
+        # Stable sorts of 16-bit keys are radix sorts: linear, not n log n.
+        narrow = groups.astype(np.int16) if size < 1 << 15 else groups
+        order = np.argsort(narrow, kind="stable")
     return present, order
 
 
