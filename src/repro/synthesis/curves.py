@@ -14,9 +14,10 @@ import bisect
 import datetime
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 Curve = Callable[[datetime.date], float]
+K = TypeVar("K")
 
 
 def _ordinal(day: datetime.date) -> float:
@@ -132,15 +133,15 @@ def clamped(base: Curve, low: float = 0.0, high: float = 1.0) -> Curve:
 
 
 def normalized_mix(
-    components: Sequence[Tuple[str, Curve]]
-) -> Callable[[datetime.date], List[Tuple[str, float]]]:
+    components: Sequence[Tuple[K, Curve]]
+) -> Callable[[datetime.date], List[Tuple[K, float]]]:
     """Turn weighted component curves into a share mix summing to 1.
 
     Components whose weight is ≤ 0 on a date are dropped.  If every weight
-    is zero the mix is empty.
+    is zero the mix is empty.  A component is named by any key.
     """
 
-    def mix(day: datetime.date) -> List[Tuple[str, float]]:
+    def mix(day: datetime.date) -> List[Tuple[K, float]]:
         weights = [(name, curve(day)) for name, curve in components]
         weights = [(name, weight) for name, weight in weights if weight > 0.0]
         total = sum(weight for _, weight in weights)

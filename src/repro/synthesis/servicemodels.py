@@ -105,14 +105,7 @@ def _fixed_mix(*shares: Tuple[WebProtocol, float]) -> ProtocolMix:
 
 
 def _mix(components: Sequence[Tuple[WebProtocol, Curve]]) -> ProtocolMix:
-    named = curves.normalized_mix(
-        [(protocol.value, curve) for protocol, curve in components]
-    )
-
-    def mix(day: datetime.date) -> List[Tuple[WebProtocol, float]]:
-        return [(WebProtocol(name), share) for name, share in named(day)]
-
-    return mix
+    return curves.normalized_mix(components)
 
 
 def _google_quic_share(ceiling: float) -> Curve:
