@@ -86,19 +86,28 @@ def subscriber_days(
     One row per (day, subscriber) in first-appearance order, carrying the
     technology of its first usage row.
     """
-    batch = ColumnBatch.of(usage, USAGE_CODEC)
+    return subscriber_day_slots(ColumnBatch.of(usage, USAGE_CODEC), criterion)[0]
+
+
+def subscriber_day_slots(
+    batch: "ColumnBatch[DailyUsage]", criterion: ActiveSubscriberCriterion
+) -> Tuple["ColumnBatch[SubscriberDay]", np.ndarray]:
+    """:func:`subscriber_days` of a usage batch, and per usage row the
+    position of its subscriber day in that table."""
     if not batch:
-        return ColumnBatch.from_rows((), SUBSCRIBER_DAY_CODEC)
+        return ColumnBatch.from_rows((), SUBSCRIBER_DAY_CODEC), np.zeros(0, dtype=np.int64)
     columns = batch.columns
     order, starts = group_rows(columns["day"], columns["subscriber_id"])
     firsts = order[starts]
     appearance = np.argsort(firsts)  # groups in first-appearance order
+    position = np.empty(starts.size, dtype=np.int64)
+    position[appearance] = np.arange(starts.size)
     firsts = firsts[appearance]
     down, up, flows = (
         np.add.reduceat(columns[name][order], starts)[appearance]
         for name in ("bytes_down", "bytes_up", "flows")
     )
-    return ColumnBatch(
+    table = ColumnBatch(
         SUBSCRIBER_DAY_CODEC,
         {
             "day": columns["day"][firsts],
@@ -118,6 +127,7 @@ def subscriber_days(
             "technology": batch.dictionaries["technology"],
         },
     )
+    return table, position[group_ids(order, starts)]
 
 
 def active_subscribers_by_day(

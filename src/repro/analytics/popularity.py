@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.analytics.activity import (
     group_rows,
 )
 from repro.analytics.timeseries import Month, MonthlySeries, monthly_mean
-from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec
+from repro.dataflow.columnar import ColumnBatch, ColumnSpec, ColumnarCodec, dictionary_codes
 from repro.services.thresholds import VisitClassifier
 from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
@@ -121,19 +121,77 @@ def daily_service_stats(
     if technology is not None:
         keep &= batch.equals("technology", technology.value)
     rows = np.nonzero(keep)[0]
+    active_days = days[order[starts[group_active]]]
+    return _service_cells(
+        batch,
+        rows,
+        np.zeros(rows.size, dtype=np.int64),
+        [technology.value if technology else None],
+        (np.zeros(active_days.size, dtype=np.int64), active_days),
+        visit_rows(batch, classifier),
+    )
+
+
+def technology_positions(table: ColumnBatch) -> np.ndarray:
+    """Per row of a table with a ``technology`` column, its member's place
+    in :class:`Technology`."""
+    members = list(Technology)
+    places = [members.index(Technology(value)) for value in table.dictionaries["technology"]]
+    return np.array(places, dtype=np.int64)[table.columns["technology"]]
+
+
+def technology_service_stats(
+    usage: "ColumnBatch[DailyUsage]",
+    subscriber_days: "ColumnBatch[SubscriberDay]",
+    slots: np.ndarray,
+    visit: np.ndarray,
+) -> "ColumnBatch[DailyServiceStats]":
+    """:func:`daily_service_stats` of each :class:`Technology` in turn, as
+    one table, in one grouping: ``subscriber_days`` are the usage rows'
+    own (:func:`~repro.analytics.activity.subscriber_day_slots`), ``slots``
+    each row's place among them, ``visit`` the rows' :func:`visit_rows`.
+
+    A row counts towards its technology's cells when its subscriber day is
+    active and of that technology.
+    """
+    technology = technology_positions(usage)
+    day_technology = technology_positions(subscriber_days)
+    active = subscriber_days.columns["active"]
+    rows = np.nonzero(active[slots] & (technology == day_technology[slots]))[0]
+    # the technologies with cells; an active day's first row is one of its cells
+    present = np.flatnonzero(np.bincount(technology[rows], minlength=len(Technology)))
+    members = list(Technology)
+    return _service_cells(
+        usage,
+        rows,
+        np.searchsorted(present, technology[rows]),
+        [members[place].value for place in present.tolist()],
+        (np.searchsorted(present, day_technology[active]), subscriber_days.columns["day"][active]),
+        visit,
+    )
+
+
+def _service_cells(
+    batch: "ColumnBatch[DailyUsage]",
+    rows: np.ndarray,
+    technology: np.ndarray,
+    technologies: List[Optional[str]],
+    active: Tuple[np.ndarray, np.ndarray],
+    visit: np.ndarray,
+) -> "ColumnBatch[DailyServiceStats]":
+    """The cells of the usage ``rows`` in (technology, day, service name)
+    order: ``technology`` codes each of them into ``technologies``,
+    ``active`` is the (technology code, day) of every active subscriber
+    day a cell's denominator counts, ``visit`` flags the batch's rows that
+    pass their visit threshold."""
     if not rows.size:
         return ColumnBatch.from_rows((), SERVICE_STATS_CODEC)
-    active_days, active_counts = np.unique(
-        days[order[starts[group_active]]], return_counts=True
-    )
-    active_per_day = dict(zip(active_days.tolist(), active_counts.tolist()))
-
+    columns = batch.columns
     row_day, row_service = columns["day"][rows], columns["service"][rows]
     row_down = columns["bytes_down"][rows]
     row_total = row_down + columns["bytes_up"][rows]
-    visit = visit_rows(batch, classifier)[rows]
-    # cells in (day, service name) order
-    order, starts = group_rows(row_day, batch.value_ranks("service")[row_service])
+    visit = visit[rows]
+    order, starts = group_rows(technology, row_day, batch.value_ranks("service")[row_service])
     # visitors: distinct subscribers among a cell's threshold-passing rows
     visit_cell = group_ids(order, starts)[visit]
     visit_order, visit_starts = group_rows(
@@ -142,23 +200,32 @@ def daily_service_stats(
     visitors = np.bincount(
         visit_cell[visit_order[visit_starts]], minlength=starts.size
     )
-    cell_day = row_day[order[starts]]
+    firsts = order[starts]
+    cell_technology, cell_day = technology[firsts], row_day[firsts]
+    # active subscriber days per (day, technology), keyed as one integer
+    width = len(technologies)
+    counted, counts = np.unique(active[1] * width + active[0], return_counts=True)
+    active_count = dict(zip(counted.tolist(), counts.tolist()))
+    cell_service, services = row_service[firsts], batch.dictionaries["service"]
+    if len(technologies) > 1:  # as ColumnBatch.concat joins one table per technology
+        ids: Dict[Optional[str], int] = {}
+        cell_service = dictionary_codes(services, ids)[cell_service]
+        services = list(ids)
     return ColumnBatch(
         SERVICE_STATS_CODEC,
         {
             "day": cell_day,
-            "service": row_service[order[starts]],
+            "service": cell_service,
             "visitors": visitors,
-            "active_subscribers": [active_per_day.get(day, 0) for day in cell_day.tolist()],
+            "active_subscribers": [
+                active_count.get(key, 0) for key in (cell_day * width + cell_technology).tolist()
+            ],
             "bytes_down": np.add.reduceat(row_down[order], starts),
             "bytes_total": np.add.reduceat(row_total[order], starts),
             "visitor_bytes": np.add.reduceat(np.where(visit, row_total, 0)[order], starts),
-            "technology": np.zeros(starts.size, dtype=np.int32),
+            "technology": cell_technology,
         },
-        {
-            "service": batch.dictionaries["service"],
-            "technology": [technology.value if technology else None],
-        },
+        {"service": services, "technology": technologies},
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import datetime
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -24,7 +25,7 @@ from repro.analytics.activity import (
     SUBSCRIBER_DAY_CODEC,
     SubscriberDay,
     group_rows,
-    subscriber_days,
+    subscriber_day_slots,
 )
 from repro.analytics.infrastructure import (
     SERVER_CODEC,
@@ -40,7 +41,8 @@ from repro.analytics.rtt import RTT_CODEC, RttSample, min_rtt_table
 from repro.analytics.popularity import (
     SERVICE_STATS_CODEC,
     DailyServiceStats,
-    daily_service_stats,
+    technology_positions,
+    technology_service_stats,
     visit_rows,
 )
 from repro.analytics.timeseries import Month
@@ -105,8 +107,16 @@ STUDY_TABLES: Mapping[str, Tuple[ColumnarCodec, FanIn]] = MappingProxyType(
 )
 
 
+#: One empty table per field of :data:`STUDY_TABLES`, what a
+#: :class:`StudyData` holds until a table is produced.  Tables are never
+#: changed in place, so every partial can share them.
+EMPTY_TABLES: Mapping[str, ColumnBatch] = MappingProxyType(
+    {name: ColumnBatch.from_rows((), codec) for name, (codec, _) in STUDY_TABLES.items()}
+)
+
+
 def _table(name: str) -> Any:
-    return field(default_factory=lambda: ColumnBatch.from_rows((), STUDY_TABLES[name][0]))
+    return field(default_factory=lambda: EMPTY_TABLES[name])
 
 
 class DaySink(Protocol):
@@ -452,67 +462,59 @@ def aggregate_usage_day(
     day): subscriber days, per-technology service cells, and — inside
     the full-resolution comparison months — weekly reach (§4.3).
     Returns the subscriber-day table it stored.  ``usage`` is reduced as
-    columns (a batch is taken as it is, rows are normalised once).
+    columns (a batch is taken as it is, rows are normalised once) and
+    grouped by subscriber day once: every reduction reads each row's
+    slot in the subscriber-day table.
     """
     usage = ColumnBatch.of(usage, USAGE_CODEC)
-    day_rows = subscriber_days(usage, criterion)
+    day_rows, slots = subscriber_day_slots(usage, criterion)
     data.subscriber_days[day] = day_rows
-    cells = [daily_service_stats(usage, day_rows, classifier, tech) for tech in Technology]
-    data.service_stats = ColumnBatch.concat([data.service_stats, *cells], SERVICE_STATS_CODEC)
+    visit = visit_rows(usage, classifier)
+    cells = technology_service_stats(usage, day_rows, slots, visit)
+    data.service_stats = ColumnBatch.concat([data.service_stats, cells], SERVICE_STATS_CODEC)
     if (day.year, day.month) in COMPARISON_MONTHS:
-        iso_year, iso_week, _ = day.isocalendar()
+        week = tuple(day.isocalendar())[:2]
         active = day_rows.columns["active"]
-        technologies = [Technology(value) for value in day_rows.dictionaries["technology"]]
+        ids = day_rows.columns["subscriber_id"]
+        # subscriber → the place in Technology of its active day's technology
         active_by_id = dict(
-            zip(
-                day_rows.columns["subscriber_id"][active].tolist(),
-                map(technologies.__getitem__, day_rows.columns["technology"][active].tolist()),
-            )
+            zip(ids[active].tolist(), technology_positions(day_rows)[active].tolist())
         )
-        for subscriber_id, technology in active_by_id.items():
-            data.weekly_active.setdefault(
-                (iso_year, iso_week, technology), set()
-            ).add(subscriber_id)
-        if active_by_id:
-            _add_weekly_visitors(
-                data.weekly_visitors, (iso_year, iso_week), usage, active_by_id, classifier
-            )
+        technologies = list(Technology)
+        for subscriber_id, place in active_by_id.items():
+            data.weekly_active.setdefault((*week, technologies[place]), set()).add(subscriber_id)
+        place = np.fromiter(
+            map(active_by_id.get, ids.tolist(), itertools.repeat(-1)), np.int64, ids.size
+        )[slots]
+        rows = np.nonzero((place >= 0) & visit)[0]
+        _add_weekly_visitors(data.weekly_visitors, week, usage, rows, place[rows])
     return day_rows
 
 
 def _add_weekly_visitors(
     weekly_visitors: Dict[Tuple[int, int, str, Technology], Set[int]],
-    week: Tuple[int, int],
+    week: Tuple[int, ...],
     usage: "ColumnBatch[DailyUsage]",
-    active_by_id: Dict[int, Technology],
-    classifier: VisitClassifier,
+    rows: np.ndarray,
+    technology: np.ndarray,
 ) -> None:
-    """Add the day's visits by active subscribers to the week's visitor sets.
+    """Add the day's visits at ``rows`` (ascending) to the week's visitor sets.
 
-    A visit is keyed by (service, its subscriber-day's technology).  Keys
-    are inserted in first-row order and every set is filled in row order —
-    what a row-by-row pass does, and what the checkpoint bytes pin.
+    A visit is keyed by (service, ``technology``: the place in
+    :class:`Technology` of its subscriber's active day).  Keys are inserted in
+    first-row order and every set is filled in row order — what a
+    row-by-row pass does, and what the checkpoint bytes pin.
     """
-    subscribers, service = usage.columns["subscriber_id"], usage.columns["service"]
-    services = usage.dictionaries["service"]
+    subscribers, services = usage.columns["subscriber_id"], usage.dictionaries["service"]
     technologies = list(Technology)
-    ids = np.fromiter(active_by_id, np.int64, len(active_by_id))
-    id_technology = np.fromiter(
-        map(technologies.index, active_by_id.values()), np.int64, ids.size
-    )
-    sorter = np.argsort(ids)
-    slot = sorter[
-        np.minimum(np.searchsorted(ids, subscribers, sorter=sorter), ids.size - 1)
-    ]
-    rows = np.nonzero((ids[slot] == subscribers) & visit_rows(usage, classifier))[0]
-    key = service[rows] * len(technologies) + id_technology[slot[rows]]
+    key = usage.columns["service"][rows] * len(technologies) + technology
     order, starts = group_rows(key)
     bounds = starts.tolist() + [order.size]
     for group in np.argsort(order[starts]).tolist():  # first-row order
         members = order[bounds[group] : bounds[group + 1]]
-        code, technology = divmod(int(key[members[0]]), len(technologies))
+        code, place = divmod(int(key[members[0]]), len(technologies))
         weekly_visitors.setdefault(
-            (*week, services[code], technologies[technology]), set()
+            (*week, services[code], technologies[place]), set()
         ).update(subscribers[rows[members]].tolist())
 
 
@@ -570,13 +572,17 @@ def merge_day_shards(
     )
     # A service-stats cell is additive except active_subscribers, the
     # whole-day denominator the sidecars carry.
-    active = [
-        sum(extra.active_counts.get(Technology(value), 0) for extra in extras)
-        for value in out.service_stats.dictionaries["technology"]
-    ]
-    out.service_stats.columns["active_subscribers"] = np.array(active, dtype=np.int64)[
-        out.service_stats.columns["technology"]
-    ]
+    stats = out.service_stats
+    active = np.array(
+        [
+            sum(extra.active_counts.get(Technology(value), 0) for extra in extras)
+            for value in stats.dictionaries["technology"]
+        ],
+        dtype=np.int64,
+    )[stats.columns["technology"]]
+    out.service_stats = ColumnBatch(
+        SERVICE_STATS_CODEC, {**stats.columns, "active_subscribers": active}, stats.dictionaries
+    )
     for data in datas:
         _union_sets(out.weekly_visitors, data.weekly_visitors)
         _union_sets(out.weekly_active, data.weekly_active)
@@ -601,8 +607,15 @@ def _summed(
     """The parts of one of :data:`STUDY_TABLES` as one table with a row per
     distinct ``keys`` (the table's fan-in keys by default), in key order — a
     ``str`` key by its value — each other int column summed over the key's
-    rows and every other column taken from its first row."""
-    codec, keys = STUDY_TABLES[name][0], keys or STUDY_TABLES[name][1].keys
+    rows and every other column taken from its first row.
+
+    A lone part is returned as it is when summed by the fan-in keys: every
+    producer of these tables already makes one row per key, in key order.
+    """
+    codec = STUDY_TABLES[name][0]
+    if keys is None and len(tables) == 1:
+        return ColumnBatch.of(tables[0], codec)
+    keys = keys or STUDY_TABLES[name][1].keys
     table = ColumnBatch.concat(tables, codec)
     columns = table.columns
     order, starts = group_rows(

@@ -322,9 +322,12 @@ def first_appearance_codes(
 ) -> Tuple[np.ndarray, List[Any]]:
     """Codes into ``dictionary`` re-coded in first-appearance order, with
     the dictionary of just the values used: what :func:`dictionary_codes`
-    would have built from the decoded values, without decoding any."""
-    used, first = np.unique(codes, return_index=True)
-    used = used[np.argsort(first, kind="stable")]
+    would have built from the decoded values, without decoding any.  The
+    column is never sorted: one pass finds each code's first row."""
+    first = np.full(len(dictionary), codes.size, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    used = np.flatnonzero(first < codes.size)
+    used = used[np.argsort(first[used])]
     rank = np.zeros(len(dictionary), dtype=codes.dtype)
     rank[used] = np.arange(used.size, dtype=codes.dtype)
     return rank[codes], [dictionary[code] for code in used.tolist()]

@@ -12,9 +12,10 @@ import time
 
 import pytest
 
-from repro.core.config import StudyConfig
+from repro.core.config import StudyConfig, small_study
 from repro.core.parallel import ColumnarPartial, execute_study
 from repro.core.study import LongitudinalStudy
+from repro.dataflow.columnar import ColumnBatch
 from repro.synthesis.world import WorldConfig
 
 D = datetime.date
@@ -151,6 +152,35 @@ class TestConfigHashedOncePerConfig:
         assert result.report.planned_tasks > 10
         assert len(calls) == 1
         assert config_module.config_hash(config) == digest(tiny_config())
+
+
+class TestNoEmptyTablePerTask:
+    def test_serial_run_builds_no_empty_table_per_task(self, monkeypatch):
+        """A task builds only the tables it produces: the empty tables a
+        day partial holds are shared, so a run builds as many empties
+        however many tasks it has (five per task once)."""
+        from_rows = ColumnBatch.from_rows.__func__
+        empties = []
+
+        def counting_from_rows(cls, rows, codec):
+            batch = from_rows(cls, rows, codec)
+            if not batch:
+                empties.append(codec)
+            return batch
+
+        monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(counting_from_rows))
+        full = small_study(1)
+        month = dataclasses.replace(
+            full.world, end=full.world.start + datetime.timedelta(days=30)
+        )
+        built = []
+        for config in (dataclasses.replace(full, world=month), full):
+            empties.clear()
+            tasks = execute_study(config, workers=1).report.planned_tasks
+            built.append((tasks, len(empties)))
+        (few, few_empties), (many, many_empties) = built
+        assert many > 10 * few
+        assert many_empties == few_empties
 
 
 class TestColumnarPartialPack:

@@ -41,6 +41,7 @@ from repro.dataflow.columnar import (
     ScanPredicate,
     dictionary_codes,
     encode_chunk,
+    first_appearance_codes,
     read_chunk,
     verify_chunk,
     zone_map,
@@ -579,6 +580,46 @@ class TestFormat3RoundTrip:
             meta, stream = streams[name]
             assert stream == batch.columns[name].tobytes()
             assert meta["crc32"] == zlib.crc32(stream)
+
+
+def unique_first_appearance_codes(codes, dictionary):
+    """:func:`first_appearance_codes` by sorting the column, as it was."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first, kind="stable")]
+    rank = np.zeros(len(dictionary), dtype=codes.dtype)
+    rank[used] = np.arange(used.size, dtype=codes.dtype)
+    return rank[codes], [dictionary[code] for code in used.tolist()]
+
+
+@st.composite
+def coded_columns(draw):
+    """A dictionary (some entries unused) and a column of codes into it."""
+    size = draw(st.integers(1, 40))
+    dictionary = [f"name-{index}" for index in range(size)]
+    if draw(st.booleans()):
+        dictionary = tuple(dictionary)
+    codes = draw(st.lists(st.integers(0, size - 1), max_size=300))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array(codes, dtype=dtype), dictionary
+
+
+class TestFirstAppearanceCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(coded_columns())
+    @example((np.array([], dtype=np.int32), ["a", "b"]))  # empty column
+    @example((np.array([3, 3, 3], dtype=np.int64), list("abcd")))  # one code
+    @example((np.array([2, 0, 1, 0, 2], dtype=np.int32), ("x", "y", "z")))  # every code
+    @example((np.array([5, 1, 5, 1], dtype=np.int64), list("abcdefgh")))  # unused entries
+    def test_is_the_sorting_oracle(self, case):
+        codes, dictionary = case
+        mine = first_appearance_codes(codes, dictionary)
+        theirs = unique_first_appearance_codes(codes, dictionary)
+        assert mine[0].dtype == theirs[0].dtype == codes.dtype
+        assert np.array_equal(mine[0], theirs[0])
+        assert mine[1] == theirs[1] and type(mine[1]) is list
+        ids = {}
+        dictionary_codes([dictionary[code] for code in codes.tolist()], ids)
+        assert mine[1] == list(ids)
 
 
 class TestBoolColumns:
