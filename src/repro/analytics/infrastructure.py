@@ -283,7 +283,7 @@ def domain_byte_totals(
     """Integer byte totals per second-level domain for one service.
 
     The additive core of :func:`domain_shares`: totals sum exactly across
-    disjoint flow subsets, so shard partials carry these and the fan-in
+    disjoint flow subsets, so shard partials carry these and Fig. 11
     divides once over the merged day (shares themselves do not compose).
     Byte sums stay integral (``np.add.at`` on an int64 accumulator), so
     the share divisions are exact int/int divisions — identical floats,
@@ -315,6 +315,31 @@ def shares_from_totals(totals: Dict[str, int]) -> Dict[str, float]:
     if total == 0:
         return {}
     return {domain: volume / total for domain, volume in totals.items()}
+
+
+@dataclass(frozen=True)
+class DomainBytes:
+    """Fig. 11 bottom row: one service's bytes to one SLD on one day."""
+
+    day: datetime.date
+    service: str
+    sld: str
+    bytes: int
+
+
+#: Stage-1's per-(day, service, SLD) table (``StudyData.domain_bytes``),
+#: which Fig. 11 divides into shares per day and service.
+DOMAIN_BYTES_CODEC: ColumnarCodec[DomainBytes] = ColumnarCodec(
+    columns=[
+        ColumnSpec("day", "date"),
+        ColumnSpec("service", "str"),
+        ColumnSpec("sld", "str"),
+        ColumnSpec("bytes", "int"),
+    ],
+    record=DomainBytes,
+    day_column="day",
+)
+
 
 
 def service_ip_set(

@@ -143,7 +143,7 @@ class ColumnarPartial:
 
     def approx_nbytes(self) -> int:
         """What the spill watermark charges: the exact bytes of the tables,
-        subscriber days included (the ASN, domain and weekly objects not)."""
+        subscriber days included (the ASN and weekly objects not)."""
         data = self.data
         tables = [getattr(data, name) for name in STUDY_TABLES]
         return sum(

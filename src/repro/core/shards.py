@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core import fsio
 from repro.dataflow.datalake import CheckpointError, read_record, write_record
-from repro.synthesis.population import Technology
 from repro.synthesis.world import SUBSCRIBER_BLOCK
 
 DEFAULT_SPILL_WATERMARK_BYTES = 256 * 1024 * 1024
@@ -124,21 +123,18 @@ class ShardExtra:
     """Fan-in sidecar of one shard's day partial.
 
     Carries what the shard-local :class:`StudyData` cannot express:
-    per-technology active counts for the popularity denominator, raw
-    (ip, service) pairs so the census can recompute cross-shard sharing,
-    and domain byte *totals* (shares only divide correctly over the
-    merged day).
+    whether the shard drew any rows and reached the flow tier, and its
+    raw (ip, service) pairs, so the census can recompute cross-shard
+    sharing.  Everything else the fan-in needs is in the partial's
+    tables.
     """
 
     day: datetime.date
     shard: ShardSpec
     processed: bool = False
-    active_counts: Dict[Technology, int] = field(default_factory=dict)
     flow_stage: bool = False
-    pair_ips: Optional[np.ndarray] = None
-    pair_codes: Optional[np.ndarray] = None
-    pair_services: Tuple[str, ...] = ()
-    domain_totals: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: The distinct (ip, service) pairs: ips, codes into the service names.
+    pairs: Optional[Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]] = None
 
 
 # ----------------------------------------------------------------------

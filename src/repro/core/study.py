@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import datetime
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -28,14 +27,15 @@ from repro.analytics.activity import (
     subscriber_day_slots,
 )
 from repro.analytics.infrastructure import (
+    DOMAIN_BYTES_CODEC,
     SERVER_CODEC,
     AsnBreakdown,
+    DomainBytes,
     ServerAddress,
     ServicePairs,
     asn_of_addresses,
     domain_byte_totals,
     ip_service_pairs,
-    shares_from_totals,
 )
 from repro.analytics.rtt import RTT_CODEC, RttSample, min_rtt_table
 from repro.analytics.popularity import (
@@ -102,6 +102,7 @@ STUDY_TABLES: Mapping[str, Tuple[ColumnarCodec, FanIn]] = MappingProxyType(
         "protocol_rows": (PROTOCOL_CODEC, FanIn(keys=("day", "service", "protocol"))),
         "hourly": (HOURLY_CODEC, FanIn(keys=("day", "technology", "bin_index"))),
         "servers": (SERVER_CODEC, FanIn(from_pairs=INFRA_SERVICES)),
+        "domain_bytes": (DOMAIN_BYTES_CODEC, FanIn(keys=("day", "service", "sld"))),
         "rtt": (RTT_CODEC, FanIn()),
     }
 )
@@ -168,10 +169,8 @@ class StudyData:
     servers: Sequence[ServerAddress] = _table("servers")
     #: Fig. 11 middle: per-day ASN breakdowns.
     asn: List[AsnBreakdown] = field(default_factory=list)
-    #: Fig. 11 bottom: per-day domain shares, keyed (day, service).
-    domains: List[Tuple[datetime.date, str, Dict[str, float]]] = field(
-        default_factory=list
-    )
+    #: Fig. 11 bottom: per-(day, service, SLD) byte totals of the flow days.
+    domain_bytes: Sequence[DomainBytes] = _table("domain_bytes")
     #: Fig. 10: per-flow min-RTT samples of the RTT days, in flow order.
     rtt: Sequence[RttSample] = _table("rtt")
     #: days expanded to the flow tier.
@@ -181,10 +180,19 @@ class StudyData:
     weekly_visitors: Dict[
         Tuple[int, int, str, Technology], Set[int]
     ] = field(default_factory=dict)
-    #: (iso-year, iso-week, technology) → active subscribers that week.
-    weekly_active: Dict[Tuple[int, int, Technology], Set[int]] = field(
-        default_factory=dict
-    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickled without its empty tables (most of a day partial's are);
+        each comes back as the shared empty."""
+        return {
+            name: value
+            for name, value in vars(self).items()
+            if name not in STUDY_TABLES or len(value)
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name in self.__dataclass_fields__:
+            setattr(self, name, state[name] if name in state else EMPTY_TABLES[name])
 
     def stats_for(
         self,
@@ -214,9 +222,9 @@ class StudyData:
     def merge(self, *others: "StudyData") -> None:
         """Fold other partial results in, in order (disjoint day sets enforced).
 
-        ``weekly_visitors`` / ``weekly_active`` keys legitimately repeat
-        across partials (one ISO week spans several days) and are
-        unioned; ``subscriber_days`` keys must be disjoint and raise
+        ``weekly_visitors`` keys legitimately repeat across partials (one
+        ISO week spans several days) and are unioned; ``subscriber_days``
+        keys must be disjoint and raise
         :class:`MergeOverlapError` when they collide.  Each table is
         concatenated once, however many partials are folded in: a calendar
         fold passes them all in one call.
@@ -231,15 +239,12 @@ class StudyData:
                 raise MergeOverlapError("subscriber_days", min(overlap).isoformat())
             self.subscriber_days.update(other.subscriber_days)
             self.asn.extend(other.asn)
-            self.domains.extend(other.domains)
             # Insertion keeps flow_days sorted without re-sorting the whole
             # list on every one of the k partial merges (was O(k·n log n)).
             for day in other.flow_days:
                 bisect.insort(self.flow_days, day)
             for key, visitors in other.weekly_visitors.items():
                 self.weekly_visitors.setdefault(key, set()).update(visitors)
-            for key, active in other.weekly_active.items():
-                self.weekly_active.setdefault(key, set()).update(active)
         for name, (codec, _) in STUDY_TABLES.items():
             parts = [getattr(data, name) for data in (self, *others)]
             setattr(self, name, ColumnBatch.concat(parts, codec))
@@ -248,19 +253,22 @@ class StudyData:
         self, service: str, technology: Technology, year: int
     ) -> Optional[float]:
         """Mean fraction of weekly-active subscribers visiting ``service``
-        at least once per week (weeks of the comparison month of ``year``)."""
-        ratios: List[float] = []
-        for (iso_year, iso_week, tech), active in self.weekly_active.items():
-            if iso_year != year or tech is not technology or not active:
-                continue
-            visitors = self.weekly_visitors.get(
-                (iso_year, iso_week, service, tech), set()
-            )
-            ratios.append(len(visitors) / len(active))
-        if not ratios:
-            return None
-        # fsum: the mean must not depend on weekly_active iteration order.
-        return math.fsum(ratios) / len(ratios)
+        at least once per week (weeks of the comparison month of ``year``).
+        A week's actives are read off the subscriber days it holds."""
+        active: Dict[Tuple[int, ...], Set[int]] = {}
+        for day, rows in self.subscriber_days.items():
+            week = tuple(day.isocalendar())[:2]
+            if (day.year, day.month) in COMPARISON_MONTHS and week[0] == year:
+                rows = ColumnBatch.of(rows, SUBSCRIBER_DAY_CODEC)
+                mask = rows.columns["active"] & rows.equals("technology", technology.value)
+                active.setdefault(week, set()).update(rows.columns["subscriber_id"][mask].tolist())
+        ratios = [
+            len(self.weekly_visitors.get((*week, service, technology), ())) / len(ids)
+            for week, ids in active.items()
+            if ids
+        ]
+        # fsum: the mean must not depend on the weeks' order.
+        return math.fsum(ratios) / len(ratios) if ratios else None
 
 
 class LongitudinalStudy:
@@ -361,7 +369,7 @@ class LongitudinalStudy:
                 return data, extra  # outage, or a range past the last block
             extra.processed = True
             with telemetry.span("aggregate"):
-                self._consume_aggregate(data, extra, day, traffic)
+                self._consume_aggregate(data, day, traffic)
             hourly = None
             if "hourly" in roles:
                 with telemetry.span("hourly"):
@@ -383,29 +391,14 @@ class LongitudinalStudy:
         return data
 
     def _consume_aggregate(
-        self,
-        data: StudyData,
-        extra: ShardExtra,
-        day: datetime.date,
-        traffic: DayTraffic,
+        self, data: StudyData, day: datetime.date, traffic: DayTraffic
     ) -> None:
-        """Aggregate tier of one shard.
-
-        Beyond the shard-local reductions, the sidecar records the
-        per-technology active counts (the popularity denominator must
-        count the *whole* day's actives); the protocol rows are sums over
-        the shard's blocks, which the fan-in adds up.
+        """Aggregate tier of one shard: shard-local reductions (the fan-in
+        counts the popularity denominator over the whole day's subscriber
+        days) and the protocol rows, sums over the shard's blocks, which
+        the fan-in adds up.
         """
-        day_rows = aggregate_usage_day(
-            data, day, traffic.usage, self.criterion, self.visit_classifier
-        )
-        extra.active_counts = {technology: 0 for technology in Technology}
-        counts = np.bincount(
-            day_rows.columns["technology"][day_rows.columns["active"]],
-            minlength=len(day_rows.dictionaries["technology"]),
-        )
-        for value, count in zip(day_rows.dictionaries["technology"], counts.tolist()):
-            extra.active_counts[Technology(value)] += count
+        aggregate_usage_day(data, day, traffic.usage, self.criterion, self.visit_classifier)
         data.protocol_rows = traffic.protocols
 
     def _consume_flows(
@@ -418,13 +411,13 @@ class LongitudinalStudy:
     ) -> None:
         """Flow tier of one shard.
 
-        The server, ASN and domain analytics mix information *across*
-        flows (an address dedicated in one shard may be shared in
-        another), so the shard only collects their additive raw material
-        — (ip, service) pairs, domain byte totals — and
-        :func:`merge_day_shards` computes the day-level results over the
-        union.  The RTT table is kept in flow order, the day's order once
-        the shards are concatenated in range order.
+        The server and ASN analytics mix information *across* flows (an
+        address dedicated in one shard may be shared in another), so the
+        shard only collects their additive raw material — (ip, service)
+        pairs — and :func:`merge_day_shards` computes the day-level results
+        over the union.  Domain byte totals are a summed table; Fig. 11
+        divides them into shares.  The RTT table is kept in flow order, the
+        day's order once the shards are concatenated in range order.
         """
         with telemetry.span("expand"):
             flows = self.generator.expand_flows_batch(
@@ -435,13 +428,17 @@ class LongitudinalStudy:
             codes = flows.service_view(self.rules)
             extra.flow_stage = True
             pairs = ip_service_pairs(flows, self.rules, codes=codes)
-            extra.pair_ips = pairs.ips
-            extra.pair_codes = pairs.codes
-            extra.pair_services = pairs.services
-            for service in INFRA_SERVICES:
-                extra.domain_totals[service] = domain_byte_totals(
-                    flows, self.rules, service, codes=codes
-                )
+            extra.pairs = (pairs.ips, pairs.codes, pairs.services)
+            data.domain_bytes = ColumnBatch.from_rows(  # a row per (service, SLD), in key order
+                [
+                    (day, service, sld, volume)
+                    for service in sorted(INFRA_SERVICES)
+                    for sld, volume in sorted(
+                        domain_byte_totals(flows, self.rules, service, codes).items()
+                    )
+                ],
+                DOMAIN_BYTES_CODEC,
+            )
             if with_rtt:
                 data.rtt = min_rtt_table(flows, self.rules, RTT_SERVICES, day.year, codes)
                 counts = np.bincount(data.rtt.columns["service"], minlength=len(RTT_SERVICES))
@@ -456,15 +453,16 @@ def aggregate_usage_day(
     criterion: ActiveSubscriberCriterion,
     classifier: VisitClassifier,
 ) -> "ColumnBatch[SubscriberDay]":
-    """Stage-1 aggregate reductions of one day's usage rows into ``data``.
+    """Stage-1 aggregate reductions of ``day``'s usage rows into ``data``.
 
     Shared by the live study (per shard) and the lake replay (whole
     day): subscriber days, per-technology service cells, and — inside
-    the full-resolution comparison months — weekly reach (§4.3).
-    Returns the subscriber-day table it stored.  ``usage`` is reduced as
-    columns (a batch is taken as it is, rows are normalised once) and
-    grouped by subscriber day once: every reduction reads each row's
-    slot in the subscriber-day table.
+    the full-resolution comparison months — the weekly visitor sets
+    (§4.3).  Returns the subscriber-day table it stored.  ``usage`` holds
+    the rows of ``day`` alone; it is reduced as columns (a batch is taken
+    as it is, rows are normalised once) and grouped by subscriber day
+    once: every reduction reads each row's slot in the subscriber-day
+    table.
     """
     usage = ColumnBatch.of(usage, USAGE_CODEC)
     day_rows, slots = subscriber_day_slots(usage, criterion)
@@ -474,20 +472,9 @@ def aggregate_usage_day(
     data.service_stats = ColumnBatch.concat([data.service_stats, cells], SERVICE_STATS_CODEC)
     if (day.year, day.month) in COMPARISON_MONTHS:
         week = tuple(day.isocalendar())[:2]
-        active = day_rows.columns["active"]
-        ids = day_rows.columns["subscriber_id"]
-        # subscriber → the place in Technology of its active day's technology
-        active_by_id = dict(
-            zip(ids[active].tolist(), technology_positions(day_rows)[active].tolist())
-        )
-        technologies = list(Technology)
-        for subscriber_id, place in active_by_id.items():
-            data.weekly_active.setdefault((*week, technologies[place]), set()).add(subscriber_id)
-        place = np.fromiter(
-            map(active_by_id.get, ids.tolist(), itertools.repeat(-1)), np.int64, ids.size
-        )[slots]
-        rows = np.nonzero((place >= 0) & visit)[0]
-        _add_weekly_visitors(data.weekly_visitors, week, usage, rows, place[rows])
+        rows = np.nonzero(day_rows.columns["active"][slots] & visit)[0]
+        place = technology_positions(day_rows)[slots[rows]]
+        _add_weekly_visitors(data.weekly_visitors, week, usage, rows, place)
     return day_rows
 
 
@@ -501,9 +488,9 @@ def _add_weekly_visitors(
     """Add the day's visits at ``rows`` (ascending) to the week's visitor sets.
 
     A visit is keyed by (service, ``technology``: the place in
-    :class:`Technology` of its subscriber's active day).  Keys are inserted in
-    first-row order and every set is filled in row order — what a
-    row-by-row pass does, and what the checkpoint bytes pin.
+    :class:`Technology` of its subscriber day's technology).  Keys are
+    inserted in first-row order and every set is filled in row order — what
+    a row-by-row pass does, and what the checkpoint bytes pin.
     """
     subscribers, services = usage.columns["subscriber_id"], usage.dictionaries["service"]
     technologies = list(Technology)
@@ -527,12 +514,12 @@ def merge_day_shards(
 
     The result is the same for any partition of the subscriber blocks,
     including the single whole-day shard: the shards hold consecutive
-    runs of blocks, so subscriber days and the weekly sets are their
-    union, and each of :data:`STUDY_TABLES` follows its :class:`FanIn`
-    rule — summed by key, computed over the union of the shards' raw
-    (server, service) pairs, or concatenated in range order.  The ASN
-    breakdowns and domain shares are computed over the union too.  The
-    parts are consumed: their containers may be reused in the result.
+    runs of blocks, so subscriber days and the weekly visitor sets are
+    their union, and each of :data:`STUDY_TABLES` follows its
+    :class:`FanIn` rule — summed by key, computed over the union of the
+    shards' raw (server, service) pairs, or concatenated in range order.
+    The ASN breakdowns are computed over the union too.  The parts are
+    consumed: their containers may be reused in the result.
     """
     parts = sorted(parts, key=lambda part: part[1].shard.index)
     datas = [data for data, _ in parts]
@@ -544,9 +531,7 @@ def merge_day_shards(
 
     flow_extras = [extra for extra in extras if extra.flow_stage]
     pairs = ServicePairs.union(
-        (extra.pair_ips, extra.pair_codes, extra.pair_services)
-        for extra in flow_extras
-        if extra.pair_ips is not None
+        extra.pairs for extra in flow_extras if extra.pairs is not None
     ) if flow_extras else None
     # A summed table comes out in key order — the order every part holds
     # its rows in.
@@ -571,21 +556,16 @@ def merge_day_shards(
         **merged,
     )
     # A service-stats cell is additive except active_subscribers, the
-    # whole-day denominator the sidecars carry.
-    stats = out.service_stats
-    active = np.array(
-        [
-            sum(extra.active_counts.get(Technology(value), 0) for extra in extras)
-            for value in stats.dictionaries["technology"]
-        ],
-        dtype=np.int64,
-    )[stats.columns["technology"]]
+    # whole day's active count of its technology.
+    rows, stats = out.subscriber_days[day], out.service_stats
+    active = np.bincount(
+        technology_positions(rows)[rows.columns["active"]], minlength=len(Technology)
+    )[technology_positions(stats)]
     out.service_stats = ColumnBatch(
         SERVICE_STATS_CODEC, {**stats.columns, "active_subscribers": active}, stats.dictionaries
     )
     for data in datas:
         _union_sets(out.weekly_visitors, data.weekly_visitors)
-        _union_sets(out.weekly_active, data.weekly_active)
 
     if pairs is not None:
         out.flow_days.append(day)
@@ -593,11 +573,6 @@ def merge_day_shards(
         for service in INFRA_SERVICES:
             addresses = servers.columns["ip"][servers.equals("service", service)]
             out.asn.append(asn_of_addresses(addresses.tolist(), rib, service, day))
-            domain_totals: Dict[str, int] = {}
-            for extra in flow_extras:
-                for sld, volume in extra.domain_totals.get(service, {}).items():
-                    domain_totals[sld] = domain_totals.get(sld, 0) + volume
-            out.domains.append((day, service, shares_from_totals(domain_totals)))
     return out
 
 

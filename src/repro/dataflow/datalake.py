@@ -505,8 +505,10 @@ class CheckpointError(RuntimeError):
 #: and bit rot inside the payload are detected, not just torn envelopes;
 #: v3 payloads hold stage-1's tables as column batches, not row objects;
 #: v4 payloads hold each day's subscriber days as a table too; v5 holds
-#: the flow tier's server addresses and RTT samples as tables.
-CHECKPOINT_VERSION = 5
+#: the flow tier's server addresses and RTT samples as tables; v6 holds
+#: domain byte totals as a table, no weekly active sets, domain shares or
+#: sidecar counts, and leaves empty tables out.
+CHECKPOINT_VERSION = 6
 
 
 #: What a record is written under and must be read back under:

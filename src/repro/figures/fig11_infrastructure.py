@@ -30,6 +30,7 @@ from repro.analytics.infrastructure import (
     IpRaster,
     build_ip_raster,
     server_roles,
+    shares_from_totals,
 )
 from repro.core.study import StudyData
 from repro.figures.common import Expectation
@@ -83,20 +84,20 @@ class Fig11Data:
 
 
 def compute(data: StudyData) -> Fig11Data:
+    # Shares divide only over a whole day: each (day, service)'s SLD totals.
+    totals: Dict[Tuple[datetime.date, str], Dict[str, int]] = {}
+    for row in data.domain_bytes:
+        totals.setdefault((row.day, row.service), {})[row.sld] = row.bytes
     panels = {}
     for service in SERVICES:
         asn = sorted(
             (entry for entry in data.asn if entry.service == service),
             key=lambda entry: entry.day,
         )
-        domains = sorted(
-            (
-                (day, shares)
-                for day, svc, shares in data.domains
-                if svc == service
-            ),
-            key=lambda pair: pair[0],
-        )
+        domains = [
+            (day, shares_from_totals(totals.get((day, service), {})))
+            for day in data.flow_days
+        ]
         roles = server_roles(data.servers, service, data.flow_days)
         cumulative, seen = [], set()
         for day, day_roles in roles:

@@ -13,16 +13,24 @@ and this rule skips those files entirely; every other module in scope,
 telemetry included, must go through the :class:`~repro.telemetry.clock.
 Clock` protocol.  Clock reads are recognized by the same classifier
 RPR002 and RPR011 use (:func:`repro.quality.symbols.nondet_kind`).
+In synthesis, analytics and figures it also flags reads of the host's
+time zone (``.timestamp()``, ``time.mktime``, ``time.localtime``): the
+same day would give other bytes on another host.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Dict, Iterator
 
 from repro.quality.findings import Finding
 from repro.quality.registry import Rule, call_name, register
 from repro.quality.symbols import nondet_kind
+
+#: Where host-time-zone reads are flagged too, and the reads besides
+#: ``.timestamp()``.
+_ZONE_SCOPES = ("synthesis", "analytics", "figures")
+_ZONE_READS = {"time.mktime", "time.localtime"}
 
 #: What this rule calls each kind of clock read the shared classifier
 #: (:func:`~repro.quality.symbols.nondet_kind`) recognizes.
@@ -52,6 +60,7 @@ class WallClockRule(Rule):
         return file_ctx.in_scope(config.wallclock_scopes)
 
     def check(self, file_ctx) -> Iterator[Finding]:
+        zone_scope = file_ctx.in_scope(_ZONE_SCOPES)
         for node in file_ctx.nodes(ast.Call):
             name = call_name(node)
             offense = _OFFENSES.get(nondet_kind(name, file_ctx.imports))
@@ -62,3 +71,19 @@ class WallClockRule(Rule):
                     f"wall-clock read `{name}()` — {offense}; derive times "
                     "from the study calendar or the day's seed instead",
                 )
+            elif zone_scope and _reads_time_zone(node, name, file_ctx.imports):
+                yield self.finding(
+                    file_ctx,
+                    node,
+                    f"host-time-zone read `{name or '.timestamp'}()` — the "
+                    "same day gives another epoch under another zone; derive "
+                    "epoch seconds from the day's ordinal (UTC) instead",
+                )
+
+
+def _reads_time_zone(node: ast.Call, name: str, imports: Dict[str, str]) -> bool:
+    """A ``.timestamp()`` call, or one of :data:`_ZONE_READS` however imported."""
+    head, _, rest = name.partition(".")
+    target = imports.get(head, "").replace(":", ".")
+    resolved = ".".join(part for part in (target, rest) if part)
+    return getattr(node.func, "attr", "") == "timestamp" or resolved in _ZONE_READS

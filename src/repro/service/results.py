@@ -215,7 +215,7 @@ def study_summary(data: StudyData) -> dict:
         "hourly_bins": len(data.hourly),
         "server_rows": len(data.servers),
         "asn_rows": len(data.asn),
-        "domain_rows": len(data.domains),
+        "domain_rows": len(data.domain_bytes),
         "rtt_rows": len(data.rtt),
         "flow_days": len(data.flow_days),
     }

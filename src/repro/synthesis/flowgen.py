@@ -75,6 +75,8 @@ NAME_SOURCES = tuple(NameSource)
 TRANSPORTS = tuple(Transport)
 protocol_code = PROTOCOLS.index
 name_source_code = NAME_SOURCES.index
+#: A protocol table's ``protocol`` cells, by code into PROTOCOLS.
+_PROTOCOL_VALUES = tuple(protocol.value for protocol in PROTOCOLS)
 
 _HEAVINESS_NORM = math.exp(-0.5 * 0.6 * 0.6)  # normalize lognormal(0, 0.6) to mean 1
 _HOLIDAY_VOLUME_BOOST = 2.5
@@ -280,15 +282,10 @@ class TrafficGenerator:
         protocol_totals: Dict[int, int] = {}
         for block in range(-(-lo // SUBSCRIBER_BLOCK), -(-hi // SUBSCRIBER_BLOCK)):
             self._draw_block(plan, block, rows, protocol_totals)
-        keys = plan.services.keys if protocol_totals else []
-        protocols = sorted(
-            (day, keys[key][0], keys[key][1].value, total)
-            for key, total in protocol_totals.items()
-        )
         traffic = DayTraffic(
             day=day,
             usage=self._usage_batch(day, rows),
-            protocols=ColumnBatch.from_rows(protocols, PROTOCOL_CODEC),
+            protocols=self._protocol_batch(plan, protocol_totals),
         )
         telemetry.count("usage_rows_generated", len(traffic.usage))
         return traffic
@@ -467,6 +464,27 @@ class TrafficGenerator:
                 "pop": self._pop_names,
                 "service": tuple(services),
             },
+        )
+
+    def _protocol_batch(
+        self, plan: "DayPlan", protocol_totals: Dict[int, int]
+    ) -> "ColumnBatch[ProtocolUsage]":
+        """The day's protocol volumes, a row per key in key order, each name
+        coded in order of first appearance: what ``ColumnBatch.from_rows``
+        makes of the rows sorted by name."""
+        keys = np.sort(np.fromiter(protocol_totals, np.intp, len(protocol_totals)))
+        service, label = plan.services.keys[keys].T
+        service, services = first_appearance_codes(service, self.world.service_names())
+        label, labels = first_appearance_codes(label, _PROTOCOL_VALUES)
+        return ColumnBatch(
+            PROTOCOL_CODEC,
+            {
+                "day": np.full(keys.size, plan.ordinal),
+                "service": service,
+                "protocol": label,
+                "total_bytes": [protocol_totals[key] for key in keys.tolist()],
+            },
+            {"service": services, "protocol": labels},
         )
 
     # -- hourly tier -----------------------------------------------------------
@@ -765,7 +783,9 @@ class ServiceDay(NamedTuple):
     entry_service: np.ndarray
     entry_share: np.ndarray
     entry_key: np.ndarray
-    keys: List[Tuple[str, WebProtocol]]
+    #: Each key's (service row, label code into PROTOCOLS), in protocol-table
+    #: order: by service name, then label.
+    keys: np.ndarray
 
 
 class ServiceFlows(NamedTuple):
@@ -814,7 +834,8 @@ class DayPlan:
         self.season = np.array(
             [studycalendar.season_factor(day, 0.0), studycalendar.season_factor(day, 1.0)]
         )
-        self.midnight = datetime.datetime.combine(day, datetime.time()).timestamp()
+        #: The day's UTC midnight in epoch seconds, whatever the host's zone.
+        self.midnight = (self.ordinal - datetime.date(1970, 1, 1).toordinal()) * 86400.0
         self._generator = generator
         self._flows: Dict[str, ServiceFlows] = {}
 
@@ -844,18 +865,22 @@ class DayPlan:
         ratio = np.zeros_like(popularity)
         flow_mean = [1.0] * len(services)
         labels = self.label_of.tolist()
-        keys: Dict[Tuple[str, int], int] = {}
-        entries: List[Tuple[int, float, int]] = []
+        entries: List[Tuple[float, Tuple[int, int]]] = []  # (share, (row, label))
         for row in np.flatnonzero((adoption > 0).any(axis=1)).tolist():
             service = services[row]
             volume[row] = _per_technology(curves[row][1], day)
             ratio[row] = _per_technology(curves[row][2], day)
             flow_mean[row] = max(1.0, service.flows_per_day(day))
             for protocol, share in service.protocol_mix(day):
-                key = (service.name, labels[protocol_code(protocol)])
-                entries.append((row, share, keys.setdefault(key, len(keys))))
+                entries.append((share, (row, labels[protocol_code(protocol)])))
+        keys = sorted(
+            {key for _, key in entries},
+            key=lambda key: (services[key[0]].name, PROTOCOLS[key[1]].value),
+        )
+        place = {key: index for index, key in enumerate(keys)}
+        numbered = [(key[0], share, place[key]) for share, key in entries]
         entry_service, entry_share, entry_key = (
-            np.array([entry[index] for entry in entries], dtype=dtype)
+            np.array([entry[index] for entry in numbered], dtype=dtype)
             for index, dtype in enumerate((np.intp, np.float64, np.intp))
         )
         return ServiceDay(
@@ -873,7 +898,7 @@ class DayPlan:
             entry_service=entry_service,
             entry_share=entry_share,
             entry_key=entry_key,
-            keys=[(name, PROTOCOLS[label]) for name, label in keys],
+            keys=np.array(keys, dtype=np.intp).reshape(-1, 2),
         )
 
     @cached_property

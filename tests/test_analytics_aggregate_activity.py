@@ -27,6 +27,7 @@ from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
 from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
 from repro.synthesis.population import Technology
 from repro.tstat.flow import FlowRecord, NameSource, Transport, WebProtocol
+from tests.test_flow_tables import weekly_active
 
 DAY = datetime.date(2016, 9, 14)
 
@@ -348,22 +349,25 @@ class TestVectorisedStageOneMatchesRowOracle:
             batch, foreign, classifier
         ) == oracle_daily_service_stats(rows, foreign, classifier, None)
 
+        # Stage-1 reduces one day's rows at a time.
+        day_rows = [row for row in rows if row.day == COMPARISON_DAY]
+        expected_day = oracle_subscriber_days(day_rows, criterion)
         data = StudyData()
-        stored = aggregate_usage_day(data, COMPARISON_DAY, batch, criterion, classifier)
-        assert stored == expected_days == data.subscriber_days[COMPARISON_DAY]
+        stored = aggregate_usage_day(
+            data, COMPARISON_DAY, ColumnBatch.of(day_rows, USAGE_CODEC), criterion, classifier
+        )
+        assert stored == expected_day == data.subscriber_days[COMPARISON_DAY]
         assert data.service_stats == [
             cell
             for technology in Technology
             for cell in oracle_daily_service_stats(
-                rows, expected_days, classifier, technology
+                day_rows, expected_day, classifier, technology
             )
         ]
-        weekly_active, weekly_visitors = oracle_weekly(
-            COMPARISON_DAY, rows, expected_days, classifier
+        expected_active, weekly_visitors = oracle_weekly(
+            COMPARISON_DAY, day_rows, expected_day, classifier
         )
-        assert in_insertion_order(data.weekly_active) == in_insertion_order(
-            weekly_active
-        )
+        assert weekly_active(data) == expected_active
         assert in_insertion_order(data.weekly_visitors) == in_insertion_order(
             weekly_visitors
         )

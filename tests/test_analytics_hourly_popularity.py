@@ -29,6 +29,7 @@ from repro.services.thresholds import (
 from repro.synthesis.flowgen import DailyUsage, HourlyVolume
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
+from tests.test_flow_tables import weekly_active
 
 D = datetime.date
 DAY = D(2014, 4, 10)
@@ -216,7 +217,7 @@ class TestWeeklyReach:
                 ActiveSubscriberCriterion(),
                 VisitClassifier(),
             )
-        assert len(data.weekly_active) == 4
+        assert len(weekly_active(data)) == 4
         reach = data.weekly_reach("Netflix", Technology.ADSL, 2017)
         assert reach == pytest.approx(0.5, abs=0.05)
         assert data.weekly_reach("Netflix", Technology.ADSL, 2014) is None

@@ -17,6 +17,7 @@ from repro.core.parallel import ColumnarPartial, execute_study
 from repro.core.study import LongitudinalStudy
 from repro.dataflow.columnar import ColumnBatch
 from repro.synthesis.world import WorldConfig
+from tests.test_flow_tables import weekly_active
 
 D = datetime.date
 
@@ -75,7 +76,7 @@ class TestParallelEqualsSerial:
         assert serial.servers == parallel.servers
 
     def test_weekly_structures_identical(self, serial, parallel):
-        assert serial.weekly_active == parallel.weekly_active
+        assert weekly_active(serial) == weekly_active(parallel)
         assert serial.weekly_visitors == parallel.weekly_visitors
 
     def test_single_worker_falls_back_to_serial(self):

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analytics.activity import SubscriberDay
 from repro.chaos.fsfaults import FsFaultSpec, injected
 from repro.core import fsio
 from repro.core.config import StudyConfig, config_hash, small_study
@@ -350,7 +351,7 @@ class TestPreRefactorCheckpoints:
         day, shard = D(2017, 4, 8), (1, 3)
         partial = store.load(day, shard=shard)
         assert isinstance(partial.extra, ShardExtra) and partial.extra.processed
-        del partial.extra.__dict__["active_counts"]  # a writer without that field
+        del partial.extra.__dict__["flow_stage"]  # a writer without that field
         store.save(day, partial, shard=shard)
         resumed = execute_study(
             config, workers=1, shards=3, checkpoint_root=tmp_path, resume=True
@@ -553,11 +554,17 @@ class TestMergeOverlapRegression:
         right = StudyData(weekly_visitors={key: {2, 3}})
         left.merge(right)
         assert left.weekly_visitors[key] == {1, 2, 3}
-        active = (2014, 14, Technology.ADSL)
-        left = StudyData(weekly_active={active: {1}})
-        right = StudyData(weekly_active={active: {4}})
+        # The week's active set is read off both partials' subscriber days.
+        from tests.test_flow_tables import weekly_active  # it imports this module
+
+        left, right = (
+            StudyData(
+                subscriber_days={day: [SubscriberDay(day, one, Technology.ADSL, 1, 1, 1, True)]}
+            )
+            for day, one in ((D(2014, 4, 7), 1), (D(2014, 4, 8), 4))
+        )
         left.merge(right)
-        assert left.weekly_active[active] == {1, 4}
+        assert weekly_active(left) == {(2014, 15, Technology.ADSL): {1, 4}}
 
 
 class TestDispatchAccountingRegression:

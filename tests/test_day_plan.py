@@ -11,7 +11,13 @@ same columns, dtypes and dictionaries, NaNs in the same places.
 """
 
 import datetime
+import hashlib
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,9 +55,10 @@ from repro.synthesis.flowgen import (
 from repro.synthesis.infrastructure import ServerPicks, _fill_count, _fill_templates
 from repro.synthesis.population import Technology
 from repro.synthesis.studycalendar import BINS_PER_DAY
-from repro.synthesis.world import SUBSCRIBER_BLOCK
+from repro.synthesis.world import SUBSCRIBER_BLOCK, World, WorldConfig
 from repro.tstat.flow import NameSource, Transport, WebProtocol
 from repro.tstat.versions import capabilities_on
+from tests.conftest import TEST_SEED
 
 D = datetime.date
 
@@ -81,6 +88,7 @@ class OracleGenerator(TrafficGenerator):
         for block in range(-(-lo // SUBSCRIBER_BLOCK), -(-hi // SUBSCRIBER_BLOCK)):
             self._draw_block(day, block, rows, protocol_totals)
         totals = protocol_totals.items()
+        # The tuple sort the live generator's array coding must reproduce.
         protocols = sorted((day, name, label.value, total) for (name, label), total in totals)
         traffic = DayTraffic(
             day=day,
@@ -531,6 +539,7 @@ def assert_same_day(planned: TrafficGenerator, oracle: OracleGenerator, day, sha
     mine, theirs = planned.generate_day(day, shard), oracle.generate_day(day, shard)
     assert_same_batch(mine.usage, theirs.usage)
     assert_same_batch(mine.protocols, theirs.protocols)
+    assert pickle.dumps(mine.protocols) == pickle.dumps(theirs.protocols)
     assert_same_batch(
         planned.expand_flows_batch(day, mine), oracle.expand_flows_batch(day, theirs)
     )
@@ -593,6 +602,41 @@ class TestPlannedDaysAreTheOracles:
         for day in (D(2016, 12, 25), D(2017, 4, 10)):
             for spec in plan_shards(count, parts):
                 assert_same_day(multiblock_generator, multiblock_oracle, day, spec.bounds)
+
+
+#: Prints a digest of one expanded flow batch, timestamps included.
+_FLOW_DIGEST = """
+import datetime, hashlib, pickle
+from repro.synthesis.flowgen import TrafficGenerator
+from repro.synthesis.world import World, WorldConfig
+generator = TrafficGenerator(World(WorldConfig(seed={seed}, adsl_count=12, ftth_count=6)))
+day = datetime.date(2017, 4, 12)
+batch = generator.expand_flows_batch(day, generator.generate_day(day))
+print(hashlib.sha256(pickle.dumps(batch)).hexdigest())
+"""
+
+
+def test_flow_timestamps_ignore_the_host_time_zone():
+    """A day's flows start at its UTC midnight: the batch is byte-identical
+    under any host time zone."""
+    script = _FLOW_DIGEST.format(seed=TEST_SEED)
+    digests = set()
+    for zone in ("UTC", "Asia/Tokyo"):
+        env = {**os.environ, "TZ": zone}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    generator = TrafficGenerator(World(WorldConfig(seed=TEST_SEED, adsl_count=12, ftth_count=6)))
+    day = D(2017, 4, 12)
+    batch = generator.expand_flows_batch(day, generator.generate_day(day))
+    assert digests == {hashlib.sha256(pickle.dumps(batch)).hexdigest()}
+    midnight = datetime.datetime(2017, 4, 12, tzinfo=datetime.timezone.utc).timestamp()
+    assert DayPlan(generator, day).midnight == midnight
 
 
 class TestServerPicksAreTheOracles:

@@ -11,6 +11,13 @@ to each config's ``pre_table_digest``, the value committed before.  They
 also pin what the tables must hold: a missing row is another study, a
 checkpoint of the old layout is recomputed, and a flow day on which a
 service used no address is still a census cell and a raster column.
+
+The digest moved once more when stage-1 stopped storing what it can
+recompute: the weekly active sets (``weekly_active``) are read off the
+subscriber days, and the per-day domain shares (``domains``) divide the
+``domain_bytes`` table.  Both fields rebuilt, in the field order of
+before, digest to each config's ``pre_derived_digest``; composed with
+the flow-day rebuild they still digest to ``pre_table_digest``.
 """
 
 import dataclasses
@@ -20,13 +27,15 @@ import pickle
 import pickletools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.analytics.infrastructure import DailyServerStats, IpRaster
-from repro.core.config import config_hash, small_study
+from repro.analytics.infrastructure import DailyServerStats, IpRaster, shares_from_totals
+from repro.core.config import COMPARISON_MONTHS, config_hash, small_study
 from repro.core.parallel import ColumnarPartial, execute_study
 from repro.core.study import INFRA_SERVICES, RTT_SERVICES, STUDY_TABLES, LongitudinalStudy
 from repro.dataflow import datalake
+from repro.dataflow.columnar import ColumnBatch
 from repro.dataflow.datalake import CheckpointError, CheckpointStore
 from repro.figures import fig11_infrastructure
 from repro.service.results import canonical_json, study_digest
@@ -52,12 +61,76 @@ PRE_TABLE_FIELDS = (
     "weekly_active",
 )
 
+#: ``StudyData``'s fields, in order, before the weekly active sets and the
+#: domain shares were derived at stage 2.
+PRE_DERIVED_FIELDS = (
+    "months",
+    "subscriber_days",
+    "service_stats",
+    "protocol_rows",
+    "hourly",
+    "servers",
+    "asn",
+    "domains",
+    "rtt",
+    "flow_days",
+    "weekly_visitors",
+    "weekly_active",
+)
+
 CONFIGS = {
     "checkpoint_fixture:17": fixture_config,
     "multiblock:17": multiblock_config,
     **{f"tiny_config:{seed}": (lambda seed=seed: tiny_config(seed)) for seed in (7, 17, 23)},
     **{f"small_study:{seed}": (lambda seed=seed: small_study(seed)) for seed in (7, 17, 23)},
 }
+
+
+def weekly_active(data):
+    """(ISO year, ISO week, technology) → the subscribers active on a
+    comparison-month day of that week, read off the subscriber days: the
+    field stage-1 stored before ``weekly_reach`` derived it."""
+    weeks = {}
+    for day in sorted(data.subscriber_days):
+        if (day.year, day.month) in COMPARISON_MONTHS:
+            for row in data.subscriber_days[day]:
+                if row.active:
+                    key = (*tuple(day.isocalendar())[:2], row.technology)
+                    weeks.setdefault(key, set()).add(row.subscriber_id)
+    return weeks
+
+
+def pre_derived_fields(data):
+    """The two fields stage 2 now derives, rebuilt as stage-1 stored them:
+    per flow day and tracked service the domain shares (empty when the
+    service carried no named bytes), and per (ISO week, technology) of the
+    comparison months the subscribers active on a day of that week."""
+    totals = {}
+    for row in data.domain_bytes:
+        totals.setdefault((row.day, row.service), {})[row.sld] = row.bytes
+    return {
+        "domains": [
+            (day, service, shares_from_totals(totals.get((day, service), {})))
+            for day in data.flow_days
+            for service in INFRA_SERVICES
+        ],
+        "weekly_active": weekly_active(data),
+    }
+
+
+def layout_digest(fields, rebuilt, data):
+    """The study digest of ``data`` in a layout of ``fields``, those in
+    ``rebuilt`` taken from it."""
+    layout = dataclasses.make_dataclass("StudyData", fields)
+    old = layout(
+        **{name: rebuilt[name] if name in rebuilt else getattr(data, name) for name in fields}
+    )
+    return hashlib.sha256(canonical_json(old).encode("utf-8")).hexdigest()
+
+
+def pre_derived_digest(data):
+    """The study digest of ``data`` in the layout before the derived fields."""
+    return layout_digest(PRE_DERIVED_FIELDS, pre_derived_fields(data), data)
 
 
 def pre_table_fields(data, config):
@@ -96,12 +169,8 @@ def pre_table_fields(data, config):
 
 def pre_table_digest(data, config):
     """The study digest of ``data`` in the layout before the tables."""
-    rebuilt = pre_table_fields(data, config)
-    layout = dataclasses.make_dataclass("StudyData", PRE_TABLE_FIELDS)
-    old = layout(
-        **{name: rebuilt[name] if name in rebuilt else getattr(data, name) for name in PRE_TABLE_FIELDS}
-    )
-    return hashlib.sha256(canonical_json(old).encode("utf-8")).hexdigest()
+    rebuilt = {**pre_derived_fields(data), **pre_table_fields(data, config)}
+    return layout_digest(PRE_TABLE_FIELDS, rebuilt, data)
 
 
 def names_record(blob, *names):
@@ -125,16 +194,48 @@ class TestTheRePinIsProvable:
         assert config_hash(config) == golden["config_hash"]
         data = LongitudinalStudy(config).run()
         assert study_digest(data) == golden["study_digest"]
+        assert pre_derived_digest(data) == golden["pre_derived_digest"]
         assert pre_table_digest(data, config) == golden["pre_table_digest"]
 
     def test_the_rebuild_sees_a_table_row(self, fixture_study):
-        config = fixture_config()
-        for name in ("servers", "rtt"):
+        config, pinned = fixture_config(), GOLDEN["checkpoint_fixture:17"]
+        for name in ("servers", "domain_bytes", "rtt"):
             perturbed = dataclasses.replace(fixture_study)
             setattr(perturbed, name, getattr(fixture_study, name).take(slice(1, None)))
-            assert pre_table_digest(perturbed, config) != GOLDEN["checkpoint_fixture:17"][
-                "pre_table_digest"
-            ], name
+            assert pre_table_digest(perturbed, config) != pinned["pre_table_digest"], name
+            assert pre_derived_digest(perturbed) != pinned["pre_derived_digest"], name
+
+    def test_the_rebuild_sees_a_flipped_active_cell(self):
+        """A subscriber active on one comparison-month day of its week only:
+        clearing that cell drops it from the rebuilt week's set."""
+        data = LongitudinalStudy(tiny_config(17)).run()
+        weeks = weekly_active(data)
+        active_days = {}
+        for day in sorted(data.subscriber_days):
+            if (day.year, day.month) not in COMPARISON_MONTHS:
+                continue
+            rows = data.subscriber_days[day]
+            for index in np.flatnonzero(rows.columns["active"]).tolist():
+                key = (tuple(day.isocalendar())[:2], int(rows.columns["subscriber_id"][index]))
+                active_days.setdefault(key, []).append((day, index))
+        (day, index), (week, subscriber) = next(
+            (cells[0], key) for key, cells in active_days.items() if len(cells) == 1
+        )
+        rows = data.subscriber_days[day]
+        flipped = rows.columns["active"].copy()
+        flipped[index] = False
+        columns = {**rows.columns, "active": flipped}
+        perturbed = dataclasses.replace(
+            data,
+            subscriber_days={
+                **data.subscriber_days,
+                day: ColumnBatch(rows.codec, columns, rows.dictionaries),
+            },
+        )
+        rebuilt = pre_derived_fields(perturbed)["weekly_active"]
+        (key,) = [key for key in weeks if key[:2] == week and subscriber in weeks[key]]
+        assert rebuilt[key] == weeks[key] - {subscriber}
+        assert pre_derived_digest(perturbed) != GOLDEN["tiny_config:17"]["pre_derived_digest"]
 
 
 class TestAMissingRowIsAnotherStudy:
@@ -175,6 +276,15 @@ class TestCheckpoints:
         """A record of the layout before the flow-day tables — version 4 —
         is a CheckpointError on load: resume recomputes that day and lands
         on a fresh run's data."""
+        self.assert_recomputed(tmp_path, monkeypatch, 4)
+
+    def test_a_version_5_record_is_recomputed(self, tmp_path, monkeypatch):
+        """So is one of the layout with stored weekly active sets, domain
+        shares and sidecar counts — version 5."""
+        self.assert_recomputed(tmp_path, monkeypatch, 5)
+
+    @staticmethod
+    def assert_recomputed(tmp_path, monkeypatch, version):
         config = fixture_config()
         fresh = execute_study(config, workers=1).data
         execute_study(config, workers=1, checkpoint_root=tmp_path)
@@ -182,9 +292,9 @@ class TestCheckpoints:
         day = fresh.flow_days[0]
         partial = store.load(day)
         with monkeypatch.context() as patch:
-            patch.setattr(datalake, "CHECKPOINT_VERSION", 4)
+            patch.setattr(datalake, "CHECKPOINT_VERSION", version)
             store.save(day, partial)
-        with pytest.raises(CheckpointError, match="version 4"):
+        with pytest.raises(CheckpointError, match=f"version {version}"):
             store.load(day)
 
         resumed = execute_study(config, workers=1, checkpoint_root=tmp_path, resume=True)

@@ -21,6 +21,7 @@ from repro.analytics.rtt import RttSample
 from repro.analytics.infrastructure import (
     AsnBreakdown,
     DailyServerStats,
+    DomainBytes,
     ServerAddress,
     ServicePairs,
     asn_breakdown,
@@ -30,7 +31,7 @@ from repro.analytics.infrastructure import (
     domain_shares,
     service_ip_set,
 )
-from repro.core.config import StudyConfig
+from repro.core.config import COMPARISON_MONTHS, StudyConfig
 from repro.core.parallel import execute_study
 from repro.core.study import (
     INFRA_SERVICES,
@@ -52,7 +53,7 @@ from repro.tstat.flow import (
     second_level_domain,
 )
 from repro.tstat.flowbatch import FlowBatch
-from tests.test_flow_tables import pre_table_fields
+from tests.test_flow_tables import pre_derived_fields, pre_table_fields
 
 D = datetime.date
 DAY = D(2016, 9, 14)
@@ -169,9 +170,8 @@ def oracle_distinct_pairs(ips, codes):
     return pairs[0], pairs[1], counts[inverse] > 1
 
 
-def oracle_domain_shares(records, rules, service):
+def oracle_domain_totals(records, rules, service):
     volumes = {}
-    total = 0
     for record in records:
         if classify_flow(record, rules) != service:
             continue
@@ -179,7 +179,12 @@ def oracle_domain_shares(records, rules, service):
             continue
         sld = second_level_domain(record.server_name)
         volumes[sld] = volumes.get(sld, 0) + record.total_bytes
-        total += record.total_bytes
+    return volumes
+
+
+def oracle_domain_shares(records, rules, service):
+    volumes = oracle_domain_totals(records, rules, service)
+    total = sum(volumes.values())
     if total == 0:
         return {}
     return {domain: volume / total for domain, volume in volumes.items()}
@@ -417,15 +422,16 @@ def row_path_study(config):
     flow consumer recomputed by its ``oracle_*`` row loop over the
     ``expand_flows`` records — the pre-batch row pipeline the columnar
     study output must equal bit for bit.  Returns the study, whose
-    ``servers`` and ``rtt`` rows are built from the oracles' outputs, and
-    the four fields those tables replaced (:data:`PRE_TABLE_VIEWS`) as the
-    oracle loops compute them.
+    ``servers``, ``domain_bytes`` and ``rtt`` rows are built from the
+    oracles' outputs, and the fields those tables and the subscriber days
+    replaced (:data:`REBUILT_VIEWS`) as the oracle loops compute them.
     """
     study = LongitudinalStudy(config)
     generator, rules = study.generator, study.rules
     data = study.empty_data()
     data.protocol_rows, data.hourly, data.servers, data.rtt = [], [], [], []
-    views = {"census": [], "daily_ip_sets": {}, "daily_ip_roles": {}, "rtt_samples": {}}
+    data.domain_bytes = []
+    views = {name: [] if name in ("census", "domains") else {} for name in REBUILT_VIEWS}
     plan = study.planned_days()
     for day in sorted(plan):
         traffic = generator.generate_day(day)
@@ -434,6 +440,11 @@ def row_path_study(config):
         aggregate_usage_day(
             data, day, traffic.usage, study.criterion, study.visit_classifier
         )
+        if (day.year, day.month) in COMPARISON_MONTHS:
+            for entry in data.subscriber_days[day]:
+                if entry.active:
+                    key = (*tuple(day.isocalendar())[:2], entry.technology)
+                    views["weekly_active"].setdefault(key, set()).add(entry.subscriber_id)
         data.protocol_rows.extend(traffic.protocols)
         if "hourly" in plan[day]:
             data.hourly.extend(generator.generate_hourly(day, traffic))
@@ -447,9 +458,7 @@ def row_path_study(config):
         roles_by_service = oracle_ip_roles(flows, rules, list(INFRA_SERVICES))
         for service in INFRA_SERVICES:
             data.asn.append(oracle_asn(flows, rules, study.world.rib, service, day))
-            data.domains.append(
-                (day, service, oracle_domain_shares(flows, rules, service))
-            )
+            views["domains"].append((day, service, oracle_domain_shares(flows, rules, service)))
             data.servers.extend(
                 ServerAddress(day, service, ip, shared)
                 for ip, shared in sorted(roles_by_service[service].items())
@@ -460,6 +469,11 @@ def row_path_study(config):
             views["daily_ip_roles"].setdefault(service, []).append(
                 (day, roles_by_service[service])
             )
+        for service in sorted(INFRA_SERVICES):
+            totals = oracle_domain_totals(flows, rules, service)
+            data.domain_bytes.extend(
+                DomainBytes(day, service, sld, totals[sld]) for sld in sorted(totals)
+            )
         if "rtt" in plan[day]:
             data.rtt.extend(oracle_rtt_rows(flows, rules, RTT_SERVICES, day.year))
             for service in RTT_SERVICES:
@@ -469,9 +483,17 @@ def row_path_study(config):
     return data, views
 
 
-#: The fields the flow-day tables replaced: rebuilt from the batched
-#: study's tables, computed by the oracle loops on the row path.
-PRE_TABLE_VIEWS = ("census", "daily_ip_sets", "daily_ip_roles", "rtt_samples")
+#: The fields the flow-day tables, the domain-bytes table and the
+#: subscriber days replaced: rebuilt from the batched study, computed by
+#: the oracle loops on the row path.
+REBUILT_VIEWS = (
+    "census",
+    "daily_ip_sets",
+    "daily_ip_roles",
+    "rtt_samples",
+    "domains",
+    "weekly_active",
+)
 
 
 class TestFullStudyIdentity:
@@ -488,13 +510,14 @@ class TestFullStudyIdentity:
         return execute_study(_tiny_config(), workers=3).data
 
     @pytest.mark.parametrize(
-        "field", [f.name for f in dataclasses.fields(StudyData)] + list(PRE_TABLE_VIEWS)
+        "field", [f.name for f in dataclasses.fields(StudyData)] + list(REBUILT_VIEWS)
     )
     def test_batched_equals_row_path(self, batched, row_path, field):
         # Serial vs serial: same iteration order, so raw equality holds.
         data, views = row_path
-        if field in PRE_TABLE_VIEWS:
-            assert pre_table_fields(batched, _tiny_config())[field] == views[field]
+        if field in REBUILT_VIEWS:
+            rebuilt = {**pre_derived_fields(batched), **pre_table_fields(batched, _tiny_config())}
+            assert rebuilt[field] == views[field]
         else:
             assert getattr(batched, field) == getattr(data, field)
 
@@ -513,12 +536,12 @@ class TestFullStudyIdentity:
 
         monkeypatch.setattr(FlowRecord, "__init__", counting_init)
         partial = study.day_partial(day, plan[day])
-        assert partial.flow_days == [day] and partial.servers and partial.domains
+        assert partial.flow_days == [day] and partial.servers and partial.domain_bytes
         assert partial.rtt
         assert built == []
 
     def test_parallel_equals_row_path_flow_fields(self, parallel, row_path):
         # A pooled run folds the days in the serial run's calendar order.
         data, _ = row_path
-        for field in ("servers", "asn", "domains", "rtt", "flow_days"):
+        for field in ("servers", "asn", "domain_bytes", "rtt", "flow_days"):
             assert getattr(parallel, field) == getattr(data, field), field

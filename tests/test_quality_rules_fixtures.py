@@ -42,6 +42,17 @@ class TestRpr001WallClock:
     def test_clean(self):
         assert run_rule("RPR001", "synthesis/rpr001_clean.py") == []
 
+    def test_host_time_zone_reads(self):
+        # .timestamp(), time.mktime and time.localtime (also imported by
+        # name) read the host's zone: another host, other bytes.
+        findings = run_rule("RPR001", "synthesis/rpr001_local_time.py")
+        assert [(f.line, f.column) for f in findings] == [(9, 11), (13, 11), (17, 11), (17, 45)]
+        assert all("host-time-zone read" in f.message for f in findings)
+
+    def test_host_time_zone_reads_outside_the_data_layers(self):
+        # In core/ a zone read is no finding: an operator's log may show local time.
+        assert run_rule("RPR001", "core/rpr001_local_time.py") == []
+
     def test_out_of_scope_module_ignored(self):
         # The same calls outside the scoped directories are allowed
         # (drivers may timestamp their own logs).

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from repro.analytics.activity import SubscriberDay
-from repro.analytics.infrastructure import SERVER_CODEC, AsnBreakdown, ServerAddress
+from repro.analytics.infrastructure import (
+    DOMAIN_BYTES_CODEC,
+    SERVER_CODEC,
+    AsnBreakdown,
+    DomainBytes,
+    ServerAddress,
+)
 from repro.analytics.popularity import SERVICE_STATS_CODEC, DailyServiceStats
 from repro.analytics.rtt import RTT_CODEC, RttSample
 from repro.core.study import StudyData
@@ -152,7 +158,10 @@ def edge_study() -> StudyData:
             AsnBreakdown(D1, "facebook", {name: len(name) for name in ODD_NAMES}),
             AsnBreakdown(D2, "facebook", {}),
         ],
-        domains=[(D1, "youtube", {name: 0.5 for name in ODD_NAMES}), (D2, "youtube", {})],
+        domain_bytes=ColumnBatch.of(  # a zero-byte domain is a row
+            [DomainBytes(D1, "youtube", name, len(name)) for name in ODD_NAMES],
+            DOMAIN_BYTES_CODEC,
+        ),
         rtt=ColumnBatch.of(
             [
                 RttSample("youtube", 2017, ms)
@@ -168,7 +177,6 @@ def edge_study() -> StudyData:
             (2017, 9, "café", ADSL): {1},
             (2017, 10, 'say "hi"', ADSL): {2},
         },
-        weekly_active={(2017, 15, ADSL): {10, 9}, (2017, 15, FTTH): set()},
     )
 
 
@@ -213,7 +221,7 @@ class TestCanonicalJson:
         assert_oracle_text(value)
 
     def test_numpy_int_in_a_set_is_refused(self):
-        data = StudyData(weekly_active={(2017, 15, ADSL): {np.int64(3)}})
+        data = StudyData(weekly_visitors={(2017, 15, "x", ADSL): {np.int64(3)}})
         with pytest.raises(ServiceError):
             oracle_text(data)
         with pytest.raises(ServiceError):

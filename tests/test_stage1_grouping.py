@@ -4,10 +4,12 @@
 subscriber day once, and every reduction reads each row's place in that
 table; the fan-in hands a lone part's keyed tables through; a task shares
 the empty tables it does not produce.  None of it may move a byte.  The
-oracle below keeps the former stage-1 body verbatim (``subscriber_days``,
+oracle below keeps the former stage-1 body (``subscriber_days``,
 ``daily_service_stats`` per technology, ``concat`` and the searchsorted
-weekly join), the former grouping ``_summed`` and a fresh empty table per
-field, and every pickled whole-day partial must be the oracle's.
+weekly visitor join; the weekly active sets it also stored are now read
+off the subscriber days), the former grouping ``_summed`` and a fresh
+empty table per field, and every pickled whole-day partial must be the
+oracle's.
 """
 
 import datetime
@@ -45,6 +47,7 @@ from repro.synthesis.population import Technology
 from repro.synthesis.world import WorldConfig
 from tests.conftest import TEST_SEED
 from tests.test_core_shards import fixture_config, multiblock_config, tiny_config
+from tests.test_flow_tables import weekly_active
 
 D = datetime.date
 
@@ -75,10 +78,6 @@ def oracle_aggregate_usage_day(data, day, usage, criterion, classifier):
                 map(technologies.__getitem__, day_rows.columns["technology"][active].tolist()),
             )
         )
-        for subscriber_id, technology in active_by_id.items():
-            data.weekly_active.setdefault(
-                (iso_year, iso_week, technology), set()
-            ).add(subscriber_id)
         if active_by_id:
             oracle_add_weekly_visitors(
                 data.weekly_visitors, (iso_year, iso_week), usage, active_by_id, classifier
@@ -181,7 +180,7 @@ class TestWholeDayPartialsAreTheOracles:
         assert mine == theirs
         data = pickle.loads(mine).data
         assert len(data.service_stats) and data.subscriber_days[day]
-        assert bool(data.weekly_active) == ((day.year, day.month) in COMPARISON_MONTHS)
+        assert bool(weekly_active(data)) == ((day.year, day.month) in COMPARISON_MONTHS)
         assert bool(data.flow_days) == ("flows" in roles)
 
     def test_the_days_are_what_they_say(self):
@@ -304,8 +303,8 @@ GOLDEN_CONFIGS = {
 
 
 class TestLonePartsAreSummed:
-    def test_keyed_tables_are_the_three(self):
-        assert KEYED == ["service_stats", "protocol_rows", "hourly"]
+    def test_keyed_tables_are_the_four(self):
+        assert KEYED == ["service_stats", "protocol_rows", "hourly", "domain_bytes"]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_every_part_of_every_golden_day(self, name):
