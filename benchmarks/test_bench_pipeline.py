@@ -2,7 +2,7 @@
 
 Not tied to one figure — these time the components every figure depends
 on: the probe's packet path, the traffic generator's tiers, stage-1
-aggregation on the dataflow engine, and the LPM trie join.
+aggregation over flow columns, and the LPM trie join.
 """
 
 import datetime
@@ -19,7 +19,6 @@ from repro.analytics.infrastructure import (
 )
 from repro.analytics.rtt import min_rtt_samples
 from repro.core.study import INFRA_SERVICES, RTT_SERVICES
-from repro.dataflow.engine import Dataset
 from repro.nettypes.ip import Prefix, ip_to_int
 from repro.routing.trie import PrefixTrie
 from repro.services import catalog
@@ -28,6 +27,7 @@ from repro.synthesis.packetgen import FlowSpec, PacketSynthesizer
 from repro.synthesis.world import World, WorldConfig
 from repro.telemetry import Telemetry, VirtualClock, activate
 from repro.tstat.flow import WebProtocol
+from repro.tstat.flowbatch import FlowBatch
 from repro.tstat.probe import Probe, ProbeConfig
 
 DAY = datetime.date(2016, 9, 14)
@@ -128,18 +128,22 @@ def test_stage1_flow_analytics_columnar(benchmark):
 
 
 def test_stage1_aggregation_job(benchmark):
-    """Stage-1 reduce over one day of flow records (the Spark-like job)."""
+    """Stage-1 reduce over one day of flow records: classify once per name,
+    group by (subscriber, service, vantage), sum the columns."""
     generator = TrafficGenerator(_world())
     rules = catalog.default_ruleset()
-    flows = generator.expand_flows(DAY)
-    dataset = Dataset.from_iterable(flows, partitions=8)
+    batch = generator.expand_flows_batch(DAY)
 
     def job():
-        return aggregate_usage(dataset, rules, DAY).collect()
+        # a fresh batch each round, so its classification is not memoized
+        fresh = FlowBatch(batch.codec, batch.columns, batch.dictionaries)
+        return aggregate_usage(fresh, rules, DAY)
 
     rows = benchmark(job)
     assert rows
-    benchmark.extra_info["flows"] = len(flows)
+    usage_bytes = rows.columns["bytes_down"].sum() + rows.columns["bytes_up"].sum()
+    assert usage_bytes == batch.total_bytes.sum()
+    benchmark.extra_info["flows"] = len(batch)
 
 
 def test_datalake_day_roundtrip(benchmark, tmp_path):

@@ -60,7 +60,7 @@ from repro.dataflow.columnar import (
     ScanPredicate,
     encode_chunk,
 )
-from repro.dataflow.engine import Block, Dataset
+from repro.dataflow.engine import Block, Dataset, PartitionSource
 from repro.dataflow.integrity import (
     CHUNK_SUFFIX,
     TEXT_SUFFIX,
@@ -212,55 +212,41 @@ class DataLake:
         :class:`RecordDecodeError` naming the partition and line.
 
         With a ``where`` predicate (needs a :class:`ColumnarCodec`), the
-        day's partitions are zone-map pruned through the engine and the
+        day's partitions are zone-map pruned (never opened) and the
         predicate is pushed into surviving partitions: v2 chunks decode
         only the columns the predicate needs (plus projected survivors),
         v1 text partitions filter record-by-record to the same result.
         """
-        dataset, _, _ = self._day_dataset(table, day, codec, integrity, where)
-        return dataset
+        return Dataset(self._day_sources(table, day, codec, integrity, where)[0])
 
-    def _day_dataset(
+    def _day_sources(
         self,
         table: str,
         day: datetime.date,
         codec: LineCodec[T],
         integrity: Optional[LakeIntegrity],
         where: Optional[ScanPredicate],
-    ) -> "tuple[Dataset[T], int, int]":
-        """One day's dataset plus (total, pruned) partition counts."""
+    ) -> "tuple[List[PartitionSource], int]":
+        """One day's partition sources and how many partitions were pruned:
+        a partition whose zone map proves ``where`` cannot match gets no
+        source, so it is never opened."""
         files = partition_files(self.day_dir(table, day))
         if not files:
-            return Dataset.empty(), 0, 0
+            return [], 0
         if where is not None and not isinstance(codec, ColumnarCodec):
             raise TypeError(
                 f"table {table!r}: predicate reads need a ColumnarCodec, "
                 f"got {type(codec).__name__}"
             )
-        sources = []
-        stats: List[Optional[dict]] = []
-        day_zone = {"day_min": day.isoformat(), "day_max": day.isoformat()}
-        for path in files:
-            sources.append(
-                _partition_source(path, codec, table, day, integrity, where)
-            )
-            zone: Optional[dict] = day_zone
-            if where is not None:
-                try:
-                    manifest = load_manifest(path)
-                except PartitionIntegrityError:
-                    manifest = None  # damaged sidecar: the read path decides
-                if manifest is not None and manifest.zone is not None:
-                    zone = manifest.zone
-            stats.append(zone)
-        dataset: Dataset[T] = Dataset.from_partitions(sources, stats)
-        if where is None:
-            return dataset, len(files), 0
-        pruned_dataset = dataset.prune(where.matches_zone)
-        pruned = dataset.num_partitions - pruned_dataset.num_partitions
+        sources = [
+            _partition_source(path, codec, table, day, integrity, where)
+            for path in files
+            if where is None or where.matches_zone(_zone(path, day))
+        ]
+        pruned = len(files) - len(sources)
         if pruned:
             telemetry.count("lake_partitions_pruned", pruned, table=table)
-        return pruned_dataset, len(files), pruned
+        return sources, pruned
 
     def read_range(
         self,
@@ -276,45 +262,32 @@ class DataLake:
         A ``where`` predicate narrows the scan: days outside the
         predicate's day range are skipped outright, remaining partitions
         are zone-map pruned, and surviving partitions decode with the
-        predicate pushed down (see :meth:`read_day`).  The planning span
-        records how effective pruning was.
+        predicate pushed down (see :meth:`read_day`).  The
+        ``lake_read_range`` span times this planning — listing, manifest
+        loads, pruning — and its ``planned`` event records how effective
+        pruning was.
         """
-        planned: List["tuple[datetime.date, bool]"] = []
-        for day in self.days(table):
-            if not (start <= day <= end):
-                continue
-            skipped = where is not None and not where.admits_day(day)
-            planned.append((day, skipped))
-        total = 0
-        pruned = 0
-        datasets: List[Dataset[T]] = []
-        for day, skipped in planned:
-            if skipped:
-                files = len(partition_files(self.day_dir(table, day)))
-                total += files
-                pruned += files
-                if files:
-                    telemetry.count(
-                        "lake_partitions_pruned", files, table=table
-                    )
-                continue
-            dataset, day_total, day_pruned = self._day_dataset(
-                table, day, codec, integrity, where
-            )
-            total += day_total
-            pruned += day_pruned
-            datasets.append(dataset)
-        with telemetry.span(
-            "lake_read_range",
-            table=table,
-            partitions=total,
-            pruned=pruned,
-            pushdown=where is not None,
-        ):
-            combined: Dataset[T] = Dataset.empty()
-            for dataset in datasets:
-                combined = combined.union(dataset)
-        return combined
+        with telemetry.span("lake_read_range", table=table, pushdown=where is not None):
+            sources: List[PartitionSource] = []
+            total = pruned = 0
+            for day in self.days(table):
+                if not start <= day <= end:
+                    continue
+                if where is not None and not where.admits_day(day):
+                    skipped = len(partition_files(self.day_dir(table, day)))
+                    total += skipped
+                    pruned += skipped
+                    if skipped:
+                        telemetry.count("lake_partitions_pruned", skipped, table=table)
+                    continue
+                day_sources, day_pruned = self._day_sources(
+                    table, day, codec, integrity, where
+                )
+                sources.extend(day_sources)
+                total += len(day_sources) + day_pruned
+                pruned += day_pruned
+            telemetry.event("planned", partitions=total, pruned=pruned)
+        return Dataset(sources)
 
     def tables(self) -> List[str]:
         """Every data table in the lake (service dirs like ``_quarantine``
@@ -399,7 +372,7 @@ def _chunk_records(
     chunk: Chunk, codec: LineCodec[T], where: Optional[ScanPredicate], walk: _Walk
 ) -> Iterator[Block[T]]:
     """The v2 part of the walk: one chunk's rows, ``where`` pushed down,
-    handed to the engine as one block — the chunk's own arrays whenever
+    handed to the dataset as one block — the chunk's own arrays whenever
     the codec can vouch for its rows without building them."""
     if not isinstance(codec, ColumnarCodec):
         return  # a line-only codec names no chunk rows: structural walk only
@@ -432,6 +405,19 @@ _CONTAINERS = MappingProxyType(
         CHUNK_SUFFIX: (Chunk, Chunk.check, _chunk_records),
     }
 )
+
+
+def _zone(path: Path, day: datetime.date) -> Dict[str, Any]:
+    """A partition's zone map from its sidecar.  Without one — or with a
+    damaged one, which the read path judges — it is known only to hold
+    ``day``."""
+    try:
+        manifest = load_manifest(path)
+    except PartitionIntegrityError:
+        manifest = None
+    if manifest is not None and manifest.zone is not None:
+        return manifest.zone
+    return {"day_min": day.isoformat(), "day_max": day.isoformat()}
 
 
 def _partition_source(

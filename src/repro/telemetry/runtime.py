@@ -1,6 +1,6 @@
 """The active telemetry context: how instrumented layers find the sinks.
 
-Hot layers (flow expansion, stage-1 analytics, the dataflow engine, the
+Hot layers (flow expansion, stage-1 analytics, the lake's scan, the
 checkpoint store) cannot thread a registry argument through every call —
 that would churn a dozen public signatures for a subsystem that is off
 by default.  Instead one process-local *active* :class:`Telemetry` is

@@ -65,7 +65,7 @@ FLOW_CODEC: ColumnarCodec[FlowRecord] = ColumnarCodec(
     zone_columns=("vantage", "protocol"),
 )
 
-#: classify_flow's fallback labels (see repro.analytics.aggregate).
+#: The service of a flow no domain rule names: the P2P label's, else Other.
 P2P_SERVICE = "Peer-To-Peer"
 FALLBACK_SERVICE = "Other"
 
@@ -77,9 +77,9 @@ class BatchServiceView:
     ``rules.classify`` ran once per *distinct* server name; the per-flow
     results live in two integer columns over a shared service table:
 
-    * ``flow_codes`` — full :func:`~repro.analytics.aggregate.classify_flow`
-      semantics (domain rules, then the P2P label, then ``"Other"``);
-      always a valid index into ``services``.
+    * ``flow_codes`` — a flow's service as stage-1 classifies it (domain
+      rules, then the P2P label, then ``"Other"``); always a valid index
+      into ``services``.
     * ``name_codes`` — pure ``rules.classify(server_name)`` semantics as
       used by the RTT analytics; ``-1`` where no rule matched.
     """
@@ -99,7 +99,7 @@ class BatchServiceView:
         return self._index.get(service, -1)
 
     def flow_mask(self, service: str) -> np.ndarray:
-        """Boolean column: flows classified to ``service`` (classify_flow)."""
+        """Boolean column: flows classified to ``service`` (``flow_codes``)."""
         code = self.code_of(service)
         if code < 0:
             return np.zeros(self.flow_codes.shape, dtype=bool)
@@ -165,9 +165,9 @@ class FlowBatch(ColumnBatch[FlowRecord]):
     def service_view(self, rules: RuleSet) -> BatchServiceView:
         """Classify the whole batch under ``rules``, memoized per ruleset.
 
-        Domain rules run once per distinct name; the P2P/Other fallback of
-        :func:`~repro.analytics.aggregate.classify_flow` is then applied as
-        one vectorized select over the protocol column.
+        Domain rules run once per distinct name; a flow no rule names is
+        ``"Peer-To-Peer"`` when its protocol is P2P, else ``"Other"`` — one
+        vectorized select over the protocol column.
         """
         cached = self._views.get(id(rules))
         if cached is not None and cached[0] is rules:

@@ -12,27 +12,24 @@ from repro.analytics.activity import (
     active_subscribers_by_day,
     subscriber_days,
 )
-from repro.analytics.aggregate import (
-    aggregate_protocols,
-    aggregate_usage,
-    classify_flow,
-    subscriber_day_totals,
-)
+from repro.analytics.aggregate import aggregate_protocols, aggregate_usage
 from repro.analytics.popularity import DailyServiceStats, daily_service_stats
 from repro.core.study import StudyData, aggregate_usage_day
 from repro.dataflow.columnar import ColumnBatch
-from repro.dataflow.engine import Dataset
+from repro.dataflow.datalake import FLOW_CODEC, LAKE_FORMATS, DataLake
 from repro.services import catalog
 from repro.services.thresholds import ActiveSubscriberCriterion, VisitClassifier
-from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage
+from repro.synthesis.flowgen import USAGE_CODEC, DailyUsage, ProtocolUsage
 from repro.synthesis.population import Technology
 from repro.tstat.flow import FlowRecord, NameSource, Transport, WebProtocol
+from repro.tstat.flowbatch import FlowBatch
 from tests.test_flow_tables import weekly_active
 
 DAY = datetime.date(2016, 9, 14)
 
 
-def flow(client_id=1, name="www.youtube.com", protocol=WebProtocol.TLS, down=1000, up=100):
+def flow(client_id=1, name="www.youtube.com", protocol=WebProtocol.TLS, down=1000, up=100,
+         vantage="pop1"):
     return FlowRecord(
         client_id=client_id,
         server_ip=99,
@@ -46,6 +43,7 @@ def flow(client_id=1, name="www.youtube.com", protocol=WebProtocol.TLS, down=100
         protocol=protocol,
         server_name=name,
         name_source=NameSource.SNI if name else NameSource.NONE,
+        vantage=vantage,
     )
 
 
@@ -63,30 +61,83 @@ def usage(subscriber_id=1, service=catalog.OTHER, down=1_000_000, up=100_000, fl
     )
 
 
+# ----------------------------------------------------------------------
+# The stage-1 jobs over flows are columnar; the row folds they replaced
+# live on here as the oracle they must agree with, row for row and in
+# order (dict insertion order: keys by first appearance).
+
+
+def classify_flow(record, rules):
+    """Service of one flow: domain rules first, then the P2P port/DPI label."""
+    service = rules.classify(record.server_name)
+    if service is not None:
+        return service
+    if record.protocol is WebProtocol.P2P:
+        return catalog.PEER_TO_PEER
+    return catalog.OTHER
+
+
+def oracle_usage(flows, rules, day, technologies=None, pops=None):
+    technologies = technologies or {}
+    pops = pops or {}
+    totals = {}
+    for record in flows:
+        key = (record.client_id, classify_flow(record, rules), record.vantage)
+        down, up, count = totals.get(key, (0, 0, 0))
+        totals[key] = (down + record.bytes_down, up + record.bytes_up, count + 1)
+    return [
+        DailyUsage(
+            day=day,
+            subscriber_id=client_id,
+            technology=technologies.get(client_id, Technology.ADSL),
+            pop=pops.get(client_id, vantage),
+            service=service,
+            bytes_down=down,
+            bytes_up=up,
+            flows=count,
+        )
+        for (client_id, service, vantage), (down, up, count) in totals.items()
+    ]
+
+
+def oracle_protocols(flows, rules, day):
+    totals = {}
+    for record in flows:
+        key = (classify_flow(record, rules), record.protocol)
+        totals[key] = totals.get(key, 0) + record.total_bytes
+    return [
+        ProtocolUsage(day=day, service=service, protocol=protocol, total_bytes=total)
+        for (service, protocol), total in totals.items()
+    ]
+
+
+def service_of(record, rules):
+    (row,) = aggregate_usage([record], rules, DAY)
+    return row.service
+
+
 class TestClassifyFlow:
     def test_by_domain(self, rules):
-        assert classify_flow(flow(name="r1.googlevideo.com"), rules) == catalog.YOUTUBE
+        assert service_of(flow(name="r1.googlevideo.com"), rules) == catalog.YOUTUBE
 
     def test_p2p_by_dpi_label(self, rules):
         record = flow(name=None, protocol=WebProtocol.P2P)
-        assert classify_flow(record, rules) == catalog.PEER_TO_PEER
+        assert service_of(record, rules) == catalog.PEER_TO_PEER
 
     def test_unknown_is_other(self, rules):
-        assert classify_flow(flow(name="random.example"), rules) == catalog.OTHER
-        assert classify_flow(flow(name=None), rules) == catalog.OTHER
+        assert service_of(flow(name="random.example"), rules) == catalog.OTHER
+        assert service_of(flow(name=None), rules) == catalog.OTHER
 
 
 class TestAggregateUsage:
     def test_groups_by_subscriber_and_service(self, rules):
-        flows = Dataset.from_iterable(
-            [
-                flow(client_id=1, name="www.youtube.com", down=100),
-                flow(client_id=1, name="r2.googlevideo.com", down=200),
-                flow(client_id=1, name="www.netflix.com", down=50),
-                flow(client_id=2, name="www.youtube.com", down=10),
-            ]
-        )
-        rows = aggregate_usage(flows, rules, DAY).collect()
+        flows = [
+            flow(client_id=1, name="www.youtube.com", down=100),
+            flow(client_id=1, name="r2.googlevideo.com", down=200),
+            flow(client_id=1, name="www.netflix.com", down=50),
+            flow(client_id=2, name="www.youtube.com", down=10),
+        ]
+        rows = aggregate_usage(flows, rules, DAY)
         by_key = {(row.subscriber_id, row.service): row for row in rows}
         youtube_row = by_key[(1, catalog.YOUTUBE)]
         assert youtube_row.bytes_down == 300
@@ -95,45 +146,104 @@ class TestAggregateUsage:
         assert by_key[(2, catalog.YOUTUBE)].bytes_down == 10
 
     def test_technology_metadata_applied(self, rules):
-        flows = Dataset.from_iterable([flow(client_id=5)])
         rows = aggregate_usage(
-            flows, rules, DAY, technologies={5: Technology.FTTH}, pops={5: "pop2"}
-        ).collect()
+            [flow(client_id=5)], rules, DAY, technologies={5: Technology.FTTH}, pops={5: "pop2"}
+        )
         assert rows[0].technology is Technology.FTTH
         assert rows[0].pop == "pop2"
 
     def test_day_stamped(self, rules):
-        rows = aggregate_usage(Dataset.from_iterable([flow()]), rules, DAY).collect()
+        rows = aggregate_usage([flow()], rules, DAY)
         assert rows[0].day == DAY
 
 
 class TestAggregateProtocols:
     def test_totals_by_service_and_protocol(self, rules):
-        flows = Dataset.from_iterable(
-            [
-                flow(name="www.youtube.com", protocol=WebProtocol.QUIC, down=100, up=10),
-                flow(name="r1.googlevideo.com", protocol=WebProtocol.QUIC, down=200, up=20),
-                flow(name="www.youtube.com", protocol=WebProtocol.TLS, down=50, up=5),
-            ]
-        )
-        rows = aggregate_protocols(flows, rules, DAY).collect()
+        flows = [
+            flow(name="www.youtube.com", protocol=WebProtocol.QUIC, down=100, up=10),
+            flow(name="r1.googlevideo.com", protocol=WebProtocol.QUIC, down=200, up=20),
+            flow(name="www.youtube.com", protocol=WebProtocol.TLS, down=50, up=5),
+        ]
+        rows = aggregate_protocols(flows, rules, DAY)
         by_key = {(row.service, row.protocol): row.total_bytes for row in rows}
         assert by_key[(catalog.YOUTUBE, WebProtocol.QUIC)] == 330
         assert by_key[(catalog.YOUTUBE, WebProtocol.TLS)] == 55
 
 
+flow_lists = st.lists(
+    st.builds(
+        flow,
+        client_id=st.integers(0, 5),  # few ids: repeated keys; 4 and 5 unknown
+        name=st.sampled_from(
+            [None, "", "www.youtube.com", "r1.googlevideo.com", "www.netflix.com",
+             "random.example", "WWW.FACEBOOK.COM."]
+        ),
+        protocol=st.sampled_from(list(WebProtocol)),  # P2P included
+        down=st.integers(0, 10_000),
+        up=st.integers(0, 1_000),
+        vantage=st.sampled_from(["pop1", "pop2"]),  # a client seen at two vantages
+    ),
+    max_size=40,
+)
+TECHNOLOGIES = {0: Technology.FTTH, 1: Technology.ADSL, 2: Technology.FTTH, 3: Technology.ADSL}
+POPS = {0: "pop3", 2: "pop1"}
+
+
+class TestColumnarJobsMatchRowOracle:
+    @given(flow_lists, st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_order(self, rules, flows, cut):
+        batch = FlowBatch.of(flows)
+        split = FlowBatch.concat([flows[:cut], FlowBatch.of(flows[cut:])], FLOW_CODEC)
+        expected_usage = oracle_usage(flows, rules, DAY, TECHNOLOGIES, POPS)
+        expected_protocols = oracle_protocols(flows, rules, DAY)
+        for given_flows in (flows, batch, split):
+            got = aggregate_usage(given_flows, rules, DAY, TECHNOLOGIES, POPS)
+            assert list(got) == expected_usage
+            assert list(aggregate_protocols(given_flows, rules, DAY)) == expected_protocols
+        assert list(aggregate_usage(flows, rules, DAY)) == oracle_usage(flows, rules, DAY)
+
+    def test_empty_input(self, rules):
+        for empty in ([], FlowBatch.of([])):
+            assert len(aggregate_usage(empty, rules, DAY)) == 0
+            assert len(aggregate_protocols(empty, rules, DAY)) == 0
+
+    def test_lake_containers_give_equal_usage(self, tmp_path, rules):
+        flows = [
+            flow(client_id=client, name=name, protocol=protocol, down=down, vantage=vantage)
+            for client, name, protocol, down, vantage in [
+                (1, "www.youtube.com", WebProtocol.QUIC, 100, "pop1"),
+                (1, None, WebProtocol.P2P, 7, "pop1"),
+                (2, "random.example", WebProtocol.HTTP, 30, "pop2"),
+                (1, "r2.googlevideo.com", WebProtocol.TLS, 5, "pop2"),
+            ]
+        ]
+        read_back = []
+        for write_format in LAKE_FORMATS:
+            lake = DataLake(tmp_path / write_format, write_format=write_format)
+            lake.write_day("flows", DAY, flows[:2], FLOW_CODEC, source="pop1")
+            lake.write_day("flows", DAY, flows[2:], FLOW_CODEC, source="pop2")
+            day = FlowBatch.concat(lake.read_day("flows", DAY, FLOW_CODEC).blocks(), FLOW_CODEC)
+            read_back.append(
+                (aggregate_usage(day, rules, DAY), aggregate_protocols(day, rules, DAY))
+            )
+        (v1_usage, v1_protocols), (v2_usage, v2_protocols) = read_back
+        assert v1_usage == v2_usage == oracle_usage(flows, rules, DAY)
+        assert v1_protocols == v2_protocols == oracle_protocols(flows, rules, DAY)
+
+
 class TestSubscriberDayTotals:
     def test_rollup(self):
-        rows = Dataset.from_iterable(
-            [
-                usage(subscriber_id=1, service="A", down=10, up=1, flows=2),
-                usage(subscriber_id=1, service="B", down=20, up=2, flows=3),
-                usage(subscriber_id=2, service="A", down=5, up=5, flows=1),
-            ]
-        )
-        totals = dict(subscriber_day_totals(rows).collect())
-        assert totals[(DAY, 1)][:3] == (30, 3, 5)
-        assert totals[(DAY, 2)][:3] == (5, 5, 1)
+        rows = [
+            usage(subscriber_id=1, service="A", down=10, up=1, flows=2),
+            usage(subscriber_id=1, service="B", down=20, up=2, flows=3),
+            usage(subscriber_id=2, service="A", down=5, up=5, flows=1),
+        ]
+        totals = {
+            (entry.day, entry.subscriber_id): (entry.bytes_down, entry.bytes_up, entry.flows)
+            for entry in subscriber_days(rows)
+        }
+        assert totals == {(DAY, 1): (30, 3, 5), (DAY, 2): (5, 5, 1)}
 
 
 class TestActivity:
@@ -180,13 +290,12 @@ class TestTiersAgree:
         same per-subscriber byte totals (flow counts are capped)."""
         day = datetime.date(2017, 3, 8)
         traffic = generator.generate_day(day)
-        flows = generator.expand_flows(day, traffic)
+        flows = generator.expand_flows_batch(day, traffic)
         technologies = {
             sub.subscriber_id: sub.technology for sub in world.population.subscribers
         }
-        regenerated = aggregate_usage(
-            Dataset.from_iterable(flows, partitions=4), rules, day, technologies
-        ).collect()
+        regenerated = aggregate_usage(flows, rules, day, technologies)
+        assert regenerated == oracle_usage(flows, rules, day, technologies)
 
         def totals(rows):
             out = {}

@@ -26,7 +26,6 @@ from repro.analytics.infrastructure import daily_server_census
 from repro.core.study import INFRA_SERVICES, LongitudinalStudy
 from repro.dataflow.columnar import ColumnBatch
 from repro.dataflow.datalake import FLOW_CODEC, DataLake, LineCodec
-from repro.dataflow.engine import Dataset
 from repro.dataflow.integrity import (
     CORRUPT_BIT_FLIP,
     CORRUPT_DROP_COLUMN,
@@ -556,34 +555,6 @@ def _recompute_manifest(path):
         if is_payload_line(line):
             digest.add_line(line)
     return digest.manifest()
-
-
-class TestGuardPartitions:
-    def test_suppresses_failing_partition_tail(self):
-        def good():
-            return iter([1, 2, 3])
-
-        def bad():
-            yield 10
-            raise OSError("torn")
-
-        seen = []
-        dataset = Dataset.from_partitions([good, bad]).guard_partitions(
-            lambda index, exc: seen.append((index, type(exc).__name__)) or True
-        )
-        assert dataset.collect() == [1, 2, 3, 10]
-        assert seen == [(1, "OSError")]
-
-    def test_reraises_when_handler_declines(self):
-        def bad():
-            raise ValueError("boom")
-            yield  # pragma: no cover
-
-        dataset = Dataset.from_partitions([bad]).guard_partitions(
-            lambda index, exc: False
-        )
-        with pytest.raises(ValueError, match="boom"):
-            dataset.collect()
 
 
 def replay_config():

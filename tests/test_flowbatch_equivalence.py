@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.analytics import rtt as rtt_analytics
-from repro.analytics.aggregate import classify_flow
 from repro.analytics.rtt import RttSample
 from repro.analytics.infrastructure import (
     AsnBreakdown,
@@ -53,6 +52,7 @@ from repro.tstat.flow import (
     second_level_domain,
 )
 from repro.tstat.flowbatch import FlowBatch
+from tests.test_analytics_aggregate_activity import classify_flow
 from tests.test_flow_tables import pre_derived_fields, pre_table_fields
 
 D = datetime.date

@@ -2,7 +2,7 @@
 
 This drives the whole Figure-1 pipeline of the paper on wire-format input:
 synthetic packets are metered by the probe, exported as a daily flow log,
-ingested into the data lake, aggregated by the dataflow jobs and finally
+ingested into the data lake, aggregated by the columnar stage-1 jobs and finally
 classified/analyzed — every layer of the reproduction in one pass.
 """
 
@@ -20,6 +20,7 @@ from repro.services import catalog
 from repro.services.thresholds import no_threshold_classifier
 from repro.synthesis.packetgen import FlowSpec, PacketSynthesizer
 from repro.tstat.flow import WebProtocol
+from repro.tstat.flowbatch import FlowBatch
 from repro.tstat.logs import load_flow_log
 from repro.tstat.probe import Probe, ProbeConfig
 
@@ -90,14 +91,14 @@ def pipeline(tmp_path_factory, rules):
     written = probe.run_to_log(packets, log_path)
     lake = DataLake(tmp_path_factory.mktemp("lake"))
     lake.write_day("flows", DAY, load_flow_log(log_path), FLOW_CODEC, source="pop1")
-    flows_dataset = lake.read_day("flows", DAY, FLOW_CODEC)
-    usage = aggregate_usage(flows_dataset, rules, DAY).collect()
-    protocols = aggregate_protocols(flows_dataset, rules, DAY).collect()
+    flows = FlowBatch.concat(lake.read_day("flows", DAY, FLOW_CODEC).blocks(), FLOW_CODEC)
+    usage = aggregate_usage(flows, rules, DAY)
+    protocols = aggregate_protocols(flows, rules, DAY)
     return {
         "probe": probe,
         "written": written,
         "lake": lake,
-        "flows": flows_dataset.collect(),
+        "flows": flows,
         "usage": usage,
         "protocols": protocols,
     }

@@ -31,7 +31,7 @@ from repro.core.persistence import (
     USAGE_TABLE,
     replay_study,
 )
-from repro.dataflow import columnar
+from repro.dataflow import columnar, datalake
 from repro.dataflow.columnar import (
     CHUNK_MAGIC,
     Chunk,
@@ -229,6 +229,32 @@ class TestZoneMapPruning:
             ).collect()
         assert rows == []
         assert counter_total(telemetry, "lake_partitions_pruned") == len(days)
+
+    def test_read_range_span_times_the_planning(self, v2_lake, monkeypatch):
+        """The span covers the listing and every manifest load it prunes by,
+        not just the assembly after them."""
+        lake, _ = v2_lake
+        days = lake.days(USAGE_TABLE)
+        clock = VirtualClock()
+        loads = []
+
+        def slow_load(path):
+            loads.append(path)
+            clock.advance(10.0)
+            return load_manifest(path)
+
+        monkeypatch.setattr(datalake, "load_manifest", slow_load)
+        where = ScanPredicate.of(service="no-such-service")
+        with activate(Telemetry(clock)) as telemetry:
+            lake.read_range(USAGE_TABLE, days[0], days[-1], USAGE_CODEC, where=where)
+        (span,) = [
+            record for record in telemetry.snapshot().spans
+            if record.name == "lake_read_range"
+        ]
+        assert len(loads) == len(days)
+        assert span.duration >= 10.0 * len(loads)
+        (planned,) = span.events
+        assert dict(planned.attrs) == {"partitions": str(len(days)), "pruned": str(len(days))}
 
     def test_columns_skipped_counter_on_empty_match(self, v2_lake):
         lake, _ = v2_lake
