@@ -23,9 +23,10 @@ one subscriber block at a time: every tier draws a block's rows from
 that block's own streams (``World.day_rng(day, stream, block)``,
 DESIGN.md §6), so any run of whole blocks is generated on its own and
 the day is the concatenation of its blocks (DESIGN.md §15).  What
-depends on the day alone is evaluated once per call into a
-:class:`DayPlan` that every block reads, so a block pays only for its
-draws (DESIGN.md §5).
+depends on the day alone is a :class:`DayPlan` that every block reads —
+a row of the generator's :class:`~repro.synthesis.studyplan.StudyPlan`,
+which evaluates the world's curves once over its span — so a block pays
+only for its draws (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ from repro.synthesis.infrastructure import (
     grouping,
     placed,
 )
-from repro.synthesis.curves import Curve
 from repro.synthesis.population import Technology
-from repro.synthesis.servicemodels import ThirdPartyContact
 from repro.synthesis.studycalendar import BINS_PER_DAY
+from repro.synthesis.studyplan import PROTOCOLS, ServiceDay, StudyPlan, protocol_code
 from repro.synthesis.world import SUBSCRIBER_BLOCK, World
 from repro.telemetry import runtime as telemetry
 from repro.tstat.flow import (
@@ -66,14 +66,11 @@ from repro.tstat.flow import (
     WebProtocol,
 )
 from repro.tstat.flowbatch import FLOW_CODEC, FlowBatch
-from repro.tstat.versions import capabilities_on
 
 #: The generator's dictionaries for the flow batch's enum columns: every
 #: member in declaration order, a column holding positions in them.
-PROTOCOLS = tuple(WebProtocol)
 NAME_SOURCES = tuple(NameSource)
 TRANSPORTS = tuple(Transport)
-protocol_code = PROTOCOLS.index
 name_source_code = NAME_SOURCES.index
 #: A protocol table's ``protocol`` cells, by code into PROTOCOLS.
 _PROTOCOL_VALUES = tuple(protocol.value for protocol in PROTOCOLS)
@@ -249,15 +246,18 @@ class TrafficGenerator:
             for service in world.services
         }
         self._pools = list(pools)
-        #: Per service: its popularity, volume and upload-ratio curves as
-        #: (ADSL, FTTH) pairs.
-        self._curves = tuple(
-            tuple(
-                (curves[Technology.ADSL], curves[Technology.FTTH])
-                for curves in (service.popularity, service.volume_down, service.upload_ratio)
-            )
-            for service in world.services
-        )
+        self._plan: Optional[StudyPlan] = None
+
+    def _plan_row(self, day: datetime.date) -> Tuple[StudyPlan, int]:
+        """The study plan holding ``day`` and its row in it: the plan of
+        the world's span, built on first use, or a one-row plan of a day
+        outside the span."""
+        config = self.world.config
+        if not config.start <= day <= config.end:
+            return StudyPlan(self.world, day, day), 0
+        if self._plan is None:
+            self._plan = StudyPlan(self.world, config.start, config.end)
+        return self._plan, day.toordinal() - self._plan.first
 
     # -- aggregate tier ------------------------------------------------------
 
@@ -762,32 +762,6 @@ class TrafficGenerator:
         return profile
 
 
-class ServiceDay(NamedTuple):
-    """The aggregate tier's per-service parameters on one day: a row per
-    service of ``world.services``, a column per technology (ADSL, FTTH).
-
-    A service nobody can adopt that day keeps zero volumes and no
-    protocol-mix entries: no block draws users for it.
-    """
-
-    adoption: np.ndarray  # a subscriber whose rank is below it adopts
-    use: np.ndarray  # P(an adopter uses the service today)
-    volume: np.ndarray  # mean bytes down of a user
-    ratio: np.ndarray  # upload / download
-    boost: np.ndarray  # per service: the holiday volume boost applies
-    noise: List[Tuple[float, float]]  # download noise lognormal (mean, sigma)
-    flow_mean: List[float]
-    third_party: List[Optional[ThirdPartyContact]]
-    #: Protocol-mix entries: the service row, its share, and the entry's
-    #: (service, reported label) key as an index into ``keys``.
-    entry_service: np.ndarray
-    entry_share: np.ndarray
-    entry_key: np.ndarray
-    #: Each key's (service row, label code into PROTOCOLS), in protocol-table
-    #: order: by service name, then label.
-    keys: np.ndarray
-
-
 class ServiceFlows(NamedTuple):
     """The flow tier's parameters of one service on one day."""
 
@@ -802,30 +776,27 @@ class DayPlan:
     """What every subscriber block of one day reads that depends on the
     day alone (DESIGN.md §5).
 
-    One plan is built per :meth:`TrafficGenerator.generate_day` or
+    One plan is made per :meth:`TrafficGenerator.generate_day` or
     :meth:`TrafficGenerator.expand_flows_batch` call and handed to each
-    block, so a block pays only for its draws; nothing outlives the call.
-    Every curve is evaluated by the scalar expression a block used to
-    evaluate, so every float is the one it computed.  The aggregate
-    tier's :attr:`services` table is made when a block first reads it, a
-    service's :meth:`flow_service` part when a block first holds that
-    service: a service absent from the batch is never planned.
+    block, so a block pays only for its draws.  It holds the cheap facts
+    of the day and reads everything the world's curves decide from its
+    row of the generator's :class:`~repro.synthesis.studyplan.StudyPlan`,
+    built once per generator: the aggregate tier's :attr:`services` table
+    when a block first reads it, a service's :meth:`flow_service` part
+    when a block first holds that service.
     """
 
     def __init__(self, generator: "TrafficGenerator", day: datetime.date) -> None:
         self.world = generator.world
         self.day = day
         self.ordinal = day.toordinal()
+        self._plan, self._row = generator._plan_row(day)
         self.pop_up = np.array(
             [not self.world.outages.is_down(pop, day) for pop in generator._pop_names],
             dtype=bool,
         )
-        capabilities = capabilities_on(day)
         #: The probe's reported label of each true protocol, both as codes.
-        self.label_of = np.fromiter(
-            (protocol_code(capabilities.reported_label(protocol)) for protocol in PROTOCOLS),
-            np.int64, len(PROTOCOLS),
-        )
+        self.label_of = self._plan.label_of(self._row)
         self.weekly = studycalendar.weekly_factor(day)
         self.holiday = studycalendar.is_christmas_period(day) or studycalendar.is_new_year(
             day
@@ -841,65 +812,14 @@ class DayPlan:
 
     @cached_property
     def services(self) -> ServiceDay:
-        """The aggregate tier's per-service parameters (built on first read)."""
-        day, services = self.day, self.world.services
-        curves = self._generator._curves
-        popularity = np.array(
-            [_per_technology(pair, day) for pair, _, _ in curves], dtype=np.float64
-        )
-        overshoot = np.array(
-            [
-                1.0 if service.name == catalog.OTHER else self.world.config.adoption_overshoot
-                for service in services
-            ]
-        )
-        adoption = np.minimum(1.0, popularity * overshoot[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            use = np.where(adoption > 0, popularity / np.maximum(adoption, 1e-12), 0.0)
-        boost = np.array(
-            [self.holiday and service.holiday_messaging_boost for service in services],
-            dtype=bool,
-        )
-        use = np.where(boost[:, None], np.minimum(1.0, use * _HOLIDAY_USE_BOOST), use)
-        volume = np.zeros_like(popularity)
-        ratio = np.zeros_like(popularity)
-        flow_mean = [1.0] * len(services)
-        labels = self.label_of.tolist()
-        entries: List[Tuple[float, Tuple[int, int]]] = []  # (share, (row, label))
-        for row in np.flatnonzero((adoption > 0).any(axis=1)).tolist():
-            service = services[row]
-            volume[row] = _per_technology(curves[row][1], day)
-            ratio[row] = _per_technology(curves[row][2], day)
-            flow_mean[row] = max(1.0, service.flows_per_day(day))
-            for protocol, share in service.protocol_mix(day):
-                entries.append((share, (row, labels[protocol_code(protocol)])))
-        keys = sorted(
-            {key for _, key in entries},
-            key=lambda key: (services[key[0]].name, PROTOCOLS[key[1]].value),
-        )
-        place = {key: index for index, key in enumerate(keys)}
-        numbered = [(key[0], share, place[key]) for share, key in entries]
-        entry_service, entry_share, entry_key = (
-            np.array([entry[index] for entry in numbered], dtype=dtype)
-            for index, dtype in enumerate((np.intp, np.float64, np.intp))
-        )
-        return ServiceDay(
-            adoption=adoption,
-            use=use,
-            volume=volume,
-            ratio=ratio,
-            boost=boost,
-            noise=[
-                (-0.5 * service.volume_sigma * service.volume_sigma, service.volume_sigma)
-                for service in services
-            ],
-            flow_mean=flow_mean,
-            third_party=[service.third_party for service in services],
-            entry_service=entry_service,
-            entry_share=entry_share,
-            entry_key=entry_key,
-            keys=np.array(keys, dtype=np.intp).reshape(-1, 2),
-        )
+        """The aggregate tier's per-service parameters (read on first use);
+        on a holiday, the boosted services' use is boosted."""
+        table = self._plan.services(self._row)
+        if not self.holiday:
+            return table
+        boost = self._plan.boostable
+        use = np.where(boost[:, None], np.minimum(1.0, table.use * _HOLIDAY_USE_BOOST), table.use)
+        return table._replace(use=use, boost=boost)
 
     @cached_property
     def diurnal_cdfs(self) -> Dict[Technology, np.ndarray]:
@@ -915,27 +835,15 @@ class DayPlan:
         """The flow tier's parameters of service ``name``, made on first use."""
         flows = self._flows.get(name)
         if flows is None:
-            mix = self.world.service(name).protocol_mix(self.day)
-            infra = self.world.infrastructure_for(name)
-            shares = np.array([share for _, share in mix], dtype=np.float64)
+            mix, codes = self._plan.flow_mix(self._row, name)
             flows = self._flows[name] = ServiceFlows(
-                mix=np.cumsum(shares / shares.sum()) if mix else None,
-                mix_codes=np.fromiter(
-                    (protocol_code(protocol) for protocol, _ in mix), np.int64, len(mix)
-                ),
-                servers=infra.day_plan(self.day),
+                mix=mix,
+                mix_codes=codes,
+                servers=self._plan.servers(self._row, name, self.day),
                 pools=self._generator._pool_ids[name],
                 name_ids=self._generator._name_ids[name],
             )
         return flows
-
-
-def _per_technology(curves: Tuple[Curve, Curve], day: datetime.date) -> List[float]:
-    """The (ADSL, FTTH) values of a per-technology curve on ``day``; a
-    curve both technologies share is evaluated once."""
-    adsl, ftth = curves
-    value = adsl(day)
-    return [value, value if ftth is adsl else ftth(day)]
 
 
 def _firsts(sizes: List[int]) -> np.ndarray:

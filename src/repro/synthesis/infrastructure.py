@@ -36,7 +36,7 @@ from repro.routing.asns import AutonomousSystem
 from repro.routing.rib import RibArchive, RibEntry, RibSnapshot
 from repro.services import catalog
 from repro.synthesis import curves
-from repro.synthesis.curves import Curve
+from repro.synthesis.curves import Curve, one_day, shared_rows
 from repro.synthesis.studycalendar import STUDY_END, STUDY_START, study_months
 
 D = datetime.date
@@ -126,10 +126,23 @@ class Deployment:
 
     def domain_plan(self, day: datetime.date) -> "DomainPlan":
         """The deployment's domain templates as weighted on ``day``."""
-        weights = [max(0.0, curve(day)) for _, curve in self.domains]
-        total = sum(weights)
-        cumulative = np.array(list(itertools.accumulate(weights))) if total > 0 else None
-        return DomainPlan(self._templates, cumulative, total)
+        return self.domain_plan_on(self.domain_weights(one_day(day)), 0)
+
+    def domain_weights(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The running sums of the templates' weights (a weight that is
+        not positive counts 0) and their totals, a row per ordinal."""
+        cumulative = _running_sums(
+            np.column_stack([_positive(curve.over(ordinals)) for _, curve in self.domains])
+        )
+        return shared_rows(cumulative), shared_rows(cumulative[:, -1])
+
+    def domain_plan_on(
+        self, weights: Tuple[np.ndarray, np.ndarray], row: int
+    ) -> "DomainPlan":
+        """Row ``row`` of :meth:`domain_weights` as a :class:`DomainPlan`."""
+        cumulative, totals = weights
+        total = float(totals[row])
+        return DomainPlan(self._templates, cumulative[row] if total > 0 else None, total)
 
     def sample_rtt_ms(self, rng: np.random.Generator) -> float:
         return float(self.rtt_ms * rng.lognormal(0.0, self.rtt_sigma))
@@ -204,14 +217,21 @@ class ServiceInfrastructure:
         ] = None
 
     def shares_on(self, day: datetime.date) -> List[Tuple[Deployment, float]]:
-        weights = [
-            (deployment, max(0.0, deployment.share(day)))
-            for deployment in self.deployments
-        ]
-        total = sum(weight for _, weight in weights)
-        if total <= 0.0:
+        shares, totals = self.shares_over(one_day(day))
+        if totals[0] <= 0.0:
             return []
-        return [(deployment, weight / total) for deployment, weight in weights]
+        return list(zip(self.deployments, shares[0].tolist()))
+
+    def shares_over(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each deployment's share of the traffic (a weight that is not
+        positive counts 0) and the weights' total, a row per ordinal; a
+        row whose total is 0 has no shares."""
+        weights = np.column_stack(
+            [_positive(deployment.share.over(ordinals)) for deployment in self.deployments]
+        )
+        totals = _running_sums(weights)[:, -1]
+        served = (totals > 0.0)[:, None]
+        return np.divide(weights, totals[:, None], out=np.zeros_like(weights), where=served), totals
 
     def _domain_layout(self) -> Tuple[Tuple[str, ...], Tuple[np.ndarray, ...]]:
         """The service's domain table — the distinct names of all its
@@ -261,7 +281,7 @@ class ServiceInfrastructure:
 
     def day_plan(self, day: datetime.date) -> "ServerPlan":
         """The service's deployments as weighted on ``day``."""
-        return ServerPlan(self, day)
+        return ServerPlan(ServerCalendar(self, one_day(day)), 0, day)
 
     def addresses_of(
         self, day: datetime.date, deployments: np.ndarray, slots: np.ndarray
@@ -288,36 +308,49 @@ def addresses_in(
     return placed(order, parts, np.int64)
 
 
-class ServerPlan:
-    """One service's server selection on one day.
+class ServerCalendar:
+    """One service's server selection over a run of days, a row per day:
+    the deployments' cumulative shares, active slot counts and domain
+    template weights (DESIGN.md §5).  Row ``i`` of it is a :class:`ServerPlan`."""
 
-    Holds what depends on the day alone — the deployment shares'
-    cumulative sum and, per deployment once a flow lands on it, its
-    active slot count and :class:`DomainPlan` — so that picking servers
-    for any number of flow runs only makes the draws.
-    """
-
-    def __init__(self, infra: ServiceInfrastructure, day: datetime.date) -> None:
+    def __init__(self, infra: ServiceInfrastructure, ordinals: np.ndarray) -> None:
         self.infra = infra
+        shares, totals = infra.shares_over(ordinals)
+        self.totals = shared_rows(totals)
+        self.cumulative = shared_rows(_running_sums(shares))
+        self.active = shared_rows(
+            np.column_stack(
+                [
+                    np.maximum(1, deployment.active_slots.over(ordinals).astype(np.int64))
+                    for deployment in infra.deployments
+                ]
+            ).astype(np.int32)
+        )
+        self.domains = [deployment.domain_weights(ordinals) for deployment in infra.deployments]
+
+
+class ServerPlan:
+    """One service's server selection on one day: a row of its
+    :class:`ServerCalendar`, so that picking servers for any number of
+    flow runs only makes the draws."""
+
+    def __init__(self, calendar: ServerCalendar, row: int, day: datetime.date) -> None:
+        self.infra = calendar.infra
         self.day = day
-        shares = infra.shares_on(day)
-        cumulative = itertools.accumulate(share for _, share in shares)
-        self.cumulative = np.array(list(cumulative)) if shares else None
-        self._parts: Dict[int, Tuple[int, int, np.ndarray, DomainPlan]] = {}
+        self.cumulative = calendar.cumulative[row] if calendar.totals[row] > 0.0 else None
+        self._calendar = calendar
+        self._row = row
 
     def _part(self, index: int) -> Tuple[int, int, np.ndarray, DomainPlan]:
         """(slot offset, active slots, domain id remap, domain plan) of
-        one deployment, made when a flow first lands on it."""
-        part = self._parts.get(index)
-        if part is None:
-            deployment = self.infra.deployments[index]
-            part = self._parts[index] = (
-                deployment.slot_offset,
-                max(1, int(deployment.active_slots(self.day))),
-                self.infra._domain_layout()[1][index],
-                deployment.domain_plan(self.day),
-            )
-        return part
+        one deployment."""
+        calendar, deployment = self._calendar, self.infra.deployments[index]
+        return (
+            deployment.slot_offset,
+            int(calendar.active[self._row, index]),
+            self.infra._domain_layout()[1][index],
+            deployment.domain_plan_on(calendar.domains[index], self._row),
+        )
 
     def pick(self, rng: np.random.Generator, count: int) -> ServerPicks:
         """Pick ``count`` servers at once, the draws grouped by deployment.
@@ -383,6 +416,20 @@ def placed(
     values = np.empty(order.size, dtype=dtype)
     values[order] = np.concatenate(parts)
     return values
+
+
+def _positive(values: np.ndarray) -> np.ndarray:
+    """``max(0.0, value)`` of each value: one that is not positive is +0.0."""
+    return np.where(values > 0.0, values, 0.0)
+
+
+def _running_sums(weights: np.ndarray) -> np.ndarray:
+    """Each row's running sums, added column by column in order — the
+    sums of ``itertools.accumulate``, and their last is Python's ``sum``."""
+    sums = weights.copy()
+    for column in range(1, weights.shape[1]):
+        sums[:, column] = sums[:, column - 1] + weights[:, column]
+    return sums
 
 
 #: Values a template's ``{n}`` and ``{a}`` placeholders take.

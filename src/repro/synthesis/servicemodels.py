@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.services import catalog
 from repro.synthesis import curves
@@ -32,7 +32,7 @@ from repro.tstat.flow import WebProtocol
 MB = 1_000_000.0
 D = datetime.date
 
-ProtocolMix = Callable[[datetime.date], List[Tuple[WebProtocol, float]]]
+ProtocolMix = curves.Mix[WebProtocol]
 
 # ---------------------------------------------------------------------------
 # Event dates (Sections 4-5 of the paper).
@@ -86,9 +86,6 @@ class ServiceModel:
     holiday_messaging_boost: bool = False  # WhatsApp-style wish spikes
     third_party: Optional[ThirdPartyContact] = None  # embedded-object noise
 
-    def mean_volume_down(self, technology: Technology, day: datetime.date) -> float:
-        return self.volume_down[technology](day)
-
 
 def _per_tech(adsl: Curve, ftth: Curve = None) -> Dict[Technology, Curve]:
     """Build the per-technology map; FTTH defaults to the ADSL curve."""
@@ -96,12 +93,6 @@ def _per_tech(adsl: Curve, ftth: Curve = None) -> Dict[Technology, Curve]:
         Technology.ADSL: adsl,
         Technology.FTTH: ftth if ftth is not None else adsl,
     }
-
-
-def _fixed_mix(*shares: Tuple[WebProtocol, float]) -> ProtocolMix:
-    total = sum(share for _, share in shares)
-    normalized = [(protocol, share / total) for protocol, share in shares]
-    return lambda day: list(normalized)
 
 
 def _mix(components: Sequence[Tuple[WebProtocol, Curve]]) -> ProtocolMix:
@@ -176,7 +167,7 @@ def _bing() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(vol),
         upload_ratio=_per_tech(curves.constant(0.10)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 0.9), (WebProtocol.HTTP, 0.1)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 0.9), (WebProtocol.HTTP, 0.1)),
         flows_per_day=curves.constant(12.0),
         volume_sigma=0.6,
     )
@@ -189,7 +180,7 @@ def _duckduckgo() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(curves.constant(1.0 * MB)),
         upload_ratio=_per_tech(curves.constant(0.08)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 1.0)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 1.0)),
         flows_per_day=curves.constant(10.0),
         volume_sigma=0.6,
     )
@@ -287,7 +278,7 @@ def _twitter() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(curves.piecewise((D(2013, 7, 1), 6 * MB), (D(2017, 12, 31), 12 * MB))),
         upload_ratio=_per_tech(curves.constant(0.08)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 0.8), (WebProtocol.HTTP2, 0.2)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 0.8), (WebProtocol.HTTP2, 0.2)),
         flows_per_day=curves.constant(20.0),
         third_party=ThirdPartyContact(probability=0.25, min_bytes=5_000, max_bytes=80_000),
     )
@@ -300,7 +291,7 @@ def _linkedin() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(curves.constant(3 * MB)),
         upload_ratio=_per_tech(curves.constant(0.08)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 1.0)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 1.0)),
         flows_per_day=curves.constant(12.0),
     )
 
@@ -391,7 +382,7 @@ def _netflix() -> ServiceModel:
         popularity=_per_tech(pop_adsl, pop_ftth),
         volume_down=_per_tech(vol_adsl, vol_ftth),
         upload_ratio=_per_tech(curves.constant(0.015)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 1.0)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 1.0)),
         flows_per_day=curves.constant(18.0),
         volume_sigma=0.6,  # binge vs single-episode days
         affinity_sigma=0.45,  # adopter persistence, tame at small populations
@@ -424,7 +415,7 @@ def _spotify() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(curves.piecewise((D(2013, 7, 1), 18 * MB), (D(2017, 12, 31), 30 * MB))),
         upload_ratio=_per_tech(curves.constant(0.03)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 1.0)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 1.0)),
         flows_per_day=curves.constant(14.0),
     )
 
@@ -436,7 +427,7 @@ def _skype() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(curves.constant(10 * MB)),
         upload_ratio=_per_tech(curves.constant(0.70)),  # symmetric calls
-        protocol_mix=_fixed_mix((WebProtocol.OTHER, 0.8), (WebProtocol.TLS, 0.2)),
+        protocol_mix=curves.fixed_mix((WebProtocol.OTHER, 0.8), (WebProtocol.TLS, 0.2)),
         flows_per_day=curves.constant(12.0),
     )
 
@@ -460,7 +451,7 @@ def _whatsapp() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(vol),
         upload_ratio=_per_tech(curves.constant(0.45)),  # people send media too
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 0.6), (WebProtocol.OTHER, 0.4)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 0.6), (WebProtocol.OTHER, 0.4)),
         flows_per_day=curves.constant(22.0),
         volume_sigma=0.9,
         holiday_messaging_boost=True,
@@ -474,7 +465,7 @@ def _telegram() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(curves.piecewise((D(2013, 7, 1), 1 * MB), (D(2017, 12, 31), 4 * MB))),
         upload_ratio=_per_tech(curves.constant(0.40)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 0.5), (WebProtocol.OTHER, 0.5)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 0.5), (WebProtocol.OTHER, 0.5)),
         flows_per_day=curves.constant(15.0),
         holiday_messaging_boost=True,
     )
@@ -504,7 +495,7 @@ def _snapchat() -> ServiceModel:
         popularity=_per_tech(pop),
         volume_down=_per_tech(vol),
         upload_ratio=_per_tech(curves.constant(0.35)),
-        protocol_mix=_fixed_mix((WebProtocol.TLS, 1.0)),
+        protocol_mix=curves.fixed_mix((WebProtocol.TLS, 1.0)),
         flows_per_day=curves.constant(18.0),
         volume_sigma=1.0,
     )
@@ -585,7 +576,7 @@ def _peer_to_peer() -> ServiceModel:
         popularity=_per_tech(pop_adsl, pop_ftth),
         volume_down=_per_tech(vol_adsl, vol_ftth),
         upload_ratio=_per_tech(upload_adsl, upload_ftth),
-        protocol_mix=_fixed_mix((WebProtocol.P2P, 1.0)),
+        protocol_mix=curves.fixed_mix((WebProtocol.P2P, 1.0)),
         flows_per_day=curves.constant(80.0),
         volume_sigma=1.2,
         affinity_sigma=0.9,  # a distinct hardcore community

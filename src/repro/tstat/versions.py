@@ -26,6 +26,14 @@ SPDY_REPORTING_DATE = datetime.date(2015, 6, 1)
 HTTP2_REPORTING_DATE = datetime.date(2015, 6, 1)
 FBZERO_REPORTING_DATE = datetime.date(2016, 11, 10)
 QUIC_REPORTING_DATE = datetime.date(2014, 8, 1)
+#: Every day a reported label can change on: each reporting flag of
+#: :func:`capabilities_on` is ``day >= one of them``.
+REPORTING_DATES = (
+    SPDY_REPORTING_DATE,
+    HTTP2_REPORTING_DATE,
+    FBZERO_REPORTING_DATE,
+    QUIC_REPORTING_DATE,
+)
 
 
 @dataclass(frozen=True)

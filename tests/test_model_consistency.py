@@ -62,7 +62,7 @@ class TestVolumeConsistency:
         from repro.services.thresholds import DEFAULT_VISIT_THRESHOLDS
 
         model = big_world.service(service)
-        expected = model.mean_volume_down(technology, D(2016, 3, 7))
+        expected = model.volume_down[technology](D(2016, 3, 7))
         threshold = DEFAULT_VISIT_THRESHOLDS.get(service, 0)
         measured, count = visitor_mean(month_rows, service, technology, threshold)
         assert count > 50, f"not enough samples for {service}"

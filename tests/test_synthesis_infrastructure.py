@@ -110,8 +110,8 @@ class TestDeployment:
         deployment = self._deployment(
             pools.akamai_edge,
             domains=(
-                ("old.example", curves.step(D(2015, 1, 1), 1.0, 0.0)),
-                ("new.example", curves.step(D(2015, 1, 1), 0.0, 1.0)),
+                ("old.example", curves.piecewise((D(2014, 12, 31), 1.0), (D(2015, 1, 1), 0.0))),
+                ("new.example", curves.piecewise((D(2014, 12, 31), 0.0), (D(2015, 1, 1), 1.0))),
             ),
         )
         generator = rng()

@@ -52,7 +52,7 @@ class TestCatalogCompleteness:
         for day in (D(2013, 8, 1), D(2017, 11, 1)):
             for service in services.values():
                 for technology in Technology:
-                    assert service.mean_volume_down(technology, day) >= 0.0
+                    assert service.volume_down[technology](day) >= 0.0
 
 
 class TestEventDates:
@@ -61,26 +61,23 @@ class TestEventDates:
         before = NETFLIX_ITALY_LAUNCH - datetime.timedelta(days=1)
         for technology in Technology:
             assert netflix.popularity[technology](before) == 0.0
-            assert netflix.mean_volume_down(technology, before) == 0.0
+            assert netflix.volume_down[technology](before) == 0.0
         assert netflix.popularity[Technology.FTTH](D(2017, 12, 1)) > 0.05
 
     def test_netflix_uhd_splits_technologies(self, services):
         netflix = services[catalog.NETFLIX]
         before = NETFLIX_UHD_LAUNCH - datetime.timedelta(days=30)
         after = D(2017, 10, 1)
-        gap_before = netflix.mean_volume_down(
-            Technology.FTTH, before
-        ) / netflix.mean_volume_down(Technology.ADSL, before)
-        gap_after = netflix.mean_volume_down(
-            Technology.FTTH, after
-        ) / netflix.mean_volume_down(Technology.ADSL, after)
+        volume = netflix.volume_down
+        gap_before = volume[Technology.FTTH](before) / volume[Technology.ADSL](before)
+        gap_after = volume[Technology.FTTH](after) / volume[Technology.ADSL](after)
         assert gap_before < 1.35
         assert gap_after > gap_before
 
     def test_facebook_autoplay_growth(self, services):
         facebook = services[catalog.FACEBOOK]
-        march = facebook.mean_volume_down(Technology.ADSL, FACEBOOK_AUTOPLAY)
-        july = facebook.mean_volume_down(Technology.ADSL, D(2014, 7, 10))
+        march = facebook.volume_down[Technology.ADSL](FACEBOOK_AUTOPLAY)
+        july = facebook.volume_down[Technology.ADSL](D(2014, 7, 10))
         assert 2.0 < july / march < 3.2  # the paper's 2.5x
 
     def test_fbzero_switches_on_at_launch(self, services):
@@ -121,7 +118,7 @@ class TestEventDates:
 class TestTrends:
     def test_snapchat_rise_and_fall(self, services):
         snapchat = services[catalog.SNAPCHAT]
-        vol = lambda day: snapchat.mean_volume_down(Technology.ADSL, day)
+        vol = lambda day: snapchat.volume_down[Technology.ADSL](day)
         assert vol(D(2016, 4, 1)) > 3 * vol(D(2014, 6, 1))
         assert vol(D(2017, 11, 1)) < 0.35 * vol(D(2016, 4, 1))
         pop = snapchat.popularity[Technology.ADSL]
@@ -133,12 +130,9 @@ class TestTrends:
         assert pop(D(2017, 11, 1)) < 0.5 * pop(D(2013, 8, 1))
         # FTTH volume decline starts earlier than ADSL's.
         mid_2016 = D(2016, 6, 1)
-        adsl_drop = p2p.mean_volume_down(Technology.ADSL, mid_2016) / p2p.mean_volume_down(
-            Technology.ADSL, D(2013, 8, 1)
-        )
-        ftth_drop = p2p.mean_volume_down(Technology.FTTH, mid_2016) / p2p.mean_volume_down(
-            Technology.FTTH, D(2013, 8, 1)
-        )
+        volume = p2p.volume_down
+        adsl_drop = volume[Technology.ADSL](mid_2016) / volume[Technology.ADSL](D(2013, 8, 1))
+        ftth_drop = volume[Technology.FTTH](mid_2016) / volume[Technology.FTTH](D(2013, 8, 1))
         assert ftth_drop < adsl_drop
 
     def test_whatsapp_saturating_popularity(self, services):
@@ -152,8 +146,8 @@ class TestTrends:
     def test_instagram_volume_growth_and_tech_gap(self, services):
         instagram = services[catalog.INSTAGRAM]
         late = D(2017, 11, 1)
-        adsl = instagram.mean_volume_down(Technology.ADSL, late)
-        ftth = instagram.mean_volume_down(Technology.FTTH, late)
+        adsl = instagram.volume_down[Technology.ADSL](late)
+        ftth = instagram.volume_down[Technology.FTTH](late)
         assert 100 * MB < adsl < 140 * MB
         assert 160 * MB < ftth < 220 * MB
 
@@ -163,13 +157,13 @@ class TestTrends:
         assert pop(D(2013, 8, 1)) < 0.2
         assert pop(D(2017, 11, 1)) > 0.35
         # But tiny volumes: telemetry, not browsing.
-        assert bing.mean_volume_down(Technology.ADSL, D(2017, 11, 1)) < 5 * MB
+        assert bing.volume_down[Technology.ADSL](D(2017, 11, 1)) < 5 * MB
 
     def test_youtube_same_on_both_technologies(self, services):
         youtube = services[catalog.YOUTUBE]
         day = D(2017, 6, 1)
-        assert youtube.mean_volume_down(Technology.ADSL, day) == pytest.approx(
-            youtube.mean_volume_down(Technology.FTTH, day)
+        assert youtube.volume_down[Technology.ADSL](day) == pytest.approx(
+            youtube.volume_down[Technology.FTTH](day)
         )
 
     def test_upload_ratios_sane(self, services):

@@ -98,7 +98,7 @@ class TestVisitThresholdsVsVolumes:
             if threshold is None:
                 continue
             for technology in Technology:
-                mean = service.mean_volume_down(technology, day)
+                mean = service.volume_down[technology](day)
                 if mean == 0:
                     continue  # not launched yet
                 assert mean > 2 * threshold, (service.name, technology)
